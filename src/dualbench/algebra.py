@@ -378,45 +378,56 @@ def enumerate_homs(a, b):
     """All homomorphisms a -> b, canonically ordered (lexicographic over the
     image tuple in declaration order).
 
-    Backtracking search: bounds are pinned, every assignment propagates
-    through the operation tables (fixing h(x) and h(y) forces h(x meet y),
-    h(x join y), and so on), and dead branches are cut by order-compatibility
-    with what is already assigned. brute_force_homs is the scan oracle.
+    Backtracking search: bounds are pinned, and every assignment is
+    propagated through the operation tables by a worklist in the style of
+    AC-3 (Mackworth 1977). Each newly fixed element x is applied once to
+    every unary table and paired once with every element already processed,
+    x itself included, in both argument orders of every binary table; a
+    forced image that is still free joins the worklist, one that disagrees
+    kills the branch. So fixing h(x) and h(y) forces h(x meet y),
+    h(x join y), and so on, without rescanning pairs already checked. The
+    forced closure does not depend on the order of work. Dead branches are
+    cut by order-compatibility with what is already assigned.
+    brute_force_homs is the scan oracle.
     """
     _require_compatible(a, b)
     n, m = len(a), len(b)
     consts, unaries, binaries = _op_tables(a, b)
     leq_a, leq_b = a.lattice.leq, b.lattice.leq
     assign = [-1] * n
+    # fixed elements whose table entries against each other are all checked
+    done = []
 
     def propagate(trail):
-        changed = True
-        while changed:
-            changed = False
+        head = 0
+        while head < len(trail):
+            x = trail[head]
+            head += 1
+            vx = assign[x]
             for _, ta, tb in unaries:
-                for i in range(n):
-                    v = assign[i]
-                    if v < 0:
-                        continue
-                    k, forced = ta[i], tb[v]
+                k, forced = ta[x], tb[vx]
+                if assign[k] < 0:
+                    assign[k] = forced
+                    trail.append(k)
+                elif assign[k] != forced:
+                    return False
+            done.append(x)
+            for _, ta, tb in binaries:
+                row_a, row_b = ta[x], tb[vx]
+                for y in done:
+                    vy = assign[y]
+                    k, forced = row_a[y], row_b[vy]
                     if assign[k] < 0:
                         assign[k] = forced
                         trail.append(k)
-                        changed = True
                     elif assign[k] != forced:
                         return False
-            assigned = [i for i in range(n) if assign[i] >= 0]
-            for _, ta, tb in binaries:
-                for i in assigned:
-                    for j in assigned:
-                        k, forced = ta[i][j], tb[assign[i]][assign[j]]
-                        if assign[k] < 0:
-                            assign[k] = forced
-                            trail.append(k)
-                            assigned.append(k)
-                            changed = True
-                        elif assign[k] != forced:
-                            return False
+                    k, forced = ta[y][x], tb[vy][vx]
+                    if assign[k] < 0:
+                        assign[k] = forced
+                        trail.append(k)
+                    elif assign[k] != forced:
+                        return False
         return True
 
     def consistent(i, v):
@@ -435,6 +446,7 @@ def enumerate_homs(a, b):
     def search():
         for i in range(n):
             if assign[i] < 0:
+                mark = len(done)
                 for v in range(m):
                     if not consistent(i, v):
                         continue
@@ -444,6 +456,7 @@ def enumerate_homs(a, b):
                         search()
                     for k in trail:
                         assign[k] = -1
+                    del done[mark:]
                 return
         found.append(tuple(assign))
 

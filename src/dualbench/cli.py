@@ -10,6 +10,7 @@ runs over identical inputs are byte-identical.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import hashlib
 import json
 import os
@@ -45,6 +46,7 @@ from .duality import (
     priestley_dual,
     priestley_reconstruct,
     spectrum_correspondence,
+    verification_scope,
 )
 from .errors import (
     BudgetExceeded,
@@ -566,8 +568,16 @@ def main(argv=None):
             return 2
     report = RunReport(command=args.command)
     started = time.perf_counter()
+    # one verification scope per command; corpus-run opens one per instance
+    # itself, since a scope around the whole run would keep every dual of
+    # the corpus alive until it ends
+    if args.command == "corpus-run":
+        scope = contextlib.nullcontext()
+    else:
+        scope = verification_scope()
     try:
-        report = _HANDLERS[args.command](args, report)
+        with scope:
+            report = _HANDLERS[args.command](args, report)
     except (DocumentError, OSError, UnicodeDecodeError, BudgetExceeded) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

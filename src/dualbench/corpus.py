@@ -38,6 +38,7 @@ from .duality import (
     lvl_dual,
     priestley_dual,
     spectrum_correspondence,
+    verification_scope,
 )
 from .errors import BudgetExceeded, DualityError
 from .kripke import DEFAULT_POWER_BUDGET, kripke_condition_check, upset_algebra
@@ -250,10 +251,12 @@ class CorpusReport:
 
 
 def _guarded(suite, witness_prefix, fn):
-    """Run one corpus instance; enumeration budgets count as failures with
-    an explanatory witness instead of aborting the whole suite."""
+    """Run one corpus instance in its own verification scope; enumeration
+    budgets count as failures with an explanatory witness instead of
+    aborting the whole suite."""
     try:
-        fn()
+        with verification_scope():
+            fn()
     except BudgetExceeded as exc:
         suite.fail(f"{witness_prefix}: budget exceeded ({exc})")
     except DualityError as exc:
@@ -451,6 +454,9 @@ def _sample_pairs(homsets, rng, want):
     return pairs
 
 
+# the objects and hom-sets live for the whole suite, so one verification
+# scope lets every dualized hom reuse the duals of its ends
+@verification_scope()
 def suite_functoriality(lattices, frames, seed, budget=DEFAULT_POWER_BUDGET, want=60):
     suite = SuiteResult("functoriality")
     truth2 = chain_lattice(2)

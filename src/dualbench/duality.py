@@ -12,10 +12,31 @@ Three modes are supported, matching the three dual categories:
 Every natural map is materialized in both directions and each verdict
 carries a concrete witness on failure; nothing is inferred from a cited
 result.
+
+One verification builds the same dual or map algebra several times: the
+algebra-side round trip dualizes the algebra its caller just dualized, the
+space-side round trip rebuilds the map algebra the algebra-side one built,
+and every dualized hom re-dualizes both of its ends. Inside a
+``verification_scope`` the three dualizations and three reconstructions
+are cached on the identity of their input (plus any further argument such
+as the truth lattice), so each is built once. The scope is opened around
+one top-level verification only: each corpus instance, the functoriality
+suite and each CLI command but ``corpus-run`` (whose instances open their
+own). The cache holds a strong reference to every
+key object, so an ``id`` is never reused while the scope is open, and it is
+emptied when the outermost scope exits. Nothing outlives one top-level
+verification, because peak memory is a cost users pay too: a process-wide
+cache would keep every dual of a corpus run alive to the end, and a cache
+stored on each object would form reference cycles (algebra, cache, homs,
+algebra) that only the cycle collector reclaims, late. Outside a scope
+nothing is cached.
 """
 
 from __future__ import annotations
 
+import contextlib
+import contextvars
+import functools
 import itertools
 from dataclasses import dataclass, field
 
@@ -57,6 +78,45 @@ MAP_ENUM_LIMIT = 200_000
 
 MODES = ("pbs", "pspa", "hspa")
 
+# (function, id of its first argument, further arguments) -> (first
+# argument, result), while a verification scope is open
+_SCOPE_CACHE = contextvars.ContextVar("dualbench_scope_cache", default=None)
+
+
+@contextlib.contextmanager
+def verification_scope():
+    """Cache duals and map algebras for the duration of one top-level
+    verification. A nested scope shares the outer cache, which is emptied
+    only when the outermost scope exits."""
+    if _SCOPE_CACHE.get() is not None:
+        yield
+        return
+    cache = {}
+    token = _SCOPE_CACHE.set(cache)
+    try:
+        yield
+    finally:
+        _SCOPE_CACHE.reset(token)
+        cache.clear()
+
+
+def _scoped(fn):
+    """Reuse fn's result for the same first-argument object (and equal
+    further arguments) inside a verification scope."""
+
+    @functools.wraps(fn)
+    def cached(obj, *rest):
+        cache = _SCOPE_CACHE.get()
+        if cache is None:
+            return fn(obj, *rest)
+        key = (fn, id(obj), rest)
+        entry = cache.get(key)
+        if entry is None:
+            entry = cache[key] = (obj, fn(obj, *rest))
+        return entry[1]
+
+    return cached
+
 
 def _point_names(k):
     return tuple(f"h{i}" for i in range(k))
@@ -78,6 +138,7 @@ def _hom_order(homs, names):
 # ---------------------------------------------------------------------------
 
 
+@_scoped
 def _lvl_dual(algebra):
     if algebra.signature != "lvl":
         raise AlgebraError(
@@ -244,6 +305,7 @@ def _vector_algebra(vectors, truth, name, signature, order=None):
     )
 
 
+@_scoped
 def _lvl_reconstruct(obj):
     vectors = _pbs_map_vectors(obj)
     return _vector_algebra(vectors, obj.alpha.truth, f"F({obj.name})", "lvl"), vectors
@@ -399,6 +461,7 @@ def _ordered_dual(bdl_algebra, name):
     return space, homs
 
 
+@_scoped
 def _priestley_dual(algebra):
     if algebra.signature != "bdl":
         raise AlgebraError(
@@ -462,6 +525,7 @@ def _ordered_map_vectors(space, truth, limit=MAP_ENUM_LIMIT):
     return tuple(res)
 
 
+@_scoped
 def _priestley_reconstruct(space, truth):
     vectors = _ordered_map_vectors(space, truth)
     return (
@@ -607,25 +671,21 @@ def _delta_roundtrip(space, truth, mode, reconstruct, dualize):
         if not res.passed:
             break
     report.record("order_reflecting", res)
-    # the 0/1-split separating map from the proof, reconstructed per
-    # unordered pair as the concrete reflection witness
-    vec_pos = {v: i for i, v in enumerate(vectors)}
+    # the 0/1-split separating map from the proof: the indicator of the
+    # up-set of s1 separates s1 from every point not above it, so it must be
+    # a map of the algebra whenever such a point exists
+    vec_set = set(vectors)
     res = PASS
     for s1 in range(n):
-        for s2 in range(n):
-            if space.order.leq[s1][s2]:
-                continue
-            up = space.order.upset(s1)
-            device = tuple(
-                truth.top if p in up else truth.bottom for p in range(n)
+        if all(space.order.leq[s1]):
+            continue
+        up = space.order.upset(s1)
+        device = tuple(truth.top if p in up else truth.bottom for p in range(n))
+        if device not in vec_set:
+            res = failed(
+                f"indicator of the up-set of {space.points[s1]} is not a "
+                "map of the algebra; no separating witness"
             )
-            if device not in vec_pos:
-                res = failed(
-                    f"indicator of the up-set of {space.points[s1]} is not a "
-                    "map of the algebra; no separating witness"
-                )
-                break
-        if not res.passed:
             break
     report.record("reflection_device", res)
     if mode == "hspa":
@@ -664,6 +724,7 @@ def check_priestley_space_roundtrip(space, truth):
 # ---------------------------------------------------------------------------
 
 
+@_scoped
 def _esakia_dual(algebra):
     if algebra.signature != "isp_i":
         raise AlgebraError(
@@ -699,6 +760,7 @@ def check_downclosure_identity(algebra):
     return PASS
 
 
+@_scoped
 def _esakia_reconstruct(space, truth):
     vectors = _ordered_map_vectors(space, truth)
     return (

@@ -1,5 +1,6 @@
 import pytest
 
+from dualbench import duality
 from dualbench.lattice import build_lattice, chain_lattice, diamond_lattice
 from dualbench.kripke import build_frame
 
@@ -44,3 +45,18 @@ def small_lattices(chain2, chain3, chain4, b2):
         name="six",
     )
     return (chain2, chain3, chain4, b2, six)
+
+
+@pytest.fixture
+def scope_caches(monkeypatch):
+    """Every verification-scope cache that an ordered dual build runs under
+    (None for a build outside any scope), recorded during the test."""
+    seen = []
+    build = duality._ordered_dual
+
+    def spy(*args):
+        seen.append(duality._SCOPE_CACHE.get())
+        return build(*args)
+
+    monkeypatch.setattr(duality, "_ordered_dual", spy)
+    return seen

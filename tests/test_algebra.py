@@ -10,13 +10,16 @@ from dualbench.algebra import (
     identity_hom,
     is_homomorphism,
     make_bdl,
+    make_heyting,
     make_lvl,
     product_algebra,
     subalgebra_of,
     t_operator,
 )
+from dualbench.corpus import corpus_frames, corpus_lattices
 from dualbench.errors import AlgebraError
-from dualbench.lattice import enumerate_subalgebras
+from dualbench.kripke import subalgebra_generated, upset_algebra
+from dualbench.lattice import chain_lattice, diamond_lattice, enumerate_subalgebras
 
 
 def test_t_operator_truth_constants(chain3, b2):
@@ -114,6 +117,51 @@ def test_enumerate_homs_against_brute_force(small_lattices, chain2, chain3):
     assert [h.mapping for h in enumerate_homs(lvl3, lvl3)] == [
         h.mapping for h in brute_force_homs(lvl3, lvl3)
     ]
+    # propagating only one argument order of the implication would admit
+    # three lattice homs between these two that do not preserve it
+    lats = {lat.name: lat for lat in corpus_lattices(7)}
+    a, b = (make_heyting(lats[name], chain2) for name in ("L7_2", "L5_1"))
+    assert [h.mapping for h in enumerate_homs(a, b)] == [
+        h.mapping for h in brute_force_homs(a, b)
+    ]
+
+
+# brute_force_homs scans |b|^|a| maps; pairs above this stay out of the
+# oracle test so that one example costs at most a fraction of a second
+ORACLE_MAPS = 20_000
+
+
+@pytest.fixture(scope="module")
+def oracle_pools(small_lattices):
+    """Algebras per signature; homs are only searched within one pool."""
+    truths = (chain_lattice(2), chain_lattice(3))
+    pools = {
+        "bdl": [make_bdl(lat, t) for lat in small_lattices for t in truths],
+        "heyting": [make_heyting(lat, t) for lat in small_lattices for t in truths],
+    }
+    for truth in truths + (diamond_lattice(),):
+        base = make_lvl(truth)
+        pools[f"lvl/{truth.name}"] = [base, product_algebra(base, base)]
+    pools["isp_i"] = [upset_algebra(truths[0], frame) for frame in corpus_frames(3)]
+    return pools
+
+
+@settings(deadline=None, max_examples=50)
+@given(data=st.data())
+def test_enumerate_homs_matches_oracle_in_every_signature(oracle_pools, data):
+    pool = data.draw(st.sampled_from(sorted(oracle_pools)))
+    algebras = oracle_pools[pool]
+    a = data.draw(st.sampled_from(algebras))
+    b = data.draw(st.sampled_from(algebras))
+    if pool == "isp_i" and data.draw(st.booleans()):
+        gens = data.draw(st.sets(st.integers(0, len(a) - 1), max_size=2))
+        a = subalgebra_generated(a, gens)
+    for src, dst in ((a, b), (b, a)):
+        if len(dst) ** len(src) > ORACLE_MAPS:
+            continue
+        assert [h.mapping for h in enumerate_homs(src, dst)] == [
+            h.mapping for h in brute_force_homs(src, dst)
+        ], (src.name, dst.name)
 
 
 def test_homs_match_prime_filters(small_lattices, chain2):

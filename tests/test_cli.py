@@ -3,6 +3,7 @@ import os
 import subprocess
 import sys
 
+from dualbench import duality
 from dualbench.cli import main
 
 DOCS = os.path.join(os.path.dirname(__file__), os.pardir, "sample_docs")
@@ -122,6 +123,16 @@ def test_kripke_check_cli(capsys):
     assert code == 0
     code, out, _ = run_cli(["kripke-check", doc("power22.doc")], capsys)
     assert code == 1
+
+
+def test_commands_leave_no_scope_cache(capsys, scope_caches):
+    code, _, _ = run_cli(["roundtrip", doc("upsets22.doc"), "--mode", "hspa"], capsys)
+    assert code == 0
+    # one ordered dual of the algebra, shared by both round trips, and one of
+    # its map algebra
+    assert len(scope_caches) == 2
+    assert all(c == {} for c in scope_caches)
+    assert duality._SCOPE_CACHE.get() is None
 
 
 def test_dualize_modes(capsys):

@@ -1,18 +1,32 @@
+import hashlib
 import itertools
 
 import pytest
 
+from dualbench import duality
+from dualbench.algebra import make_bdl
+from dualbench.cli import main
 from dualbench.corpus import (
+    SuiteResult,
+    _guarded,
     corpus_frames,
     corpus_lattices,
     corpus_run,
     downset_lattice,
     suite_axiom_ledger,
     suite_functoriality,
+    suite_ispi_roundtrip,
     suite_lvl_duality,
 )
 from dualbench.errors import BudgetExceeded
-from dualbench.lattice import build_poset
+from dualbench.lattice import build_poset, chain_lattice
+
+# sha256 of the machine report of `corpus-run --max-size 7 --frame-size 4
+# --seed 0`: an optimisation must keep every verdict, witness, count and
+# ordering, and so this hash
+CORPUS_RUN_7_4_0_SHA256 = (
+    "c3f3e614e748601f5a2e6526f345ccb16e0c01fac475921dcbc897345fdc7e74"
+)
 
 
 def is_chain(lattice):
@@ -122,3 +136,39 @@ def test_lvl_duality_suite_counts():
 def test_axiom_ledger_suite():
     suite = suite_axiom_ledger(corpus_lattices(5))
     assert suite.passed
+
+
+def test_corpus_run_machine_report_is_pinned(capsys):
+    args = "corpus-run --max-size 7 --frame-size 4 --seed 0 --format machine"
+    code = main(args.split())
+    out = capsys.readouterr().out
+    assert code == 1  # the chain3 suite is red by design
+    assert hashlib.sha256(out.encode("utf-8")).hexdigest() == CORPUS_RUN_7_4_0_SHA256
+
+
+def test_corpus_run_leaves_no_scope_cache(scope_caches):
+    corpus_run(max_size=4, frame_worlds=3, seed=0)
+    # every dual of the run was built inside some instance's scope
+    assert scope_caches and all(c is not None for c in scope_caches)
+    assert all(c == {} for c in scope_caches)
+    assert duality._SCOPE_CACHE.get() is None
+
+
+def test_budget_cut_instance_leaves_no_scope_cache(scope_caches):
+    # three-world frames need an 8-element power, beyond a budget of 4
+    suite = suite_ispi_roundtrip(corpus_frames(3), budget=4)
+    assert any("budget exceeded" in f for f in suite.failures)
+    assert scope_caches and all(c == {} for c in scope_caches)
+    assert duality._SCOPE_CACHE.get() is None
+    # an instance cut after it has already built a dual
+    probe = SuiteResult("probe")
+
+    def run():
+        duality.priestley_dual(make_bdl(chain_lattice(3), chain_lattice(2)))
+        assert duality._SCOPE_CACHE.get()
+        raise BudgetExceeded("cut")
+
+    _guarded(probe, "probe", run)
+    assert probe.failures == ["probe: budget exceeded (cut)"]
+    assert all(c == {} for c in scope_caches)
+    assert duality._SCOPE_CACHE.get() is None

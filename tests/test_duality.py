@@ -1,5 +1,6 @@
 import pytest
 
+from dualbench import duality
 from dualbench.algebra import (
     enumerate_homs,
     make_bdl,
@@ -28,7 +29,9 @@ from dualbench.duality import (
     priestley_dual,
     priestley_reconstruct,
     spectrum_correspondence,
+    verification_scope,
 )
+from dualbench.corpus import corpus_frames, corpus_lattices
 from dualbench.kripke import intuitionistic_power, upset_algebra
 from dualbench.lattice import (
     chain_lattice,
@@ -346,6 +349,92 @@ def test_dual_hom_of_map_pbs(chain2):
     obj = lvl_dual(product_algebra(make_lvl(chain2), make_lvl(chain2)))
     hom, checks = dual_hom_of_map((1, 0), obj, obj, "pbs")
     assert all(r.passed for r in checks.values())
+
+
+# --- verification scope -----------------------------------------------------
+
+
+def _scope_instances():
+    """A few corpus instances per mode, grouped so that homs compose within
+    a group; the pspa group over the three-chain is red by design."""
+    chain2, chain3 = chain_lattice(2), chain_lattice(3)
+    groups = {"pbs": [], "pspa": [], "hspa": []}
+    for truth in (chain2, chain3):
+        base = make_lvl(truth)
+        groups["pbs"].append([base, product_algebra(base, base)])
+        groups["pspa"].append([make_bdl(lat, truth) for lat in corpus_lattices(4)[1:]])
+    groups["hspa"].append([upset_algebra(chain2, f) for f in corpus_frames(3)[1:5]])
+    return groups
+
+
+def _all_results(mode, algebras):
+    """Every report, verdict and witness that the cached constructions feed,
+    in the order a corpus instance builds them."""
+    out = []
+    for alg in algebras:
+        if mode == "pbs":
+            out.append(check_lvl_algebra_roundtrip(alg).to_dict())
+            out.append(check_lvl_space_roundtrip(lvl_dual(alg)).to_dict())
+        elif mode == "pspa":
+            out.append(check_priestley_algebra_roundtrip(alg).to_dict())
+            space = priestley_dual(alg)
+            out.append(check_priestley_space_roundtrip(space, alg.truth).to_dict())
+        else:
+            out.append(check_downclosure_identity(alg))
+            out.append(check_esakia_algebra_roundtrip(alg).to_dict())
+            space = esakia_dual(alg)
+            out.append(check_esakia_space_roundtrip(space, alg.truth).to_dict())
+        out.append(functor_identity_check(alg, mode))
+    for a in algebras:
+        for b in algebras:
+            for c in algebras:
+                for f in enumerate_homs(a, b)[:2]:
+                    for g in enumerate_homs(b, c)[:2]:
+                        out.append(functor_composition_check(f, g, mode))
+    return out
+
+
+def test_scope_keeps_every_verdict_and_witness():
+    failing = 0
+    for mode, groups in _scope_instances().items():
+        for algebras in groups:
+            plain = _all_results(mode, algebras)
+            with verification_scope():
+                scoped = _all_results(mode, algebras)
+                cached = _all_results(mode, algebras)
+            assert scoped == plain, mode
+            assert cached == plain, mode
+            failing += sum(
+                not (r["passed"] if isinstance(r, dict) else r.passed) for r in plain
+            )
+    # the three-chain pspa round trips are red, so witnesses are compared too
+    assert failing
+    assert duality._SCOPE_CACHE.get() is None
+
+
+def test_scope_reuses_duals_and_map_algebras(chain2, chain3):
+    alg = make_bdl(chain3, chain2)
+    with verification_scope():
+        space = priestley_dual(alg)
+        assert priestley_dual(alg) is space
+        algebra = priestley_reconstruct(space, chain2)
+        assert priestley_reconstruct(space, chain2) is algebra
+    assert priestley_dual(alg) is not priestley_dual(alg)
+
+
+def test_nested_scope_keeps_the_outer_cache(chain2, chain3):
+    alg = make_bdl(chain3, chain2)
+    with verification_scope():
+        space = priestley_dual(alg)
+        with verification_scope():
+            assert priestley_dual(alg) is space
+            inner = esakia_dual(make_heyting_ispi(chain3, chain2))
+        assert priestley_dual(alg) is space
+        cache = duality._SCOPE_CACHE.get()
+        assert len(cache) == 2
+        assert any(entry[1][0] is inner for entry in cache.values())
+    assert duality._SCOPE_CACHE.get() is None
+    assert cache == {}
 
 
 # --- spectrum ---------------------------------------------------------------
