@@ -109,6 +109,125 @@ def _check_table(alg, table, symbol):
         raise AlgebraError("bad-table", f"{symbol} table of {alg.name!r} is not total")
 
 
+def relativized_implication(truth, order):
+    """The implication relativized to a poset on vector coordinates (the
+    worlds of a frame, or the points of an ordered space), as a function of
+    two truth-valued vectors: (u -> v)(w) = meet over w <= w' of
+    u(w') -> v(w').
+
+    The result depends only on the pointwise implication, so it is computed
+    once per distinct pointwise vector: as the meet of that vector at w with
+    the results at the covers of w, worlds taken from the top down."""
+    hey = heyting_table(truth)
+    meet = truth.meet
+    n = len(order)
+    leq = order.leq
+    # worlds above come first: a strictly larger world has a smaller up-set
+    worlds = sorted(range(n), key=lambda w: sum(leq[w]))
+    covers = [
+        [
+            c
+            for c in range(n)
+            if c != w
+            and leq[w][c]
+            and not any(m not in (w, c) and leq[w][m] and leq[m][c] for m in range(n))
+        ]
+        for w in range(n)
+    ]
+    known = {}
+
+    def implies(u, v):
+        pointwise = tuple([hey[x][y] for x, y in zip(u, v)])
+        out = known.get(pointwise)
+        if out is None:
+            vals = list(pointwise)
+            for w in worlds:
+                val = vals[w]
+                for c in covers[w]:
+                    val = meet[val][vals[c]]
+                vals[w] = val
+            out = known[pointwise] = tuple(vals)
+        return out
+
+    return implies
+
+
+def vector_algebra(
+    vectors, truth, name, signature, order=None, presented=False, generators=None
+):
+    """Pointwise algebra on a family of truth-valued vectors, with tables
+    over the family alone. ``heyting`` and ``lvl`` take the pointwise
+    relative pseudocomplement; ``isp_i`` relativizes the implication to
+    ``order``, a poset on the coordinates. A ``presented`` family is (a
+    subalgebra of) the power of the truth lattice over ``order``: the
+    algebra carries its PowerPresentation, with ``generators``, and the
+    truth-constant operators whenever the family is closed under them
+    (``lvl`` requires them)."""
+    if not vectors:
+        raise AlgebraError("empty-carrier", f"{name!r} has no maps at all")
+    vectors = tuple(vectors)
+    width = len(vectors[0])
+    pos = {v: i for i, v in enumerate(vectors)}
+
+    def table(op, what):
+        out = tuple(tuple(pos.get(op(u, v), -1) for v in vectors) for u in vectors)
+        if any(-1 in row for row in out):
+            raise AlgebraError("not-closed", f"{name!r}: {what} leaves the map family")
+        return out
+
+    def pointwise(t):
+        return lambda u, v: tuple([t[x][y] for x, y in zip(u, v)])
+
+    def look(vec, what):
+        i = pos.get(vec)
+        if i is None:
+            raise AlgebraError("not-closed", f"{name!r}: {what} leaves the map family")
+        return i
+
+    meet = table(pointwise(truth.meet), "a meet")
+    lattice = FiniteLattice(
+        tuple(vector_name(truth, v) for v in vectors),
+        # pointwise, u <= v exactly when u meet v is u
+        tuple(tuple(k == i for k in row) for i, row in enumerate(meet)),
+        meet,
+        table(pointwise(truth.join), "a join"),
+        look((truth.bottom,) * width, "the bottom"),
+        look((truth.top,) * width, "the top"),
+        name=name,
+    )
+    implies = None
+    if signature in ("heyting", "lvl"):
+        implies = table(pointwise(heyting_table(truth)), "an implication")
+    elif signature == "isp_i":
+        implies = table(relativized_implication(truth, order), "an implication")
+    t_ops = None
+    if signature == "lvl" or presented:
+        t_ops = tuple(
+            tuple(
+                pos.get(tuple([truth.top if x == l else truth.bottom for x in v]), -1)
+                for v in vectors
+            )
+            for l in range(len(truth))
+        )
+        if any(-1 in row for row in t_ops):
+            if signature == "lvl":
+                raise AlgebraError(
+                    "not-closed", f"{name!r}: a truth-constant image leaves the map family"
+                )
+            t_ops = None
+    presentation = PowerPresentation(order, vectors, generators) if presented else None
+    return _validate(
+        Algebra(
+            signature,
+            lattice,
+            truth,
+            implies=implies,
+            t_ops=t_ops,
+            presentation=presentation,
+        )
+    )
+
+
 def t_operator(truth, l, x):
     """Truth-constant operator on the truth lattice itself: top iff x is l."""
     truth._check(l)

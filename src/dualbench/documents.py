@@ -29,7 +29,7 @@ from dataclasses import dataclass, field
 
 from .algebra import algebra_from_tables
 from .errors import DocumentError
-from .kripke import intuitionistic_power, subalgebra_generated
+from .kripke import check_power_budget, intuitionistic_power, power_subalgebra
 from .lattice import build_lattice, build_poset, heyting_table
 from .topology import (
     AlphaAssignment,
@@ -422,10 +422,10 @@ def build_algebra_from(doc, registry, budget):
                 f"algebra {doc.name!r}: power presentations carry the isp_i signature",
                 line=doc.line_of("signature"),
             )
-        power = intuitionistic_power(truth, frame, budget=budget, name=doc.name)
         gens_field = doc.get("generators")
         if gens_field is None:
-            return power
+            return intuitionistic_power(truth, frame, budget=budget, name=doc.name)
+        check_power_budget(truth, frame, budget)
         gens = []
         for tok in _tokens(gens_field):
             vals = _vector_token(tok, doc, "generators")
@@ -435,9 +435,8 @@ def build_algebra_from(doc, registry, budget):
                     f"generator {tok} has {len(vals)} entries for {len(frame)} worlds",
                     line=doc.line_of("generators"),
                 )
-            vec = tuple(truth.index(v) for v in vals)
-            gens.append(power.presentation.vectors.index(vec))
-        return subalgebra_generated(power, gens, name=doc.name)
+            gens.append(tuple(truth.index(v) for v in vals))
+        return power_subalgebra(truth, frame, gens, name=doc.name)
     lattice = build_lattice(
         _tokens(doc.get("elements", "")),
         _pairs(doc.get("leq", ""), doc, "leq"),

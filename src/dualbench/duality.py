@@ -41,7 +41,6 @@ import itertools
 from dataclasses import dataclass, field
 
 from .algebra import (
-    Algebra,
     Homomorphism,
     compose_homs,
     enumerate_homs,
@@ -50,15 +49,15 @@ from .algebra import (
     is_homomorphism,
     make_bdl,
     make_lvl,
+    relativized_implication,
+    vector_algebra,
     vector_name,
 )
 from .errors import AlgebraError, BudgetExceeded
 from .lattice import (
-    FiniteLattice,
     Poset,
     _is_prime_filter,
     enumerate_subalgebras,
-    heyting_table,
     prime_filters,
     prime_ideals,
 )
@@ -216,99 +215,10 @@ def _pbs_map_vectors(obj, limit=MAP_ENUM_LIMIT):
     return tuple(out)
 
 
-def _vector_algebra(vectors, truth, name, signature, order=None):
-    """Pointwise algebra on a family of truth-valued vectors. ``heyting``
-    and ``lvl`` take the pointwise relative pseudocomplement; ``isp_i``
-    relativizes the implication to the given order on coordinates."""
-    if not vectors:
-        raise AlgebraError("empty-carrier", f"{name!r} has no maps at all")
-    width = len(vectors[0])
-    pos = {v: i for i, v in enumerate(vectors)}
-
-    def look(vec, what):
-        i = pos.get(vec)
-        if i is None:
-            raise AlgebraError(
-                "not-closed", f"{name!r}: {what} leaves the map family"
-            )
-        return i
-
-    names = tuple(vector_name(truth, v) for v in vectors)
-    leq = tuple(
-        tuple(all(truth.leq[x][y] for x, y in zip(u, v)) for v in vectors)
-        for u in vectors
-    )
-    meet = tuple(
-        tuple(
-            look(tuple(truth.meet[x][y] for x, y in zip(u, v)), "a meet")
-            for v in vectors
-        )
-        for u in vectors
-    )
-    join = tuple(
-        tuple(
-            look(tuple(truth.join[x][y] for x, y in zip(u, v)), "a join")
-            for v in vectors
-        )
-        for u in vectors
-    )
-    lattice = FiniteLattice(
-        names,
-        leq,
-        meet,
-        join,
-        look((truth.bottom,) * width, "the bottom"),
-        look((truth.top,) * width, "the top"),
-        name=name,
-    )
-    hey = heyting_table(truth)
-    implies = None
-    t_ops = None
-    if signature in ("heyting", "lvl"):
-        implies = tuple(
-            tuple(
-                look(tuple(hey[x][y] for x, y in zip(u, v)), "an implication")
-                for v in vectors
-            )
-            for u in vectors
-        )
-    elif signature == "isp_i":
-        upsets = [sorted(order.upset(w)) for w in range(width)]
-
-        def d0(u, v):
-            out = []
-            for w in range(width):
-                val = truth.top
-                for w2 in upsets[w]:
-                    val = truth.meet[val][hey[u[w2]][v[w2]]]
-                out.append(val)
-            return tuple(out)
-
-        implies = tuple(
-            tuple(look(d0(u, v), "an implication") for v in vectors) for u in vectors
-        )
-    if signature == "lvl":
-        t_ops = tuple(
-            tuple(
-                look(
-                    tuple(truth.top if x == l else truth.bottom for x in v),
-                    "a truth-constant image",
-                )
-                for v in vectors
-            )
-            for l in range(len(truth))
-        )
-    from .algebra import _validate
-
-    return _validate(
-        Algebra(signature, lattice, truth, implies=implies, t_ops=t_ops)
-    )
-
-
 @_scoped
 def _lvl_reconstruct(obj):
     vectors = _pbs_map_vectors(obj)
-    return _vector_algebra(vectors, obj.alpha.truth, f"F({obj.name})", "lvl"), vectors
+    return vector_algebra(vectors, obj.alpha.truth, f"F({obj.name})", "lvl"), vectors
 
 
 def lvl_reconstruct(obj):
@@ -529,7 +439,7 @@ def _ordered_map_vectors(space, truth, limit=MAP_ENUM_LIMIT):
 def _priestley_reconstruct(space, truth):
     vectors = _ordered_map_vectors(space, truth)
     return (
-        _vector_algebra(vectors, truth, f"C({space.name})", "bdl"),
+        vector_algebra(vectors, truth, f"C({space.name})", "bdl"),
         vectors,
     )
 
@@ -764,7 +674,7 @@ def check_downclosure_identity(algebra):
 def _esakia_reconstruct(space, truth):
     vectors = _ordered_map_vectors(space, truth)
     return (
-        _vector_algebra(
+        vector_algebra(
             vectors, truth, f"CI({space.name})", "isp_i", order=space.order
         ),
         vectors,
@@ -783,20 +693,14 @@ def check_implication_preimage_identity(space, truth):
     down-closures of the preimages of f and g. It is a proof device, not
     the definition, so agreement is measured and mismatches are reported."""
     vectors = _ordered_map_vectors(space, truth)
-    hey = heyting_table(truth)
+    implies = relativized_implication(truth, space.order)
     n = len(space.points)
     full = frozenset(range(n))
-    upsets = [sorted(space.order.upset(w)) for w in range(n)]
     checked = mismatches = 0
     first = None
     for f in vectors:
         for g in vectors:
-            fg = []
-            for w in range(n):
-                val = truth.top
-                for w2 in upsets[w]:
-                    val = truth.meet[val][hey[f[w2]][g[w2]]]
-                fg.append(val)
+            fg = implies(f, g)
             for l in range(len(truth)):
                 checked += 1
                 lhs = frozenset(s for s in range(n) if fg[s] == l)

@@ -1,9 +1,15 @@
 """Intuitionistic frames and frame-indexed powers of the truth lattice.
 
-The power carrier is *all* functions from worlds to truth values; monotone
-subfamilies arise by closing a generating set. The implication is not
-pointwise: at a world it is the meet, over every world above, of the
-pointwise Heyting implications.
+The power of a truth lattice over a frame has every function from worlds to
+truth values in its carrier, nt^nw of them. Its lattice operations are
+pointwise; its implication is not: at a world it is the meet, over every
+world above, of the pointwise Heyting implications.
+
+The algebras of interest are small subalgebras of the power: the up-set
+algebra, or the subalgebra a document generates. They are built by closing
+their generating vectors (and both bounds) under those operations, with
+tables over the closed family alone; the power itself is materialized only
+when it is asked for.
 """
 
 from __future__ import annotations
@@ -12,16 +18,15 @@ import itertools
 from dataclasses import replace
 
 from .algebra import (
-    Algebra,
-    PowerPresentation,
-    _validate,
     enumerate_homs,
     hom_leq,
     make_bdl,
+    relativized_implication,
+    vector_algebra,
     vector_name,
 )
 from .errors import AlgebraError, BudgetExceeded
-from .lattice import FiniteLattice, _close_subset, heyting_table
+from .lattice import heyting_table
 from .reporting import PASS, failed
 
 DEFAULT_POWER_BUDGET = 4096
@@ -34,6 +39,16 @@ def build_frame(worlds, order_pairs, name="frame"):
     return build_poset(worlds, order_pairs, name=name)
 
 
+def check_power_budget(truth, frame, budget):
+    """Refuse a power whose carrier would exceed the budget, before anything
+    over it is built."""
+    nw, nt = len(frame), len(truth)
+    if nt**nw > budget:
+        raise BudgetExceeded(
+            f"power carrier {nt}^{nw} exceeds the budget of {budget} elements"
+        )
+
+
 def intuitionistic_power(truth, frame, budget=DEFAULT_POWER_BUDGET, name=None):
     """The full power of the truth lattice over a frame, with pointwise
     lattice operations and the frame-relativized implication
@@ -43,100 +58,121 @@ def intuitionistic_power(truth, frame, budget=DEFAULT_POWER_BUDGET, name=None):
     checks in the isp_i signature ignore them, but they are definable and
     occasionally useful.
     """
-    nw, nt = len(frame), len(truth)
-    if nt**nw > budget:
-        raise BudgetExceeded(
-            f"power carrier {nt}^{nw} exceeds the budget of {budget} elements"
-        )
-    vectors = tuple(itertools.product(range(nt), repeat=nw))
-    pos = {v: i for i, v in enumerate(vectors)}
-    names = tuple(vector_name(truth, v) for v in vectors)
-    leq = tuple(
-        tuple(all(truth.leq[x][y] for x, y in zip(u, v)) for v in vectors)
-        for u in vectors
+    check_power_budget(truth, frame, budget)
+    vectors = tuple(itertools.product(range(len(truth)), repeat=len(frame)))
+    return vector_algebra(
+        vectors,
+        truth,
+        name or f"{truth.name}^{frame.name}",
+        "isp_i",
+        order=frame,
+        presented=True,
     )
-    meet = tuple(
-        tuple(pos[tuple(truth.meet[x][y] for x, y in zip(u, v))] for v in vectors)
-        for u in vectors
-    )
-    join = tuple(
-        tuple(pos[tuple(truth.join[x][y] for x, y in zip(u, v))] for v in vectors)
-        for u in vectors
-    )
-    lattice = FiniteLattice(
-        names,
-        leq,
-        meet,
-        join,
-        pos[(truth.bottom,) * nw],
-        pos[(truth.top,) * nw],
-        name=name or f"{truth.name}^{frame.name}",
-    )
-    hey = heyting_table(truth)
-    upsets = [sorted(frame.upset(w)) for w in range(nw)]
 
-    def d0(u, v):
-        out = []
-        for w in range(nw):
-            val = truth.top
-            for w2 in upsets[w]:
-                val = truth.meet[val][hey[u[w2]][v[w2]]]
-            out.append(val)
-        return tuple(out)
 
-    implies = tuple(
-        tuple(pos[d0(u, v)] for v in vectors) for u in vectors
-    )
-    t_ops = tuple(
-        tuple(
-            pos[tuple(truth.top if x == l else truth.bottom for x in v)]
-            for v in vectors
-        )
-        for l in range(nt)
-    )
-    return _validate(
-        Algebra(
-            "isp_i",
-            lattice,
-            truth,
-            implies=implies,
-            t_ops=t_ops,
-            presentation=PowerPresentation(frame, vectors),
-        )
+def close_vectors(truth, frame, seeds):
+    """The seed vectors and both constant bounds, closed under pointwise
+    meet and join and the frame-relativized implication, in sorted order
+    (the power's index order).
+
+    A worklist: each new vector is combined once with every vector already
+    taken off the list, itself included, in both argument orders of the
+    implication; a result not yet seen joins the list.
+    """
+    width = len(frame)
+    meet, join = truth.meet, truth.join
+    implies = relativized_implication(truth, frame)
+    closed = {(truth.bottom,) * width, (truth.top,) * width, *seeds}
+    work = list(closed)
+    done = []
+    while work:
+        u = work.pop()
+        done.append(u)
+        for v in done:
+            for vec in (
+                tuple([meet[x][y] for x, y in zip(u, v)]),
+                tuple([join[x][y] for x, y in zip(u, v)]),
+                implies(u, v),
+                implies(v, u),
+            ):
+                if vec not in closed:
+                    closed.add(vec)
+                    work.append(vec)
+    return tuple(sorted(closed))
+
+
+def power_subalgebra(truth, frame, generators, name=None, power_name=None):
+    """The subalgebra of the power of the truth lattice over a frame that
+    the generator vectors (plus both bounds) generate, built without
+    materializing the power. Elements come in the power's index order, the
+    presentation holds the sorted generators, and truth-constant operators
+    are attached when the carrier is closed under them. The default name is
+    the power's name (``power_name``, by default ``truth^frame``) followed
+    by the carrier, as ``subalgebra_of`` names a subset."""
+    generators = tuple(sorted(generators))
+    closed = close_vectors(truth, frame, generators)
+    if name is None:
+        if power_name is None:
+            power_name = f"{truth.name}^{frame.name}"
+        name = power_name + "|" + "".join(vector_name(truth, v) for v in closed)
+    return vector_algebra(
+        closed, truth, name, "isp_i", order=frame, presented=True, generators=generators
     )
 
 
 def subalgebra_generated(power, generators, name=None):
     """Closure of the generators (plus bounds) under meet, join and the
     frame-relativized implication, as an isp_i algebra carrying its power
-    presentation. Generators are indices into the power carrier."""
+    presentation. Generators are indices into the power carrier; the
+    closure runs on their vectors (power_subalgebra), not on the power's
+    tables."""
     if power.presentation is None:
         raise AlgebraError(
             "not-a-power", f"{power.name!r} does not carry a power presentation"
         )
+    generators = tuple(generators)
     n = len(power)
     for g in generators:
         if not 0 <= g < n:
             raise AlgebraError(
                 "unknown-generator", f"generator index {g} is outside the power carrier"
             )
-    lat = power.lattice
-    closed = _close_subset(
-        frozenset(generators) | {lat.bottom, lat.top},
-        [lat.meet, lat.join, power.implies],
-        [],
+    vectors = power.presentation.vectors
+    sub = power_subalgebra(
+        power.truth,
+        power.presentation.frame,
+        [vectors[g] for g in generators],
+        name=name,
+        power_name=power.name,
     )
-    from .algebra import subalgebra_of
+    # a subalgebra carries no operator its algebra lacks
+    return sub if power.t_ops is not None else replace(sub, t_ops=None)
 
-    try:
-        sub = subalgebra_of(power, closed, name=name)
-    except AlgebraError:
-        # the truth-constant family need not restrict; drop it
-        sub = subalgebra_of(replace(power, t_ops=None), closed, name=name)
-    gen_vectors = tuple(power.presentation.vectors[g] for g in sorted(generators))
-    return replace(
-        sub, presentation=replace(sub.presentation, generators=gen_vectors)
-    )
+
+def monotone_vectors(truth, frame):
+    """The order-preserving world-to-truth vectors in the power's index
+    order, each prefix extended only by values that keep it
+    order-preserving."""
+    nw, nt = len(frame), len(truth)
+    below = [[w2 for w2 in range(w) if frame.leq[w2][w]] for w in range(nw)]
+    above = [[w2 for w2 in range(w) if frame.leq[w][w2]] for w in range(nw)]
+    leq = truth.leq
+    vec = [truth.bottom] * nw
+    out = []
+
+    def extend(w):
+        if w == nw:
+            out.append(tuple(vec))
+            return
+        for x in range(nt):
+            if all(leq[vec[v]][x] for v in below[w]) and all(
+                leq[x][vec[v]] for v in above[w]
+            ):
+                vec[w] = x
+                extend(w + 1)
+
+    extend(0)
+    return tuple(out)
 
 
 def monotone_vector_indices(power):
@@ -158,10 +194,11 @@ def monotone_vector_indices(power):
 
 def upset_algebra(truth, frame, budget=DEFAULT_POWER_BUDGET, name=None):
     """The subalgebra generated by every order-preserving vector; over the
-    two-element truth lattice this is the Heyting algebra of up-sets."""
-    power = intuitionistic_power(truth, frame, budget=budget)
-    return subalgebra_generated(
-        power, monotone_vector_indices(power), name=name or f"up({frame.name})"
+    two-element truth lattice this is the Heyting algebra of up-sets. The
+    budget still bounds the power it is a subalgebra of."""
+    check_power_budget(truth, frame, budget)
+    return power_subalgebra(
+        truth, frame, monotone_vectors(truth, frame), name=name or f"up({frame.name})"
     )
 
 

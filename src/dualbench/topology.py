@@ -210,23 +210,11 @@ def is_pairwise_hausdorff(space, mode="unordered"):
     return PASS
 
 
-def _is_compact_subset(subset, topo):
-    # Every open family over a finite carrier is finite, so any cover is its
-    # own finite subcover; the check cannot fail, only run.
-    del subset, topo
-    return True
-
-
 def is_pairwise_compact(space):
-    """Always passes on finite carriers; additionally cross-checks that each
-    closed set of one topology is compact in the other, reporting any
-    discrepancy as an internal-consistency failure."""
-    for c in space.topo1.closed_sets():
-        if not _is_compact_subset(c, space.topo2):
-            return failed(f"closed set {space.subset_name(c)} not compact in topology 2")
-    for c in space.topo2.closed_sets():
-        if not _is_compact_subset(c, space.topo1):
-            return failed(f"closed set {space.subset_name(c)} not compact in topology 1")
+    """Always passes: every family of opens over a finite carrier is finite,
+    so each cover of a closed set is its own finite subcover. The verdict
+    is kept so that every object report lists the same keys."""
+    del space
     return PASS
 
 

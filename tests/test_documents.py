@@ -12,6 +12,7 @@ from dualbench.documents import (
 )
 from dualbench.errors import DocumentError, LatticeError
 from dualbench.corpus import corpus_frames, corpus_lattices
+from dualbench.kripke import intuitionistic_power, subalgebra_generated
 
 CHAIN3 = """\
 # a comment line
@@ -183,6 +184,24 @@ def test_power_generators_validation():
     docset = DocumentSet(parse_documents(base))
     with pytest.raises(DocumentError):
         docset.algebra("p", budget=4096)
+
+
+def test_power_generators_match_the_materialized_power():
+    # the document route closes its generators without building the power;
+    # it must give what cutting them out of the power gives, t_ops included
+    for gens, closed_under_t_ops in (("(0,1)", False), ("(1,0)", True)):
+        text = (
+            "kind: algebra\nname: p\nsignature: isp_i\ntruth_lattice: chain2\n"
+            f"presentation: power\nframe: w2\ngenerators: {gens}\n"
+            "---\nkind: frame\nname: w2\nworlds: w0 w1\norder: w0<=w1\n"
+            "---\nkind: lattice\nname: chain2\nelements: 0 1\nleq: 0<=1\n"
+            "bottom: 0\ntop: 1\n"
+        )
+        algebra = DocumentSet(parse_documents(text)).algebra("p", budget=4096)
+        power = intuitionistic_power(algebra.truth, algebra.presentation.frame, name="p")
+        expected = subalgebra_generated(power, [power.elements.index(gens)], name="p")
+        assert algebra == expected
+        assert (algebra.t_ops is not None) == closed_under_t_ops
 
 
 def test_space_with_alpha_builds(chain2):

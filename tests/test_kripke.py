@@ -1,17 +1,47 @@
+from dataclasses import replace
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from dualbench.algebra import enumerate_homs, hom_leq, make_bdl
+from dualbench.algebra import (
+    enumerate_homs,
+    hom_leq,
+    make_bdl,
+    relativized_implication,
+    subalgebra_of,
+)
+from dualbench.corpus import corpus_frames
 from dualbench.errors import AlgebraError, BudgetExceeded
 from dualbench.kripke import (
     build_frame,
+    close_vectors,
     intuitionistic_power,
     kripke_condition_check,
     monotone_vector_indices,
+    monotone_vectors,
     subalgebra_generated,
     upset_algebra,
 )
-from dualbench.lattice import heyting_implies, heyting_table
+from dualbench.lattice import _close_subset, heyting_implies, heyting_table
+
+
+def table_closure(power, generators, name=None):
+    """The generated subalgebra cut out of the materialized power: its
+    generators closed under the power's own tables, then restricted, with
+    the truth-constant operators dropped where they do not restrict. The
+    slow oracle for the closure on vectors."""
+    lat = power.lattice
+    closed = _close_subset(
+        frozenset(generators) | {lat.bottom, lat.top},
+        [lat.meet, lat.join, power.implies],
+        [],
+    )
+    try:
+        sub = subalgebra_of(power, closed, name=name)
+    except AlgebraError:
+        sub = subalgebra_of(replace(power, t_ops=None), closed, name=name)
+    gen_vectors = tuple(power.presentation.vectors[g] for g in sorted(generators))
+    return replace(sub, presentation=replace(sub.presentation, generators=gen_vectors))
 
 
 def test_one_world_power_is_the_truth_lattice(chain2, chain3):
@@ -158,3 +188,55 @@ def test_upset_algebra_carrier_is_monotone_maps(chain2):
     power = intuitionistic_power(chain2, frame)
     monotone = {power.presentation.vectors[i] for i in monotone_vector_indices(power)}
     assert set(up.presentation.vectors) == monotone
+
+
+def test_upset_algebra_matches_the_power_oracle(chain2, chain3):
+    cases = [(chain2, f) for f in corpus_frames(5)]
+    cases += [(chain3, f) for f in corpus_frames(4)]
+    assert len(cases) == 87 + 24
+    for truth, frame in cases:
+        power = intuitionistic_power(truth, frame)
+        monotone = monotone_vector_indices(power)
+        name = f"up({frame.name})"
+        up = upset_algebra(truth, frame)
+        assert up == subalgebra_generated(power, monotone, name=name)
+        assert up == table_closure(power, monotone, name=name)
+        assert monotone_vectors(truth, frame) == up.presentation.generators
+
+
+@settings(deadline=None, max_examples=60)
+@given(data=st.data())
+def test_vector_closure_matches_table_closure(chain2, chain3, data):
+    truth = data.draw(st.sampled_from([chain2, chain3]))
+    frame = data.draw(st.sampled_from(corpus_frames(3)))
+    power = intuitionistic_power(truth, frame)
+    gens = data.draw(st.lists(st.integers(0, len(power) - 1), max_size=4))
+    vectors = power.presentation.vectors
+    expected = table_closure(power, gens)
+    assert close_vectors(truth, frame, [vectors[g] for g in gens]) == (
+        expected.presentation.vectors
+    )
+    assert subalgebra_generated(power, gens) == expected
+
+
+def test_relativized_implication_is_the_meet_over_worlds_above(chain3):
+    hey = heyting_table(chain3)
+    for frame in corpus_frames(3):
+        implies = relativized_implication(chain3, frame)
+        vectors = intuitionistic_power(chain3, frame).presentation.vectors
+        for u in vectors:
+            for v in vectors:
+                expected = []
+                for w in range(len(frame)):
+                    val = chain3.top
+                    for w2 in sorted(frame.upset(w)):
+                        val = chain3.meet[val][hey[u[w2]][v[w2]]]
+                    expected.append(val)
+                assert implies(u, v) == tuple(expected)
+
+
+def test_upset_algebra_budget(chain2):
+    antichain13 = build_frame(tuple(f"w{i}" for i in range(13)), [])
+    with pytest.raises(BudgetExceeded) as err:
+        upset_algebra(chain2, antichain13, budget=4096)
+    assert str(err.value) == "power carrier 2^13 exceeds the budget of 4096 elements"
