@@ -311,8 +311,8 @@ def cmd_dualize(args, report):
         for tag, res in verify_pbs_object(obj).items():
             report.record(tag, res)
         report.details["points"] = list(obj.space.points)
-        report.details["opens_1"] = len(obj.space.topo1.opens)
-        report.details["opens_2"] = len(obj.space.topo2.opens)
+        report.details["opens_1"] = obj.space.topo1.open_count
+        report.details["opens_2"] = obj.space.topo2.open_count
         incl = check_second_topology_inclusion(obj)
         report.details["second_topology_inside_first"] = incl.passed
         return report
@@ -329,7 +329,7 @@ def cmd_dualize(args, report):
             report.witnesses.append({"check": "hspa_object", "witness": str(exc)})
         report.record("downclosure_identity", check_downclosure_identity(algebra))
     report.details["points"] = list(space.points)
-    report.details["opens"] = len(space.topo.opens)
+    report.details["opens"] = space.topo.open_count
     report.details["order"] = [
         f"{space.points[i]}<={space.points[j]}"
         for i in range(len(space.points))

@@ -1,10 +1,23 @@
 """Finite bitopological and ordered topological spaces with validators.
 
-Topologies are fully materialized open-set families: every validator here
-quantifies over opens. On a finite carrier the topology generated by a
-subbasis is exactly the family of unions of minimal opens (the intersection
-of all subbasis sets through a point), so generation is output-sensitive and
-a budget cap cuts off spaces whose families would not stay desk-sized.
+Every space here is finite, so its topology is fixed by the smallest open
+set around each point, the intersection of the subbasis sets through it
+(Alexandrov 1937, "Diskrete Räume"). A ``Topology`` holds only these
+minimal opens, one bitmask per point: a set is open when it contains the
+minimal open of each of its points. Every validator reads the minimal opens
+and is polynomial in the number of points.
+
+Each law that the validators check over all opens (continuity, open images,
+inclusion of one topology in another, the bases of zero-dimensionality)
+holds for a union of opens once it holds for each of them. So it holds for
+every open once it holds for the minimal ones, and the first failing open in
+the canonical order (by size, then by sorted members) is a minimal open:
+the witnesses are those a scan of the whole family would give. The clopens
+are the unions of the components (the classes of the equivalence generated
+by "lies in the minimal open of"), and the down-closure law of hspa objects
+is checked on the components alone, for the same reason. The family of all
+opens is built only on request (``Topology.opens``), for tests and tracing,
+and no validator reads it.
 """
 
 from __future__ import annotations
@@ -19,47 +32,125 @@ from .reporting import PASS, failed
 TOPOLOGY_FAMILY_LIMIT = 1 << 14
 
 
-@dataclass(frozen=True)
-class Topology:
-    """An open-set family over points 0..size-1, closed under union and
-    intersection and containing the empty and full sets."""
+def subset_mask(subset):
+    mask = 0
+    for i in subset:
+        mask |= 1 << i
+    return mask
 
-    size: int
-    opens: tuple[frozenset, ...]
 
-    @cached_property
-    def _open_set(self):
-        return frozenset(self.opens)
-
-    def is_open(self, subset):
-        return frozenset(subset) in self._open_set
-
-    def closed_sets(self):
-        full = frozenset(range(self.size))
-        return canonical_family(full - o for o in self.opens)
-
-    @cached_property
-    def _clopens(self):
-        full = frozenset(range(self.size))
-        return canonical_family(
-            o for o in self.opens if full - o in self._open_set
-        )
-
-    def clopen_sets(self):
-        return self._clopens
+def mask_members(mask):
+    return frozenset(i for i in range(mask.bit_length()) if mask >> i & 1)
 
 
 def canonical_family(subsets):
     return tuple(sorted(set(subsets), key=lambda s: (len(s), sorted(s))))
 
 
-def generate_topology(size, basis, limit=TOPOLOGY_FAMILY_LIMIT):
-    """Smallest topology containing the basis sets.
+def _hull(mask, *steps):
+    """The smallest superset of ``mask`` that contains ``step[i]`` for every
+    member i and every step table."""
+    todo = mask
+    while todo:
+        low = todo & -todo
+        todo ^= low
+        i = low.bit_length() - 1
+        for step in steps:
+            new = step[i] & ~mask
+            mask |= new
+            todo |= new
+    return mask
 
-    Computed through minimal opens: the sets of the generated topology are
-    precisely the unions of per-point minimal opens, collected by a bitmask
-    fixpoint. Raises BudgetExceeded when the family would pass ``limit``.
-    """
+
+@dataclass(frozen=True)
+class Topology:
+    """A topology on points 0..size-1, held by the minimal open around each
+    point: bit j of ``minopen[i]`` is set when j lies in every open set that
+    contains i."""
+
+    size: int
+    minopen: tuple[int, ...]
+
+    def is_open(self, subset):
+        return self.is_open_mask(subset_mask(subset))
+
+    def is_open_mask(self, mask):
+        minopen = self.minopen
+        rest = mask
+        while rest:
+            low = rest & -rest
+            if minopen[low.bit_length() - 1] & ~mask:
+                return False
+            rest ^= low
+        return True
+
+    def is_clopen_mask(self, mask):
+        return self.is_open_mask(mask) and self.is_open_mask(
+            ((1 << self.size) - 1) & ~mask
+        )
+
+    @cached_property
+    def point_closure(self):
+        """Bit i of ``point_closure[j]`` is set when j lies in the minimal
+        open of i: the closure of the point j."""
+        closure = [0] * self.size
+        for i, m in enumerate(self.minopen):
+            for j in mask_members(m):
+                closure[j] |= 1 << i
+        return tuple(closure)
+
+    @cached_property
+    def minimal_opens(self):
+        """The distinct minimal opens, in canonical order."""
+        return canonical_family(mask_members(m) for m in self.minopen)
+
+    @cached_property
+    def components(self):
+        """The smallest nonempty clopens, in canonical order; every clopen is
+        a union of them."""
+        return canonical_family(
+            mask_members(_hull(1 << i, self.minopen, self.point_closure))
+            for i in range(self.size)
+        )
+
+    @cached_property
+    def open_count(self):
+        """The number of open sets, counted without building them. An open
+        set either misses the lowest undecided point p, and with it every
+        point whose minimal open contains p, or contains p's minimal open;
+        how many ways remain depends only on the points left undecided."""
+        minopen, closure = self.minopen, self.point_closure
+        memo = {0: 1}
+
+        def count(rest):
+            got = memo.get(rest)
+            if got is None:
+                p = (rest & -rest).bit_length() - 1
+                got = memo[rest] = count(rest & ~closure[p]) + count(rest & ~minopen[p])
+            return got
+
+        return count((1 << self.size) - 1)
+
+    @cached_property
+    def opens(self):
+        """Every open set, in canonical order: the unions of the minimal
+        opens. Built on first use only; raises BudgetExceeded beyond
+        ``TOPOLOGY_FAMILY_LIMIT`` sets, before building any."""
+        if self.open_count > TOPOLOGY_FAMILY_LIMIT:
+            raise BudgetExceeded(
+                f"topology over {self.size} points exceeded "
+                f"{TOPOLOGY_FAMILY_LIMIT} open sets"
+            )
+        found = {0}
+        for g in set(self.minopen):
+            found |= {u | g for u in found}
+        return canonical_family(mask_members(m) for m in found)
+
+
+def generate_topology(size, basis):
+    """Smallest topology containing the basis sets, held by its minimal
+    opens: the minimal open of a point is the intersection of the basis sets
+    through it."""
     full_mask = (1 << size) - 1
     masks = []
     for b in basis:
@@ -68,10 +159,7 @@ def generate_topology(size, basis, limit=TOPOLOGY_FAMILY_LIMIT):
             raise SpaceError(
                 "bad-basis", f"basis set {sorted(b)} is not a subset of the carrier"
             )
-        m = 0
-        for i in b:
-            m |= 1 << i
-        masks.append(m)
+        masks.append(subset_mask(b))
     minopen = []
     for i in range(size):
         m = full_mask
@@ -79,24 +167,7 @@ def generate_topology(size, basis, limit=TOPOLOGY_FAMILY_LIMIT):
             if bm >> i & 1:
                 m &= bm
         minopen.append(m)
-    generators = sorted(set(minopen))
-    found = {0, full_mask}
-    queue = [0, full_mask]
-    while queue:
-        u = queue.pop()
-        for g in generators:
-            v = u | g
-            if v not in found:
-                if len(found) >= limit:
-                    raise BudgetExceeded(
-                        f"topology over {size} points exceeded {limit} open sets"
-                    )
-                found.add(v)
-                queue.append(v)
-    opens = [
-        frozenset(i for i in range(size) if m >> i & 1) for m in found
-    ]
-    return Topology(size, canonical_family(opens))
+    return Topology(size, tuple(minopen))
 
 
 def discrete_topology(size):
@@ -187,15 +258,10 @@ def is_pairwise_hausdorff(space, mode="unordered"):
     unordered one is the default used by the object validators.
     """
     n = len(space.points)
+    minopen1, minopen2 = space.topo1.minopen, space.topo2.minopen
 
     def separated(i, j):
-        for o1 in space.topo1.opens:
-            if i not in o1:
-                continue
-            for o2 in space.topo2.opens:
-                if j in o2 and not o1 & o2:
-                    return True
-        return False
+        return not minopen1[i] & minopen2[j]
 
     for i in range(n):
         for j in range(i + 1, n):
@@ -220,17 +286,18 @@ def is_pairwise_compact(space):
 
 def is_pairwise_zero_dimensional(space):
     """The opens of each topology that are closed in the other must form a
-    basis of their own topology."""
+    basis of their own topology: the smallest such set around each point
+    must be the point's minimal open."""
     for topo, other, tag in (
         (space.topo1, space.topo2, "1"),
         (space.topo2, space.topo1, "2"),
     ):
-        other_opens = other._open_set
-        full = frozenset(range(topo.size))
-        admissible = [o for o in topo.opens if full - o in other_opens]
-        for o in topo.opens:
-            union = frozenset().union(*[b for b in admissible if b <= o])
-            if union != o:
+        hulls = [
+            _hull(1 << y, topo.minopen, other.point_closure) for y in range(topo.size)
+        ]
+        for o in topo.minimal_opens:
+            mask = subset_mask(o)
+            if any(hulls[y] & ~mask for y in o):
                 return failed(
                     f"open {space.subset_name(o)} of topology {tag} is not a union "
                     "of opens that are closed in the other topology"
@@ -297,20 +364,20 @@ def verify_pbs_object(obj):
     return checks
 
 
-def clopen_upsets(space):
-    return tuple(o for o in space.topo.clopen_sets() if space.order.is_upset(o))
-
-
 def verify_pspa_object(space):
     """Priestley separation: whenever x is not below y some clopen up-set
-    contains x and misses y."""
-    ups = clopen_upsets(space)
+    contains x and misses y, so the smallest clopen up-set around x must
+    miss y."""
     n = len(space.points)
+    leq = space.order.leq
+    topo = space.topo
+    above = [subset_mask(j for j in range(n) if leq[i][j]) for i in range(n)]
     for i in range(n):
+        hull = _hull(1 << i, topo.minopen, topo.point_closure, above)
         for j in range(n):
-            if space.order.leq[i][j]:
+            if leq[i][j]:
                 continue
-            if not any(i in u and j not in u for u in ups):
+            if hull >> j & 1:
                 return failed(
                     f"no clopen up-set separates {space.points[i]} from {space.points[j]}"
                 )
@@ -319,18 +386,17 @@ def verify_pspa_object(space):
 
 def verify_hspa_object(space):
     """On top of the Priestley laws, the down-closure of every clopen set
-    must be clopen."""
+    must be clopen. Down-closure commutes with unions, so the components
+    decide it."""
     pspa = verify_pspa_object(space)
     if not pspa.passed:
         raise SpaceError(
             "pspa-invalid",
             f"{space.name!r} is not a valid ordered Stone space: {pspa.witness}",
         )
-    clopens = space.topo.clopen_sets()
-    clopen_set = set(clopens)
-    for c in clopens:
+    for c in space.topo.components:
         down = space.order.down_closure(c)
-        if down not in clopen_set:
+        if not space.topo.is_clopen_mask(subset_mask(down)):
             return failed(
                 f"down-closure {space.subset_name(down)} of clopen "
                 f"{space.subset_name(c)} is not clopen"
@@ -347,10 +413,21 @@ def _check_total(mapping, src_points, dst_points, name):
     return mapping
 
 
-def _continuous(mapping, src_topo, dst_topo):
-    for o in dst_topo.opens:
-        pre = frozenset(i for i, v in enumerate(mapping) if v in o)
-        if not src_topo.is_open(pre):
+def non_open_preimage(mapping, src_topo, dst_topo):
+    """The first open of ``dst_topo`` whose preimage is not open, or None."""
+    for o in dst_topo.minimal_opens:
+        if not src_topo.is_open_mask(
+            subset_mask(i for i, v in enumerate(mapping) if v in o)
+        ):
+            return o
+    return None
+
+
+def non_open_image(mapping, src_topo, dst_topo):
+    """The first open of ``src_topo`` whose image is not open in
+    ``dst_topo``, or None."""
+    for o in src_topo.minimal_opens:
+        if not dst_topo.is_open_mask(subset_mask(mapping[i] for i in o)):
             return o
     return None
 
@@ -363,7 +440,7 @@ def verify_pbs_morphism(mapping, src, dst):
         ("continuous_1", src.space.topo1, dst.space.topo1),
         ("continuous_2", src.space.topo2, dst.space.topo2),
     ):
-        bad = _continuous(mapping, s_topo, d_topo)
+        bad = non_open_preimage(mapping, s_topo, d_topo)
         checks[tag] = (
             PASS
             if bad is None
@@ -387,7 +464,7 @@ def verify_pbs_morphism(mapping, src, dst):
 
 def verify_pspa_morphism(mapping, src, dst):
     mapping = _check_total(mapping, src.points, dst.points, "pspa-map")
-    bad = _continuous(mapping, src.topo, dst.topo)
+    bad = non_open_preimage(mapping, src.topo, dst.topo)
     checks = {
         "continuous": PASS
         if bad is None

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import os
 import subprocess
@@ -215,3 +216,76 @@ def test_corpus_run_determinism_subprocess(tmp_path):
     second = subprocess.run(cmd, capture_output=True)
     assert first.returncode == second.returncode == 1  # the chain3 suite is red
     assert first.stdout == second.stdout
+
+
+# sha256 of the --format machine stdout, with the exit code, of each
+# space-side command on every sample document it accepts, pinned from the
+# implementation that built every open set (kept as tests/topology_oracle.py)
+SPACE_SIDE_PINS = {
+    ("dualize", "pbs", "b2.doc"): (0, "8a64a60d610b5c52d3324918cbaa704abb6106433b7134aaedf67a0c657aa713"),
+    ("dualize", "pbs", "chain2.doc"): (0, "6acfd5818b04980a5385b3f20a5c11f6c209f1f27de71623d88ade5216aa203d"),
+    ("dualize", "pbs", "chain3-lvl.doc"): (0, "c45b07b6c4ae512a32674444823a27da47ef38364ac8d907759e759026dadc48"),
+    ("dualize", "pbs", "chain3.doc"): (0, "416a9c899ca484c9212195688d4ff742a63c2903add05075d32a3f0e29a1503f"),
+    ("dualize", "pbs", "pbs-chain2.doc"): (0, "7722c775a0e961840cb08c2ddce0076889089ba3292d0eac46b3e5f046568f75"),
+    ("dualize", "pspa", "b2.doc"): (0, "1f9e6dcb4a90c459dd372ded61325a1179bb6d1f179239f57f28ae8a4b29fb8d"),
+    ("dualize", "pspa", "chain2.doc"): (0, "527228d8200c664a4055f7f15a4e35372050e0bd86973f3355792f5c179fde17"),
+    ("dualize", "pspa", "chain3.doc"): (0, "80b1c122fb83de47694c7f280c8d7189e081bb0b471f3015a1843ffb972c95b3"),
+    ("dualize", "pspa", "pbs-chain2.doc"): (0, "8140a3bb6c13a4fb6f26f41f53f650b79c8f9451578dd77821c6f0c99e67709f"),
+    ("dualize", "hspa", "b2.doc"): (0, "52904128a8780b6e7d3e235d8574b003955728cbb6d5282d073828cd0d2be0cc"),
+    ("dualize", "hspa", "chain2.doc"): (0, "d90fcf08bd5ba2922543ac8a7bc1dbbf12d062f4ee9c1c0d4c381f358a0601bc"),
+    ("dualize", "hspa", "chain3.doc"): (0, "6b2646e4e1d1fd9879a2c6a133ad42e335ad47272ca8a8f7d8b115fadc575b70"),
+    ("dualize", "hspa", "pbs-chain2.doc"): (0, "40a47c6f38a6672718c2c9d3b9e7f3b91223351bcd8a23c16c49e37580588fde"),
+    ("dualize", "hspa", "power22.doc"): (1, "35c86b5c8be54ddc6c994c35889aeceaa8e2dd88236fd8871b53a0863bb49f2b"),
+    ("dualize", "hspa", "upsets22.doc"): (0, "f3e419eafd3828f838c1b05fbf91f543fa3466efe4abb707885639f4ba9f30c3"),
+    ("roundtrip", "pbs", "b2.doc"): (0, "ce433731fa66f7246c9c96e0e4478e3f46f6d6b1471f754337973ade316262ee"),
+    ("roundtrip", "pbs", "chain2.doc"): (0, "7ed739b935356e1a0bc2887bf1875044363f3235c9477dcd1f84e8fe8f85cf4f"),
+    ("roundtrip", "pbs", "chain3-lvl.doc"): (0, "3f942d2fd67c0c5f4a7e5bbc500765e220556ff56685abf7f36a3a1b1b31284d"),
+    ("roundtrip", "pbs", "chain3.doc"): (0, "0e7f2159f1a9b0191181a88bbf6f6729b712291a12e0294917c95ebec08da5d9"),
+    ("roundtrip", "pbs", "pbs-chain2.doc"): (0, "f28e5e9aa806f1476ff007446a581a1fafdd33a80ce0769724e93deab76c07e5"),
+    ("roundtrip", "pspa", "b2.doc"): (0, "6739440318363490d80a65063c0640081632cc5b0c18af0d7aab2b412248f438"),
+    ("roundtrip", "pspa", "chain2.doc"): (0, "602e0503cb4f5373d15edc95f1bb3cdcd6445e4a6b9fc759493bfe78e5afc00a"),
+    ("roundtrip", "pspa", "chain3.doc"): (0, "31b18fc0dec9856ac7fb04b4c37568700f194617c5d8810fcef68a8e7b67739e"),
+    ("roundtrip", "pspa", "pbs-chain2.doc"): (0, "a426884774cd7938dd27a976c77c73027e9eda797fb78e0a5fa98a9c3fdbba26"),
+    ("roundtrip", "hspa", "b2.doc"): (0, "d719bdc5c69f8a8f03abd3299e28e56086571ff04e932a1837810e9f14b789f5"),
+    ("roundtrip", "hspa", "chain2.doc"): (0, "f972b41037f2f147c0837c0f79d98942a12956b237396be79076545e9f92383d"),
+    ("roundtrip", "hspa", "chain3.doc"): (0, "677ea76a4f82cd506ee7c1c6a0221737adc2e3787f53ca6952245871d571e5fb"),
+    ("roundtrip", "hspa", "pbs-chain2.doc"): (0, "a19da96577b7db0ac1d56e8f9431ae3b382cfdc880569244bdf7d9838e3425bf"),
+    ("roundtrip", "hspa", "power22.doc"): (1, "e64b4d19cade10d07b59465744ba676e6127cf751d29ff1c271ae9ae53b85036"),
+    ("roundtrip", "hspa", "upsets22.doc"): (0, "4e45aa1cc4d3c6785169bd5a60c074526e154a19cad38d1bb90856b0228a3673"),
+    ("verify-space", "pbs", "pbs-chain2.doc"): (0, "01d125f8057eb1a7afd78c24da77b00c208afd48827c2ed5a65aa7f867a400f9"),
+    ("verify-space", "pspa", "pspa-chain2.doc"): (0, "02d07abb573709c49a75e89afa8243d26facb074af2d3886e2472f54602847de"),
+    ("verify-space", "hspa", "pspa-chain2.doc"): (0, "5164d99336b94ca11e0b7d19834c3bdf6353a0110e4bff329c9aa9dc89f8d4d6"),
+}
+
+
+def test_space_side_machine_reports_are_pinned(monkeypatch, capsys):
+    monkeypatch.chdir(os.path.join(DOCS, os.pardir))
+    for (command, mode, name), pin in SPACE_SIDE_PINS.items():
+        args = [command, f"sample_docs/{name}", "--mode", mode, "--format", "machine"]
+        code, out, _ = run_cli(args, capsys)
+        assert (code, hashlib.sha256(out.encode("utf-8")).hexdigest()) == pin, args
+
+
+def test_twenty_point_dual_verifies(tmp_path, capsys):
+    # the 21-element chain has a 20-point dual with 2**20 open sets
+    names = [f"c{i}" for i in range(21)]
+    path = tmp_path / "chain21.doc"
+    path.write_text(
+        "kind: lattice\nname: chain21\n"
+        f"elements: {' '.join(names)}\n"
+        f"leq: {' '.join(f'{a}<={b}' for a, b in zip(names, names[1:]))}\n"
+        "bottom: c0\ntop: c20\n"
+    )
+    for mode in ("pspa", "hspa"):
+        for command in ("dualize", "roundtrip"):
+            args = [command, str(path), "--mode", mode, "--format", "machine"]
+            code, out, _ = run_cli(args, capsys)
+            report = json.loads(out)
+            assert code == 0 and report["verdicts"], args
+            assert all(report["verdicts"].values()), args
+            details = report["details"]
+            if command == "dualize":
+                assert len(details["points"]) == 20
+                assert details["opens"] == 2**20
+            else:
+                assert details["space_points"] == details["space_double_dual_points"] == 20

@@ -1,9 +1,10 @@
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from dualbench.errors import SpaceError
+from dualbench.errors import BudgetExceeded, SpaceError
 from dualbench.lattice import build_poset, enumerate_subalgebras
 from dualbench.topology import (
+    TOPOLOGY_FAMILY_LIMIT,
     AlphaAssignment,
     BitopSpace,
     OrderedSpace,
@@ -43,6 +44,16 @@ def test_generate_topology_examples():
         frozenset({1, 2}),
         frozenset({0, 1, 2}),
     }
+
+
+def test_open_family_is_counted_without_building_it():
+    # fifteen discrete points have 2**15 opens, more than the family limit:
+    # they are counted, and building the family is refused
+    topo = discrete_topology(15)
+    assert topo.open_count == 2**15 > TOPOLOGY_FAMILY_LIMIT
+    assert topo.is_open({3, 7}) and len(topo.minimal_opens) == 15
+    with pytest.raises(BudgetExceeded):
+        topo.opens
 
 
 def test_generate_topology_rejects_stray_points():

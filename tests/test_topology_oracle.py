@@ -1,0 +1,291 @@
+"""Cross-checks of the minimal-open topology layer against the slow oracle
+in ``topology_oracle``: verdicts and exact witness strings of every
+space-side check, on every corpus dual, on the sample-document spaces and on
+random small spaces and maps."""
+
+import os
+import random
+
+import pytest
+from hypothesis import given, settings, strategies as st
+
+import topology_oracle as oracle
+from dualbench import documents, duality
+from dualbench.algebra import make_bdl, make_heyting_ispi, make_lvl, product_algebra
+from dualbench.corpus import corpus_lattices
+from dualbench.documents import DocumentSet, parse_documents
+from dualbench.duality import (
+    check_second_topology_inclusion,
+    esakia_dual,
+    lvl_dual,
+    priestley_dual,
+)
+from dualbench.errors import SpaceError
+from dualbench.lattice import (
+    build_poset,
+    chain_lattice,
+    diamond_lattice,
+    enumerate_subalgebras,
+)
+from dualbench.topology import (
+    AlphaAssignment,
+    BitopSpace,
+    OrderedSpace,
+    PbsObject,
+    generate_topology,
+    is_pairwise_hausdorff,
+    is_pairwise_zero_dimensional,
+    non_open_image,
+    non_open_preimage,
+    verify_hspa_object,
+    verify_pbs_object,
+    verify_pspa_object,
+)
+
+DOCS = os.path.join(os.path.dirname(__file__), os.pardir, "sample_docs")
+TRUTHS = (chain_lattice(2), chain_lattice(3), diamond_lattice())
+
+
+def outcome(check, *args):
+    """A check's result, or the code and message of the SpaceError it raised."""
+    try:
+        return check(*args)
+    except SpaceError as exc:
+        return ("raised", exc.code, str(exc))
+
+
+def members(mask):
+    return frozenset(i for i in range(mask.bit_length()) if mask >> i & 1)
+
+
+def assert_topology_matches(fast, slow):
+    assert fast.open_count == len(slow.opens)
+    assert fast.opens == slow.opens
+    clopens = [c for c in slow.clopen_sets() if c]
+    assert fast.components == tuple(
+        c for c in clopens if not any(d < c for d in clopens)
+    )
+    if fast.size <= 8:
+        probes = [members(m) for m in range(1 << fast.size)]
+    else:
+        probes = [o ^ {p} for o in slow.opens for p in range(fast.size)]
+    for s in probes:
+        assert fast.is_open(s) == slow.is_open(s), sorted(s)
+
+
+def assert_map_matches(mapping, src, dst, slow_src, slow_dst):
+    """Continuity and openness of one map, against the oracle; returns the
+    fast verdicts (True when the map passes)."""
+    pre = non_open_preimage(mapping, src, dst)
+    assert pre == oracle.non_open_preimage(mapping, slow_src, slow_dst)
+    img = non_open_image(mapping, src, dst)
+    assert img == oracle.non_open_image(mapping, slow_src, slow_dst)
+    return {"continuous": pre is None, "open": img is None}
+
+
+def assert_self_maps_match(topo, slow, rng):
+    """Identity, constants and a few random self-maps of one topology."""
+    n = topo.size
+    maps = [tuple(range(n))] + [(v,) * n for v in range(n)]
+    maps += [tuple(rng.randrange(n) for _ in range(n)) for _ in range(4)]
+    for mapping in maps:
+        assert_map_matches(mapping, topo, topo, slow, slow)
+
+
+def assert_ordered_matches(space, slow_topo):
+    """Topology, Priestley separation and the hspa law; returns the fast
+    verdicts."""
+    assert_topology_matches(space.topo, slow_topo)
+    slow = OrderedSpace(space.points, slow_topo, space.order, name=space.name)
+    pspa = verify_pspa_object(space)
+    assert pspa == oracle.verify_pspa_object(slow)
+    hspa = outcome(verify_hspa_object, space)
+    assert hspa == outcome(oracle.verify_hspa_object, slow)
+    return {"pspa": pspa.passed, "hspa": "raised" if isinstance(hspa, tuple) else hspa.passed}
+
+
+def assert_bitop_matches(space, slow1, slow2):
+    """Both topologies, both Hausdorff readings, zero-dimensionality and the
+    inclusion of the second topology in the first; returns the oracle space
+    and the fast verdicts."""
+    assert_topology_matches(space.topo1, slow1)
+    assert_topology_matches(space.topo2, slow2)
+    slow = BitopSpace(space.points, slow1, slow2, name=space.name)
+    verdicts = {}
+    for mode in ("unordered", "ordered"):
+        res = is_pairwise_hausdorff(space, mode=mode)
+        assert res == oracle.is_pairwise_hausdorff(slow, mode=mode)
+        verdicts[f"hausdorff_{mode}"] = res.passed
+    res = is_pairwise_zero_dimensional(space)
+    assert res == oracle.is_pairwise_zero_dimensional(slow)
+    verdicts["zero_dimensional"] = res.passed
+    # the inclusion check reads the space only
+    res = check_second_topology_inclusion(PbsObject(space, None))
+    assert res == oracle.check_second_topology_inclusion(PbsObject(slow, None))
+    verdicts["second_inside_first"] = res.passed
+    return slow, verdicts
+
+
+def assert_pbs_matches(obj, slow1, slow2):
+    slow, verdicts = assert_bitop_matches(obj.space, slow1, slow2)
+    checks = outcome(verify_pbs_object, obj)
+    assert checks == outcome(oracle.verify_pbs_object, PbsObject(slow, obj.alpha))
+    verdicts["alpha_images_closed"] = checks["alpha_images_closed"].passed
+    return verdicts
+
+
+@pytest.fixture
+def slow_topology(monkeypatch):
+    """Records the subbasis of every topology that duals and documents
+    generate during the test, and returns the oracle topology of a recorded
+    one, built from its subbasis by the definition."""
+    seen = {}
+
+    def recording(size, basis):
+        basis = [frozenset(b) for b in basis]
+        topo = generate_topology(size, basis)
+        seen[id(topo)] = (topo, basis)
+        return topo
+
+    for module in (duality, documents):
+        monkeypatch.setattr(module, "generate_topology", recording)
+
+    def slow(topo):
+        kept, basis = seen[id(topo)]
+        assert kept is topo
+        return oracle.generate(topo.size, basis)
+
+    return slow
+
+
+@pytest.mark.parametrize("truth", TRUTHS[:2], ids=lambda t: t.name)
+def test_corpus_ordered_duals_match_oracle(truth, slow_topology):
+    rng = random.Random(0)
+    pspa = set()
+    for lat in corpus_lattices(7):
+        for space in (
+            priestley_dual(make_bdl(lat, truth)),
+            esakia_dual(make_heyting_ispi(lat, truth)),
+        ):
+            slow = slow_topology(space.topo)
+            pspa.add(assert_ordered_matches(space, slow)["pspa"])
+            assert_self_maps_match(space.topo, slow, rng)
+    # the three-chain duals include invalid ordered Stone spaces
+    assert pspa == ({True} if truth.name == "chain2" else {True, False})
+
+
+def test_lvl_duals_match_oracle(slow_topology):
+    rng = random.Random(0)
+    for truth in TRUTHS:
+        base = make_lvl(truth)
+        for algebra in (base, product_algebra(base, base)):
+            obj = lvl_dual(algebra)
+            topo1, topo2 = obj.space.topo1, obj.space.topo2
+            slow1, slow2 = slow_topology(topo1), slow_topology(topo2)
+            assert_pbs_matches(obj, slow1, slow2)
+            assert_self_maps_match(topo1, slow1, rng)
+            assert_self_maps_match(topo2, slow2, rng)
+
+
+def test_sample_document_spaces_match_oracle(slow_topology):
+    kinds = set()
+    for name in sorted(os.listdir(DOCS)):
+        with open(os.path.join(DOCS, name), encoding="utf-8") as fh:
+            docset = DocumentSet(parse_documents(fh.read()))
+        for doc in docset.docs.values():
+            if doc.kind != "space":
+                continue
+            space = docset.space(doc.name)
+            if isinstance(space, PbsObject):
+                topos = (space.space.topo1, space.space.topo2)
+                assert_pbs_matches(space, *map(slow_topology, topos))
+            else:
+                assert_ordered_matches(space, slow_topology(space.topo))
+            kinds.add(type(space).__name__)
+    assert kinds == {"PbsObject", "OrderedSpace"}
+
+
+# -- random small spaces and maps --------------------------------------------
+
+
+def random_basis(rng, n):
+    basis = [
+        frozenset(i for i in range(n) if rng.random() < 0.5)
+        for _ in range(rng.randrange(6))
+    ]
+    if rng.random() < 0.5:
+        # a subbasis closed under complement makes every open clopen, as
+        # in the ordered duals
+        basis += [frozenset(range(n)) - b for b in basis]
+    return basis
+
+
+def random_order(rng, n, names):
+    perm = list(range(n))
+    rng.shuffle(perm)
+    pairs = [
+        (names[perm[i]], names[perm[j]])
+        for i in range(n)
+        for j in range(i + 1, n)
+        if rng.random() < 0.3
+    ]
+    return build_poset(names, pairs)
+
+
+def random_alpha(rng, n, truth):
+    subs = enumerate_subalgebras(truth, "lvl")
+    full = frozenset(range(n))
+    images = [
+        full if rng.random() < 0.5 else frozenset(i for i in range(n) if rng.random() < 0.7)
+        for _ in subs
+    ]
+    return AlphaAssignment(truth, subs, tuple(images))
+
+
+def check_random_instance(rng, n):
+    """One random pbs object, ordered space and map on n points, checked
+    against the oracle; returns the fast verdicts."""
+    names = tuple(f"p{i}" for i in range(n))
+    b1, b2, b3 = (random_basis(rng, n) for _ in range(3))
+    space = BitopSpace(names, generate_topology(n, b1), generate_topology(n, b2))
+    truth = TRUTHS[rng.randrange(len(TRUTHS))]
+    obj = PbsObject(space, random_alpha(rng, n, truth))
+    slow1, slow2 = oracle.generate(n, b1), oracle.generate(n, b2)
+    verdicts = assert_pbs_matches(obj, slow1, slow2)
+    ordered = OrderedSpace(
+        names, generate_topology(n, b3), random_order(rng, n, names), name="X"
+    )
+    slow3 = oracle.generate(n, b3)
+    verdicts.update(assert_ordered_matches(ordered, slow3))
+    mapping = tuple(rng.randrange(n) for _ in range(n))
+    verdicts.update(
+        assert_map_matches(mapping, ordered.topo, space.topo1, slow3, slow1)
+    )
+    return verdicts
+
+
+@settings(deadline=None, max_examples=150)
+@given(rng=st.randoms(use_true_random=False), n=st.integers(1, 6))
+def test_random_spaces_and_maps_match_oracle(rng, n):
+    check_random_instance(rng, n)
+
+
+def test_random_sweep_exercises_every_witness():
+    # the same cross-check over a fixed sweep, which must meet both a pass
+    # and a failure (with its witness) of every check
+    seen = {}
+    rng = random.Random(0)
+    for k in range(300):
+        for key, verdict in check_random_instance(rng, 1 + k % 5).items():
+            seen.setdefault(key, set()).add(verdict)
+    hspa = seen.pop("hspa")
+    assert all({True, False} <= verdicts for verdicts in seen.values()), seen
+    # Priestley separation separates any two points of a finite space by a
+    # clopen set, so a space that passes it is discrete and the down-closure
+    # law holds: the hspa check either passes or raises
+    assert hspa == {True, "raised"}
+
+
+def test_empty_carrier_matches_oracle():
+    topo = generate_topology(0, [])
+    assert_topology_matches(topo, oracle.generate(0, []))
