@@ -480,7 +480,7 @@ def _build_parser():
         "--budget",
         type=int,
         default=DEFAULT_POWER_BUDGET,
-        help="size budget for power carriers and enumerations",
+        help="size budget for power carriers",
     )
     common.add_argument(
         "--timings", action="store_true", help="include wall-clock timings in reports"

@@ -37,7 +37,6 @@ from __future__ import annotations
 import contextlib
 import contextvars
 import functools
-import itertools
 from dataclasses import dataclass, field
 
 from .algebra import (
@@ -69,12 +68,13 @@ from .topology import (
     PbsObject,
     generate_topology,
     non_open_image,
+    subset_mask,
     verify_hspa_morphism,
     verify_pbs_morphism,
     verify_pspa_morphism,
 )
 
-MAP_ENUM_LIMIT = 200_000
+MAP_ENUM_LIMIT = 200_000  # maps kept by one map-algebra search
 
 MODES = ("pbs", "pspa", "hspa")
 
@@ -190,38 +190,78 @@ def check_second_topology_inclusion(obj):
     return PASS
 
 
+def _map_vectors(allowed, topologies, leq_p, leq_t, limit, what):
+    """Every map from the points into the truth values, as vectors in
+    lexicographic order, that sends point i into the bits of ``allowed[i]``,
+    is continuous for each topology into the discrete truth values and, when
+    ``leq_p`` is given, preserves the order from ``leq_p`` to ``leq_t``.
+
+    A map into a discrete space is continuous exactly when it is constant
+    on every minimal open. So each point must take the value of every
+    earlier point that lies in its minimal open or has it in its own, and a
+    value at least (at most) that of every earlier point below (above) it.
+    The backtracking search keeps the values these constraints leave for
+    each point as a bitmask and builds only the maps it keeps; it raises
+    BudgetExceeded once more than ``limit`` are kept."""
+    n = len(allowed)
+    nt = len(leq_t)
+    same = tuple(1 << v for v in range(nt))
+    up = tuple(sum(1 << w for w in range(nt) if leq_t[v][w]) for v in range(nt))
+    down = tuple(sum(1 << w for w in range(nt) if leq_t[w][v]) for v in range(nt))
+    tied = [0] * n
+    for topo in topologies:
+        for i in range(n):
+            tied[i] |= topo.minopen[i] | topo.point_closure[i]
+    constraints = []
+    for i in range(n):
+        row = []
+        for j in range(i):
+            if tied[i] >> j & 1:
+                row.append((j, same))
+            elif leq_p is not None and leq_p[j][i]:
+                row.append((j, up))
+            elif leq_p is not None and leq_p[i][j]:
+                row.append((j, down))
+        constraints.append(row)
+    out = []
+    vec = [0] * n
+
+    def rec(i):
+        if i == n:
+            if len(out) >= limit:
+                raise BudgetExceeded(f"more than {limit} {what}")
+            out.append(tuple(vec))
+            return
+        mask = allowed[i]
+        for j, table in constraints[i]:
+            mask &= table[vec[j]]
+        while mask:
+            low = mask & -mask
+            vec[i] = low.bit_length() - 1
+            rec(i + 1)
+            mask ^= low
+
+    rec(0)
+    return tuple(out)
+
+
 def _pbs_map_vectors(obj, limit=MAP_ENUM_LIMIT):
     """Carriers of the function algebra: maps from points to truth values
     that are continuous for both topologies (discrete codomain) and respect
     the subalgebra assignment."""
     truth = obj.alpha.truth
-    n = len(obj.space.points)
-    nt = len(truth)
-    if nt**n > limit:
-        raise BudgetExceeded(
-            f"map family {nt}^{n} over {obj.name!r} exceeds the enumeration budget"
-        )
-    allowed = [set(range(nt)) for _ in range(n)]
+    allowed = [(1 << len(truth)) - 1] * len(obj.space.points)
     for s, img in zip(obj.alpha.subalgebras, obj.alpha.images):
         for p in img:
-            allowed[p] &= s
-    topo1, topo2 = obj.space.topo1, obj.space.topo2
-    return tuple(
-        vec
-        for vec in itertools.product(*[tuple(sorted(a)) for a in allowed])
-        if all(
-            topo1.is_open_mask(pre) and topo2.is_open_mask(pre)
-            for pre in _value_preimages(vec, nt)
-        )
+            allowed[p] &= subset_mask(s)
+    return _map_vectors(
+        allowed,
+        (obj.space.topo1, obj.space.topo2),
+        None,
+        truth.leq,
+        limit,
+        f"continuous maps over {obj.name!r}",
     )
-
-
-def _value_preimages(vec, nt):
-    """The preimage of each of the nt truth values under vec, as bitmasks."""
-    pre = [0] * nt
-    for p, v in enumerate(vec):
-        pre[v] |= 1 << p
-    return pre
 
 
 @_scoped
@@ -399,45 +439,14 @@ def priestley_dual(algebra):
 
 def _ordered_map_vectors(space, truth, limit=MAP_ENUM_LIMIT):
     """Order-preserving continuous maps from the space into the truth
-    lattice (discrete topology, lattice order), enumerated by backtracking
-    over points with order constraints, then filtered by continuity."""
-    n = len(space.points)
-    nt = len(truth)
-    leq_p = space.order.leq
-    leq_t = truth.leq
-    out = []
-    vec = [0] * n
-
-    def rec(i):
-        if i == n:
-            if len(out) >= limit:
-                raise BudgetExceeded(
-                    f"more than {limit} order-preserving maps over {space.name!r}"
-                )
-            out.append(tuple(vec))
-            return
-        for v in range(nt):
-            ok = True
-            for j in range(i):
-                if leq_p[j][i] and not leq_t[vec[j]][v]:
-                    ok = False
-                elif leq_p[i][j] and not leq_t[v][vec[j]]:
-                    ok = False
-                if not ok:
-                    break
-            if ok:
-                vec[i] = v
-                rec(i + 1)
-        vec[i] = 0
-
-    if n:
-        rec(0)
-    else:
-        out.append(())
-    return tuple(
-        v
-        for v in out
-        if all(space.topo.is_open_mask(pre) for pre in _value_preimages(v, nt))
+    lattice (discrete topology, lattice order)."""
+    return _map_vectors(
+        [(1 << len(truth)) - 1] * len(space.points),
+        (space.topo,),
+        space.order.leq,
+        truth.leq,
+        limit,
+        f"continuous order-preserving maps over {space.name!r}",
     )
 
 

@@ -12,10 +12,9 @@ import itertools
 from dataclasses import dataclass, field
 from functools import lru_cache
 
-from .errors import BudgetExceeded, LatticeError
+from .errors import LatticeError
 
 SUBSET_SCAN_LIMIT = 12  # power-set scan bound for subalgebra enumeration
-FILTER_SCAN_LIMIT = 16
 
 
 @dataclass(frozen=True)
@@ -380,17 +379,25 @@ def _is_prime_filter(lattice, subset):
 
 
 def prime_filters(lattice):
-    """All prime filters, canonically ordered by (size, lexicographic)."""
+    """All prime filters, canonically ordered by (size, lexicographic).
+
+    A filter of a finite lattice contains the meet of its members, so it is
+    the principal filter of that meet. The principal filter of a is proper
+    when a is not the bottom, and prime exactly when a is join-prime: no
+    join of two elements outside it lies above a. So the prime filters
+    come from one O(n^3) pass over the elements, on any finite lattice,
+    distributive or not.
+    """
     n = len(lattice)
-    if n > FILTER_SCAN_LIMIT:
-        raise BudgetExceeded(
-            f"prime filter scan over {n} elements exceeds the 2^{FILTER_SCAN_LIMIT} budget"
-        )
+    leq, join = lattice.leq, lattice.join
     found = []
-    for mask in range(1 << n):
-        subset = frozenset(i for i in range(n) if mask >> i & 1)
-        if _is_prime_filter(lattice, subset):
-            found.append(subset)
+    for a in range(n):
+        if a == lattice.bottom:
+            continue
+        above = leq[a]
+        outside = [x for x in range(n) if not above[x]]
+        if not any(above[join[x][y]] for x in outside for y in outside):
+            found.append(frozenset(x for x in range(n) if above[x]))
     return canonical_subset_order(found)
 
 
@@ -430,7 +437,10 @@ def separating_prime_ideal(lattice, x, y):
 
     Existence is guaranteed by distributivity on finite carriers; the
     classical one-sided statement fails when x is the top, so the symmetric
-    form is what is implemented.
+    form is what is implemented. The ideals are the complements of the
+    prime filters, so each call costs one O(n^3) filter pass and a scan
+    over at most n ideals; on a lattice that is not distributive the
+    search can come up empty, and ``separation-failed`` is raised.
     """
     lattice._check(x)
     lattice._check(y)

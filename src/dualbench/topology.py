@@ -12,12 +12,9 @@ inclusion of one topology in another, the bases of zero-dimensionality)
 holds for a union of opens once it holds for each of them. So it holds for
 every open once it holds for the minimal ones, and the first failing open in
 the canonical order (by size, then by sorted members) is a minimal open:
-the witnesses are those a scan of the whole family would give. The clopens
-are the unions of the components (the classes of the equivalence generated
-by "lies in the minimal open of"), and the down-closure law of hspa objects
-is checked on the components alone, for the same reason. The family of all
-opens is built only on request (``Topology.opens``), for tests and tracing,
-and no validator reads it.
+the witnesses are those a scan of the whole family would give. The family
+of all opens is built only on request (``Topology.opens``), for tests and
+tracing, and no validator reads it.
 """
 
 from __future__ import annotations
@@ -84,11 +81,6 @@ class Topology:
             rest ^= low
         return True
 
-    def is_clopen_mask(self, mask):
-        return self.is_open_mask(mask) and self.is_open_mask(
-            ((1 << self.size) - 1) & ~mask
-        )
-
     @cached_property
     def point_closure(self):
         """Bit i of ``point_closure[j]`` is set when j lies in the minimal
@@ -103,15 +95,6 @@ class Topology:
     def minimal_opens(self):
         """The distinct minimal opens, in canonical order."""
         return canonical_family(mask_members(m) for m in self.minopen)
-
-    @cached_property
-    def components(self):
-        """The smallest nonempty clopens, in canonical order; every clopen is
-        a union of them."""
-        return canonical_family(
-            mask_members(_hull(1 << i, self.minopen, self.point_closure))
-            for i in range(self.size)
-        )
 
     @cached_property
     def open_count(self):
@@ -386,21 +369,18 @@ def verify_pspa_object(space):
 
 def verify_hspa_object(space):
     """On top of the Priestley laws, the down-closure of every clopen set
-    must be clopen. Down-closure commutes with unions, so the components
-    decide it."""
+    must be clopen. Raises SpaceError when the space fails Priestley
+    separation, and otherwise always passes: for any two points one is not
+    below the other, so a clopen up-set separates them, every point is its
+    own smallest clopen and the finite space is discrete, where every set
+    is clopen. The verdict is kept so that every hspa report lists the same
+    keys."""
     pspa = verify_pspa_object(space)
     if not pspa.passed:
         raise SpaceError(
             "pspa-invalid",
             f"{space.name!r} is not a valid ordered Stone space: {pspa.witness}",
         )
-    for c in space.topo.components:
-        down = space.order.down_closure(c)
-        if not space.topo.is_clopen_mask(subset_mask(down)):
-            return failed(
-                f"down-closure {space.subset_name(down)} of clopen "
-                f"{space.subset_name(c)} is not clopen"
-            )
     return PASS
 
 

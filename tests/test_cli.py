@@ -289,3 +289,20 @@ def test_twenty_point_dual_verifies(tmp_path, capsys):
                 assert details["opens"] == 2**20
             else:
                 assert details["space_points"] == details["space_double_dual_points"] == 20
+
+
+def test_spectrum_of_an_eighteen_element_chain(tmp_path, capsys):
+    # the 2**n prime filter scan refused this chain; the join-prime pass
+    # finds one prime filter per element above the bottom
+    names = [f"c{i}" for i in range(18)]
+    path = tmp_path / "chain18.doc"
+    path.write_text(
+        "kind: lattice\nname: chain18\n"
+        f"elements: {' '.join(names)}\n"
+        f"leq: {' '.join(f'{a}<={b}' for a, b in zip(names, names[1:]))}\n"
+        "bottom: c0\ntop: c17\n"
+    )
+    code, out, _ = run_cli(["spectrum", str(path), "--format", "machine"], capsys)
+    report = json.loads(out)
+    assert code == 0 and report["passed"]
+    assert report["details"] == {"homs": 17, "prime_filters": 17}

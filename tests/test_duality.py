@@ -472,26 +472,32 @@ def test_spectrum_not_evaluable_off_the_truth_lattice(chain3, b2):
 def test_ordered_map_enumeration_budget(chain2):
     from dualbench.errors import BudgetExceeded
     from dualbench.lattice import build_poset
-    from dualbench.topology import OrderedSpace, indiscrete_topology
+    from dualbench.topology import OrderedSpace, discrete_topology
 
+    # every one of the 2**18 maps of a discrete antichain into the two-chain
+    # is continuous and order-preserving
     points = tuple(f"p{i}" for i in range(18))
     space = OrderedSpace(
-        points, indiscrete_topology(18), build_poset(points, []), name="wide"
+        points, discrete_topology(18), build_poset(points, []), name="wide"
     )
+    assert 2**18 > duality.MAP_ENUM_LIMIT
     with pytest.raises(BudgetExceeded):
         priestley_reconstruct(space, chain2)
 
 
 def test_pbs_map_enumeration_budget(b2):
     from dualbench.errors import BudgetExceeded
-    from dualbench.topology import indiscrete_topology
+    from dualbench.topology import discrete_topology
 
+    # the proper subalgebras of b2 are assigned no points, so all 4**9 maps
+    # of the discrete 9-point space into b2 are valid
     points = tuple(f"p{i}" for i in range(9))
-    ind = indiscrete_topology(9)
-    space = BitopSpace(points, ind, ind, name="wide")
+    disc = discrete_topology(9)
+    space = BitopSpace(points, disc, disc, name="wide")
     subs = enumerate_subalgebras(b2, "lvl")
-    obj = PbsObject(
-        space, AlphaAssignment(b2, subs, tuple(frozenset(range(9)) for _ in subs))
-    )
+    full = frozenset(range(len(b2)))
+    images = tuple(frozenset(range(9)) if s == full else frozenset() for s in subs)
+    obj = PbsObject(space, AlphaAssignment(b2, subs, images))
+    assert 4**9 > duality.MAP_ENUM_LIMIT
     with pytest.raises(BudgetExceeded):
         lvl_reconstruct(obj)

@@ -1,8 +1,10 @@
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from dualbench.corpus import corpus_lattices
 from dualbench.errors import LatticeError
 from dualbench.lattice import (
+    FiniteLattice,
     build_lattice,
     build_poset,
     downset_preimage,
@@ -159,6 +161,62 @@ def test_prime_filter_examples(chain2, chain3, b2):
 def test_prime_filters_against_oracle(small_lattices):
     for lat in small_lattices:
         assert list(prime_filters(lat)) == brute_prime_filters(lat)
+
+
+def raw_lattice(elements, pairs, name):
+    """A FiniteLattice built from its order with brute-force meet and join
+    tables, bypassing the distributivity check of build_lattice."""
+    poset = build_poset(elements, pairs, name=name)
+    n = len(poset)
+    below = lambda i, j: poset.leq[i][j]
+    above = lambda i, j: poset.leq[j][i]
+    return FiniteLattice(
+        poset.elements,
+        poset.leq,
+        tuple(tuple(brute_glb(below, n, i, j) for j in range(n)) for i in range(n)),
+        tuple(tuple(brute_glb(above, n, i, j) for j in range(n)) for i in range(n)),
+        0,
+        n - 1,
+        name=name,
+    )
+
+
+def test_prime_filters_against_oracle_on_the_corpus():
+    for lat in corpus_lattices(7):
+        assert list(prime_filters(lat)) == brute_prime_filters(lat), lat.name
+
+
+def test_prime_filters_of_non_distributive_lattices():
+    # every filter of a finite lattice is principal, and the principal
+    # filter of a is prime exactly when a is join-prime, distributive or not
+    pentagon = raw_lattice(
+        ("0", "a", "c", "b", "1"),
+        [("0", "a"), ("a", "c"), ("c", "1"), ("0", "b"), ("b", "1")],
+        "pentagon",
+    )
+    m3 = raw_lattice(
+        ("0", "a", "b", "c", "1"),
+        [("0", x) for x in "abc"] + [(x, "1") for x in "abc"],
+        "m3",
+    )
+    assert [pentagon.names(f) for f in prime_filters(pentagon)] == [
+        ("b", "1"),
+        ("a", "c", "1"),
+    ]
+    assert prime_filters(m3) == ()
+    for lat in (pentagon, m3):
+        assert list(prime_filters(lat)) == brute_prime_filters(lat)
+
+
+def test_prime_filters_of_a_long_chain():
+    # beyond the reach of the 2**n oracle scan
+    lat = build_lattice(
+        tuple(f"c{i}" for i in range(40)),
+        [(f"c{i}", f"c{i + 1}") for i in range(39)],
+        "c0",
+        "c39",
+    )
+    assert prime_filters(lat) == tuple(frozenset(range(i, 40)) for i in range(39, 0, -1))
 
 
 def test_filter_ideal_complement_bijection(small_lattices):

@@ -1,14 +1,18 @@
 """Cross-checks of the minimal-open topology layer against the slow oracle
 in ``topology_oracle``: verdicts and exact witness strings of every
 space-side check, on every corpus dual, on the sample-document spaces and on
-random small spaces and maps."""
+random small spaces and maps. The map searches of the reconstructions are
+checked on the same spaces against ``map_oracle``, which filters every
+candidate map for continuity through the oracle topologies."""
 
+import functools
 import os
 import random
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import map_oracle
 import topology_oracle as oracle
 from dualbench import documents, duality
 from dualbench.algebra import make_bdl, make_heyting_ispi, make_lvl, product_algebra
@@ -61,10 +65,6 @@ def members(mask):
 def assert_topology_matches(fast, slow):
     assert fast.open_count == len(slow.opens)
     assert fast.opens == slow.opens
-    clopens = [c for c in slow.clopen_sets() if c]
-    assert fast.components == tuple(
-        c for c in clopens if not any(d < c for d in clopens)
-    )
     if fast.size <= 8:
         probes = [members(m) for m in range(1 << fast.size)]
     else:
@@ -134,6 +134,29 @@ def assert_pbs_matches(obj, slow1, slow2):
     return verdicts
 
 
+def assert_ordered_maps_match(space, slow_topo, truth):
+    """The continuous order-preserving maps into the truth lattice, against
+    the filter-after oracle on the oracle topology; returns whether every
+    order-preserving map is continuous."""
+    slow = OrderedSpace(space.points, slow_topo, space.order, name=space.name)
+    candidates = map_oracle.order_preserving_vectors(slow, truth)
+    kept = duality._ordered_map_vectors(space, truth)
+    assert kept == map_oracle.ordered_map_vectors(slow, truth)
+    return len(kept) == len(candidates)
+
+
+def assert_pbs_maps_match(obj, slow1, slow2):
+    """The maps of the function algebra, against the filter-after oracle on
+    the oracle topologies; returns whether every assignment-respecting map
+    is continuous."""
+    slow = PbsObject(
+        BitopSpace(obj.space.points, slow1, slow2, name=obj.space.name), obj.alpha
+    )
+    kept = duality._pbs_map_vectors(obj)
+    assert kept == map_oracle.pbs_map_vectors(slow)
+    return len(kept) == len(map_oracle.assignment_vectors(slow))
+
+
 @pytest.fixture
 def slow_topology(monkeypatch):
     """Records the subbasis of every topology that duals and documents
@@ -170,6 +193,7 @@ def test_corpus_ordered_duals_match_oracle(truth, slow_topology):
             slow = slow_topology(space.topo)
             pspa.add(assert_ordered_matches(space, slow)["pspa"])
             assert_self_maps_match(space.topo, slow, rng)
+            assert_ordered_maps_match(space, slow, truth)
     # the three-chain duals include invalid ordered Stone spaces
     assert pspa == ({True} if truth.name == "chain2" else {True, False})
 
@@ -183,6 +207,7 @@ def test_lvl_duals_match_oracle(slow_topology):
             topo1, topo2 = obj.space.topo1, obj.space.topo2
             slow1, slow2 = slow_topology(topo1), slow_topology(topo2)
             assert_pbs_matches(obj, slow1, slow2)
+            assert_pbs_maps_match(obj, slow1, slow2)
             assert_self_maps_match(topo1, slow1, rng)
             assert_self_maps_match(topo2, slow2, rng)
 
@@ -244,7 +269,7 @@ def random_alpha(rng, n, truth):
 
 def check_random_instance(rng, n):
     """One random pbs object, ordered space and map on n points, checked
-    against the oracle; returns the fast verdicts."""
+    against the oracle; returns the fast verdicts and the ordered space."""
     names = tuple(f"p{i}" for i in range(n))
     b1, b2, b3 = (random_basis(rng, n) for _ in range(3))
     space = BitopSpace(names, generate_topology(n, b1), generate_topology(n, b2))
@@ -252,16 +277,20 @@ def check_random_instance(rng, n):
     obj = PbsObject(space, random_alpha(rng, n, truth))
     slow1, slow2 = oracle.generate(n, b1), oracle.generate(n, b2)
     verdicts = assert_pbs_matches(obj, slow1, slow2)
+    verdicts["pbs_maps_all_continuous"] = assert_pbs_maps_match(obj, slow1, slow2)
     ordered = OrderedSpace(
         names, generate_topology(n, b3), random_order(rng, n, names), name="X"
     )
     slow3 = oracle.generate(n, b3)
     verdicts.update(assert_ordered_matches(ordered, slow3))
+    verdicts["ordered_maps_all_continuous"] = assert_ordered_maps_match(
+        ordered, slow3, truth
+    )
     mapping = tuple(rng.randrange(n) for _ in range(n))
     verdicts.update(
         assert_map_matches(mapping, ordered.topo, space.topo1, slow3, slow1)
     )
-    return verdicts
+    return verdicts, ordered
 
 
 @settings(deadline=None, max_examples=150)
@@ -270,20 +299,37 @@ def test_random_spaces_and_maps_match_oracle(rng, n):
     check_random_instance(rng, n)
 
 
-def test_random_sweep_exercises_every_witness():
-    # the same cross-check over a fixed sweep, which must meet both a pass
-    # and a failure (with its witness) of every check
-    seen = {}
+@functools.cache
+def random_sweep():
+    """The same cross-check over a fixed sweep of 300 instances."""
     rng = random.Random(0)
-    for k in range(300):
-        for key, verdict in check_random_instance(rng, 1 + k % 5).items():
+    return tuple(check_random_instance(rng, 1 + k % 5) for k in range(300))
+
+
+def test_random_sweep_exercises_every_witness():
+    # the sweep must meet both a pass and a failure (with its witness) of
+    # every check
+    seen = {}
+    for verdicts, _ in random_sweep():
+        for key, verdict in verdicts.items():
             seen.setdefault(key, set()).add(verdict)
     hspa = seen.pop("hspa")
     assert all({True, False} <= verdicts for verdicts in seen.values()), seen
-    # Priestley separation separates any two points of a finite space by a
-    # clopen set, so a space that passes it is discrete and the down-closure
-    # law holds: the hspa check either passes or raises
+    # a space that passes Priestley separation is discrete (see the next
+    # test), so the down-closure law holds: the hspa check passes or raises
     assert hspa == {True, "raised"}
+
+
+def test_priestley_separated_sweep_spaces_are_discrete():
+    # of two distinct points one is not below the other, so a clopen up-set
+    # separates them; hence every minimal open of a space that passes
+    # Priestley separation is a singleton
+    separated = [space for verdicts, space in random_sweep() if verdicts["pspa"]]
+    assert separated and any(
+        m & (m - 1) for _, space in random_sweep() for m in space.topo.minopen
+    )
+    for space in separated:
+        assert space.topo.minopen == tuple(1 << i for i in range(space.topo.size))
 
 
 def test_empty_carrier_matches_oracle():
