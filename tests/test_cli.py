@@ -292,8 +292,8 @@ def test_twenty_point_dual_verifies(tmp_path, capsys):
 
 
 def test_spectrum_of_an_eighteen_element_chain(tmp_path, capsys):
-    # the 2**n prime filter scan refused this chain; the join-prime pass
-    # finds one prime filter per element above the bottom
+    # every element above the bottom of a chain is join-prime: one prime
+    # filter, and one hom into the two-chain, each
     names = [f"c{i}" for i in range(18)]
     path = tmp_path / "chain18.doc"
     path.write_text(
