@@ -36,8 +36,8 @@ def main():
         print(f"{suite.name:{width}}  {'PASS' if suite.passed else 'FAIL'}  {counts}")
         for failure in suite.failures[: args.max_failures]:
             print(f"{'':{width}}    {failure}")
-        if len(suite.failures) > args.max_failures:
-            print(f"{'':{width}}    ... {len(suite.failures) - args.max_failures} more")
+        if suite.failure_count > args.max_failures:
+            print(f"{'':{width}}    ... {suite.failure_count - args.max_failures} more")
         for note in suite.notes:
             print(f"{'':{width}}    note: {note}")
     print(f"\n{'PASS' if report.passed else 'FAIL'} in {elapsed:.2f}s")

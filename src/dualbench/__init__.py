@@ -22,13 +22,11 @@ from .lattice import (
     build_poset,
     chain_lattice,
     diamond_lattice,
-    downset_preimage,
     enumerate_subalgebras,
     heyting_implies,
     prime_filters,
     prime_ideals,
     separating_prime_ideal,
-    upset_of,
 )
 from .algebra import (
     Algebra,

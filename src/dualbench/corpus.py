@@ -1,18 +1,23 @@
 """Corpus enumeration and the batch verification runner.
 
 The lattice corpus is every bounded distributive lattice up to a size bound,
-obtained as down-set lattices of all posets of join-irreducibles up to
-isomorphism (canonical labeling by lexicographically minimal adjacency
-encoding over all permutations, which is fine at these sizes). The frame
-corpus is every poset up to a world bound. ``corpus_run`` drives all the
-verification suites over these corpora and aggregates verdicts
-deterministically.
+obtained as the down-set lattices of all posets of join-irreducibles up to
+isomorphism. The frame corpus is every poset up to a world bound. Both come
+from one generator that grows posets one maximal point at a time and keeps
+one poset per isomorphism class (isomorph-free generation in the manner of
+McKay 1998 and Brinkmann & McKay 2002). Each class is labeled by its
+lexicographically least ``leq`` matrix over all relabelings, found by a
+branch-and-bound search, and the corpora are sorted by that key, so names
+such as ``L7_3`` and ``frame4_10`` are fixed by the poset alone.
+``corpus_run`` drives all the verification suites over these corpora and
+aggregates verdicts deterministically.
 """
 
 from __future__ import annotations
 
-import itertools
 import random
+import string
+import time
 from dataclasses import dataclass, field
 from functools import lru_cache
 
@@ -53,79 +58,154 @@ from .lattice import (
 )
 from .topology import verify_hspa_object, verify_pbs_object, verify_pspa_object
 
-MAX_IRREDUCIBLES = 6
-_POINT_NAMES = "abcdefg"
+
+def _jirr_names(n):
+    """Element names for n join-irreducibles: a to z, then p26, p27, ..."""
+    letters = string.ascii_lowercase
+    return tuple(letters[i] if i < len(letters) else f"p{i}" for i in range(n))
 
 
-def _strict_orders(n):
-    """All transitive strict orders on 0..n-1 compatible with the index
-    order (every finite poset has such a labeling)."""
-    pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
-    for mask in range(1 << len(pairs)):
-        rel = [[False] * n for _ in range(n)]
-        for b, (i, j) in enumerate(pairs):
-            if mask >> b & 1:
-                rel[i][j] = True
-        ok = True
-        for i in range(n):
-            ri = rel[i]
-            for j in range(i + 1, n):
-                if ri[j]:
-                    rj = rel[j]
-                    for k in range(j + 1, n):
-                        if rj[k] and not ri[k]:
-                            ok = False
-                            break
-                if not ok:
-                    break
-            if not ok:
-                break
-        if ok:
-            yield rel
-    return
+def _cells(down):
+    """Colour refinement of the poset whose point i has strict down-set
+    ``down[i]`` (a bitmask): start from each point's down- and up-set sizes
+    and split by the colours below and above it until the partition is
+    stable. The returned cell ranks are invariant under isomorphism."""
+    n = len(down)
+    below = [[a for a in range(n) if down[e] >> a & 1] for e in range(n)]
+    above = [[b for b in range(n) if down[b] >> e & 1] for e in range(n)]
+    colour = [(len(below[e]), len(above[e])) for e in range(n)]
+    count = 0
+    while True:
+        index = {c: i for i, c in enumerate(sorted(set(colour)))}
+        rank = [index[c] for c in colour]
+        if len(index) == count:
+            return rank
+        count = len(index)
+        colour = [
+            (
+                rank[e],
+                tuple(sorted(rank[a] for a in below[e])),
+                tuple(sorted(rank[b] for b in above[e])),
+            )
+            for e in range(n)
+        ]
 
 
-def _canonical_key(rel, n):
-    """Lexicographically minimal encoding of the reflexive order over all
-    relabelings."""
+def _lex_min(down, rank=None):
+    """The lexicographically least row-major reflexive ``leq`` matrix over
+    all relabelings of the poset whose point i has strict down-set
+    ``down[i]`` (a bitmask), as one int per row with column 0 as its top
+    bit. With ``rank``, only relabelings that list the cells in rank order
+    count.
+
+    Branch and bound: positions are filled one at a time, best child first,
+    and a partial relabeling is cut once a lower bound on all its
+    completions reaches the best key found. A filled row is bounded by its
+    known columns, then ``False``s, then its remaining ``True``s; an open row
+    by the least known part over the free points, its diagonal and the
+    fewest remaining ``True``s among those points. Of free twins (points
+    with the same strict down- and up-sets, which swap by an automorphism)
+    only the lowest is tried."""
+    n = len(down)
+    col = [1 << (n - 1 - c) for c in range(n)]
+    below = [down[e] | 1 << e for e in range(n)]
+    above = [1 << e for e in range(n)]
+    for e in range(n):
+        m = down[e]
+        while m:
+            low = m & -m
+            above[low.bit_length() - 1] |= 1 << e
+            m ^= low
+    twins = {}
+    for e in range(n):
+        key = (down[e], above[e] ^ 1 << e)
+        twins[key] = twins.get(key, 0) | 1 << e
+    twin = [twins[down[e], above[e] ^ 1 << e] for e in range(n)]
+    slots = None if rank is None else sorted(rank)
     best = None
-    for perm in itertools.permutations(range(n)):
-        enc = tuple(
-            perm[i] == perm[j] or rel[perm[i]][perm[j]]
-            for i in range(n)
-            for j in range(n)
-        )
-        if best is None or enc < best:
-            best = enc
+
+    def search(k, free, known, perm):
+        nonlocal best
+        children = []
+        m = free
+        while m:
+            low = m & -m
+            m ^= low
+            x = low.bit_length() - 1
+            if slots is not None and rank[x] != slots[k]:
+                continue
+            if twin[x] & free & (low - 1):
+                continue
+            child = known[:]
+            b = below[x]
+            while b:
+                lb = b & -b
+                child[lb.bit_length() - 1] |= col[k]
+                b ^= lb
+            rest = free ^ low
+            rows = [
+                child[p] | (1 << (above[p] & rest).bit_count()) - 1
+                for p in perm
+            ]
+            rows.append(child[x] | (1 << (above[x] & rest).bit_count()) - 1)
+            if rest:
+                part, trues = min(
+                    (child[e], (above[e] & rest).bit_count() - 1)
+                    for e in range(n)
+                    if rest >> e & 1
+                )
+                for i in range(k + 1, n):
+                    tail = (1 << trues) - 1
+                    if tail >= col[i]:
+                        tail = (tail << 1 | 1) & ~col[i]
+                    rows.append(part | col[i] | tail)
+            children.append((tuple(rows), x, child))
+        children.sort()
+        for bound, x, child in children:
+            if best is not None and bound >= best:
+                break
+            if k + 1 == n:
+                best = bound
+                break
+            search(k + 1, free & ~(1 << x), child, perm + [x])
+
+    search(0, (1 << n) - 1, [0] * n, [])
     return best
 
 
-def _poset_from_key(key, n, names, name):
-    leq = tuple(tuple(key[i * n + j] for j in range(n)) for i in range(n))
-    return Poset(tuple(names[:n]), leq, name=name)
+def _poset_classes(max_points, cap=None):
+    """Posets on 1..max_points points, one per isomorphism class, level by
+    level. Level n grows from level n - 1 by one new maximal point whose
+    strict down-set is any down-set of the smaller poset; every poset
+    arises so, by removing a maximal point. Children are deduplicated by the
+    least key over relabelings that keep the colour-refinement cells in
+    order. Yields ``(n, classes)`` with each class as ``(down, downs)``: the
+    strict down-set of every point and every down-set, as bitmasks. With
+    ``cap``, posets with more than ``cap`` down-sets are dropped, which is
+    safe because a new point never lowers the count."""
+    level = [((), (0,))]
+    for n in range(1, max_points + 1):
+        bit = 1 << (n - 1)
+        grown = {}
+        for down, downs in level:
+            for d in downs:
+                lifted = tuple(e | bit for e in downs if e & d == d)
+                if cap is not None and len(downs) + len(lifted) > cap:
+                    continue
+                child = down + (d,)
+                cert = _lex_min(child, _cells(child))
+                if cert not in grown:
+                    grown[cert] = (child, downs + lifted)
+        level = list(grown.values())
+        if not level:
+            return
+        yield n, level
 
 
-def _count_downsets_capped(rel, n, cap):
-    pred = [0] * n
-    for i in range(n):
-        for j in range(n):
-            if rel[j][i]:
-                pred[i] |= 1 << j
-    count = 0
-    for s in range(1 << n):
-        m = s
-        ok = True
-        while m:
-            b = (m & -m).bit_length() - 1
-            if pred[b] & ~s:
-                ok = False
-                break
-            m &= m - 1
-        if ok:
-            count += 1
-            if count > cap:
-                return count
-    return count
+def _poset_from_key(key, names, name):
+    n = len(key)
+    leq = tuple(tuple(bool(row >> (n - 1 - j) & 1) for j in range(n)) for row in key)
+    return Poset(names, leq, name=name)
 
 
 @lru_cache(maxsize=None)
@@ -133,26 +213,29 @@ def corpus_frames(max_worlds=4):
     """All posets with 1..max_worlds points up to isomorphism, canonically
     labeled and deterministically ordered."""
     frames = []
-    for n in range(1, max_worlds + 1):
-        keys = {_canonical_key(rel, n) for rel in _strict_orders(n)}
-        for idx, key in enumerate(sorted(keys)):
-            names = tuple(f"w{i}" for i in range(n))
-            frames.append(_poset_from_key(key, n, names, f"frame{n}_{idx}"))
+    for n, level in _poset_classes(max_worlds):
+        names = tuple(f"w{i}" for i in range(n))
+        keys = sorted(_lex_min(down) for down, _ in level)
+        for idx, key in enumerate(keys):
+            frames.append(_poset_from_key(key, names, f"frame{n}_{idx}"))
     return tuple(frames)
 
 
 def downset_lattice(poset, name):
     """The Birkhoff lattice of down-sets, ordered by inclusion."""
     n = len(poset)
-    downs = []
-    for mask in range(1 << n):
-        members = [i for i in range(n) if mask >> i & 1]
-        if all(
-            poset.leq[j][i] <= (j in members)
-            for i in members
-            for j in range(n)
-        ):
-            downs.append(frozenset(members))
+    below = [sum(1 << j for j in range(n) if poset.leq[j][i]) for i in range(n)]
+    masks = {0}
+    frontier = [0]
+    while frontier:
+        grown = []
+        for d in frontier:
+            for i in range(n):
+                if below[i] & ~d == 1 << i and d | 1 << i not in masks:
+                    masks.add(d | 1 << i)
+                    grown.append(d | 1 << i)
+        frontier = grown
+    downs = [frozenset(i for i in range(n) if m >> i & 1) for m in masks]
     downs.sort(key=lambda s: (len(s), sorted(s)))
     pos = {s: i for i, s in enumerate(downs)}
     names = tuple(
@@ -176,46 +259,38 @@ def downset_lattice(poset, name):
 def corpus_lattices(max_size=7):
     """Every bounded distributive lattice with 2..max_size elements, one per
     isomorphism class, ordered by size."""
-    if max_size - 1 > MAX_IRREDUCIBLES:
-        raise BudgetExceeded(
-            f"lattice corpus beyond {MAX_IRREDUCIBLES + 1} elements needs more "
-            "join-irreducibles than the poset scan supports"
-        )
-    entries = []
-    for n in range(1, max_size):
-        seen = set()
-        for rel in _strict_orders(n):
-            if _count_downsets_capped(rel, n, max_size) > max_size:
-                continue
-            key = _canonical_key(rel, n)
-            if key in seen:
-                continue
-            seen.add(key)
-        for key in sorted(seen):
-            entries.append((n, key, _poset_from_key(key, n, _POINT_NAMES, "jirr")))
-    sized = []
-    for n, key, poset in entries:
-        sized.append((len(downset_lattice(poset, "tmp")), n, key, poset))
-    sized.sort(key=lambda t: (t[0], t[1], t[2]))
+    entries = sorted(
+        (len(downs), n, _lex_min(down))
+        for n, level in _poset_classes(max_size - 1, cap=max_size)
+        for down, downs in level
+    )
     out = []
     counters = {}
-    for size, n, key, poset in sized:
+    for size, n, key in entries:
         idx = counters.get(size, 0)
         counters[size] = idx + 1
+        poset = _poset_from_key(key, _jirr_names(n), "jirr")
         out.append(downset_lattice(poset, f"L{size}_{idx}"))
     return tuple(out)
 
 
 @dataclass
 class SuiteResult:
+    """One suite's verdict. ``failures`` keeps the first 25 witnesses;
+    ``failure_count`` counts every failure and ``seconds`` is the suite's
+    wall time, and neither is part of ``to_dict``."""
+
     name: str
     passed: bool = True
     counts: dict = field(default_factory=dict)
     failures: list = field(default_factory=list)
     notes: list = field(default_factory=list)
+    failure_count: int = 0
+    seconds: float = field(default=0.0, compare=False)
 
     def fail(self, witness):
         self.passed = False
+        self.failure_count += 1
         if len(self.failures) < 25:
             self.failures.append(witness)
 
@@ -235,6 +310,7 @@ class CorpusReport:
     frame_worlds: int
     seed: int
     suites: list = field(default_factory=list)
+    enumerate_seconds: float = field(default=0.0, compare=False)
 
     @property
     def passed(self):
@@ -525,16 +601,29 @@ def suite_functoriality(lattices, frames, seed, budget=DEFAULT_POWER_BUDGET, wan
 def corpus_run(max_size=7, frame_worlds=4, seed=0, budget=DEFAULT_POWER_BUDGET):
     """Run every verification suite over the corpus. Deterministic for fixed
     parameters: the seed only drives morphism-pair sampling."""
+    started = time.perf_counter()
     lattices = corpus_lattices(max_size)
     frames = corpus_frames(frame_worlds)
-    report = CorpusReport(max_size=max_size, frame_worlds=frame_worlds, seed=seed)
-    report.suites.append(suite_spectrum(lattices))
-    report.suites.append(suite_separation(lattices))
-    report.suites.append(suite_isp_roundtrip(lattices, chain_lattice(2)))
-    report.suites.append(suite_isp_roundtrip(lattices, chain_lattice(3)))
-    report.suites.append(suite_ispi_roundtrip(frames, budget=budget))
-    report.suites.append(suite_heyting_coincidence(frames, budget=budget))
-    report.suites.append(suite_lvl_duality())
-    report.suites.append(suite_axiom_ledger(lattices))
-    report.suites.append(suite_functoriality(lattices, frames, seed, budget=budget))
+    report = CorpusReport(
+        max_size=max_size,
+        frame_worlds=frame_worlds,
+        seed=seed,
+        enumerate_seconds=time.perf_counter() - started,
+    )
+    suites = (
+        lambda: suite_spectrum(lattices),
+        lambda: suite_separation(lattices),
+        lambda: suite_isp_roundtrip(lattices, chain_lattice(2)),
+        lambda: suite_isp_roundtrip(lattices, chain_lattice(3)),
+        lambda: suite_ispi_roundtrip(frames, budget=budget),
+        lambda: suite_heyting_coincidence(frames, budget=budget),
+        suite_lvl_duality,
+        lambda: suite_axiom_ledger(lattices),
+        lambda: suite_functoriality(lattices, frames, seed, budget=budget),
+    )
+    for run in suites:
+        started = time.perf_counter()
+        suite = run()
+        suite.seconds = time.perf_counter() - started
+        report.suites.append(suite)
     return report

@@ -459,13 +459,3 @@ def separating_prime_ideal(lattice, x, y):
         f"no prime ideal separates {lattice.elements[x]!r} from {lattice.elements[y]!r}",
         (lattice.elements[x], lattice.elements[y]),
     )
-
-
-def upset_of(poset, x):
-    """R(x) as a frozenset of indices."""
-    return poset.upset(x)
-
-
-def downset_preimage(poset, subset):
-    """R^{-1}(X0): the down-closure of the subset."""
-    return poset.down_closure(subset)

@@ -218,6 +218,32 @@ def test_corpus_run_determinism_subprocess(tmp_path):
     assert first.stdout == second.stdout
 
 
+def test_corpus_run_beyond_seven_join_irreducibles(capsys):
+    # eight-element lattices include the eight-chain, with seven
+    # join-irreducibles; --timings adds the failure counts the witness list
+    # leaves out
+    args = "corpus-run --max-size 8 --seed 0 --format machine --timings"
+    code, out, _ = run_cli(args.split(), capsys)
+    report = json.loads(out)
+    assert code == 1
+    failed = [k for k, v in report["verdicts"].items() if not v]
+    assert failed == ["isp_roundtrip_chain3"]
+    for suite in (
+        "spectrum_bijection",
+        "prime_separation",
+        "isp_roundtrip_chain2",
+        "isp_roundtrip_chain3",
+        "axiom_ledger",
+    ):
+        assert report["details"][suite]["counts"]["lattices"] == 35
+    suites = report["timings"]["suites"]
+    assert suites["isp_roundtrip_chain3"]["failure_count"] == 102
+    listed = [w for w in report["witnesses"] if w["check"] == "isp_roundtrip_chain3"]
+    assert len(listed) == 25
+    assert all(suites[k]["failure_count"] == 0 for k in report["verdicts"] if k not in failed)
+    assert report["timings"]["enumerate_seconds"] >= 0
+
+
 # sha256 of the --format machine stdout, with the exit code, of each
 # space-side command on every sample document it accepts, pinned from the
 # implementation that built every open set (kept as tests/topology_oracle.py)

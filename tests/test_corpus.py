@@ -1,14 +1,17 @@
 import hashlib
 import itertools
+import random
+from collections import Counter
 
-import pytest
-
+import corpus_oracle
 from dualbench import duality
 from dualbench.algebra import make_bdl
 from dualbench.cli import main
 from dualbench.corpus import (
     SuiteResult,
     _guarded,
+    _lex_min,
+    _poset_classes,
     corpus_frames,
     corpus_lattices,
     corpus_run,
@@ -90,9 +93,63 @@ def test_downset_lattice_of_v_poset():
     assert lat.elements[lat.top] == "{a,b,c}"
 
 
-def test_corpus_scan_budget():
-    with pytest.raises(BudgetExceeded):
-        corpus_lattices(9)
+# distributive lattices on 2..12 elements (OEIS A006982) and posets on
+# 1..7 points (OEIS A000112), both up to isomorphism
+DISTRIBUTIVE_LATTICES = {
+    2: 1, 3: 1, 4: 2, 5: 3, 6: 5, 7: 8, 8: 15, 9: 26, 10: 47, 11: 82, 12: 151
+}
+POSETS = {1: 1, 2: 2, 3: 5, 4: 16, 5: 63, 6: 318, 7: 2045}
+
+
+def test_corpus_counts_match_oeis():
+    assert Counter(len(lat) for lat in corpus_lattices(12)) == DISTRIBUTIVE_LATTICES
+    assert Counter(len(frame) for frame in corpus_frames(7)) == POSETS
+
+
+def lattice_fields(lat):
+    return (lat.name, lat.elements, lat.leq, lat.meet, lat.join, lat.bottom, lat.top)
+
+
+def test_corpus_matches_the_scan_oracle():
+    for m in range(2, 8):
+        assert [lattice_fields(lat) for lat in corpus_lattices(m)] == [
+            lattice_fields(lat) for lat in corpus_oracle.corpus_lattices(m)
+        ]
+    for k in range(1, 6):
+        assert [(f.name, f.elements, f.leq) for f in corpus_frames(k)] == [
+            (f.name, f.elements, f.leq) for f in corpus_oracle.corpus_frames(k)
+        ]
+
+
+def test_pruned_key_matches_the_permutation_key():
+    # every poset class on up to 6 points, under several relabelings each;
+    # the oracle takes its key over all n! relabelings
+    rng = random.Random(7)
+    for n, level in _poset_classes(6):
+        assert len(level) == POSETS[n]
+        for down, _ in level:
+            rel = [[bool(down[j] >> i & 1) for j in range(n)] for i in range(n)]
+            want = corpus_oracle._canonical_key(rel, n)
+            perms = [list(range(n)), list(reversed(range(n)))]
+            perms += [rng.sample(range(n), n) for _ in range(2)]
+            for perm in perms:
+                moved = [0] * n
+                for e in range(n):
+                    moved[perm[e]] = sum(
+                        1 << perm[a] for a in range(n) if down[e] >> a & 1
+                    )
+                key = _lex_min(tuple(moved))
+                bits = tuple(bool(row >> (n - 1 - j) & 1) for row in key for j in range(n))
+                assert bits == want
+
+
+def test_suite_counts_every_failure():
+    suite = SuiteResult("probe")
+    for i in range(40):
+        suite.fail(f"witness {i}")
+    assert suite.failure_count == 40
+    assert len(suite.failures) == 25
+    assert "failure_count" not in suite.to_dict()
 
 
 def test_corpus_run_small_is_deterministic():

@@ -7,7 +7,6 @@ from dualbench.lattice import (
     FiniteLattice,
     build_lattice,
     build_poset,
-    downset_preimage,
     enumerate_subalgebras,
     heyting_implies,
     heyting_table,
@@ -15,7 +14,6 @@ from dualbench.lattice import (
     prime_filters,
     prime_ideals,
     separating_prime_ideal,
-    upset_of,
 )
 
 
@@ -307,8 +305,8 @@ def test_subalgebra_search_paths_agree(small_lattices):
 
 def test_upset_and_downset(chain3, b2):
     m = chain3.index("m")
-    assert chain3.names(upset_of(chain3, m)) == ("m", "1")
+    assert chain3.names(chain3.upset(m)) == ("m", "1")
     two = build_poset(("w0", "w1"), [("w0", "w1")])
-    assert downset_preimage(two, {1}) == frozenset({0, 1})
+    assert two.down_closure({1}) == frozenset({0, 1})
     anti = build_poset(("p", "q"), [])
-    assert downset_preimage(anti, {0}) == frozenset({0})
+    assert anti.down_closure({0}) == frozenset({0})
