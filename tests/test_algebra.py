@@ -15,6 +15,7 @@ from dualbench.algebra import (
     product_algebra,
     subalgebra_of,
     t_operator,
+    vector_algebra,
 )
 from dualbench.corpus import corpus_frames, corpus_lattices
 from dualbench.errors import AlgebraError
@@ -240,3 +241,50 @@ def test_hom_images_respect_order(small_lattices, chain2, data):
 def test_identity_hom(chain3):
     lvl = make_lvl(chain3)
     assert identity_hom(lvl).mapping == (0, 1, 2)
+
+
+def refusal(vectors, truth, signature, order=None):
+    """The code and message with which vector_algebra refuses a family."""
+    with pytest.raises(AlgebraError) as err:
+        vector_algebra(vectors, truth, "fam", signature, order=order)
+    return err.value.code, str(err.value)
+
+
+def test_vector_algebra_refuses_a_family_open_under_an_operation(
+    chain2, chain3, frame2
+):
+    # 1100 meet 0110 and 1100 join 0110 both leave: the meet is reported
+    both = [(0, 0, 0, 0), (1, 1, 0, 0), (0, 1, 1, 0), (1, 1, 1, 1)]
+    assert refusal(both, chain2, "bdl") == (
+        "not-closed",
+        "'fam': a meet leaves the map family",
+    )
+    join_only = [(0, 0, 0), (1, 0, 0), (0, 1, 0), (1, 1, 1)]
+    assert refusal(join_only, chain2, "bdl") == (
+        "not-closed",
+        "'fam': a join leaves the map family",
+    )
+    assert refusal([(0, 1), (1, 1)], chain2, "bdl") == (
+        "not-closed",
+        "'fam': the bottom leaves the map family",
+    )
+    # the up-sets of the two-world chain: closed under the relativized
+    # implication, not under the pointwise one ((0,1) -> (0,0) is (1,0))
+    upsets = [(0, 0), (0, 1), (1, 1)]
+    vector_algebra(upsets, chain2, "fam", "isp_i", order=frame2)
+    assert refusal(upsets, chain2, "heyting") == (
+        "not-closed",
+        "'fam': an implication leaves the map family",
+    )
+    # and the down-sets: (1,0) -> (0,0) is (0,1) either way
+    downsets = [(0, 0), (1, 0), (1, 1)]
+    assert refusal(downsets, chain2, "isp_i", order=frame2) == (
+        "not-closed",
+        "'fam': an implication leaves the map family",
+    )
+    # closed under meet, join and implication, but t[m] of (m,1) is (1,0)
+    assert refusal([(0, 0), (1, 2), (2, 2)], chain3, "lvl") == (
+        "not-closed",
+        "'fam': a truth-constant image leaves the map family",
+    )
+    assert vector_algebra([(0, 0), (1, 2), (2, 2)], chain3, "fam", "heyting").t_ops is None

@@ -292,6 +292,73 @@ def test_space_side_machine_reports_are_pinned(monkeypatch, capsys):
         assert (code, hashlib.sha256(out.encode("utf-8")).hexdigest()) == pin, args
 
 
+# sha256 of the --format machine stdout, with the exit code, of each
+# algebra-side command on every sample document it accepts (exit 0 or 1
+# under the default budget), under the default budget and under
+# --budget 2 (None is the default), pinned from the tuple-at-a-time table
+# build that tests/vector_oracle.py keeps
+ALGEBRA_SIDE_PINS = {
+    ("power", "power22.doc", None): (0, "48751dca5c82f779fb6d9beaadc140d9409f5ccba216167f6ce1997b7fa1f395"),
+    ("power", "power22.doc", 2): (2, "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
+    ("power", "upsets22.doc", None): (0, "aaff0f158de5353f2cde5d26fc8cc8ee9be5fdef41fae0abb365c3005d1132f1"),
+    ("power", "upsets22.doc", 2): (2, "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
+    ("generate", "upsets22.doc", None): (0, "74687ae4138b90cee744d699e7e8b18bdef95549db9efcda33fa39cfa6027fd9"),
+    ("generate", "upsets22.doc", 2): (2, "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
+    ("kripke-check", "power22.doc", None): (1, "47993d00ec87d1dba4616f21f27df0218c11abae4839acab5ee41683a3fb0d19"),
+    ("kripke-check", "power22.doc", 2): (2, "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
+    ("kripke-check", "upsets22.doc", None): (0, "34c2a4152d1e34c9b030becc2e0945033d7ed97285ff39fd0960a12f6d0a5e7d"),
+    ("kripke-check", "upsets22.doc", 2): (2, "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
+    ("axioms", "b2.doc", None): (0, "a77b6876981cf2eedf7a8a17601c6c608cd9d54bc3a2c3c09d38da6ef83e96e0"),
+    ("axioms", "b2.doc", 2): (0, "a77b6876981cf2eedf7a8a17601c6c608cd9d54bc3a2c3c09d38da6ef83e96e0"),
+    ("axioms", "chain2.doc", None): (0, "bb2df888137dc0e41ef1acd2ba69df76e51264d087376bcf22374a77069273a7"),
+    ("axioms", "chain2.doc", 2): (0, "bb2df888137dc0e41ef1acd2ba69df76e51264d087376bcf22374a77069273a7"),
+    ("axioms", "chain3-lvl.doc", None): (0, "246cdd49fe827fed2a137b3a31086479fbd42628a9c15f06dccff6e75c107098"),
+    ("axioms", "chain3-lvl.doc", 2): (0, "246cdd49fe827fed2a137b3a31086479fbd42628a9c15f06dccff6e75c107098"),
+    ("axioms", "chain3.doc", None): (0, "d0c90492397ad3e157e692300440920aa1f99f5e706d9539d245462e2ba83086"),
+    ("axioms", "chain3.doc", 2): (0, "d0c90492397ad3e157e692300440920aa1f99f5e706d9539d245462e2ba83086"),
+    ("axioms", "pbs-chain2.doc", None): (0, "d1764c83e0936c0a02fb8b199d946484efcccb19ccb274a97c95bbecdbe22cd8"),
+    ("axioms", "pbs-chain2.doc", 2): (0, "d1764c83e0936c0a02fb8b199d946484efcccb19ccb274a97c95bbecdbe22cd8"),
+    ("homs", "b2.doc", None): (0, "194148ede492bc0c0e2c7ecc3160cb69be34823223023cd313e5870589a2a973"),
+    ("homs", "b2.doc", 2): (0, "194148ede492bc0c0e2c7ecc3160cb69be34823223023cd313e5870589a2a973"),
+    ("homs", "chain2.doc", None): (0, "d806c1a2675a818cde616f400c692c7e6c5df10e3bb6024d5359382eeac52707"),
+    ("homs", "chain2.doc", 2): (0, "d806c1a2675a818cde616f400c692c7e6c5df10e3bb6024d5359382eeac52707"),
+    ("homs", "chain3-lvl.doc", None): (0, "fd8a7a9e01b1250e786877e7d77e5c65b54290c58560390a281dec7e29e63820"),
+    ("homs", "chain3-lvl.doc", 2): (0, "fd8a7a9e01b1250e786877e7d77e5c65b54290c58560390a281dec7e29e63820"),
+    ("homs", "chain3.doc", None): (0, "863ba5f80437e994a4bd875b3ae3f8c1f9af3f6d51432f70074274a212486a8b"),
+    ("homs", "chain3.doc", 2): (0, "863ba5f80437e994a4bd875b3ae3f8c1f9af3f6d51432f70074274a212486a8b"),
+    ("homs", "pbs-chain2.doc", None): (0, "61c21cff4d0c0e21293d26136d60a3f5f5a97cd0f172e90b03fe2635293475c5"),
+    ("homs", "pbs-chain2.doc", 2): (0, "61c21cff4d0c0e21293d26136d60a3f5f5a97cd0f172e90b03fe2635293475c5"),
+    ("homs", "power22.doc", None): (0, "080535de71b86569ea4d779ea27799f5237fbba076e3dea12d2dc7b8918b966e"),
+    ("homs", "power22.doc", 2): (2, "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
+    ("homs", "upsets22.doc", None): (0, "0877f8d24c70013987d2739d7a516cfbcb2f56284222502671a415cd520539f7"),
+    ("homs", "upsets22.doc", 2): (2, "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
+    ("subalgebras", "b2.doc", None): (0, "cc7521167a78d52c3a884ff47a3577ac3814fe2996ceaa64216723f1fa023acd"),
+    ("subalgebras", "b2.doc", 2): (0, "cc7521167a78d52c3a884ff47a3577ac3814fe2996ceaa64216723f1fa023acd"),
+    ("subalgebras", "chain2.doc", None): (0, "90a66e469d8a7e3015cde0cf3081c213e1ad2d16b8b089b8ee4037d4d2263f2d"),
+    ("subalgebras", "chain2.doc", 2): (0, "90a66e469d8a7e3015cde0cf3081c213e1ad2d16b8b089b8ee4037d4d2263f2d"),
+    ("subalgebras", "chain3-lvl.doc", None): (0, "3165e273d1df1a066fa6afb68baa89a11be80cf38d14f0c1ac92cefca8c0d453"),
+    ("subalgebras", "chain3-lvl.doc", 2): (0, "3165e273d1df1a066fa6afb68baa89a11be80cf38d14f0c1ac92cefca8c0d453"),
+    ("subalgebras", "chain3.doc", None): (0, "ebc810d5ceed6949e2e43e38aad5df2191d14cd8506aaa7779d9730fd19ddeac"),
+    ("subalgebras", "chain3.doc", 2): (0, "ebc810d5ceed6949e2e43e38aad5df2191d14cd8506aaa7779d9730fd19ddeac"),
+    ("subalgebras", "pbs-chain2.doc", None): (0, "832de419c023af900f59155e7d98b920de41d64673b6833548951fbe4d16ea10"),
+    ("subalgebras", "pbs-chain2.doc", 2): (0, "832de419c023af900f59155e7d98b920de41d64673b6833548951fbe4d16ea10"),
+    ("subalgebras", "power22.doc", None): (0, "144caf4a927cce61954a0855661d8b8cb553df0de8d17c4c9c160a7e4c268ae2"),
+    ("subalgebras", "power22.doc", 2): (0, "144caf4a927cce61954a0855661d8b8cb553df0de8d17c4c9c160a7e4c268ae2"),
+    ("subalgebras", "upsets22.doc", None): (0, "2300f635a300f278ad4b99ed359b46ce631ea8aebf90d0a93197bb84d63d8e5e"),
+    ("subalgebras", "upsets22.doc", 2): (0, "2300f635a300f278ad4b99ed359b46ce631ea8aebf90d0a93197bb84d63d8e5e"),
+}
+
+
+def test_algebra_side_machine_reports_are_pinned(monkeypatch, capsys):
+    monkeypatch.chdir(os.path.join(DOCS, os.pardir))
+    for (command, name, budget), pin in ALGEBRA_SIDE_PINS.items():
+        args = [command, f"sample_docs/{name}", "--format", "machine"]
+        if budget is not None:
+            args += ["--budget", str(budget)]
+        code, out, _ = run_cli(args, capsys)
+        assert (code, hashlib.sha256(out.encode("utf-8")).hexdigest()) == pin, args
+
+
 def test_twenty_point_dual_verifies(tmp_path, capsys):
     # the 21-element chain has a 20-point dual with 2**20 open sets
     names = [f"c{i}" for i in range(21)]
