@@ -152,6 +152,123 @@ def relativized_implication(truth, order):
     return implies
 
 
+class _Memo(dict):
+    """A dict that fills a missing key with ``compute(key)``."""
+
+    __slots__ = ("compute",)
+
+    def __init__(self, compute):
+        super().__init__()
+        self.compute = compute
+
+    def __missing__(self, key):
+        out = self[key] = self.compute(key)
+        return out
+
+
+def packed_slices(truth, width, order=None):
+    """The packed-slice code of the vectors of ``width`` truth values, as
+    ``(full, encode, decode, implication, constant)``.
+
+    ``encode`` packs a vector into an int and ``decode`` unpacks it. Meet
+    is ``&`` and join is ``|``; ``0`` and ``full`` are the constant bounds.
+    The implication of packed u and v is ``implication[(~u | v) & full]``,
+    a memo. ``constant(p, l)`` packs the image of p under the
+    truth-constant operator of l.
+
+    By Birkhoff's representation a finite distributive lattice embeds in
+    the sets of its join-irreducibles, with meet and join going to
+    intersection and union. So a vector is one int: bit ``i*width + w`` is
+    set when the i-th join-irreducible lies below the value at coordinate w.
+    The pointwise relative pseudocomplement has slice j equal to the AND,
+    over the join-irreducibles j' <= j, of ``~u_j' | v_j'``. With ``order``,
+    a poset on the coordinates, the implication is relativized to it: the
+    meet over the coordinates above, which takes each slice to its
+    interior in the up-set topology (the coordinates whose whole up-set
+    lies in the slice), memoized per slice mask."""
+    nt, leq, join = len(truth), truth.leq, truth.join
+    irreducibles = [
+        j
+        for j in range(nt)
+        if j != truth.bottom
+        and _fold(join, (x for x in range(nt) if leq[x][j] and x != j), truth.bottom)
+        != j
+    ]
+    below = [
+        sum(1 << i for i, j in enumerate(irreducibles) if leq[j][a]) for a in range(nt)
+    ]
+    if any(below[join[a][b]] != below[a] | below[b] for a in range(nt) for b in range(nt)):
+        raise AlgebraError(
+            "not-distributive", f"truth lattice {truth.name!r} is not distributive"
+        )
+    k = len(irreducibles)
+    # each value by the column of its slice bits, as '0'/'1' characters
+    element = {
+        tuple("01"[mask >> i & 1] for i in range(k)): a for a, mask in enumerate(below)
+    }
+    slice_full = (1 << width) - 1
+    spread = [sum(1 << (i * width) for i in range(k) if mask >> i & 1) for mask in below]
+    repunit = spread[truth.top]
+    lower = [
+        [i2 * width for i2, j2 in enumerate(irreducibles) if leq[j2][j]]
+        for j in irreducibles
+    ]
+
+    def encode(vec):
+        p = 0
+        for w, x in enumerate(vec):
+            p |= spread[x] << w
+        return p
+
+    def decode(p):
+        if not k:
+            return (truth.bottom,) * width
+        bits = format(p, f"0{k * width}b")[::-1]
+        slices = [bits[i * width : (i + 1) * width] for i in range(k)]
+        return tuple([element[column] for column in zip(*slices)])
+
+    interior = None
+    if order is not None:
+        ups = [
+            sum(1 << w2 for w2 in range(width) if order.leq[w][w2]) for w in range(width)
+        ]
+
+        def interior_of(s):
+            out = 0
+            for w, up in enumerate(ups):
+                if up & s == up:
+                    out |= 1 << w
+            return out
+
+        interior = _Memo(interior_of)
+
+    def implication_of(x):
+        out = 0
+        for i, shifts in enumerate(lower):
+            s = slice_full
+            for shift in shifts:
+                s &= x >> shift
+            if interior is not None:
+                s = interior[s]
+            out |= s << (i * width)
+        return out
+
+    def constant(p, l):
+        mask = below[l]
+        eq = slice_full
+        for i in range(k):
+            s = p >> (i * width)
+            eq &= s if mask >> i & 1 else ~s
+        return eq * repunit
+
+    if k == 1 and interior is not None:
+        # one slice, nothing below it: the implication is its interior
+        implication = interior
+    else:
+        implication = _Memo(implication_of)
+    return (1 << (k * width)) - 1, encode, decode, implication, constant
+
+
 def vector_algebra(
     vectors, truth, name, signature, order=None, presented=False, generators=None
 ):
@@ -162,58 +279,61 @@ def vector_algebra(
     subalgebra of) the power of the truth lattice over ``order``: the
     algebra carries its PowerPresentation, with ``generators``, and the
     truth-constant operators whenever the family is closed under them
-    (``lvl`` requires them)."""
+    (``lvl`` requires them).
+
+    The family is packed once (``packed_slices``) and every table entry is
+    one or two bit operations and a lookup of the packed result."""
     if not vectors:
         raise AlgebraError("empty-carrier", f"{name!r} has no maps at all")
     vectors = tuple(vectors)
-    width = len(vectors[0])
-    pos = {v: i for i, v in enumerate(vectors)}
+    full, encode, _, implication, constant = packed_slices(
+        truth, len(vectors[0]), order if signature == "isp_i" else None
+    )
+    packed = [encode(v) for v in vectors]
+    pos = {p: i for i, p in enumerate(packed)}
 
-    def table(op, what):
-        out = tuple(tuple(pos.get(op(u, v), -1) for v in vectors) for u in vectors)
-        if any(-1 in row for row in out):
-            raise AlgebraError("not-closed", f"{name!r}: {what} leaves the map family")
-        return out
+    def refused(what):
+        return AlgebraError("not-closed", f"{name!r}: {what} leaves the map family")
 
-    def pointwise(t):
-        return lambda u, v: tuple([t[x][y] for x, y in zip(u, v)])
+    def table(row, what):
+        try:
+            return tuple(row(a) for a in packed)
+        except KeyError:
+            raise refused(what) from None
 
-    def look(vec, what):
-        i = pos.get(vec)
-        if i is None:
-            raise AlgebraError("not-closed", f"{name!r}: {what} leaves the map family")
-        return i
+    def look(p, what):
+        if p not in pos:
+            raise refused(what)
+        return pos[p]
 
-    meet = table(pointwise(truth.meet), "a meet")
+    def implication_row(a):
+        na = ~a
+        return tuple([pos[implication[(na | b) & full]] for b in packed])
+
+    meet = table(lambda a: tuple([pos[a & b] for b in packed]), "a meet")
+    join = table(lambda a: tuple([pos[a | b] for b in packed]), "a join")
     lattice = FiniteLattice(
         tuple(vector_name(truth, v) for v in vectors),
         # pointwise, u <= v exactly when u meet v is u
-        tuple(tuple(k == i for k in row) for i, row in enumerate(meet)),
+        tuple(tuple([k == i for k in row]) for i, row in enumerate(meet)),
         meet,
-        table(pointwise(truth.join), "a join"),
-        look((truth.bottom,) * width, "the bottom"),
-        look((truth.top,) * width, "the top"),
+        join,
+        look(0, "the bottom"),
+        look(full, "the top"),
         name=name,
     )
     implies = None
-    if signature in ("heyting", "lvl"):
-        implies = table(pointwise(heyting_table(truth)), "an implication")
-    elif signature == "isp_i":
-        implies = table(relativized_implication(truth, order), "an implication")
+    if signature in ("heyting", "lvl", "isp_i"):
+        implies = table(implication_row, "an implication")
     t_ops = None
     if signature == "lvl" or presented:
         t_ops = tuple(
-            tuple(
-                pos.get(tuple([truth.top if x == l else truth.bottom for x in v]), -1)
-                for v in vectors
-            )
+            tuple([pos.get(constant(p, l), -1) for p in packed])
             for l in range(len(truth))
         )
         if any(-1 in row for row in t_ops):
             if signature == "lvl":
-                raise AlgebraError(
-                    "not-closed", f"{name!r}: a truth-constant image leaves the map family"
-                )
+                raise refused("a truth-constant image")
             t_ops = None
     presentation = PowerPresentation(order, vectors, generators) if presented else None
     return _validate(

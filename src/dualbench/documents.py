@@ -336,7 +336,21 @@ def _vector_token(tok, doc, key):
             line=doc.line_of(key),
             fieldname=key,
         )
-    return tok[1:-1].split(",")
+    inner = tok[1:-1]
+    return [] if not inner else inner.split(",")
+
+
+def _truth_value(truth, value, doc, key):
+    """The index of a truth value named in a field, or a located error."""
+    if value not in truth.elements:
+        raise DocumentError(
+            "dangling-reference",
+            f"{doc.kind} {doc.name!r}: {value!r} in {key!r} is not an element of "
+            f"{truth.name}",
+            line=doc.line_of(key),
+            fieldname=key,
+        )
+    return truth.elements.index(value)
 
 
 class DocumentSet:
@@ -435,7 +449,7 @@ def build_algebra_from(doc, registry, budget):
                     f"generator {tok} has {len(vals)} entries for {len(frame)} worlds",
                     line=doc.line_of("generators"),
                 )
-            gens.append(tuple(truth.index(v) for v in vals))
+            gens.append(tuple(_truth_value(truth, v, doc, "generators") for v in vals))
         return power_subalgebra(truth, frame, gens, name=doc.name)
     lattice = build_lattice(
         _tokens(doc.get("elements", "")),
@@ -563,7 +577,9 @@ def build_space_from(doc, registry):
                 line=doc.line_of("alpha"),
             )
         left, _, right = tok.partition("}:")
-        sub = frozenset(truth.index(e) for e in _set_token(left + "}", doc, "alpha"))
+        sub = frozenset(
+            _truth_value(truth, e, doc, "alpha") for e in _set_token(left + "}", doc, "alpha")
+        )
         img = point_set(right, "alpha")
         entries.append((sub, img))
     entries.sort(key=lambda e: (len(e[0]), sorted(e[0])))

@@ -10,6 +10,17 @@ algebra, or the subalgebra a document generates. They are built by closing
 their generating vectors (and both bounds) under those operations, with
 tables over the closed family alone; the power itself is materialized only
 when it is asked for.
+
+Both the closure and the tables work on packed vectors
+(``algebra.packed_slices``). The truth lattice is distributive, so by
+Birkhoff's representation each value is the set of join-irreducibles below
+it, and a vector over nw worlds is one int with an nw-bit slice per
+join-irreducible. Meet is ``&`` and join is ``|``. The implication is
+``~u | v``, ANDed in each slice with the slices of the join-irreducibles
+below it, and then, for the meet over the worlds above, each slice is
+replaced by its interior in the up-set topology of the frame (the worlds
+whose whole up-set lies in it). Over the two-element chain that is one
+memoized lookup, ``interior[(~u | v) & full]``.
 """
 
 from __future__ import annotations
@@ -21,7 +32,7 @@ from .algebra import (
     enumerate_homs,
     hom_leq,
     make_bdl,
-    relativized_implication,
+    packed_slices,
     vector_algebra,
     vector_name,
 )
@@ -75,30 +86,29 @@ def close_vectors(truth, frame, seeds):
     meet and join and the frame-relativized implication, in sorted order
     (the power's index order).
 
-    A worklist: each new vector is combined once with every vector already
-    taken off the list, itself included, in both argument orders of the
-    implication; a result not yet seen joins the list.
-    """
-    width = len(frame)
-    meet, join = truth.meet, truth.join
-    implies = relativized_implication(truth, frame)
-    closed = {(truth.bottom,) * width, (truth.top,) * width, *seeds}
+    A worklist on packed vectors (``packed_slices``): each new vector is
+    combined once with every vector already taken off the list, itself
+    included, in both argument orders of the implication; a result not yet
+    seen joins the list. Only the closed family is unpacked."""
+    full, encode, decode, implication, _ = packed_slices(truth, len(frame), frame)
+    closed = {0, full, *map(encode, seeds)}
     work = list(closed)
     done = []
     while work:
         u = work.pop()
         done.append(u)
+        nu = ~u
         for v in done:
-            for vec in (
-                tuple([meet[x][y] for x, y in zip(u, v)]),
-                tuple([join[x][y] for x, y in zip(u, v)]),
-                implies(u, v),
-                implies(v, u),
+            for p in (
+                u & v,
+                u | v,
+                implication[(nu | v) & full],
+                implication[(~v | u) & full],
             ):
-                if vec not in closed:
-                    closed.add(vec)
-                    work.append(vec)
-    return tuple(sorted(closed))
+                if p not in closed:
+                    closed.add(p)
+                    work.append(p)
+    return tuple(sorted(map(decode, closed)))
 
 
 def power_subalgebra(truth, frame, generators, name=None, power_name=None):

@@ -399,3 +399,22 @@ def test_spectrum_of_an_eighteen_element_chain(tmp_path, capsys):
     report = json.loads(out)
     assert code == 0 and report["passed"]
     assert report["details"] == {"homs": 17, "prime_filters": 17}
+
+
+def test_bad_generator_values_exit_two_with_a_line(tmp_path, capsys):
+    text = (
+        "kind: algebra\nname: p\nsignature: isp_i\ntruth_lattice: chain2\n"
+        "presentation: power\nframe: w2\ngenerators: {gens}\n"
+        "---\nkind: frame\nname: w2\nworlds: w0 w1\norder: w0<=w1\n"
+        "---\nkind: lattice\nname: chain2\nelements: 0 1\nleq: 0<=1\n"
+        "bottom: 0\ntop: 1\n"
+    )
+    for gens, message in (
+        ("()", "generator () has 0 entries for 2 worlds (line 7)"),
+        ("(0,2)", "algebra 'p': '2' in 'generators' is not an element of chain2 (line 7)"),
+    ):
+        path = tmp_path / "p.doc"
+        path.write_text(text.format(gens=gens))
+        for command in ("generate", "kripke-check"):
+            code, out, err = run_cli([command, str(path)], capsys)
+            assert (code, out, err) == (2, "", f"error: {message}\n"), (command, gens)

@@ -229,3 +229,51 @@ def test_unknown_point_in_alpha():
     with pytest.raises(DocumentError) as err:
         docset.space("s")
     assert err.value.code == "dangling-reference"
+
+
+POWER_W2 = (
+    "kind: algebra\nname: p\nsignature: isp_i\ntruth_lattice: chain2\n"
+    "presentation: power\nframe: w2\ngenerators: {gens}\n"
+    "---\nkind: frame\nname: w2\nworlds: w0 w1\norder: w0<=w1\n"
+    "---\nkind: lattice\nname: chain2\nelements: 0 1\nleq: 0<=1\nbottom: 0\ntop: 1\n"
+)
+
+
+def generator_error(gens):
+    docset = DocumentSet(parse_documents(POWER_W2.format(gens=gens)))
+    with pytest.raises(DocumentError) as err:
+        docset.algebra("p", budget=4096)
+    return err.value
+
+
+def test_empty_generator_has_no_entries():
+    err = generator_error("()")
+    assert err.code == "schema-violation"
+    assert str(err) == "generator () has 0 entries for 2 worlds (line 7)"
+
+
+def test_unknown_generator_value_is_located():
+    err = generator_error("(0,1) (0,2)")
+    assert (err.code, err.line, err.fieldname) == ("dangling-reference", 7, "generators")
+    assert str(err) == (
+        "algebra 'p': '2' in 'generators' is not an element of chain2 (line 7)"
+    )
+
+
+def test_unknown_alpha_value_is_located():
+    text = (
+        "kind: space\nname: s\npoints: z u\ntopo1: {z} {u}\ntopo2: {z} {u}\n"
+        "truth_lattice: chain2\nalpha: {0,7}:{z,u}\n"
+        "---\nkind: lattice\nname: chain2\nelements: 0 1\nleq: 0<=1\nbottom: 0\ntop: 1\n"
+    )
+    docset = DocumentSet(parse_documents(text))
+    with pytest.raises(DocumentError) as err:
+        docset.space("s")
+    assert (err.value.code, err.value.line, err.value.fieldname) == (
+        "dangling-reference",
+        7,
+        "alpha",
+    )
+    assert str(err.value) == (
+        "space 's': '7' in 'alpha' is not an element of chain2 (line 7)"
+    )

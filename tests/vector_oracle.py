@@ -1,0 +1,121 @@
+"""The tuple-at-a-time table build and vector closure that the packed-slice
+kernel of ``dualbench.algebra`` replaced, kept verbatim as its slow oracle:
+every vector is a tuple of truth values, and every table entry is a fresh
+tuple looked up in a dict."""
+
+from dualbench.algebra import (
+    Algebra,
+    PowerPresentation,
+    _validate,
+    relativized_implication,
+    vector_name,
+)
+from dualbench.errors import AlgebraError
+from dualbench.lattice import FiniteLattice, heyting_table
+
+
+def vector_algebra(
+    vectors, truth, name, signature, order=None, presented=False, generators=None
+):
+    """Pointwise algebra on a family of truth-valued vectors, with tables
+    over the family alone. ``heyting`` and ``lvl`` take the pointwise
+    relative pseudocomplement; ``isp_i`` relativizes the implication to
+    ``order``, a poset on the coordinates. A ``presented`` family is (a
+    subalgebra of) the power of the truth lattice over ``order``: the
+    algebra carries its PowerPresentation, with ``generators``, and the
+    truth-constant operators whenever the family is closed under them
+    (``lvl`` requires them)."""
+    if not vectors:
+        raise AlgebraError("empty-carrier", f"{name!r} has no maps at all")
+    vectors = tuple(vectors)
+    width = len(vectors[0])
+    pos = {v: i for i, v in enumerate(vectors)}
+
+    def table(op, what):
+        out = tuple(tuple(pos.get(op(u, v), -1) for v in vectors) for u in vectors)
+        if any(-1 in row for row in out):
+            raise AlgebraError("not-closed", f"{name!r}: {what} leaves the map family")
+        return out
+
+    def pointwise(t):
+        return lambda u, v: tuple([t[x][y] for x, y in zip(u, v)])
+
+    def look(vec, what):
+        i = pos.get(vec)
+        if i is None:
+            raise AlgebraError("not-closed", f"{name!r}: {what} leaves the map family")
+        return i
+
+    meet = table(pointwise(truth.meet), "a meet")
+    lattice = FiniteLattice(
+        tuple(vector_name(truth, v) for v in vectors),
+        # pointwise, u <= v exactly when u meet v is u
+        tuple(tuple(k == i for k in row) for i, row in enumerate(meet)),
+        meet,
+        table(pointwise(truth.join), "a join"),
+        look((truth.bottom,) * width, "the bottom"),
+        look((truth.top,) * width, "the top"),
+        name=name,
+    )
+    implies = None
+    if signature in ("heyting", "lvl"):
+        implies = table(pointwise(heyting_table(truth)), "an implication")
+    elif signature == "isp_i":
+        implies = table(relativized_implication(truth, order), "an implication")
+    t_ops = None
+    if signature == "lvl" or presented:
+        t_ops = tuple(
+            tuple(
+                pos.get(tuple([truth.top if x == l else truth.bottom for x in v]), -1)
+                for v in vectors
+            )
+            for l in range(len(truth))
+        )
+        if any(-1 in row for row in t_ops):
+            if signature == "lvl":
+                raise AlgebraError(
+                    "not-closed", f"{name!r}: a truth-constant image leaves the map family"
+                )
+            t_ops = None
+    presentation = PowerPresentation(order, vectors, generators) if presented else None
+    return _validate(
+        Algebra(
+            signature,
+            lattice,
+            truth,
+            implies=implies,
+            t_ops=t_ops,
+            presentation=presentation,
+        )
+    )
+
+
+def close_vectors(truth, frame, seeds):
+    """The seed vectors and both constant bounds, closed under pointwise
+    meet and join and the frame-relativized implication, in sorted order
+    (the power's index order).
+
+    A worklist: each new vector is combined once with every vector already
+    taken off the list, itself included, in both argument orders of the
+    implication; a result not yet seen joins the list.
+    """
+    width = len(frame)
+    meet, join = truth.meet, truth.join
+    implies = relativized_implication(truth, frame)
+    closed = {(truth.bottom,) * width, (truth.top,) * width, *seeds}
+    work = list(closed)
+    done = []
+    while work:
+        u = work.pop()
+        done.append(u)
+        for v in done:
+            for vec in (
+                tuple([meet[x][y] for x, y in zip(u, v)]),
+                tuple([join[x][y] for x, y in zip(u, v)]),
+                implies(u, v),
+                implies(v, u),
+            ):
+                if vec not in closed:
+                    closed.add(vec)
+                    work.append(vec)
+    return tuple(sorted(closed))
