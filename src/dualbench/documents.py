@@ -449,7 +449,9 @@ def build_algebra_from(doc, registry, budget):
                     f"generator {tok} has {len(vals)} entries for {len(frame)} worlds",
                     line=doc.line_of("generators"),
                 )
-            gens.append(tuple(_truth_value(truth, v, doc, "generators") for v in vals))
+            gens.append(
+                tuple(_truth_value(truth, v, doc, "generators") for v in vals)
+            )
         return power_subalgebra(truth, frame, gens, name=doc.name)
     lattice = build_lattice(
         _tokens(doc.get("elements", "")),
@@ -578,7 +580,8 @@ def build_space_from(doc, registry):
             )
         left, _, right = tok.partition("}:")
         sub = frozenset(
-            _truth_value(truth, e, doc, "alpha") for e in _set_token(left + "}", doc, "alpha")
+            _truth_value(truth, e, doc, "alpha")
+            for e in _set_token(left + "}", doc, "alpha")
         )
         img = point_set(right, "alpha")
         entries.append((sub, img))

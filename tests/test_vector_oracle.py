@@ -132,11 +132,10 @@ def test_packed_slices_round_trip(chain3, b2):
 def test_packed_slices_need_a_distributive_truth_lattice():
     # the diamond M3: 0 < a, b, c < 1
     names = ("0", "a", "b", "c", "1")
-    leq = tuple(
-        tuple(i == j or i == 0 or j == 4 for j in range(5)) for i in range(5)
-    )
-    meet = tuple(tuple(i if leq[i][j] else j if leq[j][i] else 0 for j in range(5)) for i in range(5))
-    join = tuple(tuple(j if leq[i][j] else i if leq[j][i] else 4 for j in range(5)) for i in range(5))
+    n = range(5)
+    leq = tuple(tuple(i == j or i == 0 or j == 4 for j in n) for i in n)
+    meet = tuple(tuple(i if leq[i][j] else j if leq[j][i] else 0 for j in n) for i in n)
+    join = tuple(tuple(j if leq[i][j] else i if leq[j][i] else 4 for j in n) for i in n)
     m3 = FiniteLattice(names, leq, meet, join, 0, 4, name="m3")
     with pytest.raises(AlgebraError) as err:
         packed_slices(m3, 2)
