@@ -15,6 +15,7 @@ aggregates verdicts deterministically.
 
 from __future__ import annotations
 
+import bisect
 import random
 import string
 import time
@@ -515,18 +516,30 @@ def suite_axiom_ledger(lattices):
 
 def _sample_pairs(homsets, rng, want):
     """Composable (f, g) pairs drawn deterministically from hom-sets indexed
-    by (source, target) object indices."""
-    pairs = []
+    by (source, target) object indices.
+
+    The pairs are numbered block by block, f-major within a (f-block,
+    g-block) block, and only the drawn numbers are decoded: random.sample
+    reads its population through len and indexing alone, so drawing from
+    range(total) picks the same pairs as drawing from the full list."""
     keys = sorted(homsets)
+    blocks = []
+    starts = []
+    total = 0
     for x, y in keys:
         for y2, z in keys:
-            if y2 != y:
-                continue
-            for f in homsets[(x, y)]:
-                for g in homsets[(y, z)]:
-                    pairs.append((f, g))
-    if len(pairs) > want:
-        pairs = rng.sample(pairs, want)
+            if y2 == y:
+                fs, gs = homsets[(x, y)], homsets[(y, z)]
+                blocks.append((fs, gs))
+                starts.append(total)
+                total += len(fs) * len(gs)
+    picks = rng.sample(range(total), want) if total > want else range(total)
+    pairs = []
+    for index in picks:
+        b = bisect.bisect_right(starts, index) - 1
+        fs, gs = blocks[b]
+        i, j = divmod(index - starts[b], len(gs))
+        pairs.append((fs[i], gs[j]))
     return pairs
 
 

@@ -294,16 +294,11 @@ def _tokens(value):
     return value.split()
 
 
-def _pairs(value, doc, key):
+def _pairs(doc, key, declared_key):
+    """The 'a<=b' pairs of a field, each end declared in another field."""
+    declared = set(_tokens(doc.get(declared_key) or ""))
     out = []
-    for tok in _tokens(value):
-        if "<=" not in tok:
-            raise DocumentError(
-                "malformed-syntax",
-                f"expected 'a<=b' pairs in {key!r}, got {tok!r}",
-                line=doc.line_of(key),
-                fieldname=key,
-            )
+    for tok in _tokens(doc.get(key) or ""):
         a, _, b = tok.partition("<=")
         if not a or not b:
             raise DocumentError(
@@ -312,8 +307,32 @@ def _pairs(value, doc, key):
                 line=doc.line_of(key),
                 fieldname=key,
             )
+        for name in (a, b):
+            _require_declared(doc, key, name, declared, declared_key)
         out.append((a, b))
     return out
+
+
+def _require_declared(doc, key, name, declared, declared_key):
+    if name not in declared:
+        raise DocumentError(
+            "dangling-reference",
+            f"{doc.kind} {doc.name!r}: {name!r} in {key!r} is not declared in "
+            f"{declared_key!r}",
+            line=doc.line_of(key),
+            fieldname=key,
+        )
+
+
+def _lattice_pairs(doc):
+    """The leq pairs of a document that declares its own lattice, with its
+    bounds checked against the declared elements too."""
+    pairs = _pairs(doc, "leq", "elements")
+    declared = set(_tokens(doc.get("elements") or ""))
+    for key in ("bottom", "top"):
+        if doc.get(key) is not None:
+            _require_declared(doc, key, doc.get(key), declared, "elements")
+    return pairs
 
 
 def _set_token(tok, doc, key):
@@ -340,17 +359,17 @@ def _vector_token(tok, doc, key):
     return [] if not inner else inner.split(",")
 
 
-def _truth_value(truth, value, doc, key):
-    """The index of a truth value named in a field, or a located error."""
-    if value not in truth.elements:
+def _element_index(lattice, value, doc, key):
+    """The index of a lattice element named in a field, or a located error."""
+    if value not in lattice.elements:
         raise DocumentError(
             "dangling-reference",
             f"{doc.kind} {doc.name!r}: {value!r} in {key!r} is not an element of "
-            f"{truth.name}",
+            f"{lattice.name}",
             line=doc.line_of(key),
             fieldname=key,
         )
-    return truth.elements.index(value)
+    return lattice.elements.index(value)
 
 
 class DocumentSet:
@@ -409,13 +428,13 @@ class DocumentSet:
 
 def build_lattice_from(doc):
     elements = _tokens(doc.get("elements", ""))
-    pairs = _pairs(doc.get("leq", ""), doc, "leq")
+    pairs = _lattice_pairs(doc)
     return build_lattice(elements, pairs, doc.get("bottom"), doc.get("top"), name=doc.name)
 
 
 def build_frame_from(doc):
     worlds = _tokens(doc.get("worlds", ""))
-    pairs = _pairs(doc.get("order", "") or "", doc, "order")
+    pairs = _pairs(doc, "order", "worlds")
     return build_poset(worlds, pairs, name=doc.name)
 
 
@@ -450,12 +469,12 @@ def build_algebra_from(doc, registry, budget):
                     line=doc.line_of("generators"),
                 )
             gens.append(
-                tuple(_truth_value(truth, v, doc, "generators") for v in vals)
+                tuple(_element_index(truth, v, doc, "generators") for v in vals)
             )
         return power_subalgebra(truth, frame, gens, name=doc.name)
     lattice = build_lattice(
         _tokens(doc.get("elements", "")),
-        _pairs(doc.get("leq", ""), doc, "leq"),
+        _lattice_pairs(doc),
         doc.get("bottom"),
         doc.get("top"),
         name=doc.name,
@@ -522,7 +541,7 @@ def _binary_table(doc, key, lattice):
                 f"{key!r} has a row of width {len(vals)} for {n} elements",
                 line=doc.line_of(key),
             )
-        table.append(tuple(lattice.index(v) for v in vals))
+        table.append(tuple(_element_index(lattice, v, doc, key) for v in vals))
     return tuple(table)
 
 
@@ -534,7 +553,7 @@ def _unary_table(doc, key, lattice):
             f"{key!r} has {len(vals)} entries for {len(lattice)} elements",
             line=doc.line_of(key),
         )
-    return tuple(lattice.index(v) for v in vals)
+    return tuple(_element_index(lattice, v, doc, key) for v in vals)
 
 
 def build_space_from(doc, registry):
@@ -556,7 +575,7 @@ def build_space_from(doc, registry):
     def basis(key):
         return [point_set(tok, key) for tok in _tokens(doc.get(key, ""))]
 
-    order_pairs = _pairs(doc.get("order", "") or "", doc, "order")
+    order_pairs = _pairs(doc, "order", "points")
     if doc.get("topo") is not None:
         topo = generate_topology(len(points), basis("topo"))
         order = build_poset(points, order_pairs, name=f"{doc.name}-order")
@@ -580,7 +599,7 @@ def build_space_from(doc, registry):
             )
         left, _, right = tok.partition("}:")
         sub = frozenset(
-            _truth_value(truth, e, doc, "alpha")
+            _element_index(truth, e, doc, "alpha")
             for e in _set_token(left + "}", doc, "alpha")
         )
         img = point_set(right, "alpha")

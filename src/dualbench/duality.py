@@ -43,7 +43,7 @@ from .algebra import (
     Homomorphism,
     compose_homs,
     enumerate_homs,
-    hom_leq,
+    hom_order_matrix,
     identity_hom,
     is_homomorphism,
     make_bdl,
@@ -124,13 +124,6 @@ def _point_names(k):
 
 def _basic_open(homs, a, top):
     return frozenset(i for i, h in enumerate(homs) if h.mapping[a] == top)
-
-
-def _hom_order(homs, names):
-    leq = tuple(
-        tuple(hom_leq(v, w) for w in homs) for v in homs
-    )
-    return Poset(names, leq, name="hom-order")
 
 
 # ---------------------------------------------------------------------------
@@ -414,7 +407,7 @@ def _ordered_dual(bdl_algebra, name):
     space = OrderedSpace(
         names,
         generate_topology(k, basis),
-        _hom_order(homs, names),
+        Poset(names, hom_order_matrix(homs), name="hom-order"),
         name=name,
     )
     return space, homs

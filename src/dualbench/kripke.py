@@ -30,7 +30,7 @@ from dataclasses import replace
 
 from .algebra import (
     enumerate_homs,
-    hom_leq,
+    hom_order_matrix,
     make_bdl,
     packed_slices,
     vector_algebra,
@@ -229,7 +229,7 @@ def kripke_condition_check(algebra):
     hey = heyting_table(truth)
     n = len(algebra)
     above = [
-        [w for w in homs if hom_leq(v, w)] for v in homs
+        [w for w, le in zip(homs, row) if le] for row in hom_order_matrix(homs)
     ]
     for vi, v in enumerate(homs):
         succ = above[vi]

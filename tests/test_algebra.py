@@ -2,11 +2,14 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from dualbench.algebra import (
+    Homomorphism,
     algebra_from_tables,
     brute_force_homs,
     check_lvl_axioms,
     compose_homs,
     enumerate_homs,
+    hom_leq,
+    hom_order_matrix,
     identity_hom,
     is_homomorphism,
     make_bdl,
@@ -20,7 +23,14 @@ from dualbench.algebra import (
 from dualbench.corpus import corpus_frames, corpus_lattices
 from dualbench.errors import AlgebraError
 from dualbench.kripke import subalgebra_generated, upset_algebra
-from dualbench.lattice import chain_lattice, diamond_lattice, enumerate_subalgebras
+from dualbench.lattice import (
+    FiniteLattice,
+    build_poset,
+    chain_lattice,
+    diamond_lattice,
+    enumerate_subalgebras,
+    heyting_table,
+)
 
 
 def test_t_operator_truth_constants(chain3, b2):
@@ -125,6 +135,89 @@ def test_enumerate_homs_against_brute_force(small_lattices, chain2, chain3):
     assert [h.mapping for h in enumerate_homs(a, b)] == [
         h.mapping for h in brute_force_homs(a, b)
     ]
+
+
+def test_enumerate_homs_implication_commutative_on_one_side(chain2):
+    # the biimplication of the two-element chain is symmetric and its
+    # implication is not; the identity keeps the bounds, meet, join and the
+    # entries at (0, 0), (1, 0) and (1, 1), and breaks only the one at (0, 1),
+    # so a search that took the pair for commutative from one side alone and
+    # checked one argument order would admit it
+    sym = algebra_from_tables(
+        "isp_i", chain2, chain2, implies=((1, 0), (0, 1)), name="biimp"
+    )
+    asym = algebra_from_tables(
+        "isp_i", chain2, chain2, implies=heyting_table(chain2), name="imp"
+    )
+    for a, b in ((sym, asym), (asym, sym)):
+        assert [h.mapping for h in enumerate_homs(a, b)] == [
+            h.mapping for h in brute_force_homs(a, b)
+        ] == []
+    assert [h.mapping for h in enumerate_homs(sym, sym)] == [(0, 1)]
+
+
+def pentagon():
+    """The non-distributive pentagon 0 < a < c < 1, 0 < b < 1, with its
+    meet and join read off the order."""
+    poset = build_poset(
+        ("0", "a", "c", "b", "1"),
+        [("0", "a"), ("a", "c"), ("c", "1"), ("0", "b"), ("b", "1")],
+        name="pentagon",
+    )
+    leq, n = poset.leq, range(5)
+
+    def bound(i, j, below):
+        common = [k for k in n if below(k, i) and below(k, j)]
+        return next(k for k in common if all(below(c, k) for c in common))
+
+    def under(x, y):
+        return leq[x][y]
+
+    def over(x, y):
+        return leq[y][x]
+
+    return FiniteLattice(
+        poset.elements,
+        leq,
+        tuple(tuple(bound(i, j, under) for j in n) for i in n),
+        tuple(tuple(bound(i, j, over) for j in n) for i in n),
+        0,
+        4,
+        name="pentagon",
+    )
+
+
+def hom_leq_matrix(homs):
+    return tuple(tuple(hom_leq(v, w) for w in homs) for v in homs)
+
+
+@settings(deadline=None, max_examples=60)
+@given(data=st.data())
+def test_hom_order_matrix_matches_hom_leq(small_lattices, data):
+    # any maps into a common target, homs or not, in any partial order
+    targets = small_lattices + (pentagon(),)
+    truth = data.draw(st.sampled_from(targets))
+    source = make_bdl(data.draw(st.sampled_from(small_lattices)), truth)
+    target = algebra_from_tables("bdl", truth, truth)
+    mappings = data.draw(
+        st.lists(
+            st.tuples(*[st.integers(0, len(truth) - 1)] * len(source)), max_size=8
+        )
+    )
+    homs = tuple(Homomorphism(source, target, m) for m in mappings)
+    assert hom_order_matrix(homs) == hom_leq_matrix(homs)
+
+
+def test_hom_order_matrix_into_the_pentagon(small_lattices):
+    # the pentagon has no packed slices; the order matrix needs none
+    five = pentagon()
+    target = algebra_from_tables("bdl", five, five)
+    sizes = []
+    for lat in small_lattices:
+        homs = enumerate_homs(make_bdl(lat, five), target)
+        sizes.append(len(homs))
+        assert hom_order_matrix(homs) == hom_leq_matrix(homs)
+    assert max(sizes) > 10
 
 
 # brute_force_homs scans |b|^|a| maps; pairs above this stay out of the

@@ -418,3 +418,33 @@ def test_bad_generator_values_exit_two_with_a_line(tmp_path, capsys):
         for command in ("generate", "kripke-check"):
             code, out, err = run_cli([command, str(path)], capsys)
             assert (code, out, err) == (2, "", f"error: {message}\n"), (command, gens)
+
+
+def test_undeclared_or_unknown_elements_exit_two_with_a_line(tmp_path, capsys):
+    chain2 = "kind: lattice\nname: chain2\nelements: 0 1\nleq: 0<=1\nbottom: 0\ntop: 1\n"
+    algebra = (
+        "kind: algebra\nname: h2\nsignature: {sig}\ntruth_lattice: chain2\n"
+        "elements: 0 1\nleq: 0<=1\nbottom: 0\ntop: 1\n{op}\n---\n" + chain2
+    )
+    cases = (
+        (
+            "check-lattice",
+            "kind: lattice\nname: l\nelements: 0 1\nleq: 0<=q\nbottom: 0\ntop: 1\n",
+            "lattice 'l': 'q' in 'leq' is not declared in 'elements' (line 4)",
+        ),
+        (
+            "homs",
+            algebra.format(sig="heyting", op="op.implies: 1 1 / zz 1"),
+            "algebra 'h2': 'zz' in 'op.implies' is not an element of h2 (line 9)",
+        ),
+        (
+            "homs",
+            algebra.format(sig="lvl", op="op.t[1]: 0 qq"),
+            "algebra 'h2': 'qq' in 'op.t[1]' is not an element of h2 (line 9)",
+        ),
+    )
+    for command, text, message in cases:
+        path = tmp_path / "bad.doc"
+        path.write_text(text)
+        code, out, err = run_cli([command, str(path)], capsys)
+        assert (code, out, err) == (2, "", f"error: {message}\n"), command

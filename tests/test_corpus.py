@@ -4,7 +4,8 @@ import random
 from collections import Counter
 
 import corpus_oracle
-from dualbench import duality
+import pytest
+from dualbench import corpus, duality
 from dualbench.algebra import make_bdl
 from dualbench.cli import main
 from dualbench.corpus import (
@@ -30,6 +31,13 @@ from dualbench.lattice import build_poset, chain_lattice
 CORPUS_RUN_7_4_0_SHA256 = (
     "c3f3e614e748601f5a2e6526f345ccb16e0c01fac475921dcbc897345fdc7e74"
 )
+# the same report at further seeds, which draw other morphism pairs for the
+# functoriality suite
+CORPUS_RUN_7_4_SHA256_BY_SEED = {
+    1: "d436c8c7a237360804d381776896ad70372057d8041bcfb0c782910063a2a5d7",
+    2: "ba180a7cdc5f471ab4ae046a64ff99a46295b1f2a6f7c120a6534ff20825199f",
+    3: "ce11d4ff237cdecfd8bdaf6d43c06fab474eb2f64b55d614d1c326c0b6cee4b5",
+}
 
 
 def is_chain(lattice):
@@ -201,6 +209,55 @@ def test_corpus_run_machine_report_is_pinned(capsys):
     out = capsys.readouterr().out
     assert code == 1  # the chain3 suite is red by design
     assert hashlib.sha256(out.encode("utf-8")).hexdigest() == CORPUS_RUN_7_4_0_SHA256
+
+
+@pytest.mark.parametrize("seed", sorted(CORPUS_RUN_7_4_SHA256_BY_SEED))
+def test_corpus_run_machine_report_is_pinned_at_other_seeds(seed, capsys):
+    args = f"corpus-run --max-size 7 --frame-size 4 --seed {seed} --format machine"
+    code = main(args.split())
+    out = capsys.readouterr().out
+    assert code == 1
+    digest = hashlib.sha256(out.encode("utf-8")).hexdigest()
+    assert digest == CORPUS_RUN_7_4_SHA256_BY_SEED[seed]
+
+
+def sample_pairs_oracle(homsets, rng, want):
+    """Every composable pair in a list, then a sample of the list."""
+    pairs = []
+    keys = sorted(homsets)
+    for x, y in keys:
+        for y2, z in keys:
+            if y2 != y:
+                continue
+            for f in homsets[(x, y)]:
+                for g in homsets[(y, z)]:
+                    pairs.append((f, g))
+    if len(pairs) > want:
+        pairs = rng.sample(pairs, want)
+    return pairs
+
+
+def test_sample_pairs_matches_the_list_oracle(monkeypatch):
+    # the hom-set pools of a functoriality run, as the suite hands them over
+    pools = []
+    sample = corpus._sample_pairs
+
+    def spy(homsets, rng, want):
+        pools.append(homsets)
+        return sample(homsets, rng, want)
+
+    monkeypatch.setattr(corpus, "_sample_pairs", spy)
+    suite_functoriality(corpus_lattices(7), corpus_frames(4), 0)
+    assert len(pools) == 5
+    assert max(sum(map(len, h.values())) for h in pools) > 60
+    for homsets in pools:
+        for seed in range(50):
+            for want in (1, 60, 10**6):
+                fast, slow = random.Random(seed), random.Random(seed)
+                assert sample(homsets, fast, want) == sample_pairs_oracle(
+                    homsets, slow, want
+                )
+                assert fast.getstate() == slow.getstate()
 
 
 def test_corpus_run_leaves_no_scope_cache(scope_caches):

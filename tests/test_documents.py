@@ -277,3 +277,81 @@ def test_unknown_alpha_value_is_located():
     assert str(err.value) == (
         "space 's': '7' in 'alpha' is not an element of chain2 (line 7)"
     )
+
+
+CHAIN2_DOC = "kind: lattice\nname: chain2\nelements: 0 1\nleq: 0<=1\nbottom: 0\ntop: 1\n"
+
+
+def table_error(fields):
+    text = (
+        "kind: algebra\nname: h2\nsignature: lvl\ntruth_lattice: chain2\n"
+        f"elements: 0 1\nleq: 0<=1\nbottom: 0\ntop: 1\n{fields}---\n{CHAIN2_DOC}"
+    )
+    docset = DocumentSet(parse_documents(text))
+    with pytest.raises(DocumentError) as err:
+        docset.algebra("h2", budget=4096)
+    return err.value
+
+
+def test_unknown_table_entries_are_located():
+    err = table_error("op.implies: 1 1 / zz 1\n")
+    assert (err.code, err.line, err.fieldname) == ("dangling-reference", 9, "op.implies")
+    assert str(err) == "algebra 'h2': 'zz' in 'op.implies' is not an element of h2 (line 9)"
+    err = table_error("op.t[0]: 1 0\nop.t[1]: 0 qq\n")
+    assert (err.code, err.line, err.fieldname) == ("dangling-reference", 10, "op.t[1]")
+    assert str(err) == "algebra 'h2': 'qq' in 'op.t[1]' is not an element of h2 (line 10)"
+
+
+@pytest.mark.parametrize(
+    "text, key, line, message",
+    [
+        (
+            "kind: lattice\nname: l\nelements: 0 1\nleq: 0<=q\nbottom: 0\ntop: 1\n",
+            "leq",
+            4,
+            "lattice 'l': 'q' in 'leq' is not declared in 'elements' (line 4)",
+        ),
+        (
+            "kind: lattice\nname: l\nelements: 0 1\nleq: 0<=1\nbottom: 0\ntop: z\n",
+            "top",
+            6,
+            "lattice 'l': 'z' in 'top' is not declared in 'elements' (line 6)",
+        ),
+        (
+            "kind: frame\nname: f\nworlds: u v\norder: u<=w\n",
+            "order",
+            4,
+            "frame 'f': 'w' in 'order' is not declared in 'worlds' (line 4)",
+        ),
+        (
+            "kind: space\nname: s\npoints: p\ntopo: {p}\norder: p<=r\n",
+            "order",
+            5,
+            "space 's': 'r' in 'order' is not declared in 'points' (line 5)",
+        ),
+        (
+            "kind: algebra\nname: a\nsignature: bdl\ntruth_lattice: chain2\n"
+            f"elements: 0 1\nleq: x<=1\nbottom: 0\ntop: 1\n---\n{CHAIN2_DOC}",
+            "leq",
+            6,
+            "algebra 'a': 'x' in 'leq' is not declared in 'elements' (line 6)",
+        ),
+    ],
+)
+def test_undeclared_order_elements_are_located(text, key, line, message):
+    docs = parse_documents(text)
+    doc, docset = docs[0], DocumentSet(docs)
+    build = {
+        "lattice": docset.lattice,
+        "frame": docset.frame,
+        "space": docset.space,
+        "algebra": lambda name: docset.algebra(name, budget=4096),
+    }[doc.kind]
+    with pytest.raises(DocumentError) as err:
+        build(doc.name)
+    assert (err.value.code, err.value.line, err.value.fieldname) == (
+        "dangling-reference",
+        line,
+        key,
+    )
+    assert str(err.value) == message

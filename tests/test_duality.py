@@ -3,6 +3,8 @@ import pytest
 from dualbench import duality
 from dualbench.algebra import (
     enumerate_homs,
+    hom_leq,
+    hom_order_matrix,
     make_bdl,
     make_heyting_ispi,
     make_lvl,
@@ -31,7 +33,7 @@ from dualbench.duality import (
     spectrum_correspondence,
     verification_scope,
 )
-from dualbench.corpus import corpus_frames, corpus_lattices
+from dualbench.corpus import corpus_frames, corpus_lattices, corpus_run
 from dualbench.kripke import intuitionistic_power, upset_algebra
 from dualbench.lattice import (
     chain_lattice,
@@ -435,6 +437,26 @@ def test_nested_scope_keeps_the_outer_cache(chain2, chain3):
         assert any(entry[1][0] is inner for entry in cache.values())
     assert duality._SCOPE_CACHE.get() is None
     assert cache == {}
+
+
+def test_hom_order_matches_hom_leq_over_a_corpus_run(monkeypatch):
+    built = []
+    build = duality._ordered_dual
+
+    def spy(*args):
+        out = build(*args)
+        built.append(out)
+        return out
+
+    monkeypatch.setattr(duality, "_ordered_dual", spy)
+    corpus_run(7, 4, 0)
+    kinds = set()
+    for space, homs in built:
+        slow = tuple(tuple(hom_leq(v, w) for w in homs) for v in homs)
+        assert hom_order_matrix(homs) == space.order.leq == slow, space.name
+        kinds.add((space.name.split("(")[0], len(homs[0].target) if homs else 0))
+    # pspa (G) and hspa (GI) duals over both truth chains
+    assert {("G", 2), ("G", 3), ("GI", 2)} <= kinds
 
 
 # --- spectrum ---------------------------------------------------------------
