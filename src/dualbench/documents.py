@@ -167,6 +167,9 @@ def _parse_block(block):
             f"{kind} document {table['name'][0]!r} has unknown field {k!r}",
             line=table[k][1],
         )
+    for k in ("elements", "worlds", "points"):
+        if k in table:
+            _check_distinct(kind, table["name"][0], k, *table[k])
     if kind == "algebra":
         _check_algebra_shape(table)
     if kind == "space":
@@ -202,6 +205,20 @@ def _parse_block(block):
     )
     lines = tuple((k, n) for k, (_, n) in table.items())
     return WorkspaceDocument(kind, table["name"][0], fields, lines)
+
+
+def _check_distinct(kind, name, key, value, lineno):
+    """A carrier field declares each of its tokens once."""
+    seen = set()
+    for tok in _tokens(value):
+        if tok in seen:
+            raise DocumentError(
+                "schema-violation",
+                f"{kind} {name!r}: {tok!r} is declared twice in {key!r}",
+                line=lineno,
+                fieldname=key,
+            )
+        seen.add(tok)
 
 
 def _check_algebra_shape(table):

@@ -11,6 +11,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass, field
 from functools import lru_cache
+from operator import itemgetter
 
 from .errors import LatticeError
 
@@ -102,17 +103,17 @@ class FiniteLattice(Poset):
 
 
 def _transitive_reflexive_closure(n, pairs):
-    leq = [[i == j for j in range(n)] for i in range(n)]
+    """The reflexive-transitive closure as a bool matrix, by Warshall's
+    algorithm on int rows: bit j of ``rows[i]`` is set when i <= j."""
+    rows = [1 << i for i in range(n)]
     for i, j in pairs:
-        leq[i][j] = True
+        rows[i] |= 1 << j
     for k in range(n):
+        bit, row_k = 1 << k, rows[k]
         for i in range(n):
-            if leq[i][k]:
-                row_i, row_k = leq[i], leq[k]
-                for j in range(n):
-                    if row_k[j]:
-                        row_i[j] = True
-    return leq
+            if rows[i] & bit:
+                rows[i] |= row_k
+    return [[bool(row >> j & 1) for j in range(n)] for row in rows]
 
 
 def build_poset(elements, pairs, name="poset"):
@@ -145,32 +146,6 @@ def build_poset(elements, pairs, name="poset"):
     return Poset(elements, tuple(tuple(row) for row in leq), name=name)
 
 
-def _bound_of(poset, kind):
-    n = len(poset)
-    for i in range(n):
-        if kind == "bottom" and all(poset.leq[i][j] for j in range(n)):
-            return i
-        if kind == "top" and all(poset.leq[j][i] for j in range(n)):
-            return i
-    return None
-
-
-def _glb(poset, i, j):
-    lower = [k for k in range(len(poset)) if poset.leq[k][i] and poset.leq[k][j]]
-    for g in lower:
-        if all(poset.leq[k][g] for k in lower):
-            return g
-    return None
-
-
-def _lub(poset, i, j):
-    upper = [k for k in range(len(poset)) if poset.leq[i][k] and poset.leq[j][k]]
-    for g in upper:
-        if all(poset.leq[g][k] for k in upper):
-            return g
-    return None
-
-
 def build_lattice(elements, leq_pairs, bottom, top, name="lattice"):
     """Validated bounded distributive lattice with derived operation tables.
 
@@ -195,42 +170,55 @@ def build_lattice(elements, leq_pairs, bottom, top, name="lattice"):
                 f"declared top {top!r} is not above {poset.elements[x]!r}",
                 (top, poset.elements[x]),
             )
-    meet = [[0] * n for _ in range(n)]
-    join = [[0] * n for _ in range(n)]
-    for i in range(n):
+    # g is the meet of i and j exactly when its down-set is the intersection
+    # of theirs, so a missing down-set is a missing meet; joins likewise
+    down, up = [0] * n, [0] * n
+    for i, row in enumerate(poset.leq):
         for j in range(n):
-            g = _glb(poset, i, j)
-            if g is None:
-                raise LatticeError(
-                    "missing-meet",
-                    f"{poset.elements[i]!r} and {poset.elements[j]!r} have no meet",
-                    (poset.elements[i], poset.elements[j]),
-                )
-            s = _lub(poset, i, j)
-            if s is None:
-                raise LatticeError(
-                    "missing-join",
-                    f"{poset.elements[i]!r} and {poset.elements[j]!r} have no join",
-                    (poset.elements[i], poset.elements[j]),
-                )
-            meet[i][j] = g
-            join[i][j] = s
+            if row[j]:
+                up[i] |= 1 << j
+                down[j] |= 1 << i
+    by_down = {mask: i for i, mask in enumerate(down)}
+    by_up = {mask: i for i, mask in enumerate(up)}
+    meet, join = [], []
+    for i in range(n):
+        meet_row = tuple(map(by_down.get, map(down[i].__and__, down)))
+        join_row = tuple(map(by_up.get, map(up[i].__and__, up)))
+        if None in meet_row or None in join_row:
+            # the first bad pair of the (i, j) scan, meet before join
+            j = next(j for j in range(n) if None in (meet_row[j], join_row[j]))
+            what = "meet" if meet_row[j] is None else "join"
+            names = (poset.elements[i], poset.elements[j])
+            raise LatticeError(
+                f"missing-{what}", f"{names[0]!r} and {names[1]!r} have no {what}", names
+            )
+        meet.append(meet_row)
+        join.append(join_row)
+    # every triple is checked, one (x, y) row over all z at a time: the
+    # getter of a row r picks the entries r[0], r[1], ... of another row
+    at_join = [itemgetter(*row) for row in join]
     for x in range(n):
+        meet_x = meet[x]
+        at_meet_x = itemgetter(*meet_x)
         for y in range(n):
-            for z in range(n):
-                if meet[x][join[y][z]] != join[meet[x][y]][meet[x][z]]:
-                    names = (poset.elements[x], poset.elements[y], poset.elements[z])
-                    raise LatticeError(
-                        "not-distributive",
-                        "meet does not distribute over join at "
-                        f"({names[0]!r}, {names[1]!r}, {names[2]!r})",
-                        names,
-                    )
+            if at_join[y](meet_x) != at_meet_x(join[meet_x[y]]):
+                z = next(
+                    z
+                    for z in range(n)
+                    if meet_x[join[y][z]] != join[meet_x[y]][meet_x[z]]
+                )
+                names = (poset.elements[x], poset.elements[y], poset.elements[z])
+                raise LatticeError(
+                    "not-distributive",
+                    "meet does not distribute over join at "
+                    f"({names[0]!r}, {names[1]!r}, {names[2]!r})",
+                    names,
+                )
     return FiniteLattice(
         poset.elements,
         poset.leq,
-        tuple(tuple(row) for row in meet),
-        tuple(tuple(row) for row in join),
+        tuple(meet),
+        tuple(join),
         bot,
         topi,
         name=name,

@@ -359,6 +359,62 @@ def test_algebra_side_machine_reports_are_pinned(monkeypatch, capsys):
         assert (code, hashlib.sha256(out.encode("utf-8")).hexdigest()) == pin, args
 
 
+# sha256 of the --format machine stdout, with the exit code, of
+# check-lattice on every sample document and on four inline lattice
+# documents that break one law each, pinned from the build that found each
+# meet and join by scanning the common bounds (kept as
+# tests/lattice_oracle.py)
+CHECK_LATTICE_SAMPLE_PINS = {
+    "b2.doc": (0, "1a0f760ba1b44d2ce68a92f1e8ce7f603eca7954c219cc4340bc726fa070da44"),
+    "chain2.doc": (0, "876ed397dbb18b9a2069f5a632dcbc9d6fa4d011a7959374d5ec65b80bc21ed4"),
+    "chain3-lvl.doc": (0, "1084a9110d636f80f362d3b9b114de01e0188db4bc9dc6abafd57d089dcc2d98"),
+    "chain3.doc": (0, "f7ac175629e22b882a2df054517e2f3c709f8cd7f4792141a3284ba3e1214077"),
+    "pbs-chain2.doc": (0, "3226f1e109832360717425f1b2122b7886ecd0b88ee0b6d870cd6512d6852b7d"),
+    "pentagon.doc": (1, "f59e77101a33b2b4c7c7440af5e8a48fada27546e2b2e2b55d37a94cb8d29869"),
+    "power22.doc": (0, "d4fe86ef082dc2830f5a3c34c84471c8fc36a521b50ab0c0e739348ddda32d92"),
+    "pspa-chain2.doc": (2, "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
+    "upsets22.doc": (0, "a74d9825899035de186a8cf4cf19ec2070073689ae7b0b082d45d59ece2f0682"),
+}
+
+CHECK_LATTICE_INLINE_DOCS = {
+    "m3.doc": (
+        "kind: lattice\nname: m3\nelements: 0 a b c 1\n"
+        "leq: 0<=a 0<=b 0<=c a<=1 b<=1 c<=1\nbottom: 0\ntop: 1\n",
+        (1, "badc32d9b274cb7e690d8d621ef17c3a5dc35fd0a8ad0b5a769a48bda9a671cf"),
+    ),
+    "nojoin.doc": (
+        "kind: lattice\nname: nojoin\nelements: 0 a b c d 1\n"
+        "leq: 0<=a 0<=b a<=c a<=d b<=c b<=d c<=1 d<=1\nbottom: 0\ntop: 1\n",
+        (1, "b2176f21cb4889c3dcb1ecfb869ecc16a030c802571af7869c21271d7409308a"),
+    ),
+    "badbounds.doc": (
+        "kind: lattice\nname: badbounds\nelements: 0 a 1\nleq: 0<=a a<=1\n"
+        "bottom: a\ntop: 1\n",
+        (1, "44dae940db20eb49d75c22a21420edb97d17c3daedde301c25d036103e388547"),
+    ),
+    "cycle.doc": (
+        "kind: lattice\nname: cycle\nelements: 0 a b 1\n"
+        "leq: 0<=a a<=b b<=a b<=1\nbottom: 0\ntop: 1\n",
+        (1, "df7ef286302a4c62ec493056018bf76ce12dfc25bb109638d716dc71f0c445b3"),
+    ),
+}
+
+
+def test_check_lattice_machine_reports_are_pinned(tmp_path, monkeypatch, capsys):
+    monkeypatch.chdir(os.path.join(DOCS, os.pardir))
+    for name, pin in CHECK_LATTICE_SAMPLE_PINS.items():
+        args = ["check-lattice", f"sample_docs/{name}", "--format", "machine"]
+        code, out, _ = run_cli(args, capsys)
+        assert (code, hashlib.sha256(out.encode("utf-8")).hexdigest()) == pin, args
+    # the report names its input path, so the inline documents are read
+    # from the working directory under a fixed name
+    monkeypatch.chdir(tmp_path)
+    for name, (text, pin) in CHECK_LATTICE_INLINE_DOCS.items():
+        (tmp_path / name).write_text(text)
+        code, out, _ = run_cli(["check-lattice", name, "--format", "machine"], capsys)
+        assert (code, hashlib.sha256(out.encode("utf-8")).hexdigest()) == pin, name
+
+
 def test_twenty_point_dual_verifies(tmp_path, capsys):
     # the 21-element chain has a 20-point dual with 2**20 open sets
     names = [f"c{i}" for i in range(21)]
@@ -431,6 +487,11 @@ def test_undeclared_or_unknown_elements_exit_two_with_a_line(tmp_path, capsys):
             "check-lattice",
             "kind: lattice\nname: l\nelements: 0 1\nleq: 0<=q\nbottom: 0\ntop: 1\n",
             "lattice 'l': 'q' in 'leq' is not declared in 'elements' (line 4)",
+        ),
+        (
+            "check-lattice",
+            "kind: lattice\nname: l\nelements: 0 1 1\nleq: 0<=1\nbottom: 0\ntop: 1\n",
+            "lattice 'l': '1' is declared twice in 'elements' (line 3)",
         ),
         (
             "homs",

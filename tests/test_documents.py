@@ -355,3 +355,44 @@ def test_undeclared_order_elements_are_located(text, key, line, message):
         key,
     )
     assert str(err.value) == message
+
+
+@pytest.mark.parametrize(
+    "text, key, line, message",
+    [
+        (
+            "kind: lattice\nname: l\nelements: 0 1 1\nleq: 0<=1\nbottom: 0\ntop: 1\n",
+            "elements",
+            3,
+            "lattice 'l': '1' is declared twice in 'elements' (line 3)",
+        ),
+        (
+            "kind: frame\nname: f\nworlds: u v u\n",
+            "worlds",
+            3,
+            "frame 'f': 'u' is declared twice in 'worlds' (line 3)",
+        ),
+        (
+            "kind: space\nname: s\npoints: p q q p\ntopo: {p}\n",
+            "points",
+            3,
+            "space 's': 'q' is declared twice in 'points' (line 3)",
+        ),
+        (
+            "kind: algebra\nname: a\nsignature: bdl\ntruth_lattice: chain2\n"
+            "elements: 0 x x 1\nleq: 0<=1\nbottom: 0\ntop: 1\n",
+            "elements",
+            5,
+            "algebra 'a': 'x' is declared twice in 'elements' (line 5)",
+        ),
+    ],
+)
+def test_repeated_carrier_tokens_are_located(text, key, line, message):
+    with pytest.raises(DocumentError) as err:
+        parse_documents(text)
+    assert (err.value.code, err.value.line, err.value.fieldname) == (
+        "schema-violation",
+        line,
+        key,
+    )
+    assert str(err.value) == message

@@ -1,7 +1,9 @@
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import lattice_oracle
 from dualbench.corpus import corpus_lattices
+from dualbench.documents import build_lattice_from, lattice_document
 from dualbench.errors import LatticeError
 from dualbench.lattice import (
     FiniteLattice,
@@ -310,3 +312,120 @@ def test_upset_and_downset(chain3, b2):
     assert two.down_closure({1}) == frozenset({0, 1})
     anti = build_poset(("p", "q"), [])
     assert anti.down_closure({0}) == frozenset({0})
+
+
+def outcome(build, *args, **kwargs):
+    """The built structure, or the code, message and witness of the error."""
+    try:
+        return build(*args, **kwargs)
+    except LatticeError as exc:
+        return exc.code, str(exc), exc.witness
+
+
+def assert_matches_oracle(elements, pairs, bottom, top, name="lattice"):
+    args = (elements, pairs, bottom, top)
+    got = outcome(build_lattice, *args, name=name)
+    assert got == outcome(lattice_oracle.build_lattice, *args, name=name)
+    assert outcome(build_poset, elements, pairs, name=name) == outcome(
+        lattice_oracle.build_poset, elements, pairs, name=name
+    )
+    return got
+
+
+@st.composite
+def lattice_inputs(draw):
+    """Element lists in any declaration order, pairs that may close a cycle,
+    and declared bounds that may be wrong. The bounded shapes put the first
+    and last element below and above everything, and the layered one
+    relates two middle layers at random, so many draws are lattices or
+    miss a meet or a join."""
+    shape = draw(st.sampled_from(("any", "acyclic", "bounded", "layered")))
+    # two layers of at least two elements each, between the bounds
+    n = draw(st.integers(6, 8) if shape == "layered" else st.integers(1, 7))
+    names = [f"e{i}" for i in range(n)]
+    index = st.integers(0, n - 1)
+    if shape == "layered":
+        cut = draw(st.integers(2, n - 4))
+        block = [(low, high) for low in range(1, cut + 1) for high in range(cut + 1, n - 1)]
+        # the drawn pairs are kept, or, for a dense relation, left out
+        drawn = set(draw(st.lists(st.sampled_from(block)))) if block else set()
+        dense = draw(st.booleans())
+        pairs = [pair for pair in block if (pair in drawn) != dense]
+    else:
+        pairs = draw(st.lists(st.tuples(index, index), max_size=3 * n))
+    if shape != "any":
+        pairs = [(min(a, b), max(a, b)) for a, b in pairs]
+    if shape in ("bounded", "layered"):
+        pairs += [(0, i) for i in range(n)] + [(i, n - 1) for i in range(n)]
+        bottom, top = names[0], names[-1]
+    else:
+        bottom, top = draw(st.sampled_from(names)), draw(st.sampled_from(names))
+    elements = draw(st.permutations(names))
+    if draw(st.sampled_from((False,) * 9 + (True,))):
+        elements.append(elements[0])
+    return elements, [(names[a], names[b]) for a, b in pairs], bottom, top
+
+
+@settings(max_examples=400, deadline=None)
+@given(lattice_inputs())
+def test_build_lattice_matches_the_oracle(inputs):
+    assert_matches_oracle(*inputs)
+
+
+PENTAGON = (("0", "a", "c", "b", "1"), [("0", "a"), ("a", "c"), ("c", "1"), ("0", "b"), ("b", "1")])
+M3 = (("0", "a", "b", "c", "1"), [("0", x) for x in "abc"] + [(x, "1") for x in "abc"])
+# in the first failing (x, y) row of M4, two z break distributivity
+M4 = (("0", "a", "b", "c", "d", "1"), [("0", x) for x in "abcd"] + [(x, "1") for x in "abcd"])
+NO_JOIN = (
+    ("0", "a", "b", "c", "d", "1"),
+    [("0", "a"), ("0", "b"), ("a", "c"), ("a", "d"), ("b", "c"), ("b", "d"), ("c", "1"), ("d", "1")],
+)
+
+
+@pytest.mark.parametrize(
+    "args, code",
+    [
+        pytest.param(PENTAGON + ("0", "1"), "not-distributive", id="pentagon"),
+        pytest.param(
+            (PENTAGON[0][::-1], PENTAGON[1], "0", "1"), "not-distributive", id="pentagon-reversed"
+        ),
+        pytest.param(M3 + ("0", "1"), "not-distributive", id="m3"),
+        pytest.param(M4 + ("0", "1"), "not-distributive", id="m4"),
+        pytest.param(NO_JOIN + ("0", "1"), "missing-join", id="missing-join"),
+        # the same order upside down has a pair without a meet
+        pytest.param(
+            (NO_JOIN[0], [(b, a) for a, b in NO_JOIN[1]], "1", "0"), "missing-meet", id="missing-meet"
+        ),
+        pytest.param(PENTAGON + ("a", "1"), "wrong-bounds", id="wrong-bottom"),
+        pytest.param(PENTAGON + ("0", "c"), "wrong-bounds", id="wrong-top"),
+        pytest.param(PENTAGON + ("0", "zz"), "unknown-element", id="unknown-top"),
+        pytest.param(
+            (("x", "y"), [("x", "y"), ("y", "x")], "x", "y"), "not-a-poset", id="cycle"
+        ),
+        pytest.param(
+            (("x", "y", "x"), [("x", "y")], "x", "y"), "duplicate-element", id="duplicate"
+        ),
+    ],
+)
+def test_build_lattice_errors_match_the_oracle(args, code):
+    assert assert_matches_oracle(*args)[0] == code
+
+
+def test_corpus_lattices_rebuilt_from_documents_match_the_oracle():
+    for lat in corpus_lattices(8):
+        doc = lattice_document(lat)
+        pairs = [tuple(tok.split("<=")) for tok in doc.get("leq").split()]
+        rebuilt = build_lattice_from(doc)
+        assert rebuilt == lattice_oracle.build_lattice(
+            doc.get("elements").split(), pairs, doc.get("bottom"), doc.get("top"), name=doc.name
+        ), lat.name
+        assert (rebuilt.meet, rebuilt.join) == (lat.meet, lat.join), lat.name
+
+
+def test_boolean_lattice_and_long_chain_match_the_oracle():
+    cube = [f"s{m}" for m in range(64)]
+    covers = [(cube[m], cube[m | 1 << b]) for m in range(64) for b in range(6) if not m >> b & 1]
+    chain = [f"c{i}" for i in range(40)]
+    for elements, pairs in ((cube, covers), (chain, list(zip(chain, chain[1:])))):
+        lat = assert_matches_oracle(elements, pairs, elements[0], elements[-1])
+        assert isinstance(lat, FiniteLattice) and len(lat) == len(elements)
