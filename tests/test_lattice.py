@@ -348,7 +348,7 @@ def lattice_inputs(draw):
         cut = draw(st.integers(2, n - 4))
         block = [(low, high) for low in range(1, cut + 1) for high in range(cut + 1, n - 1)]
         # the drawn pairs are kept, or, for a dense relation, left out
-        drawn = set(draw(st.lists(st.sampled_from(block)))) if block else set()
+        drawn = set(draw(st.lists(st.sampled_from(block))))
         dense = draw(st.booleans())
         pairs = [pair for pair in block if (pair in drawn) != dense]
     else:
