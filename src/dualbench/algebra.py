@@ -17,7 +17,6 @@ object used when the algebra is sent to its dual space.
 from __future__ import annotations
 
 import itertools
-import operator
 from dataclasses import dataclass
 
 from .errors import AlgebraError, BudgetExceeded
@@ -187,21 +186,15 @@ def packed_slices(truth, width, order=None):
     meet over the coordinates above, which takes each slice to its
     interior in the up-set topology (the coordinates whose whole up-set
     lies in the slice), memoized per slice mask."""
-    nt, leq, join = len(truth), truth.leq, truth.join
-    irreducibles = [
-        j
-        for j in range(nt)
-        if j != truth.bottom
-        and _fold(join, (x for x in range(nt) if leq[x][j] and x != j), truth.bottom)
-        != j
-    ]
-    below = [
-        sum(1 << i for i, j in enumerate(irreducibles) if leq[j][a]) for a in range(nt)
-    ]
-    if any(below[join[a][b]] != below[a] | below[b] for a in range(nt) for b in range(nt)):
+    if not truth.is_distributive:
         raise AlgebraError(
             "not-distributive", f"truth lattice {truth.name!r} is not distributive"
         )
+    nt, leq = len(truth), truth.leq
+    irreducibles = sorted(truth.join_irreducibles)
+    below = [
+        sum(1 << i for i, j in enumerate(irreducibles) if leq[j][a]) for a in range(nt)
+    ]
     k = len(irreducibles)
     # each value by the column of its slice bits, as '0'/'1' characters
     element = {
@@ -614,124 +607,123 @@ def is_homomorphism(mapping, a, b):
     return PASS
 
 
-def _commutative(table):
-    return all(map(operator.eq, map(tuple, table), zip(*table)))
-
-
 def enumerate_homs(a, b):
     """All homomorphisms a -> b, canonically ordered (lexicographic over the
     image tuple in declaration order).
 
-    Backtracking search: bounds are pinned, and every assignment is
-    propagated through the operation tables by a worklist in the style of
-    AC-3 (Mackworth 1977). Each newly fixed element x is applied once to
-    every unary table and paired once with every element already processed,
-    x itself included, in both argument orders of every binary table; a
-    forced image that is still free joins the worklist, one that disagrees
-    kills the branch. A table pair that is commutative on both sides (meet
-    and join always are) needs one argument order only: the other forces
-    the same image to the same value. So fixing h(x) and h(y) forces
-    h(x meet y), h(x join y), and so on, without rescanning pairs already
-    checked. The forced closure does not depend on the order of work. Dead
-    branches are cut by order-compatibility with the assigned elements
-    strictly above and below. brute_force_homs is the scan oracle.
+    A finite distributive lattice is the lattice of down-sets of its
+    join-irreducibles J (Birkhoff), so a bounded-lattice hom h is fixed by
+    its values g on J: h(x) is the join of g(j) over the j in J below x.
+    The search assigns g along a linear extension of J. Conversely, for any
+    g that h keeps 0, and it keeps joins because every j in J is
+    join-prime. It extends g when g is order-preserving, and it keeps 1
+    when the join of g is the top. On a distributive target it keeps meets
+    exactly when g(j) meet g(j') <= h(j meet j') for all j, j' in J, since
+    the meet of two joins is the join of the pairwise meets; comparable
+    j, j' pass by order. So setting g(j) to v needs two checks, both on
+    values already final: v lies above h(j), the join of g below j, and
+    v <= g(j') -> h(j meet j') (the relative pseudocomplement of the
+    target) for every earlier j' incomparable to j.
+
+    h is held in one array, copied for each value tried: setting g(j)
+    joins v into the entries over the up-set of j, and a leaf's array is
+    its mapping. h(1) is the top from the start, as in every hom, and a
+    leaf is kept only when the join of g is the top. The implication and
+    the truth-constant operators are checked inside the search: each
+    (table, arguments) constraint is checked at the step after which all
+    of its elements, result included, are final, that is, when the last
+    join-irreducible below them is set. On the bounded-lattice signature
+    the array holds only the elements the checks read; a leaf fills in
+    every other x as h(j) join h(z), where j is the last join-irreducible
+    below x and z the join of the others.
+
+    Every hom passes every check on any finite lattices, so the search is
+    complete. It is sound when both lattices are distributive, as every
+    lattice built in this package is; otherwise each leaf is also checked
+    with is_homomorphism. brute_force_homs is the scan oracle.
     """
     _require_compatible(a, b)
-    n, m = len(a), len(b)
-    consts, unaries, binaries = _op_tables(a, b)
-    binaries = [
-        (ta, tb, _commutative(ta) and _commutative(tb)) for _, ta, tb in binaries
+    la, lb = a.lattice, b.lattice
+    n, m = len(la), len(lb)
+    leq_a, bottom_a, top_a, top_b = la.leq, la.bottom, la.top, lb.top
+    irreducibles = la.join_irreducibles
+    k = len(irreducibles)
+    pairs = [
+        [(i, la.meet[j][i]) for i in irreducibles[:p] if not leq_a[i][j]]
+        for p, j in enumerate(irreducibles)
     ]
-    unaries = [(ta, tb) for _, ta, tb in unaries]
-    leq_a, leq_b = a.lattice.leq, b.lattice.leq
-    strictly_above = [
-        [j for j in range(n) if j != i and leq_a[i][j]] for i in range(n)
-    ]
-    strictly_below = [
-        [j for j in range(n) if j != i and leq_a[j][i]] for i in range(n)
-    ]
-    assign = [-1] * n
-    # fixed elements whose table entries against each other are all checked
-    done = []
-
-    def propagate(trail):
-        head = 0
-        while head < len(trail):
-            x = trail[head]
-            head += 1
-            vx = assign[x]
-            for ta, tb in unaries:
-                k, forced = ta[x], tb[vx]
-                if assign[k] < 0:
-                    assign[k] = forced
-                    trail.append(k)
-                elif assign[k] != forced:
-                    return False
-            done.append(x)
-            for ta, tb, commutative in binaries:
-                row_a, row_b = ta[x], tb[vx]
-                for y in done:
-                    vy = assign[y]
-                    k, forced = row_a[y], row_b[vy]
-                    if assign[k] < 0:
-                        assign[k] = forced
-                        trail.append(k)
-                    elif assign[k] != forced:
-                        return False
-                    if commutative:
-                        continue
-                    k, forced = ta[y][x], tb[vy][vx]
-                    if assign[k] < 0:
-                        assign[k] = forced
-                        trail.append(k)
-                    elif assign[k] != forced:
-                        return False
-        return True
-
-    def consistent(i, v):
-        row_v = leq_b[v]
-        for j in strictly_above[i]:
-            w = assign[j]
-            if w >= 0 and not row_v[w]:
-                return False
-        for j in strictly_below[i]:
-            w = assign[j]
-            if w >= 0 and not leq_b[w][v]:
-                return False
-        return True
-
+    _, unaries, binaries = _op_tables(a, b)
+    binaries = binaries[2:]  # meets and joins are kept by construction
+    if unaries or binaries:
+        read = set(range(n))  # every element is an argument of some check
+    else:
+        read = {*irreducibles, *(c for pairs_p in pairs for _, c in pairs_p)}
+    read.discard(top_a)
+    # h(x) is final after step final[x], the step of the last
+    # join-irreducible below x; h(0) and h(1) are final from the start
+    final = [0] * n
+    ups = []
+    for p, j in enumerate(irreducibles, 1):
+        up = list(itertools.compress(range(n), leq_a[j]))
+        for x in up:
+            final[x] = p
+        ups.append([x for x in up if x in read])
+    final[top_a] = 0
+    # (result, x, y, target table): h(result) must be table[h(x)][h(y)]. A
+    # unary table is widened to ignore y, which is the bottom. The cheap
+    # unary checks come first.
+    checks = [[] for _ in range(k + 1)]
+    for _, ta, tb in unaries:
+        wide = [[v] * m for v in tb]
+        for x in range(n):
+            r = ta[x]
+            checks[max(final[x], final[r])].append((r, x, bottom_a, wide))
+    for _, ta, tb in binaries:
+        for x in range(n):
+            fx = final[x]
+            for y, r in enumerate(ta[x]):
+                checks[max(fx, final[y], final[r])].append((r, x, y, tb))
+    rest = []
+    for x in sorted(range(n), key=final.__getitem__):
+        if x not in read and x not in (bottom_a, top_a):
+            *others, j = [i for i in irreducibles if leq_a[i][x]]
+            rest.append((x, j, _fold(la.join, others, bottom_a)))
+    join_b, down_b = lb.join, lb.down_masks
+    up_b = [sum(1 << v for v in range(m) if row[v]) for row in lb.leq]
+    implies_b = heyting_table(lb)
+    exact = la.is_distributive and lb.is_distributive
+    steps = list(zip(irreducibles, pairs, ups, checks[1:]))
     found = []
 
-    def search():
-        for i in range(n):
-            if assign[i] < 0:
-                mark = len(done)
-                for v in range(m):
-                    if not consistent(i, v):
-                        continue
-                    trail = [i]
-                    assign[i] = v
-                    if propagate(trail):
-                        search()
-                    for k in trail:
-                        assign[k] = -1
-                    del done[mark:]
-                return
-        found.append(tuple(assign))
+    def extend(p, h, joined):
+        j, pairs_p, up, step = steps[p]
+        values = up_b[h[j]]
+        for i, c in pairs_p:
+            values &= down_b[implies_b[h[i]][h[c]]]
+        while values:
+            low = values & -values
+            values ^= low
+            row = join_b[low.bit_length() - 1]
+            g = h.copy()
+            for x in up:
+                g[x] = row[g[x]]
+            for r, x, y, tb in step:
+                if g[r] != tb[g[x]][g[y]]:
+                    break
+            else:
+                if p + 1 < k:
+                    extend(p + 1, g, row[joined])
+                elif row[joined] == top_b:
+                    for x, i, z in rest:
+                        g[x] = join_b[g[i]][g[z]]
+                    if exact or is_homomorphism(g, a, b).passed:
+                        found.append(tuple(g))
 
-    trail = []
-    ok = True
-    for _, ia, ib in consts:
-        if assign[ia] < 0:
-            assign[ia] = ib
-            trail.append(ia)
-        elif assign[ia] != ib:
-            ok = False
-    if ok and propagate(trail):
-        search()
-    return tuple(
-        Homomorphism(a, b, mapping) for mapping in sorted(found)
-    )
+    h = [lb.bottom] * n
+    h[top_a] = top_b
+    if all(h[r] == tb[h[x]][h[y]] for r, x, y, tb in checks[0]):
+        extend(0, h, lb.bottom)
+    return tuple(Homomorphism(a, b, mapping) for mapping in sorted(found))
 
 
 def brute_force_homs(a, b):
@@ -746,15 +738,9 @@ def brute_force_homs(a, b):
     return tuple(sorted(out, key=lambda h: h.mapping))
 
 
-def hom_leq(h1, h2):
-    """Pointwise order on homomorphisms into a common target."""
-    leq = h1.target.lattice.leq
-    return all(leq[x][y] for x, y in zip(h1.mapping, h2.mapping))
-
-
 def hom_order_matrix(homs):
     """The pointwise order on homomorphisms into a common target, as a
-    matrix: entry [i][j] says homs[i] <= homs[j]. hom_leq is its oracle.
+    matrix: entry [i][j] says homs[i] <= homs[j].
 
     Each hom is packed into one int whose bit a*m + t is set when t <= h(a)
     in the target order (m the target size). Over a partial order

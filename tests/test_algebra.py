@@ -8,7 +8,6 @@ from dualbench.algebra import (
     check_lvl_axioms,
     compose_homs,
     enumerate_homs,
-    hom_leq,
     hom_order_matrix,
     identity_hom,
     is_homomorphism,
@@ -20,6 +19,7 @@ from dualbench.algebra import (
     t_operator,
     vector_algebra,
 )
+from hom_oracle import hom_leq
 from dualbench.corpus import corpus_frames, corpus_lattices
 from dualbench.errors import AlgebraError
 from dualbench.kripke import subalgebra_generated, upset_algebra

@@ -3,13 +3,13 @@ import pytest
 from dualbench import duality
 from dualbench.algebra import (
     enumerate_homs,
-    hom_leq,
     hom_order_matrix,
     make_bdl,
     make_heyting_ispi,
     make_lvl,
     product_algebra,
 )
+from hom_oracle import hom_leq
 from dualbench.duality import (
     check_downclosure_identity,
     check_esakia_algebra_roundtrip,

@@ -5,11 +5,11 @@ from hypothesis import given, settings, strategies as st
 
 from dualbench.algebra import (
     enumerate_homs,
-    hom_leq,
     make_bdl,
     relativized_implication,
     subalgebra_of,
 )
+from hom_oracle import hom_leq
 from dualbench.corpus import corpus_frames
 from dualbench.errors import AlgebraError, BudgetExceeded
 from dualbench.kripke import (
