@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import argparse
 import contextlib
+import functools
 import hashlib
 import json
 import os
@@ -478,7 +479,10 @@ _HANDLERS = {
 }
 
 
+@functools.lru_cache(maxsize=None)
 def _build_parser():
+    """The argument parser, built once per process: parse_args keeps no
+    state between calls, and building it costs more than most commands."""
     parser = argparse.ArgumentParser(
         prog="dualbench",
         description="finite duality workbench: dualize, reconstruct, verify",
@@ -580,8 +584,7 @@ def _render_text(report):
 
 
 def main(argv=None):
-    parser = _build_parser()
-    args = parser.parse_args(argv)
+    args = _build_parser().parse_args(argv)
     if os.environ.get("DUALITY_BUDGET"):
         try:
             args.budget = int(os.environ["DUALITY_BUDGET"])

@@ -396,9 +396,14 @@ def check_lvl_space_roundtrip(obj):
 # ---------------------------------------------------------------------------
 
 
-def _ordered_dual(bdl_algebra, name):
+def _points(bdl_algebra):
+    """The homs of a bounded-lattice algebra into its truth lattice."""
     truth = bdl_algebra.truth
-    homs = enumerate_homs(bdl_algebra, make_bdl(truth, truth))
+    return enumerate_homs(bdl_algebra, make_bdl(truth, truth))
+
+
+def _ordered_dual(bdl_algebra, name, homs):
+    truth = bdl_algebra.truth
     k = len(homs)
     names = _point_names(k)
     basis = [_basic_open(homs, a, truth.top) for a in range(len(bdl_algebra))]
@@ -419,7 +424,7 @@ def _priestley_dual(algebra):
         raise AlgebraError(
             "signature-mismatch", "the ordered dual needs a bounded-lattice algebra"
         )
-    return _ordered_dual(algebra, f"G({algebra.name})")
+    return _ordered_dual(algebra, f"G({algebra.name})", _points(algebra))
 
 
 def priestley_dual(algebra):
@@ -643,13 +648,31 @@ def check_priestley_space_roundtrip(space, truth):
 
 
 @_scoped
-def _esakia_dual(algebra):
+def _esakia_points(algebra):
+    """The bounded-lattice reduct of an isp_i algebra and the homs of the
+    reduct into the truth lattice: the points of the hspa dual, which the
+    Kripke check reads too."""
     if algebra.signature != "isp_i":
         raise AlgebraError(
             "signature-mismatch", "the Esakia-style dual needs an isp_i algebra"
         )
     reduct = make_bdl(algebra.lattice, algebra.truth)
-    return _ordered_dual(reduct, f"GI({algebra.name})")
+    return reduct, _points(reduct)
+
+
+def scoped_esakia_points(algebra):
+    """The points of the hspa dual of an isp_i algebra, found once per open
+    verification scope for the dual and the Kripke check alike; None when
+    no scope is open."""
+    if _SCOPE_CACHE.get() is None:
+        return None
+    return _esakia_points(algebra)[1]
+
+
+@_scoped
+def _esakia_dual(algebra):
+    reduct, homs = _esakia_points(algebra)
+    return _ordered_dual(reduct, f"GI({algebra.name})", homs)
 
 
 def esakia_dual(algebra):

@@ -36,6 +36,7 @@ from .algebra import (
     vector_algebra,
     vector_name,
 )
+from .duality import scoped_esakia_points
 from .errors import AlgebraError, BudgetExceeded
 from .lattice import heyting_table
 from .reporting import PASS, failed
@@ -223,9 +224,10 @@ def kripke_condition_check(algebra):
             f"Kripke condition check needs an isp_i algebra, got {algebra.signature}",
         )
     truth = algebra.truth
-    reduct = make_bdl(algebra.lattice, truth)
-    target = make_bdl(truth, truth)
-    homs = enumerate_homs(reduct, target)
+    # the points of the hspa dual, which a verification scope shares
+    homs = scoped_esakia_points(algebra)
+    if homs is None:
+        homs = enumerate_homs(make_bdl(algebra.lattice, truth), make_bdl(truth, truth))
     hey = heyting_table(truth)
     n = len(algebra)
     above = [

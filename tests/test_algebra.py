@@ -19,7 +19,6 @@ from dualbench.algebra import (
     t_operator,
     vector_algebra,
 )
-from hom_oracle import hom_leq
 from dualbench.corpus import corpus_frames, corpus_lattices
 from dualbench.errors import AlgebraError
 from dualbench.kripke import subalgebra_generated, upset_algebra
@@ -31,6 +30,7 @@ from dualbench.lattice import (
     enumerate_subalgebras,
     heyting_table,
 )
+from hom_oracle import hom_leq
 
 
 def test_t_operator_truth_constants(chain3, b2):

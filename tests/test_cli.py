@@ -1,10 +1,11 @@
 import hashlib
 import json
 import os
+import re
 import subprocess
 import sys
 
-from dualbench import duality
+from dualbench import cli, duality
 from dualbench.cli import main
 
 DOCS = os.path.join(os.path.dirname(__file__), os.pardir, "sample_docs")
@@ -509,3 +510,29 @@ def test_undeclared_or_unknown_elements_exit_two_with_a_line(tmp_path, capsys):
         path.write_text(text)
         code, out, err = run_cli([command, str(path)], capsys)
         assert (code, out, err) == (2, "", f"error: {message}\n"), command
+
+
+def without_wall_seconds(text):
+    """Text output with the one figure that differs from run to run."""
+    return re.sub(r"'wall_seconds': [0-9.]+", "", text)
+
+
+def test_commands_back_to_back_print_what_they_print_alone(capsys):
+    # the parser is built once per process; no option of one command may
+    # leak into the next
+    commands = [
+        ["axioms", doc("chain3-lvl.doc"), "--literal-iv"],
+        ["subalgebras", doc("chain3.doc"), "--signature", "bdl", "--format", "machine"],
+        ["axioms", doc("chain3-lvl.doc")],
+        ["roundtrip", doc("chain3.doc"), "--mode", "pspa", "--timings"],
+    ]
+    alone = []
+    for args in commands:
+        cli._build_parser.cache_clear()
+        alone.append(run_cli(args, capsys))
+    together = [run_cli(args, capsys) for args in commands]
+    assert cli._build_parser.cache_info().misses == 1
+    for (code, out, err), (code2, out2, err2) in zip(alone, together):
+        assert (code, err) == (code2, err2)
+        assert without_wall_seconds(out) == without_wall_seconds(out2)
+    assert [code for code, _, _ in together] == [1, 0, 0, 0]

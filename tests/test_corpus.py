@@ -38,6 +38,11 @@ CORPUS_RUN_7_4_SHA256_BY_SEED = {
     2: "ba180a7cdc5f471ab4ae046a64ff99a46295b1f2a6f7c120a6534ff20825199f",
     3: "ce11d4ff237cdecfd8bdaf6d43c06fab474eb2f64b55d614d1c326c0b6cee4b5",
 }
+# the report at --max-size 10: 108 lattices, whose larger double duals are
+# where a hom-search bug would show first
+CORPUS_RUN_10_4_0_SHA256 = (
+    "0fe9cc42bf48aa1d26136ded2bf88ac05dcb54f0259a40f515683944817ee681"
+)
 
 
 def is_chain(lattice):
@@ -219,6 +224,14 @@ def test_corpus_run_machine_report_is_pinned_at_other_seeds(seed, capsys):
     assert code == 1
     digest = hashlib.sha256(out.encode("utf-8")).hexdigest()
     assert digest == CORPUS_RUN_7_4_SHA256_BY_SEED[seed]
+
+
+def test_corpus_run_machine_report_is_pinned_at_size_ten(capsys):
+    args = "corpus-run --max-size 10 --frame-size 4 --seed 0 --format machine"
+    code = main(args.split())
+    out = capsys.readouterr().out
+    assert code == 1
+    assert hashlib.sha256(out.encode("utf-8")).hexdigest() == CORPUS_RUN_10_4_0_SHA256
 
 
 def sample_pairs_oracle(homsets, rng, want):

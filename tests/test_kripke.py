@@ -3,13 +3,13 @@ from dataclasses import replace
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from dualbench import duality, kripke
 from dualbench.algebra import (
     enumerate_homs,
     make_bdl,
     relativized_implication,
     subalgebra_of,
 )
-from hom_oracle import hom_leq
 from dualbench.corpus import corpus_frames
 from dualbench.errors import AlgebraError, BudgetExceeded
 from dualbench.kripke import (
@@ -23,6 +23,7 @@ from dualbench.kripke import (
     upset_algebra,
 )
 from dualbench.lattice import _close_subset, heyting_implies, heyting_table
+from hom_oracle import hom_leq
 
 
 def table_closure(power, generators, name=None):
@@ -240,3 +241,32 @@ def test_upset_algebra_budget(chain2):
     with pytest.raises(BudgetExceeded) as err:
         upset_algebra(chain2, antichain13, budget=4096)
     assert str(err.value) == "power carrier 2^13 exceeds the budget of 4096 elements"
+
+
+def test_kripke_check_reads_the_points_of_the_scoped_dual(chain2, monkeypatch):
+    # inside a verification scope the check and the hspa dual share one hom
+    # search, and the witness, hom index included, is the one found alone
+    searches = []
+    search = kripke.enumerate_homs
+
+    def spy(a, b):
+        searches.append(a)
+        return search(a, b)
+
+    monkeypatch.setattr(kripke, "enumerate_homs", spy)
+    monkeypatch.setattr(duality, "enumerate_homs", spy)
+    frames = corpus_frames(3)
+    algebras = [intuitionistic_power(chain2, frame) for frame in frames]
+    algebras += [upset_algebra(chain2, frame) for frame in frames]
+    witnesses = set()
+    for algebra in algebras:
+        alone = kripke_condition_check(algebra)
+        searches.clear()
+        with duality.verification_scope():
+            scoped = kripke_condition_check(algebra)
+            duality.esakia_dual(algebra)
+        assert len(searches) == 1
+        assert (scoped.passed, scoped.witness) == (alone.passed, alone.witness)
+        if not alone.passed:
+            witnesses.add(alone.witness.split()[1])
+    assert {"h1", "h2"} <= witnesses
