@@ -633,9 +633,9 @@ def enumerate_homs(a, b):
     (table, arguments) constraint is checked at the step after which all
     of its elements, result included, are final, that is, when the last
     join-irreducible below them is set. On the bounded-lattice signature
-    the array holds only the elements the checks read; a leaf fills in
-    every other x as h(j) join h(z), where j is the last join-irreducible
-    below x and z the join of the others.
+    between distributive lattices the array holds only the elements the
+    checks read; a leaf fills in every other x as h(j) join h(z), where j
+    is the last join-irreducible below x and z < x the join of the others.
 
     Every hom passes every check on any finite lattices, so the search is
     complete. It is sound when both lattices are distributive, as every
@@ -654,8 +654,10 @@ def enumerate_homs(a, b):
     ]
     _, unaries, binaries = _op_tables(a, b)
     binaries = binaries[2:]  # meets and joins are kept by construction
-    if unaries or binaries:
-        read = set(range(n))  # every element is an argument of some check
+    exact = la.is_distributive and lb.is_distributive
+    if unaries or binaries or not exact:
+        # every element is an argument of some check, or of the leaf's
+        read = set(range(n))
     else:
         read = {*irreducibles, *(c for pairs_p in pairs for _, c in pairs_p)}
     read.discard(top_a)
@@ -691,7 +693,6 @@ def enumerate_homs(a, b):
     join_b, down_b = lb.join, lb.down_masks
     up_b = [sum(1 << v for v in range(m) if row[v]) for row in lb.leq]
     implies_b = heyting_table(lb)
-    exact = la.is_distributive and lb.is_distributive
     steps = list(zip(irreducibles, pairs, ups, checks[1:]))
     found = []
 

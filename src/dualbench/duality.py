@@ -962,7 +962,7 @@ def spectrum_correspondence(algebra):
             "signature-mismatch", "spectrum correspondence needs a bdl algebra"
         )
     truth = algebra.truth
-    homs = enumerate_homs(algebra, make_bdl(truth, truth))
+    homs = _points(algebra)
     report = DualityReport(mode="spectrum", obj=algebra.name)
     if len(truth) == 2:
         filters = prime_filters(algebra.lattice)

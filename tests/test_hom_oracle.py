@@ -32,13 +32,13 @@ def mappings(homs):
     return [h.mapping for h in homs]
 
 
-def agree(a, b):
+def agree(a, b, scan_limit=SCAN_LIMIT):
     """Assert that enumerate_homs(a, b) equals the worklist oracle, and the
-    scan of every map wherever there are at most SCAN_LIMIT; return the
+    scan of every map wherever there are at most scan_limit; return the
     homs."""
     found = mappings(enumerate_homs(a, b))
     assert found == mappings(hom_oracle.enumerate_homs(a, b)), (a.name, b.name)
-    if len(b) ** len(a) <= SCAN_LIMIT:
+    if len(b) ** len(a) <= scan_limit:
         assert found == mappings(brute_force_homs(a, b)), (a.name, b.name)
     return found
 
@@ -187,9 +187,14 @@ def test_lattice_structure_against_definitions():
 def test_non_distributive_lattices_against_the_scan():
     # the search is complete on any lattice, and each leaf is checked in
     # full when either side is not distributive
-    lattices = bounded_lattices(3)
-    five = [lat for lat in lattices if len(lat) == 5 and not lat.is_distributive]
+    sources = [
+        algebra_from_tables("bdl", lat, lat, name=lat.name) for lat in bounded_lattices(4)
+    ]
+    targets = [a for a in sources if len(a) <= 5]
+    five = [a for a in targets if len(a) == 5 and not a.lattice.is_distributive]
     assert len(five) == 2  # the pentagon and the diamond M3
-    algebras = [algebra_from_tables("bdl", lat, lat, name=lat.name) for lat in lattices]
-    counts = [len(agree(a, b)) for a, b in itertools.product(algebras, repeat=2)]
+    # the scan covers the sources of up to five elements
+    counts = [
+        len(agree(a, b, scan_limit=5**5)) for a, b in itertools.product(sources, targets)
+    ]
     assert max(counts) > 5
