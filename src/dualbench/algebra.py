@@ -615,7 +615,7 @@ def enumerate_homs(a, b):
     join-irreducibles J (Birkhoff), so a bounded-lattice hom h is fixed by
     its values g on J: h(x) is the join of g(j) over the j in J below x.
     The search assigns g along a linear extension of J. Conversely, for any
-    g that h keeps 0, and it keeps joins because every j in J is
+    g, that h keeps 0, and it keeps joins because every j in J is
     join-prime. It extends g when g is order-preserving, and it keeps 1
     when the join of g is the top. On a distributive target it keeps meets
     exactly when g(j) meet g(j') <= h(j meet j') for all j, j' in J, since
@@ -659,18 +659,17 @@ def enumerate_homs(a, b):
         # every element is an argument of some check, or of the leaf's
         read = set(range(n))
     else:
-        read = {*irreducibles, *(c for pairs_p in pairs for _, c in pairs_p)}
-    read.discard(top_a)
+        read = {bottom_a, top_a, *irreducibles}
+        read.update(c for pairs_p in pairs for _, c in pairs_p)
     # h(x) is final after step final[x], the step of the last
     # join-irreducible below x; h(0) and h(1) are final from the start
     final = [0] * n
     ups = []
     for p, j in enumerate(irreducibles, 1):
-        up = list(itertools.compress(range(n), leq_a[j]))
+        up = [x for x in itertools.compress(range(n), leq_a[j]) if x != top_a]
         for x in up:
             final[x] = p
         ups.append([x for x in up if x in read])
-    final[top_a] = 0
     # (result, x, y, target table): h(result) must be table[h(x)][h(y)]. A
     # unary table is widened to ignore y, which is the bottom. The cheap
     # unary checks come first.
@@ -687,7 +686,7 @@ def enumerate_homs(a, b):
                 checks[max(fx, final[y], final[r])].append((r, x, y, tb))
     rest = []
     for x in sorted(range(n), key=final.__getitem__):
-        if x not in read and x not in (bottom_a, top_a):
+        if x not in read:
             *others, j = [i for i in irreducibles if leq_a[i][x]]
             rest.append((x, j, _fold(la.join, others, bottom_a)))
     join_b, down_b = lb.join, lb.down_masks
