@@ -632,10 +632,7 @@ def enumerate_homs(a, b):
     the truth-constant operators are checked inside the search: each
     (table, arguments) constraint is checked at the step after which all
     of its elements, result included, are final, that is, when the last
-    join-irreducible below them is set. On the bounded-lattice signature
-    between distributive lattices the array holds only the elements the
-    checks read; a leaf fills in every other x as h(j) join h(z), where j
-    is the last join-irreducible below x and z < x the join of the others.
+    join-irreducible below them is set.
 
     Every hom passes every check on any finite lattices, so the search is
     complete. It is sound when both lattices are distributive, as every
@@ -655,12 +652,6 @@ def enumerate_homs(a, b):
     _, unaries, binaries = _op_tables(a, b)
     binaries = binaries[2:]  # meets and joins are kept by construction
     exact = la.is_distributive and lb.is_distributive
-    if unaries or binaries or not exact:
-        # every element is an argument of some check, or of the leaf's
-        read = set(range(n))
-    else:
-        read = {bottom_a, top_a, *irreducibles}
-        read.update(c for pairs_p in pairs for _, c in pairs_p)
     # h(x) is final after step final[x], the step of the last
     # join-irreducible below x; h(0) and h(1) are final from the start
     final = [0] * n
@@ -669,7 +660,7 @@ def enumerate_homs(a, b):
         up = [x for x in itertools.compress(range(n), leq_a[j]) if x != top_a]
         for x in up:
             final[x] = p
-        ups.append([x for x in up if x in read])
+        ups.append(up)
     # (result, x, y, target table): h(result) must be table[h(x)][h(y)]. A
     # unary table is widened to ignore y, which is the bottom. The cheap
     # unary checks come first.
@@ -684,11 +675,6 @@ def enumerate_homs(a, b):
             fx = final[x]
             for y, r in enumerate(ta[x]):
                 checks[max(fx, final[y], final[r])].append((r, x, y, tb))
-    rest = []
-    for x in sorted(range(n), key=final.__getitem__):
-        if x not in read:
-            *others, j = [i for i in irreducibles if leq_a[i][x]]
-            rest.append((x, j, _fold(la.join, others, bottom_a)))
     join_b, down_b = lb.join, lb.down_masks
     up_b = [sum(1 << v for v in range(m) if row[v]) for row in lb.leq]
     implies_b = heyting_table(lb)
@@ -714,8 +700,6 @@ def enumerate_homs(a, b):
                 if p + 1 < k:
                     extend(p + 1, g, row[joined])
                 elif row[joined] == top_b:
-                    for x, i, z in rest:
-                        g[x] = join_b[g[i]][g[z]]
                     if exact or is_homomorphism(g, a, b).passed:
                         found.append(tuple(g))
 

@@ -660,12 +660,9 @@ def _esakia_points(algebra):
     return reduct, _points(reduct)
 
 
-def scoped_esakia_points(algebra):
+def esakia_points(algebra):
     """The points of the hspa dual of an isp_i algebra, found once per open
-    verification scope for the dual and the Kripke check alike; None when
-    no scope is open."""
-    if _SCOPE_CACHE.get() is None:
-        return None
+    verification scope for the dual and the Kripke check alike."""
     return _esakia_points(algebra)[1]
 
 

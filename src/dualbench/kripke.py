@@ -29,14 +29,12 @@ import itertools
 from dataclasses import replace
 
 from .algebra import (
-    enumerate_homs,
     hom_order_matrix,
-    make_bdl,
     packed_slices,
     vector_algebra,
     vector_name,
 )
-from .duality import scoped_esakia_points
+from .duality import esakia_points
 from .errors import AlgebraError, BudgetExceeded
 from .lattice import heyting_table
 from .reporting import PASS, failed
@@ -225,9 +223,7 @@ def kripke_condition_check(algebra):
         )
     truth = algebra.truth
     # the points of the hspa dual, which a verification scope shares
-    homs = scoped_esakia_points(algebra)
-    if homs is None:
-        homs = enumerate_homs(make_bdl(algebra.lattice, truth), make_bdl(truth, truth))
+    homs = esakia_points(algebra)
     hey = heyting_table(truth)
     n = len(algebra)
     above = [
