@@ -416,6 +416,70 @@ def test_check_lattice_machine_reports_are_pinned(tmp_path, monkeypatch, capsys)
         assert (code, hashlib.sha256(out.encode("utf-8")).hexdigest()) == pin, name
 
 
+# sha256 of the --format machine stdout, with the exit code, of reconstruct
+# in every mode on both sample space documents, with the default truth
+# lattice and with --truth chain3.doc (None is the default); exit 2 pins
+# the refusal of a space of the wrong kind, before the mode registry
+RECONSTRUCT_PINS = {
+("pbs", "pbs-chain2.doc", None): (0, "b42dde5ac7b9388c22a226e874bc8f80ac777c15e233ab33c2da0d5334b809ad"),
+    ("pbs", "pbs-chain2.doc", "chain3.doc"): (0, "b42dde5ac7b9388c22a226e874bc8f80ac777c15e233ab33c2da0d5334b809ad"),
+    ("pbs", "pspa-chain2.doc", None): (2, "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
+    ("pbs", "pspa-chain2.doc", "chain3.doc"): (2, "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
+    ("pspa", "pbs-chain2.doc", None): (2, "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
+    ("pspa", "pbs-chain2.doc", "chain3.doc"): (2, "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
+    ("pspa", "pspa-chain2.doc", None): (0, "fc9fb5a3cecbda8e2f9791c4c81b736be08cef97923a472e7a675dd80e0d626b"),
+    ("pspa", "pspa-chain2.doc", "chain3.doc"): (0, "acc665d90dc9555eab8df1ca0c7971da6314a21a369b819d30b6d9f52a36bdc2"),
+    ("hspa", "pbs-chain2.doc", None): (2, "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
+    ("hspa", "pbs-chain2.doc", "chain3.doc"): (2, "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
+    ("hspa", "pspa-chain2.doc", None): (0, "e0b991be49f065f9ef701985bd806f2f337ad8e6ca6e5ce27a3e8ac1f3bfb203"),
+    ("hspa", "pspa-chain2.doc", "chain3.doc"): (0, "513f005824a746d72d2240d04ddbcbd049e97f52d5877ba29758b864417b2028"),
+}
+
+
+def test_reconstruct_machine_reports_are_pinned(monkeypatch, capsys):
+    monkeypatch.chdir(os.path.join(DOCS, os.pardir))
+    for (mode, name, truth), pin in RECONSTRUCT_PINS.items():
+        args = ["reconstruct", f"sample_docs/{name}", "--mode", mode, "--format", "machine"]
+        if truth is not None:
+            args += ["--truth", f"sample_docs/{truth}"]
+        code, out, _ = run_cli(args, capsys)
+        assert (code, hashlib.sha256(out.encode("utf-8")).hexdigest()) == pin, args
+
+
+# sha256 of the --format machine stdout, with the exit code, of spectrum on
+# every sample lattice or algebra document, over the two-chain and over
+# --truth chain3.doc (None is the default), before prime ideals were cached
+# per lattice
+SPECTRUM_PINS = {
+("b2.doc", None): (0, "5f7c8686f9e66055b42d5a6bf5ca1e6d8184cc545f37bba7d7bc7fad46067d06"),
+    ("b2.doc", "chain3.doc"): (1, "f5724854983163a9ed1dacf5a8249f3ee328df16c9d6f0d4e3b663f54bfeb116"),
+    ("chain2.doc", None): (0, "405c5732a26c7b71be8b2d6607f717b667e429a4efe54f6cd15c0d623761ec01"),
+    ("chain2.doc", "chain3.doc"): (1, "a144a53c551f2a55e2f7ab5656c8b35c3013e827d3537b66f09870cc12a8122c"),
+    ("chain3-lvl.doc", None): (2, "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
+    ("chain3-lvl.doc", "chain3.doc"): (2, "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
+    ("chain3.doc", None): (0, "9df69c1fc31ebebd011d657282a4894203a67e05a3c3d27b86954f482d8f1022"),
+    ("chain3.doc", "chain3.doc"): (1, "88429182e04f6d1ad29e78190882e3e2e260525938ec2810cfe8141c662e5bd4"),
+    ("pbs-chain2.doc", None): (0, "be0111b43d15c56ace4e7bc49557795b59fdca1515d637391a1ebe728d4c7c87"),
+    ("pbs-chain2.doc", "chain3.doc"): (1, "8374e1dc7787a4569bdb01e9007aecff7d8c60f20600040c47852619a5d93f99"),
+    ("pentagon.doc", None): (2, "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
+    ("pentagon.doc", "chain3.doc"): (2, "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
+    ("power22.doc", None): (2, "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
+    ("power22.doc", "chain3.doc"): (2, "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
+    ("upsets22.doc", None): (2, "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
+    ("upsets22.doc", "chain3.doc"): (2, "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
+}
+
+
+def test_spectrum_machine_reports_are_pinned(monkeypatch, capsys):
+    monkeypatch.chdir(os.path.join(DOCS, os.pardir))
+    for (name, truth), pin in SPECTRUM_PINS.items():
+        args = ["spectrum", f"sample_docs/{name}", "--format", "machine"]
+        if truth is not None:
+            args += ["--truth", f"sample_docs/{truth}"]
+        code, out, _ = run_cli(args, capsys)
+        assert (code, hashlib.sha256(out.encode("utf-8")).hexdigest()) == pin, args
+
+
 def test_twenty_point_dual_verifies(tmp_path, capsys):
     # the 21-element chain has a 20-point dual with 2**20 open sets
     names = [f"c{i}" for i in range(21)]
