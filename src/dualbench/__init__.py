@@ -66,14 +66,11 @@ from .topology import (
     verify_pspa_object,
 )
 from .duality import (
+    algebra_roundtrip,
     check_downclosure_identity,
     check_esakia_algebra_roundtrip,
     check_esakia_space_roundtrip,
     check_implication_preimage_identity,
-    check_lvl_algebra_roundtrip,
-    check_lvl_space_roundtrip,
-    check_priestley_algebra_roundtrip,
-    check_priestley_space_roundtrip,
     check_second_topology_inclusion,
     dual_hom_of_map,
     dual_map_of_hom,
@@ -85,6 +82,7 @@ from .duality import (
     lvl_reconstruct,
     priestley_dual,
     priestley_reconstruct,
+    space_roundtrip,
     spectrum_correspondence,
 )
 

@@ -31,41 +31,18 @@ from .algebra import (
 from .corpus import corpus_run
 from .documents import DocumentSet, parse_documents
 from .duality import (
-    check_downclosure_identity,
-    check_esakia_algebra_roundtrip,
-    check_esakia_space_roundtrip,
-    check_implication_preimage_identity,
-    check_lvl_algebra_roundtrip,
-    check_lvl_space_roundtrip,
-    check_priestley_algebra_roundtrip,
-    check_priestley_space_roundtrip,
-    check_second_topology_inclusion,
-    esakia_dual,
-    esakia_reconstruct,
-    lvl_dual,
-    lvl_reconstruct,
-    priestley_dual,
-    priestley_reconstruct,
+    MODES,
+    PBS,
+    algebra_roundtrip,
+    as_mode,
+    space_roundtrip,
     spectrum_correspondence,
     verification_scope,
 )
-from .errors import (
-    BudgetExceeded,
-    DocumentError,
-    DualityError,
-    LatticeError,
-    SpaceError,
-)
+from .errors import BudgetExceeded, DocumentError, DualityError, LatticeError
 from .kripke import DEFAULT_POWER_BUDGET, kripke_condition_check
 from .lattice import chain_lattice, enumerate_subalgebras
-from .topology import (
-    OrderedSpace,
-    PbsObject,
-    is_pairwise_hausdorff,
-    verify_hspa_object,
-    verify_pbs_object,
-    verify_pspa_object,
-)
+from .reporting import PASS, failed
 
 
 @dataclass
@@ -139,52 +116,35 @@ def _first_doc(docset, kinds):
     )
 
 
-def _truth_of(args, docset):
+def _truth_of(args, docset, report):
     if getattr(args, "truth", None):
         truth_set, extra_inputs = _load([args.truth])
+        report.inputs.extend(extra_inputs)
         doc = _first_doc(truth_set, ("lattice",))
         for name, d in truth_set.docs.items():
             if name not in docset.docs:
                 docset.docs[name] = d
-        return docset.lattice(doc.name), extra_inputs
-    return chain_lattice(2), []
+        return docset.lattice(doc.name)
+    return chain_lattice(2)
 
 
 def _algebra_for_mode(args, docset, mode, report):
     """The algebra a command operates on: an algebra document directly, or a
-    lattice document wrapped for the requested mode."""
+    lattice document wrapped for the requested mode, over the truth lattice
+    the mode reads beside it."""
     doc = _first_doc(docset, ("algebra", "lattice"))
     if doc.kind == "algebra":
         return docset.algebra(doc.name, args.budget)
     lattice = docset.lattice(doc.name)
-    if mode == "pbs":
-        return make_lvl(lattice)
-    truth, extra = _truth_of(args, docset)
-    report.inputs.extend(extra)
-    if mode == "pspa":
-        return make_bdl(lattice, truth)
-    return make_heyting_ispi(lattice, truth)
+    truth = None if mode.space_truth else _truth_of(args, docset, report)
+    return mode.from_lattice(lattice, truth)
 
 
 def _space_for_mode(args, docset, mode, report):
-    doc = _first_doc(docset, ("space",))
-    space = docset.space(doc.name)
-    if mode == "pbs":
-        if not isinstance(space, PbsObject):
-            raise DocumentError(
-                "schema-violation",
-                f"space {doc.name!r} carries no two-topology structure with an "
-                "assignment; pbs mode needs one",
-            )
-        return space, None
-    if not isinstance(space, OrderedSpace):
-        raise DocumentError(
-            "schema-violation",
-            f"space {doc.name!r} is bitopological; {mode} mode needs an ordered space",
-        )
-    truth, extra = _truth_of(args, docset)
-    report.inputs.extend(extra)
-    return space, truth
+    """The space a command operates on and the truth lattice to read it over."""
+    space = docset.space(_first_doc(docset, ("space",)).name)
+    truth = None if mode.space_truth else _truth_of(args, docset, report)
+    return space, mode.check_space(space, truth)
 
 
 def cmd_check_lattice(args, report):
@@ -206,11 +166,8 @@ def cmd_check_lattice(args, report):
 
 def cmd_axioms(args, report):
     docset, report.inputs[:] = _load(args.files)
-    doc = _first_doc(docset, ("algebra", "lattice"))
-    if doc.kind == "lattice":
-        algebra = make_lvl(docset.lattice(doc.name))
-    else:
-        algebra = docset.algebra(doc.name, args.budget)
+    # the lattice-valued algebra a pbs dual is taken of
+    algebra = _algebra_for_mode(args, docset, PBS, report)
     axioms = check_lvl_axioms(algebra, literal_iv=args.literal_iv)
     for clause, res in sorted(axioms.clauses.items()):
         report.record(f"clause_{clause}", res)
@@ -236,8 +193,7 @@ def cmd_subalgebras(args, report):
 def cmd_homs(args, report):
     docset, report.inputs[:] = _load(args.files)
     doc = _first_doc(docset, ("algebra", "lattice"))
-    truth, extra = _truth_of(args, docset)
-    report.inputs.extend(extra)
+    truth = _truth_of(args, docset, report)
     if doc.kind == "lattice":
         source = make_bdl(docset.lattice(doc.name), truth)
     else:
@@ -293,71 +249,38 @@ def cmd_generate(args, report):
 
 def cmd_dualize(args, report):
     docset, report.inputs[:] = _load(args.files)
-    algebra = _algebra_for_mode(args, docset, args.mode, report)
-    if args.mode == "pbs":
+    mode = as_mode(args.mode)
+    algebra = _algebra_for_mode(args, docset, mode, report)
+    if mode.axioms is not None:
         # the dual is only meaningful over an algebra satisfying its axioms
-        axioms = check_lvl_axioms(algebra)
-        if not axioms.passed:
-            clause = next(k for k, r in sorted(axioms.clauses.items()) if not r.passed)
-            report.record("lvl_axioms", False)
-            report.witnesses.append(
-                {
-                    "check": "lvl_axioms",
-                    "witness": f"clause ({clause}): {axioms.clauses[clause].witness}",
-                }
-            )
+        clauses = mode.axioms(algebra).clauses
+        bad = next((k for k, r in sorted(clauses.items()) if not r.passed), None)
+        report.record(
+            f"{algebra.signature}_axioms",
+            PASS if bad is None else failed(f"clause ({bad}): {clauses[bad].witness}"),
+        )
+        if bad is not None:
             return report
-        report.record("lvl_axioms", True)
-        obj = lvl_dual(algebra)
-        for tag, res in verify_pbs_object(obj).items():
-            report.record(tag, res)
-        report.details["points"] = list(obj.space.points)
-        report.details["opens_1"] = obj.space.topo1.open_count
-        report.details["opens_2"] = obj.space.topo2.open_count
-        incl = check_second_topology_inclusion(obj)
-        report.details["second_topology_inside_first"] = incl.passed
-        return report
-    if args.mode == "pspa":
-        space = priestley_dual(algebra)
-        report.record("pspa_object", verify_pspa_object(space))
-    else:
-        space = esakia_dual(algebra)
-        report.record("pspa_object", verify_pspa_object(space))
-        try:
-            report.record("hspa_object", verify_hspa_object(space))
-        except SpaceError as exc:
-            report.record("hspa_object", False)
-            report.witnesses.append({"check": "hspa_object", "witness": str(exc)})
-        report.record("downclosure_identity", check_downclosure_identity(algebra))
-    report.details["points"] = list(space.points)
-    report.details["opens"] = space.topo.open_count
-    report.details["order"] = [
-        f"{space.points[i]}<={space.points[j]}"
-        for i in range(len(space.points))
-        for j in range(len(space.points))
-        if i != j and space.order.leq[i][j]
-    ]
+    space = mode.dual(algebra)[0]
+    for tag, res in mode.verify_object(space).items():
+        report.record(tag, res)
+    for tag, check in mode.dual_checks:
+        report.record(tag, check(algebra))
+    report.details.update(mode.describe(space))
     return report
 
 
 def cmd_reconstruct(args, report):
     docset, report.inputs[:] = _load(args.files)
-    space, truth = _space_for_mode(args, docset, args.mode, report)
-    if args.mode == "pbs":
-        algebra = lvl_reconstruct(space)
-        axioms = check_lvl_axioms(algebra)
-        for clause, res in sorted(axioms.clauses.items()):
-            report.record(f"clause_{clause}", res)
-    elif args.mode == "pspa":
-        algebra = priestley_reconstruct(space, truth)
+    mode = as_mode(args.mode)
+    space, truth = _space_for_mode(args, docset, mode, report)
+    algebra = mode.reconstruct(space, truth)[0]
+    if mode.axioms is None:
         report.record("construction_completed", True)
     else:
-        algebra = esakia_reconstruct(space, truth)
-        report.record("construction_completed", True)
-        claim = check_implication_preimage_identity(space, truth)
-        report.details["implication_preimage_identity"] = (
-            "holds" if claim.passed else claim.witness
-        )
+        for clause, res in sorted(mode.axioms(algebra).clauses.items()):
+            report.record(f"clause_{clause}", res)
+    report.details.update(mode.rebuilt_details(space, truth))
     report.details["carrier"] = list(algebra.elements)
     report.details["size"] = len(algebra)
     return report
@@ -365,43 +288,21 @@ def cmd_reconstruct(args, report):
 
 def cmd_roundtrip(args, report):
     docset, report.inputs[:] = _load(args.files)
-    algebra = _algebra_for_mode(args, docset, args.mode, report)
-    if args.mode == "pbs":
-        obj = lvl_dual(algebra)
-        report.merge_duality("algebra_", check_lvl_algebra_roundtrip(algebra))
-        report.merge_duality("space_", check_lvl_space_roundtrip(obj))
-    elif args.mode == "pspa":
-        space = priestley_dual(algebra)
-        report.merge_duality("algebra_", check_priestley_algebra_roundtrip(algebra))
-        report.merge_duality(
-            "space_", check_priestley_space_roundtrip(space, algebra.truth)
-        )
-    else:
-        space = esakia_dual(algebra)
-        report.merge_duality("algebra_", check_esakia_algebra_roundtrip(algebra))
-        report.merge_duality(
-            "space_", check_esakia_space_roundtrip(space, algebra.truth)
-        )
+    mode = as_mode(args.mode)
+    algebra = _algebra_for_mode(args, docset, mode, report)
+    space = mode.dual(algebra)[0]
+    report.merge_duality("algebra_", algebra_roundtrip(mode, algebra))
+    report.merge_duality("space_", space_roundtrip(mode, space, algebra.truth))
     return report
 
 
 def cmd_verify_space(args, report):
     docset, report.inputs[:] = _load(args.files)
-    space, _ = _space_for_mode(args, docset, args.mode, report)
-    if args.mode == "pbs":
-        for tag, res in verify_pbs_object(space).items():
-            report.record(tag, res)
-        report.details["hausdorff_ordered_reading"] = is_pairwise_hausdorff(
-            space.space, mode="ordered"
-        ).passed
-        return report
-    report.record("pspa_object", verify_pspa_object(space))
-    if args.mode == "hspa":
-        try:
-            report.record("hspa_object", verify_hspa_object(space))
-        except SpaceError as exc:
-            report.record("hspa_object", False)
-            report.witnesses.append({"check": "hspa_object", "witness": str(exc)})
+    mode = as_mode(args.mode)
+    space, _ = _space_for_mode(args, docset, mode, report)
+    for tag, res in mode.verify_object(space).items():
+        report.record(tag, res)
+    report.details.update(mode.space_details(space))
     return report
 
 
@@ -418,8 +319,7 @@ def cmd_kripke_check(args, report):
 def cmd_spectrum(args, report):
     docset, report.inputs[:] = _load(args.files)
     doc = _first_doc(docset, ("algebra", "lattice"))
-    truth, extra = _truth_of(args, docset)
-    report.inputs.extend(extra)
+    truth = _truth_of(args, docset, report)
     if doc.kind == "lattice":
         algebra = make_bdl(docset.lattice(doc.name), truth)
     else:
@@ -512,7 +412,7 @@ def _build_parser():
         if files:
             p.add_argument("files", nargs="+", metavar="FILE")
         if mode:
-            p.add_argument("--mode", choices=("pbs", "pspa", "hspa"), required=True)
+            p.add_argument("--mode", choices=tuple(MODES), required=True)
         if truth:
             p.add_argument(
                 "--truth",

@@ -30,19 +30,18 @@ from .algebra import (
     product_algebra,
 )
 from .duality import (
+    HSPA,
+    PBS,
+    PSPA,
+    algebra_roundtrip,
     check_downclosure_identity,
-    check_esakia_algebra_roundtrip,
-    check_esakia_space_roundtrip,
-    check_lvl_algebra_roundtrip,
-    check_lvl_space_roundtrip,
-    check_priestley_algebra_roundtrip,
-    check_priestley_space_roundtrip,
     check_second_topology_inclusion,
     esakia_dual,
     functor_composition_check,
     functor_identity_check,
     lvl_dual,
     priestley_dual,
+    space_roundtrip,
     spectrum_correspondence,
     verification_scope,
 )
@@ -377,6 +376,16 @@ def suite_separation(lattices):
     return suite
 
 
+def _fail_roundtrips(suite, label, mode, algebra, space, truth):
+    """Fail the suite on each of the two round trips that is red."""
+    rep = algebra_roundtrip(mode, algebra)
+    if not rep.passed:
+        suite.fail(f"{label}: algebra round trip: {rep.witnesses}")
+    rep = space_roundtrip(mode, space, truth)
+    if not rep.passed:
+        suite.fail(f"{label}: space round trip: {rep.witnesses}")
+
+
 def suite_isp_roundtrip(lattices, truth):
     suite = SuiteResult(f"isp_roundtrip_{truth.name}")
     for lat in lattices:
@@ -386,12 +395,7 @@ def suite_isp_roundtrip(lattices, truth):
             obj_check = verify_pspa_object(space)
             if not obj_check.passed:
                 suite.fail(f"{lat.name}: dual space invalid: {obj_check.witness}")
-            sigma = check_priestley_algebra_roundtrip(algebra)
-            if not sigma.passed:
-                suite.fail(f"{lat.name}: algebra round trip: {sigma.witnesses}")
-            delta = check_priestley_space_roundtrip(space, truth)
-            if not delta.passed:
-                suite.fail(f"{lat.name}: space round trip: {delta.witnesses}")
+            _fail_roundtrips(suite, lat.name, PSPA, algebra, space, truth)
 
         _guarded(suite, lat.name, run)
     suite.counts = {"lattices": len(lattices)}
@@ -416,12 +420,7 @@ def suite_ispi_roundtrip(frames, budget=DEFAULT_POWER_BUDGET):
                 suite.fail(
                     f"{frame.name}: down-closure identity: {downclosure.witness}"
                 )
-            sigma = check_esakia_algebra_roundtrip(algebra)
-            if not sigma.passed:
-                suite.fail(f"{frame.name}: algebra round trip: {sigma.witnesses}")
-            delta = check_esakia_space_roundtrip(space, truth)
-            if not delta.passed:
-                suite.fail(f"{frame.name}: space round trip: {delta.witnesses}")
+            _fail_roundtrips(suite, frame.name, HSPA, algebra, space, truth)
 
         _guarded(suite, frame.name, run)
     suite.counts = {"frames": len(frames)}
@@ -475,12 +474,7 @@ def suite_lvl_duality():
                     suite.notes.append(
                         f"{algebra.name}: second dual topology escapes the first"
                     )
-                beta = check_lvl_algebra_roundtrip(algebra)
-                if not beta.passed:
-                    suite.fail(f"{algebra.name}: algebra round trip: {beta.witnesses}")
-                zeta = check_lvl_space_roundtrip(obj)
-                if not zeta.passed:
-                    suite.fail(f"{algebra.name}: space round trip: {zeta.witnesses}")
+                _fail_roundtrips(suite, algebra.name, PBS, algebra, obj, truth)
 
             _guarded(suite, algebra.name, run)
     suite.counts = {"objects": objects, "second_topology_inside_first": inclusion_holds}
@@ -562,14 +556,14 @@ def suite_functoriality(lattices, frames, seed, budget=DEFAULT_POWER_BUDGET, wan
         for obj in objects:
             res = functor_identity_check(obj, mode)
             if not res.passed:
-                suite.fail(f"{mode}: {res.witness}")
+                suite.fail(f"{mode.name}: {res.witness}")
         pairs = _sample_pairs(homsets, rng, want)
-        counts[mode] = len(pairs)
+        counts[mode.name] = len(pairs)
         for f, g in pairs:
             res = functor_composition_check(f, g, mode)
             if not res.passed:
                 suite.fail(
-                    f"{mode}: pair {f.source.name}->{f.target.name}->{g.target.name}: "
+                    f"{mode.name}: pair {f.source.name}->{f.target.name}->{g.target.name}: "
                     f"{res.witness}"
                 )
 
@@ -580,7 +574,7 @@ def suite_functoriality(lattices, frames, seed, budget=DEFAULT_POWER_BUDGET, wan
         base = make_lvl(truth)
         group = [base, product_algebra(base, base)]
         for obj in group:
-            res = functor_identity_check(obj, "pbs")
+            res = functor_identity_check(obj, PBS)
             if not res.passed:
                 suite.fail(f"pbs: {res.witness}")
         hs = {}
@@ -592,20 +586,20 @@ def suite_functoriality(lattices, frames, seed, budget=DEFAULT_POWER_BUDGET, wan
         pairs = _sample_pairs(hs, rng, want)
         pbs_pairs += len(pairs)
         for f, g in pairs:
-            res = functor_composition_check(f, g, "pbs")
+            res = functor_composition_check(f, g, PBS)
             if not res.passed:
                 suite.fail(f"pbs: {res.witness}")
-    counts["pbs"] = pbs_pairs
+    counts[PBS.name] = pbs_pairs
 
     pspa_objects = [make_bdl(lat, truth2) for lat in lattices if len(lat) <= 5]
-    run_mode("pspa", pspa_objects)
+    run_mode(PSPA, pspa_objects)
 
     hspa_objects = [
         upset_algebra(truth2, frame, budget=budget)
         for frame in frames
         if len(frame) <= 3
     ]
-    run_mode("hspa", hspa_objects)
+    run_mode(HSPA, hspa_objects)
 
     suite.counts = dict(sorted(counts.items()))
     return suite

@@ -1,7 +1,8 @@
 """Functor constructions between algebras and spaces, their natural maps,
 and instance-level verification of every duality round trip.
 
-Three modes are supported, matching the three dual categories:
+Each duality is one ``Mode`` record, and ``MODES`` maps each name to its
+record:
 
 * ``pbs``  - lattice-valued algebras against bitopological spaces with a
              subalgebra assignment,
@@ -9,9 +10,16 @@ Three modes are supported, matching the three dual categories:
 * ``hspa`` - implication algebras against ordered Stone spaces with the
              clopen-down-closure law.
 
-Every natural map is materialized in both directions and each verdict
-carries a concrete witness on failure; nothing is inferred from a cited
-result.
+A record holds the mode's dual and reconstruction functors, its object and
+morphism verifiers, how to read a space's points and truth lattice, and the
+checks and witness phrases in which the modes differ. One algebra-side round
+trip (``algebra_roundtrip``), one space-side round trip (``space_roundtrip``)
+and the functors on morphisms run off the record, as a natural duality is
+stated once for any dualizing object (Clark and Davey, *Natural Dualities
+for the Working Algebraist*, 1998). ``as_mode`` is the one place a mode is
+looked up by name. Every natural map is materialized in both directions and
+each verdict carries a concrete witness on failure; nothing is inferred from
+a cited result.
 
 One verification builds the same dual or map algebra several times: the
 algebra-side round trip dualizes the algebra its caller just dualized, the
@@ -36,24 +44,29 @@ from __future__ import annotations
 
 import contextlib
 import contextvars
+import dataclasses
 import functools
+from collections.abc import Callable
 from dataclasses import dataclass, field
 
 from .algebra import (
     Homomorphism,
+    check_lvl_axioms,
     compose_homs,
     enumerate_homs,
     hom_order_matrix,
     identity_hom,
     is_homomorphism,
     make_bdl,
+    make_heyting_ispi,
     make_lvl,
     relativized_implication,
     vector_algebra,
     vector_name,
 )
-from .errors import AlgebraError, BudgetExceeded
+from .errors import AlgebraError, BudgetExceeded, SpaceError
 from .lattice import (
+    FiniteLattice,
     Poset,
     _is_prime_filter,
     enumerate_subalgebras,
@@ -67,16 +80,18 @@ from .topology import (
     OrderedSpace,
     PbsObject,
     generate_topology,
+    is_pairwise_hausdorff,
     non_open_image,
     subset_mask,
     verify_hspa_morphism,
+    verify_hspa_object,
     verify_pbs_morphism,
+    verify_pbs_object,
     verify_pspa_morphism,
+    verify_pspa_object,
 )
 
 MAP_ENUM_LIMIT = 200_000  # maps kept by one map-algebra search
-
-MODES = ("pbs", "pspa", "hspa")
 
 # (function, id of its first argument, further arguments) -> (first
 # argument, result), while a verification scope is open
@@ -269,128 +284,6 @@ def lvl_reconstruct(obj):
     return _lvl_reconstruct(obj)[0]
 
 
-def check_lvl_algebra_roundtrip(algebra):
-    """The evaluation map a |-> (h |-> h(a)) into the double dual, checked
-    to be a well-defined lvl homomorphism and a bijection."""
-    report = DualityReport(mode="pbs", obj=algebra.name)
-    obj, homs = _lvl_dual(algebra)
-    double, vectors = _lvl_reconstruct(obj)
-    pos = {v: i for i, v in enumerate(vectors)}
-    report.cardinalities = {
-        "algebra": len(algebra),
-        "dual_points": len(homs),
-        "double_dual": len(double),
-    }
-    mapping = []
-    wd = PASS
-    for a in range(len(algebra)):
-        vec = tuple(h.mapping[a] for h in homs)
-        i = pos.get(vec)
-        if i is None:
-            wd = failed(
-                f"evaluation at {algebra.element_name(a)} is not a point of the double dual"
-            )
-            break
-        mapping.append(i)
-    report.record("well_defined", wd)
-    if not wd.passed:
-        for tag in ("homomorphism", "injective", "surjective"):
-            report.record(tag, failed("natural map is not well defined"))
-        return report
-    mapping = tuple(mapping)
-    report.record("homomorphism", is_homomorphism(mapping, algebra, double))
-    report.record("injective", _injective(mapping, algebra.element_name))
-    report.record("surjective", _surjective(mapping, len(double), double.element_name))
-    report.maps["forward"] = {
-        algebra.element_name(a): double.element_name(v) for a, v in enumerate(mapping)
-    }
-    if report.verdicts["injective"] and report.verdicts["surjective"]:
-        report.maps["inverse"] = {
-            double.element_name(v): algebra.element_name(a)
-            for a, v in enumerate(mapping)
-        }
-    return report
-
-
-def check_lvl_space_roundtrip(obj):
-    """The evaluation map s |-> (f |-> f(s)) into the dual of the function
-    algebra, checked to be a bijection, bicontinuous in both topologies,
-    and compatible with the subalgebra assignment."""
-    report = DualityReport(mode="pbs", obj=obj.name)
-    fa, vectors = _lvl_reconstruct(obj)
-    gf_obj, gf_homs = _lvl_dual(fa)
-    pos = {h.mapping: i for i, h in enumerate(gf_homs)}
-    n = len(obj.space.points)
-    report.cardinalities = {
-        "points": n,
-        "function_algebra": len(fa),
-        "double_dual_points": len(gf_homs),
-    }
-    mapping = []
-    wd = PASS
-    for s in range(n):
-        ev = tuple(vec[s] for vec in vectors)
-        i = pos.get(ev)
-        if i is None:
-            wd = failed(
-                f"evaluation at point {obj.space.points[s]} is not a hom of the function algebra"
-            )
-            break
-        mapping.append(i)
-    report.record("well_defined", wd)
-    if not wd.passed:
-        for tag in (
-            "injective",
-            "surjective",
-            "continuous_1",
-            "continuous_2",
-            "open_1",
-            "open_2",
-            "alpha_compatible",
-        ):
-            report.record(tag, failed("natural map is not well defined"))
-        return report
-    mapping = tuple(mapping)
-    report.record("injective", _injective(mapping, lambda i: obj.space.points[i]))
-    report.record(
-        "surjective", _surjective(mapping, len(gf_homs), lambda i: gf_obj.space.points[i])
-    )
-    morph = verify_pbs_morphism(mapping, obj, gf_obj)
-    report.record("continuous_1", morph["continuous_1"])
-    report.record("continuous_2", morph["continuous_2"])
-    for tag, src_t, dst_t in (
-        ("open_1", obj.space.topo1, gf_obj.space.topo1),
-        ("open_2", obj.space.topo2, gf_obj.space.topo2),
-    ):
-        bad = non_open_image(mapping, src_t, dst_t)
-        report.record(
-            tag,
-            PASS
-            if bad is None
-            else failed(
-                f"image of open {obj.space.subset_name(bad)} is not open in the double dual"
-            ),
-        )
-    res = PASS
-    for s in obj.alpha.subalgebras:
-        img = frozenset(mapping[p] for p in obj.alpha.image_of(s))
-        if img != gf_obj.alpha.image_of(s):
-            res = failed(
-                f"assignment image of {obj.alpha.subalgebra_name(s)} "
-                "does not match the double dual's"
-            )
-            break
-    report.record("alpha_compatible", res)
-    report.maps["forward"] = {
-        obj.space.points[s]: gf_obj.space.points[v] for s, v in enumerate(mapping)
-    }
-    if report.verdicts["injective"] and report.verdicts["surjective"]:
-        report.maps["inverse"] = {
-            gf_obj.space.points[v]: obj.space.points[s] for s, v in enumerate(mapping)
-        }
-    return report
-
-
 # ---------------------------------------------------------------------------
 # bounded lattices <-> ordered Stone spaces (pspa mode)
 # ---------------------------------------------------------------------------
@@ -461,185 +354,6 @@ def priestley_reconstruct(space, truth):
     """Algebra of continuous order-preserving maps into the truth lattice,
     with pointwise lattice operations."""
     return _priestley_reconstruct(space, truth)[0]
-
-
-def _injective(mapping, namer):
-    seen = {}
-    for i, v in enumerate(mapping):
-        if v in seen:
-            return failed(f"{namer(seen[v])} and {namer(i)} collapse")
-        seen[v] = i
-    return PASS
-
-
-def _surjective(mapping, size, namer):
-    missing = sorted(set(range(size)) - set(mapping))
-    if missing:
-        return failed(f"{namer(missing[0])} is not in the image")
-    return PASS
-
-
-def check_priestley_algebra_roundtrip(algebra):
-    """Evaluation a |-> (h |-> h(a)) into the map algebra of the dual space:
-    well-definedness, the lattice homomorphism law, and bijectivity."""
-    report = DualityReport(mode="pspa", obj=algebra.name)
-    space, homs = _priestley_dual(algebra)
-    double, vectors = _priestley_reconstruct(space, algebra.truth)
-    pos = {v: i for i, v in enumerate(vectors)}
-    report.cardinalities = {
-        "algebra": len(algebra),
-        "dual_points": len(homs),
-        "double_dual": len(double),
-    }
-    mapping = []
-    wd = PASS
-    for a in range(len(algebra)):
-        vec = tuple(h.mapping[a] for h in homs)
-        i = pos.get(vec)
-        if i is None:
-            wd = failed(
-                f"evaluation at {algebra.element_name(a)} is not a continuous "
-                "order-preserving map on the dual"
-            )
-            break
-        mapping.append(i)
-    report.record("well_defined", wd)
-    if not wd.passed:
-        for tag in ("homomorphism", "injective", "surjective"):
-            report.record(tag, failed("natural map is not well defined"))
-        return report
-    mapping = tuple(mapping)
-    report.record("homomorphism", is_homomorphism(mapping, algebra, double))
-    report.record("injective", _injective(mapping, algebra.element_name))
-    report.record("surjective", _surjective(mapping, len(double), double.element_name))
-    report.maps["forward"] = {
-        algebra.element_name(a): double.element_name(v) for a, v in enumerate(mapping)
-    }
-    if report.verdicts["injective"] and report.verdicts["surjective"]:
-        report.maps["inverse"] = {
-            double.element_name(v): algebra.element_name(a)
-            for a, v in enumerate(mapping)
-        }
-    return report
-
-
-def _delta_roundtrip(space, truth, mode, reconstruct, dualize):
-    """Shared body of the space-side round trips: evaluation
-    s |-> (f |-> f(s)) into the dual of the map algebra."""
-    report = DualityReport(mode=mode, obj=space.name)
-    ca, vectors = reconstruct(space, truth)
-    gc_space, gc_homs = dualize(ca)
-    pos = {h.mapping: i for i, h in enumerate(gc_homs)}
-    n = len(space.points)
-    report.cardinalities = {
-        "points": n,
-        "map_algebra": len(ca),
-        "double_dual_points": len(gc_homs),
-    }
-    mapping = []
-    wd = PASS
-    for s in range(n):
-        ev = tuple(vec[s] for vec in vectors)
-        i = pos.get(ev)
-        if i is None:
-            wd = failed(
-                f"evaluation at point {space.points[s]} is not a hom of the map algebra"
-            )
-            break
-        mapping.append(i)
-    report.record("well_defined", wd)
-    tags = [
-        "injective",
-        "surjective",
-        "continuous",
-        "open",
-        "order_preserving",
-        "order_reflecting",
-        "reflection_device",
-    ]
-    if mode == "hspa":
-        tags += ["back_condition", "inverse_back_condition"]
-    if not wd.passed:
-        for tag in tags:
-            report.record(tag, failed("natural map is not well defined"))
-        return report
-    mapping = tuple(mapping)
-    report.record("injective", _injective(mapping, lambda i: space.points[i]))
-    report.record(
-        "surjective", _surjective(mapping, len(gc_homs), lambda i: gc_space.points[i])
-    )
-    morph = verify_pspa_morphism(mapping, space, gc_space)
-    report.record("continuous", morph["continuous"])
-    bad = non_open_image(mapping, space.topo, gc_space.topo)
-    report.record(
-        "open",
-        PASS
-        if bad is None
-        else failed(
-            f"image of open {space.subset_name(bad)} is not open in the double dual"
-        ),
-    )
-    report.record("order_preserving", morph["order_preserving"])
-    res = PASS
-    for s1 in range(n):
-        for s2 in range(n):
-            if space.order.leq[s1][s2]:
-                continue
-            if gc_space.order.leq[mapping[s1]][mapping[s2]]:
-                res = failed(
-                    f"order reflection fails: images of {space.points[s1]}, "
-                    f"{space.points[s2]} are ordered but the points are not"
-                )
-                break
-        if not res.passed:
-            break
-    report.record("order_reflecting", res)
-    # the 0/1-split separating map from the proof: the indicator of the
-    # up-set of s1 separates s1 from every point not above it, so it must be
-    # a map of the algebra whenever such a point exists
-    vec_set = set(vectors)
-    res = PASS
-    for s1 in range(n):
-        if all(space.order.leq[s1]):
-            continue
-        up = space.order.upset(s1)
-        device = tuple(truth.top if p in up else truth.bottom for p in range(n))
-        if device not in vec_set:
-            res = failed(
-                f"indicator of the up-set of {space.points[s1]} is not a "
-                "map of the algebra; no separating witness"
-            )
-            break
-    report.record("reflection_device", res)
-    if mode == "hspa":
-        back = verify_hspa_morphism(mapping, space, gc_space)
-        report.record("back_condition", back["back_condition"])
-        if report.verdicts["injective"] and report.verdicts["surjective"]:
-            inverse = [0] * len(gc_homs)
-            for s, v in enumerate(mapping):
-                inverse[v] = s
-            back_inv = verify_hspa_morphism(tuple(inverse), gc_space, space)
-            report.record("inverse_back_condition", back_inv["back_condition"])
-        else:
-            report.record(
-                "inverse_back_condition", failed("no inverse: the map is not a bijection")
-            )
-    report.maps["forward"] = {
-        space.points[s]: gc_space.points[v] for s, v in enumerate(mapping)
-    }
-    if report.verdicts["injective"] and report.verdicts["surjective"]:
-        report.maps["inverse"] = {
-            gc_space.points[v]: space.points[s] for s, v in enumerate(mapping)
-        }
-    return report
-
-
-def check_priestley_space_roundtrip(space, truth):
-    """Space-side round trip for the ordered duality, including the
-    order-reflection biconditional from the reconstruction argument."""
-    return _delta_roundtrip(
-        space, truth, "pspa", _priestley_reconstruct, _priestley_dual
-    )
 
 
 # ---------------------------------------------------------------------------
@@ -754,65 +468,368 @@ def check_implication_preimage_identity(space, truth):
     return PASS
 
 
-def check_esakia_algebra_roundtrip(algebra):
-    """Algebra-side round trip for the implication duality: the evaluation
-    map must additionally preserve the relativized implication."""
-    report = DualityReport(mode="hspa", obj=algebra.name)
-    space, homs = _esakia_dual(algebra)
-    double, vectors = _esakia_reconstruct(space, algebra.truth)
-    pos = {v: i for i, v in enumerate(vectors)}
+# ---------------------------------------------------------------------------
+# the laws of the natural maps, by tag
+# ---------------------------------------------------------------------------
+
+
+def _implies_preserved(mapping, algebra, double):
+    for a in range(len(algebra)):
+        for b in range(len(algebra)):
+            if mapping[algebra.implies[a][b]] != double.implies[mapping[a]][mapping[b]]:
+                return failed(
+                    f"implication not preserved at ({algebra.element_name(a)}, "
+                    f"{algebra.element_name(b)})"
+                )
+    return PASS
+
+
+# algebra-side laws: (evaluation map, algebra, double dual) -> CheckResult
+_ALGEBRA_LAWS = {
+    "homomorphism": lambda *args: is_homomorphism(*args),
+    "implies_preserved": _implies_preserved,
+}
+
+
+def _open_images(mapping, src_topo, dst_topo, space):
+    bad = non_open_image(mapping, src_topo, dst_topo)
+    if bad is None:
+        return PASS
+    return failed(f"image of open {space.subset_name(bad)} is not open in the double dual")
+
+
+def _alpha_compatible(mapping, obj, gc_obj, *_):
+    alpha = obj.alpha
+    for s in alpha.subalgebras:
+        if frozenset(mapping[p] for p in alpha.image_of(s)) != gc_obj.alpha.image_of(s):
+            return failed(
+                f"assignment image of {alpha.subalgebra_name(s)} "
+                "does not match the double dual's"
+            )
+    return PASS
+
+
+def _order_reflecting(mapping, space, gc_space, *_):
+    n = len(space.points)
+    for s1 in range(n):
+        for s2 in range(n):
+            if not space.order.leq[s1][s2] and gc_space.order.leq[mapping[s1]][mapping[s2]]:
+                return failed(
+                    f"order reflection fails: images of {space.points[s1]}, "
+                    f"{space.points[s2]} are ordered but the points are not"
+                )
+    return PASS
+
+
+def _reflection_device(mapping, space, gc_space, vectors, truth):
+    # the 0/1-split separating map from the proof: the indicator of the
+    # up-set of s1 separates s1 from every point not above it, so it must be
+    # a map of the algebra whenever such a point exists
+    vec_set = set(vectors)
+    for s1, row in enumerate(space.order.leq):
+        if all(row):
+            continue
+        if tuple(truth.top if up else truth.bottom for up in row) not in vec_set:
+            return failed(
+                f"indicator of the up-set of {space.points[s1]} is not a "
+                "map of the algebra; no separating witness"
+            )
+    return PASS
+
+
+def _inverse_back_condition(mapping, space, gc_space, *_):
+    if sorted(mapping) != list(range(len(gc_space.points))):
+        return failed("no inverse: the map is not a bijection")
+    inverse = [0] * len(mapping)
+    for s, v in enumerate(mapping):
+        inverse[v] = s
+    return verify_hspa_morphism(tuple(inverse), gc_space, space)["back_condition"]
+
+
+# space-side laws that no morphism verifier reports: (evaluation map, space,
+# double dual, vectors of the map algebra, truth lattice) -> CheckResult
+_SPACE_LAWS = {
+    "open": lambda m, s, d, *_: _open_images(m, s.topo, d.topo, s),
+    "open_1": lambda m, s, d, *_: _open_images(m, s.space.topo1, d.space.topo1, s.space),
+    "open_2": lambda m, s, d, *_: _open_images(m, s.space.topo2, d.space.topo2, s.space),
+    "alpha_compatible": _alpha_compatible,
+    "order_reflecting": _order_reflecting,
+    "reflection_device": _reflection_device,
+    "inverse_back_condition": _inverse_back_condition,
+}
+
+
+# ---------------------------------------------------------------------------
+# the mode registry
+# ---------------------------------------------------------------------------
+
+
+@dataclass(frozen=True, kw_only=True)
+class Mode:
+    """One duality: its functors and verifiers, and the laws and phrases in
+    which it differs from the others. The round trips, the functors on
+    morphisms and the CLI read these fields and never branch on a mode's
+    name. A field that calls into another layer does so through this
+    module's globals (a lambda, not the captured function), so that a
+    profiler that rebinds the globals sees the call."""
+
+    name: str
+    dual: Callable  # algebra -> (dual space, its points as homs)
+    reconstruct: Callable  # (space, truth) -> (map algebra, its carrier as vectors)
+    verify_object: Callable  # space -> {tag: CheckResult}
+    verify_morphism: Callable  # (mapping, src, dst) -> {tag: CheckResult}
+    space_type: type  # the class of the mode's spaces
+    points: Callable  # space -> its point names
+    space_truth: Callable | None = None  # space -> its truth lattice; None: given beside it
+    from_lattice: Callable  # (lattice, truth) -> the algebra a lattice document gives
+    axioms: Callable | None = None  # algebra -> AxiomReport, checked before dualizing
+    algebra_miss: str  # what an evaluation outside the double dual is not
+    algebra_laws: tuple = ("homomorphism",)  # tags of _ALGEBRA_LAWS, in order
+    map_algebra: str  # cardinality key of the map algebra of a space
+    space_laws: tuple  # tags of the morphism verifier or of _SPACE_LAWS, in order
+    dual_checks: tuple = ()  # (tag, algebra -> CheckResult), reported with the dual
+    describe: Callable  # dual space -> details of the dualize report
+    space_details: Callable = lambda space: {}  # space -> details of verify-space
+    rebuilt_details: Callable = lambda space, truth: {}  # details of reconstruct
+
+    def check_space(self, space, truth=None):
+        """The truth lattice the mode reads ``space`` over: the space's own,
+        or ``truth``, which must then be a lattice."""
+        if not isinstance(space, self.space_type):
+            raise SpaceError(
+                "wrong-kind",
+                f"{self.name} mode needs a {self.space_type.__name__}; "
+                f"{getattr(space, 'name', space)!r} is a {type(space).__name__}",
+            )
+        if self.space_truth is not None:
+            return self.space_truth(space)
+        if not isinstance(truth, FiniteLattice):
+            raise AlgebraError(
+                "missing-truth", f"{self.name} mode needs a truth lattice, not {truth!r}"
+            )
+        return truth
+
+
+def _verify_esakia_object(space):
+    try:
+        hspa = verify_hspa_object(space)
+    except SpaceError as exc:
+        hspa = failed(str(exc))
+    return {"pspa_object": verify_pspa_object(space), "hspa_object": hspa}
+
+
+def _describe_ordered(space):
+    points, leq = space.points, space.order.leq
+    return {
+        "points": list(points),
+        "opens": space.topo.open_count,
+        "order": [
+            f"{points[i]}<={points[j]}"
+            for i in range(len(points))
+            for j in range(len(points))
+            if i != j and leq[i][j]
+        ],
+    }
+
+
+def _preimage_identity_detail(space, truth):
+    claim = check_implication_preimage_identity(space, truth)
+    return {"implication_preimage_identity": "holds" if claim.passed else claim.witness}
+
+
+PBS = Mode(
+    name="pbs",
+    dual=lambda algebra: _lvl_dual(algebra),
+    reconstruct=lambda obj, truth: _lvl_reconstruct(obj),
+    verify_object=lambda obj: verify_pbs_object(obj),
+    verify_morphism=lambda *args: verify_pbs_morphism(*args),
+    space_type=PbsObject,
+    points=lambda obj: obj.space.points,
+    space_truth=lambda obj: obj.alpha.truth,
+    from_lattice=lambda lattice, truth: make_lvl(lattice),
+    axioms=lambda algebra: check_lvl_axioms(algebra),
+    algebra_miss="a point of the double dual",
+    map_algebra="function_algebra",
+    space_laws=("continuous_1", "continuous_2", "open_1", "open_2", "alpha_compatible"),
+    describe=lambda obj: {
+        "points": list(obj.space.points),
+        "opens_1": obj.space.topo1.open_count,
+        "opens_2": obj.space.topo2.open_count,
+        "second_topology_inside_first": check_second_topology_inclusion(obj).passed,
+    },
+    space_details=lambda obj: {
+        "hausdorff_ordered_reading": is_pairwise_hausdorff(obj.space, mode="ordered").passed
+    },
+)
+PSPA = Mode(
+    name="pspa",
+    dual=lambda algebra: _priestley_dual(algebra),
+    reconstruct=lambda space, truth: _priestley_reconstruct(space, truth),
+    verify_object=lambda space: {"pspa_object": verify_pspa_object(space)},
+    verify_morphism=lambda *args: verify_pspa_morphism(*args),
+    space_type=OrderedSpace,
+    points=lambda space: space.points,
+    from_lattice=lambda lattice, truth: make_bdl(lattice, truth),
+    algebra_miss="a continuous order-preserving map on the dual",
+    map_algebra="map_algebra",
+    space_laws=(
+        "continuous",
+        "open",
+        "order_preserving",
+        "order_reflecting",
+        "reflection_device",
+    ),
+    describe=_describe_ordered,
+)
+HSPA = dataclasses.replace(
+    PSPA,
+    name="hspa",
+    dual=lambda algebra: _esakia_dual(algebra),
+    reconstruct=lambda space, truth: _esakia_reconstruct(space, truth),
+    verify_object=_verify_esakia_object,
+    verify_morphism=lambda *args: verify_hspa_morphism(*args),
+    from_lattice=lambda lattice, truth: make_heyting_ispi(lattice, truth),
+    algebra_miss="a map of the double dual",
+    algebra_laws=("homomorphism", "implies_preserved"),
+    space_laws=PSPA.space_laws + ("back_condition", "inverse_back_condition"),
+    dual_checks=(
+        ("downclosure_identity", lambda algebra: check_downclosure_identity(algebra)),
+    ),
+    rebuilt_details=_preimage_identity_detail,
+)
+MODES = {mode.name: mode for mode in (PBS, PSPA, HSPA)}
+
+
+def as_mode(mode):
+    """The record of a mode, given the record or its name: the one place a
+    mode is looked up by name."""
+    if isinstance(mode, Mode):
+        return mode
+    try:
+        return MODES[mode]
+    except (KeyError, TypeError):
+        raise AlgebraError("unknown-mode", f"unknown duality mode {mode!r}") from None
+
+
+# ---------------------------------------------------------------------------
+# the round trips
+# ---------------------------------------------------------------------------
+
+
+def _index(images, targets, miss):
+    """The position of each image among the targets, and ``well_defined``;
+    at the first image i that is no target, None and the witness
+    ``miss(i)``."""
+    pos = {t: i for i, t in enumerate(targets)}
+    mapping = []
+    for i, image in enumerate(images):
+        j = pos.get(image)
+        if j is None:
+            return None, failed(miss(i))
+        mapping.append(j)
+    return tuple(mapping), PASS
+
+
+def _not_well_defined(report, tags):
+    for tag in tags:
+        report.record(tag, failed("natural map is not well defined"))
+    return report
+
+
+def _record_bijection(report, mapping, size, name, target_name):
+    """Record whether ``mapping`` is one-to-one and onto range(size), and
+    the map (and its inverse, when it has one) by name."""
+    seen = {}
+    res = PASS
+    for i, v in enumerate(mapping):
+        if v in seen:
+            res = failed(f"{name(seen[v])} and {name(i)} collapse")
+            break
+        seen[v] = i
+    report.record("injective", res)
+    missing = sorted(set(range(size)) - set(mapping))
+    report.record(
+        "surjective",
+        failed(f"{target_name(missing[0])} is not in the image") if missing else PASS,
+    )
+    report.maps["forward"] = {name(a): target_name(v) for a, v in enumerate(mapping)}
+    if res.passed and not missing:
+        report.maps["inverse"] = {target_name(v): name(a) for a, v in enumerate(mapping)}
+
+
+def algebra_roundtrip(mode, algebra):
+    """The evaluation map a |-> (h |-> h(a)) into the double dual, checked
+    to be a well-defined homomorphism that keeps the mode's further
+    operations, and a bijection."""
+    mode = as_mode(mode)
+    report = DualityReport(mode=mode.name, obj=algebra.name)
+    space, homs = mode.dual(algebra)
+    double, vectors = mode.reconstruct(space, algebra.truth)
     report.cardinalities = {
         "algebra": len(algebra),
         "dual_points": len(homs),
         "double_dual": len(double),
     }
-    mapping = []
-    wd = PASS
-    for a in range(len(algebra)):
-        vec = tuple(h.mapping[a] for h in homs)
-        i = pos.get(vec)
-        if i is None:
-            wd = failed(
-                f"evaluation at {algebra.element_name(a)} is not a map of the double dual"
-            )
-            break
-        mapping.append(i)
+    name = algebra.element_name
+    mapping, wd = _index(
+        (tuple(h.mapping[a] for h in homs) for a in range(len(algebra))),
+        vectors,
+        lambda a: f"evaluation at {name(a)} is not {mode.algebra_miss}",
+    )
     report.record("well_defined", wd)
-    if not wd.passed:
-        for tag in ("homomorphism", "implies_preserved", "injective", "surjective"):
-            report.record(tag, failed("natural map is not well defined"))
-        return report
-    mapping = tuple(mapping)
-    report.record("homomorphism", is_homomorphism(mapping, algebra, double))
-    res = PASS
-    for a in range(len(algebra)):
-        for b in range(len(algebra)):
-            if mapping[algebra.implies[a][b]] != double.implies[mapping[a]][mapping[b]]:
-                res = failed(
-                    f"implication not preserved at ({algebra.element_name(a)}, "
-                    f"{algebra.element_name(b)})"
-                )
-                break
-        if not res.passed:
-            break
-    report.record("implies_preserved", res)
-    report.record("injective", _injective(mapping, algebra.element_name))
-    report.record("surjective", _surjective(mapping, len(double), double.element_name))
-    report.maps["forward"] = {
-        algebra.element_name(a): double.element_name(v) for a, v in enumerate(mapping)
-    }
-    if report.verdicts["injective"] and report.verdicts["surjective"]:
-        report.maps["inverse"] = {
-            double.element_name(v): algebra.element_name(a)
-            for a, v in enumerate(mapping)
-        }
+    if mapping is None:
+        return _not_well_defined(report, (*mode.algebra_laws, "injective", "surjective"))
+    for tag in mode.algebra_laws:
+        report.record(tag, _ALGEBRA_LAWS[tag](mapping, algebra, double))
+    _record_bijection(report, mapping, len(double), name, double.element_name)
     return report
 
 
+def space_roundtrip(mode, space, truth=None):
+    """The evaluation map s |-> (f |-> f(s)) into the dual of the map
+    algebra, checked to be a bijection and an isomorphism of the mode's
+    spaces. ``truth`` is needed by the modes whose spaces do not carry
+    their truth lattice."""
+    mode = as_mode(mode)
+    truth = mode.check_space(space, truth)
+    report = DualityReport(mode=mode.name, obj=space.name)
+    ca, vectors = mode.reconstruct(space, truth)
+    gc_space, gc_homs = mode.dual(ca)
+    points = mode.points(space)
+    report.cardinalities = {
+        "points": len(points),
+        mode.map_algebra: len(ca),
+        "double_dual_points": len(gc_homs),
+    }
+    mapping, wd = _index(
+        (tuple(vec[s] for vec in vectors) for s in range(len(points))),
+        (h.mapping for h in gc_homs),
+        lambda s: f"evaluation at point {points[s]} is not a hom of the "
+        + mode.map_algebra.replace("_", " "),
+    )
+    report.record("well_defined", wd)
+    if mapping is None:
+        return _not_well_defined(report, ("injective", "surjective", *mode.space_laws))
+    gc_points = mode.points(gc_space)
+    _record_bijection(report, mapping, len(gc_homs), points.__getitem__, gc_points.__getitem__)
+    morph = mode.verify_morphism(mapping, space, gc_space)
+    for tag in mode.space_laws:
+        law = _SPACE_LAWS.get(tag)
+        res = morph[tag] if law is None else law(mapping, space, gc_space, vectors, truth)
+        report.record(tag, res)
+    return report
+
+
+def check_esakia_algebra_roundtrip(algebra):
+    """``algebra_roundtrip`` in hspa mode, by the name perfbench's powers
+    workload calls."""
+    return algebra_roundtrip(HSPA, algebra)
+
+
 def check_esakia_space_roundtrip(space, truth):
-    """Space-side round trip for the implication duality, with the back
-    condition checked for the evaluation map and its inverse."""
-    return _delta_roundtrip(space, truth, "hspa", _esakia_reconstruct, _esakia_dual)
+    """``space_roundtrip`` in hspa mode, by the name perfbench's powers
+    workload calls."""
+    return space_roundtrip(HSPA, space, truth)
 
 
 # ---------------------------------------------------------------------------
@@ -836,78 +853,46 @@ class DualizedMap:
         return all(r.passed for r in self.checks.values())
 
 
-def _dual_of(algebra, mode):
-    if mode == "pbs":
-        return _lvl_dual(algebra)
-    if mode == "pspa":
-        return _priestley_dual(algebra)
-    if mode == "hspa":
-        return _esakia_dual(algebra)
-    raise AlgebraError("unknown-mode", f"unknown duality mode {mode!r}")
-
-
 def dual_map_of_hom(hom, mode):
     """Precomposition: a homomorphism f: A -> B dualizes to the point map
     from the dual of B to the dual of A sending mu to mu o f. The verdict
     bundle certifies arrow-hood in the space category."""
-    dst_obj, dst_homs = _dual_of(hom.source, mode)
-    src_obj, src_homs = _dual_of(hom.target, mode)
-    pos = {h.mapping: i for i, h in enumerate(dst_homs)}
-    mapping = []
-    wd = PASS
-    for k, mu in enumerate(src_homs):
-        comp = tuple(mu.mapping[v] for v in hom.mapping)
-        i = pos.get(comp)
-        if i is None:
-            wd = failed(f"composite through point h{k} is not a point of the dual")
-            break
-        mapping.append(i)
+    mode = as_mode(mode)
+    dst_obj, dst_homs = mode.dual(hom.source)
+    src_obj, src_homs = mode.dual(hom.target)
+    mapping, wd = _index(
+        (tuple(mu.mapping[v] for v in hom.mapping) for mu in src_homs),
+        (h.mapping for h in dst_homs),
+        lambda k: f"composite through point h{k} is not a point of the dual",
+    )
     checks = {"well_defined": wd}
-    mapping = tuple(mapping) if wd.passed else ()
-    if wd.passed:
-        if mode == "pbs":
-            checks.update(verify_pbs_morphism(mapping, src_obj, dst_obj))
-        elif mode == "pspa":
-            checks.update(verify_pspa_morphism(mapping, src_obj, dst_obj))
-        else:
-            checks.update(verify_hspa_morphism(mapping, src_obj, dst_obj))
-    return DualizedMap(mode, mapping, src_obj, dst_obj, checks)
+    if mapping is None:
+        mapping = ()
+    else:
+        checks.update(mode.verify_morphism(mapping, src_obj, dst_obj))
+    return DualizedMap(mode.name, mapping, src_obj, dst_obj, checks)
 
 
 def dual_hom_of_map(mapping, src, dst, mode, truth=None):
     """Precomposition on the algebra side: a space map phi: src -> dst
     dualizes to the homomorphism from the map algebra of dst to the map
-    algebra of src."""
-    if mode == "pbs":
-        fd, dvec = _lvl_reconstruct(dst)
-        fs, svec = _lvl_reconstruct(src)
-        n_src = len(src.space.points)
-    elif mode == "pspa":
-        fd, dvec = _priestley_reconstruct(dst, truth)
-        fs, svec = _priestley_reconstruct(src, truth)
-        n_src = len(src.points)
-    elif mode == "hspa":
-        fd, dvec = _esakia_reconstruct(dst, truth)
-        fs, svec = _esakia_reconstruct(src, truth)
-        n_src = len(src.points)
-    else:
-        raise AlgebraError("unknown-mode", f"unknown duality mode {mode!r}")
-    pos = {v: i for i, v in enumerate(svec)}
-    out = []
-    wd = PASS
-    for vec in dvec:
-        comp = tuple(vec[mapping[s]] for s in range(n_src))
-        i = pos.get(comp)
-        if i is None:
-            wd = failed(
-                f"composite of {vector_name(fd.truth, vec)} is not a map on the source"
-            )
-            break
-        out.append(i)
+    algebra of src. ``truth`` is needed by the modes whose spaces do not
+    carry their truth lattice."""
+    mode = as_mode(mode)
+    truth = mode.check_space(src, truth)
+    mode.check_space(dst, truth)
+    fd, dvec = mode.reconstruct(dst, truth)
+    fs, svec = mode.reconstruct(src, truth)
+    n_src = len(mode.points(src))
+    out, wd = _index(
+        (tuple(vec[mapping[s]] for s in range(n_src)) for vec in dvec),
+        svec,
+        lambda i: f"composite of {vector_name(fd.truth, dvec[i])} is not a map on the source",
+    )
     checks = {"well_defined": wd}
     hom = None
-    if wd.passed:
-        hom = Homomorphism(fd, fs, tuple(out))
+    if out is not None:
+        hom = Homomorphism(fd, fs, out)
         checks["homomorphism"] = is_homomorphism(hom.mapping, fd, fs)
     return hom, checks
 

@@ -10,14 +10,14 @@ from dualbench.algebra import (
     product_algebra,
 )
 from dualbench.duality import (
+    HSPA,
+    PBS,
+    PSPA,
+    algebra_roundtrip,
     check_downclosure_identity,
     check_esakia_algebra_roundtrip,
     check_esakia_space_roundtrip,
     check_implication_preimage_identity,
-    check_lvl_algebra_roundtrip,
-    check_lvl_space_roundtrip,
-    check_priestley_algebra_roundtrip,
-    check_priestley_space_roundtrip,
     check_second_topology_inclusion,
     dual_hom_of_map,
     dual_map_of_hom,
@@ -29,6 +29,7 @@ from dualbench.duality import (
     lvl_reconstruct,
     priestley_dual,
     priestley_reconstruct,
+    space_roundtrip,
     spectrum_correspondence,
     verification_scope,
 )
@@ -122,9 +123,9 @@ def test_lvl_reconstruct_alpha_filters_carrier(chain3):
 
 
 def test_lvl_algebra_roundtrip_examples(chain2, chain3):
-    rep = check_lvl_algebra_roundtrip(make_lvl(chain2))
+    rep = algebra_roundtrip(PBS, make_lvl(chain2))
     assert rep.passed and rep.cardinalities["double_dual"] == 2
-    rep = check_lvl_algebra_roundtrip(make_lvl(chain3))
+    rep = algebra_roundtrip(PBS, make_lvl(chain3))
     assert rep.passed and rep.cardinalities["double_dual"] == 3
 
 
@@ -137,21 +138,21 @@ def canonical_pbs(truth):
 
 def test_lvl_space_roundtrip_canonical_object(chain2, chain3):
     for truth in (chain2, chain3):
-        rep = check_lvl_space_roundtrip(canonical_pbs(truth))
+        rep = space_roundtrip(PBS, canonical_pbs(truth))
         assert rep.passed, rep.witnesses
 
 
 def test_lvl_space_roundtrip_on_duals(chain2, b2):
     for truth in (chain2, b2):
         algebra = product_algebra(make_lvl(truth), make_lvl(truth))
-        rep = check_lvl_space_roundtrip(lvl_dual(algebra))
+        rep = space_roundtrip(PBS, lvl_dual(algebra))
         assert rep.passed, rep.witnesses
 
 
 def test_lvl_space_roundtrip_boolean_canonical(b2):
     # four points, a 64-element function algebra, and exactly the four
     # evaluations coming back
-    rep = check_lvl_space_roundtrip(canonical_pbs(b2))
+    rep = space_roundtrip(PBS, canonical_pbs(b2))
     assert rep.passed, rep.witnesses
     assert rep.cardinalities == {
         "points": 4,
@@ -171,7 +172,7 @@ def test_lvl_space_roundtrip_alpha_constrained(chain3):
         space,
         AlphaAssignment(chain3, subs, tuple(frozenset({0, 1}) for _ in subs)),
     )
-    rep = check_lvl_space_roundtrip(obj)
+    rep = space_roundtrip(PBS, obj)
     assert rep.passed, rep.witnesses
     assert rep.cardinalities["function_algebra"] == 4
 
@@ -205,17 +206,17 @@ def test_priestley_reconstruct_examples(chain2):
 def test_priestley_roundtrips_truth_two(small_lattices, chain2):
     for lat in small_lattices:
         algebra = make_bdl(lat, chain2)
-        assert check_priestley_algebra_roundtrip(algebra).passed
+        assert algebra_roundtrip(PSPA, algebra).passed
         space = priestley_dual(algebra)
         assert verify_pspa_object(space).passed
-        assert check_priestley_space_roundtrip(space, chain2).passed
+        assert space_roundtrip(PSPA, space, chain2).passed
 
 
 def test_priestley_roundtrip_fails_truth_three(chain2, chain3):
     # over a three-element truth lattice the one-point dual of the two-chain
     # reconstructs to a three-element map algebra, so evaluation cannot be
     # onto; the workbench reports exactly that
-    rep = check_priestley_algebra_roundtrip(make_bdl(chain2, chain3))
+    rep = algebra_roundtrip(PSPA, make_bdl(chain2, chain3))
     assert rep.cardinalities == {
         "algebra": 2,
         "dual_points": 1,
@@ -232,7 +233,7 @@ def test_priestley_roundtrip_fails_truth_three(chain2, chain3):
 def test_delta_reflection_device(small_lattices, chain2):
     for lat in small_lattices:
         space = priestley_dual(make_bdl(lat, chain2))
-        rep = check_priestley_space_roundtrip(space, chain2)
+        rep = space_roundtrip(PSPA, space, chain2)
         assert rep.verdicts["order_reflecting"]
         assert rep.verdicts["reflection_device"]
 
@@ -373,19 +374,13 @@ def _all_results(mode, algebras):
     """Every report, verdict and witness that the cached constructions feed,
     in the order a corpus instance builds them."""
     out = []
+    record = duality.MODES[mode]
     for alg in algebras:
-        if mode == "pbs":
-            out.append(check_lvl_algebra_roundtrip(alg).to_dict())
-            out.append(check_lvl_space_roundtrip(lvl_dual(alg)).to_dict())
-        elif mode == "pspa":
-            out.append(check_priestley_algebra_roundtrip(alg).to_dict())
-            space = priestley_dual(alg)
-            out.append(check_priestley_space_roundtrip(space, alg.truth).to_dict())
-        else:
-            out.append(check_downclosure_identity(alg))
-            out.append(check_esakia_algebra_roundtrip(alg).to_dict())
-            space = esakia_dual(alg)
-            out.append(check_esakia_space_roundtrip(space, alg.truth).to_dict())
+        for _, check in record.dual_checks:
+            out.append(check(alg))
+        out.append(algebra_roundtrip(record, alg).to_dict())
+        space = record.dual(alg)[0]
+        out.append(space_roundtrip(record, space, alg.truth).to_dict())
         out.append(functor_identity_check(alg, mode))
     for a in algebras:
         for b in algebras:
