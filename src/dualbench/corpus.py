@@ -558,7 +558,7 @@ def suite_functoriality(lattices, frames, seed, budget=DEFAULT_POWER_BUDGET, wan
             if not res.passed:
                 suite.fail(f"{mode.name}: {res.witness}")
         pairs = _sample_pairs(homsets, rng, want)
-        counts[mode.name] = len(pairs)
+        counts[mode.name] = counts.get(mode.name, 0) + len(pairs)
         for f, g in pairs:
             res = functor_composition_check(f, g, mode)
             if not res.passed:
@@ -569,27 +569,9 @@ def suite_functoriality(lattices, frames, seed, budget=DEFAULT_POWER_BUDGET, wan
 
     # homs only exist within one truth lattice, so the pbs pool is split by
     # truth and the pair counts are added up
-    pbs_pairs = 0
     for truth in (chain_lattice(2), chain_lattice(3), diamond_lattice()):
         base = make_lvl(truth)
-        group = [base, product_algebra(base, base)]
-        for obj in group:
-            res = functor_identity_check(obj, PBS)
-            if not res.passed:
-                suite.fail(f"pbs: {res.witness}")
-        hs = {}
-        for i, a in enumerate(group):
-            for j, b in enumerate(group):
-                homs = enumerate_homs(a, b)
-                if homs:
-                    hs[(i, j)] = homs
-        pairs = _sample_pairs(hs, rng, want)
-        pbs_pairs += len(pairs)
-        for f, g in pairs:
-            res = functor_composition_check(f, g, PBS)
-            if not res.passed:
-                suite.fail(f"pbs: {res.witness}")
-    counts[PBS.name] = pbs_pairs
+        run_mode(PBS, [base, product_algebra(base, base)])
 
     pspa_objects = [make_bdl(lat, truth2) for lat in lattices if len(lat) <= 5]
     run_mode(PSPA, pspa_objects)

@@ -598,8 +598,8 @@ class Mode:
         if not isinstance(space, self.space_type):
             raise SpaceError(
                 "wrong-kind",
-                f"{self.name} mode needs a {self.space_type.__name__}; "
-                f"{getattr(space, 'name', space)!r} is a {type(space).__name__}",
+                f"{self.name} mode needs a space of type {self.space_type.__name__}; "
+                f"{getattr(space, 'name', space)!r} is of type {type(space).__name__}",
             )
         if self.space_truth is not None:
             return self.space_truth(space)

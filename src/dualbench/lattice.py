@@ -148,6 +148,38 @@ class FiniteLattice(Poset):
             for j in irreducibles
         )
 
+    @cached_property
+    def prime_filters(self):
+        """All prime filters, canonically ordered by (size, lexicographic),
+        computed once per lattice.
+
+        A filter of a finite lattice contains the meet of its members, so it
+        is the principal filter of that meet. The principal filter of a is
+        proper when a is not the bottom, and prime exactly when a is
+        join-prime: no join of two elements outside it lies above a. So the
+        prime filters come from one O(n^3) pass over the elements, on any
+        finite lattice, distributive or not.
+        """
+        n = len(self)
+        leq, join = self.leq, self.join
+        found = []
+        for a in range(n):
+            if a == self.bottom:
+                continue
+            above = leq[a]
+            outside = [x for x in range(n) if not above[x]]
+            if not any(above[join[x][y]] for x in outside for y in outside):
+                found.append(frozenset(x for x in range(n) if above[x]))
+        return canonical_subset_order(found)
+
+    @cached_property
+    def prime_ideals(self):
+        """Prime ideals as complements of the prime filters, in filter
+        order. The parallel ordering makes the complementation bijection
+        positional."""
+        full = frozenset(range(len(self)))
+        return tuple(full - f for f in self.prime_filters)
+
 
 def _transitive_reflexive_closure(n, pairs):
     """The reflexive-transitive closure as a bool matrix, by Warshall's
@@ -414,35 +446,15 @@ def _is_prime_filter(lattice, subset):
 
 
 def prime_filters(lattice):
-    """All prime filters, canonically ordered by (size, lexicographic).
-
-    A filter of a finite lattice contains the meet of its members, so it is
-    the principal filter of that meet. The principal filter of a is proper
-    when a is not the bottom, and prime exactly when a is join-prime: no
-    join of two elements outside it lies above a. So the prime filters
-    come from one O(n^3) pass over the elements, on any finite lattice,
-    distributive or not.
-    """
-    n = len(lattice)
-    leq, join = lattice.leq, lattice.join
-    found = []
-    for a in range(n):
-        if a == lattice.bottom:
-            continue
-        above = leq[a]
-        outside = [x for x in range(n) if not above[x]]
-        if not any(above[join[x][y]] for x in outside for y in outside):
-            found.append(frozenset(x for x in range(n) if above[x]))
-    return canonical_subset_order(found)
+    """All prime filters, canonically ordered by (size, lexicographic); see
+    ``FiniteLattice.prime_filters``."""
+    return lattice.prime_filters
 
 
 def prime_ideals(lattice):
-    """Prime ideals as complements of the prime filters, in filter order.
-
-    The parallel ordering makes the complementation bijection positional.
-    """
-    full = frozenset(range(len(lattice)))
-    return tuple(full - f for f in prime_filters(lattice))
+    """Prime ideals as complements of the prime filters, in filter order;
+    see ``FiniteLattice.prime_ideals``."""
+    return lattice.prime_ideals
 
 
 def is_prime_ideal(lattice, subset):
@@ -473,9 +485,9 @@ def separating_prime_ideal(lattice, x, y):
     Existence is guaranteed by distributivity on finite carriers; the
     classical one-sided statement fails when x is the top, so the symmetric
     form is what is implemented. The ideals are the complements of the
-    prime filters, so each call costs one O(n^3) filter pass and a scan
-    over at most n ideals; on a lattice that is not distributive the
-    search can come up empty, and ``separation-failed`` is raised.
+    prime filters, found once per lattice, so each call scans at most n
+    ideals; on a lattice that is not distributive the search can come up
+    empty, and ``separation-failed`` is raised.
     """
     lattice._check(x)
     lattice._check(y)

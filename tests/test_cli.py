@@ -182,6 +182,28 @@ def test_reconstruct_modes(capsys):
     assert code == 0 and "clause_i: PASS" in out
 
 
+def test_mode_choices_come_from_the_registry():
+    parser = cli._build_parser()
+    commands = next(a for a in parser._actions if a.dest == "command").choices
+    for name in ("dualize", "reconstruct", "roundtrip", "verify-space"):
+        (mode,) = [a for a in commands[name]._actions if a.dest == "mode"]
+        assert mode.choices == tuple(duality.MODES)
+
+
+def test_space_of_the_wrong_kind_exits_two_naming_it(capsys):
+    code, out, err = run_cli(
+        ["reconstruct", doc("pbs-chain2.doc"), "--mode", "hspa"], capsys
+    )
+    assert (code, out) == (2, "")
+    assert "hspa mode needs a space of type OrderedSpace" in err
+    assert "'pbs-chain2' is of type PbsObject" in err
+    code, out, err = run_cli(
+        ["verify-space", doc("pspa-chain2.doc"), "--mode", "pbs"], capsys
+    )
+    assert (code, out) == (2, "")
+    assert "'pspa-chain2' is of type OrderedSpace" in err
+
+
 def test_budget_env_override(capsys, monkeypatch):
     monkeypatch.setenv("DUALITY_BUDGET", "2")
     code, _, err = run_cli(["power", doc("power22.doc")], capsys)

@@ -1,3 +1,6 @@
+import ast
+import pathlib
+
 import pytest
 
 from dualbench import duality
@@ -34,6 +37,7 @@ from dualbench.duality import (
     verification_scope,
 )
 from dualbench.corpus import corpus_frames, corpus_lattices, corpus_run
+from dualbench.errors import AlgebraError, SpaceError
 from dualbench.kripke import intuitionistic_power, upset_algebra
 from dualbench.lattice import (
     chain_lattice,
@@ -352,6 +356,60 @@ def test_dual_hom_of_map_pbs(chain2):
     obj = lvl_dual(product_algebra(make_lvl(chain2), make_lvl(chain2)))
     hom, checks = dual_hom_of_map((1, 0), obj, obj, "pbs")
     assert all(r.passed for r in checks.values())
+
+
+def test_dual_hom_of_map_names_what_is_missing(chain2):
+    # an ordered space is read over a truth lattice given beside it, and a
+    # bitopological object is no ordered space: both are typed errors now,
+    # not a TypeError or an AttributeError from deep inside the functor
+    space = priestley_dual(make_bdl(chain_lattice(3), chain2))
+    with pytest.raises(AlgebraError, match="pspa mode needs a truth lattice"):
+        dual_hom_of_map((0, 1), space, space, "pspa")
+    obj = lvl_dual(make_lvl(chain2))
+    with pytest.raises(SpaceError, match="pspa mode needs a space of type OrderedSpace"):
+        dual_hom_of_map((0,), obj, obj, "pspa", truth=chain2)
+    with pytest.raises(SpaceError, match="pbs mode needs a space of type PbsObject"):
+        dual_hom_of_map((0, 1), space, space, "pbs")
+    with pytest.raises(AlgebraError, match="unknown duality mode 'esakia'"):
+        dual_hom_of_map((0, 1), space, space, "esakia", truth=chain2)
+
+
+def test_modes_are_looked_up_by_record_or_name():
+    assert list(duality.MODES) == ["pbs", "pspa", "hspa"]
+    for name, mode in duality.MODES.items():
+        assert mode.name == name
+        assert duality.as_mode(name) is duality.as_mode(mode) is mode
+
+
+def _mode_name_comparisons(tree, names):
+    """(line, source) of each ==, !=, in or not in comparison with a mode
+    name as a string constant on either side, alone or in a literal
+    tuple, list or set."""
+    for node in ast.walk(tree):
+        if not isinstance(node, ast.Compare):
+            continue
+        if not all(isinstance(op, (ast.Eq, ast.NotEq, ast.In, ast.NotIn)) for op in node.ops):
+            continue
+        operands = []
+        for o in (node.left, *node.comparators):
+            operands += o.elts if isinstance(o, (ast.Tuple, ast.List, ast.Set)) else [o]
+        if any(isinstance(o, ast.Constant) and o.value in names for o in operands):
+            yield node.lineno, ast.unparse(node)
+
+
+def test_modes_are_dispatched_in_one_place():
+    # modes are told apart by their records: no module of the package
+    # compares a value with a mode's name, so a new mode is one new record
+    names = set(duality.MODES)
+    package = pathlib.Path(duality.__file__).parent
+    found = {
+        path.name: list(_mode_name_comparisons(ast.parse(path.read_text()), names))
+        for path in sorted(package.glob("*.py"))
+    }
+    assert {k: v for k, v in found.items() if v} == {}
+    # and the check does see such a comparison
+    sample = ast.parse('if mode == "pspa" or "hspa" != m or m in ("pbs",):\n    pass\n')
+    assert len(list(_mode_name_comparisons(sample, names))) == 3
 
 
 # --- verification scope -----------------------------------------------------

@@ -158,6 +158,16 @@ def test_prime_filter_examples(chain2, chain3, b2):
     assert [b2.names(f) for f in prime_filters(b2)] == [("a", "1"), ("b", "1")]
 
 
+def test_prime_filters_are_found_once_per_lattice(small_lattices):
+    # separating_prime_ideal is asked about every pair of a lattice, so the
+    # filter pass runs once and every later call reads the same tuple
+    for lat in small_lattices:
+        assert prime_filters(lat) is prime_filters(lat) is lat.prime_filters
+        assert prime_ideals(lat) is prime_ideals(lat) is lat.prime_ideals
+        full = frozenset(range(len(lat)))
+        assert prime_ideals(lat) == tuple(full - f for f in brute_prime_filters(lat))
+
+
 def test_prime_filters_against_oracle(small_lattices):
     for lat in small_lattices:
         assert list(prime_filters(lat)) == brute_prime_filters(lat)
