@@ -116,14 +116,19 @@ def _first_doc(docset, kinds):
     )
 
 
+def _load_beside(path, docset, report):
+    """Load a further input file and add its documents to the command's,
+    whose own documents win a clash of names."""
+    extra_set, extra_inputs = _load([path])
+    report.inputs.extend(extra_inputs)
+    for name, d in extra_set.docs.items():
+        docset.docs.setdefault(name, d)
+    return extra_set
+
+
 def _truth_of(args, docset, report):
     if getattr(args, "truth", None):
-        truth_set, extra_inputs = _load([args.truth])
-        report.inputs.extend(extra_inputs)
-        doc = _first_doc(truth_set, ("lattice",))
-        for name, d in truth_set.docs.items():
-            if name not in docset.docs:
-                docset.docs[name] = d
+        doc = _first_doc(_load_beside(args.truth, docset, report), ("lattice",))
         return docset.lattice(doc.name)
     return chain_lattice(2)
 
@@ -199,12 +204,7 @@ def cmd_homs(args, report):
     else:
         source = docset.algebra(doc.name, args.budget)
     if args.into:
-        into_set, into_inputs = _load([args.into])
-        report.inputs.extend(into_inputs)
-        for name, d in into_set.docs.items():
-            if name not in docset.docs:
-                docset.docs[name] = d
-        tdoc = _first_doc(into_set, ("algebra", "lattice"))
+        tdoc = _first_doc(_load_beside(args.into, docset, report), ("algebra", "lattice"))
         if tdoc.kind == "lattice":
             target = make_bdl(docset.lattice(tdoc.name), truth)
         else:

@@ -469,7 +469,8 @@ def check_implication_preimage_identity(space, truth):
 
 
 # ---------------------------------------------------------------------------
-# the laws of the natural maps, by tag
+# the mode registry: the laws of the natural maps by tag, and one record per
+# duality
 # ---------------------------------------------------------------------------
 
 
@@ -559,19 +560,12 @@ _SPACE_LAWS = {
 }
 
 
-# ---------------------------------------------------------------------------
-# the mode registry
-# ---------------------------------------------------------------------------
-
-
 @dataclass(frozen=True, kw_only=True)
 class Mode:
     """One duality: its functors and verifiers, and the laws and phrases in
-    which it differs from the others. The round trips, the functors on
-    morphisms and the CLI read these fields and never branch on a mode's
-    name. A field that calls into another layer does so through this
-    module's globals (a lambda, not the captured function), so that a
-    profiler that rebinds the globals sees the call."""
+    which it differs from the others. A field that calls into another layer
+    goes through this module's globals (a lambda, not the captured
+    function), so that a profiler that rebinds them sees the call."""
 
     name: str
     dual: Callable  # algebra -> (dual space, its points as homs)
@@ -730,12 +724,6 @@ def _index(images, targets, miss):
     return tuple(mapping), PASS
 
 
-def _not_well_defined(report, tags):
-    for tag in tags:
-        report.record(tag, failed("natural map is not well defined"))
-    return report
-
-
 def _record_bijection(report, mapping, size, name, target_name):
     """Record whether ``mapping`` is one-to-one and onto range(size), and
     the map (and its inverse, when it has one) by name."""
@@ -778,7 +766,9 @@ def algebra_roundtrip(mode, algebra):
     )
     report.record("well_defined", wd)
     if mapping is None:
-        return _not_well_defined(report, (*mode.algebra_laws, "injective", "surjective"))
+        for tag in (*mode.algebra_laws, "injective", "surjective"):
+            report.record(tag, failed("natural map is not well defined"))
+        return report
     for tag in mode.algebra_laws:
         report.record(tag, _ALGEBRA_LAWS[tag](mapping, algebra, double))
     _record_bijection(report, mapping, len(double), name, double.element_name)
@@ -809,7 +799,9 @@ def space_roundtrip(mode, space, truth=None):
     )
     report.record("well_defined", wd)
     if mapping is None:
-        return _not_well_defined(report, ("injective", "surjective", *mode.space_laws))
+        for tag in ("injective", "surjective", *mode.space_laws):
+            report.record(tag, failed("natural map is not well defined"))
+        return report
     gc_points = mode.points(gc_space)
     _record_bijection(report, mapping, len(gc_homs), points.__getitem__, gc_points.__getitem__)
     morph = mode.verify_morphism(mapping, space, gc_space)

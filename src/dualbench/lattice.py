@@ -150,16 +150,7 @@ class FiniteLattice(Poset):
 
     @cached_property
     def prime_filters(self):
-        """All prime filters, canonically ordered by (size, lexicographic),
-        computed once per lattice.
-
-        A filter of a finite lattice contains the meet of its members, so it
-        is the principal filter of that meet. The principal filter of a is
-        proper when a is not the bottom, and prime exactly when a is
-        join-prime: no join of two elements outside it lies above a. So the
-        prime filters come from one O(n^3) pass over the elements, on any
-        finite lattice, distributive or not.
-        """
+        """``prime_filters(self)``, found once per lattice."""
         n = len(self)
         leq, join = self.leq, self.join
         found = []
@@ -174,9 +165,7 @@ class FiniteLattice(Poset):
 
     @cached_property
     def prime_ideals(self):
-        """Prime ideals as complements of the prime filters, in filter
-        order. The parallel ordering makes the complementation bijection
-        positional."""
+        """``prime_ideals(self)``, found once per lattice."""
         full = frozenset(range(len(self)))
         return tuple(full - f for f in self.prime_filters)
 
@@ -446,14 +435,23 @@ def _is_prime_filter(lattice, subset):
 
 
 def prime_filters(lattice):
-    """All prime filters, canonically ordered by (size, lexicographic); see
-    ``FiniteLattice.prime_filters``."""
+    """All prime filters, canonically ordered by (size, lexicographic).
+
+    A filter of a finite lattice contains the meet of its members, so it is
+    the principal filter of that meet. The principal filter of a is proper
+    when a is not the bottom, and prime exactly when a is join-prime: no
+    join of two elements outside it lies above a. So the prime filters
+    come from one O(n^3) pass over the elements, on any finite lattice,
+    distributive or not. The pass runs once per lattice.
+    """
     return lattice.prime_filters
 
 
 def prime_ideals(lattice):
-    """Prime ideals as complements of the prime filters, in filter order;
-    see ``FiniteLattice.prime_ideals``."""
+    """Prime ideals as complements of the prime filters, in filter order.
+
+    The parallel ordering makes the complementation bijection positional.
+    """
     return lattice.prime_ideals
 
 
