@@ -141,14 +141,14 @@ def _algebra_for_mode(args, docset, mode, report):
     if doc.kind == "algebra":
         return docset.algebra(doc.name, args.budget)
     lattice = docset.lattice(doc.name)
-    truth = None if mode.space_truth else _truth_of(args, docset, report)
+    truth = _truth_of(args, docset, report) if mode.space_truth is None else None
     return mode.from_lattice(lattice, truth)
 
 
 def _space_for_mode(args, docset, mode, report):
     """The space a command operates on and the truth lattice to read it over."""
     space = docset.space(_first_doc(docset, ("space",)).name)
-    truth = None if mode.space_truth else _truth_of(args, docset, report)
+    truth = _truth_of(args, docset, report) if mode.space_truth is None else None
     return space, mode.check_space(space, truth)
 
 

@@ -1,8 +1,7 @@
 """Functor constructions between algebras and spaces, their natural maps,
 and instance-level verification of every duality round trip.
 
-Each duality is one ``Mode`` record, and ``MODES`` maps each name to its
-record:
+Each duality is one ``Mode`` record in ``MODES``, keyed by its name:
 
 * ``pbs``  - lattice-valued algebras against bitopological spaces with a
              subalgebra assignment,
@@ -10,16 +9,13 @@ record:
 * ``hspa`` - implication algebras against ordered Stone spaces with the
              clopen-down-closure law.
 
-A record holds the mode's dual and reconstruction functors, its object and
-morphism verifiers, how to read a space's points and truth lattice, and the
-checks and witness phrases in which the modes differ. One algebra-side round
-trip (``algebra_roundtrip``), one space-side round trip (``space_roundtrip``)
-and the functors on morphisms run off the record, as a natural duality is
-stated once for any dualizing object (Clark and Davey, *Natural Dualities
-for the Working Algebraist*, 1998). ``as_mode`` is the one place a mode is
-looked up by name. Every natural map is materialized in both directions and
-each verdict carries a concrete witness on failure; nothing is inferred from
-a cited result.
+A record holds the mode's functors, verifiers and the laws and witness
+phrases in which it differs; one algebra-side and one space-side round trip
+and the functors on morphisms run off it, as a natural duality is stated
+once for any dualizing object (Clark and Davey, *Natural Dualities for the
+Working Algebraist*, 1998). Every natural map is materialized in both
+directions and each verdict carries a concrete witness on failure; nothing
+is inferred from a cited result.
 
 One verification builds the same dual or map algebra several times: the
 algebra-side round trip dualizes the algebra its caller just dualized, the
@@ -565,7 +561,8 @@ class Mode:
     """One duality: its functors and verifiers, and the laws and phrases in
     which it differs from the others. A field that calls into another layer
     goes through this module's globals (a lambda, not the captured
-    function), so that a profiler that rebinds them sees the call."""
+    function), so that a profiler or a test that rebinds them sees the
+    call."""
 
     name: str
     dual: Callable  # algebra -> (dual space, its points as homs)
@@ -599,7 +596,9 @@ class Mode:
             return self.space_truth(space)
         if not isinstance(truth, FiniteLattice):
             raise AlgebraError(
-                "missing-truth", f"{self.name} mode needs a truth lattice, not {truth!r}"
+                "missing-truth",
+                f"{self.name} mode needs a truth lattice beside the space, "
+                f"not a {type(truth).__name__}",
             )
         return truth
 
@@ -711,9 +710,8 @@ def as_mode(mode):
 
 
 def _index(images, targets, miss):
-    """The position of each image among the targets, and ``well_defined``;
-    at the first image i that is no target, None and the witness
-    ``miss(i)``."""
+    """The positions of the images among the targets and PASS, or None and
+    the failure ``miss(i)`` at the first image i that is no target."""
     pos = {t: i for i, t in enumerate(targets)}
     mapping = []
     for i, image in enumerate(images):

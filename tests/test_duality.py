@@ -1,4 +1,5 @@
 import ast
+import dataclasses
 import pathlib
 
 import pytest
@@ -356,6 +357,55 @@ def test_dual_hom_of_map_pbs(chain2):
     obj = lvl_dual(product_algebra(make_lvl(chain2), make_lvl(chain2)))
     hom, checks = dual_hom_of_map((1, 0), obj, obj, "pbs")
     assert all(r.passed for r in checks.values())
+
+
+def _one_mode_each(chain2, frame2):
+    return (
+        (PBS, make_lvl(chain2)),
+        (PSPA, make_bdl(chain_lattice(3), chain2)),
+        (HSPA, upset_algebra(chain2, frame2)),
+    )
+
+
+def test_algebra_roundtrip_names_an_evaluation_outside_the_double_dual(chain2, frame2):
+    # a record whose reconstruction loses its last map leaves one
+    # evaluation outside the double dual; each mode words that its own way
+    # and fails every later law with it
+    phrase = {
+        "pbs": "is not a point of the double dual",
+        "pspa": "is not a continuous order-preserving map on the dual",
+        "hspa": "is not a map of the double dual",
+    }
+    for mode, algebra in _one_mode_each(chain2, frame2):
+
+        def short(space, truth, mode=mode):
+            double, vectors = mode.reconstruct(space, truth)
+            return double, vectors[:-1]
+
+        rep = algebra_roundtrip(dataclasses.replace(mode, reconstruct=short), algebra)
+        assert rep.witnesses["well_defined"].endswith(phrase[mode.name])
+        laws = {"homomorphism", "injective", "surjective"}
+        if mode is HSPA:
+            laws.add("implies_preserved")
+        assert set(rep.verdicts) == laws | {"well_defined"}
+        assert not any(rep.verdicts.values())
+        assert {rep.witnesses[k] for k in laws} == {"natural map is not well defined"}
+
+
+def test_space_roundtrip_names_a_point_outside_the_double_dual(chain2, frame2):
+    # the same with the double dual of a space losing its last point
+    for mode, algebra in _one_mode_each(chain2, frame2):
+
+        def short(a, mode=mode):
+            space, homs = mode.dual(a)
+            return space, homs[:-1]
+
+        space = mode.dual(algebra)[0]
+        rep = space_roundtrip(dataclasses.replace(mode, dual=short), space, algebra.truth)
+        carrier = "function algebra" if mode is PBS else "map algebra"
+        assert rep.witnesses["well_defined"].endswith(f"is not a hom of the {carrier}")
+        assert set(rep.verdicts) == {"well_defined", "injective", "surjective", *mode.space_laws}
+        assert not any(rep.verdicts.values())
 
 
 def test_dual_hom_of_map_names_what_is_missing(chain2):
