@@ -22,6 +22,7 @@ from dataclasses import dataclass
 from .errors import AlgebraError, BudgetExceeded
 from .lattice import (
     FiniteLattice,
+    Memo,
     Poset,
     characteristic_tables,
     heyting_table,
@@ -152,20 +153,6 @@ def relativized_implication(truth, order):
     return implies
 
 
-class _Memo(dict):
-    """A dict that fills a missing key with ``compute(key)``."""
-
-    __slots__ = ("compute",)
-
-    def __init__(self, compute):
-        super().__init__()
-        self.compute = compute
-
-    def __missing__(self, key):
-        out = self[key] = self.compute(key)
-        return out
-
-
 def packed_slices(truth, width, order=None):
     """The packed-slice code of the vectors of ``width`` truth values, as
     ``(full, encode, decode, implication, constant)``.
@@ -234,7 +221,7 @@ def packed_slices(truth, width, order=None):
                     out |= 1 << w
             return out
 
-        interior = _Memo(interior_of)
+        interior = Memo(interior_of)
 
     def implication_of(x):
         out = 0
@@ -259,7 +246,7 @@ def packed_slices(truth, width, order=None):
         # one slice, nothing below it: the implication is its interior
         implication = interior
     else:
-        implication = _Memo(implication_of)
+        implication = Memo(implication_of)
     return (1 << (k * width)) - 1, encode, decode, implication, constant
 
 
@@ -707,6 +694,7 @@ def enumerate_homs(a, b):
     h[top_a] = top_b
     if all(h[r] == tb[h[x]][h[y]] for r, x, y, tb in checks[0]):
         extend(0, h, lb.bottom)
+    extend = None  # drop the closure's cycle through itself, and the algebras it holds
     return tuple(Homomorphism(a, b, mapping) for mapping in sorted(found))
 
 

@@ -75,6 +75,7 @@ from .topology import (
     BitopSpace,
     OrderedSpace,
     PbsObject,
+    back_condition,
     generate_topology,
     is_pairwise_hausdorff,
     non_open_image,
@@ -246,6 +247,7 @@ def _map_vectors(allowed, topologies, leq_p, leq_t, limit, what):
             mask ^= low
 
     rec(0)
+    rec = None  # drop the closure's cycle through itself
     return tuple(out)
 
 
@@ -540,7 +542,7 @@ def _inverse_back_condition(mapping, space, gc_space, *_):
     inverse = [0] * len(mapping)
     for s, v in enumerate(mapping):
         inverse[v] = s
-    return verify_hspa_morphism(tuple(inverse), gc_space, space)["back_condition"]
+    return back_condition(inverse, gc_space, space)
 
 
 # space-side laws that no morphism verifier reports: (evaluation map, space,

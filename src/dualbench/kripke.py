@@ -6,10 +6,14 @@ pointwise; its implication is not: at a world it is the meet, over every
 world above, of the pointwise Heyting implications.
 
 The algebras of interest are small subalgebras of the power: the up-set
-algebra, or the subalgebra a document generates. They are built by closing
-their generating vectors (and both bounds) under those operations, with
-tables over the closed family alone; the power itself is materialized only
-when it is asked for.
+algebra, or the subalgebra a document generates. The subalgebra a document
+generates is built by closing its generating vectors (and both bounds)
+under those operations. The up-set algebra needs no closing: its family,
+the order-preserving vectors, is closed already. Pointwise meet and join
+keep a vector order-preserving, and the implication of any two vectors is
+order-preserving, because a larger world has a smaller up-set to take its
+meet over. Either way the tables range over the family alone; the power
+itself is materialized only when it is asked for.
 
 Both the closure and the tables work on packed vectors
 (``algebra.packed_slices``). The truth lattice is distributive, so by
@@ -181,6 +185,7 @@ def monotone_vectors(truth, frame):
                 extend(w + 1)
 
     extend(0)
+    extend = None  # drop the closure's cycle through itself
     return tuple(out)
 
 
@@ -204,10 +209,23 @@ def monotone_vector_indices(power):
 def upset_algebra(truth, frame, budget=DEFAULT_POWER_BUDGET, name=None):
     """The subalgebra generated by every order-preserving vector; over the
     two-element truth lattice this is the Heyting algebra of up-sets. The
-    budget still bounds the power it is a subalgebra of."""
+    budget still bounds the power it is a subalgebra of.
+
+    The order-preserving vectors are that subalgebra already, so they are
+    not closed again: pointwise meet and join keep a vector
+    order-preserving, and the implication of any two vectors is
+    order-preserving, since at a larger world the meet runs over a smaller
+    up-set. ``vector_algebra`` still refuses a family that is not closed."""
     check_power_budget(truth, frame, budget)
-    return power_subalgebra(
-        truth, frame, monotone_vectors(truth, frame), name=name or f"up({frame.name})"
+    vectors = monotone_vectors(truth, frame)
+    return vector_algebra(
+        vectors,
+        truth,
+        name or f"up({frame.name})",
+        "isp_i",
+        order=frame,
+        presented=True,
+        generators=vectors,
     )
 
 

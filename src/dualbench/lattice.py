@@ -10,13 +10,27 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, field
-from functools import cached_property, lru_cache
+from functools import cached_property
 from operator import eq, itemgetter
 
 from .errors import LatticeError
 
 SUBSET_SCAN_LIMIT = 12  # power-set scan bound for subalgebra enumeration
 _BINARY_DIGITS = bytes.maketrans(b"\x00\x01", b"01")
+
+
+class Memo(dict):
+    """A dict that fills a missing key with ``compute(key)``."""
+
+    __slots__ = ("compute",)
+
+    def __init__(self, compute):
+        super().__init__()
+        self.compute = compute
+
+    def __missing__(self, key):
+        out = self[key] = self.compute(key)
+        return out
 
 
 @dataclass(frozen=True)
@@ -147,6 +161,40 @@ class FiniteLattice(Poset):
             )
             for j in irreducibles
         )
+
+    @cached_property
+    def heyting_table(self):
+        """``heyting_table(self)``: the relative pseudocomplement of every
+        pair, found once per lattice.
+
+        On a distributive lattice x is the join of J(x), the
+        join-irreducibles below it, and a join-irreducible j lies below
+        a -> b exactly when a /\\ j <= b, that is when no member of
+        J(a) & ~J(b) lies below j. So J(a -> b) is J minus the up-closure in
+        J of J(a) & ~J(b), memoized per mask and looked up among the J(x):
+        n^2 lookups. Any other lattice takes the definitional scan,
+        ``heyting_implies``, for each pair."""
+        n = len(self)
+        if not self.is_distributive:
+            return tuple(
+                tuple(heyting_implies(self, a, b) for b in range(n)) for a in range(n)
+            )
+        irreducibles = self.join_irreducibles
+        only = sum(1 << j for j in irreducibles)
+        below = [mask & only for mask in self.down_masks]
+        by_below = {mask: x for x, mask in enumerate(below)}
+        up = {j: sum(1 << k for k in irreducibles if self.leq[j][k]) for j in irreducibles}
+
+        def implication(gap):
+            closure = 0
+            while gap:
+                low = gap & -gap
+                closure |= up[low.bit_length() - 1]
+                gap ^= low
+            return by_below[only ^ closure]
+
+        memo = Memo(implication)
+        return tuple(tuple([memo[a & ~b] for b in below]) for a in below)
 
     @cached_property
     def prime_filters(self):
@@ -323,12 +371,10 @@ def heyting_implies(lattice, a, b):
     return out
 
 
-@lru_cache(maxsize=None)
 def heyting_table(lattice):
-    n = len(lattice)
-    return tuple(
-        tuple(heyting_implies(lattice, a, b) for b in range(n)) for a in range(n)
-    )
+    """The relative pseudocomplement as a table, ``table[a][b]`` being
+    a -> b; found once per lattice (``FiniteLattice.heyting_table``)."""
+    return lattice.heyting_table
 
 
 def characteristic_tables(lattice):

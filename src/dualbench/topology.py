@@ -466,12 +466,9 @@ def verify_pspa_morphism(mapping, src, dst):
     return checks
 
 
-def verify_hspa_morphism(mapping, src, dst):
-    """Ordered-space morphism laws plus the back condition: whenever the
+def back_condition(mapping, src, dst):
+    """The back condition of a total map of ordered spaces: whenever the
     image of s1 sits below some s2, a point above s1 maps onto s2."""
-    checks = verify_pspa_morphism(mapping, src, dst)
-    mapping = tuple(mapping)
-    res = PASS
     for s1 in range(len(src.points)):
         for s2 in range(len(dst.points)):
             if not dst.order.leq[mapping[s1]][s2]:
@@ -480,12 +477,15 @@ def verify_hspa_morphism(mapping, src, dst):
                 src.order.leq[s1][s] and mapping[s] == s2
                 for s in range(len(src.points))
             ):
-                res = failed(
+                return failed(
                     f"back condition fails at {src.points[s1]} "
                     f"(image below {dst.points[s2]}, nothing above maps onto it)"
                 )
-                break
-        if not res.passed:
-            break
-    checks["back_condition"] = res
+    return PASS
+
+
+def verify_hspa_morphism(mapping, src, dst):
+    """Ordered-space morphism laws plus the back condition."""
+    checks = verify_pspa_morphism(mapping, src, dst)
+    checks["back_condition"] = back_condition(tuple(mapping), src, dst)
     return checks

@@ -1,3 +1,5 @@
+import gc
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -20,8 +22,9 @@ from dualbench.algebra import (
     vector_algebra,
 )
 from dualbench.corpus import corpus_frames, corpus_lattices
+from dualbench.duality import HSPA, algebra_roundtrip
 from dualbench.errors import AlgebraError
-from dualbench.kripke import subalgebra_generated, upset_algebra
+from dualbench.kripke import monotone_vectors, subalgebra_generated, upset_algebra
 from dualbench.lattice import (
     FiniteLattice,
     build_poset,
@@ -381,3 +384,23 @@ def test_vector_algebra_refuses_a_family_open_under_an_operation(
         "'fam': a truth-constant image leaves the map family",
     )
     assert vector_algebra([(0, 0), (1, 2), (2, 2)], chain3, "fam", "heyting").t_ops is None
+
+
+def test_recursive_searches_leave_no_reference_cycle(chain2, b2):
+    # a recursive closure refers to itself through its cell; left bound,
+    # it keeps the algebras it reads alive until a full collection
+    frame = corpus_frames(3)[3]
+    source = make_bdl(b2, chain2)
+    up = upset_algebra(chain2, frame)
+    gc.collect()
+    gc.disable()
+    try:
+        for run in (
+            lambda: enumerate_homs(source, source),
+            lambda: monotone_vectors(chain2, frame),
+            lambda: algebra_roundtrip(HSPA, up),  # searches its maps by vectors
+        ):
+            run()
+            assert gc.collect() == 0
+    finally:
+        gc.enable()

@@ -2,6 +2,7 @@ import hashlib
 import itertools
 import random
 from collections import Counter
+from dataclasses import replace
 
 import corpus_oracle
 import pytest
@@ -19,11 +20,12 @@ from dualbench.corpus import (
     downset_lattice,
     suite_axiom_ledger,
     suite_functoriality,
+    suite_heyting_coincidence,
     suite_ispi_roundtrip,
     suite_lvl_duality,
 )
 from dualbench.errors import BudgetExceeded
-from dualbench.lattice import build_poset, chain_lattice
+from dualbench.lattice import build_poset, chain_lattice, heyting_implies
 
 # sha256 of the machine report of `corpus-run --max-size 7 --frame-size 4
 # --seed 0`: an optimisation must keep every verdict, witness, count and
@@ -163,6 +165,45 @@ def test_suite_counts_every_failure():
     assert suite.failure_count == 40
     assert len(suite.failures) == 25
     assert "failure_count" not in suite.to_dict()
+
+
+def test_heyting_coincidence_names_the_first_differing_pair(monkeypatch):
+    # every other up-set algebra has the last pair f < g whose two
+    # implications differ swapped with its mirror (g, f): the suite must
+    # name and count as the pair-by-pair scan does
+    build = corpus.upset_algebra
+    frames = corpus_frames(4)
+
+    def swapped(truth, frame, budget):
+        algebra = build(truth, frame, budget=budget)
+        if frames.index(frame) % 2 == 0:
+            return algebra
+        rows = [list(row) for row in algebra.implies]
+        n = len(algebra)
+        f, g = max((f, g) for f in range(n) for g in range(f + 1, n) if rows[f][g] != rows[g][f])
+        rows[f][g], rows[g][f] = rows[g][f], rows[f][g]
+        return replace(algebra, implies=tuple(map(tuple, rows)))
+
+    monkeypatch.setattr(corpus, "upset_algebra", swapped)
+    expected = SuiteResult("heyting_coincidence")
+    pairs = 0
+    for frame in frames:
+        algebra = swapped(chain_lattice(2), frame, 4096)
+        scan = ((f, g) for f in range(len(algebra)) for g in range(len(algebra)))
+        for f, g in scan:
+            pairs += 1
+            if algebra.implies[f][g] != heyting_implies(algebra.lattice, f, g):
+                expected.fail(
+                    f"{frame.name}: implication differs from the relative "
+                    f"pseudocomplement at ({algebra.element_name(f)}, "
+                    f"{algebra.element_name(g)})"
+                )
+                break
+    expected.counts = {"frames": len(frames), "pairs": pairs}
+    suite = suite_heyting_coincidence(frames)
+    assert suite.failure_count == expected.failure_count == len(frames) // 2
+    assert suite.to_dict() == expected.to_dict()
+    assert pairs < sum(len(build(chain_lattice(2), f, budget=4096)) ** 2 for f in frames)
 
 
 def test_corpus_run_small_is_deterministic():

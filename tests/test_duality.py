@@ -462,6 +462,41 @@ def test_modes_are_dispatched_in_one_place():
     assert len(list(_mode_name_comparisons(sample, names))) == 3
 
 
+def _unused_imports(tree):
+    """(line, name) of each name that an import binds and the module never
+    reads; a ``from __future__`` import binds no name."""
+    read = {
+        node.id
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)
+    }
+    for node in ast.walk(tree):
+        if not isinstance(node, (ast.Import, ast.ImportFrom)):
+            continue
+        if isinstance(node, ast.ImportFrom) and node.module == "__future__":
+            continue
+        for alias in node.names:
+            name = (alias.asname or alias.name).split(".")[0]
+            if name != "*" and name not in read:
+                yield node.lineno, name
+
+
+def test_no_module_imports_a_name_it_never_reads():
+    # the package namespace re-exports what it imports, so it is left out
+    package = pathlib.Path(duality.__file__).parent
+    found = {
+        path.name: list(_unused_imports(ast.parse(path.read_text())))
+        for path in sorted(package.glob("*.py"))
+        if path.name != "__init__.py"
+    }
+    assert {k: v for k, v in found.items() if v} == {}
+    # and the check does see an unused import
+    sample = ast.parse(
+        "from __future__ import annotations\nimport os.path\nfrom x import y as z, w\nw()\n"
+    )
+    assert list(_unused_imports(sample)) == [(2, "os"), (3, "z")]
+
+
 # --- verification scope -----------------------------------------------------
 
 

@@ -205,6 +205,15 @@ def test_upset_algebra_matches_the_power_oracle(chain2, chain3):
         assert monotone_vectors(truth, frame) == up.presentation.generators
 
 
+def test_monotone_vectors_are_closed(chain2, chain3, b2):
+    # upset_algebra builds its tables on the order-preserving vectors
+    # without closing them: closing changes nothing
+    for truth in (chain2, chain3, b2):
+        for frame in corpus_frames(5):
+            monotone = monotone_vectors(truth, frame)
+            assert close_vectors(truth, frame, monotone) == monotone, (truth.name, frame.name)
+
+
 @settings(deadline=None, max_examples=60)
 @given(data=st.data())
 def test_vector_closure_matches_table_closure(chain2, chain3, data):

@@ -1,14 +1,19 @@
+import gc
+import weakref
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
 import lattice_oracle
-from dualbench.corpus import corpus_lattices
+from dualbench.corpus import corpus_frames, corpus_lattices
 from dualbench.documents import build_lattice_from, lattice_document
 from dualbench.errors import LatticeError
+from dualbench.kripke import upset_algebra
 from dualbench.lattice import (
     FiniteLattice,
     build_lattice,
     build_poset,
+    chain_lattice,
     enumerate_subalgebras,
     heyting_implies,
     heyting_table,
@@ -216,6 +221,43 @@ def test_prime_filters_of_non_distributive_lattices():
     assert prime_filters(m3) == ()
     for lat in (pentagon, m3):
         assert list(prime_filters(lat)) == brute_prime_filters(lat)
+
+
+def scan_heyting_table(lat):
+    """The definitional relative pseudocomplement of every pair."""
+    n = len(lat)
+    return tuple(tuple(heyting_implies(lat, a, b) for b in range(n)) for a in range(n))
+
+
+def test_heyting_table_against_the_scan():
+    # the join-irreducible masks on distributive lattices, the scan itself
+    # on the two lattices that are not
+    chain2 = chain_lattice(2)
+    lattices = list(corpus_lattices(12))
+    lattices += [upset_algebra(chain2, frame).lattice for frame in corpus_frames(5)]
+    lattices += [raw_lattice(*PENTAGON, "pentagon"), raw_lattice(*M3, "m3")]
+    assert len(lattices) == 341 + 87 + 2
+    for lat in lattices:
+        assert heyting_table(lat) == scan_heyting_table(lat), lat.name
+    assert [lat.is_distributive for lat in lattices[-2:]] == [False, False]
+
+
+def test_heyting_table_is_built_once_per_lattice(small_lattices):
+    for lat in small_lattices:
+        assert heyting_table(lat) is heyting_table(lat) is lat.heyting_table
+    fresh = chain_lattice(5)
+    assert "heyting_table" not in vars(fresh)
+    table = heyting_table(fresh)
+    assert vars(fresh)["heyting_table"] is table
+
+
+def test_heyting_table_keeps_no_lattice_alive():
+    lat = chain_lattice(5)
+    heyting_table(lat)
+    ref = weakref.ref(lat)
+    del lat
+    gc.collect()
+    assert ref() is None
 
 
 def test_prime_filters_of_a_long_chain():
