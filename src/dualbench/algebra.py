@@ -104,9 +104,8 @@ def _validate(alg):
 
 def _check_table(alg, table, symbol):
     n = len(alg)
-    if len(table) != n or any(
-        len(row) != n or any(not 0 <= v < n for v in row) for row in table
-    ):
+    square = len(table) == n and all(len(row) == n for row in table)
+    if not square or min(map(min, table)) < 0 or max(map(max, table)) >= n:
         raise AlgebraError("bad-table", f"{symbol} table of {alg.name!r} is not total")
 
 

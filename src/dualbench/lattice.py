@@ -54,6 +54,15 @@ class Poset:
                 witness=(element_name,),
             ) from None
 
+    @cached_property
+    def down_masks(self):
+        """Bit y of ``down_masks[x]`` is set when y <= x."""
+        # column x of leq, last element first, read as a binary numeral
+        return tuple(
+            int(bytes(column[::-1]).translate(_BINARY_DIGITS), 2)
+            for column in zip(*self.leq)
+        )
+
     def upset(self, i):
         """R(x): everything above element i, including i."""
         self._check(i)
@@ -115,15 +124,6 @@ class FiniteLattice(Poset):
     join: tuple[tuple[int, ...], ...]
     bottom: int
     top: int
-
-    @cached_property
-    def down_masks(self):
-        """Bit y of ``down_masks[x]`` is set when y <= x."""
-        # column x of leq, last element first, read as a binary numeral
-        return tuple(
-            int(bytes(column[::-1]).translate(_BINARY_DIGITS), 2)
-            for column in zip(*self.leq)
-        )
 
     @cached_property
     def join_irreducibles(self):

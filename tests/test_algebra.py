@@ -404,3 +404,21 @@ def test_recursive_searches_leave_no_reference_cycle(chain2, b2):
             assert gc.collect() == 0
     finally:
         gc.enable()
+
+
+@pytest.mark.parametrize(
+    "broken",
+    [
+        lambda rows: [[-1, *rows[0][1:]], *rows[1:]],  # a negative entry
+        lambda rows: [*rows[:-1], [*rows[-1][:-1], len(rows)]],  # out of range
+        lambda rows: [rows[0][:-1], *rows[1:]],  # a short row
+        lambda rows: rows[:-1],  # a missing row
+    ],
+)
+def test_implication_table_must_be_total(chain3, broken):
+    heyting = make_heyting(chain3, chain3)
+    rows = [list(row) for row in heyting.implies]
+    with pytest.raises(AlgebraError) as err:
+        algebra_from_tables("heyting", chain3, chain3, implies=broken(rows))
+    assert err.value.code == "bad-table"
+    assert str(err.value) == f"implies table of {chain3.name!r} is not total"

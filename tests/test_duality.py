@@ -41,6 +41,7 @@ from dualbench.corpus import corpus_frames, corpus_lattices, corpus_run
 from dualbench.errors import AlgebraError, SpaceError
 from dualbench.kripke import intuitionistic_power, upset_algebra
 from dualbench.lattice import (
+    build_poset,
     chain_lattice,
     enumerate_subalgebras,
     heyting_implies,
@@ -266,6 +267,56 @@ def test_downclosure_identity_fails_on_full_power(chain2, frame2):
     res = check_downclosure_identity(power)
     assert not res.passed
     assert "(0,1)" in res.witness
+
+
+def test_downclosure_masks_match_the_scan(chain2, chain3, b2):
+    # the mask verdict alone against the elementwise scan: a verdict that
+    # is too strict would fall back to the scan, and the check would hide it
+    cases = [(chain2, f) for f in corpus_frames(4)]
+    cases += [(truth, f) for truth in (chain3, b2) for f in corpus_frames(3)]
+    verdicts = []
+    for truth, frame in cases:
+        for build in (upset_algebra, intuitionistic_power):
+            algebra = build(truth, frame)
+            space, homs = duality._esakia_dual(algebra)
+            scan = duality._downclosure_scan(algebra, space, homs)
+            fast = duality._downclosure_masks_agree(algebra, space.order, homs)
+            assert fast == scan.passed, (algebra.name, scan.witness)
+            if build is upset_algebra and truth is chain2:
+                assert scan.passed, algebra.name
+            assert check_downclosure_identity(algebra).witness == scan.witness
+            verdicts.append(scan.passed)
+    # the full powers over frames with an order fail, and so does every
+    # algebra over the four-element Boolean lattice
+    assert verdicts.count(True) == 38 and verdicts.count(False) == 42
+
+
+def test_implies_preserved_names_the_first_broken_pair(chain2):
+    frame = build_poset(("a", "b", "c"), [("a", "b"), ("a", "c")], name="vee")
+    algebra = upset_algebra(chain2, frame)
+    space, homs = duality._esakia_dual(algebra)
+    double, vectors = duality._esakia_reconstruct(space, chain2)
+    pos = {v: i for i, v in enumerate(vectors)}
+    n = len(algebra)
+    mapping = tuple(pos[tuple(h.mapping[a] for h in homs)] for a in range(n))
+    assert duality._implies_preserved(mapping, algebra, double).passed
+
+    def per_pair(table):
+        for a in range(n):
+            for b in range(n):
+                if mapping[algebra.implies[a][b]] != table[mapping[a]][mapping[b]]:
+                    name = algebra.element_name
+                    return f"implication not preserved at ({name(a)}, {name(b)})"
+        return None
+
+    for p in range(n):
+        for q in range(n):
+            rows = [list(row) for row in double.implies]
+            rows[p][q] = (rows[p][q] + 1) % n
+            broken = dataclasses.replace(double, implies=tuple(map(tuple, rows)))
+            res = duality._implies_preserved(mapping, algebra, broken)
+            assert not res.passed
+            assert res.witness == per_pair(broken.implies)
 
 
 def test_esakia_reconstruct_examples(chain2, frame2):
@@ -571,8 +622,8 @@ def test_nested_scope_keeps_the_outer_cache(chain2, chain3):
             inner = esakia_dual(make_heyting_ispi(chain3, chain2))
         assert priestley_dual(alg) is space
         cache = duality._SCOPE_CACHE.get()
-        # the pspa dual, the hspa dual and the hspa dual's points
-        assert len(cache) == 3
+        # the pspa dual and the hspa dual, which holds its points
+        assert len(cache) == 2
         assert any(entry[1][0] is inner for entry in cache.values())
     assert duality._SCOPE_CACHE.get() is None
     assert cache == {}

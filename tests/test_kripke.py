@@ -7,23 +7,31 @@ from dualbench import duality
 from dualbench.algebra import (
     enumerate_homs,
     make_bdl,
+    make_heyting_ispi,
     relativized_implication,
     subalgebra_of,
 )
 from dualbench.corpus import corpus_frames
 from dualbench.errors import AlgebraError, BudgetExceeded
 from dualbench.kripke import (
+    _kripke_columns_agree,
+    _kripke_scan,
     build_frame,
     close_vectors,
     intuitionistic_power,
     kripke_condition_check,
-    monotone_vector_indices,
     monotone_vectors,
     subalgebra_generated,
     upset_algebra,
 )
-from dualbench.lattice import _close_subset, heyting_implies, heyting_table
+from dualbench.lattice import (
+    FiniteLattice,
+    _close_subset,
+    heyting_implies,
+    heyting_table,
+)
 from hom_oracle import hom_leq
+from vector_oracle import monotone_vector_indices
 
 
 def table_closure(power, generators, name=None):
@@ -278,3 +286,40 @@ def test_kripke_check_reads_the_points_of_the_scoped_dual(chain2, monkeypatch):
         if not alone.passed:
             witnesses.add(alone.witness.split()[1])
     assert {"h1", "h2"} <= witnesses
+
+
+def test_kripke_columns_match_the_scan(chain2, chain3, b2):
+    # the packed verdict alone against the hom-by-hom scan: a verdict that
+    # is too strict would fall back to the scan, and the check would hide it
+    cases = [(chain2, f) for f in corpus_frames(4)]
+    cases += [(truth, f) for truth in (chain3, b2) for f in corpus_frames(3)]
+    verdicts = []
+    for truth, frame in cases:
+        for build in (upset_algebra, intuitionistic_power):
+            algebra = build(truth, frame)
+            space, homs = duality._esakia_dual(algebra)
+            scan = _kripke_scan(algebra, homs, space.order.leq)
+            fast = _kripke_columns_agree(algebra, homs, space.order)
+            assert fast == scan.passed, (algebra.name, scan.witness)
+            if build is upset_algebra and truth is chain2:
+                assert scan.passed, algebra.name
+            assert kripke_condition_check(algebra).witness == scan.witness
+            verdicts.append(scan.passed)
+    # the full powers over frames with an order fail, so both verdicts occur
+    assert verdicts.count(True) == 49 and verdicts.count(False) == 31
+
+
+def test_kripke_condition_over_a_non_distributive_truth_lattice(chain3, b2):
+    # packed columns need a distributive truth lattice; over the diamond M3
+    # (0 < a, b, c < 1) the check is the hom-by-hom scan
+    names = ("0", "a", "b", "c", "1")
+    n = range(5)
+    leq = tuple(tuple(i == j or i == 0 or j == 4 for j in n) for i in n)
+    meet = tuple(tuple(i if leq[i][j] else j if leq[j][i] else 0 for j in n) for i in n)
+    join = tuple(tuple(j if leq[i][j] else i if leq[j][i] else 4 for j in n) for i in n)
+    m3 = FiniteLattice(names, leq, meet, join, 0, 4, name="m3")
+    assert kripke_condition_check(make_heyting_ispi(chain3, m3)).passed
+    res = kripke_condition_check(make_heyting_ispi(b2, m3))
+    assert res.witness == (
+        "hom h1 [0->0, a->a, b->b, 1->1]: v(x->y) != meet of w(x)->w(y) at x=a, y=0"
+    )

@@ -140,3 +140,13 @@ def test_packed_slices_need_a_distributive_truth_lattice():
     with pytest.raises(AlgebraError) as err:
         packed_slices(m3, 2)
     assert err.value.code == "not-distributive"
+
+
+def test_monotone_vectors_match_the_recursive_search(chain2, chain3, b2):
+    frames = corpus_frames(5)
+    assert len(frames) == 87
+    for truth in (chain2, chain3, b2):
+        for frame in frames:
+            assert monotone_vectors(truth, frame) == vector_oracle.monotone_vectors(
+                truth, frame
+            ), (truth.name, frame.name)

@@ -1,7 +1,9 @@
 """The tuple-at-a-time table build and vector closure that the packed-slice
 kernel of ``dualbench.algebra`` replaced, kept verbatim as its slow oracle:
 every vector is a tuple of truth values, and every table entry is a fresh
-tuple looked up in a dict."""
+tuple looked up in a dict. Beside them, the recursive search for the
+order-preserving vectors that the one map search of ``dualbench.duality``
+replaced, and the filter that picks those vectors out of a power."""
 
 from dualbench.algebra import (
     Algebra,
@@ -119,3 +121,47 @@ def close_vectors(truth, frame, seeds):
                     closed.add(vec)
                     work.append(vec)
     return tuple(sorted(closed))
+
+
+def monotone_vectors(truth, frame):
+    """The order-preserving world-to-truth vectors in the power's index
+    order, each prefix extended only by values that keep it
+    order-preserving."""
+    nw, nt = len(frame), len(truth)
+    below = [[w2 for w2 in range(w) if frame.leq[w2][w]] for w in range(nw)]
+    above = [[w2 for w2 in range(w) if frame.leq[w][w2]] for w in range(nw)]
+    leq = truth.leq
+    vec = [truth.bottom] * nw
+    out = []
+
+    def extend(w):
+        if w == nw:
+            out.append(tuple(vec))
+            return
+        for x in range(nt):
+            if all(leq[vec[v]][x] for v in below[w]) and all(
+                leq[x][vec[v]] for v in above[w]
+            ):
+                vec[w] = x
+                extend(w + 1)
+
+    extend(0)
+    extend = None  # drop the closure's cycle through itself
+    return tuple(out)
+
+
+def monotone_vector_indices(power):
+    """Indices of the order-preserving world-to-truth vectors in a power."""
+    frame = power.presentation.frame
+    truth = power.truth
+    nw = len(frame)
+    out = []
+    for i, vec in enumerate(power.presentation.vectors):
+        if all(
+            truth.leq[vec[w]][vec[w2]]
+            for w in range(nw)
+            for w2 in range(nw)
+            if frame.leq[w][w2]
+        ):
+            out.append(i)
+    return tuple(out)
