@@ -619,8 +619,14 @@ def build_space_from(doc, registry):
             _element_index(truth, e, doc, "alpha")
             for e in _set_token(left + "}", doc, "alpha")
         )
-        img = point_set(right, "alpha")
-        entries.append((sub, img))
+        if any(sub == s for s, _ in entries):
+            raise DocumentError(
+                "schema-violation",
+                f"space {doc.name!r}: subalgebra {left}}} is assigned twice in 'alpha'",
+                line=doc.line_of("alpha"),
+                fieldname="alpha",
+            )
+        entries.append((sub, point_set(right, "alpha")))
     entries.sort(key=lambda e: (len(e[0]), sorted(e[0])))
     alpha = AlphaAssignment(
         truth,

@@ -65,7 +65,7 @@ from .lattice import (
     FiniteLattice,
     Poset,
     _is_prime_filter,
-    enumerate_subalgebras,
+    _union_over,
     prime_filters,
     prime_ideals,
 )
@@ -76,10 +76,10 @@ from .topology import (
     OrderedSpace,
     PbsObject,
     back_condition,
-    generate_topology,
     is_pairwise_hausdorff,
     non_open_image,
     subset_mask,
+    topology_from_masks,
     verify_hspa_morphism,
     verify_hspa_object,
     verify_pbs_morphism,
@@ -138,6 +138,17 @@ def _basic_open(homs, a, top):
     return frozenset(i for i, h in enumerate(homs) if h.mapping[a] == top)
 
 
+def _evaluation_masks(homs, size, top):
+    """The evaluation sets as bitmasks, built in one pass over the homs: bit
+    i of ``masks[a]`` is set when ``homs[i]`` sends a to top."""
+    masks = [0] * size
+    for i, h in enumerate(homs):
+        for a, v in enumerate(h.mapping):
+            if v == top:
+                masks[a] |= 1 << i
+    return masks
+
+
 # ---------------------------------------------------------------------------
 # lattice-valued algebras <-> bitopological spaces (pbs mode)
 # ---------------------------------------------------------------------------
@@ -147,26 +158,22 @@ def _basic_open(homs, a, top):
 def _lvl_dual(algebra):
     if algebra.signature != "lvl":
         raise AlgebraError(
-            "signature-mismatch", f"the bitopological dual needs an lvl algebra"
+            "signature-mismatch", "the bitopological dual needs an lvl algebra"
         )
     truth = algebra.truth
     homs = enumerate_homs(algebra, make_lvl(truth))
     k = len(homs)
-    names = _point_names(k)
-    n = len(algebra)
+    masks = _evaluation_masks(homs, len(algebra), truth.top)
     bot = algebra.lattice.bottom
-    t_top = algebra.t_ops[truth.top]
-    basis1 = [_basic_open(homs, a, truth.top) for a in range(n)]
-    basis2 = [
-        _basic_open(homs, algebra.implies[t_top[a]][bot], truth.top) for a in range(n)
-    ]
     space = BitopSpace(
-        names,
-        generate_topology(k, basis1),
-        generate_topology(k, basis2),
+        _point_names(k),
+        topology_from_masks(k, masks),
+        topology_from_masks(
+            k, [masks[algebra.implies[t][bot]] for t in algebra.t_ops[truth.top]]
+        ),
         name=f"G({algebra.name})",
     )
-    subs = enumerate_subalgebras(truth, "lvl")
+    subs = truth.lvl_subalgebras
     images = tuple(
         frozenset(i for i, h in enumerate(homs) if set(h.mapping) <= s) for s in subs
     )
@@ -294,15 +301,13 @@ def _points(bdl_algebra):
 
 
 def _ordered_dual(bdl_algebra, name, homs):
-    truth = bdl_algebra.truth
     k = len(homs)
     names = _point_names(k)
-    basis = [_basic_open(homs, a, truth.top) for a in range(len(bdl_algebra))]
-    full = frozenset(range(k))
-    basis += [full - b for b in basis]
+    masks = _evaluation_masks(homs, len(bdl_algebra), bdl_algebra.truth.top)
+    full = (1 << k) - 1
     space = OrderedSpace(
         names,
-        generate_topology(k, basis),
+        topology_from_masks(k, masks + [full ^ m for m in masks]),
         Poset(names, hom_order_matrix(homs), name="hom-order"),
         name=name,
     )
@@ -322,7 +327,8 @@ def priestley_dual(algebra):
     """Ordered dual space of a bounded-lattice algebra: points are the homs
     into the truth lattice under the pointwise order; the topology is
     generated by the evaluation sets and their complements, as the product
-    topology induces."""
+    topology induces, so the minimal open of a hom holds the homs that send
+    the same elements to the top."""
     return _priestley_dual(algebra)[0]
 
 
@@ -379,20 +385,15 @@ def esakia_dual(algebra):
 
 
 def _downclosure_masks_agree(algebra, order, homs):
-    """The down-closure identity decided on int masks over the homs, built
-    in one pass: bit i of ``opens[a]`` says homs[i] sends a to top, and
-    ``closed[a]`` ORs the down-sets in ``order`` of those homs."""
-    top = algebra.truth.top
-    opens = [0] * len(algebra)
-    closed = [0] * len(algebra)
-    for i, (h, down) in enumerate(zip(homs, order.down_masks)):
-        for a, v in enumerate(h.mapping):
-            if v == top:
-                opens[a] |= 1 << i
-                closed[a] |= down
+    """The down-closure identity decided on the evaluation masks over the
+    homs and their down-closures in ``order``."""
+    opens = _evaluation_masks(homs, len(algebra), algebra.truth.top)
     full = (1 << len(homs)) - 1
     bot = algebra.lattice.bottom
-    return all(c == full & ~opens[row[bot]] for c, row in zip(closed, algebra.implies))
+    return all(
+        _union_over(m, order.down_masks) == full & ~opens[row[bot]]
+        for m, row in zip(opens, algebra.implies)
+    )
 
 
 def _downclosure_scan(algebra, space, homs):
@@ -513,9 +514,9 @@ def _open_images(mapping, src_topo, dst_topo, space):
 
 
 def _alpha_compatible(mapping, obj, gc_obj, *_):
-    alpha = obj.alpha
-    for s in alpha.subalgebras:
-        if frozenset(mapping[p] for p in alpha.image_of(s)) != gc_obj.alpha.image_of(s):
+    alpha, points = obj.alpha, [1 << v for v in mapping]
+    for s, img in alpha.image_masks.items():
+        if _union_over(img, points) != gc_obj.alpha.image_of(s):
             return failed(
                 f"assignment image of {alpha.subalgebra_name(s)} "
                 "does not match the double dual's"

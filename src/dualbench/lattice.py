@@ -19,6 +19,16 @@ SUBSET_SCAN_LIMIT = 12  # power-set scan bound for subalgebra enumeration
 _BINARY_DIGITS = bytes.maketrans(b"\x00\x01", b"01")
 
 
+def _union_over(mask, table):
+    """The OR of ``table[i]`` over the members i of ``mask``."""
+    out = 0
+    while mask:
+        low = mask & -mask
+        out |= table[low.bit_length() - 1]
+        mask ^= low
+    return out
+
+
 class Memo(dict):
     """A dict that fills a missing key with ``compute(key)``."""
 
@@ -63,14 +73,15 @@ class Poset:
             for column in zip(*self.leq)
         )
 
+    @cached_property
+    def up_masks(self):
+        """Bit y of ``up_masks[x]`` is set when x <= y."""
+        return tuple(int(bytes(row[::-1]).translate(_BINARY_DIGITS), 2) for row in self.leq)
+
     def upset(self, i):
         """R(x): everything above element i, including i."""
         self._check(i)
         return frozenset(j for j in range(len(self)) if self.leq[i][j])
-
-    def downset(self, i):
-        self._check(i)
-        return frozenset(j for j in range(len(self)) if self.leq[j][i])
 
     def down_closure(self, subset):
         """R^{-1}(X0): everything below some member of the subset."""
@@ -81,16 +92,6 @@ class Poset:
             j
             for j in range(len(self))
             if any(self.leq[j][i] for i in subset)
-        )
-
-    def up_closure(self, subset):
-        subset = frozenset(subset)
-        for i in subset:
-            self._check(i)
-        return frozenset(
-            j
-            for j in range(len(self))
-            if any(self.leq[i][j] for i in subset)
         )
 
     def is_upset(self, subset):
@@ -185,15 +186,7 @@ class FiniteLattice(Poset):
         by_below = {mask: x for x, mask in enumerate(below)}
         up = {j: sum(1 << k for k in irreducibles if self.leq[j][k]) for j in irreducibles}
 
-        def implication(gap):
-            closure = 0
-            while gap:
-                low = gap & -gap
-                closure |= up[low.bit_length() - 1]
-                gap ^= low
-            return by_below[only ^ closure]
-
-        memo = Memo(implication)
+        memo = Memo(lambda gap: by_below[only ^ _union_over(gap, up)])
         return tuple(tuple([memo[a & ~b] for b in below]) for a in below)
 
     @cached_property
@@ -210,6 +203,11 @@ class FiniteLattice(Poset):
             if not any(above[join[x][y]] for x in outside for y in outside):
                 found.append(frozenset(x for x in range(n) if above[x]))
         return canonical_subset_order(found)
+
+    @cached_property
+    def lvl_subalgebras(self):
+        """``enumerate_subalgebras(self, "lvl")``, found once per lattice."""
+        return enumerate_subalgebras(self, "lvl")
 
     @cached_property
     def prime_ideals(self):

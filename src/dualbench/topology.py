@@ -15,6 +15,10 @@ the canonical order (by size, then by sorted members) is a minimal open:
 the witnesses are those a scan of the whole family would give. The family
 of all opens is built only on request (``Topology.opens``), for tests and
 tracing, and no validator reads it.
+
+Topologies are built from subbasis masks (``topology_from_masks``), and the
+morphism laws are decided on masks; each keeps its scan, run only after the
+exact mask test fails, so every witness is the one the scan would give.
 """
 
 from __future__ import annotations
@@ -23,7 +27,7 @@ from dataclasses import dataclass, field
 from functools import cached_property
 
 from .errors import BudgetExceeded, SpaceError
-from .lattice import FiniteLattice, Poset
+from .lattice import FiniteLattice, Poset, _union_over
 from .reporting import PASS, failed
 
 TOPOLOGY_FAMILY_LIMIT = 1 << 14
@@ -72,14 +76,7 @@ class Topology:
         return self.is_open_mask(subset_mask(subset))
 
     def is_open_mask(self, mask):
-        minopen = self.minopen
-        rest = mask
-        while rest:
-            low = rest & -rest
-            if minopen[low.bit_length() - 1] & ~mask:
-                return False
-            rest ^= low
-        return True
+        return not _union_over(mask, self.minopen) & ~mask
 
     @cached_property
     def point_closure(self):
@@ -130,35 +127,38 @@ class Topology:
         return canonical_family(mask_members(m) for m in found)
 
 
+def topology_from_masks(size, masks):
+    """Smallest topology containing the sets with the given bitmasks, held
+    by its minimal opens: the minimal open of a point is the AND of the
+    masks through it."""
+    minopen = [(1 << size) - 1] * size
+    for m in set(masks):
+        rest = m
+        while rest:
+            low = rest & -rest
+            minopen[low.bit_length() - 1] &= m
+            rest ^= low
+    return Topology(size, tuple(minopen))
+
+
 def generate_topology(size, basis):
-    """Smallest topology containing the basis sets, held by its minimal
-    opens: the minimal open of a point is the intersection of the basis sets
-    through it."""
-    full_mask = (1 << size) - 1
-    masks = []
+    """Smallest topology containing the basis sets, given as sets of
+    points."""
+    basis = [frozenset(b) for b in basis]
     for b in basis:
-        b = frozenset(b)
         if not all(0 <= i < size for i in b):
             raise SpaceError(
                 "bad-basis", f"basis set {sorted(b)} is not a subset of the carrier"
             )
-        masks.append(subset_mask(b))
-    minopen = []
-    for i in range(size):
-        m = full_mask
-        for bm in masks:
-            if bm >> i & 1:
-                m &= bm
-        minopen.append(m)
-    return Topology(size, tuple(minopen))
+    return topology_from_masks(size, map(subset_mask, basis))
 
 
 def discrete_topology(size):
-    return generate_topology(size, [frozenset([i]) for i in range(size)])
+    return topology_from_masks(size, [1 << i for i in range(size)])
 
 
 def indiscrete_topology(size):
-    return generate_topology(size, [])
+    return topology_from_masks(size, [])
 
 
 @dataclass(frozen=True)
@@ -209,14 +209,23 @@ class AlphaAssignment:
     subalgebras: tuple[frozenset, ...]
     images: tuple[frozenset, ...]
 
+    @cached_property
+    def image_masks(self):
+        """The image of each subalgebra as a bitmask over the points, keyed
+        by the subalgebra in the order of ``subalgebras``."""
+        masks = dict(zip(self.subalgebras, map(subset_mask, self.images)))
+        if len(masks) != len(self.subalgebras):
+            raise SpaceError("alpha-mismatch", "a subalgebra is assigned twice")
+        return masks
+
     def image_of(self, subalgebra):
-        for s, img in zip(self.subalgebras, self.images):
-            if s == subalgebra:
-                return img
-        raise SpaceError(
-            "alpha-mismatch",
-            f"no assignment for subalgebra {sorted(subalgebra)}",
-        )
+        """The image of a subalgebra, as a bitmask over the points."""
+        if subalgebra not in self.image_masks:
+            raise SpaceError(
+                "alpha-mismatch",
+                f"no assignment for subalgebra {sorted(subalgebra)}",
+            )
+        return self.image_masks[subalgebra]
 
     def subalgebra_name(self, subalgebra):
         return "{" + ",".join(self.truth.elements[i] for i in sorted(subalgebra)) + "}"
@@ -299,33 +308,29 @@ def verify_pbs_object(obj):
     three pairwise properties, totality of the assignment over the
     subalgebra family, the full-set law, the intersection law, and pairwise
     closedness of every image. Returns a dict of named CheckResults."""
-    from .lattice import enumerate_subalgebras
-
     space, alpha = obj.space, obj.alpha
     checks = {
         "pairwise_hausdorff": is_pairwise_hausdorff(space),
         "pairwise_compact": is_pairwise_compact(space),
         "pairwise_zero_dimensional": is_pairwise_zero_dimensional(space),
     }
-    expected = enumerate_subalgebras(alpha.truth, "lvl")
-    if tuple(alpha.subalgebras) != tuple(expected):
+    if tuple(alpha.subalgebras) != alpha.truth.lvl_subalgebras:
         raise SpaceError(
             "alpha-mismatch",
             f"assignment of {obj.name!r} is not indexed by the subalgebra family "
             f"of {alpha.truth.name!r}",
         )
-    full = frozenset(range(len(space.points)))
     top_algebra = frozenset(range(len(alpha.truth)))
     res = PASS
-    if alpha.image_of(top_algebra) != full:
+    if alpha.image_of(top_algebra) != (1 << len(space.points)) - 1:
         res = failed("the whole truth lattice is not assigned the full point set")
     checks["alpha_full"] = res
 
     res = PASS
-    for s2 in alpha.subalgebras:
-        for s3 in alpha.subalgebras:
-            s1 = s2 & s3
-            if alpha.image_of(s1) != alpha.image_of(s2) & alpha.image_of(s3):
+    masks = alpha.image_masks
+    for s2, m2 in masks.items():
+        for s3, m3 in masks.items():
+            if alpha.image_of(s2 & s3) != m2 & m3:
                 res = failed(
                     f"assignment breaks the intersection law at "
                     f"{alpha.subalgebra_name(s2)} and {alpha.subalgebra_name(s3)}"
@@ -351,19 +356,12 @@ def verify_pspa_object(space):
     """Priestley separation: whenever x is not below y some clopen up-set
     contains x and misses y, so the smallest clopen up-set around x must
     miss y."""
-    n = len(space.points)
-    leq = space.order.leq
-    topo = space.topo
-    above = [subset_mask(j for j in range(n) if leq[i][j]) for i in range(n)]
-    for i in range(n):
-        hull = _hull(1 << i, topo.minopen, topo.point_closure, above)
-        for j in range(n):
-            if leq[i][j]:
-                continue
-            if hull >> j & 1:
-                return failed(
-                    f"no clopen up-set separates {space.points[i]} from {space.points[j]}"
-                )
+    topo, above = space.topo, space.order.up_masks
+    for i, point in enumerate(space.points):
+        bad = _hull(1 << i, topo.minopen, topo.point_closure, above) & ~above[i]
+        if bad:
+            j = (bad & -bad).bit_length() - 1
+            return failed(f"no clopen up-set separates {point} from {space.points[j]}")
     return PASS
 
 
@@ -393,8 +391,35 @@ def _check_total(mapping, src_points, dst_points, name):
     return mapping
 
 
+def _maps_into(mapping, src_masks, dst_masks):
+    """Whether the map sends each ``src_masks[i]`` into
+    ``dst_masks[mapping[i]]``; the mask holds point i (it is the minimal
+    open or the up-set of i), and i's image is in its target."""
+    for i, (m, v) in enumerate(zip(src_masks, mapping)):
+        target, m = dst_masks[v], m & ~(1 << i)
+        while m:
+            low = m & -m
+            if not target >> mapping[low.bit_length() - 1] & 1:
+                return False
+            m ^= low
+    return True
+
+
+def _maps_onto(mapping, src_masks, dst_masks):
+    """Whether the map sends each ``src_masks[i]`` onto a superset of
+    ``dst_masks[mapping[i]]``."""
+    points = [1 << v for v in mapping]
+    return not any(
+        dst_masks[v] & ~_union_over(m, points) for m, v in zip(src_masks, mapping)
+    )
+
+
 def non_open_preimage(mapping, src_topo, dst_topo):
-    """The first open of ``dst_topo`` whose preimage is not open, or None."""
+    """The first open of ``dst_topo`` whose preimage is not open, or None.
+    The map is continuous when it sends the minimal open of each point into
+    the minimal open of the point's image."""
+    if _maps_into(mapping, src_topo.minopen, dst_topo.minopen):
+        return None
     for o in dst_topo.minimal_opens:
         if not src_topo.is_open_mask(
             subset_mask(i for i, v in enumerate(mapping) if v in o)
@@ -405,7 +430,10 @@ def non_open_preimage(mapping, src_topo, dst_topo):
 
 def non_open_image(mapping, src_topo, dst_topo):
     """The first open of ``src_topo`` whose image is not open in
-    ``dst_topo``, or None."""
+    ``dst_topo``, or None. The map is open when the image of the minimal
+    open of each point contains the minimal open of the point's image."""
+    if _maps_onto(mapping, src_topo.minopen, dst_topo.minopen):
+        return None
     for o in src_topo.minimal_opens:
         if not dst_topo.is_open_mask(subset_mask(mapping[i] for i in o)):
             return o
@@ -430,7 +458,7 @@ def verify_pbs_morphism(mapping, src, dst):
     for s, img in zip(src.alpha.subalgebras, src.alpha.images):
         target = dst.alpha.image_of(s)
         for i in sorted(img):
-            if mapping[i] not in target:
+            if not target >> mapping[i] & 1:
                 res = failed(
                     f"point {src.space.points[i]} lies in the image of "
                     f"{src.alpha.subalgebra_name(s)} but its value does not"
@@ -452,23 +480,27 @@ def verify_pspa_morphism(mapping, src, dst):
     }
     res = PASS
     n = len(src.points)
-    for i in range(n):
-        for j in range(n):
-            if src.order.leq[i][j] and not dst.order.leq[mapping[i]][mapping[j]]:
-                res = failed(
-                    f"order broken: {src.points[i]} <= {src.points[j]} "
-                    "but the images are not ordered"
-                )
-                break
-        if not res.passed:
-            break
+    if not _maps_into(mapping, src.order.up_masks, dst.order.up_masks):
+        i, j = next(
+            (i, j)
+            for i in range(n)
+            for j in range(n)
+            if src.order.leq[i][j] and not dst.order.leq[mapping[i]][mapping[j]]
+        )
+        res = failed(
+            f"order broken: {src.points[i]} <= {src.points[j]} "
+            "but the images are not ordered"
+        )
     checks["order_preserving"] = res
     return checks
 
 
 def back_condition(mapping, src, dst):
     """The back condition of a total map of ordered spaces: whenever the
-    image of s1 sits below some s2, a point above s1 maps onto s2."""
+    image of s1 sits below some s2, a point above s1 maps onto s2: the
+    image of the up-set of each point contains the up-set of its image."""
+    if _maps_onto(mapping, src.order.up_masks, dst.order.up_masks):
+        return PASS
     for s1 in range(len(src.points)):
         for s2 in range(len(dst.points)):
             if not dst.order.leq[mapping[s1]][s2]:

@@ -598,6 +598,20 @@ def test_undeclared_or_unknown_elements_exit_two_with_a_line(tmp_path, capsys):
         assert (code, out, err) == (2, "", f"error: {message}\n"), command
 
 
+def test_an_alpha_entry_named_twice_exits_two_with_a_line(tmp_path, capsys):
+    # the assignment is indexed by subalgebra, so no entry may be dropped
+    # for another
+    with open(doc("pbs-chain2.doc"), encoding="utf-8") as fh:
+        text = fh.read()
+    assert "alpha: {0,1}:{z,u}\n" in text
+    path = tmp_path / "twice.doc"
+    path.write_text(text.replace("alpha: {0,1}:{z,u}", "alpha: {0,1}:{z,u} {0,1}:{z}"))
+    message = "space 'pbs-chain2': subalgebra {0,1} is assigned twice in 'alpha' (line 8)"
+    for command in ("verify-space", "reconstruct"):
+        code, out, err = run_cli([command, str(path), "--mode", "pbs"], capsys)
+        assert (code, out, err) == (2, "", f"error: {message}\n"), command
+
+
 def without_wall_seconds(text):
     """Text output with the one figure that differs from run to run."""
     return re.sub(r"'wall_seconds': [0-9.]+", "", text)

@@ -396,3 +396,19 @@ def test_repeated_carrier_tokens_are_located(text, key, line, message):
         key,
     )
     assert str(err.value) == message
+
+
+def test_an_alpha_entry_named_twice_is_located():
+    text = (
+        "kind: space\nname: s\npoints: p q\ntopo1: {p} {q}\ntopo2: {p} {q}\n"
+        "truth_lattice: chain2\nalpha: {0,1}:{p,q} {1,0}:{p}\n---\n"
+        "kind: lattice\nname: chain2\nelements: 0 1\nleq: 0<=1\nbottom: 0\ntop: 1\n"
+    )
+    with pytest.raises(DocumentError) as err:
+        DocumentSet(parse_documents(text)).space("s")
+    assert (err.value.code, err.value.line, err.value.fieldname) == (
+        "schema-violation",
+        7,
+        "alpha",
+    )
+    assert str(err.value) == "space 's': subalgebra {1,0} is assigned twice in 'alpha' (line 7)"

@@ -71,14 +71,18 @@ def test_lvl_dual_of_two_chain(chain2):
     assert len(obj.space.points) == 1
     assert set(obj.space.topo1.opens) == {frozenset(), frozenset({0})}
     assert set(obj.space.topo2.opens) == {frozenset(), frozenset({0})}
-    assert obj.alpha.image_of(frozenset({0, 1})) == frozenset({0})
+    assert obj.alpha.image_of(frozenset({0, 1})) == 0b1  # the mask of {h0}
 
 
 def test_lvl_dual_of_three_chain(chain3):
     obj = lvl_dual(make_lvl(chain3))
     assert len(obj.space.points) == 1
     # no unary-operator-preserving hom lands in the two-element subalgebra
-    assert obj.alpha.image_of(frozenset({0, 2})) == frozenset()
+    assert obj.alpha.image_of(frozenset({0, 2})) == 0
+
+
+def test_lvl_dual_reads_the_cached_subalgebra_family(chain3):
+    assert lvl_dual(make_lvl(chain3)).alpha.subalgebras is chain3.lvl_subalgebras
 
 
 def test_lvl_dual_of_square(chain2):
@@ -546,6 +550,36 @@ def test_no_module_imports_a_name_it_never_reads():
         "from __future__ import annotations\nimport os.path\nfrom x import y as z, w\nw()\n"
     )
     assert list(_unused_imports(sample)) == [(2, "os"), (3, "z")]
+
+
+def _placeholderless_fstrings(tree):
+    """(line, source) of each f-string with no placeholder; the format spec
+    of a placeholder is an f-string of its own, and is left out."""
+    specs = {
+        id(node.format_spec)
+        for node in ast.walk(tree)
+        if isinstance(node, ast.FormattedValue) and node.format_spec is not None
+    }
+    for node in ast.walk(tree):
+        if (
+            isinstance(node, ast.JoinedStr)
+            and id(node) not in specs
+            and not any(isinstance(v, ast.FormattedValue) for v in node.values)
+        ):
+            yield node.lineno, ast.unparse(node)
+
+
+def test_no_fstring_lacks_a_placeholder():
+    package = pathlib.Path(duality.__file__).parent
+    found = {
+        path.name: list(_placeholderless_fstrings(ast.parse(path.read_text())))
+        for path in sorted(package.glob("*.py"))
+    }
+    assert {k: v for k, v in found.items() if v} == {}
+    # and the check does see such an f-string, alone or joined to a plain
+    # string, but not a placeholder's format spec
+    sample = ast.parse('a = f"x"\nb = "y" f"z"\nc = f"{a:>4}" f"w"\nd = f"{a!r:{b}}"\n')
+    assert list(_placeholderless_fstrings(sample)) == [(1, "f'x'"), (2, "f'yz'")]
 
 
 # --- verification scope -----------------------------------------------------

@@ -357,6 +357,13 @@ def test_subalgebra_search_paths_agree(small_lattices):
             )
 
 
+def test_lvl_subalgebra_family_is_found_once_per_lattice(chain2, chain3, b2):
+    for lat in (*corpus_lattices(7), chain2, chain3, b2):
+        family = lat.lvl_subalgebras
+        assert family == enumerate_subalgebras(lat, "lvl")
+        assert lat.lvl_subalgebras is family
+
+
 def test_upset_and_downset(chain3, b2):
     m = chain3.index("m")
     assert chain3.names(chain3.upset(m)) == ("m", "1")

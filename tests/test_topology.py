@@ -172,6 +172,15 @@ def test_verify_pbs_alpha_index_mismatch(chain3):
     assert err.value.code == "alpha-mismatch"
 
 
+def test_an_assignment_naming_a_subalgebra_twice_is_refused(chain2):
+    # the image index never chooses between two entries for one key
+    full = frozenset({0, 1})
+    alpha = AlphaAssignment(chain2, (full, full), (frozenset({0}), frozenset()))
+    with pytest.raises(SpaceError) as err:
+        alpha.image_masks
+    assert err.value.code == "alpha-mismatch"
+
+
 def test_pspa_examples():
     good = ordered(("w0", "w1"), [frozenset({0}), frozenset({1})], [("w0", "w1")])
     assert verify_pspa_object(good).passed

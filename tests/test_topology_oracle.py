@@ -14,16 +14,11 @@ from hypothesis import given, settings, strategies as st
 
 import map_oracle
 import topology_oracle as oracle
-from dualbench import documents, duality
+from dualbench import documents, duality, topology
 from dualbench.algebra import make_bdl, make_heyting_ispi, make_lvl, product_algebra
-from dualbench.corpus import corpus_lattices
+from dualbench.corpus import corpus_lattices, corpus_run
 from dualbench.documents import DocumentSet, parse_documents
-from dualbench.duality import (
-    check_second_topology_inclusion,
-    esakia_dual,
-    lvl_dual,
-    priestley_dual,
-)
+from dualbench.duality import check_second_topology_inclusion
 from dualbench.errors import SpaceError
 from dualbench.lattice import (
     build_poset,
@@ -36,13 +31,16 @@ from dualbench.topology import (
     BitopSpace,
     OrderedSpace,
     PbsObject,
+    back_condition,
     generate_topology,
     is_pairwise_hausdorff,
     is_pairwise_zero_dimensional,
     non_open_image,
     non_open_preimage,
     verify_hspa_object,
+    verify_pbs_morphism,
     verify_pbs_object,
+    verify_pspa_morphism,
     verify_pspa_object,
 )
 
@@ -157,11 +155,41 @@ def assert_pbs_maps_match(obj, slow1, slow2):
     return len(kept) == len(map_oracle.assignment_vectors(slow))
 
 
+def evaluation_basis(algebra, homs):
+    """The evaluation sets of a dual by the definition, as frozensets: for
+    each element a, the homs that send a to the top of the truth lattice."""
+    top = algebra.truth.top
+    return [
+        frozenset(i for i, h in enumerate(homs) if h.mapping[a] == top)
+        for a in range(len(algebra))
+    ]
+
+
+def complemented(basis, size):
+    full = frozenset(range(size))
+    return [full - b for b in basis]
+
+
+def ordered_dual_basis(algebra, homs):
+    """The subbasis of an ordered dual: the evaluation sets and their
+    complements."""
+    basis = evaluation_basis(algebra, homs)
+    return basis + complemented(basis, len(homs))
+
+
+def lvl_dual_bases(algebra, homs):
+    """The subbases of both topologies of an lvl dual: the evaluation sets,
+    and their complements (a hom h sends T_top(a) -> 0 to the top exactly
+    when h(a) is not the top)."""
+    basis = evaluation_basis(algebra, homs)
+    return basis, complemented(basis, len(homs))
+
+
 @pytest.fixture
 def slow_topology(monkeypatch):
-    """Records the subbasis of every topology that duals and documents
-    generate during the test, and returns the oracle topology of a recorded
-    one, built from its subbasis by the definition."""
+    """Records the subbasis of every topology that documents generate during
+    the test, and returns the oracle topology of a recorded one, built from
+    its subbasis by the definition."""
     seen = {}
 
     def recording(size, basis):
@@ -170,8 +198,7 @@ def slow_topology(monkeypatch):
         seen[id(topo)] = (topo, basis)
         return topo
 
-    for module in (duality, documents):
-        monkeypatch.setattr(module, "generate_topology", recording)
+    monkeypatch.setattr(documents, "generate_topology", recording)
 
     def slow(topo):
         kept, basis = seen[id(topo)]
@@ -182,15 +209,16 @@ def slow_topology(monkeypatch):
 
 
 @pytest.mark.parametrize("truth", TRUTHS[:2], ids=lambda t: t.name)
-def test_corpus_ordered_duals_match_oracle(truth, slow_topology):
+def test_corpus_ordered_duals_match_oracle(truth):
     rng = random.Random(0)
     pspa = set()
     for lat in corpus_lattices(7):
-        for space in (
-            priestley_dual(make_bdl(lat, truth)),
-            esakia_dual(make_heyting_ispi(lat, truth)),
+        for mode, algebra in (
+            (duality.PSPA, make_bdl(lat, truth)),
+            (duality.HSPA, make_heyting_ispi(lat, truth)),
         ):
-            slow = slow_topology(space.topo)
+            space, homs = mode.dual(algebra)
+            slow = oracle.generate(len(homs), ordered_dual_basis(algebra, homs))
             pspa.add(assert_ordered_matches(space, slow)["pspa"])
             assert_self_maps_match(space.topo, slow, rng)
             assert_ordered_maps_match(space, slow, truth)
@@ -198,18 +226,129 @@ def test_corpus_ordered_duals_match_oracle(truth, slow_topology):
     assert pspa == ({True} if truth.name == "chain2" else {True, False})
 
 
-def test_lvl_duals_match_oracle(slow_topology):
+def test_lvl_duals_match_oracle():
     rng = random.Random(0)
     for truth in TRUTHS:
         base = make_lvl(truth)
         for algebra in (base, product_algebra(base, base)):
-            obj = lvl_dual(algebra)
+            obj, homs = duality.PBS.dual(algebra)
             topo1, topo2 = obj.space.topo1, obj.space.topo2
-            slow1, slow2 = slow_topology(topo1), slow_topology(topo2)
+            slow1, slow2 = (
+                oracle.generate(len(homs), b) for b in lvl_dual_bases(algebra, homs)
+            )
             assert_pbs_matches(obj, slow1, slow2)
             assert_pbs_maps_match(obj, slow1, slow2)
             assert_self_maps_match(topo1, slow1, rng)
             assert_self_maps_match(topo2, slow2, rng)
+
+
+def test_mask_built_dual_topologies_match_their_evaluation_bases(monkeypatch):
+    # every dual of a seed-0 corpus pass: its topologies, built from
+    # evaluation masks, against generate_topology over the frozenset
+    # evaluation sets, rebuilt from its homs
+    built = []
+    for name in ("_ordered_dual", "_lvl_dual"):
+
+        def spy(*args, build=getattr(duality, name)):
+            out = build(*args)
+            built.append((args, out))
+            return out
+
+        monkeypatch.setattr(duality, name, spy)
+    corpus_run(7, 4, 0)
+    kinds = set()
+    for args, (space, homs) in built:
+        algebra, k = args[0], len(homs)
+        if isinstance(space, PbsObject):
+            basis1, basis2 = lvl_dual_bases(algebra, homs)
+            assert space.space.topo1 == generate_topology(k, basis1), space.name
+            assert space.space.topo2 == generate_topology(k, basis2), space.name
+            kinds.add(("pbs", algebra.truth.name))
+        else:
+            assert space.topo == generate_topology(k, ordered_dual_basis(algebra, homs))
+            kinds.add((space.name.split("(")[0], algebra.truth.name))
+    assert kinds == {
+        ("G", "chain2"),
+        ("G", "chain3"),
+        ("GI", "chain2"),
+        ("pbs", "chain2"),
+        ("pbs", "chain3"),
+        ("pbs", "b2"),
+    }
+
+
+@functools.cache
+def corpus_dual_pool():
+    """The pspa duals over both chains and the hspa duals over the
+    two-chain of the corpus lattices up to six elements, with one to eight
+    points, each beside its oracle topology."""
+    pool = []
+    for lat in corpus_lattices(6):
+        for mode, algebra in (
+            (duality.PSPA, make_bdl(lat, TRUTHS[0])),
+            (duality.PSPA, make_bdl(lat, TRUTHS[1])),
+            (duality.HSPA, make_heyting_ispi(lat, TRUTHS[0])),
+        ):
+            space, homs = mode.dual(algebra)
+            if 1 <= len(homs) <= 8:
+                slow = oracle.generate(len(homs), ordered_dual_basis(algebra, homs))
+                pool.append((space, slow))
+    return tuple(pool)
+
+
+def assert_ordered_map_laws_match(mapping, src, dst, slow_src, slow_dst):
+    """Continuity, open images, order and the back condition of one map:
+    the mask verdict of each alone against the oracle's scan, and each
+    law's result, verdict and witness, against the scan's. Returns the
+    verdicts."""
+    pre = oracle.non_open_preimage(mapping, slow_src, slow_dst)
+    assert topology._maps_into(mapping, src.topo.minopen, dst.topo.minopen) == (pre is None)
+    assert non_open_preimage(mapping, src.topo, dst.topo) == pre
+    img = oracle.non_open_image(mapping, slow_src, slow_dst)
+    assert topology._maps_onto(mapping, src.topo.minopen, dst.topo.minopen) == (img is None)
+    assert non_open_image(mapping, src.topo, dst.topo) == img
+    up = (src.order.up_masks, dst.order.up_masks)
+    order = oracle.order_preserving(mapping, src, dst)
+    assert topology._maps_into(mapping, *up) == order.passed
+    assert verify_pspa_morphism(mapping, src, dst)["order_preserving"] == order
+    back = oracle.back_condition(mapping, src, dst)
+    assert topology._maps_onto(mapping, *up) == back.passed
+    assert back_condition(mapping, src, dst) == back
+    return {
+        "continuous": pre is None,
+        "open": img is None,
+        "order": order.passed,
+        "back": back.passed,
+    }
+
+
+@settings(deadline=None, max_examples=200)
+@given(data=st.data())
+def test_random_maps_between_corpus_duals_match_the_scans(data):
+    pool = corpus_dual_pool()
+    (src, slow_src), (dst, slow_dst) = (data.draw(st.sampled_from(pool)) for _ in "sd")
+    values = st.integers(0, len(dst.points) - 1)
+    n = len(src.points)
+    mapping = tuple(data.draw(st.lists(values, min_size=n, max_size=n)))
+    assert_ordered_map_laws_match(mapping, src, dst, slow_src, slow_dst)
+
+
+def test_corpus_dual_map_sweep_meets_every_verdict():
+    # random maps, and the identity of each dual, must meet a pass and a
+    # failure (with its witness) of each law
+    rng = random.Random(0)
+    pool = corpus_dual_pool()
+    seen = {}
+    for k in range(400):
+        (src, slow_src), (dst, slow_dst) = rng.choice(pool), rng.choice(pool)
+        if k % 4 == 0:
+            (dst, slow_dst), mapping = (src, slow_src), tuple(range(len(src.points)))
+        else:
+            mapping = tuple(rng.randrange(len(dst.points)) for _ in src.points)
+        verdicts = assert_ordered_map_laws_match(mapping, src, dst, slow_src, slow_dst)
+        for key, verdict in verdicts.items():
+            seen.setdefault(key, set()).add(verdict)
+    assert seen == dict.fromkeys(("continuous", "open", "order", "back"), {True, False})
 
 
 def test_sample_document_spaces_match_oracle(slow_topology):
@@ -290,6 +429,22 @@ def check_random_instance(rng, n):
     verdicts.update(
         assert_map_matches(mapping, ordered.topo, space.topo1, slow3, slow1)
     )
+    # a self-map of the pbs object, the identity one time in three
+    if rng.random() < 1 / 3:
+        mapping = tuple(range(n))
+    slow = PbsObject(BitopSpace(names, slow1, slow2), obj.alpha)
+    checks = verify_pbs_morphism(mapping, obj, obj)
+    assert checks["alpha_preserved"] == oracle.alpha_preserved(mapping, obj, obj)
+    for tag, topo in (("continuous_1", slow1), ("continuous_2", slow2)):
+        bad = oracle.non_open_preimage(mapping, topo, topo)
+        assert checks[tag].passed == (bad is None)
+        assert bad is None or checks[tag].witness == (
+            f"preimage of {slow.space.subset_name(bad)} is not open"
+        )
+    compatible = duality._alpha_compatible(mapping, obj, obj)
+    assert compatible == oracle.alpha_compatible(mapping, obj, obj)
+    verdicts["alpha_preserved"] = checks["alpha_preserved"].passed
+    verdicts["alpha_compatible"] = compatible.passed
     return verdicts, ordered
 
 

@@ -111,6 +111,18 @@ def is_pairwise_closed(space, subset):
     return space.topo1.is_open(comp) and space.topo2.is_open(comp)
 
 
+def image_of(alpha, subalgebra):
+    """The image of a subalgebra as a frozenset, by a linear scan of the
+    assignment."""
+    for s, img in zip(alpha.subalgebras, alpha.images):
+        if s == subalgebra:
+            return img
+    raise SpaceError(
+        "alpha-mismatch",
+        f"no assignment for subalgebra {sorted(subalgebra)}",
+    )
+
+
 def verify_pbs_object(obj):
     space, alpha = obj.space, obj.alpha
     checks = {
@@ -128,7 +140,7 @@ def verify_pbs_object(obj):
     full = frozenset(range(len(space.points)))
     top_algebra = frozenset(range(len(alpha.truth)))
     res = PASS
-    if alpha.image_of(top_algebra) != full:
+    if image_of(alpha, top_algebra) != full:
         res = failed("the whole truth lattice is not assigned the full point set")
     checks["alpha_full"] = res
 
@@ -136,7 +148,7 @@ def verify_pbs_object(obj):
     for s2 in alpha.subalgebras:
         for s3 in alpha.subalgebras:
             s1 = s2 & s3
-            if alpha.image_of(s1) != alpha.image_of(s2) & alpha.image_of(s3):
+            if image_of(alpha, s1) != image_of(alpha, s2) & image_of(alpha, s3):
                 res = failed(
                     f"assignment breaks the intersection law at "
                     f"{alpha.subalgebra_name(s2)} and {alpha.subalgebra_name(s3)}"
@@ -218,5 +230,65 @@ def check_second_topology_inclusion(obj):
         if not obj.space.topo1.is_open(o):
             return failed(
                 f"{obj.space.subset_name(o)} is open in the second topology only"
+            )
+    return PASS
+
+
+def order_preserving(mapping, src, dst):
+    """The order law of an ordered-space map, pair by pair; the witness is
+    the first pair (i, j) with i <= j whose images are not ordered."""
+    n = len(src.points)
+    for i in range(n):
+        for j in range(n):
+            if src.order.leq[i][j] and not dst.order.leq[mapping[i]][mapping[j]]:
+                return failed(
+                    f"order broken: {src.points[i]} <= {src.points[j]} "
+                    "but the images are not ordered"
+                )
+    return PASS
+
+
+def back_condition(mapping, src, dst):
+    """The back condition point by point: whenever the image of s1 sits
+    below some s2, a point above s1 maps onto s2."""
+    for s1 in range(len(src.points)):
+        for s2 in range(len(dst.points)):
+            if not dst.order.leq[mapping[s1]][s2]:
+                continue
+            if not any(
+                src.order.leq[s1][s] and mapping[s] == s2
+                for s in range(len(src.points))
+            ):
+                return failed(
+                    f"back condition fails at {src.points[s1]} "
+                    f"(image below {dst.points[s2]}, nothing above maps onto it)"
+                )
+    return PASS
+
+
+def alpha_preserved(mapping, src, dst):
+    """Every point in the image of a subalgebra maps into the image of the
+    same subalgebra; the witness is the first such subalgebra, then its
+    first point whose value is outside."""
+    for s, img in zip(src.alpha.subalgebras, src.alpha.images):
+        target = image_of(dst.alpha, s)
+        for i in sorted(img):
+            if mapping[i] not in target:
+                return failed(
+                    f"point {src.space.points[i]} lies in the image of "
+                    f"{src.alpha.subalgebra_name(s)} but its value does not"
+                )
+    return PASS
+
+
+def alpha_compatible(mapping, obj, gc_obj):
+    """The map carries the image of each subalgebra onto the image of the
+    same subalgebra in ``gc_obj``."""
+    alpha = obj.alpha
+    for s in alpha.subalgebras:
+        if frozenset(mapping[p] for p in image_of(alpha, s)) != image_of(gc_obj.alpha, s):
+            return failed(
+                f"assignment image of {alpha.subalgebra_name(s)} "
+                "does not match the double dual's"
             )
     return PASS
