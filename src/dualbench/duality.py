@@ -77,6 +77,7 @@ from .topology import (
     PbsObject,
     back_condition,
     is_pairwise_hausdorff,
+    mask_members,
     non_open_image,
     subset_mask,
     topology_from_masks,
@@ -264,8 +265,8 @@ def _pbs_map_vectors(obj, limit=MAP_ENUM_LIMIT):
     the subalgebra assignment."""
     truth = obj.alpha.truth
     allowed = [(1 << len(truth)) - 1] * len(obj.space.points)
-    for s, img in zip(obj.alpha.subalgebras, obj.alpha.images):
-        for p in img:
+    for s, img in obj.alpha.image_masks.items():
+        for p in mask_members(img):
             allowed[p] &= subset_mask(s)
     return _map_vectors(
         allowed,
@@ -516,7 +517,7 @@ def _open_images(mapping, src_topo, dst_topo, space):
 def _alpha_compatible(mapping, obj, gc_obj, *_):
     alpha, points = obj.alpha, [1 << v for v in mapping]
     for s, img in alpha.image_masks.items():
-        if _union_over(img, points) != gc_obj.alpha.image_of(s):
+        if _union_over(img, points) != gc_obj.alpha.image_mask(s):
             return failed(
                 f"assignment image of {alpha.subalgebra_name(s)} "
                 "does not match the double dual's"

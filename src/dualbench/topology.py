@@ -17,8 +17,11 @@ of all opens is built only on request (``Topology.opens``), for tests and
 tracing, and no validator reads it.
 
 Topologies are built from subbasis masks (``topology_from_masks``), and the
-morphism laws are decided on masks; each keeps its scan, run only after the
-exact mask test fails, so every witness is the one the scan would give.
+morphism laws are decided on masks. The order law and the back condition
+take their witness from the first failure of the mask test, which is the
+first pair a scan of the order would find; continuity and open images keep
+their scan over the minimal opens, run only after the mask test fails, so
+that their witness follows the canonical order.
 """
 
 from __future__ import annotations
@@ -202,7 +205,8 @@ class AlphaAssignment:
     """Assignment from subalgebras of the truth lattice to point subsets.
 
     ``subalgebras`` and ``images`` are parallel tuples; subalgebras are
-    frozensets of truth-lattice element indices in canonical order.
+    frozensets of truth-lattice element indices in canonical order. The
+    validators read the images as bitmasks (``image_masks``, ``image_mask``).
     """
 
     truth: FiniteLattice
@@ -218,7 +222,7 @@ class AlphaAssignment:
             raise SpaceError("alpha-mismatch", "a subalgebra is assigned twice")
         return masks
 
-    def image_of(self, subalgebra):
+    def image_mask(self, subalgebra):
         """The image of a subalgebra, as a bitmask over the points."""
         if subalgebra not in self.image_masks:
             raise SpaceError(
@@ -297,10 +301,10 @@ def is_pairwise_zero_dimensional(space):
     return PASS
 
 
-def is_pairwise_closed(space, subset):
-    full = frozenset(range(len(space.points)))
-    comp = full - frozenset(subset)
-    return space.topo1.is_open(comp) and space.topo2.is_open(comp)
+def is_pairwise_closed(space, mask):
+    """Whether the set with bitmask ``mask`` is closed in both topologies."""
+    comp = (1 << len(space.points)) - 1 & ~mask
+    return space.topo1.is_open_mask(comp) and space.topo2.is_open_mask(comp)
 
 
 def verify_pbs_object(obj):
@@ -322,7 +326,7 @@ def verify_pbs_object(obj):
         )
     top_algebra = frozenset(range(len(alpha.truth)))
     res = PASS
-    if alpha.image_of(top_algebra) != (1 << len(space.points)) - 1:
+    if alpha.image_mask(top_algebra) != (1 << len(space.points)) - 1:
         res = failed("the whole truth lattice is not assigned the full point set")
     checks["alpha_full"] = res
 
@@ -330,7 +334,7 @@ def verify_pbs_object(obj):
     masks = alpha.image_masks
     for s2, m2 in masks.items():
         for s3, m3 in masks.items():
-            if alpha.image_of(s2 & s3) != m2 & m3:
+            if alpha.image_mask(s2 & s3) != m2 & m3:
                 res = failed(
                     f"assignment breaks the intersection law at "
                     f"{alpha.subalgebra_name(s2)} and {alpha.subalgebra_name(s3)}"
@@ -341,10 +345,11 @@ def verify_pbs_object(obj):
     checks["alpha_intersections"] = res
 
     res = PASS
-    for s, img in zip(alpha.subalgebras, alpha.images):
+    for s, img in masks.items():
         if not is_pairwise_closed(space, img):
             res = failed(
-                f"image {space.subset_name(img)} of {alpha.subalgebra_name(s)} "
+                f"image {space.subset_name(mask_members(img))} of "
+                f"{alpha.subalgebra_name(s)} "
                 "is not pairwise closed"
             )
             break
@@ -392,33 +397,36 @@ def _check_total(mapping, src_points, dst_points, name):
 
 
 def _maps_into(mapping, src_masks, dst_masks):
-    """Whether the map sends each ``src_masks[i]`` into
-    ``dst_masks[mapping[i]]``; the mask holds point i (it is the minimal
-    open or the up-set of i), and i's image is in its target."""
+    """The first (i, j) with j in ``src_masks[i]`` whose image is not in
+    ``dst_masks[mapping[i]]``, by i and then j, or None; the mask holds
+    point i (it is the minimal open or the up-set of i), and i's image is
+    in its target."""
     for i, (m, v) in enumerate(zip(src_masks, mapping)):
         target, m = dst_masks[v], m & ~(1 << i)
         while m:
             low = m & -m
             if not target >> mapping[low.bit_length() - 1] & 1:
-                return False
+                return i, low.bit_length() - 1
             m ^= low
-    return True
+    return None
 
 
 def _maps_onto(mapping, src_masks, dst_masks):
-    """Whether the map sends each ``src_masks[i]`` onto a superset of
-    ``dst_masks[mapping[i]]``."""
+    """The first (i, t) with t in ``dst_masks[mapping[i]]`` but not in the
+    image of ``src_masks[i]``, by i and then t, or None."""
     points = [1 << v for v in mapping]
-    return not any(
-        dst_masks[v] & ~_union_over(m, points) for m, v in zip(src_masks, mapping)
-    )
+    for i, (m, v) in enumerate(zip(src_masks, mapping)):
+        missed = dst_masks[v] & ~_union_over(m, points)
+        if missed:
+            return i, (missed & -missed).bit_length() - 1
+    return None
 
 
 def non_open_preimage(mapping, src_topo, dst_topo):
     """The first open of ``dst_topo`` whose preimage is not open, or None.
     The map is continuous when it sends the minimal open of each point into
     the minimal open of the point's image."""
-    if _maps_into(mapping, src_topo.minopen, dst_topo.minopen):
+    if _maps_into(mapping, src_topo.minopen, dst_topo.minopen) is None:
         return None
     for o in dst_topo.minimal_opens:
         if not src_topo.is_open_mask(
@@ -432,7 +440,7 @@ def non_open_image(mapping, src_topo, dst_topo):
     """The first open of ``src_topo`` whose image is not open in
     ``dst_topo``, or None. The map is open when the image of the minimal
     open of each point contains the minimal open of the point's image."""
-    if _maps_onto(mapping, src_topo.minopen, dst_topo.minopen):
+    if _maps_onto(mapping, src_topo.minopen, dst_topo.minopen) is None:
         return None
     for o in src_topo.minimal_opens:
         if not dst_topo.is_open_mask(subset_mask(mapping[i] for i in o)):
@@ -455,9 +463,9 @@ def verify_pbs_morphism(mapping, src, dst):
             else failed(f"preimage of {dst.space.subset_name(bad)} is not open")
         )
     res = PASS
-    for s, img in zip(src.alpha.subalgebras, src.alpha.images):
-        target = dst.alpha.image_of(s)
-        for i in sorted(img):
+    for s, img in src.alpha.image_masks.items():
+        target = dst.alpha.image_mask(s)
+        for i in mask_members(img):
             if not target >> mapping[i] & 1:
                 res = failed(
                     f"point {src.space.points[i]} lies in the image of "
@@ -479,14 +487,9 @@ def verify_pspa_morphism(mapping, src, dst):
         else failed(f"preimage of {dst.subset_name(bad)} is not open")
     }
     res = PASS
-    n = len(src.points)
-    if not _maps_into(mapping, src.order.up_masks, dst.order.up_masks):
-        i, j = next(
-            (i, j)
-            for i in range(n)
-            for j in range(n)
-            if src.order.leq[i][j] and not dst.order.leq[mapping[i]][mapping[j]]
-        )
+    bad = _maps_into(mapping, src.order.up_masks, dst.order.up_masks)
+    if bad is not None:
+        i, j = bad
         res = failed(
             f"order broken: {src.points[i]} <= {src.points[j]} "
             "but the images are not ordered"
@@ -499,21 +502,14 @@ def back_condition(mapping, src, dst):
     """The back condition of a total map of ordered spaces: whenever the
     image of s1 sits below some s2, a point above s1 maps onto s2: the
     image of the up-set of each point contains the up-set of its image."""
-    if _maps_onto(mapping, src.order.up_masks, dst.order.up_masks):
+    bad = _maps_onto(mapping, src.order.up_masks, dst.order.up_masks)
+    if bad is None:
         return PASS
-    for s1 in range(len(src.points)):
-        for s2 in range(len(dst.points)):
-            if not dst.order.leq[mapping[s1]][s2]:
-                continue
-            if not any(
-                src.order.leq[s1][s] and mapping[s] == s2
-                for s in range(len(src.points))
-            ):
-                return failed(
-                    f"back condition fails at {src.points[s1]} "
-                    f"(image below {dst.points[s2]}, nothing above maps onto it)"
-                )
-    return PASS
+    s1, s2 = bad
+    return failed(
+        f"back condition fails at {src.points[s1]} "
+        f"(image below {dst.points[s2]}, nothing above maps onto it)"
+    )
 
 
 def verify_hspa_morphism(mapping, src, dst):

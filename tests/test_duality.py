@@ -71,14 +71,14 @@ def test_lvl_dual_of_two_chain(chain2):
     assert len(obj.space.points) == 1
     assert set(obj.space.topo1.opens) == {frozenset(), frozenset({0})}
     assert set(obj.space.topo2.opens) == {frozenset(), frozenset({0})}
-    assert obj.alpha.image_of(frozenset({0, 1})) == 0b1  # the mask of {h0}
+    assert obj.alpha.image_mask(frozenset({0, 1})) == 0b1  # the mask of {h0}
 
 
 def test_lvl_dual_of_three_chain(chain3):
     obj = lvl_dual(make_lvl(chain3))
     assert len(obj.space.points) == 1
     # no unary-operator-preserving hom lands in the two-element subalgebra
-    assert obj.alpha.image_of(frozenset({0, 2})) == 0
+    assert obj.alpha.image_mask(frozenset({0, 2})) == 0
 
 
 def test_lvl_dual_reads_the_cached_subalgebra_family(chain3):
