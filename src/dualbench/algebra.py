@@ -17,7 +17,7 @@ object used when the algebra is sent to its dual space.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 from .errors import AlgebraError, BudgetExceeded
 from .lattice import (
@@ -26,6 +26,7 @@ from .lattice import (
     Poset,
     characteristic_tables,
     heyting_table,
+    mask_members,
 )
 from .reporting import PASS, AxiomReport, failed
 
@@ -120,20 +121,9 @@ def relativized_implication(truth, order):
     the results at the covers of w, worlds taken from the top down."""
     hey = heyting_table(truth)
     meet = truth.meet
-    n = len(order)
-    leq = order.leq
     # worlds above come first: a strictly larger world has a smaller up-set
-    worlds = sorted(range(n), key=lambda w: sum(leq[w]))
-    covers = [
-        [
-            c
-            for c in range(n)
-            if c != w
-            and leq[w][c]
-            and not any(m not in (w, c) and leq[w][m] and leq[m][c] for m in range(n))
-        ]
-        for w in range(n)
-    ]
+    worlds = sorted(range(len(order)), key=lambda w: order.up_masks[w].bit_count())
+    covers = [sorted(mask_members(m)) for m in order.cover_masks]
     known = {}
 
     def implies(u, v):
@@ -176,11 +166,9 @@ def packed_slices(truth, width, order=None):
         raise AlgebraError(
             "not-distributive", f"truth lattice {truth.name!r} is not distributive"
         )
-    nt, leq = len(truth), truth.leq
     irreducibles = sorted(truth.join_irreducibles)
-    below = [
-        sum(1 << i for i, j in enumerate(irreducibles) if leq[j][a]) for a in range(nt)
-    ]
+    down = truth.down_masks
+    below = [sum(1 << i for i, j in enumerate(irreducibles) if d >> j & 1) for d in down]
     k = len(irreducibles)
     # each value by the column of its slice bits, as '0'/'1' characters
     element = {
@@ -190,7 +178,7 @@ def packed_slices(truth, width, order=None):
     spread = [sum(1 << (i * width) for i in range(k) if mask >> i & 1) for mask in below]
     repunit = spread[truth.top]
     lower = [
-        [i2 * width for i2, j2 in enumerate(irreducibles) if leq[j2][j]]
+        [i2 * width for i2, j2 in enumerate(irreducibles) if down[j] >> j2 & 1]
         for j in irreducibles
     ]
 
@@ -209,9 +197,7 @@ def packed_slices(truth, width, order=None):
 
     interior = None
     if order is not None:
-        ups = [
-            sum(1 << w2 for w2 in range(width) if order.leq[w][w2]) for w in range(width)
-        ]
+        ups = order.up_masks
 
         def interior_of(s):
             out = 0
@@ -295,7 +281,7 @@ def vector_algebra(
     lattice = FiniteLattice(
         tuple(vector_name(truth, v) for v in vectors),
         # pointwise, u <= v exactly when u meet v is u
-        tuple(tuple([k == i for k in row]) for i, row in enumerate(meet)),
+        tuple(sum(1 << k for k, x in enumerate(row) if x == i) for i, row in enumerate(meet)),
         meet,
         join,
         look(0, "the bottom"),
@@ -336,19 +322,19 @@ def t_operator(truth, l, x):
 
 
 def make_bdl(lattice, truth, name=None):
-    lat = lattice if name is None else _renamed(lattice, name)
+    lat = lattice if name is None else replace(lattice, name=name)
     return _validate(Algebra("bdl", lat, truth))
 
 
 def make_heyting(lattice, truth, name=None):
-    lat = lattice if name is None else _renamed(lattice, name)
+    lat = lattice if name is None else replace(lattice, name=name)
     return _validate(Algebra("heyting", lat, truth, implies=heyting_table(lattice)))
 
 
 def make_heyting_ispi(lattice, truth, name=None):
     """A Heyting algebra packaged as an isp_i object (its own implication
     plays the distinguished role)."""
-    lat = lattice if name is None else _renamed(lattice, name)
+    lat = lattice if name is None else replace(lattice, name=name)
     return _validate(Algebra("isp_i", lat, truth, implies=heyting_table(lattice)))
 
 
@@ -356,7 +342,7 @@ def make_lvl(lattice, name=None):
     """The canonical lattice-valued algebra on the truth lattice itself:
     implication is the relative pseudocomplement and each unary operator is
     the characteristic function of its index."""
-    lat = lattice if name is None else _renamed(lattice, name)
+    lat = lattice if name is None else replace(lattice, name=name)
     return _validate(
         Algebra(
             "lvl",
@@ -372,20 +358,8 @@ def algebra_from_tables(signature, lattice, truth, implies=None, t_ops=None, nam
     """Assemble an algebra from explicit tables. Totality is enforced here;
     the substantive laws are left to the axiom checker so that deliberately
     broken operator families can still be built and explored."""
-    lat = lattice if name is None else _renamed(lattice, name)
+    lat = lattice if name is None else replace(lattice, name=name)
     return _validate(Algebra(signature, lat, truth, implies=implies, t_ops=t_ops))
-
-
-def _renamed(lattice, name):
-    return FiniteLattice(
-        lattice.elements,
-        lattice.leq,
-        lattice.meet,
-        lattice.join,
-        lattice.bottom,
-        lattice.top,
-        name=name,
-    )
 
 
 def product_algebra(a, b, name=None):
@@ -401,9 +375,10 @@ def product_algebra(a, b, name=None):
         f"({a.element_name(i)},{b.element_name(j)})" for i, j in pairs
     )
     la, lb = a.lattice, b.lattice
-    leq = tuple(
-        tuple(la.leq[i][k] and lb.leq[j][l] for k, l in pairs) for i, j in pairs
-    )
+    # (i, j) is element i * |b| + j, so the up-set of (i, j) holds the
+    # up-set of j at the offset of every k above i
+    offsets = [[k * len(b) for k in mask_members(up)] for up in la.up_masks]
+    up = tuple(sum(lb.up_masks[j] << o for o in offsets[i]) for i, j in pairs)
 
     def combine(ta, tb):
         return tuple(
@@ -412,7 +387,7 @@ def product_algebra(a, b, name=None):
 
     lattice = FiniteLattice(
         names,
-        leq,
+        up,
         combine(la.meet, lb.meet),
         combine(la.join, lb.join),
         pos[la.bottom, lb.bottom],
@@ -459,10 +434,12 @@ def subalgebra_of(alg, subset, name=None):
         return tuple(out)
 
     names = tuple(lat.elements[i] for i in order)
-    leq = tuple(tuple(lat.leq[i][j] for j in order) for i in order)
     lattice = FiniteLattice(
         names,
-        leq,
+        tuple(
+            sum(1 << q for q, j in enumerate(order) if lat.up_masks[i] >> j & 1)
+            for i in order
+        ),
         restrict2(lat.meet),
         restrict2(lat.join),
         pos[lat.bottom],
@@ -628,11 +605,11 @@ def enumerate_homs(a, b):
     _require_compatible(a, b)
     la, lb = a.lattice, b.lattice
     n, m = len(la), len(lb)
-    leq_a, bottom_a, top_a, top_b = la.leq, la.bottom, la.top, lb.top
+    up_a, bottom_a, top_a, top_b = la.up_masks, la.bottom, la.top, lb.top
     irreducibles = la.join_irreducibles
     k = len(irreducibles)
     pairs = [
-        [(i, la.meet[j][i]) for i in irreducibles[:p] if not leq_a[i][j]]
+        [(i, la.meet[j][i]) for i in irreducibles[:p] if not up_a[i] >> j & 1]
         for p, j in enumerate(irreducibles)
     ]
     _, unaries, binaries = _op_tables(a, b)
@@ -643,7 +620,7 @@ def enumerate_homs(a, b):
     final = [0] * n
     ups = []
     for p, j in enumerate(irreducibles, 1):
-        up = [x for x in itertools.compress(range(n), leq_a[j]) if x != top_a]
+        up = [x for x in range(n) if up_a[j] >> x & 1 and x != top_a]
         for x in up:
             final[x] = p
         ups.append(up)
@@ -661,8 +638,7 @@ def enumerate_homs(a, b):
             fx = final[x]
             for y, r in enumerate(ta[x]):
                 checks[max(fx, final[y], final[r])].append((r, x, y, tb))
-    join_b, down_b = lb.join, lb.down_masks
-    up_b = [sum(1 << v for v in range(m) if row[v]) for row in lb.leq]
+    join_b, down_b, up_b = lb.join, lb.down_masks, lb.up_masks
     implies_b = heyting_table(lb)
     steps = list(zip(irreducibles, pairs, ups, checks[1:]))
     found = []
@@ -709,9 +685,9 @@ def brute_force_homs(a, b):
     return tuple(sorted(out, key=lambda h: h.mapping))
 
 
-def hom_order_matrix(homs):
-    """The pointwise order on homomorphisms into a common target, as a
-    matrix: entry [i][j] says homs[i] <= homs[j].
+def hom_order(homs):
+    """The pointwise order on homomorphisms into a common target, as up-set
+    masks: bit j of ``hom_order(homs)[i]`` is set when homs[i] <= homs[j].
 
     Each hom is packed into one int whose bit a*m + t is set when t <= h(a)
     in the target order (m the target size). Over a partial order
@@ -720,9 +696,8 @@ def hom_order_matrix(homs):
     lookups."""
     if not homs:
         return ()
-    leq = homs[0].target.lattice.leq
-    m = len(leq)
-    down = [sum(1 << t for t in range(m) if leq[t][v]) for v in range(m)]
+    down = homs[0].target.lattice.down_masks
+    m = len(down)
     packed = []
     for h in homs:
         p = 0
@@ -730,7 +705,7 @@ def hom_order_matrix(homs):
             p |= down[v] << (shift * m)
         packed.append(p)
     outside = [~p for p in packed]
-    return tuple(tuple(not p & q for q in outside) for p in packed)
+    return tuple(sum(1 << j for j, q in enumerate(outside) if not p & q) for p in packed)
 
 
 def _fold(table, values, unit):

@@ -39,7 +39,7 @@ from .duality import (
     spectrum_correspondence,
     verification_scope,
 )
-from .errors import BudgetExceeded, DocumentError, DualityError, LatticeError
+from .errors import DocumentError, DualityError, LatticeError
 from .kripke import DEFAULT_POWER_BUDGET, kripke_condition_check
 from .lattice import chain_lattice, enumerate_subalgebras
 from .reporting import PASS, failed
@@ -503,10 +503,7 @@ def main(argv=None):
     try:
         with scope:
             report = _HANDLERS[args.command](args, report)
-    except (DocumentError, OSError, UnicodeDecodeError, BudgetExceeded) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except DualityError as exc:
+    except (DualityError, OSError, UnicodeDecodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     if args.timings:

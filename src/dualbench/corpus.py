@@ -54,6 +54,7 @@ from .lattice import (
     diamond_lattice,
     heyting_table,
     is_prime_ideal,
+    mask_members,
     separating_prime_ideal,
 )
 from .topology import verify_hspa_object, verify_pbs_object, verify_pspa_object
@@ -203,9 +204,9 @@ def _poset_classes(max_points, cap=None):
 
 
 def _poset_from_key(key, names, name):
+    # a key row holds column 0 as its top bit, an up-set mask as its lowest
     n = len(key)
-    leq = tuple(tuple(bool(row >> (n - 1 - j) & 1) for j in range(n)) for row in key)
-    return Poset(names, leq, name=name)
+    return Poset(names, tuple(int(f"{row:0{n}b}"[::-1], 2) for row in key), name=name)
 
 
 @lru_cache(maxsize=None)
@@ -224,7 +225,7 @@ def corpus_frames(max_worlds=4):
 def downset_lattice(poset, name):
     """The Birkhoff lattice of down-sets, ordered by inclusion."""
     n = len(poset)
-    below = [sum(1 << j for j in range(n) if poset.leq[j][i]) for i in range(n)]
+    below = poset.down_masks
     masks = {0}
     frontier = [0]
     while frontier:
@@ -235,22 +236,19 @@ def downset_lattice(poset, name):
                     masks.add(d | 1 << i)
                     grown.append(d | 1 << i)
         frontier = grown
-    downs = [frozenset(i for i in range(n) if m >> i & 1) for m in masks]
-    downs.sort(key=lambda s: (len(s), sorted(s)))
-    pos = {s: i for i, s in enumerate(downs)}
+    members = {m: sorted(mask_members(m)) for m in masks}
+    downs = sorted(masks, key=lambda m: (m.bit_count(), members[m]))
+    pos = {m: i for i, m in enumerate(downs)}
     names = tuple(
-        "{" + ",".join(poset.elements[i] for i in sorted(s)) + "}" for s in downs
+        "{" + ",".join(poset.elements[i] for i in members[m]) + "}" for m in downs
     )
-    leq = tuple(tuple(u <= v for v in downs) for u in downs)
-    meet = tuple(tuple(pos[u & v] for v in downs) for u in downs)
-    join = tuple(tuple(pos[u | v] for v in downs) for u in downs)
     return FiniteLattice(
         names,
-        leq,
-        meet,
-        join,
-        pos[frozenset()],
-        pos[frozenset(range(n))],
+        tuple(sum(1 << j for j, v in enumerate(downs) if not u & ~v) for u in downs),
+        tuple(tuple([pos[u & v] for v in downs]) for u in downs),
+        tuple(tuple([pos[u | v] for v in downs]) for u in downs),
+        pos[0],
+        pos[(1 << n) - 1],
         name=name,
     )
 

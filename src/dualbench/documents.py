@@ -30,7 +30,7 @@ from dataclasses import dataclass, field
 from .algebra import algebra_from_tables
 from .errors import DocumentError
 from .kripke import check_power_budget, intuitionistic_power, power_subalgebra
-from .lattice import build_lattice, build_poset, heyting_table
+from .lattice import build_lattice, build_poset, heyting_table, mask_members
 from .topology import (
     AlphaAssignment,
     BitopSpace,
@@ -259,45 +259,31 @@ def serialize_document(doc):
     return "\n".join(out) + "\n"
 
 
+def _cover_pairs(poset):
+    """The cover pairs of an order as ``x<=y``, by x and then y; the
+    closure is implied."""
+    names = poset.elements
+    return " ".join(
+        f"{names[i]}<={names[j]}"
+        for i, covers in enumerate(poset.cover_masks)
+        for j in sorted(mask_members(covers))
+    )
+
+
 def lattice_document(lattice):
-    """A document describing a built lattice (cover pairs only; the closure
-    is implied)."""
-    n = len(lattice)
-    covers = []
-    for i in range(n):
-        for j in range(n):
-            if i == j or not lattice.leq[i][j]:
-                continue
-            if any(
-                k != i and k != j and lattice.leq[i][k] and lattice.leq[k][j]
-                for k in range(n)
-            ):
-                continue
-            covers.append(f"{lattice.elements[i]}<={lattice.elements[j]}")
+    """A document describing a built lattice (cover pairs only)."""
     fields = (
         ("bottom", lattice.elements[lattice.bottom]),
         ("elements", " ".join(lattice.elements)),
-        ("leq", " ".join(covers)),
+        ("leq", _cover_pairs(lattice)),
         ("top", lattice.elements[lattice.top]),
     )
     return WorkspaceDocument("lattice", lattice.name, tuple(sorted(fields)))
 
 
 def frame_document(poset):
-    n = len(poset)
-    covers = []
-    for i in range(n):
-        for j in range(n):
-            if i == j or not poset.leq[i][j]:
-                continue
-            if any(
-                k != i and k != j and poset.leq[i][k] and poset.leq[k][j]
-                for k in range(n)
-            ):
-                continue
-            covers.append(f"{poset.elements[i]}<={poset.elements[j]}")
     fields = (
-        ("order", " ".join(covers)),
+        ("order", _cover_pairs(poset)),
         ("worlds", " ".join(poset.elements)),
     )
     return WorkspaceDocument("frame", poset.name, tuple(sorted(fields)))

@@ -50,7 +50,7 @@ from .algebra import (
     check_lvl_axioms,
     compose_homs,
     enumerate_homs,
-    hom_order_matrix,
+    hom_order,
     identity_hom,
     is_homomorphism,
     make_bdl,
@@ -135,10 +135,6 @@ def _point_names(k):
     return tuple(f"h{i}" for i in range(k))
 
 
-def _basic_open(homs, a, top):
-    return frozenset(i for i, h in enumerate(homs) if h.mapping[a] == top)
-
-
 def _evaluation_masks(homs, size, top):
     """The evaluation sets as bitmasks, built in one pass over the homs: bit
     i of ``masks[a]`` is set when ``homs[i]`` sends a to top."""
@@ -203,11 +199,11 @@ def check_second_topology_inclusion(obj):
     return PASS
 
 
-def _map_vectors(allowed, topologies, leq_p, leq_t, limit, what):
+def _map_vectors(allowed, topologies, order, truth, limit, what):
     """Every map from the points into the truth values, as vectors in
     lexicographic order, that sends point i into the bits of ``allowed[i]``,
     is continuous for each topology into the discrete truth values and, when
-    ``leq_p`` is given, preserves the order from ``leq_p`` to ``leq_t``.
+    ``order`` is given, preserves the order from ``order`` to ``truth``.
 
     A map into a discrete space is continuous exactly when it is constant
     on every minimal open. So each point must take the value of every
@@ -217,10 +213,11 @@ def _map_vectors(allowed, topologies, leq_p, leq_t, limit, what):
     each point as a bitmask and builds only the maps it keeps; it raises
     BudgetExceeded once more than ``limit`` are kept."""
     n = len(allowed)
-    nt = len(leq_t)
-    same = tuple(1 << v for v in range(nt))
-    up = tuple(sum(1 << w for w in range(nt) if leq_t[v][w]) for v in range(nt))
-    down = tuple(sum(1 << w for w in range(nt) if leq_t[w][v]) for v in range(nt))
+    same = tuple(1 << v for v in range(len(truth)))
+    up, down = truth.up_masks, truth.down_masks
+    below = above = (0,) * n
+    if order is not None:
+        below, above = order.down_masks, order.up_masks
     tied = [0] * n
     for topo in topologies:
         for i in range(n):
@@ -231,9 +228,9 @@ def _map_vectors(allowed, topologies, leq_p, leq_t, limit, what):
         for j in range(i):
             if tied[i] >> j & 1:
                 row.append((j, same))
-            elif leq_p is not None and leq_p[j][i]:
+            elif below[i] >> j & 1:
                 row.append((j, up))
-            elif leq_p is not None and leq_p[i][j]:
+            elif above[i] >> j & 1:
                 row.append((j, down))
         constraints.append(row)
     out = []
@@ -272,7 +269,7 @@ def _pbs_map_vectors(obj, limit=MAP_ENUM_LIMIT):
         allowed,
         (obj.space.topo1, obj.space.topo2),
         None,
-        truth.leq,
+        truth,
         limit,
         f"continuous maps over {obj.name!r}",
     )
@@ -309,7 +306,7 @@ def _ordered_dual(bdl_algebra, name, homs):
     space = OrderedSpace(
         names,
         topology_from_masks(k, masks + [full ^ m for m in masks]),
-        Poset(names, hom_order_matrix(homs), name="hom-order"),
+        Poset(names, hom_order(homs), name="hom-order"),
         name=name,
     )
     return space, homs
@@ -339,8 +336,8 @@ def _ordered_map_vectors(space, truth, limit=MAP_ENUM_LIMIT):
     return _map_vectors(
         [(1 << len(truth)) - 1] * len(space.points),
         (space.topo,),
-        space.order.leq,
-        truth.leq,
+        space.order,
+        truth,
         limit,
         f"continuous order-preserving maps over {space.name!r}",
     )
@@ -385,45 +382,37 @@ def esakia_dual(algebra):
     return _esakia_dual(algebra)[0]
 
 
-def _downclosure_masks_agree(algebra, order, homs):
-    """The down-closure identity decided on the evaluation masks over the
-    homs and their down-closures in ``order``."""
+def _downclosure_mismatch(algebra, order, homs):
+    """The first element a at which the down-closure identity fails, with
+    its two sides as masks over the homs, or None: the down-closure in
+    ``order`` of the evaluation set of a, and the complement of the
+    evaluation set of a -> 0."""
     opens = _evaluation_masks(homs, len(algebra), algebra.truth.top)
     full = (1 << len(homs)) - 1
     bot = algebra.lattice.bottom
-    return all(
-        _union_over(m, order.down_masks) == full & ~opens[row[bot]]
-        for m, row in zip(opens, algebra.implies)
-    )
-
-
-def _downclosure_scan(algebra, space, homs):
-    """The down-closure identity element by element, on frozensets, with
-    the first failing element as the witness."""
-    full = frozenset(range(len(homs)))
-    top = algebra.truth.top
-    bot = algebra.lattice.bottom
-    for a in range(len(algebra)):
-        lhs = space.order.down_closure(_basic_open(homs, a, top))
-        rhs = full - _basic_open(homs, algebra.implies[a][bot], top)
+    for a, (m, row) in enumerate(zip(opens, algebra.implies)):
+        lhs, rhs = _union_over(m, order.down_masks), full & ~opens[row[bot]]
         if lhs != rhs:
-            return failed(
-                f"down-closure identity fails at {algebra.element_name(a)}: "
-                f"{space.subset_name(lhs)} != {space.subset_name(rhs)}"
-            )
-    return PASS
+            return a, lhs, rhs
+    return None
 
 
 def check_downclosure_identity(algebra):
     """The down-closure of each basic evaluation set must equal the
     complement of the evaluation set of the implication to bottom, decided
-    on int masks, with the elementwise scan run on a mismatch for its
-    witness. Holds on duals of genuine up-set algebras over the two-element
+    on int masks; the witness is the first failing element and its two
+    sides. Holds on duals of genuine up-set algebras over the two-element
     chain; measured, not assumed, elsewhere."""
     space, homs = _esakia_dual(algebra)
-    if _downclosure_masks_agree(algebra, space.order, homs):
+    bad = _downclosure_mismatch(algebra, space.order, homs)
+    if bad is None:
         return PASS
-    return _downclosure_scan(algebra, space, homs)
+    a, lhs, rhs = bad
+    return failed(
+        f"down-closure identity fails at {algebra.element_name(a)}: "
+        f"{space.subset_name(mask_members(lhs))} != "
+        f"{space.subset_name(mask_members(rhs))}"
+    )
 
 
 @_scoped
@@ -526,14 +515,16 @@ def _alpha_compatible(mapping, obj, gc_obj, *_):
 
 
 def _order_reflecting(mapping, space, gc_space, *_):
-    n = len(space.points)
-    for s1 in range(n):
-        for s2 in range(n):
-            if not space.order.leq[s1][s2] and gc_space.order.leq[mapping[s1]][mapping[s2]]:
-                return failed(
-                    f"order reflection fails: images of {space.points[s1]}, "
-                    f"{space.points[s2]} are ordered but the points are not"
-                )
+    gc_up = gc_space.order.up_masks
+    for s1, (up, v) in enumerate(zip(space.order.up_masks, mapping)):
+        # the points whose images lie above that of s1, less those above s1
+        bad = subset_mask(s for s, w in enumerate(mapping) if gc_up[v] >> w & 1) & ~up
+        if bad:
+            s2 = (bad & -bad).bit_length() - 1
+            return failed(
+                f"order reflection fails: images of {space.points[s1]}, "
+                f"{space.points[s2]} are ordered but the points are not"
+            )
     return PASS
 
 
@@ -542,10 +533,12 @@ def _reflection_device(mapping, space, gc_space, vectors, truth):
     # up-set of s1 separates s1 from every point not above it, so it must be
     # a map of the algebra whenever such a point exists
     vec_set = set(vectors)
-    for s1, row in enumerate(space.order.leq):
-        if all(row):
+    points = range(len(space.points))
+    full = (1 << len(points)) - 1
+    for s1, up in enumerate(space.order.up_masks):
+        if up == full:
             continue
-        if tuple(truth.top if up else truth.bottom for up in row) not in vec_set:
+        if tuple(truth.top if up >> s & 1 else truth.bottom for s in points) not in vec_set:
             return failed(
                 f"indicator of the up-set of {space.points[s1]} is not a "
                 "map of the algebra; no separating witness"
@@ -631,15 +624,14 @@ def _verify_esakia_object(space):
 
 
 def _describe_ordered(space):
-    points, leq = space.points, space.order.leq
+    points = space.points
     return {
         "points": list(points),
         "opens": space.topo.open_count,
         "order": [
             f"{points[i]}<={points[j]}"
-            for i in range(len(points))
-            for j in range(len(points))
-            if i != j and leq[i][j]
+            for i, up in enumerate(space.order.up_masks)
+            for j in sorted(mask_members(up & ~(1 << i)))
         ],
     }
 

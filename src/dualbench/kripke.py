@@ -163,7 +163,7 @@ def monotone_vectors(truth, frame):
     a limit that no family of such vectors reaches."""
     nw, nt = len(frame), len(truth)
     what = f"order-preserving vectors over {frame.name!r}"
-    return _map_vectors([(1 << nt) - 1] * nw, (), frame.leq, truth.leq, nt**nw, what)
+    return _map_vectors([(1 << nt) - 1] * nw, (), frame, truth, nt**nw, what)
 
 
 def upset_algebra(truth, frame, budget=DEFAULT_POWER_BUDGET, name=None):
@@ -205,14 +205,14 @@ def _kripke_columns_agree(algebra, homs, order):
     return True
 
 
-def _kripke_scan(algebra, homs, leq):
+def _kripke_scan(algebra, homs, order):
     """The Kripke condition hom by hom, over the homs above each in
-    ``leq``; the witness is the first failing v, then its first (x, y)."""
+    ``order``; the witness is the first failing v, then its first (x, y)."""
     truth = algebra.truth
     hey = heyting_table(truth)
     n = len(algebra)
-    for vi, (v, row) in enumerate(zip(homs, leq)):
-        succ = [w for w, le in zip(homs, row) if le]
+    for vi, (v, up) in enumerate(zip(homs, order.up_masks)):
+        succ = [w for wi, w in enumerate(homs) if up >> wi & 1]
         for x in range(n):
             for y in range(n):
                 expected = truth.top
@@ -246,4 +246,4 @@ def kripke_condition_check(algebra):
     order = space.order
     if algebra.truth.is_distributive and _kripke_columns_agree(algebra, homs, order):
         return PASS
-    return _kripke_scan(algebra, homs, order.leq)
+    return _kripke_scan(algebra, homs, order)

@@ -4,19 +4,33 @@ Everything is index-based internally: the canonical element order is the
 declaration order, element i is ``elements[i]``, and all set-valued results
 come back as frozensets of indices sorted canonically by the callers that
 render them. All structures are immutable after construction.
+
+An order is held one way only, by the up-set of each element as a bitmask
+(``Poset.up_masks``); the down-sets, the covers and the bool matrix
+``leq`` are read off it on first use. Every builder produces the up-sets
+directly, and the kernels here and in the other modules read masks: the
+lattice tables come from down-set masks, and the laws of the dual spaces
+are decided on up- and down-set masks, as Priestley duality states them.
 """
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass, field
 from functools import cached_property
 from operator import eq, itemgetter
 
 from .errors import LatticeError
 
-SUBSET_SCAN_LIMIT = 12  # power-set scan bound for subalgebra enumeration
-_BINARY_DIGITS = bytes.maketrans(b"\x00\x01", b"01")
+
+def subset_mask(subset):
+    mask = 0
+    for i in subset:
+        mask |= 1 << i
+    return mask
+
+
+def mask_members(mask):
+    return frozenset(i for i in range(mask.bit_length()) if mask >> i & 1)
 
 
 def _union_over(mask, table):
@@ -45,10 +59,11 @@ class Memo(dict):
 
 @dataclass(frozen=True)
 class Poset:
-    """A finite partial order; ``leq[i][j]`` means element i is below j."""
+    """A finite partial order, held by the up-set of each element: bit j of
+    ``up_masks[i]`` is set when element i is below j."""
 
     elements: tuple[str, ...]
-    leq: tuple[tuple[bool, ...], ...]
+    up_masks: tuple[int, ...]
     name: str = field(default="poset", kw_only=True)
 
     def __len__(self):
@@ -67,38 +82,43 @@ class Poset:
     @cached_property
     def down_masks(self):
         """Bit y of ``down_masks[x]`` is set when y <= x."""
-        # column x of leq, last element first, read as a binary numeral
-        return tuple(
-            int(bytes(column[::-1]).translate(_BINARY_DIGITS), 2)
-            for column in zip(*self.leq)
-        )
+        down = [0] * len(self.up_masks)
+        for y, up in enumerate(self.up_masks):
+            bit = 1 << y
+            while up:
+                low = up & -up
+                down[low.bit_length() - 1] |= bit
+                up ^= low
+        return tuple(down)
 
     @cached_property
-    def up_masks(self):
-        """Bit y of ``up_masks[x]`` is set when x <= y."""
-        return tuple(int(bytes(row[::-1]).translate(_BINARY_DIGITS), 2) for row in self.leq)
+    def leq(self):
+        """The order as a read-only bool matrix: ``leq[i][j]`` says i <= j."""
+        columns = range(len(self.up_masks))
+        return tuple(tuple([bool(up >> j & 1) for j in columns]) for up in self.up_masks)
+
+    @cached_property
+    def cover_masks(self):
+        """Bit j of ``cover_masks[i]`` is set when j covers i: i < j with
+        nothing strictly between them."""
+        strict = [up & ~(1 << i) for i, up in enumerate(self.up_masks)]
+        return tuple(s & ~_union_over(s, strict) for s in strict)
 
     def upset(self, i):
         """R(x): everything above element i, including i."""
         self._check(i)
-        return frozenset(j for j in range(len(self)) if self.leq[i][j])
+        return mask_members(self.up_masks[i])
 
     def down_closure(self, subset):
         """R^{-1}(X0): everything below some member of the subset."""
         subset = frozenset(subset)
         for i in subset:
             self._check(i)
-        return frozenset(
-            j
-            for j in range(len(self))
-            if any(self.leq[j][i] for i in subset)
-        )
+        return mask_members(_union_over(subset_mask(subset), self.down_masks))
 
     def is_upset(self, subset):
-        subset = frozenset(subset)
-        return all(
-            self.leq[i][j] <= (j in subset) for i in subset for j in range(len(self))
-        )
+        mask = subset_mask(subset)
+        return not _union_over(mask, self.up_masks) & ~mask
 
     def names(self, subset):
         return tuple(self.elements[i] for i in sorted(subset))
@@ -184,7 +204,7 @@ class FiniteLattice(Poset):
         only = sum(1 << j for j in irreducibles)
         below = [mask & only for mask in self.down_masks]
         by_below = {mask: x for x, mask in enumerate(below)}
-        up = {j: sum(1 << k for k in irreducibles if self.leq[j][k]) for j in irreducibles}
+        up = {j: self.up_masks[j] & only for j in irreducibles}
 
         memo = Memo(lambda gap: by_below[only ^ _union_over(gap, up)])
         return tuple(tuple([memo[a & ~b] for b in below]) for a in below)
@@ -193,15 +213,14 @@ class FiniteLattice(Poset):
     def prime_filters(self):
         """``prime_filters(self)``, found once per lattice."""
         n = len(self)
-        leq, join = self.leq, self.join
+        join = self.join
         found = []
-        for a in range(n):
+        for a, above in enumerate(self.up_masks):
             if a == self.bottom:
                 continue
-            above = leq[a]
-            outside = [x for x in range(n) if not above[x]]
-            if not any(above[join[x][y]] for x in outside for y in outside):
-                found.append(frozenset(x for x in range(n) if above[x]))
+            outside = [x for x in range(n) if not above >> x & 1]
+            if not any(above >> join[x][y] & 1 for x in outside for y in outside):
+                found.append(mask_members(above))
         return canonical_subset_order(found)
 
     @cached_property
@@ -217,7 +236,7 @@ class FiniteLattice(Poset):
 
 
 def _transitive_reflexive_closure(n, pairs):
-    """The reflexive-transitive closure as a bool matrix, by Warshall's
+    """The reflexive-transitive closure as up-set masks, by Warshall's
     algorithm on int rows: bit j of ``rows[i]`` is set when i <= j."""
     rows = [1 << i for i in range(n)]
     for i, j in pairs:
@@ -227,7 +246,7 @@ def _transitive_reflexive_closure(n, pairs):
         for i in range(n):
             if rows[i] & bit:
                 rows[i] |= row_k
-    return [[bool(row >> j & 1) for j in range(n)] for row in rows]
+    return tuple(rows)
 
 
 def build_poset(elements, pairs, name="poset"):
@@ -248,16 +267,16 @@ def build_poset(elements, pairs, name="poset"):
         if b not in index:
             raise LatticeError("unknown-element", f"unknown element {b!r} in {name}", (b,))
         numeric.append((index[a], index[b]))
-    leq = _transitive_reflexive_closure(len(elements), numeric)
-    for i in range(len(elements)):
+    up = _transitive_reflexive_closure(len(elements), numeric)
+    for i, row in enumerate(up):
         for j in range(i + 1, len(elements)):
-            if leq[i][j] and leq[j][i]:
+            if row >> j & 1 and up[j] >> i & 1:
                 raise LatticeError(
                     "not-a-poset",
                     f"cycle between {elements[i]!r} and {elements[j]!r} in {name}",
                     (elements[i], elements[j]),
                 )
-    return Poset(elements, tuple(tuple(row) for row in leq), name=name)
+    return Poset(elements, up, name=name)
 
 
 def build_lattice(elements, leq_pairs, bottom, top, name="lattice"):
@@ -271,14 +290,15 @@ def build_lattice(elements, leq_pairs, bottom, top, name="lattice"):
     poset = build_poset(elements, leq_pairs, name=name)
     n = len(poset)
     bot, topi = poset.index(bottom), poset.index(top)
+    up, down = poset.up_masks, poset.down_masks
     for x in range(n):
-        if not poset.leq[bot][x]:
+        if not up[bot] >> x & 1:
             raise LatticeError(
                 "wrong-bounds",
                 f"declared bottom {bottom!r} is not below {poset.elements[x]!r}",
                 (bottom, poset.elements[x]),
             )
-        if not poset.leq[x][topi]:
+        if not down[topi] >> x & 1:
             raise LatticeError(
                 "wrong-bounds",
                 f"declared top {top!r} is not above {poset.elements[x]!r}",
@@ -286,12 +306,6 @@ def build_lattice(elements, leq_pairs, bottom, top, name="lattice"):
             )
     # g is the meet of i and j exactly when its down-set is the intersection
     # of theirs, so a missing down-set is a missing meet; joins likewise
-    down, up = [0] * n, [0] * n
-    for i, row in enumerate(poset.leq):
-        for j in range(n):
-            if row[j]:
-                up[i] |= 1 << j
-                down[j] |= 1 << i
     by_down = {mask: i for i, mask in enumerate(down)}
     by_up = {mask: i for i, mask in enumerate(up)}
     meet, join = [], []
@@ -330,7 +344,7 @@ def build_lattice(elements, leq_pairs, bottom, top, name="lattice"):
                 )
     return FiniteLattice(
         poset.elements,
-        poset.leq,
+        up,
         tuple(meet),
         tuple(join),
         bot,
@@ -362,9 +376,9 @@ def heyting_implies(lattice, a, b):
     """Relative pseudocomplement: the join of every l with a /\\ l <= b."""
     lattice._check(a)
     lattice._check(b)
-    out = lattice.bottom
+    out, below_b = lattice.bottom, lattice.down_masks[b]
     for l in range(len(lattice)):
-        if lattice.leq[lattice.meet[a][l]][b]:
+        if below_b >> lattice.meet[a][l] & 1:
             out = lattice.join[out][l]
     return out
 
@@ -422,12 +436,12 @@ def _close_subset(subset, binaries, unaries):
     return frozenset(out)
 
 
-def enumerate_subalgebras(lattice, signature="bdl", scan_limit=SUBSET_SCAN_LIMIT):
+def enumerate_subalgebras(lattice, signature="bdl"):
     """Every subset containing the bounds and closed under the signature ops,
     in canonical order (size, then lexicographic over declaration order).
 
-    Power-set scan up to ``scan_limit`` elements; generator-closure search
-    above that (the two paths agree, which the tests pin down).
+    Generator-closure search: from the closure of the bounds, each
+    subalgebra found is grown by one element at a time and closed again.
     """
     if signature not in ("bdl", "heyting", "lvl"):
         raise LatticeError(
@@ -435,17 +449,7 @@ def enumerate_subalgebras(lattice, signature="bdl", scan_limit=SUBSET_SCAN_LIMIT
         )
     n = len(lattice)
     binaries, unaries = _signature_tables(lattice, signature)
-    base = {lattice.bottom, lattice.top}
-    if n <= scan_limit:
-        rest = [i for i in range(n) if i not in base]
-        found = []
-        for r in range(len(rest) + 1):
-            for extra in itertools.combinations(rest, r):
-                subset = frozenset(base | set(extra))
-                if _close_subset(subset, binaries, unaries) == subset:
-                    found.append(subset)
-        return canonical_subset_order(found)
-    seed = _close_subset(frozenset(base), binaries, unaries)
+    seed = _close_subset(frozenset({lattice.bottom, lattice.top}), binaries, unaries)
     found = {seed}
     queue = [seed]
     while queue:
@@ -507,10 +511,9 @@ def is_prime_ideal(lattice, subset):
     n = len(lattice)
     if not subset or len(subset) == n:
         return False
-    for i in subset:
-        for j in range(n):
-            if lattice.leq[j][i] and j not in subset:
-                return False
+    mask = subset_mask(subset)
+    if _union_over(mask, lattice.down_masks) & ~mask:
+        return False
     if not all(lattice.join[a][b] in subset for a in subset for b in subset):
         return False
     for a in range(n):

@@ -17,9 +17,12 @@ of all opens is built only on request (``Topology.opens``), for tests and
 tracing, and no validator reads it.
 
 Topologies are built from subbasis masks (``topology_from_masks``), and the
-morphism laws are decided on masks. The order law and the back condition
-take their witness from the first failure of the mask test, which is the
-first pair a scan of the order would find; continuity and open images keep
+order of an ordered space is held, like every order, as one up-set mask per
+point (``Poset.up_masks``), so the morphism laws are decided on masks. The
+order law and the back condition take their witness from the first failure
+of the mask test, which is the first pair a scan of the order would find;
+the Priestley separation of an object takes it from the smallest clopen
+up-set around each point. Continuity and open images keep
 their scan over the minimal opens, run only after the mask test fails, so
 that their witness follows the canonical order.
 """
@@ -30,21 +33,10 @@ from dataclasses import dataclass, field
 from functools import cached_property
 
 from .errors import BudgetExceeded, SpaceError
-from .lattice import FiniteLattice, Poset, _union_over
+from .lattice import FiniteLattice, Poset, _union_over, mask_members, subset_mask
 from .reporting import PASS, failed
 
 TOPOLOGY_FAMILY_LIMIT = 1 << 14
-
-
-def subset_mask(subset):
-    mask = 0
-    for i in subset:
-        mask |= 1 << i
-    return mask
-
-
-def mask_members(mask):
-    return frozenset(i for i in range(mask.bit_length()) if mask >> i & 1)
 
 
 def canonical_family(subsets):

@@ -11,6 +11,7 @@ generator, its pruned key and its down-set search.
 import itertools
 
 from dualbench.lattice import FiniteLattice, Poset
+from lattice_oracle import up_masks_of
 
 POINT_NAMES = "abcdefg"
 
@@ -60,7 +61,7 @@ def _canonical_key(rel, n):
 
 def _poset_from_key(key, n, names, name):
     leq = tuple(tuple(key[i * n + j] for j in range(n)) for i in range(n))
-    return Poset(tuple(names[:n]), leq, name=name)
+    return Poset(tuple(names[:n]), up_masks_of(leq), name=name)
 
 
 def _count_downsets_capped(rel, n, cap):
@@ -108,7 +109,7 @@ def downset_lattice(poset, name):
     join = tuple(tuple(pos[u | v] for v in downs) for u in downs)
     return FiniteLattice(
         names,
-        leq,
+        up_masks_of(leq),
         meet,
         join,
         pos[frozenset()],

@@ -2,8 +2,8 @@
 verbatim as its slow oracle: a backtracking search over every element of
 the source, with each assignment propagated through every operation table
 by a worklist. It assumes nothing of either lattice, distributivity
-included. ``hom_leq`` is the elementwise oracle of
-``dualbench.algebra.hom_order_matrix``."""
+included. ``hom_leq`` and ``hom_leq_masks`` are the elementwise oracle of
+``dualbench.algebra.hom_order``."""
 
 from __future__ import annotations
 
@@ -136,3 +136,8 @@ def hom_leq(h1, h2):
     """Pointwise order on homomorphisms into a common target."""
     leq = h1.target.lattice.leq
     return all(leq[x][y] for x, y in zip(h1.mapping, h2.mapping))
+
+
+def hom_leq_masks(homs):
+    """The up-set masks of the pointwise order, pair by pair with hom_leq."""
+    return tuple(sum(1 << j for j, w in enumerate(homs) if hom_leq(v, w)) for v in homs)

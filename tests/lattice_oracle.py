@@ -7,6 +7,12 @@ from dualbench.errors import LatticeError
 from dualbench.lattice import FiniteLattice, Poset
 
 
+def up_masks_of(leq):
+    """The up-set masks of an order given as a bool matrix, the one form in
+    which a ``Poset`` holds it: bit j of row i is set when leq[i][j]."""
+    return tuple(sum(1 << j for j, le in enumerate(row) if le) for row in leq)
+
+
 def _transitive_reflexive_closure(n, pairs):
     leq = [[i == j for j in range(n)] for i in range(n)]
     for i, j in pairs:
@@ -48,7 +54,7 @@ def build_poset(elements, pairs, name="poset"):
                     f"cycle between {elements[i]!r} and {elements[j]!r} in {name}",
                     (elements[i], elements[j]),
                 )
-    return Poset(elements, tuple(tuple(row) for row in leq), name=name)
+    return Poset(elements, up_masks_of(leq), name=name)
 
 
 def _glb(poset, i, j):
@@ -124,7 +130,7 @@ def build_lattice(elements, leq_pairs, bottom, top, name="lattice"):
                     )
     return FiniteLattice(
         poset.elements,
-        poset.leq,
+        poset.up_masks,
         tuple(tuple(row) for row in meet),
         tuple(tuple(row) for row in join),
         bot,

@@ -10,7 +10,7 @@ from dualbench.algebra import (
     check_lvl_axioms,
     compose_homs,
     enumerate_homs,
-    hom_order_matrix,
+    hom_order,
     identity_hom,
     is_homomorphism,
     make_bdl,
@@ -33,7 +33,8 @@ from dualbench.lattice import (
     enumerate_subalgebras,
     heyting_table,
 )
-from hom_oracle import hom_leq
+from hom_oracle import hom_leq_masks
+from lattice_oracle import up_masks_of
 
 
 def test_t_operator_truth_constants(chain3, b2):
@@ -181,7 +182,7 @@ def pentagon():
 
     return FiniteLattice(
         poset.elements,
-        leq,
+        poset.up_masks,
         tuple(tuple(bound(i, j, under) for j in n) for i in n),
         tuple(tuple(bound(i, j, over) for j in n) for i in n),
         0,
@@ -190,13 +191,9 @@ def pentagon():
     )
 
 
-def hom_leq_matrix(homs):
-    return tuple(tuple(hom_leq(v, w) for w in homs) for v in homs)
-
-
 @settings(deadline=None, max_examples=60)
 @given(data=st.data())
-def test_hom_order_matrix_matches_hom_leq(small_lattices, data):
+def test_hom_order_matches_hom_leq(small_lattices, data):
     # any maps into a common target, homs or not, in any partial order
     targets = small_lattices + (pentagon(),)
     truth = data.draw(st.sampled_from(targets))
@@ -208,18 +205,18 @@ def test_hom_order_matrix_matches_hom_leq(small_lattices, data):
         )
     )
     homs = tuple(Homomorphism(source, target, m) for m in mappings)
-    assert hom_order_matrix(homs) == hom_leq_matrix(homs)
+    assert hom_order(homs) == hom_leq_masks(homs)
 
 
-def test_hom_order_matrix_into_the_pentagon(small_lattices):
-    # the pentagon has no packed slices; the order matrix needs none
+def test_hom_order_into_the_pentagon(small_lattices):
+    # the pentagon has no packed slices; the hom order needs none
     five = pentagon()
     target = algebra_from_tables("bdl", five, five)
     sizes = []
     for lat in small_lattices:
         homs = enumerate_homs(make_bdl(lat, five), target)
         sizes.append(len(homs))
-        assert hom_order_matrix(homs) == hom_leq_matrix(homs)
+        assert hom_order(homs) == hom_leq_masks(homs)
     assert max(sizes) > 10
 
 
@@ -306,7 +303,8 @@ def test_subalgebra_inclusions_are_homs(chain3, b2):
 def test_degenerate_carrier_rejected(chain2):
     from dualbench.lattice import FiniteLattice
 
-    one = FiniteLattice(("x",), ((True,),), ((0,),), ((0,),), 0, 0, name="one")
+    up = up_masks_of(((True,),))
+    one = FiniteLattice(("x",), up, ((0,),), ((0,),), 0, 0, name="one")
     with pytest.raises(AlgebraError) as err:
         make_bdl(one, chain2)
     assert err.value.code == "degenerate-carrier"

@@ -1,13 +1,14 @@
 import ast
 import dataclasses
 import pathlib
+import sys
 
 import pytest
 
 from dualbench import duality
 from dualbench.algebra import (
     enumerate_homs,
-    hom_order_matrix,
+    hom_order,
     make_bdl,
     make_heyting_ispi,
     make_lvl,
@@ -55,7 +56,8 @@ from dualbench.topology import (
     verify_pbs_object,
     verify_pspa_object,
 )
-from hom_oracle import hom_leq
+import topology_oracle
+from hom_oracle import hom_leq_masks
 
 
 def is_chain(lattice):
@@ -274,8 +276,8 @@ def test_downclosure_identity_fails_on_full_power(chain2, frame2):
 
 
 def test_downclosure_masks_match_the_scan(chain2, chain3, b2):
-    # the mask verdict alone against the elementwise scan: a verdict that
-    # is too strict would fall back to the scan, and the check would hide it
+    # the mask test against the elementwise scan of the oracle: the same
+    # verdict, and the same first failing element and sides as the witness
     cases = [(chain2, f) for f in corpus_frames(4)]
     cases += [(truth, f) for truth in (chain3, b2) for f in corpus_frames(3)]
     verdicts = []
@@ -283,9 +285,9 @@ def test_downclosure_masks_match_the_scan(chain2, chain3, b2):
         for build in (upset_algebra, intuitionistic_power):
             algebra = build(truth, frame)
             space, homs = duality._esakia_dual(algebra)
-            scan = duality._downclosure_scan(algebra, space, homs)
-            fast = duality._downclosure_masks_agree(algebra, space.order, homs)
-            assert fast == scan.passed, (algebra.name, scan.witness)
+            scan = topology_oracle.downclosure_scan(algebra, space, homs)
+            fast = duality._downclosure_mismatch(algebra, space.order, homs)
+            assert (fast is None) == scan.passed, (algebra.name, scan.witness)
             if build is upset_algebra and truth is chain2:
                 assert scan.passed, algebra.name
             assert check_downclosure_identity(algebra).witness == scan.witness
@@ -552,6 +554,37 @@ def test_no_module_imports_a_name_it_never_reads():
     assert list(_unused_imports(sample)) == [(2, "os"), (3, "z")]
 
 
+def _foreign_imports(tree):
+    """(line, module) of each import of a module that is neither in the
+    standard library nor in dualbench; a relative import is dualbench's."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            modules = [alias.name for alias in node.names]
+        elif isinstance(node, ast.ImportFrom) and not node.level:
+            modules = [node.module]
+        else:
+            continue
+        for module in modules:
+            top = module.split(".")[0]
+            if top not in sys.stdlib_module_names and top != "dualbench":
+                yield node.lineno, module
+
+
+def test_the_package_imports_only_the_standard_library():
+    package = pathlib.Path(duality.__file__).parent
+    found = {
+        path.name: list(_foreign_imports(ast.parse(path.read_text())))
+        for path in sorted(package.glob("*.py"))
+    }
+    assert {k: v for k, v in found.items() if v} == {}
+    # and the check does see a module from outside
+    sample = ast.parse(
+        "import os, numpy.linalg\nfrom . import lattice\n"
+        "from dualbench.errors import DualityError\nfrom hypothesis import given\n"
+    )
+    assert list(_foreign_imports(sample)) == [(1, "numpy.linalg"), (4, "hypothesis")]
+
+
 def _placeholderless_fstrings(tree):
     """(line, source) of each f-string with no placeholder; the format spec
     of a placeholder is an f-string of its own, and is left out."""
@@ -676,8 +709,8 @@ def test_hom_order_matches_hom_leq_over_a_corpus_run(monkeypatch):
     corpus_run(7, 4, 0)
     kinds = set()
     for space, homs in built:
-        slow = tuple(tuple(hom_leq(v, w) for w in homs) for v in homs)
-        assert hom_order_matrix(homs) == space.order.leq == slow, space.name
+        slow = hom_leq_masks(homs)
+        assert hom_order(homs) == space.order.up_masks == slow, space.name
         kinds.add((space.name.split("(")[0], len(homs[0].target) if homs else 0))
     # pspa (G) and hspa (GI) duals over both truth chains
     assert {("G", 2), ("G", 3), ("GI", 2)} <= kinds

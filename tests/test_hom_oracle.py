@@ -10,6 +10,7 @@ import itertools
 import pytest
 
 import hom_oracle
+from lattice_oracle import up_masks_of
 from dualbench.algebra import (
     algebra_from_tables,
     brute_force_homs,
@@ -72,7 +73,7 @@ def bounded_lattices(max_inner):
         out.append(
             FiniteLattice(
                 names,
-                leq,
+                up_masks_of(leq),
                 tuple(map(tuple, meet)),
                 tuple(map(tuple, join)),
                 0,

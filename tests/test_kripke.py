@@ -31,6 +31,7 @@ from dualbench.lattice import (
     heyting_table,
 )
 from hom_oracle import hom_leq
+from lattice_oracle import up_masks_of
 from vector_oracle import monotone_vector_indices
 
 
@@ -298,7 +299,7 @@ def test_kripke_columns_match_the_scan(chain2, chain3, b2):
         for build in (upset_algebra, intuitionistic_power):
             algebra = build(truth, frame)
             space, homs = duality._esakia_dual(algebra)
-            scan = _kripke_scan(algebra, homs, space.order.leq)
+            scan = _kripke_scan(algebra, homs, space.order)
             fast = _kripke_columns_agree(algebra, homs, space.order)
             assert fast == scan.passed, (algebra.name, scan.witness)
             if build is upset_algebra and truth is chain2:
@@ -317,7 +318,7 @@ def test_kripke_condition_over_a_non_distributive_truth_lattice(chain3, b2):
     leq = tuple(tuple(i == j or i == 0 or j == 4 for j in n) for i in n)
     meet = tuple(tuple(i if leq[i][j] else j if leq[j][i] else 0 for j in n) for i in n)
     join = tuple(tuple(j if leq[i][j] else i if leq[j][i] else 4 for j in n) for i in n)
-    m3 = FiniteLattice(names, leq, meet, join, 0, 4, name="m3")
+    m3 = FiniteLattice(names, up_masks_of(leq), meet, join, 0, 4, name="m3")
     assert kripke_condition_check(make_heyting_ispi(chain3, m3)).passed
     res = kripke_condition_check(make_heyting_ispi(b2, m3))
     assert res.witness == (

@@ -5,7 +5,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import lattice_oracle
-from dualbench.corpus import corpus_frames, corpus_lattices
+from dualbench import duality
+from dualbench.corpus import corpus_frames, corpus_lattices, corpus_run
 from dualbench.documents import build_lattice_from, lattice_document
 from dualbench.errors import LatticeError
 from dualbench.kripke import upset_algebra
@@ -18,6 +19,7 @@ from dualbench.lattice import (
     heyting_implies,
     heyting_table,
     is_prime_ideal,
+    mask_members,
     prime_filters,
     prime_ideals,
     separating_prime_ideal,
@@ -187,7 +189,7 @@ def raw_lattice(elements, pairs, name):
     above = lambda i, j: poset.leq[j][i]
     return FiniteLattice(
         poset.elements,
-        poset.leq,
+        poset.up_masks,
         tuple(tuple(brute_glb(below, n, i, j) for j in range(n)) for i in range(n)),
         tuple(tuple(brute_glb(above, n, i, j) for j in range(n)) for i in range(n)),
         0,
@@ -347,16 +349,6 @@ def test_subalgebras_against_oracle(small_lattices):
             )
 
 
-def test_subalgebra_search_paths_agree(small_lattices):
-    # scan_limit=0 forces the generator-closure search used above the
-    # power-set bound; both paths must return the same canonical list
-    for lat in small_lattices:
-        for signature in ("bdl", "heyting", "lvl"):
-            assert enumerate_subalgebras(lat, signature) == enumerate_subalgebras(
-                lat, signature, scan_limit=0
-            )
-
-
 def test_lvl_subalgebra_family_is_found_once_per_lattice(chain2, chain3, b2):
     for lat in (*corpus_lattices(7), chain2, chain3, b2):
         family = lat.lvl_subalgebras
@@ -371,6 +363,52 @@ def test_upset_and_downset(chain3, b2):
     assert two.down_closure({1}) == frozenset({0, 1})
     anti = build_poset(("p", "q"), [])
     assert anti.down_closure({0}) == frozenset({0})
+
+
+def assert_order_views_agree(poset):
+    n = len(poset)
+    up, down, leq = poset.up_masks, poset.down_masks, poset.leq
+    assert len(up) == len(down) == len(leq) == n, poset.name
+    for i in range(n):
+        assert len(leq[i]) == n and up[i] >> n == down[i] >> n == 0, poset.name
+        for j in range(n):
+            assert leq[i][j] is bool(up[i] >> j & 1) is bool(down[j] >> i & 1), (
+                poset.name,
+                i,
+                j,
+            )
+
+
+def test_order_views_agree(monkeypatch):
+    # the bool matrix and the down-sets are read off the up-sets: every
+    # corpus lattice and frame, and every hom order of a corpus run
+    orders = [*corpus_lattices(8), *corpus_frames(4)]
+    build = duality._ordered_dual
+
+    def spy(*args):
+        out = build(*args)
+        orders.append(out[0].order)
+        return out
+
+    monkeypatch.setattr(duality, "_ordered_dual", spy)
+    corpus_run(7, 4, 0)
+    assert len(orders) > len(corpus_lattices(8)) + len(corpus_frames(4))
+    for poset in orders:
+        assert_order_views_agree(poset)
+
+
+def test_cover_masks_match_the_definition():
+    for poset in (*corpus_lattices(8), *corpus_frames(4)):
+        leq, n = poset.leq, range(len(poset))
+        for i in n:
+            covers = {
+                j
+                for j in n
+                if i != j
+                and leq[i][j]
+                and not any(k not in (i, j) and leq[i][k] and leq[k][j] for k in n)
+            }
+            assert mask_members(poset.cover_masks[i]) == covers, (poset.name, i)
 
 
 def outcome(build, *args, **kwargs):

@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import vector_oracle
+from lattice_oracle import up_masks_of
 from dualbench import duality
 from dualbench.algebra import FiniteLattice, packed_slices, vector_algebra
 from dualbench.corpus import corpus_frames, corpus_run
@@ -136,7 +137,7 @@ def test_packed_slices_need_a_distributive_truth_lattice():
     leq = tuple(tuple(i == j or i == 0 or j == 4 for j in n) for i in n)
     meet = tuple(tuple(i if leq[i][j] else j if leq[j][i] else 0 for j in n) for i in n)
     join = tuple(tuple(j if leq[i][j] else i if leq[j][i] else 4 for j in n) for i in n)
-    m3 = FiniteLattice(names, leq, meet, join, 0, 4, name="m3")
+    m3 = FiniteLattice(names, up_masks_of(leq), meet, join, 0, 4, name="m3")
     with pytest.raises(AlgebraError) as err:
         packed_slices(m3, 2)
     assert err.value.code == "not-distributive"

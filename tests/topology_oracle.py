@@ -266,6 +266,31 @@ def back_condition(mapping, src, dst):
     return PASS
 
 
+def downclosure_scan(algebra, space, homs):
+    """The down-closure identity element by element, on frozensets and the
+    order's bool matrix, with the first failing element as the witness: the
+    scan that ``duality.check_downclosure_identity`` ran for its witness
+    before the mask test gave it."""
+    points = range(len(homs))
+    top = algebra.truth.top
+    bot = algebra.lattice.bottom
+    leq = space.order.leq
+
+    def basic_open(a):
+        return frozenset(i for i, h in enumerate(homs) if h.mapping[a] == top)
+
+    for a in range(len(algebra)):
+        opened = basic_open(a)
+        lhs = frozenset(j for j in points if any(leq[j][i] for i in opened))
+        rhs = frozenset(points) - basic_open(algebra.implies[a][bot])
+        if lhs != rhs:
+            return failed(
+                f"down-closure identity fails at {algebra.element_name(a)}: "
+                f"{space.subset_name(lhs)} != {space.subset_name(rhs)}"
+            )
+    return PASS
+
+
 def alpha_preserved(mapping, src, dst):
     """Every point in the image of a subalgebra maps into the image of the
     same subalgebra; the witness is the first such subalgebra, then its

@@ -14,6 +14,7 @@ from dualbench.algebra import (
 )
 from dualbench.errors import AlgebraError
 from dualbench.lattice import FiniteLattice, heyting_table
+from lattice_oracle import up_masks_of
 
 
 def vector_algebra(
@@ -52,7 +53,7 @@ def vector_algebra(
     lattice = FiniteLattice(
         tuple(vector_name(truth, v) for v in vectors),
         # pointwise, u <= v exactly when u meet v is u
-        tuple(tuple(k == i for k in row) for i, row in enumerate(meet)),
+        up_masks_of(tuple(k == i for k in row) for i, row in enumerate(meet)),
         meet,
         table(pointwise(truth.join), "a join"),
         look((truth.bottom,) * width, "the bottom"),
