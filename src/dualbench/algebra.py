@@ -752,10 +752,13 @@ def check_lvl_axioms(algebra, literal_iv=False):
         return PASS
 
     def clause_ii():
+        # where T_L1(a) or T_L2(b) is the bottom the left side is the bottom,
+        # so a and b run over the supports only, in the same order
+        support = [[x for x in range(n) if row[x] != lat.bottom] for row in t]
         for l1 in range(nt):
             for l2 in range(nt):
-                for x in range(n):
-                    for y in range(n):
+                for x in support[l1]:
+                    for y in support[l2]:
                         lhs = meet[t[l1][x]][t[l2][y]]
                         rhs = meet[
                             meet[t[hey_t[l1][l2]][imp[x][y]]][t[truth.meet[l1][l2]][meet[x][y]]]

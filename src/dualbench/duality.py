@@ -75,6 +75,7 @@ from .topology import (
     BitopSpace,
     OrderedSpace,
     PbsObject,
+    Topology,
     back_condition,
     is_pairwise_hausdorff,
     mask_members,
@@ -299,13 +300,19 @@ def _points(bdl_algebra):
 
 
 def _ordered_dual(bdl_algebra, name, homs):
+    # the topology has the evaluation sets and their complements as its
+    # subbasis, so the minimal open of a hom is its class under "sends the
+    # same elements to the top"
+    is_top = bdl_algebra.truth.top.__eq__
+    keys = [tuple(map(is_top, h.mapping)) for h in homs]
+    classes = {}
+    for i, key in enumerate(keys):
+        classes[key] = classes.get(key, 0) | 1 << i
     k = len(homs)
     names = _point_names(k)
-    masks = _evaluation_masks(homs, len(bdl_algebra), bdl_algebra.truth.top)
-    full = (1 << k) - 1
     space = OrderedSpace(
         names,
-        topology_from_masks(k, masks + [full ^ m for m in masks]),
+        Topology(k, tuple(map(classes.__getitem__, keys))),
         Poset(names, hom_order(homs), name="hom-order"),
         name=name,
     )

@@ -16,8 +16,8 @@ are decided on up- and down-set masks, as Priestley duality states them.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import cached_property
-from operator import eq, itemgetter
+from functools import cached_property, reduce
+from operator import eq, or_
 
 from .errors import LatticeError
 
@@ -286,6 +286,12 @@ def build_lattice(elements, leq_pairs, bottom, top, name="lattice"):
     pair for ``not-a-poset``, a pair for ``missing-meet``/``missing-join``,
     a triple for ``not-distributive``, the offending element for
     ``wrong-bounds``.
+
+    Distributivity is decided by Birkhoff's test,
+    ``FiniteLattice.is_distributive`` (n * |J| mask operations, cached on
+    the lattice returned). Only when it fails does the n^3 scan over the
+    triples (x, y, z), in that order, run to find the first one at which
+    meet does not distribute over join: that triple is the witness.
     """
     poset = build_poset(elements, leq_pairs, name=name)
     n = len(poset)
@@ -322,34 +328,24 @@ def build_lattice(elements, leq_pairs, bottom, top, name="lattice"):
             )
         meet.append(meet_row)
         join.append(join_row)
-    # every triple is checked, one (x, y) row over all z at a time: the
-    # getter of a row r picks the entries r[0], r[1], ... of another row
-    at_join = [itemgetter(*row) for row in join]
-    for x in range(n):
-        meet_x = meet[x]
-        at_meet_x = itemgetter(*meet_x)
-        for y in range(n):
-            if at_join[y](meet_x) != at_meet_x(join[meet_x[y]]):
-                z = next(
-                    z
-                    for z in range(n)
-                    if meet_x[join[y][z]] != join[meet_x[y]][meet_x[z]]
-                )
-                names = (poset.elements[x], poset.elements[y], poset.elements[z])
-                raise LatticeError(
-                    "not-distributive",
-                    "meet does not distribute over join at "
-                    f"({names[0]!r}, {names[1]!r}, {names[2]!r})",
-                    names,
-                )
-    return FiniteLattice(
-        poset.elements,
-        up,
-        tuple(meet),
-        tuple(join),
-        bot,
-        topi,
-        name=name,
+    lattice = FiniteLattice(
+        poset.elements, up, tuple(meet), tuple(join), bot, topi, name=name
+    )
+    if lattice.is_distributive:
+        return lattice
+    x, y, z = next(
+        (x, y, z)
+        for x in range(n)
+        for y in range(n)
+        for z in range(n)
+        if meet[x][join[y][z]] != join[meet[x][y]][meet[x][z]]
+    )
+    names = (poset.elements[x], poset.elements[y], poset.elements[z])
+    raise LatticeError(
+        "not-distributive",
+        "meet does not distribute over join at "
+        f"({names[0]!r}, {names[1]!r}, {names[2]!r})",
+        names,
     )
 
 
@@ -413,35 +409,16 @@ def _signature_tables(lattice, signature):
     return binaries, unaries
 
 
-def _close_subset(subset, binaries, unaries):
-    out = set(subset)
-    frontier = True
-    while frontier:
-        frontier = False
-        current = list(out)
-        for table in unaries:
-            for x in current:
-                v = table[x]
-                if v not in out:
-                    out.add(v)
-                    frontier = True
-        for table in binaries:
-            for x in current:
-                row = table[x]
-                for y in current:
-                    v = row[y]
-                    if v not in out:
-                        out.add(v)
-                        frontier = True
-    return frozenset(out)
-
-
 def enumerate_subalgebras(lattice, signature="bdl"):
     """Every subset containing the bounds and closed under the signature ops,
     in canonical order (size, then lexicographic over declaration order).
 
-    Generator-closure search: from the closure of the bounds, each
-    subalgebra found is grown by one element at a time and closed again.
+    Generator-closure search on bitmasks: from the closure of the bounds,
+    each subalgebra found is grown by one element at a time and closed
+    again. A closure is a worklist: the closed part needs no look, and each
+    new element is combined with every member, in both argument orders of
+    each binary table (one order when the table is symmetric), and sent
+    through each unary table.
     """
     if signature not in ("bdl", "heyting", "lvl"):
         raise LatticeError(
@@ -449,18 +426,46 @@ def enumerate_subalgebras(lattice, signature="bdl"):
         )
     n = len(lattice)
     binaries, unaries = _signature_tables(lattice, signature)
-    seed = _close_subset(frozenset({lattice.bottom, lattice.top}), binaries, unaries)
+    # bits[x][y] is the bit of table[x][y], per binary table and argument
+    # order; a symmetric table needs one order
+    bit_tables = []
+    for table in binaries:
+        columns = tuple(zip(*table))
+        for rows in (table,) if columns == table else (table, columns):
+            bit_tables.append([tuple([1 << v for v in row]) for row in rows])
+    unary_bits = [subset_mask({table[x] for table in unaries}) for x in range(n)]
+
+    def close(members, mask, new):
+        """The closure of ``mask | new``, where ``mask`` is closed and
+        ``members`` lists its elements."""
+        members = list(members)
+        mask |= new
+        while new:
+            low = new & -new
+            new ^= low
+            x = low.bit_length() - 1
+            members.append(x)
+            made = unary_bits[x]
+            for bits in bit_tables:
+                made |= reduce(or_, map(bits[x].__getitem__, members))
+            made &= ~mask
+            mask |= made
+            new |= made
+        return mask
+
+    seed = close((), 0, 1 << lattice.bottom | 1 << lattice.top)
     found = {seed}
     queue = [seed]
     while queue:
         s = queue.pop()
+        members = [x for x in range(n) if s >> x & 1]
         for x in range(n):
-            if x not in s:
-                bigger = _close_subset(s | {x}, binaries, unaries)
+            if not s >> x & 1:
+                bigger = close(members, s, 1 << x)
                 if bigger not in found:
                     found.add(bigger)
                     queue.append(bigger)
-    return canonical_subset_order(found)
+    return canonical_subset_order(map(mask_members, found))
 
 
 def _is_filter(lattice, subset):

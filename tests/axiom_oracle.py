@@ -1,0 +1,37 @@
+"""Clause (ii) of ``dualbench.algebra.check_lvl_axioms`` as it was before
+its first loop ran over the supports of the T-operators only, kept as the
+oracle of that loop: every (L1, L2, a, b), nt^2 * n^2 entries."""
+
+from dualbench.lattice import characteristic_tables, heyting_table
+from dualbench.reporting import PASS, failed
+
+
+def clause_ii(algebra):
+    lat, truth = algebra.lattice, algebra.truth
+    n, nt = len(algebra), len(truth)
+    t, imp, meet, join, leq = algebra.t_ops, algebra.implies, lat.meet, lat.join, lat.leq
+    hey_t = heyting_table(truth)
+    t_truth = characteristic_tables(truth)
+    en, tn = algebra.element_name, lambda l: truth.elements[l]
+    for l1 in range(nt):
+        for l2 in range(nt):
+            for x in range(n):
+                for y in range(n):
+                    lhs = meet[t[l1][x]][t[l2][y]]
+                    rhs = meet[
+                        meet[t[hey_t[l1][l2]][imp[x][y]]][t[truth.meet[l1][l2]][meet[x][y]]]
+                    ][t[truth.join[l1][l2]][join[x][y]]]
+                    if not leq[lhs][rhs]:
+                        return failed(
+                            "T_L1(a)^T_L2(b) <= T(L1->L2)(a->b)^... fails at "
+                            f"L1={tn(l1)}, L2={tn(l2)}, a={en(x)}, b={en(y)}"
+                        )
+    for l1 in range(nt):
+        for l2 in range(nt):
+            for x in range(n):
+                if not leq[t[l2][x]][t[t_truth[l1][l2]][t[l1][x]]]:
+                    return failed(
+                        "T_L2(a) <= T_(T_L1(L2))(T_L1(a)) fails at "
+                        f"L1={tn(l1)}, L2={tn(l2)}, a={en(x)}"
+                    )
+    return PASS

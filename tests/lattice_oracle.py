@@ -1,7 +1,8 @@
 """The lattice build that ``dualbench.lattice.build_lattice`` replaced, kept
 verbatim as its slow oracle: the order's closure on a bool matrix, each meet
 and join found by listing the common bounds and scanning them for a greatest
-(least) one, and distributivity checked one triple at a time."""
+(least) one, and distributivity checked one triple at a time; and the
+subset closure that rescans every pair until nothing new appears."""
 
 from dualbench.errors import LatticeError
 from dualbench.lattice import FiniteLattice, Poset
@@ -137,3 +138,30 @@ def build_lattice(elements, leq_pairs, bottom, top, name="lattice"):
         topi,
         name=name,
     )
+
+
+def close_subset(subset, binaries, unaries):
+    """The closure of a subset under binary and unary tables, by rescanning
+    every pair of the current set until a round adds nothing: the closure
+    that ``dualbench.lattice.enumerate_subalgebras`` ran before it closed on
+    bitmasks with a worklist."""
+    out = set(subset)
+    frontier = True
+    while frontier:
+        frontier = False
+        current = list(out)
+        for table in unaries:
+            for x in current:
+                v = table[x]
+                if v not in out:
+                    out.add(v)
+                    frontier = True
+        for table in binaries:
+            for x in current:
+                row = table[x]
+                for y in current:
+                    v = row[y]
+                    if v not in out:
+                        out.add(v)
+                        frontier = True
+    return frozenset(out)

@@ -2,14 +2,16 @@
 replaced (hom_oracle.py) and the brute_force_homs scan, over whole families
 of algebras in all four signatures; and the lattice structure it reads
 (down masks, join-irreducibles, Birkhoff's distributivity test) against
-direct definitions, on lattices that are distributive and on lattices that
-are not."""
+direct definitions, and ``build_lattice`` against its oracle build, on
+lattices that are distributive and on lattices that are not."""
 
 import itertools
+import random
 
 import pytest
 
 import hom_oracle
+import lattice_oracle
 from lattice_oracle import up_masks_of
 from dualbench.algebra import (
     algebra_from_tables,
@@ -21,7 +23,8 @@ from dualbench.algebra import (
 )
 from dualbench.corpus import corpus_frames, corpus_lattices
 from dualbench.kripke import upset_algebra
-from dualbench.lattice import FiniteLattice, chain_lattice, diamond_lattice
+from dualbench.errors import LatticeError
+from dualbench.lattice import FiniteLattice, build_lattice, chain_lattice, diamond_lattice
 
 TRUTHS = (chain_lattice(2), chain_lattice(3), diamond_lattice())
 # brute_force_homs would scan up to BRUTE_FORCE_LIMIT maps, several seconds
@@ -199,3 +202,38 @@ def test_non_distributive_lattices_against_the_scan():
         len(agree(a, b, scan_limit=5**5)) for a, b in itertools.product(sources, targets)
     ]
     assert max(counts) > 5
+
+
+def built(build, *args):
+    """What a lattice build gives: the lattice, or its error's code, message
+    and witness."""
+    try:
+        return build(*args)
+    except LatticeError as err:
+        return err.code, str(err), err.witness
+
+
+def test_build_lattice_against_the_oracle_build():
+    # every lattice of up to 7 elements, declared by its cover pairs in a
+    # few shuffled orders: Birkhoff's test decides, and on a lattice that
+    # is not distributive the scan finds the oracle's first triple
+    rng = random.Random(17)
+    verdicts = []
+    for lat in bounded_lattices(5):
+        covers = [
+            (lat.elements[i], lat.elements[j])
+            for i, mask in enumerate(lat.cover_masks)
+            for j in range(len(lat))
+            if mask >> j & 1
+        ]
+        for _ in range(4):
+            elements = list(lat.elements)
+            rng.shuffle(elements)
+            rng.shuffle(covers)
+            args = (elements, covers, "0", "1", lat.name)
+            found = built(build_lattice, *args)
+            assert found == built(lattice_oracle.build_lattice, *args), args
+            verdicts.append(found if isinstance(found, tuple) else "distributive")
+    codes = {v if v == "distributive" else v[0] for v in verdicts}
+    assert codes == {"distributive", "not-distributive"}
+    assert len({v for v in verdicts if v != "distributive"}) > 20

@@ -26,12 +26,11 @@ from dualbench.kripke import (
 )
 from dualbench.lattice import (
     FiniteLattice,
-    _close_subset,
     heyting_implies,
     heyting_table,
 )
 from hom_oracle import hom_leq
-from lattice_oracle import up_masks_of
+from lattice_oracle import close_subset, up_masks_of
 from vector_oracle import monotone_vector_indices
 
 
@@ -41,7 +40,7 @@ def table_closure(power, generators, name=None):
     the truth-constant operators dropped where they do not restrict. The
     slow oracle for the closure on vectors."""
     lat = power.lattice
-    closed = _close_subset(
+    closed = close_subset(
         frozenset(generators) | {lat.bottom, lat.top},
         [lat.meet, lat.join, power.implies],
         [],

@@ -342,7 +342,9 @@ def test_subalgebra_examples(chain2, chain3, b2):
 
 
 def test_subalgebras_against_oracle(small_lattices):
-    for lat in small_lattices:
+    # and every corpus lattice up to 10 elements, with families of up to
+    # several hundred subalgebras
+    for lat in (*small_lattices, *corpus_lattices(10)):
         for signature in ("bdl", "heyting", "lvl"):
             assert list(enumerate_subalgebras(lat, signature)) == brute_closed_subsets(
                 lat, signature

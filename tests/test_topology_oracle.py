@@ -277,6 +277,20 @@ def test_mask_built_dual_topologies_match_their_evaluation_bases(monkeypatch):
     }
 
 
+def test_ordered_dual_minimal_opens_are_the_classes_of_homs():
+    # the minimal open of a hom is the class of homs that send the same
+    # elements to the top; over the three-chain, homs that differ only
+    # where they take the middle value share one
+    largest = 0
+    for lat in corpus_lattices(8):
+        algebra = make_bdl(lat, TRUTHS[1])
+        space, homs = duality.PSPA.dual(algebra)
+        basis = ordered_dual_basis(algebra, homs)
+        assert space.topo == generate_topology(len(homs), basis), lat.name
+        largest = max(largest, *map(int.bit_count, space.topo.minopen))
+    assert largest > 1
+
+
 @functools.cache
 def corpus_dual_pool():
     """The pspa duals over both chains and the hspa duals over the
