@@ -47,7 +47,6 @@ class PowerPresentation:
 
     frame: Poset
     vectors: tuple[tuple[int, ...], ...]
-    generators: tuple[tuple[int, ...], ...] | None = None
 
 
 @dataclass(frozen=True)
@@ -108,38 +107,6 @@ def _check_table(alg, table, symbol):
     square = len(table) == n and all(len(row) == n for row in table)
     if not square or min(map(min, table)) < 0 or max(map(max, table)) >= n:
         raise AlgebraError("bad-table", f"{symbol} table of {alg.name!r} is not total")
-
-
-def relativized_implication(truth, order):
-    """The implication relativized to a poset on vector coordinates (the
-    worlds of a frame, or the points of an ordered space), as a function of
-    two truth-valued vectors: (u -> v)(w) = meet over w <= w' of
-    u(w') -> v(w').
-
-    The result depends only on the pointwise implication, so it is computed
-    once per distinct pointwise vector: as the meet of that vector at w with
-    the results at the covers of w, worlds taken from the top down."""
-    hey = heyting_table(truth)
-    meet = truth.meet
-    # worlds above come first: a strictly larger world has a smaller up-set
-    worlds = sorted(range(len(order)), key=lambda w: order.up_masks[w].bit_count())
-    covers = [sorted(mask_members(m)) for m in order.cover_masks]
-    known = {}
-
-    def implies(u, v):
-        pointwise = tuple([hey[x][y] for x, y in zip(u, v)])
-        out = known.get(pointwise)
-        if out is None:
-            vals = list(pointwise)
-            for w in worlds:
-                val = vals[w]
-                for c in covers[w]:
-                    val = meet[val][vals[c]]
-                vals[w] = val
-            out = known[pointwise] = tuple(vals)
-        return out
-
-    return implies
 
 
 def packed_slices(truth, width, order=None):
@@ -235,17 +202,14 @@ def packed_slices(truth, width, order=None):
     return (1 << (k * width)) - 1, encode, decode, implication, constant
 
 
-def vector_algebra(
-    vectors, truth, name, signature, order=None, presented=False, generators=None
-):
+def vector_algebra(vectors, truth, name, signature, order=None, presented=False):
     """Pointwise algebra on a family of truth-valued vectors, with tables
     over the family alone. ``heyting`` and ``lvl`` take the pointwise
     relative pseudocomplement; ``isp_i`` relativizes the implication to
     ``order``, a poset on the coordinates. A ``presented`` family is (a
     subalgebra of) the power of the truth lattice over ``order``: the
-    algebra carries its PowerPresentation, with ``generators``, and the
-    truth-constant operators whenever the family is closed under them
-    (``lvl`` requires them).
+    algebra carries its PowerPresentation and the truth-constant operators
+    whenever the family is closed under them (``lvl`` requires them).
 
     The family is packed once (``packed_slices``) and every table entry is
     one or two bit operations and a lookup of the packed result."""
@@ -301,7 +265,7 @@ def vector_algebra(
             if signature == "lvl":
                 raise refused("a truth-constant image")
             t_ops = None
-    presentation = PowerPresentation(order, vectors, generators) if presented else None
+    presentation = PowerPresentation(order, vectors) if presented else None
     return _validate(
         Algebra(
             signature,
@@ -466,9 +430,7 @@ def subalgebra_of(alg, subset, name=None):
     prs = None
     if alg.presentation is not None:
         prs = PowerPresentation(
-            alg.presentation.frame,
-            tuple(alg.presentation.vectors[i] for i in order),
-            alg.presentation.generators,
+            alg.presentation.frame, tuple(alg.presentation.vectors[i] for i in order)
         )
     return _validate(
         Algebra(alg.signature, lattice, alg.truth, implies=implies, t_ops=t_ops, presentation=prs)
@@ -735,7 +697,7 @@ def check_lvl_axioms(algebra, literal_iv=False):
     hey_t = heyting_table(truth)
     t_truth = characteristic_tables(truth)
     en, tn = a.element_name, lambda l: truth.elements[l]
-    report = AxiomReport(algebra=a.name, literal_iv=literal_iv)
+    report = AxiomReport()
 
     def biimp(x, y):
         return meet[imp[x][y]][imp[y][x]]

@@ -59,12 +59,10 @@ class RunReport:
         return all(self.verdicts.values())
 
     def record(self, check, result):
-        """Fold a CheckResult (or a plain bool) into the report."""
-        passed = bool(result) if isinstance(result, bool) else result.passed
-        self.verdicts[check] = passed
-        witness = None if isinstance(result, bool) else result.witness
-        if not passed and witness:
-            self.witnesses.append({"check": check, "witness": witness})
+        """Fold a CheckResult into the report."""
+        self.verdicts[check] = result.passed
+        if not result.passed and result.witness:
+            self.witnesses.append({"check": check, "witness": result.witness})
 
     def merge_duality(self, prefix, rep):
         for k, v in sorted(rep.verdicts.items()):
@@ -158,11 +156,10 @@ def cmd_check_lattice(args, report):
     try:
         lattice = docset.lattice(doc.name)
     except LatticeError as exc:
-        report.record("lattice_laws", False)
-        report.witnesses.append({"check": "lattice_laws", "witness": str(exc)})
+        report.record("lattice_laws", failed(str(exc)))
         report.details["violation"] = exc.code
         return report
-    report.record("lattice_laws", True)
+    report.record("lattice_laws", PASS)
     report.details["elements"] = list(lattice.elements)
     report.details["bottom"] = lattice.elements[lattice.bottom]
     report.details["top"] = lattice.elements[lattice.top]
@@ -186,7 +183,7 @@ def cmd_subalgebras(args, report):
     doc = _first_doc(docset, ("lattice",))
     lattice = docset.lattice(doc.name)
     subs = enumerate_subalgebras(lattice, args.signature)
-    report.record("enumeration_completed", True)
+    report.record("enumeration_completed", PASS)
     report.details["signature"] = args.signature
     report.details["count"] = len(subs)
     report.details["subalgebras"] = [
@@ -195,20 +192,22 @@ def cmd_subalgebras(args, report):
     return report
 
 
+def _bdl_or_algebra(args, docset, doc, truth):
+    """A lattice document as a bdl algebra over the truth lattice, or the
+    algebra document."""
+    if doc.kind == "lattice":
+        return make_bdl(docset.lattice(doc.name), truth)
+    return docset.algebra(doc.name, args.budget)
+
+
 def cmd_homs(args, report):
     docset, report.inputs[:] = _load(args.files)
     doc = _first_doc(docset, ("algebra", "lattice"))
     truth = _truth_of(args, docset, report)
-    if doc.kind == "lattice":
-        source = make_bdl(docset.lattice(doc.name), truth)
-    else:
-        source = docset.algebra(doc.name, args.budget)
+    source = _bdl_or_algebra(args, docset, doc, truth)
     if args.into:
         tdoc = _first_doc(_load_beside(args.into, docset, report), ("algebra", "lattice"))
-        if tdoc.kind == "lattice":
-            target = make_bdl(docset.lattice(tdoc.name), truth)
-        else:
-            target = docset.algebra(tdoc.name, args.budget)
+        target = _bdl_or_algebra(args, docset, tdoc, truth)
     else:
         t = source.truth
         target = {
@@ -218,7 +217,7 @@ def cmd_homs(args, report):
             "isp_i": lambda: make_heyting_ispi(t, t),
         }[source.signature]()
     homs = enumerate_homs(source, target)
-    report.record("enumeration_completed", True)
+    report.record("enumeration_completed", PASS)
     report.details["count"] = len(homs)
     report.details["homs"] = [h.describe() for h in homs]
     return report
@@ -236,7 +235,7 @@ def cmd_power(args, report, need_generators=False):
             "schema-violation", f"algebra {doc.name!r} declares no generators"
         )
     algebra = docset.algebra(doc.name, args.budget)
-    report.record("construction_completed", True)
+    report.record("construction_completed", PASS)
     report.details["carrier"] = list(algebra.elements)
     report.details["size"] = len(algebra)
     report.details["worlds"] = list(algebra.presentation.frame.elements)
@@ -276,7 +275,7 @@ def cmd_reconstruct(args, report):
     space, truth = _space_for_mode(args, docset, mode, report)
     algebra = mode.reconstruct(space, truth)[0]
     if mode.axioms is None:
-        report.record("construction_completed", True)
+        report.record("construction_completed", PASS)
     else:
         for clause, res in sorted(mode.axioms(algebra).clauses.items()):
             report.record(f"clause_{clause}", res)
@@ -320,10 +319,7 @@ def cmd_spectrum(args, report):
     docset, report.inputs[:] = _load(args.files)
     doc = _first_doc(docset, ("algebra", "lattice"))
     truth = _truth_of(args, docset, report)
-    if doc.kind == "lattice":
-        algebra = make_bdl(docset.lattice(doc.name), truth)
-    else:
-        algebra = docset.algebra(doc.name, args.budget)
+    algebra = _bdl_or_algebra(args, docset, doc, truth)
     report.merge_duality("", spectrum_correspondence(algebra))
     return report
 

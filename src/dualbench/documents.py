@@ -19,7 +19,9 @@ Value syntaxes: token lists are whitespace-separated; order pairs are
 ``a<=b``; point sets are ``{p,q}`` (``{}`` is empty); assignment entries are
 ``{subalgebra}:{points}``; generator vectors are ``(v1,...,vk)`` over the
 frame's worlds; operation tables are row-major with rows separated by ``/``
-(``op.implies``) or a single row (``op.t[l]``).
+(``op.implies``, not on bdl) or a single row (``op.t[l]``, lvl only). An
+operator table that the algebra would not read, or any on a power
+presentation, is refused.
 """
 
 from __future__ import annotations
@@ -398,35 +400,25 @@ class DocumentSet:
             )
         return doc
 
-    def lattice(self, name, referrer="<cli>"):
-        key = ("lattice", name)
+    def _build(self, kind, name, referrer, build):
+        key = (kind, name)
         if key not in self._built:
-            self._built[key] = build_lattice_from(
-                self._lookup(name, "lattice", referrer)
-            )
+            self._built[key] = build(self._lookup(name, kind, referrer))
         return self._built[key]
+
+    def lattice(self, name, referrer="<cli>"):
+        return self._build("lattice", name, referrer, build_lattice_from)
 
     def frame(self, name, referrer="<cli>"):
-        key = ("frame", name)
-        if key not in self._built:
-            self._built[key] = build_frame_from(self._lookup(name, "frame", referrer))
-        return self._built[key]
+        return self._build("frame", name, referrer, build_frame_from)
 
     def algebra(self, name, budget, referrer="<cli>"):
-        key = ("algebra", name)
-        if key not in self._built:
-            self._built[key] = build_algebra_from(
-                self._lookup(name, "algebra", referrer), self, budget
-            )
-        return self._built[key]
+        return self._build(
+            "algebra", name, referrer, lambda doc: build_algebra_from(doc, self, budget)
+        )
 
     def space(self, name, referrer="<cli>"):
-        key = ("space", name)
-        if key not in self._built:
-            self._built[key] = build_space_from(
-                self._lookup(name, "space", referrer), self
-            )
-        return self._built[key]
+        return self._build("space", name, referrer, lambda doc: build_space_from(doc, self))
 
 
 def build_lattice_from(doc):
@@ -441,6 +433,30 @@ def build_frame_from(doc):
     return build_poset(worlds, pairs, name=doc.name)
 
 
+def _check_operator_fields(doc, signature, truth):
+    """Reject every operator table the algebra would not read: any on a
+    power presentation, ``op.implies`` on bdl, and ``op.t[l]`` unless the
+    signature is lvl and l is a truth-lattice element."""
+    power = doc.get("presentation") == "power"
+    for k, _ in doc.fields:
+        if power and k.startswith("op."):
+            why = "a power presentation takes no operator tables"
+        elif k == "op.implies" and signature == "bdl":
+            why = "signature bdl has no implication"
+        elif k.startswith("op.t[") and signature != "lvl":
+            why = f"signature {signature} has no truth-constant operators"
+        elif k.startswith("op.t[") and k[5:-1] not in truth.elements:
+            why = "the operator is not indexed by a truth-lattice element"
+        else:
+            continue
+        raise DocumentError(
+            "schema-violation",
+            f"algebra {doc.name!r}: {why}, so {k!r} is not allowed",
+            line=doc.line_of(k),
+            fieldname=k,
+        )
+
+
 def build_algebra_from(doc, registry, budget):
     truth = registry.lattice(doc.get("truth_lattice"), referrer=doc.name)
     signature = doc.get("signature")
@@ -450,6 +466,7 @@ def build_algebra_from(doc, registry, budget):
             f"algebra {doc.name!r} has unknown signature {signature!r}",
             line=doc.line_of("signature"),
         )
+    _check_operator_fields(doc, signature, truth)
     if doc.get("presentation") == "power":
         frame = registry.frame(doc.get("frame"), referrer=doc.name)
         if signature != "isp_i":
@@ -475,13 +492,7 @@ def build_algebra_from(doc, registry, budget):
                 tuple(_element_index(truth, v, doc, "generators") for v in vals)
             )
         return power_subalgebra(truth, frame, gens, name=doc.name)
-    lattice = build_lattice(
-        _tokens(doc.get("elements", "")),
-        _lattice_pairs(doc),
-        doc.get("bottom"),
-        doc.get("top"),
-        name=doc.name,
-    )
+    lattice = build_lattice_from(doc)
     implies = _binary_table(doc, "op.implies", lattice)
     t_ops = None
     if signature == "lvl":
@@ -501,14 +512,6 @@ def build_algebra_from(doc, registry, budget):
                     )
                 )
         t_ops = tuple(t_ops)
-        for k, _ in doc.fields:
-            if k.startswith("op.t[") and k[5:-1] not in truth.elements:
-                raise DocumentError(
-                    "schema-violation",
-                    f"algebra {doc.name!r}: operator {k!r} is not indexed by a "
-                    "truth-lattice element",
-                    line=doc.line_of(k),
-                )
     if implies is None and signature in ("heyting", "lvl"):
         implies = heyting_table(lattice)
     if implies is None and signature == "isp_i":

@@ -56,7 +56,7 @@ from .algebra import (
     make_bdl,
     make_heyting_ispi,
     make_lvl,
-    relativized_implication,
+    packed_slices,
     vector_algebra,
     vector_name,
 )
@@ -257,7 +257,7 @@ def _map_vectors(allowed, topologies, order, truth, limit, what):
     return tuple(out)
 
 
-def _pbs_map_vectors(obj, limit=MAP_ENUM_LIMIT):
+def _pbs_map_vectors(obj):
     """Carriers of the function algebra: maps from points to truth values
     that are continuous for both topologies (discrete codomain) and respect
     the subalgebra assignment."""
@@ -271,7 +271,7 @@ def _pbs_map_vectors(obj, limit=MAP_ENUM_LIMIT):
         (obj.space.topo1, obj.space.topo2),
         None,
         truth,
-        limit,
+        MAP_ENUM_LIMIT,
         f"continuous maps over {obj.name!r}",
     )
 
@@ -337,15 +337,17 @@ def priestley_dual(algebra):
     return _priestley_dual(algebra)[0]
 
 
-def _ordered_map_vectors(space, truth, limit=MAP_ENUM_LIMIT):
+@_scoped
+def _ordered_map_vectors(space, truth):
     """Order-preserving continuous maps from the space into the truth
-    lattice (discrete topology, lattice order)."""
+    lattice (discrete topology, lattice order); the reconstructions and the
+    preimage identity share them inside a verification scope."""
     return _map_vectors(
         [(1 << len(truth)) - 1] * len(space.points),
         (space.topo,),
         space.order,
         truth,
-        limit,
+        MAP_ENUM_LIMIT,
         f"continuous order-preserving maps over {space.name!r}",
     )
 
@@ -443,39 +445,37 @@ def check_implication_preimage_identity(space, truth):
     """The set identity used to close the map algebra under implication:
     the preimage of each value under f -> g against the combination of
     down-closures of the preimages of f and g. It is a proof device, not
-    the definition, so agreement is measured and mismatches are reported."""
+    the definition, so agreement is measured and mismatches are reported.
+
+    Decided on packed vectors (``packed_slices`` relativized to the space
+    order): the preimage of l under a packed p is the first slice of its
+    truth-constant image, ``constant(p, l)``."""
     vectors = _ordered_map_vectors(space, truth)
-    implies = relativized_implication(truth, space.order)
     n = len(space.points)
-    full = frozenset(range(n))
-    checked = mismatches = 0
+    full, encode, _, implication, constant = packed_slices(truth, n, space.order)
+    points = (1 << n) - 1
+    down = space.order.down_masks
+    values = range(len(truth))
+    packed = [encode(f) for f in vectors]
+    # per map and value: the down-closure of the preimage
+    downs = [[_union_over(constant(p, l) & points, down) for l in values] for p in packed]
+    mismatches = 0
     first = None
-    for f in vectors:
-        for g in vectors:
-            fg = implies(f, g)
-            for l in range(len(truth)):
-                checked += 1
-                lhs = frozenset(s for s in range(n) if fg[s] == l)
-                rhs = space.order.down_closure(
-                    frozenset(s for s in range(n) if g[s] == l)
-                ) & (
-                    full
-                    - space.order.down_closure(
-                        frozenset(s for s in range(n) if f[s] == l)
-                    )
-                )
-                if lhs != rhs:
+    for f, pf, down_f in zip(vectors, packed, downs):
+        npf = ~pf
+        for g, pg, down_g in zip(vectors, packed, downs):
+            fg = implication[(npf | pg) & full]
+            for l in values:
+                if constant(fg, l) & points != down_g[l] & ~down_f[l]:
                     mismatches += 1
-                    if first is None:
-                        first = (
-                            f"f={vector_name(truth, f)}, g={vector_name(truth, g)}, "
-                            f"value={truth.elements[l]}"
-                        )
-    if mismatches:
-        return failed(
-            f"{mismatches} of {checked} instances disagree; first at {first}"
-        )
-    return PASS
+                    first = first or (f, g, l)
+    if not mismatches:
+        return PASS
+    f, g, l = first
+    return failed(
+        f"{mismatches} of {len(vectors) ** 2 * len(truth)} instances disagree; first at "
+        f"f={vector_name(truth, f)}, g={vector_name(truth, g)}, value={truth.elements[l]}"
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -741,8 +741,7 @@ def _index(images, targets, miss):
 
 
 def _record_bijection(report, mapping, size, name, target_name):
-    """Record whether ``mapping`` is one-to-one and onto range(size), and
-    the map (and its inverse, when it has one) by name."""
+    """Record whether ``mapping`` is one-to-one and onto range(size)."""
     seen = {}
     res = PASS
     for i, v in enumerate(mapping):
@@ -756,9 +755,6 @@ def _record_bijection(report, mapping, size, name, target_name):
         "surjective",
         failed(f"{target_name(missing[0])} is not in the image") if missing else PASS,
     )
-    report.maps["forward"] = {name(a): target_name(v) for a, v in enumerate(mapping)}
-    if res.passed and not missing:
-        report.maps["inverse"] = {target_name(v): name(a) for a, v in enumerate(mapping)}
 
 
 def algebra_roundtrip(mode, algebra):
@@ -766,7 +762,7 @@ def algebra_roundtrip(mode, algebra):
     to be a well-defined homomorphism that keeps the mode's further
     operations, and a bijection."""
     mode = as_mode(mode)
-    report = DualityReport(mode=mode.name, obj=algebra.name)
+    report = DualityReport()
     space, homs = mode.dual(algebra)
     double, vectors = mode.reconstruct(space, algebra.truth)
     report.cardinalities = {
@@ -798,7 +794,7 @@ def space_roundtrip(mode, space, truth=None):
     their truth lattice."""
     mode = as_mode(mode)
     truth = mode.check_space(space, truth)
-    report = DualityReport(mode=mode.name, obj=space.name)
+    report = DualityReport()
     ca, vectors = mode.reconstruct(space, truth)
     gc_space, gc_homs = mode.dual(ca)
     points = mode.points(space)
@@ -953,7 +949,7 @@ def spectrum_correspondence(algebra):
         )
     truth = algebra.truth
     homs = _points(algebra)
-    report = DualityReport(mode="spectrum", obj=algebra.name)
+    report = DualityReport()
     if len(truth) == 2:
         filters = prime_filters(algebra.lattice)
         images = [
@@ -991,10 +987,6 @@ def spectrum_correspondence(algebra):
             if len(homs) == len(filters)
             else failed(f"{len(homs)} homs vs {len(filters)} prime filters"),
         )
-        report.maps["forward"] = {
-            f"h{k}": "{" + ",".join(algebra.lattice.names(img)) + "}"
-            for k, img in enumerate(images)
-        }
         return report
     ideals = prime_ideals(truth)
     report.cardinalities = {"homs": len(homs), "prime_ideals": len(ideals)}

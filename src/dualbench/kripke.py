@@ -112,20 +112,17 @@ def close_vectors(truth, frame, seeds):
 def power_subalgebra(truth, frame, generators, name=None, power_name=None):
     """The subalgebra of the power of the truth lattice over a frame that
     the generator vectors (plus both bounds) generate, built without
-    materializing the power. Elements come in the power's index order, the
-    presentation holds the sorted generators, and truth-constant operators
-    are attached when the carrier is closed under them. The default name is
-    the power's name (``power_name``, by default ``truth^frame``) followed
-    by the carrier, as ``subalgebra_of`` names a subset."""
-    generators = tuple(sorted(generators))
+    materializing the power. Elements come in the power's index order, and
+    truth-constant operators are attached when the carrier is closed under
+    them. The default name is the power's name (``power_name``, by default
+    ``truth^frame``) followed by the carrier, as ``subalgebra_of`` names a
+    subset."""
     closed = close_vectors(truth, frame, generators)
     if name is None:
         if power_name is None:
             power_name = f"{truth.name}^{frame.name}"
         name = power_name + "|" + "".join(vector_name(truth, v) for v in closed)
-    return vector_algebra(
-        closed, truth, name, "isp_i", order=frame, presented=True, generators=generators
-    )
+    return vector_algebra(closed, truth, name, "isp_i", order=frame, presented=True)
 
 
 def subalgebra_generated(power, generators, name=None):
@@ -179,13 +176,7 @@ def upset_algebra(truth, frame, budget=DEFAULT_POWER_BUDGET, name=None):
     check_power_budget(truth, frame, budget)
     vectors = monotone_vectors(truth, frame)
     return vector_algebra(
-        vectors,
-        truth,
-        name or f"up({frame.name})",
-        "isp_i",
-        order=frame,
-        presented=True,
-        generators=vectors,
+        vectors, truth, name or f"up({frame.name})", "isp_i", order=frame, presented=True
     )
 
 

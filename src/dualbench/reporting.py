@@ -1,7 +1,9 @@
 """Small verdict/witness containers used by every checker in the package.
 
 Witnesses are always rendered with user-declared element names so a report
-can be checked by hand against the input documents.
+can be checked by hand against the input documents. A report holds only
+what some report or verdict reads: the CLI prints verdicts, witnesses and
+cardinalities, and the corpus suites read verdicts and witnesses.
 """
 
 from __future__ import annotations
@@ -32,16 +34,13 @@ class DualityReport:
     """Verdict bundle for one natural-map verification.
 
     ``verdicts`` maps check names to booleans, ``witnesses`` carries one
-    rendered counterexample per failed check, ``maps`` holds the natural map
-    (and its inverse when it exists) as name-to-name tables.
+    rendered counterexample per failed check, and ``cardinalities`` the
+    sizes of the objects the verification built.
     """
 
-    mode: str
-    obj: str
     verdicts: dict = field(default_factory=dict)
     witnesses: dict = field(default_factory=dict)
     cardinalities: dict = field(default_factory=dict)
-    maps: dict = field(default_factory=dict)
 
     @property
     def passed(self):
@@ -52,39 +51,13 @@ class DualityReport:
         if not result.passed and result.witness is not None:
             self.witnesses[check] = result.witness
 
-    def to_dict(self):
-        return {
-            "mode": self.mode,
-            "object": self.obj,
-            "verdicts": dict(sorted(self.verdicts.items())),
-            "witnesses": [
-                {"check": k, "witness": w} for k, w in sorted(self.witnesses.items())
-            ],
-            "cardinalities": dict(sorted(self.cardinalities.items())),
-            "maps": {k: dict(sorted(v.items())) for k, v in sorted(self.maps.items())},
-            "passed": self.passed,
-        }
-
 
 @dataclass
 class AxiomReport:
     """Per-clause verdicts for the lattice-valued algebra axioms."""
 
-    algebra: str
-    literal_iv: bool
     clauses: dict = field(default_factory=dict)  # clause tag -> CheckResult
 
     @property
     def passed(self):
         return all(r.passed for r in self.clauses.values())
-
-    def to_dict(self):
-        return {
-            "object": self.algebra,
-            "literal_iv": self.literal_iv,
-            "verdicts": {k: r.passed for k, r in sorted(self.clauses.items())},
-            "witnesses": {
-                k: r.witness for k, r in sorted(self.clauses.items()) if not r.passed
-            },
-            "passed": self.passed,
-        }

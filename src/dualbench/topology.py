@@ -33,14 +33,17 @@ from dataclasses import dataclass, field
 from functools import cached_property
 
 from .errors import BudgetExceeded, SpaceError
-from .lattice import FiniteLattice, Poset, _union_over, mask_members, subset_mask
+from .lattice import (
+    FiniteLattice,
+    Poset,
+    _union_over,
+    canonical_subset_order,
+    mask_members,
+    subset_mask,
+)
 from .reporting import PASS, failed
 
 TOPOLOGY_FAMILY_LIMIT = 1 << 14
-
-
-def canonical_family(subsets):
-    return tuple(sorted(set(subsets), key=lambda s: (len(s), sorted(s))))
 
 
 def _hull(mask, *steps):
@@ -86,7 +89,7 @@ class Topology:
     @cached_property
     def minimal_opens(self):
         """The distinct minimal opens, in canonical order."""
-        return canonical_family(mask_members(m) for m in self.minopen)
+        return canonical_subset_order(map(mask_members, set(self.minopen)))
 
     @cached_property
     def open_count(self):
@@ -119,7 +122,7 @@ class Topology:
         found = {0}
         for g in set(self.minopen):
             found |= {u | g for u in found}
-        return canonical_family(mask_members(m) for m in found)
+        return canonical_subset_order(map(mask_members, found))
 
 
 def topology_from_masks(size, masks):

@@ -182,6 +182,25 @@ def test_reconstruct_modes(capsys):
     assert code == 0 and "clause_i: PASS" in out
 
 
+def test_reconstruct_hspa_runs_one_map_search(monkeypatch, capsys):
+    # the map algebra and the preimage identity read the same maps, so a
+    # space and truth lattice cost one search
+    searches = []
+    search = duality._map_vectors
+
+    def spy(*args):
+        searches.append(args[-1])
+        return search(*args)
+
+    monkeypatch.setattr(duality, "_map_vectors", spy)
+    for truth in ([], ["--truth", doc("chain3.doc")]):
+        searches.clear()
+        args = ["reconstruct", doc("pspa-chain2.doc"), "--mode", "hspa", *truth]
+        code, out, _ = run_cli(args, capsys)
+        assert code == 0 and "implication_preimage_identity" in out
+        assert searches == ["continuous order-preserving maps over 'pspa-chain2'"]
+
+
 def test_mode_choices_come_from_the_registry():
     parser = cli._build_parser()
     commands = next(a for a in parser._actions if a.dest == "command").choices
@@ -593,6 +612,33 @@ def test_undeclared_or_unknown_elements_exit_two_with_a_line(tmp_path, capsys):
     )
     for command, text, message in cases:
         path = tmp_path / "bad.doc"
+        path.write_text(text)
+        code, out, err = run_cli([command, str(path)], capsys)
+        assert (code, out, err) == (2, "", f"error: {message}\n"), command
+
+
+def test_operator_fields_the_signature_lacks_exit_two_with_a_line(tmp_path, capsys):
+    chain2 = "kind: lattice\nname: chain2\nelements: 0 1\nleq: 0<=1\nbottom: 0\ntop: 1\n"
+    frame = "kind: frame\nname: w2\nworlds: a b\norder: a<=b\n"
+    cases = (
+        (
+            "homs",
+            "kind: algebra\nname: a\nsignature: bdl\ntruth_lattice: chain2\n"
+            "elements: 0 1\nleq: 0<=1\nbottom: 0\ntop: 1\n"
+            "op.t[zz]: 1 1 1\nop.implies: 1 1 / 0 1\n---\n" + chain2,
+            "algebra 'a': signature bdl has no implication, so 'op.implies' is "
+            "not allowed (line 10)",
+        ),
+        (
+            "power",
+            "kind: algebra\nname: p\nsignature: isp_i\ntruth_lattice: chain2\n"
+            "presentation: power\nframe: w2\nop.t[1]: 0 1\n---\n" + chain2 + "---\n" + frame,
+            "algebra 'p': a power presentation takes no operator tables, so "
+            "'op.t[1]' is not allowed (line 7)",
+        ),
+    )
+    for command, text, message in cases:
+        path = tmp_path / "ops.doc"
         path.write_text(text)
         code, out, err = run_cli([command, str(path)], capsys)
         assert (code, out, err) == (2, "", f"error: {message}\n"), command

@@ -282,12 +282,15 @@ def test_unknown_alpha_value_is_located():
 CHAIN2_DOC = "kind: lattice\nname: chain2\nelements: 0 1\nleq: 0<=1\nbottom: 0\ntop: 1\n"
 
 
-def table_error(fields):
-    text = (
-        "kind: algebra\nname: h2\nsignature: lvl\ntruth_lattice: chain2\n"
+def algebra_text(fields, signature="lvl"):
+    return (
+        f"kind: algebra\nname: h2\nsignature: {signature}\ntruth_lattice: chain2\n"
         f"elements: 0 1\nleq: 0<=1\nbottom: 0\ntop: 1\n{fields}---\n{CHAIN2_DOC}"
     )
-    docset = DocumentSet(parse_documents(text))
+
+
+def table_error(fields):
+    docset = DocumentSet(parse_documents(algebra_text(fields)))
     with pytest.raises(DocumentError) as err:
         docset.algebra("h2", budget=4096)
     return err.value
@@ -300,6 +303,45 @@ def test_unknown_table_entries_are_located():
     err = table_error("op.t[0]: 1 0\nop.t[1]: 0 qq\n")
     assert (err.code, err.line, err.fieldname) == ("dangling-reference", 10, "op.t[1]")
     assert str(err) == "algebra 'h2': 'qq' in 'op.t[1]' is not an element of h2 (line 10)"
+
+
+POWER_DOC = (
+    "kind: algebra\nname: p\nsignature: isp_i\ntruth_lattice: chain2\n"
+    "presentation: power\nframe: w2\n{fields}---\n" + CHAIN2_DOC
+    + "---\nkind: frame\nname: w2\nworlds: a b\norder: a<=b\n"
+)
+POWER_WHY = "a power presentation takes no operator tables"
+
+
+@pytest.mark.parametrize(
+    "signature, fields, key, why",
+    [
+        ("bdl", "op.implies: 1 1 / 0 1\n", "op.implies", "signature bdl has no implication"),
+        ("bdl", "op.t[zz]: 1 1 1\n", "op.t[zz]", "signature bdl has no truth-constant operators"),
+        ("heyting", "op.t[1]: 0 1\n", "op.t[1]", "signature heyting has no truth-constant operators"),
+        (
+            "isp_i",
+            "op.implies: 1 1 / 0 1\nop.t[0]: 1 0\n",
+            "op.t[0]",
+            "signature isp_i has no truth-constant operators",
+        ),
+        ("lvl", "op.t[zz]: 0 1\n", "op.t[zz]", "the operator is not indexed by a truth-lattice element"),
+        ("power", "op.implies: 1 1 / 0 1\n", "op.implies", POWER_WHY),
+        ("power", "generators: (0,1)\nop.t[1]: 0 1\n", "op.t[1]", POWER_WHY),
+    ],
+)
+def test_operator_fields_the_algebra_does_not_read_are_located(signature, fields, key, why):
+    # an operator table that the algebra would not read is refused, not dropped
+    if signature == "power":
+        name, line, text = "p", 6, POWER_DOC.format(fields=fields)
+    else:
+        name, line, text = "h2", 8, algebra_text(fields, signature)
+    line += fields.count("\n")
+    docset = DocumentSet(parse_documents(text))
+    with pytest.raises(DocumentError) as err:
+        docset.algebra(name, budget=4096)
+    assert (err.value.code, err.value.line, err.value.fieldname) == ("schema-violation", line, key)
+    assert str(err.value) == f"algebra {name!r}: {why}, so {key!r} is not allowed (line {line})"
 
 
 @pytest.mark.parametrize(

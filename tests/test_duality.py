@@ -554,6 +554,58 @@ def test_no_module_imports_a_name_it_never_reads():
     assert list(_unused_imports(sample)) == [(2, "os"), (3, "z")]
 
 
+def _reads(node):
+    """Every name that code under ``node`` reads, as a bare name or as the
+    attribute of a module or object."""
+    for sub in ast.walk(node):
+        if isinstance(sub, ast.Name) and isinstance(sub.ctx, ast.Load):
+            yield sub.id
+        elif isinstance(sub, ast.Attribute):
+            yield sub.attr
+
+
+def _orphaned_helpers(trees):
+    """(module, line, name) of each module-level private function, class or
+    constant that no code of the given modules reads outside its own
+    definition."""
+    read = {}
+    for tree in trees.values():
+        for name in _reads(tree):
+            read[name] = read.get(name, 0) + 1
+    for module, tree in trees.items():
+        for node in tree.body:
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+                names = [node.name]
+            elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+                targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+                names = [t.id for t in targets if isinstance(t, ast.Name)]
+            else:
+                continue
+            for name in names:
+                if not name.startswith("_") or name.startswith("__"):
+                    continue
+                if read.get(name, 0) == sum(n == name for n in _reads(node)):
+                    yield module, node.lineno, name
+
+
+def test_no_private_helper_is_orphaned():
+    # a private helper that nothing in the package reads is dead code; the
+    # tests and oracles do not count as readers
+    package = pathlib.Path(duality.__file__).parent
+    trees = {path.name: ast.parse(path.read_text()) for path in sorted(package.glob("*.py"))}
+    assert list(_orphaned_helpers(trees)) == []
+    # and the check does see an orphan: a constant that nothing reads and a
+    # function that only calls itself; a read as a module attribute counts
+    sample = {
+        "a.py": ast.parse(
+            "_LIMIT = 3\n_DEAD = 4\ndef _rec(n):\n    return _rec(n - 1)\n"
+            "class _Box:\n    pass\ndef run():\n    return _LIMIT\n"
+        ),
+        "b.py": ast.parse("import a\na._Box()\n"),
+    }
+    assert list(_orphaned_helpers(sample)) == [("a.py", 2, "_DEAD"), ("a.py", 3, "_rec")]
+
+
 def _foreign_imports(tree):
     """(line, module) of each import of a module that is neither in the
     standard library nor in dualbench; a relative import is dualbench's."""
@@ -639,9 +691,9 @@ def _all_results(mode, algebras):
     for alg in algebras:
         for _, check in record.dual_checks:
             out.append(check(alg))
-        out.append(algebra_roundtrip(record, alg).to_dict())
+        out.append(algebra_roundtrip(record, alg))
         space = record.dual(alg)[0]
-        out.append(space_roundtrip(record, space, alg.truth).to_dict())
+        out.append(space_roundtrip(record, space, alg.truth))
         out.append(functor_identity_check(alg, mode))
     for a in algebras:
         for b in algebras:
@@ -662,9 +714,7 @@ def test_scope_keeps_every_verdict_and_witness():
                 cached = _all_results(mode, algebras)
             assert scoped == plain, mode
             assert cached == plain, mode
-            failing += sum(
-                not (r["passed"] if isinstance(r, dict) else r.passed) for r in plain
-            )
+            failing += sum(not r.passed for r in plain)
     # the three-chain pspa round trips are red, so witnesses are compared too
     assert failing
     assert duality._SCOPE_CACHE.get() is None

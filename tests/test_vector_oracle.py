@@ -3,6 +3,7 @@ oracle in vector_oracle.py: equal algebras, field for field, and equal
 refusals."""
 
 import itertools
+import random
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -10,8 +11,13 @@ from hypothesis import given, settings, strategies as st
 import vector_oracle
 from lattice_oracle import up_masks_of
 from dualbench import duality
-from dualbench.algebra import FiniteLattice, packed_slices, vector_algebra
-from dualbench.corpus import corpus_frames, corpus_run
+from dualbench.algebra import FiniteLattice, make_bdl, packed_slices, vector_algebra
+from dualbench.corpus import corpus_frames, corpus_lattices, corpus_run
+from dualbench.duality import (
+    check_implication_preimage_identity,
+    esakia_dual,
+    priestley_dual,
+)
 from dualbench.errors import AlgebraError
 from dualbench.kripke import (
     close_vectors,
@@ -20,15 +26,16 @@ from dualbench.kripke import (
     power_subalgebra,
     upset_algebra,
 )
+from dualbench.topology import OrderedSpace, generate_topology
+from test_topology_oracle import random_basis, random_order
 
 SIGNATURES = ("bdl", "heyting", "lvl", "isp_i")
 
 
 def oracle_subalgebra(truth, frame, generators, name):
-    generators = tuple(sorted(generators))
     closed = vector_oracle.close_vectors(truth, frame, generators)
     return vector_oracle.vector_algebra(
-        closed, truth, name, "isp_i", order=frame, presented=True, generators=generators
+        closed, truth, name, "isp_i", order=frame, presented=True
     )
 
 
@@ -151,3 +158,41 @@ def test_monotone_vectors_match_the_recursive_search(chain2, chain3, b2):
             assert monotone_vectors(truth, frame) == vector_oracle.monotone_vectors(
                 truth, frame
             ), (truth.name, frame.name)
+
+
+def preimage_identity_matches_the_oracle(space, truth):
+    """The packed verdict and witness of the implication preimage identity,
+    against the tuple and frozenset oracle over the same maps."""
+    res = check_implication_preimage_identity(space, truth)
+    vectors = duality._ordered_map_vectors(space, truth)
+    assert res == vector_oracle.check_implication_preimage_identity(space, truth, vectors)
+    return res.witness
+
+
+def test_preimage_identity_matches_the_oracle_on_corpus_duals(chain2, chain3, b2):
+    spaces = [
+        (priestley_dual(make_bdl(lat, truth)), truth)
+        for truth in (chain2, chain3, b2)
+        for lat in corpus_lattices(7)
+    ]
+    spaces += [(esakia_dual(upset_algebra(chain2, f)), chain2) for f in corpus_frames(4)]
+    assert len(spaces) == 84
+    witnesses = {preimage_identity_matches_the_oracle(*case) for case in spaces}
+    # at f = g and the top value the left side is every point and the right
+    # side empty, so no space passes; the counts and first instances differ
+    assert None not in witnesses and len(witnesses) > 20
+
+
+def test_preimage_identity_matches_the_oracle_on_random_spaces(chain2, chain3, b2):
+    rng = random.Random(0)
+    witnesses, coarse = set(), 0
+    for k in range(120):
+        n = 1 + k % 4
+        names = tuple(f"p{i}" for i in range(n))
+        topo = generate_topology(n, random_basis(rng, n))
+        space = OrderedSpace(names, topo, random_order(rng, n, names), name="X")
+        truth = (chain2, chain3, b2)[rng.randrange(3)]
+        witnesses.add(preimage_identity_matches_the_oracle(space, truth))
+        coarse += topo.minopen != tuple(1 << i for i in range(n))
+    # the sweep meets many witnesses, and topologies that are not discrete
+    assert len(witnesses) > 20 and coarse > 30

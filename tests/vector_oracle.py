@@ -3,31 +3,94 @@ kernel of ``dualbench.algebra`` replaced, kept verbatim as its slow oracle:
 every vector is a tuple of truth values, and every table entry is a fresh
 tuple looked up in a dict. Beside them, the recursive search for the
 order-preserving vectors that the one map search of ``dualbench.duality``
-replaced, and the filter that picks those vectors out of a power."""
+replaced, the filter that picks those vectors out of a power, and the
+implication preimage identity decided on tuples and frozensets."""
 
-from dualbench.algebra import (
-    Algebra,
-    PowerPresentation,
-    _validate,
-    relativized_implication,
-    vector_name,
-)
+from dualbench.algebra import Algebra, PowerPresentation, _validate, vector_name
 from dualbench.errors import AlgebraError
-from dualbench.lattice import FiniteLattice, heyting_table
+from dualbench.lattice import FiniteLattice, heyting_table, mask_members
+from dualbench.reporting import PASS, failed
 from lattice_oracle import up_masks_of
 
 
-def vector_algebra(
-    vectors, truth, name, signature, order=None, presented=False, generators=None
-):
+def relativized_implication(truth, order):
+    """The implication relativized to a poset on vector coordinates (the
+    worlds of a frame, or the points of an ordered space), as a function of
+    two truth-valued vectors: (u -> v)(w) = meet over w <= w' of
+    u(w') -> v(w').
+
+    The result depends only on the pointwise implication, so it is computed
+    once per distinct pointwise vector: as the meet of that vector at w with
+    the results at the covers of w, worlds taken from the top down."""
+    hey = heyting_table(truth)
+    meet = truth.meet
+    # worlds above come first: a strictly larger world has a smaller up-set
+    worlds = sorted(range(len(order)), key=lambda w: order.up_masks[w].bit_count())
+    covers = [sorted(mask_members(m)) for m in order.cover_masks]
+    known = {}
+
+    def implies(u, v):
+        pointwise = tuple([hey[x][y] for x, y in zip(u, v)])
+        out = known.get(pointwise)
+        if out is None:
+            vals = list(pointwise)
+            for w in worlds:
+                val = vals[w]
+                for c in covers[w]:
+                    val = meet[val][vals[c]]
+                vals[w] = val
+            out = known[pointwise] = tuple(vals)
+        return out
+
+    return implies
+
+
+def check_implication_preimage_identity(space, truth, vectors):
+    """The implication preimage identity over the given order-preserving
+    continuous maps of the space, on tuples and frozensets: the preimage of
+    each value under f -> g against the down-closure of its preimage under
+    g less that of its preimage under f. The preimages of every map and
+    their down-closures are taken once."""
+    implies = relativized_implication(truth, space.order)
+    n = len(space.points)
+    full = frozenset(range(n))
+    values = range(len(truth))
+
+    def preimage(vec, l):
+        return frozenset(s for s in range(n) if vec[s] == l)
+
+    downs = {
+        f: [space.order.down_closure(preimage(f, l)) for l in values] for f in vectors
+    }
+    checked = mismatches = 0
+    first = None
+    for f in vectors:
+        for g in vectors:
+            fg = implies(f, g)
+            for l in values:
+                checked += 1
+                if preimage(fg, l) != downs[g][l] & (full - downs[f][l]):
+                    mismatches += 1
+                    if first is None:
+                        first = (
+                            f"f={vector_name(truth, f)}, g={vector_name(truth, g)}, "
+                            f"value={truth.elements[l]}"
+                        )
+    if mismatches:
+        return failed(
+            f"{mismatches} of {checked} instances disagree; first at {first}"
+        )
+    return PASS
+
+
+def vector_algebra(vectors, truth, name, signature, order=None, presented=False):
     """Pointwise algebra on a family of truth-valued vectors, with tables
     over the family alone. ``heyting`` and ``lvl`` take the pointwise
     relative pseudocomplement; ``isp_i`` relativizes the implication to
     ``order``, a poset on the coordinates. A ``presented`` family is (a
     subalgebra of) the power of the truth lattice over ``order``: the
-    algebra carries its PowerPresentation, with ``generators``, and the
-    truth-constant operators whenever the family is closed under them
-    (``lvl`` requires them)."""
+    algebra carries its PowerPresentation and the truth-constant operators
+    whenever the family is closed under them (``lvl`` requires them)."""
     if not vectors:
         raise AlgebraError("empty-carrier", f"{name!r} has no maps at all")
     vectors = tuple(vectors)
@@ -80,7 +143,7 @@ def vector_algebra(
                     "not-closed", f"{name!r}: a truth-constant image leaves the map family"
                 )
             t_ops = None
-    presentation = PowerPresentation(order, vectors, generators) if presented else None
+    presentation = PowerPresentation(order, vectors) if presented else None
     return _validate(
         Algebra(
             signature,
