@@ -17,7 +17,6 @@ object used when the algebra is sent to its dual space.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, replace
 
 from .errors import AlgebraError, BudgetExceeded
 from .lattice import (
@@ -28,7 +27,7 @@ from .lattice import (
     heyting_table,
     mask_members,
 )
-from .reporting import PASS, AxiomReport, failed
+from .reporting import PASS, AxiomReport, _Frozen, failed
 
 SIGNATURES = ("bdl", "heyting", "lvl", "isp_i")
 BRUTE_FORCE_LIMIT = 2_000_000
@@ -39,24 +38,36 @@ def vector_name(truth, vec):
     return "(" + ",".join(truth.elements[v] for v in vec) + ")"
 
 
-@dataclass(frozen=True)
-class PowerPresentation:
+class PowerPresentation(_Frozen):
     """Provenance of an algebra built as (a subalgebra of) a frame-indexed
     power of the truth lattice: each carrier element is a world-indexed
     vector of truth values."""
 
-    frame: Poset
-    vectors: tuple[tuple[int, ...], ...]
+    _fields = ("frame", "vectors")
+
+    def __init__(self, frame: Poset, vectors: tuple[tuple[int, ...], ...]):
+        self.frame = frame
+        self.vectors = vectors
 
 
-@dataclass(frozen=True)
-class Algebra:
-    signature: str
-    lattice: FiniteLattice
-    truth: FiniteLattice
-    implies: tuple[tuple[int, ...], ...] | None = None
-    t_ops: tuple[tuple[int, ...], ...] | None = None
-    presentation: PowerPresentation | None = None
+class Algebra(_Frozen):
+    _fields = ("signature", "lattice", "truth", "implies", "t_ops", "presentation")
+
+    def __init__(
+        self,
+        signature: str,
+        lattice: FiniteLattice,
+        truth: FiniteLattice,
+        implies: tuple[tuple[int, ...], ...] | None = None,
+        t_ops: tuple[tuple[int, ...], ...] | None = None,
+        presentation: PowerPresentation | None = None,
+    ):
+        self.signature = signature
+        self.lattice = lattice
+        self.truth = truth
+        self.implies = implies
+        self.t_ops = t_ops
+        self.presentation = presentation
 
     @property
     def name(self):
@@ -286,19 +297,19 @@ def t_operator(truth, l, x):
 
 
 def make_bdl(lattice, truth, name=None):
-    lat = lattice if name is None else replace(lattice, name=name)
+    lat = lattice if name is None else lattice.replace(name=name)
     return _validate(Algebra("bdl", lat, truth))
 
 
 def make_heyting(lattice, truth, name=None):
-    lat = lattice if name is None else replace(lattice, name=name)
+    lat = lattice if name is None else lattice.replace(name=name)
     return _validate(Algebra("heyting", lat, truth, implies=heyting_table(lattice)))
 
 
 def make_heyting_ispi(lattice, truth, name=None):
     """A Heyting algebra packaged as an isp_i object (its own implication
     plays the distinguished role)."""
-    lat = lattice if name is None else replace(lattice, name=name)
+    lat = lattice if name is None else lattice.replace(name=name)
     return _validate(Algebra("isp_i", lat, truth, implies=heyting_table(lattice)))
 
 
@@ -306,7 +317,7 @@ def make_lvl(lattice, name=None):
     """The canonical lattice-valued algebra on the truth lattice itself:
     implication is the relative pseudocomplement and each unary operator is
     the characteristic function of its index."""
-    lat = lattice if name is None else replace(lattice, name=name)
+    lat = lattice if name is None else lattice.replace(name=name)
     return _validate(
         Algebra(
             "lvl",
@@ -322,7 +333,7 @@ def algebra_from_tables(signature, lattice, truth, implies=None, t_ops=None, nam
     """Assemble an algebra from explicit tables. Totality is enforced here;
     the substantive laws are left to the axiom checker so that deliberately
     broken operator families can still be built and explored."""
-    lat = lattice if name is None else replace(lattice, name=name)
+    lat = lattice if name is None else lattice.replace(name=name)
     return _validate(Algebra(signature, lat, truth, implies=implies, t_ops=t_ops))
 
 
@@ -437,11 +448,13 @@ def subalgebra_of(alg, subset, name=None):
     )
 
 
-@dataclass(frozen=True)
-class Homomorphism:
-    source: Algebra
-    target: Algebra
-    mapping: tuple[int, ...]
+class Homomorphism(_Frozen):
+    _fields = ("source", "target", "mapping")
+
+    def __init__(self, source: Algebra, target: Algebra, mapping: tuple[int, ...]):
+        self.source = source
+        self.target = target
+        self.mapping = mapping
 
     def __call__(self, i):
         return self.mapping[i]
@@ -819,10 +832,22 @@ def check_lvl_axioms(algebra, literal_iv=False):
         return PASS
 
     def clause_vii():
+        # where T_l(a) and T_l(b) are both the bottom the term is
+        # biimp(bottom, bottom), the unit of the meet when it is the top, so
+        # the fold runs over the l at which a or b is in the support of T_l;
+        # tables on which biimp(bottom, bottom) is not the top keep every l
+        bottom = lat.bottom
+        if biimp(bottom, bottom) == lat.top:
+            support = [sum(1 << l for l in range(nt) if t[l][x] != bottom) for x in range(n)]
+        else:
+            support = [(1 << nt) - 1] * n
+        levels = Memo(lambda mask: [l for l in range(nt) if mask >> l & 1])
         for x in range(n):
             for y in range(n):
                 lhs = _fold(
-                    meet, (biimp(t[l][x], t[l][y]) for l in range(nt)), lat.top
+                    meet,
+                    (biimp(t[l][x], t[l][y]) for l in levels[support[x] | support[y]]),
+                    lat.top,
                 )
                 if not leq[lhs][biimp(x, y)]:
                     return failed(

@@ -17,7 +17,6 @@ import json
 import os
 import sys
 import time
-from dataclasses import dataclass, field
 
 from . import __version__
 from .algebra import (
@@ -28,7 +27,6 @@ from .algebra import (
     make_heyting_ispi,
     make_lvl,
 )
-from .corpus import corpus_run
 from .documents import DocumentSet, parse_documents
 from .duality import (
     MODES,
@@ -42,17 +40,27 @@ from .duality import (
 from .errors import DocumentError, DualityError, LatticeError
 from .kripke import DEFAULT_POWER_BUDGET, kripke_condition_check
 from .lattice import chain_lattice, enumerate_subalgebras
-from .reporting import PASS, failed
+from .reporting import PASS, _Record, failed
 
 
-@dataclass
-class RunReport:
-    command: str
-    inputs: list = field(default_factory=list)
-    verdicts: dict = field(default_factory=dict)
-    witnesses: list = field(default_factory=list)
-    details: dict = field(default_factory=dict)
-    timings: dict | None = None
+class RunReport(_Record):
+    _fields = ("command", "inputs", "verdicts", "witnesses", "details", "timings")
+
+    def __init__(
+        self,
+        command: str,
+        inputs: list | None = None,
+        verdicts: dict | None = None,
+        witnesses: list | None = None,
+        details: dict | None = None,
+        timings: dict | None = None,
+    ):
+        self.command = command
+        self.inputs = [] if inputs is None else inputs
+        self.verdicts = {} if verdicts is None else verdicts
+        self.witnesses = [] if witnesses is None else witnesses
+        self.details = {} if details is None else details
+        self.timings = timings
 
     @property
     def passed(self):
@@ -325,6 +333,10 @@ def cmd_spectrum(args, report):
 
 
 def cmd_corpus_run(args, report):
+    # the corpus runner is loaded only by the command that runs it, so the
+    # commands on single documents do not pay for its import
+    from .corpus import corpus_run
+
     rep = corpus_run(
         max_size=args.max_size,
         frame_worlds=args.frame_size,

@@ -17,9 +17,7 @@ from __future__ import annotations
 
 import bisect
 import random
-import string
 import time
-from dataclasses import dataclass, field
 from functools import lru_cache
 
 from .algebra import (
@@ -57,12 +55,13 @@ from .lattice import (
     mask_members,
     separating_prime_ideal,
 )
+from .reporting import _Record
 from .topology import verify_hspa_object, verify_pbs_object, verify_pspa_object
 
 
 def _jirr_names(n):
     """Element names for n join-irreducibles: a to z, then p26, p27, ..."""
-    letters = string.ascii_lowercase
+    letters = "abcdefghijklmnopqrstuvwxyz"
     return tuple(letters[i] if i < len(letters) else f"p{i}" for i in range(n))
 
 
@@ -272,19 +271,31 @@ def corpus_lattices(max_size=7):
     return tuple(out)
 
 
-@dataclass
-class SuiteResult:
+class SuiteResult(_Record):
     """One suite's verdict. ``failures`` keeps the first 25 witnesses;
     ``failure_count`` counts every failure and ``seconds`` is the suite's
     wall time, and neither is part of ``to_dict``."""
 
-    name: str
-    passed: bool = True
-    counts: dict = field(default_factory=dict)
-    failures: list = field(default_factory=list)
-    notes: list = field(default_factory=list)
-    failure_count: int = 0
-    seconds: float = field(default=0.0, compare=False)
+    _fields = ("name", "passed", "counts", "failures", "notes", "failure_count")
+    _uncompared = ("seconds",)
+
+    def __init__(
+        self,
+        name: str,
+        passed: bool = True,
+        counts: dict | None = None,
+        failures: list | None = None,
+        notes: list | None = None,
+        failure_count: int = 0,
+        seconds: float = 0.0,
+    ):
+        self.name = name
+        self.passed = passed
+        self.counts = {} if counts is None else counts
+        self.failures = [] if failures is None else failures
+        self.notes = [] if notes is None else notes
+        self.failure_count = failure_count
+        self.seconds = seconds
 
     def fail(self, witness):
         self.passed = False
@@ -302,13 +313,23 @@ class SuiteResult:
         }
 
 
-@dataclass
-class CorpusReport:
-    max_size: int
-    frame_worlds: int
-    seed: int
-    suites: list = field(default_factory=list)
-    enumerate_seconds: float = field(default=0.0, compare=False)
+class CorpusReport(_Record):
+    _fields = ("max_size", "frame_worlds", "seed", "suites")
+    _uncompared = ("enumerate_seconds",)
+
+    def __init__(
+        self,
+        max_size: int,
+        frame_worlds: int,
+        seed: int,
+        suites: list | None = None,
+        enumerate_seconds: float = 0.0,
+    ):
+        self.max_size = max_size
+        self.frame_worlds = frame_worlds
+        self.seed = seed
+        self.suites = [] if suites is None else suites
+        self.enumerate_seconds = enumerate_seconds
 
     @property
     def passed(self):

@@ -27,12 +27,12 @@ presentation, is refused.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass, field
 
 from .algebra import algebra_from_tables
 from .errors import DocumentError
 from .kripke import check_power_budget, intuitionistic_power, power_subalgebra
 from .lattice import build_lattice, build_poset, heyting_table, mask_members
+from .reporting import _Frozen
 from .topology import (
     AlphaAssignment,
     BitopSpace,
@@ -67,12 +67,21 @@ _SCHEMAS = {
 _KEY_RE = re.compile(r"^(\S+):\s*(.*)$")
 
 
-@dataclass(frozen=True)
-class WorkspaceDocument:
-    kind: str
-    name: str
-    fields: tuple[tuple[str, str], ...]
-    lines: tuple[tuple[str, int], ...] = field(default=(), compare=False)
+class WorkspaceDocument(_Frozen):
+    _fields = ("kind", "name", "fields")
+    _uncompared = ("lines",)
+
+    def __init__(
+        self,
+        kind: str,
+        name: str,
+        fields: tuple[tuple[str, str], ...],
+        lines: tuple[tuple[str, int], ...] = (),
+    ):
+        self.kind = kind
+        self.name = name
+        self.fields = fields
+        self.lines = lines
 
     def get(self, key, default=None):
         for k, v in self.fields:

@@ -40,10 +40,8 @@ from __future__ import annotations
 
 import contextlib
 import contextvars
-import dataclasses
 import functools
 from collections.abc import Callable
-from dataclasses import dataclass, field
 
 from .algebra import (
     Homomorphism,
@@ -69,7 +67,7 @@ from .lattice import (
     prime_filters,
     prime_ideals,
 )
-from .reporting import PASS, DualityReport, failed
+from .reporting import PASS, DualityReport, _Frozen, _Record, failed
 from .topology import (
     AlphaAssignment,
     BitopSpace,
@@ -575,32 +573,74 @@ _SPACE_LAWS = {
 }
 
 
-@dataclass(frozen=True, kw_only=True)
-class Mode:
+class Mode(_Frozen):
     """One duality: its functors and verifiers, and the laws and phrases in
     which it differs from the others. A field that calls into another layer
     goes through this module's globals (a lambda, not the captured
     function), so that a profiler or a test that rebinds them sees the
-    call."""
+    call. Every field is passed by keyword."""
 
-    name: str
-    dual: Callable  # algebra -> (dual space, its points as homs)
-    reconstruct: Callable  # (space, truth) -> (map algebra, its carrier as vectors)
-    verify_object: Callable  # space -> {tag: CheckResult}
-    verify_morphism: Callable  # (mapping, src, dst) -> {tag: CheckResult}
-    space_type: type  # the class of the mode's spaces
-    points: Callable  # space -> its point names
-    space_truth: Callable | None = None  # space -> its truth lattice; None: given beside it
-    from_lattice: Callable  # (lattice, truth) -> the algebra a lattice document gives
-    axioms: Callable | None = None  # algebra -> AxiomReport, checked before dualizing
-    algebra_miss: str  # what an evaluation outside the double dual is not
-    algebra_laws: tuple = ("homomorphism",)  # tags of _ALGEBRA_LAWS, in order
-    map_algebra: str  # cardinality key of the map algebra of a space
-    space_laws: tuple  # tags of the morphism verifier or of _SPACE_LAWS, in order
-    dual_checks: tuple = ()  # (tag, algebra -> CheckResult), reported with the dual
-    describe: Callable  # dual space -> details of the dualize report
-    space_details: Callable = lambda space: {}  # space -> details of verify-space
-    rebuilt_details: Callable = lambda space, truth: {}  # details of reconstruct
+    _fields = (
+        "name",
+        "dual",
+        "reconstruct",
+        "verify_object",
+        "verify_morphism",
+        "space_type",
+        "points",
+        "space_truth",
+        "from_lattice",
+        "axioms",
+        "algebra_miss",
+        "algebra_laws",
+        "map_algebra",
+        "space_laws",
+        "dual_checks",
+        "describe",
+        "space_details",
+        "rebuilt_details",
+    )
+
+    def __init__(
+        self,
+        *,
+        name: str,
+        dual: Callable,  # algebra -> (dual space, its points as homs)
+        reconstruct: Callable,  # (space, truth) -> (map algebra, its carrier as vectors)
+        verify_object: Callable,  # space -> {tag: CheckResult}
+        verify_morphism: Callable,  # (mapping, src, dst) -> {tag: CheckResult}
+        space_type: type,  # the class of the mode's spaces
+        points: Callable,  # space -> its point names
+        space_truth: Callable | None = None,  # space -> its truth lattice; None: given beside it
+        from_lattice: Callable,  # (lattice, truth) -> the algebra a lattice document gives
+        axioms: Callable | None = None,  # algebra -> AxiomReport, checked before dualizing
+        algebra_miss: str,  # what an evaluation outside the double dual is not
+        algebra_laws: tuple = ("homomorphism",),  # tags of _ALGEBRA_LAWS, in order
+        map_algebra: str,  # cardinality key of the map algebra of a space
+        space_laws: tuple,  # tags of the morphism verifier or of _SPACE_LAWS, in order
+        dual_checks: tuple = (),  # (tag, algebra -> CheckResult), reported with the dual
+        describe: Callable,  # dual space -> details of the dualize report
+        space_details: Callable = lambda space: {},  # space -> details of verify-space
+        rebuilt_details: Callable = lambda space, truth: {},  # details of reconstruct
+    ):
+        self.name = name
+        self.dual = dual
+        self.reconstruct = reconstruct
+        self.verify_object = verify_object
+        self.verify_morphism = verify_morphism
+        self.space_type = space_type
+        self.points = points
+        self.space_truth = space_truth
+        self.from_lattice = from_lattice
+        self.axioms = axioms
+        self.algebra_miss = algebra_miss
+        self.algebra_laws = algebra_laws
+        self.map_algebra = map_algebra
+        self.space_laws = space_laws
+        self.dual_checks = dual_checks
+        self.describe = describe
+        self.space_details = space_details
+        self.rebuilt_details = rebuilt_details
 
     def check_space(self, space, truth=None):
         """The truth lattice the mode reads ``space`` over: the space's own,
@@ -692,8 +732,7 @@ PSPA = Mode(
     ),
     describe=_describe_ordered,
 )
-HSPA = dataclasses.replace(
-    PSPA,
+HSPA = PSPA.replace(
     name="hspa",
     dual=lambda algebra: _esakia_dual(algebra),
     reconstruct=lambda space, truth: _esakia_reconstruct(space, truth),
@@ -841,16 +880,20 @@ def check_esakia_space_roundtrip(space, truth):
 # ---------------------------------------------------------------------------
 
 
-@dataclass
-class DualizedMap:
+class DualizedMap(_Record):
     """A morphism sent through a dual-space functor, with the verdicts that
     certify it is an arrow of the target category."""
 
-    mode: str
-    mapping: tuple
-    source: object
-    target: object
-    checks: dict = field(default_factory=dict)
+    _fields = ("mode", "mapping", "source", "target", "checks")
+
+    def __init__(
+        self, mode: str, mapping: tuple, source: object, target: object, checks: dict | None = None
+    ):
+        self.mode = mode
+        self.mapping = mapping
+        self.source = source
+        self.target = target
+        self.checks = {} if checks is None else checks
 
     @property
     def passed(self):

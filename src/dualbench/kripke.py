@@ -30,7 +30,6 @@ memoized lookup, ``interior[(~u | v) & full]``.
 from __future__ import annotations
 
 import itertools
-from dataclasses import replace
 
 from .algebra import packed_slices, vector_algebra, vector_name
 from .duality import _esakia_dual, _map_vectors
@@ -151,7 +150,7 @@ def subalgebra_generated(power, generators, name=None):
         power_name=power.name,
     )
     # a subalgebra carries no operator its algebra lacks
-    return sub if power.t_ops is not None else replace(sub, t_ops=None)
+    return sub if power.t_ops is not None else sub.replace(t_ops=None)
 
 
 def monotone_vectors(truth, frame):

@@ -15,11 +15,11 @@ are decided on up- and down-set masks, as Priestley duality states them.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from functools import cached_property, reduce
 from operator import eq, or_
 
 from .errors import LatticeError
+from .reporting import _Frozen
 
 
 def subset_mask(subset):
@@ -57,14 +57,18 @@ class Memo(dict):
         return out
 
 
-@dataclass(frozen=True)
-class Poset:
+class Poset(_Frozen):
     """A finite partial order, held by the up-set of each element: bit j of
     ``up_masks[i]`` is set when element i is below j."""
 
-    elements: tuple[str, ...]
-    up_masks: tuple[int, ...]
-    name: str = field(default="poset", kw_only=True)
+    _fields = ("elements", "up_masks", "name")
+
+    def __init__(
+        self, elements: tuple[str, ...], up_masks: tuple[int, ...], *, name: str = "poset"
+    ):
+        self.elements = elements
+        self.up_masks = up_masks
+        self.name = name
 
     def __len__(self):
         return len(self.elements)
@@ -132,7 +136,6 @@ class Poset:
             )
 
 
-@dataclass(frozen=True)
 class FiniteLattice(Poset):
     """Bounded distributive lattice with precomputed meet/join tables.
 
@@ -141,10 +144,26 @@ class FiniteLattice(Poset):
     carrier, so this is the cheap part.
     """
 
-    meet: tuple[tuple[int, ...], ...]
-    join: tuple[tuple[int, ...], ...]
-    bottom: int
-    top: int
+    _fields = Poset._fields + ("meet", "join", "bottom", "top")
+
+    def __init__(
+        self,
+        elements: tuple[str, ...],
+        up_masks: tuple[int, ...],
+        meet: tuple[tuple[int, ...], ...],
+        join: tuple[tuple[int, ...], ...],
+        bottom: int,
+        top: int,
+        *,
+        name: str = "poset",
+    ):
+        self.elements = elements
+        self.up_masks = up_masks
+        self.name = name
+        self.meet = meet
+        self.join = join
+        self.bottom = bottom
+        self.top = top
 
     @cached_property
     def join_irreducibles(self):
@@ -331,6 +350,8 @@ def build_lattice(elements, leq_pairs, bottom, top, name="lattice"):
     lattice = FiniteLattice(
         poset.elements, up, tuple(meet), tuple(join), bot, topi, name=name
     )
+    # the same up-sets, so the same down-sets: is_distributive reads them
+    lattice.down_masks = down
     if lattice.is_distributive:
         return lattice
     x, y, z = next(

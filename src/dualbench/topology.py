@@ -29,7 +29,6 @@ that their witness follows the canonical order.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from functools import cached_property
 
 from .errors import BudgetExceeded, SpaceError
@@ -41,7 +40,7 @@ from .lattice import (
     mask_members,
     subset_mask,
 )
-from .reporting import PASS, failed
+from .reporting import PASS, _Frozen, failed
 
 TOPOLOGY_FAMILY_LIMIT = 1 << 14
 
@@ -61,14 +60,16 @@ def _hull(mask, *steps):
     return mask
 
 
-@dataclass(frozen=True)
-class Topology:
+class Topology(_Frozen):
     """A topology on points 0..size-1, held by the minimal open around each
     point: bit j of ``minopen[i]`` is set when j lies in every open set that
     contains i."""
 
-    size: int
-    minopen: tuple[int, ...]
+    _fields = ("size", "minopen")
+
+    def __init__(self, size: int, minopen: tuple[int, ...]):
+        self.size = size
+        self.minopen = minopen
 
     def is_open(self, subset):
         return self.is_open_mask(subset_mask(subset))
@@ -159,15 +160,22 @@ def indiscrete_topology(size):
     return topology_from_masks(size, [])
 
 
-@dataclass(frozen=True)
-class BitopSpace:
-    points: tuple[str, ...]
-    topo1: Topology
-    topo2: Topology
-    name: str = field(default="bitop-space", kw_only=True)
+class BitopSpace(_Frozen):
+    _fields = ("points", "topo1", "topo2", "name")
 
-    def __post_init__(self):
-        if self.topo1.size != len(self.points) or self.topo2.size != len(self.points):
+    def __init__(
+        self,
+        points: tuple[str, ...],
+        topo1: Topology,
+        topo2: Topology,
+        *,
+        name: str = "bitop-space",
+    ):
+        self.points = points
+        self.topo1 = topo1
+        self.topo2 = topo2
+        self.name = name
+        if topo1.size != len(points) or topo2.size != len(points):
             raise SpaceError(
                 "carrier-mismatch", f"topologies of {self.name!r} disagree with the point set"
             )
@@ -176,17 +184,19 @@ class BitopSpace:
         return "{" + ",".join(self.points[i] for i in sorted(subset)) + "}"
 
 
-@dataclass(frozen=True)
-class OrderedSpace:
+class OrderedSpace(_Frozen):
     """One topology plus a partial order on the same points."""
 
-    points: tuple[str, ...]
-    topo: Topology
-    order: Poset
-    name: str = field(default="ordered-space", kw_only=True)
+    _fields = ("points", "topo", "order", "name")
 
-    def __post_init__(self):
-        if self.topo.size != len(self.points) or self.order.elements != self.points:
+    def __init__(
+        self, points: tuple[str, ...], topo: Topology, order: Poset, *, name: str = "ordered-space"
+    ):
+        self.points = points
+        self.topo = topo
+        self.order = order
+        self.name = name
+        if topo.size != len(points) or order.elements != points:
             raise SpaceError(
                 "carrier-mismatch", f"structure of {self.name!r} disagrees with the point set"
             )
@@ -195,8 +205,7 @@ class OrderedSpace:
         return "{" + ",".join(self.points[i] for i in sorted(subset)) + "}"
 
 
-@dataclass(frozen=True)
-class AlphaAssignment:
+class AlphaAssignment(_Frozen):
     """Assignment from subalgebras of the truth lattice to point subsets.
 
     ``subalgebras`` and ``images`` are parallel tuples; subalgebras are
@@ -204,9 +213,17 @@ class AlphaAssignment:
     validators read the images as bitmasks (``image_masks``, ``image_mask``).
     """
 
-    truth: FiniteLattice
-    subalgebras: tuple[frozenset, ...]
-    images: tuple[frozenset, ...]
+    _fields = ("truth", "subalgebras", "images")
+
+    def __init__(
+        self,
+        truth: FiniteLattice,
+        subalgebras: tuple[frozenset, ...],
+        images: tuple[frozenset, ...],
+    ):
+        self.truth = truth
+        self.subalgebras = subalgebras
+        self.images = images
 
     @cached_property
     def image_masks(self):
@@ -230,10 +247,12 @@ class AlphaAssignment:
         return "{" + ",".join(self.truth.elements[i] for i in sorted(subalgebra)) + "}"
 
 
-@dataclass(frozen=True)
-class PbsObject:
-    space: BitopSpace
-    alpha: AlphaAssignment
+class PbsObject(_Frozen):
+    _fields = ("space", "alpha")
+
+    def __init__(self, space: BitopSpace, alpha: AlphaAssignment):
+        self.space = space
+        self.alpha = alpha
 
     @property
     def name(self):

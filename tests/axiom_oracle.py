@@ -1,6 +1,7 @@
-"""Clause (ii) of ``dualbench.algebra.check_lvl_axioms`` as it was before
-its first loop ran over the supports of the T-operators only, kept as the
-oracle of that loop: every (L1, L2, a, b), nt^2 * n^2 entries."""
+"""Clauses (ii) and (vii) of ``dualbench.algebra.check_lvl_axioms`` as they
+were before they ran over the supports of the T-operators only, kept as the
+oracles of those loops: every (L1, L2, a, b) for clause (ii), nt^2 * n^2
+entries, and every (a, b, l) for clause (vii), nt * n^2."""
 
 from dualbench.lattice import characteristic_tables, heyting_table
 from dualbench.reporting import PASS, failed
@@ -34,4 +35,28 @@ def clause_ii(algebra):
                         "T_L2(a) <= T_(T_L1(L2))(T_L1(a)) fails at "
                         f"L1={tn(l1)}, L2={tn(l2)}, a={en(x)}"
                     )
+    return PASS
+
+
+def clause_vii(algebra):
+    """Clause (vii) as it was before its fold ran over the supports of the
+    T-operators only: for every (a, b) the meet of T_l(a) <-> T_l(b) over
+    all l, nt * n^2 biimplications."""
+    lat, truth = algebra.lattice, algebra.truth
+    n, nt = len(algebra), len(truth)
+    t, imp, meet, leq = algebra.t_ops, algebra.implies, lat.meet, lat.leq
+    en = algebra.element_name
+
+    def biimp(x, y):
+        return meet[imp[x][y]][imp[y][x]]
+
+    for x in range(n):
+        for y in range(n):
+            lhs = lat.top
+            for l in range(nt):
+                lhs = meet[lhs][biimp(t[l][x], t[l][y])]
+            if not leq[lhs][biimp(x, y)]:
+                return failed(
+                    f"meet of T-biimplications not below a<->b at a={en(x)}, b={en(y)}"
+                )
     return PASS

@@ -1,4 +1,5 @@
 import gc
+import itertools
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -89,20 +90,22 @@ def test_clause_ii_full_on_corpus(chain2, chain3, b2):
         assert check_lvl_axioms(make_lvl(lat)).clauses["ii"].passed
 
 
-def clause_ii_agrees(algebra):
-    """Assert that clause (ii) gives the full scan's verdict and witness;
-    return it."""
-    found = check_lvl_axioms(algebra).clauses["ii"]
-    assert found == axiom_oracle.clause_ii(algebra), algebra.name
-    return found
+def supports_agree(algebra):
+    """Assert that clauses (ii) and (vii), which run over the supports of
+    the T-operators, give the full scans' verdicts and witnesses; return
+    every clause."""
+    clauses = check_lvl_axioms(algebra).clauses
+    assert clauses["vii"] == axiom_oracle.clause_vii(algebra), algebra.name
+    assert clauses["ii"] == axiom_oracle.clause_ii(algebra), algebra.name
+    return clauses
 
 
 def test_clause_ii_on_supports_against_the_full_scan():
     for lat in corpus_lattices(8):
-        assert clause_ii_agrees(make_lvl(lat)).passed
+        assert supports_agree(make_lvl(lat))["ii"].passed
     for lat in corpus_lattices(4):
         base = make_lvl(lat)
-        clause_ii_agrees(product_algebra(base, base))
+        supports_agree(product_algebra(base, base))
 
 
 def test_clause_ii_on_supports_with_one_operator_entry_changed(chain3, b2):
@@ -126,12 +129,48 @@ def test_clause_ii_on_supports_with_one_operator_entry_changed(chain3, b2):
                             t_ops=tuple(t_ops),
                             name=f"{alg.name}[{l},{x}]",
                         )
-                        found = clause_ii_agrees(changed)
+                        found = supports_agree(changed)["ii"]
                         if not found.passed:
                             witnesses.append(found.witness)
     # the first loop, which runs over the supports, finds most of them
     first = [w for w in witnesses if w.startswith("T_L1(a)^T_L2(b)")]
     assert len(first) > len(witnesses) // 2 > 0
+
+
+def test_clause_vii_on_supports_with_one_implication_entry_changed(chain3, b2):
+    # imp[bottom][bottom] on L and L x L: where it is not the top, neither is
+    # biimp(bottom, bottom), so clause (vii) must fold over every truth
+    # value; and every entry on the smaller algebras, where clause (vii) fails
+    def changes(alg, entries):
+        for x, y in entries:
+            for v in range(len(alg)):
+                if v == alg.implies[x][y]:
+                    continue
+                rows = [list(row) for row in alg.implies]
+                rows[x][y] = v
+                yield algebra_from_tables(
+                    "lvl",
+                    alg.lattice,
+                    alg.truth,
+                    implies=tuple(map(tuple, rows)),
+                    t_ops=alg.t_ops,
+                    name=f"{alg.name}[{x}->{y}={v}]",
+                )
+
+    cases = []
+    for lat in (chain3, b2):
+        base = make_lvl(lat)
+        square = product_algebra(base, base)
+        cases.append((base, itertools.product(range(len(base)), repeat=2)))
+        cases.append((square, [(square.lattice.bottom, square.lattice.bottom)]))
+    square = product_algebra(make_lvl(chain3), make_lvl(chain3))
+    cases.append((square, itertools.product(range(len(square)), repeat=2)))
+    failures = [
+        not supports_agree(changed)["vii"].passed
+        for alg, entries in cases
+        for changed in changes(alg, entries)
+    ]
+    assert 0 < sum(failures) < len(failures)
 
 
 def test_axiom_check_needs_lvl(chain2):

@@ -682,3 +682,27 @@ def test_commands_back_to_back_print_what_they_print_alone(capsys):
         assert (code, err) == (code2, err2)
         assert without_wall_seconds(out) == without_wall_seconds(out2)
     assert [code for code, _, _ in together] == [1, 0, 0, 0]
+
+
+def _loaded_by(statement):
+    """The modules loaded after ``statement`` runs in a fresh interpreter
+    without the site hooks, which may import modules of their own."""
+    src = os.path.dirname(os.path.dirname(cli.__file__))
+    env = dict(os.environ, PYTHONPATH=src)
+    code = f"import sys\n{statement}\nprint(*sorted(sys.modules))"
+    out = subprocess.run(
+        [sys.executable, "-S", "-c", code], capture_output=True, text=True, env=env, check=True
+    )
+    return set(out.stdout.split())
+
+
+def test_cli_import_loads_neither_dataclasses_nor_the_corpus():
+    loaded = _loaded_by("import dualbench.cli")
+    assert "dualbench.cli" in loaded and "dualbench.duality" in loaded
+    assert loaded.isdisjoint({"dataclasses", "inspect", "dualbench.corpus"})
+
+
+def test_corpus_import_loads_neither_the_cli_nor_documents():
+    loaded = _loaded_by("import dualbench.corpus")
+    assert "dualbench.corpus" in loaded
+    assert loaded.isdisjoint({"dualbench.cli", "dualbench.documents"})

@@ -2,7 +2,6 @@ import hashlib
 import itertools
 import random
 from collections import Counter
-from dataclasses import replace
 
 import corpus_oracle
 import pytest
@@ -182,7 +181,7 @@ def test_heyting_coincidence_names_the_first_differing_pair(monkeypatch):
         n = len(algebra)
         f, g = max((f, g) for f in range(n) for g in range(f + 1, n) if rows[f][g] != rows[g][f])
         rows[f][g], rows[g][f] = rows[g][f], rows[f][g]
-        return replace(algebra, implies=tuple(map(tuple, rows)))
+        return algebra.replace(implies=tuple(map(tuple, rows)))
 
     monkeypatch.setattr(corpus, "upset_algebra", swapped)
     expected = SuiteResult("heyting_coincidence")

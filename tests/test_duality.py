@@ -1,5 +1,4 @@
 import ast
-import dataclasses
 import pathlib
 import sys
 
@@ -319,7 +318,7 @@ def test_implies_preserved_names_the_first_broken_pair(chain2):
         for q in range(n):
             rows = [list(row) for row in double.implies]
             rows[p][q] = (rows[p][q] + 1) % n
-            broken = dataclasses.replace(double, implies=tuple(map(tuple, rows)))
+            broken = double.replace(implies=tuple(map(tuple, rows)))
             res = duality._implies_preserved(mapping, algebra, broken)
             assert not res.passed
             assert res.witness == per_pair(broken.implies)
@@ -439,7 +438,7 @@ def test_algebra_roundtrip_names_an_evaluation_outside_the_double_dual(chain2, f
             double, vectors = mode.reconstruct(space, truth)
             return double, vectors[:-1]
 
-        rep = algebra_roundtrip(dataclasses.replace(mode, reconstruct=short), algebra)
+        rep = algebra_roundtrip(mode.replace(reconstruct=short), algebra)
         assert rep.witnesses["well_defined"].endswith(phrase[mode.name])
         laws = {"homomorphism", "injective", "surjective"}
         if mode is HSPA:
@@ -458,7 +457,7 @@ def test_space_roundtrip_names_a_point_outside_the_double_dual(chain2, frame2):
             return space, homs[:-1]
 
         space = mode.dual(algebra)[0]
-        rep = space_roundtrip(dataclasses.replace(mode, dual=short), space, algebra.truth)
+        rep = space_roundtrip(mode.replace(dual=short), space, algebra.truth)
         carrier = "function algebra" if mode is PBS else "map algebra"
         assert rep.witnesses["well_defined"].endswith(f"is not a hom of the {carrier}")
         assert set(rep.verdicts) == {"well_defined", "injective", "surjective", *mode.space_laws}
@@ -552,6 +551,38 @@ def test_no_module_imports_a_name_it_never_reads():
         "from __future__ import annotations\nimport os.path\nfrom x import y as z, w\nw()\n"
     )
     assert list(_unused_imports(sample)) == [(2, "os"), (3, "z")]
+
+
+def _imports_of(tree, module):
+    """Line of each import of ``module`` or of a name from it, at any depth
+    of the tree."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            names = [alias.name for alias in node.names]
+        elif isinstance(node, ast.ImportFrom) and not node.level:
+            names = [node.module]
+        else:
+            continue
+        if any(name == module or name.startswith(module + ".") for name in names):
+            yield node.lineno
+
+
+def test_no_module_imports_dataclasses():
+    # the records are plain classes: building a dataclass generates and
+    # executes its methods at import time, which every CLI call would pay
+    package = pathlib.Path(duality.__file__).parent
+    found = {
+        path.name: list(_imports_of(ast.parse(path.read_text()), "dataclasses"))
+        for path in sorted(package.glob("*.py"))
+    }
+    assert {k: v for k, v in found.items() if v} == {}
+    # and the check does see such an import, also inside a function
+    sample = ast.parse(
+        "import os, dataclasses as dc\nfrom dataclasses import field\n"
+        "def f():\n    from dataclasses import replace\n"
+        "from .dataclasses import x\nimport dataclasses_json\n"
+    )
+    assert sorted(_imports_of(sample, "dataclasses")) == [1, 2, 4]
 
 
 def _reads(node):

@@ -1,5 +1,3 @@
-from dataclasses import replace
-
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -47,7 +45,7 @@ def table_closure(power, generators, name=None):
     try:
         return subalgebra_of(power, closed, name=name)
     except AlgebraError:
-        return subalgebra_of(replace(power, t_ops=None), closed, name=name)
+        return subalgebra_of(power.replace(t_ops=None), closed, name=name)
 
 
 def test_one_world_power_is_the_truth_lattice(chain2, chain3):

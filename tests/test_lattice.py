@@ -1,4 +1,6 @@
+import functools
 import gc
+import os
 import weakref
 
 import pytest
@@ -7,11 +9,12 @@ from hypothesis import given, settings, strategies as st
 import lattice_oracle
 from dualbench import duality
 from dualbench.corpus import corpus_frames, corpus_lattices, corpus_run
-from dualbench.documents import build_lattice_from, lattice_document
+from dualbench.documents import build_lattice_from, lattice_document, parse_document
 from dualbench.errors import LatticeError
 from dualbench.kripke import upset_algebra
 from dualbench.lattice import (
     FiniteLattice,
+    Poset,
     build_lattice,
     build_poset,
     chain_lattice,
@@ -528,3 +531,27 @@ def test_boolean_lattice_and_long_chain_match_the_oracle():
     for elements, pairs in ((cube, covers), (chain, list(zip(chain, chain[1:])))):
         lat = assert_matches_oracle(elements, pairs, elements[0], elements[-1])
         assert isinstance(lat, FiniteLattice) and len(lat) == len(elements)
+
+
+def test_build_lattice_transposes_the_up_sets_once(monkeypatch):
+    # the lattice is handed the down-sets of the poset it is built from, so
+    # its distributivity test does not transpose the same up-sets again
+    calls = []
+    transpose = Poset.down_masks.func
+
+    def spy(poset):
+        calls.append(poset.name)
+        return transpose(poset)
+
+    counted = functools.cached_property(spy)
+    counted.__set_name__(Poset, "down_masks")
+    monkeypatch.setattr(Poset, "down_masks", counted)
+    path = os.path.join(os.path.dirname(__file__), os.pardir, "sample_docs", "b2.doc")
+    with open(path, encoding="utf-8") as fh:
+        lattice = build_lattice_from(parse_document(fh.read()))
+    assert lattice.is_distributive
+    n, leq = len(lattice), lattice.leq
+    assert lattice.down_masks == tuple(
+        sum(1 << y for y in range(n) if leq[y][x]) for x in range(n)
+    )
+    assert calls == ["b2"]

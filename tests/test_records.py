@@ -3,8 +3,6 @@ value over the compared fields, hashing by value for the records that are
 never changed after construction, keyword-only names, the carrier checks of
 the spaces, and ``replace``."""
 
-from dataclasses import replace
-
 import pytest
 
 from dualbench.algebra import (
@@ -184,22 +182,22 @@ def test_replace_changes_one_field():
     for record, _, _, (field, value) in _frozen_samples():
         if record is PSPA:
             continue  # a Mode of another name is checked below
-        changed = replace(record, **{field: value})
+        changed = record.replace(**{field: value})
         assert type(changed) is type(record)
         assert getattr(changed, field) == value
-        assert replace(changed, **{field: getattr(record, field)}) == record
+        assert changed.replace(**{field: getattr(record, field)}) == record
     suite = SuiteResult("s", seconds=1.5)
-    assert replace(suite, passed=False).seconds == 1.5
-    assert replace(suite, passed=False) != suite
+    assert suite.replace(passed=False).seconds == 1.5
+    assert suite.replace(passed=False) != suite
     with pytest.raises(TypeError):
-        replace(chain_lattice(2), colour="red")
+        chain_lattice(2).replace(colour="red")
 
 
 def test_replace_rechecks_the_carrier():
     lat = chain_lattice(2)
     space = OrderedSpace(lat.elements, discrete_topology(2), lat)
     with pytest.raises(SpaceError):
-        replace(space, topo=discrete_topology(3))
+        space.replace(topo=discrete_topology(3))
 
 
 def test_mode_defaults_and_hspa_from_pspa():
@@ -219,6 +217,6 @@ def test_mode_defaults_and_hspa_from_pspa():
     for field in changed:
         assert getattr(HSPA, field) != getattr(PSPA, field), field
     assert HSPA.space_laws[: len(PSPA.space_laws)] == PSPA.space_laws
-    assert replace(PSPA, name="x").name == "x" and replace(PSPA, name="pspa") == PSPA
+    assert PSPA.replace(name="x").name == "x" and PSPA.replace(name="pspa") == PSPA
     with pytest.raises(TypeError):
         Mode("x")  # every field is keyword-only
