@@ -17,6 +17,7 @@ object used when the algebra is sent to its dual space.
 from __future__ import annotations
 
 import itertools
+from operator import and_
 
 from .errors import AlgebraError, BudgetExceeded
 from .lattice import (
@@ -570,7 +571,11 @@ def enumerate_homs(a, b):
     the truth-constant operators are checked inside the search: each
     (table, arguments) constraint is checked at the step after which all
     of its elements, result included, are final, that is, when the last
-    join-irreducible below them is set.
+    join-irreducible below them is set. What depends on the source alone
+    (the order of J, the earlier incomparable j' of each step with
+    j meet j', the step after which each element is final, and the
+    elements above each j) is its ``hom_search_plan``, found once per
+    lattice.
 
     Every hom passes every check on any finite lattices, so the search is
     complete. It is sound when both lattices are distributive, as every
@@ -580,25 +585,14 @@ def enumerate_homs(a, b):
     _require_compatible(a, b)
     la, lb = a.lattice, b.lattice
     n, m = len(la), len(lb)
-    up_a, bottom_a, top_a, top_b = la.up_masks, la.bottom, la.top, lb.top
-    irreducibles = la.join_irreducibles
+    bottom_a, top_a, top_b = la.bottom, la.top, lb.top
+    # h(x) is final after step final[x]; h(0) and h(1) are final from the
+    # start
+    irreducibles, pairs, final, ups = la.hom_search_plan
     k = len(irreducibles)
-    pairs = [
-        [(i, la.meet[j][i]) for i in irreducibles[:p] if not up_a[i] >> j & 1]
-        for p, j in enumerate(irreducibles)
-    ]
     _, unaries, binaries = _op_tables(a, b)
     binaries = binaries[2:]  # meets and joins are kept by construction
     exact = la.is_distributive and lb.is_distributive
-    # h(x) is final after step final[x], the step of the last
-    # join-irreducible below x; h(0) and h(1) are final from the start
-    final = [0] * n
-    ups = []
-    for p, j in enumerate(irreducibles, 1):
-        up = [x for x in range(n) if up_a[j] >> x & 1 and x != top_a]
-        for x in up:
-            final[x] = p
-        ups.append(up)
     # (result, x, y, target table): h(result) must be table[h(x)][h(y)]. A
     # unary table is widened to ignore y, which is the bottom. The cheap
     # unary checks come first.
@@ -661,26 +655,45 @@ def brute_force_homs(a, b):
 
 
 def hom_order(homs):
-    """The pointwise order on homomorphisms into a common target, as up-set
-    masks: bit j of ``hom_order(homs)[i]`` is set when homs[i] <= homs[j].
+    """The pointwise order on lattice homomorphisms from a common source into
+    a common target, as up-set masks: bit i' of ``hom_order(homs)[i]`` is
+    set when homs[i] <= homs[i'].
 
-    Each hom is packed into one int whose bit a*m + t is set when t <= h(a)
-    in the target order (m the target size). Over a partial order
-    h(a) <= h'(a) exactly when the down-set of h(a) lies in that of h'(a),
-    so h <= h' exactly when p & ~p' == 0: k^2 int operations, not k^2 * n
-    lookups."""
+    Every element x of a finite lattice is the join of the
+    join-irreducibles below it, and a hom keeps joins and the bottom, so
+    h(x) is the join of h(j) over those j (Birkhoff). So h <= h' exactly
+    when h(j) <= h'(j) for every join-irreducible j of the source, and the
+    up-set of h is the AND, over j, of the mask of homs whose value at j
+    lies above h(j): k * |J| mask operations, not k^2. The result is exact
+    on lattice homs only; an arbitrary map is compared on J alone.
+    ``tests/hom_oracle.hom_leq_masks`` is the elementwise oracle."""
     if not homs:
         return ()
     down = homs[0].target.lattice.down_masks
-    m = len(down)
-    packed = []
-    for h in homs:
-        p = 0
-        for shift, v in enumerate(h.mapping):
-            p |= down[v] << (shift * m)
-        packed.append(p)
-    outside = [~p for p in packed]
-    return tuple(sum(1 << j for j, q in enumerate(outside) if not p & q) for p in packed)
+    mappings = [h.mapping for h in homs]
+    full = (1 << len(homs)) - 1
+    out = [full] * len(homs)
+    for j in homs[0].source.lattice.join_irreducibles:
+        column = [mapping[j] for mapping in mappings]
+        # at[v]: the homs with value v at j
+        at = [0] * len(down)
+        bit = 1
+        for v in column:
+            at[v] |= bit
+            bit <<= 1
+        if full in at:
+            continue  # every hom has the same value at j
+        # above[v]: the homs whose value at j lies above v
+        above = [0] * len(down)
+        for w, mask in enumerate(at):
+            if mask:
+                below = down[w]
+                while below:
+                    low = below & -below
+                    above[low.bit_length() - 1] |= mask
+                    below ^= low
+        out = list(map(and_, out, map(above.__getitem__, column)))
+    return tuple(out)
 
 
 def _fold(table, values, unit):

@@ -405,7 +405,7 @@ def _build_parser():
         "--budget",
         type=int,
         default=DEFAULT_POWER_BUDGET,
-        help="size budget for power carriers",
+        help="size budget for power carriers and up-set families",
     )
     common.add_argument(
         "--timings",

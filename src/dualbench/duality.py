@@ -23,7 +23,9 @@ space-side round trip rebuilds the map algebra the algebra-side one built,
 and every dualized hom re-dualizes both of its ends. Inside a
 ``verification_scope`` the three dualizations and three reconstructions
 are cached on the identity of their input (plus any further argument such
-as the truth lattice), so each is built once. The scope is opened around
+as the truth lattice), so each is built once. A scope also caches dualized
+homs, on the identities of both ends, the mapping and the mode, so a hom
+met again is dualized and verified once. The scope is opened around
 one top-level verification only: each corpus instance, the functoriality
 suite and each CLI command but ``corpus-run`` (whose instances open their
 own). The cache holds a strong reference to every
@@ -91,7 +93,8 @@ from .topology import (
 MAP_ENUM_LIMIT = 200_000  # maps kept by one map-algebra search
 
 # (function, id of its first argument, further arguments) -> (first
-# argument, result), while a verification scope is open
+# argument, result), and (dual_map_of_hom, ids of both ends, mapping, mode
+# name) -> (both ends, dualized hom), while a verification scope is open
 _SCOPE_CACHE = contextvars.ContextVar("dualbench_scope_cache", default=None)
 
 
@@ -112,20 +115,25 @@ def verification_scope():
         cache.clear()
 
 
+def _in_scope(key, held, build, *args):
+    """``build(*args)``, reused under ``key`` inside a verification scope;
+    the entry holds ``held``, the objects whose ids the key names."""
+    cache = _SCOPE_CACHE.get()
+    if cache is None:
+        return build(*args)
+    entry = cache.get(key)
+    if entry is None:
+        entry = cache[key] = (held, build(*args))
+    return entry[1]
+
+
 def _scoped(fn):
     """Reuse fn's result for the same first-argument object (and equal
     further arguments) inside a verification scope."""
 
     @functools.wraps(fn)
     def cached(obj, *rest):
-        cache = _SCOPE_CACHE.get()
-        if cache is None:
-            return fn(obj, *rest)
-        key = (fn, id(obj), rest)
-        entry = cache.get(key)
-        if entry is None:
-            entry = cache[key] = (obj, fn(obj, *rest))
-        return entry[1]
+        return _in_scope((fn, id(obj), rest), obj, fn, obj, *rest)
 
     return cached
 
@@ -779,6 +787,12 @@ def _index(images, targets, miss):
     return tuple(mapping), PASS
 
 
+def _columns(rows, width):
+    """The columns of the rows, each of ``width`` entries, as tuples: the
+    evaluations at each coordinate."""
+    return zip(*rows) if rows else [()] * width
+
+
 def _record_bijection(report, mapping, size, name, target_name):
     """Record whether ``mapping`` is one-to-one and onto range(size)."""
     seen = {}
@@ -811,7 +825,7 @@ def algebra_roundtrip(mode, algebra):
     }
     name = algebra.element_name
     mapping, wd = _index(
-        (tuple(h.mapping[a] for h in homs) for a in range(len(algebra))),
+        _columns([h.mapping for h in homs], len(algebra)),
         vectors,
         lambda a: f"evaluation at {name(a)} is not {mode.algebra_miss}",
     )
@@ -843,7 +857,7 @@ def space_roundtrip(mode, space, truth=None):
         "double_dual_points": len(gc_homs),
     }
     mapping, wd = _index(
-        (tuple(vec[s] for vec in vectors) for s in range(len(points))),
+        _columns(vectors, len(points)),
         (h.mapping for h in gc_homs),
         lambda s: f"evaluation at point {points[s]} is not a hom of the "
         + mode.map_algebra.replace("_", " "),
@@ -903,12 +917,23 @@ class DualizedMap(_Record):
 def dual_map_of_hom(hom, mode):
     """Precomposition: a homomorphism f: A -> B dualizes to the point map
     from the dual of B to the dual of A sending mu to mu o f. The verdict
-    bundle certifies arrow-hood in the space category."""
+    bundle certifies arrow-hood in the space category.
+
+    Inside a verification scope the record is cached on the identities of
+    the hom's two ends, its mapping and the mode, so a hom that is
+    dualized again (an identity, or a composite g o f met before) is
+    built and verified once."""
     mode = as_mode(mode)
+    ends = hom.source, hom.target
+    key = (dual_map_of_hom, *map(id, ends), hom.mapping, mode.name)
+    return _in_scope(key, ends, _dualize_hom, hom, mode)
+
+
+def _dualize_hom(hom, mode):
     dst_obj, dst_homs = mode.dual(hom.source)
     src_obj, src_homs = mode.dual(hom.target)
     mapping, wd = _index(
-        (tuple(mu.mapping[v] for v in hom.mapping) for mu in src_homs),
+        (tuple(map(mu.mapping.__getitem__, hom.mapping)) for mu in src_homs),
         (h.mapping for h in dst_homs),
         lambda k: f"composite through point h{k} is not a point of the dual",
     )

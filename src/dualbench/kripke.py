@@ -153,27 +153,32 @@ def subalgebra_generated(power, generators, name=None):
     return sub if power.t_ops is not None else sub.replace(t_ops=None)
 
 
-def monotone_vectors(truth, frame):
+def monotone_vectors(truth, frame, limit=None):
     """The order-preserving world-to-truth vectors in the power's index
-    order: the map search of ``duality._map_vectors`` with no topology and
-    a limit that no family of such vectors reaches."""
+    order: the map search of ``duality._map_vectors`` with no topology. It
+    raises BudgetExceeded once more than ``limit`` vectors are kept; by
+    default the limit is the power, which no family of such vectors
+    exceeds."""
     nw, nt = len(frame), len(truth)
     what = f"order-preserving vectors over {frame.name!r}"
-    return _map_vectors([(1 << nt) - 1] * nw, (), frame, truth, nt**nw, what)
+    if limit is None:
+        limit = nt**nw
+    return _map_vectors([(1 << nt) - 1] * nw, (), frame, truth, limit, what)
 
 
 def upset_algebra(truth, frame, budget=DEFAULT_POWER_BUDGET, name=None):
     """The subalgebra generated by every order-preserving vector; over the
     two-element truth lattice this is the Heyting algebra of up-sets. The
-    budget still bounds the power it is a subalgebra of.
+    budget bounds that family, not the power it is a subalgebra of: the map
+    search stops once more than ``budget`` vectors are kept, before any
+    table is built.
 
     The order-preserving vectors are that subalgebra already, so they are
     not closed again: pointwise meet and join keep a vector
     order-preserving, and the implication of any two vectors is
     order-preserving, since at a larger world the meet runs over a smaller
     up-set. ``vector_algebra`` still refuses a family that is not closed."""
-    check_power_budget(truth, frame, budget)
-    vectors = monotone_vectors(truth, frame)
+    vectors = monotone_vectors(truth, frame, budget)
     return vector_algebra(
         vectors, truth, name or f"up({frame.name})", "isp_i", order=frame, presented=True
     )

@@ -60,3 +60,18 @@ def scope_caches(monkeypatch):
 
     monkeypatch.setattr(duality, "_ordered_dual", spy)
     return seen
+
+
+@pytest.fixture
+def dual_map_caches(monkeypatch):
+    """Every verification-scope cache that a dualized hom is built under
+    (None for a build outside any scope), recorded during the test."""
+    seen = []
+    build = duality._dualize_hom
+
+    def spy(*args):
+        seen.append(duality._SCOPE_CACHE.get())
+        return build(*args)
+
+    monkeypatch.setattr(duality, "_dualize_hom", spy)
+    return seen

@@ -1,5 +1,6 @@
 import gc
 import itertools
+from functools import cached_property
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -276,20 +277,30 @@ def pentagon():
     )
 
 
+# brute_force_homs scans |b|^|a| maps; pairs above this stay out of the
+# oracle test so that one example costs at most a fraction of a second
+ORACLE_MAPS = 20_000
+
+
 @settings(deadline=None, max_examples=60)
 @given(data=st.data())
 def test_hom_order_matches_hom_leq(small_lattices, data):
-    # any maps into a common target, homs or not, in any partial order
-    targets = small_lattices + (pentagon(),)
-    truth = data.draw(st.sampled_from(targets))
-    source = make_bdl(data.draw(st.sampled_from(small_lattices)), truth)
+    # real hom lists between small lattices, the pentagon included, found
+    # by either search, then cut to a sub-list in any order: hom_order is
+    # exact on lattice homs from a common source, which is all that an
+    # ordered dual passes it
+    lattices = small_lattices + (pentagon(),)
+    truth = data.draw(st.sampled_from(lattices))
+    lat = data.draw(st.sampled_from(lattices))
+    source = algebra_from_tables("bdl", lat, truth)
     target = algebra_from_tables("bdl", truth, truth)
-    mappings = data.draw(
-        st.lists(
-            st.tuples(*[st.integers(0, len(truth) - 1)] * len(source)), max_size=8
-        )
-    )
-    homs = tuple(Homomorphism(source, target, m) for m in mappings)
+    search = data.draw(st.sampled_from((enumerate_homs, brute_force_homs)))
+    if len(target) ** len(source) > ORACLE_MAPS:
+        search = enumerate_homs
+    homs = search(source, target)
+    order = data.draw(st.permutations(range(len(homs))))
+    keep = data.draw(st.integers(0, len(homs)))
+    homs = tuple(homs[i] for i in order[:keep])
     assert hom_order(homs) == hom_leq_masks(homs)
 
 
@@ -303,11 +314,6 @@ def test_hom_order_into_the_pentagon(small_lattices):
         sizes.append(len(homs))
         assert hom_order(homs) == hom_leq_masks(homs)
     assert max(sizes) > 10
-
-
-# brute_force_homs scans |b|^|a| maps; pairs above this stay out of the
-# oracle test so that one example costs at most a fraction of a second
-ORACLE_MAPS = 20_000
 
 
 @pytest.fixture(scope="module")
@@ -341,6 +347,75 @@ def test_enumerate_homs_matches_oracle_in_every_signature(oracle_pools, data):
         assert [h.mapping for h in enumerate_homs(src, dst)] == [
             h.mapping for h in brute_force_homs(src, dst)
         ], (src.name, dst.name)
+
+
+def hom_search_plan_oracle(lat):
+    """The source-only setup of the hom search, read off ``leq``."""
+    leq, n, top = lat.leq, len(lat), lat.top
+    irreducibles = lat.join_irreducibles
+    pairs = tuple(
+        tuple(
+            (i, lat.meet[j][i])
+            for i in irreducibles[:p]
+            if not leq[i][j] and not leq[j][i]
+        )
+        for p, j in enumerate(irreducibles)
+    )
+    final = tuple(
+        max((p for p, j in enumerate(irreducibles, 1) if leq[j][x]), default=0)
+        if x != top
+        else 0
+        for x in range(n)
+    )
+    ups = tuple(
+        tuple(x for x in range(n) if leq[j][x] and x != top) for j in irreducibles
+    )
+    return irreducibles, pairs, final, ups
+
+
+def test_hom_search_plan_matches_a_fresh_computation():
+    for lat in corpus_lattices(10):
+        assert lat.hom_search_plan == FiniteLattice.hom_search_plan.func(lat)
+        assert lat.hom_search_plan == hom_search_plan_oracle(lat), lat.name
+
+
+def fresh_copy(lat):
+    """The same lattice as a new object, none of its cached properties
+    found yet."""
+    return FiniteLattice(
+        lat.elements, lat.up_masks, lat.meet, lat.join, lat.bottom, lat.top, name=lat.name
+    )
+
+
+def test_hom_search_plan_is_found_once_per_lattice(small_lattices, chain2, chain3, monkeypatch):
+    found = []
+    plan = FiniteLattice.hom_search_plan.func
+
+    def counted(lattice):
+        found.append(lattice)
+        return plan(lattice)
+
+    counted_plan = cached_property(counted)
+    counted_plan.__set_name__(FiniteLattice, "hom_search_plan")
+    monkeypatch.setattr(FiniteLattice, "hom_search_plan", counted_plan)
+    lattices = [fresh_copy(lat) for lat in small_lattices]
+    for lat in lattices:
+        # the bdl, heyting and lvl searches out of one lattice share its plan
+        searches = [
+            (make_bdl(lat, truth), make_bdl(truth, truth)) for truth in (chain2, chain3)
+        ]
+        searches += [
+            (make_heyting(lat, truth), make_heyting(truth, truth))
+            for truth in (chain2, chain3)
+        ]
+        if len(lat) <= 4:
+            searches.append((make_lvl(lat), make_lvl(lat)))
+        for a, b in searches:
+            assert a.lattice is lat
+            assert [h.mapping for h in enumerate_homs(a, b)] == [
+                h.mapping for h in brute_force_homs(a, b)
+            ], (a.name, a.signature)
+    assert found == lattices
 
 
 def test_homs_match_prime_filters(small_lattices, chain2):

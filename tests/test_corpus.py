@@ -313,12 +313,56 @@ def test_sample_pairs_matches_the_list_oracle(monkeypatch):
                 assert fast.getstate() == slow.getstate()
 
 
-def test_corpus_run_leaves_no_scope_cache(scope_caches):
+def test_corpus_run_leaves_no_scope_cache(scope_caches, dual_map_caches):
     corpus_run(max_size=4, frame_worlds=3, seed=0)
-    # every dual of the run was built inside some instance's scope
-    assert scope_caches and all(c is not None for c in scope_caches)
-    assert all(c == {} for c in scope_caches)
+    # every dual and every dualized hom of the run was built inside some
+    # instance's scope
+    for caches in (scope_caches, dual_map_caches):
+        assert caches and all(c is not None for c in caches)
+        assert all(c == {} for c in caches)
     assert duality._SCOPE_CACHE.get() is None
+
+
+def _hom_key(hom, mode):
+    return id(hom.source), id(hom.target), hom.mapping, duality.as_mode(mode).name
+
+
+def test_functoriality_verifies_each_dualized_hom_once(monkeypatch):
+    dualized, verified = [], []
+    dualize = duality.dual_map_of_hom
+
+    def spy(hom, mode):
+        dualized.append(_hom_key(hom, mode))
+        return dualize(hom, mode)
+
+    monkeypatch.setattr(duality, "dual_map_of_hom", spy)
+    for name in ("PBS", "PSPA", "HSPA"):
+        mode = getattr(corpus, name)
+
+        def counted(mapping, src, dst, verify=mode.verify_morphism):
+            verified.append((id(src), id(dst), mapping))
+            return verify(mapping, src, dst)
+
+        monkeypatch.setattr(corpus, name, mode.replace(verify_morphism=counted))
+    suite = suite_functoriality(corpus_lattices(5), corpus_frames(3), seed=0)
+    assert suite.passed
+    # the suite dualizes some homs more than once (identities, repeated
+    # composites), and verifies each distinct one once
+    assert len(dualized) > len(set(dualized))
+    assert len(verified) == len(set(dualized))
+
+
+def test_functoriality_is_the_same_without_the_dual_map_cache(monkeypatch):
+    lattices, frames = corpus_lattices(7), corpus_frames(4)
+    cached = [suite_functoriality(lattices, frames, seed) for seed in range(4)]
+    monkeypatch.setattr(
+        duality,
+        "dual_map_of_hom",
+        lambda hom, mode: duality._dualize_hom(hom, duality.as_mode(mode)),
+    )
+    plain = [suite_functoriality(lattices, frames, seed) for seed in range(4)]
+    assert cached == plain
+    assert all(s.counts for s in plain)
 
 
 def test_budget_cut_instance_leaves_no_scope_cache(scope_caches):

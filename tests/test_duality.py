@@ -6,6 +6,7 @@ import pytest
 
 from dualbench import duality
 from dualbench.algebra import (
+    Homomorphism,
     enumerate_homs,
     hom_order,
     make_bdl,
@@ -761,6 +762,30 @@ def test_scope_reuses_duals_and_map_algebras(chain2, chain3):
     assert priestley_dual(alg) is not priestley_dual(alg)
 
 
+def test_dual_map_of_hom_is_cached_in_a_scope_only(chain2, chain3, b2, dual_map_caches):
+    source, target = make_bdl(chain3, chain2), make_bdl(b2, chain2)
+    (hom, *_) = enumerate_homs(source, target)
+    first, second = dual_map_of_hom(hom, "pspa"), dual_map_of_hom(hom, PSPA)
+    # outside a scope two calls build two records
+    assert first is not second and first == second
+    assert dual_map_caches == [None, None]
+    with verification_scope():
+        scoped = dual_map_of_hom(hom, "pspa")
+        # an equal hom from the same two objects hits the cache
+        again = dual_map_of_hom(Homomorphism(source, target, hom.mapping), PSPA)
+        assert again is scoped and scoped == first
+        # another mode, or ends that are equal but other objects, do not
+        assert dual_map_of_hom(hom, PSPA.replace(name="other")) is not scoped
+        copy = Homomorphism(make_bdl(chain3, chain2), target, hom.mapping)
+        assert dual_map_of_hom(copy, PSPA) is not scoped
+        cache = duality._SCOPE_CACHE.get()
+        entry = cache[(dual_map_of_hom, id(source), id(target), hom.mapping, "pspa")]
+        # the entry holds both ends, so their ids stay theirs
+        assert entry == ((source, target), scoped)
+    assert len(dual_map_caches) == 5
+    assert cache == {}
+
+
 def test_nested_scope_keeps_the_outer_cache(chain2, chain3):
     alg = make_bdl(chain3, chain2)
     with verification_scope():
@@ -787,7 +812,7 @@ def test_hom_order_matches_hom_leq_over_a_corpus_run(monkeypatch):
         return out
 
     monkeypatch.setattr(duality, "_ordered_dual", spy)
-    corpus_run(7, 4, 0)
+    corpus_run(10, 4, 0)
     kinds = set()
     for space, homs in built:
         slow = hom_leq_masks(homs)

@@ -1,7 +1,7 @@
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from dualbench import duality
+from dualbench import duality, kripke
 from dualbench.algebra import (
     enumerate_homs,
     make_bdl,
@@ -248,11 +248,29 @@ def test_relativized_implication_is_the_meet_over_worlds_above(chain3):
                 assert implies(u, v) == tuple(expected)
 
 
-def test_upset_algebra_budget(chain2):
-    antichain13 = build_frame(tuple(f"w{i}" for i in range(13)), [])
+def test_upset_algebra_budget(chain2, monkeypatch):
+    # the budget bounds the up-set family, not the power 2^13 around it
+    worlds = tuple(f"w{i}" for i in range(13))
+    chain13 = build_frame(worlds, list(zip(worlds, worlds[1:])), name="chain13")
+    assert len(upset_algebra(chain2, chain13)) == 14
+    antichain13 = build_frame(worlds, [], name="antichain13")
     with pytest.raises(BudgetExceeded) as err:
         upset_algebra(chain2, antichain13, budget=4096)
-    assert str(err.value) == "power carrier 2^13 exceeds the budget of 4096 elements"
+    assert str(err.value) == "more than 4096 order-preserving vectors over 'antichain13'"
+    # the refusal comes from the map search, before any table is built
+    built = []
+    build = kripke.vector_algebra
+
+    def spy(vectors, *rest, **options):
+        built.append(len(vectors))
+        return build(vectors, *rest, **options)
+
+    monkeypatch.setattr(kripke, "vector_algebra", spy)
+    with pytest.raises(BudgetExceeded):
+        upset_algebra(chain2, chain13, budget=13)
+    assert built == []
+    assert len(upset_algebra(chain2, chain13, budget=14)) == 14
+    assert built == [14]
 
 
 def test_kripke_check_reads_the_points_of_the_scoped_dual(chain2, monkeypatch):

@@ -34,3 +34,89 @@ def test_survey_axioms_exits_1_when_the_amended_form_fails(capsys, monkeypatch):
     monkeypatch.setattr(survey, "check_lvl_axioms", amended_fails)
     assert survey.main(["--max-size", "4"]) == 1
     assert "the amended single-index form fails on 1" in capsys.readouterr().out
+
+
+def synthetic_rows():
+    # pair 0 runs the parent first, pair 1 the change first
+    rows = []
+    for pair, (parent, change) in enumerate([(1.0, 0.8), (1.2, 0.9), (1.1, 1.3)]):
+        for side, run_s in (("parent", parent), ("change", change)):
+            rows.append(
+                {
+                    "workload": "corpus",
+                    "pair": pair,
+                    "seed": 7 + pair,
+                    "side": side,
+                    "position": int((side == "change") == (pair % 2 == 0)),
+                    "correct": True,
+                    "attempted": 10,
+                    "failed": 1 if side == "change" and pair == 2 else 0,
+                    "setup_s": 0.2,
+                    "run_s": run_s,
+                    "peak_rss_mb": 20.0 if side == "parent" else 19.5,
+                    "wall_s": 1.0,
+                }
+            )
+    return rows
+
+
+def test_bench_pair_summarizes_rows_without_running_the_benchmark():
+    bench = load("bench_pair")
+    summary = bench.summarize(synthetic_rows())
+    assert list(summary) == ["corpus"]
+    run = summary["corpus"]["run_s"]
+    assert run["parent_median"] == 1.1 and run["change_median"] == 0.9
+    assert run["change_vs_parent"] == round(0.9 / 1.1 - 1, 4)
+    # inclusive quartiles of three values sit halfway between neighbours
+    assert run["parent_quartiles"] == [1.05, 1.15]
+    assert run["change_quartiles"] == [0.85, 1.1]
+    assert run["parent_iqr"] == 0.1
+    assert (run["change_better_pairs"], run["change_worse_pairs"], run["pairs"]) == (2, 1, 3)
+    setup = summary["corpus"]["setup_s"]
+    assert (setup["change_better_pairs"], setup["change_worse_pairs"]) == (0, 0)
+    assert summary["corpus"]["peak_rss_mb"]["change_better_pairs"] == 3
+    assert summary["corpus"]["correct_all"] is True
+    assert summary["corpus"]["failed_total"] == {"parent": 0, "change": 1}
+    # two pairs in three is short of nine in ten
+    claim = bench.claim(summary, "corpus", "run_s")
+    assert claim["met"] is False and claim["change_better_pairs"] == 2
+    rows = [r for r in synthetic_rows() if r["pair"] < 2]
+    assert bench.claim(bench.summarize(rows), "corpus", "run_s")["met"] is True
+
+
+def test_bench_pair_alternates_which_side_runs_first(monkeypatch):
+    bench = load("bench_pair")
+    calls = []
+
+    def fake(tree, workload, seed, seconds):
+        calls.append(tree)
+        return {"correct": True, "attempted": 1, "failed": 0, "setup_s": 0.1,
+                "run_s": 0.1, "peak_rss_mb": 1.0, "wall_s": 0.0}
+
+    monkeypatch.setattr(bench, "run_bench", fake)
+    trees = {"parent": "P", "change": "C"}
+    rows = bench.run_pair(trees, "corpus", 0, 5, 1) + bench.run_pair(trees, "corpus", 1, 6, 1)
+    assert calls == ["P", "C", "C", "P"]
+    assert [(r["side"], r["position"], r["seed"]) for r in rows] == [
+        ("parent", 0, 5), ("change", 1, 5), ("change", 0, 6), ("parent", 1, 6)
+    ]
+
+
+def test_bench_pair_corpus_seconds_pairs_adjacent_runs(monkeypatch):
+    bench = load("bench_pair")
+    calls = []
+    seconds = {"P": iter([1.0, 2.0, 4.0]), "C": iter([0.5, 1.0, 3.0])}
+
+    def fake(tree, size):
+        calls.append(tree)
+        return {"isp_roundtrip_chain3": next(seconds[tree]), "lvl_duality": 0.0}
+
+    monkeypatch.setattr(bench, "run_corpus", fake)
+    out = bench.corpus_seconds({"parent": "P", "change": "C"}, 10, 3)
+    assert calls == ["P", "C", "C", "P", "P", "C"]
+    assert out["median"] == {
+        "parent": {"isp_roundtrip_chain3": 2.0, "lvl_duality": 0.0},
+        "change": {"isp_roundtrip_chain3": 1.0, "lvl_duality": 0.0},
+    }
+    # ratios 0.5, 0.5 and 0.75; a suite the parent ran in no time has none
+    assert out["change_over_parent_median_of_pairs"] == {"isp_roundtrip_chain3": 0.5}
