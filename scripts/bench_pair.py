@@ -25,7 +25,6 @@ from __future__ import annotations
 import argparse
 import json
 import os
-import platform
 import resource
 import shutil
 import statistics
@@ -178,17 +177,10 @@ def corpus_seconds(trees, size, repeats):
     }
 
 
-def machine():
-    model = platform.processor() or platform.machine()
-    try:
-        with open("/proc/cpuinfo", encoding="utf-8") as fh:
-            model = next(
-                (line.split(":", 1)[1].strip() for line in fh if line.startswith("model name")),
-                model,
-            )
-    except OSError:
-        pass
-    return {"python": platform.python_version(), "nproc": os.cpu_count(), "cpu": model}
+def machine(tree, workload, seed):
+    """The machine a run was made on, from the record perfbench keeps."""
+    record = Path(tree) / "perfbench" / "out" / f"result-{workload}-seed{seed}-trace0.json"
+    return json.loads(record.read_text(encoding="utf-8"))["machine"]
 
 
 def main(argv=None):
@@ -245,7 +237,7 @@ def main(argv=None):
             f"pairs); seeds from {args.seed}, one per pair. setup_s and run_s are scaled "
             "CPU medians as perfbench reports them; quartiles are inclusive"
         ),
-        "machine": machine(),
+        "machine": machine(ROOT, rows[0]["workload"], rows[0]["seed"]),
         "rows": rows,
         "summary": summary,
     }
