@@ -3,15 +3,16 @@
 Usage (from the root of a checkout):
 
     python3 scripts/bench_pair.py --parent COMMIT --workload corpus=10 \
-        --workload powers=5 --seed 4000 --seconds 20 --label pr20 \
+        --workload powers=5 --seed 4000 --label pr20 \
         --change "what the change does" --out BENCH_pr20.json
 
 Unpacks ``git archive COMMIT`` into a temporary directory, then runs
 ``perfbench/run.py --workload W --seed S --seconds N --trace 0`` once in
 that tree and once in the working tree for each pair, with the seed of the
-pair, and alternates which side runs first. ``--corpus-size M`` adds
+pair, and alternates which side runs first. N is the ``run_seconds`` that
+``BENCHMARK.json`` sets. ``--corpus-size M`` adds
 ``corpus-run --max-size M --frame-size 4 --seed 0 --timings`` run
-``--corpus-repeats`` times on each side, alternately, and records the
+``CORPUS_REPEATS`` times on each side, alternately, and records the
 seconds of each suite and the CPU time of the process.
 
 The output holds every row, and per workload and metric the medians, the
@@ -38,6 +39,8 @@ ROOT = Path(__file__).resolve().parent.parent
 METRICS = ("setup_s", "run_s", "peak_rss_mb")
 SIDES = ("parent", "change")
 CLI = "import sys; from dualbench.cli import main; sys.exit(main(sys.argv[1:]))"
+RUN_SECONDS = json.loads((ROOT / "BENCHMARK.json").read_text(encoding="utf-8"))["run_seconds"]
+CORPUS_REPEATS = 10
 
 
 def quartiles(values):
@@ -101,12 +104,12 @@ def claim(summary, workload, metric):
     }
 
 
-def run_bench(tree, workload, seed, seconds):
+def run_bench(tree, workload, seed):
     started = time.monotonic()
     proc = subprocess.run(
         [
             sys.executable, "perfbench/run.py", "--workload", workload,
-            "--seed", str(seed), "--seconds", str(seconds), "--trace", "0",
+            "--seed", str(seed), "--seconds", str(RUN_SECONDS), "--trace", "0",
         ],
         cwd=tree, capture_output=True, text=True, check=True,
     )
@@ -117,13 +120,13 @@ def run_bench(tree, workload, seed, seconds):
     return row
 
 
-def run_pair(trees, workload, pair, seed, seconds):
+def run_pair(trees, workload, pair, seed):
     """One pair of runs, the parent first on even pairs."""
     order = SIDES if pair % 2 == 0 else SIDES[::-1]
     rows = []
     for position, side in enumerate(order):
         row = {"workload": workload, "pair": pair, "seed": seed, "side": side, "position": position}
-        row.update(run_bench(trees[side], workload, seed, seconds))
+        row.update(run_bench(trees[side], workload, seed))
         rows.append(row)
         print(json.dumps(row), file=sys.stderr)
     return rows
@@ -151,7 +154,7 @@ def run_corpus(tree, size):
     return out
 
 
-def corpus_seconds(trees, size, repeats):
+def corpus_seconds(trees, size, repeats=CORPUS_REPEATS):
     runs = {side: [] for side in SIDES}
     for i in range(repeats):
         for side in SIDES if i % 2 == 0 else SIDES[::-1]:
@@ -191,9 +194,7 @@ def main(argv=None):
         help="a perfbench workload and its number of pairs",
     )
     parser.add_argument("--seed", type=int, required=True, help="seed of the first pair")
-    parser.add_argument("--seconds", type=float, default=35)
     parser.add_argument("--corpus-size", type=int)
-    parser.add_argument("--corpus-repeats", type=int, default=5)
     parser.add_argument("--claim", metavar="WORKLOAD:METRIC")
     parser.add_argument("--label", default="")
     parser.add_argument("--change", default="")
@@ -217,11 +218,11 @@ def main(argv=None):
         for spec in args.workload:
             workload, _, count = spec.partition("=")
             for pair in range(int(count or 1)):
-                rows += run_pair(trees, workload, pair, seed, args.seconds)
+                rows += run_pair(trees, workload, pair, seed)
                 seed += 1
         scale = None
         if args.corpus_size:
-            scale = corpus_seconds(trees, args.corpus_size, args.corpus_repeats)
+            scale = corpus_seconds(trees, args.corpus_size)
     finally:
         shutil.rmtree(scratch, ignore_errors=True)
 
@@ -231,7 +232,7 @@ def main(argv=None):
         "change": args.change,
         "parent_commit": parent_commit,
         "how": (
-            f"python3 perfbench/run.py --workload W --seed S --seconds {args.seconds:g} "
+            f"python3 perfbench/run.py --workload W --seed S --seconds {RUN_SECONDS:g} "
             "--trace 0 in a git archive of the parent commit and in the working tree, "
             "alternating which side runs first in each pair (the parent first on even "
             f"pairs); seeds from {args.seed}, one per pair. setup_s and run_s are scaled "

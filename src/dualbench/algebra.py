@@ -546,6 +546,39 @@ def is_homomorphism(mapping, a, b):
     return PASS
 
 
+def hom_search_plan(lattice):
+    """The part of ``enumerate_homs``'s setup that depends only on its
+    source lattice, found once per lattice and kept in its ``derived``:
+    ``(irreducibles, pairs, final, ups)``.
+
+    * ``irreducibles``: the join-irreducibles in the order of the search.
+    * ``pairs[p]``: (j', j meet j') for every earlier join-irreducible j'
+      incomparable to the j of step p.
+    * ``final[x]``: the step after which h(x) is final, the step of the last
+      join-irreducible below x; h(0) and h(1) are final from the start.
+    * ``ups[p]``: the elements above the j of step p, the top left out."""
+    plan = lattice.derived.get("hom_search_plan")
+    if plan is not None:
+        return plan
+    up, meet, top = lattice.up_masks, lattice.meet, lattice.top
+    irreducibles = lattice.join_irreducibles
+    pairs = tuple(
+        tuple([(i, meet[j][i]) for i in irreducibles[:p] if not up[i] >> j & 1])
+        for p, j in enumerate(irreducibles)
+    )
+    n = len(lattice)
+    final = [0] * n
+    ups = []
+    for p, j in enumerate(irreducibles, 1):
+        above = tuple([x for x in range(n) if up[j] >> x & 1 and x != top])
+        for x in above:
+            final[x] = p
+        ups.append(above)
+    plan = irreducibles, pairs, tuple(final), tuple(ups)
+    lattice.derived["hom_search_plan"] = plan
+    return plan
+
+
 def enumerate_homs(a, b):
     """All homomorphisms a -> b, canonically ordered (lexicographic over the
     image tuple in declaration order).
@@ -572,10 +605,7 @@ def enumerate_homs(a, b):
     (table, arguments) constraint is checked at the step after which all
     of its elements, result included, are final, that is, when the last
     join-irreducible below them is set. What depends on the source alone
-    (the order of J, the earlier incomparable j' of each step with
-    j meet j', the step after which each element is final, and the
-    elements above each j) is its ``hom_search_plan``, found once per
-    lattice.
+    is its ``hom_search_plan``.
 
     Every hom passes every check on any finite lattices, so the search is
     complete. It is sound when both lattices are distributive, as every
@@ -586,9 +616,7 @@ def enumerate_homs(a, b):
     la, lb = a.lattice, b.lattice
     n, m = len(la), len(lb)
     bottom_a, top_a, top_b = la.bottom, la.top, lb.top
-    # h(x) is final after step final[x]; h(0) and h(1) are final from the
-    # start
-    irreducibles, pairs, final, ups = la.hom_search_plan
+    irreducibles, pairs, final, ups = hom_search_plan(la)
     k = len(irreducibles)
     _, unaries, binaries = _op_tables(a, b)
     binaries = binaries[2:]  # meets and joins are kept by construction

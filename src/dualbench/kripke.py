@@ -153,16 +153,12 @@ def subalgebra_generated(power, generators, name=None):
     return sub if power.t_ops is not None else sub.replace(t_ops=None)
 
 
-def monotone_vectors(truth, frame, limit=None):
+def monotone_vectors(truth, frame, limit=DEFAULT_POWER_BUDGET):
     """The order-preserving world-to-truth vectors in the power's index
     order: the map search of ``duality._map_vectors`` with no topology. It
-    raises BudgetExceeded once more than ``limit`` vectors are kept; by
-    default the limit is the power, which no family of such vectors
-    exceeds."""
+    raises BudgetExceeded once more than ``limit`` vectors are kept."""
     nw, nt = len(frame), len(truth)
     what = f"order-preserving vectors over {frame.name!r}"
-    if limit is None:
-        limit = nt**nw
     return _map_vectors([(1 << nt) - 1] * nw, (), frame, truth, limit, what)
 
 

@@ -185,33 +185,10 @@ class FiniteLattice(Poset):
         )
 
     @cached_property
-    def hom_search_plan(self):
-        """The part of ``algebra.enumerate_homs``'s setup that depends only
-        on this lattice as the source, found once per lattice:
-        ``(irreducibles, pairs, final, ups)``.
-
-        * ``irreducibles``: the join-irreducibles in the order of the
-          search (``join_irreducibles``).
-        * ``pairs[p]``: (j', j meet j') for every earlier join-irreducible
-          j' incomparable to the j of step p.
-        * ``final[x]``: the step after which h(x) is final, the step of the
-          last join-irreducible below x (0 for the bottom and the top).
-        * ``ups[p]``: the elements above the j of step p, the top left out."""
-        up, meet, top = self.up_masks, self.meet, self.top
-        irreducibles = self.join_irreducibles
-        pairs = tuple(
-            tuple([(i, meet[j][i]) for i in irreducibles[:p] if not up[i] >> j & 1])
-            for p, j in enumerate(irreducibles)
-        )
-        n = len(self)
-        final = [0] * n
-        ups = []
-        for p, j in enumerate(irreducibles, 1):
-            above = tuple([x for x in range(n) if up[j] >> x & 1 and x != top])
-            for x in above:
-                final[x] = p
-            ups.append(above)
-        return irreducibles, pairs, tuple(final), tuple(ups)
+    def derived(self):
+        """What other modules derive from this lattice alone and keep with
+        it, by name (``algebra.hom_search_plan``)."""
+        return {}
 
     @cached_property
     def is_distributive(self):

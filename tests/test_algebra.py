@@ -1,6 +1,5 @@
 import gc
 import itertools
-from functools import cached_property
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -13,6 +12,7 @@ from dualbench.algebra import (
     compose_homs,
     enumerate_homs,
     hom_order,
+    hom_search_plan,
     identity_hom,
     is_homomorphism,
     make_bdl,
@@ -373,12 +373,6 @@ def hom_search_plan_oracle(lat):
     return irreducibles, pairs, final, ups
 
 
-def test_hom_search_plan_matches_a_fresh_computation():
-    for lat in corpus_lattices(10):
-        assert lat.hom_search_plan == FiniteLattice.hom_search_plan.func(lat)
-        assert lat.hom_search_plan == hom_search_plan_oracle(lat), lat.name
-
-
 def fresh_copy(lat):
     """The same lattice as a new object, none of its cached properties
     found yet."""
@@ -387,19 +381,16 @@ def fresh_copy(lat):
     )
 
 
-def test_hom_search_plan_is_found_once_per_lattice(small_lattices, chain2, chain3, monkeypatch):
-    found = []
-    plan = FiniteLattice.hom_search_plan.func
+def test_hom_search_plan_matches_a_fresh_computation():
+    for lat in corpus_lattices(10):
+        plan = hom_search_plan(lat)
+        assert plan == hom_search_plan(fresh_copy(lat))
+        assert plan == hom_search_plan_oracle(lat), lat.name
 
-    def counted(lattice):
-        found.append(lattice)
-        return plan(lattice)
 
-    counted_plan = cached_property(counted)
-    counted_plan.__set_name__(FiniteLattice, "hom_search_plan")
-    monkeypatch.setattr(FiniteLattice, "hom_search_plan", counted_plan)
-    lattices = [fresh_copy(lat) for lat in small_lattices]
-    for lat in lattices:
+def test_hom_search_plan_is_found_once_per_lattice(small_lattices, chain2, chain3):
+    for lat in (fresh_copy(lat) for lat in small_lattices):
+        assert "hom_search_plan" not in lat.derived
         # the bdl, heyting and lvl searches out of one lattice share its plan
         searches = [
             (make_bdl(lat, truth), make_bdl(truth, truth)) for truth in (chain2, chain3)
@@ -410,12 +401,14 @@ def test_hom_search_plan_is_found_once_per_lattice(small_lattices, chain2, chain
         ]
         if len(lat) <= 4:
             searches.append((make_lvl(lat), make_lvl(lat)))
+        plans = []
         for a, b in searches:
             assert a.lattice is lat
             assert [h.mapping for h in enumerate_homs(a, b)] == [
                 h.mapping for h in brute_force_homs(a, b)
             ], (a.name, a.signature)
-    assert found == lattices
+            plans.append(lat.derived["hom_search_plan"])
+        assert all(plan is plans[0] for plan in plans)
 
 
 def test_homs_match_prime_filters(small_lattices, chain2):

@@ -88,14 +88,14 @@ def test_bench_pair_alternates_which_side_runs_first(monkeypatch):
     bench = load("bench_pair")
     calls = []
 
-    def fake(tree, workload, seed, seconds):
+    def fake(tree, workload, seed):
         calls.append(tree)
         return {"correct": True, "attempted": 1, "failed": 0, "setup_s": 0.1,
                 "run_s": 0.1, "peak_rss_mb": 1.0, "wall_s": 0.0}
 
     monkeypatch.setattr(bench, "run_bench", fake)
     trees = {"parent": "P", "change": "C"}
-    rows = bench.run_pair(trees, "corpus", 0, 5, 1) + bench.run_pair(trees, "corpus", 1, 6, 1)
+    rows = bench.run_pair(trees, "corpus", 0, 5) + bench.run_pair(trees, "corpus", 1, 6)
     assert calls == ["P", "C", "C", "P"]
     assert [(r["side"], r["position"], r["seed"]) for r in rows] == [
         ("parent", 0, 5), ("change", 1, 5), ("change", 0, 6), ("parent", 1, 6)
@@ -120,3 +120,11 @@ def test_bench_pair_corpus_seconds_pairs_adjacent_runs(monkeypatch):
     }
     # ratios 0.5, 0.5 and 0.75; a suite the parent ran in no time has none
     assert out["change_over_parent_median_of_pairs"] == {"isp_roundtrip_chain3": 0.5}
+
+
+def test_bench_pair_runs_for_the_benchmarks_run_seconds():
+    import json
+
+    bench = load("bench_pair")
+    declared = json.loads((SCRIPTS.parent / "BENCHMARK.json").read_text(encoding="utf-8"))
+    assert bench.RUN_SECONDS == declared["run_seconds"]
