@@ -453,6 +453,38 @@ def test_subalgebra_inclusions_are_homs(chain3, b2):
             assert is_homomorphism(inclusion, sub, lvl).passed
 
 
+def test_subalgebra_of_refuses_a_subset_without_a_bound(chain3):
+    with pytest.raises(AlgebraError) as err:
+        subalgebra_of(make_lvl(chain3), {chain3.bottom, chain3.index("m")})
+    assert err.value.code == "not-closed"
+    assert str(err.value) == "subset of 'chain3' is missing a bound"
+
+
+def test_subalgebra_of_refuses_a_subset_a_binary_table_leaves(b2):
+    # {0, a, 1} is closed under meet and join, but a -> 0 is b
+    subset = {b2.index(x) for x in ("0", "a", "1")}
+    assert subalgebra_of(make_bdl(b2, b2), subset).elements == ("0", "a", "1")
+    with pytest.raises(AlgebraError) as err:
+        subalgebra_of(make_heyting(b2, b2), subset)
+    assert err.value.code == "not-closed"
+    assert str(err.value) == "subset of 'b2' is not closed at ('a', '0')"
+
+
+def test_subalgebra_of_refuses_a_subset_a_unary_operator_leaves(chain2, chain3):
+    # the first operator sends the top to m, outside {0, 1}
+    bot, m, top = (chain3.index(x) for x in ("0", "m", "1"))
+    t_ops = ((top, bot, m), (bot, bot, top))
+    alg = algebra_from_tables(
+        "lvl", chain3, chain2, implies=heyting_table(chain3), t_ops=t_ops
+    )
+    with pytest.raises(AlgebraError) as err:
+        subalgebra_of(alg, {bot, top})
+    assert err.value.code == "not-closed"
+    assert str(err.value) == (
+        "subset of 'chain3' is not closed under a unary operator at '1'"
+    )
+
+
 def test_degenerate_carrier_rejected(chain2):
     from dualbench.lattice import FiniteLattice
 
