@@ -13,7 +13,8 @@ pair, and alternates which side runs first. N is the ``run_seconds`` that
 ``BENCHMARK.json`` sets. ``--corpus-size M`` adds
 ``corpus-run --max-size M --frame-size 4 --seed 0 --timings`` run
 ``CORPUS_REPEATS`` times on each side, alternately, and records the
-seconds of each suite and the CPU time of the process.
+seconds of each suite, as the tree's ``--timings`` reports them, and the
+CPU time of the process.
 
 The output holds every row, and per workload and metric the medians, the
 inclusive quartiles and the number of pairs the change won and lost.

@@ -22,7 +22,6 @@ from .lattice import (
     build_poset,
     chain_lattice,
     diamond_lattice,
-    enumerate_subalgebras,
     heyting_implies,
     prime_filters,
     prime_ideals,
@@ -33,13 +32,13 @@ from .algebra import (
     Homomorphism,
     check_lvl_axioms,
     enumerate_homs,
+    enumerate_subalgebras,
     is_homomorphism,
     make_bdl,
     make_heyting,
     make_heyting_ispi,
     make_lvl,
     product_algebra,
-    t_operator,
 )
 from .kripke import (
     build_frame,

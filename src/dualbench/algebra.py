@@ -1,4 +1,5 @@
-"""Algebras over the four signatures, axiom checking, and hom enumeration.
+"""Algebras over the four signatures, axiom checking, and the enumeration of
+subalgebras and homs.
 
 A signature is one of:
 
@@ -17,16 +18,18 @@ object used when the algebra is sent to its dual space.
 from __future__ import annotations
 
 import itertools
-from operator import and_
+from functools import reduce
+from operator import and_, or_
 
 from .errors import AlgebraError, BudgetExceeded
 from .lattice import (
     FiniteLattice,
     Memo,
     Poset,
-    characteristic_tables,
+    canonical_subset_order,
     heyting_table,
     mask_members,
+    subset_mask,
 )
 from .reporting import PASS, AxiomReport, _Frozen, failed
 
@@ -290,39 +293,38 @@ def vector_algebra(vectors, truth, name, signature, order=None, presented=False)
     )
 
 
-def t_operator(truth, l, x):
-    """Truth-constant operator on the truth lattice itself: top iff x is l."""
-    truth._check(l)
-    truth._check(x)
-    return truth.top if x == l else truth.bottom
+def characteristic_tables(lattice):
+    """The truth-constant operator family on the lattice itself:
+    t[l][x] is top when x equals l and bottom otherwise."""
+    n = len(lattice)
+    return tuple(
+        tuple(lattice.top if x == l else lattice.bottom for x in range(n))
+        for l in range(n)
+    )
 
 
-def make_bdl(lattice, truth, name=None):
-    lat = lattice if name is None else lattice.replace(name=name)
-    return _validate(Algebra("bdl", lat, truth))
+def make_bdl(lattice, truth):
+    return _validate(Algebra("bdl", lattice, truth))
 
 
-def make_heyting(lattice, truth, name=None):
-    lat = lattice if name is None else lattice.replace(name=name)
-    return _validate(Algebra("heyting", lat, truth, implies=heyting_table(lattice)))
+def make_heyting(lattice, truth):
+    return _validate(Algebra("heyting", lattice, truth, implies=heyting_table(lattice)))
 
 
-def make_heyting_ispi(lattice, truth, name=None):
+def make_heyting_ispi(lattice, truth):
     """A Heyting algebra packaged as an isp_i object (its own implication
     plays the distinguished role)."""
-    lat = lattice if name is None else lattice.replace(name=name)
-    return _validate(Algebra("isp_i", lat, truth, implies=heyting_table(lattice)))
+    return _validate(Algebra("isp_i", lattice, truth, implies=heyting_table(lattice)))
 
 
-def make_lvl(lattice, name=None):
+def make_lvl(lattice):
     """The canonical lattice-valued algebra on the truth lattice itself:
     implication is the relative pseudocomplement and each unary operator is
     the characteristic function of its index."""
-    lat = lattice if name is None else lattice.replace(name=name)
     return _validate(
         Algebra(
             "lvl",
-            lat,
+            lattice,
             lattice,
             implies=heyting_table(lattice),
             t_ops=characteristic_tables(lattice),
@@ -338,7 +340,7 @@ def algebra_from_tables(signature, lattice, truth, implies=None, t_ops=None, nam
     return _validate(Algebra(signature, lat, truth, implies=implies, t_ops=t_ops))
 
 
-def product_algebra(a, b, name=None):
+def product_algebra(a, b):
     """Direct product with componentwise operations."""
     if a.signature != b.signature or a.truth != b.truth:
         raise AlgebraError(
@@ -368,7 +370,7 @@ def product_algebra(a, b, name=None):
         combine(la.join, lb.join),
         pos[la.bottom, lb.bottom],
         pos[la.top, lb.top],
-        name=name or f"{a.name}*{b.name}",
+        name=f"{a.name}*{b.name}",
     )
     implies = None
     if a.implies is not None and b.implies is not None:
@@ -518,7 +520,8 @@ def is_homomorphism(mapping, a, b):
     On failure the witness names the violated symbol and argument tuple."""
     _require_compatible(a, b)
     mapping = tuple(mapping)
-    if len(mapping) != len(a) or any(not 0 <= v < len(b) for v in mapping):
+    n = len(a)
+    if len(mapping) != n or any(not 0 <= v < len(b) for v in mapping):
         raise AlgebraError(
             "carrier-mismatch", f"map is not total from {a.name!r} into {b.name!r}"
         )
@@ -530,20 +533,86 @@ def is_homomorphism(mapping, a, b):
                 f"{b.element_name(mapping[ia])} != {b.element_name(ib)}"
             )
     for symbol, ta, tb in unaries:
-        for i in range(len(a)):
+        for i in range(n):
             if mapping[ta[i]] != tb[mapping[i]]:
                 return failed(
                     f"{symbol} not preserved at ({a.element_name(i)})"
                 )
     for symbol, ta, tb in binaries:
-        for i in range(len(a)):
-            for j in range(len(a)):
+        for i in range(n):
+            for j in range(n):
                 if mapping[ta[i][j]] != tb[mapping[i]][mapping[j]]:
                     return failed(
                         f"{symbol} not preserved at "
                         f"({a.element_name(i)}, {a.element_name(j)})"
                     )
     return PASS
+
+
+def enumerate_subalgebras(algebra):
+    """Every subset holding the constants and closed under every operation
+    of the algebra's signature, as ``_op_tables`` lists them, in canonical
+    order (size, then lexicographic over declaration order).
+
+    Generator-closure search on bitmasks: from the closure of the
+    constants, each subalgebra found is grown by one element at a time and
+    closed again. A closure is a worklist: the closed part needs no look,
+    and each new element is combined with every member, in both argument
+    orders of each binary table (one order when the table is symmetric),
+    and sent through each unary table.
+    """
+    n = len(algebra)
+    consts, unaries, binaries = _op_tables(algebra, algebra)
+    # bits[x][y] is the bit of table[x][y], per binary table and argument
+    # order; a symmetric table needs one order
+    bit_tables = []
+    for _, table, _ in binaries:
+        columns = tuple(zip(*table))
+        for rows in (table,) if columns == table else (table, columns):
+            bit_tables.append([tuple([1 << v for v in row]) for row in rows])
+    unary_bits = [subset_mask({table[x] for _, table, _ in unaries}) for x in range(n)]
+
+    def close(members, mask, new):
+        """The closure of ``mask | new``, where ``mask`` is closed and
+        ``members`` lists its elements."""
+        members = list(members)
+        mask |= new
+        while new:
+            low = new & -new
+            new ^= low
+            x = low.bit_length() - 1
+            members.append(x)
+            made = unary_bits[x]
+            for bits in bit_tables:
+                made |= reduce(or_, map(bits[x].__getitem__, members))
+            made &= ~mask
+            mask |= made
+            new |= made
+        return mask
+
+    seed = close((), 0, subset_mask({c for _, c, _ in consts}))
+    found = {seed}
+    queue = [seed]
+    while queue:
+        s = queue.pop()
+        members = [x for x in range(n) if s >> x & 1]
+        for x in range(n):
+            if not s >> x & 1:
+                bigger = close(members, s, 1 << x)
+                if bigger not in found:
+                    found.add(bigger)
+                    queue.append(bigger)
+    return canonical_subset_order(map(mask_members, found))
+
+
+def lvl_subalgebras(truth):
+    """``enumerate_subalgebras(make_lvl(truth))``, the family a bitopological
+    dual over ``truth`` assigns images to, found once per truth lattice and
+    kept in its ``derived``."""
+    family = truth.derived.get("lvl_subalgebras")
+    if family is None:
+        family = truth.derived["lvl_subalgebras"] = enumerate_subalgebras(make_lvl(truth))
+    return family
 
 
 def hom_search_plan(lattice):

@@ -22,6 +22,7 @@ from . import __version__
 from .algebra import (
     check_lvl_axioms,
     enumerate_homs,
+    enumerate_subalgebras,
     make_bdl,
     make_heyting,
     make_heyting_ispi,
@@ -39,7 +40,7 @@ from .duality import (
 )
 from .errors import DocumentError, DualityError, LatticeError
 from .kripke import DEFAULT_POWER_BUDGET, kripke_condition_check
-from .lattice import chain_lattice, enumerate_subalgebras
+from .lattice import chain_lattice
 from .reporting import PASS, _Record, failed
 
 
@@ -186,11 +187,20 @@ def cmd_axioms(args, report):
     return report
 
 
+# the algebra of each signature on a lattice over itself
+_ON_ITSELF = {
+    "bdl": lambda lattice: make_bdl(lattice, lattice),
+    "heyting": lambda lattice: make_heyting(lattice, lattice),
+    "lvl": make_lvl,
+    "isp_i": lambda lattice: make_heyting_ispi(lattice, lattice),
+}
+
+
 def cmd_subalgebras(args, report):
     docset, report.inputs[:] = _load(args.files)
     doc = _first_doc(docset, ("lattice",))
     lattice = docset.lattice(doc.name)
-    subs = enumerate_subalgebras(lattice, args.signature)
+    subs = enumerate_subalgebras(_ON_ITSELF[args.signature](lattice))
     report.record("enumeration_completed", PASS)
     report.details["signature"] = args.signature
     report.details["count"] = len(subs)
@@ -217,13 +227,7 @@ def cmd_homs(args, report):
         tdoc = _first_doc(_load_beside(args.into, docset, report), ("algebra", "lattice"))
         target = _bdl_or_algebra(args, docset, tdoc, truth)
     else:
-        t = source.truth
-        target = {
-            "bdl": lambda: make_bdl(t, t),
-            "heyting": lambda: make_heyting(t, t),
-            "lvl": lambda: make_lvl(t),
-            "isp_i": lambda: make_heyting_ispi(t, t),
-        }[source.signature]()
+        target = _ON_ITSELF[source.signature](source.truth)
     homs = enumerate_homs(source, target)
     report.record("enumeration_completed", PASS)
     report.details["count"] = len(homs)
@@ -410,8 +414,8 @@ def _build_parser():
     common.add_argument(
         "--timings",
         action="store_true",
-        help="include wall-clock timings in reports (corpus-run adds enumeration "
-        "and per-suite seconds and per-suite failure counts)",
+        help="include the command's wall-clock seconds in reports (corpus-run "
+        "adds enumeration and per-suite CPU seconds and per-suite failure counts)",
     )
     sub = parser.add_subparsers(dest="command", required=True)
 

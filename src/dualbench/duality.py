@@ -53,6 +53,7 @@ from .algebra import (
     hom_order,
     identity_hom,
     is_homomorphism,
+    lvl_subalgebras,
     make_bdl,
     make_heyting_ispi,
     make_lvl,
@@ -177,7 +178,7 @@ def _lvl_dual(algebra):
         ),
         name=f"G({algebra.name})",
     )
-    subs = truth.lvl_subalgebras
+    subs = lvl_subalgebras(truth)
     images = tuple(
         frozenset(i for i, h in enumerate(homs) if set(h.mapping) <= s) for s in subs
     )

@@ -162,7 +162,7 @@ def monotone_vectors(truth, frame, limit=DEFAULT_POWER_BUDGET):
     return _map_vectors([(1 << nt) - 1] * nw, (), frame, truth, limit, what)
 
 
-def upset_algebra(truth, frame, budget=DEFAULT_POWER_BUDGET, name=None):
+def upset_algebra(truth, frame, budget=DEFAULT_POWER_BUDGET):
     """The subalgebra generated by every order-preserving vector; over the
     two-element truth lattice this is the Heyting algebra of up-sets. The
     budget bounds that family, not the power it is a subalgebra of: the map
@@ -176,7 +176,7 @@ def upset_algebra(truth, frame, budget=DEFAULT_POWER_BUDGET, name=None):
     up-set. ``vector_algebra`` still refuses a family that is not closed."""
     vectors = monotone_vectors(truth, frame, budget)
     return vector_algebra(
-        vectors, truth, name or f"up({frame.name})", "isp_i", order=frame, presented=True
+        vectors, truth, f"up({frame.name})", "isp_i", order=frame, presented=True
     )
 
 

@@ -15,8 +15,8 @@ are decided on up- and down-set masks, as Priestley duality states them.
 
 from __future__ import annotations
 
-from functools import cached_property, reduce
-from operator import eq, or_
+from functools import cached_property
+from operator import eq
 
 from .errors import LatticeError
 from .reporting import _Frozen
@@ -187,7 +187,8 @@ class FiniteLattice(Poset):
     @cached_property
     def derived(self):
         """What other modules derive from this lattice alone and keep with
-        it, by name (``algebra.hom_search_plan``)."""
+        it, by name (``algebra.hom_search_plan``,
+        ``algebra.lvl_subalgebras``)."""
         return {}
 
     @cached_property
@@ -247,11 +248,6 @@ class FiniteLattice(Poset):
             if not any(above >> join[x][y] & 1 for x in outside for y in outside):
                 found.append(mask_members(above))
         return canonical_subset_order(found)
-
-    @cached_property
-    def lvl_subalgebras(self):
-        """``enumerate_subalgebras(self, "lvl")``, found once per lattice."""
-        return enumerate_subalgebras(self, "lvl")
 
     @cached_property
     def prime_ideals(self):
@@ -388,10 +384,10 @@ def chain_lattice(n, name=None):
     return build_lattice(elems, pairs, elems[0], elems[-1], name=name or f"chain{n}")
 
 
-def diamond_lattice(name="b2"):
+def diamond_lattice():
     """The four-element Boolean lattice 0 < a,b < 1."""
     return build_lattice(
-        ("0", "a", "b", "1"), [("0", "a"), ("0", "b"), ("a", "1"), ("b", "1")], "0", "1", name=name
+        ("0", "a", "b", "1"), [("0", "a"), ("0", "b"), ("a", "1"), ("b", "1")], "0", "1", name="b2"
     )
 
 
@@ -412,87 +408,8 @@ def heyting_table(lattice):
     return lattice.heyting_table
 
 
-def characteristic_tables(lattice):
-    """The truth-constant operator family on the lattice itself:
-    t[l][x] is top when x equals l and bottom otherwise."""
-    n = len(lattice)
-    return tuple(
-        tuple(lattice.top if x == l else lattice.bottom for x in range(n))
-        for l in range(n)
-    )
-
-
 def canonical_subset_order(subsets):
     return tuple(sorted(subsets, key=lambda s: (len(s), sorted(s))))
-
-
-def _signature_tables(lattice, signature):
-    binaries = [lattice.meet, lattice.join]
-    unaries = []
-    if signature in ("heyting", "lvl"):
-        binaries.append(heyting_table(lattice))
-    if signature == "lvl":
-        unaries.extend(characteristic_tables(lattice))
-    return binaries, unaries
-
-
-def enumerate_subalgebras(lattice, signature="bdl"):
-    """Every subset containing the bounds and closed under the signature ops,
-    in canonical order (size, then lexicographic over declaration order).
-
-    Generator-closure search on bitmasks: from the closure of the bounds,
-    each subalgebra found is grown by one element at a time and closed
-    again. A closure is a worklist: the closed part needs no look, and each
-    new element is combined with every member, in both argument orders of
-    each binary table (one order when the table is symmetric), and sent
-    through each unary table.
-    """
-    if signature not in ("bdl", "heyting", "lvl"):
-        raise LatticeError(
-            "unknown-signature", f"cannot enumerate subalgebras for {signature!r}"
-        )
-    n = len(lattice)
-    binaries, unaries = _signature_tables(lattice, signature)
-    # bits[x][y] is the bit of table[x][y], per binary table and argument
-    # order; a symmetric table needs one order
-    bit_tables = []
-    for table in binaries:
-        columns = tuple(zip(*table))
-        for rows in (table,) if columns == table else (table, columns):
-            bit_tables.append([tuple([1 << v for v in row]) for row in rows])
-    unary_bits = [subset_mask({table[x] for table in unaries}) for x in range(n)]
-
-    def close(members, mask, new):
-        """The closure of ``mask | new``, where ``mask`` is closed and
-        ``members`` lists its elements."""
-        members = list(members)
-        mask |= new
-        while new:
-            low = new & -new
-            new ^= low
-            x = low.bit_length() - 1
-            members.append(x)
-            made = unary_bits[x]
-            for bits in bit_tables:
-                made |= reduce(or_, map(bits[x].__getitem__, members))
-            made &= ~mask
-            mask |= made
-            new |= made
-        return mask
-
-    seed = close((), 0, 1 << lattice.bottom | 1 << lattice.top)
-    found = {seed}
-    queue = [seed]
-    while queue:
-        s = queue.pop()
-        members = [x for x in range(n) if s >> x & 1]
-        for x in range(n):
-            if not s >> x & 1:
-                bigger = close(members, s, 1 << x)
-                if bigger not in found:
-                    found.add(bigger)
-                    queue.append(bigger)
-    return canonical_subset_order(map(mask_members, found))
 
 
 def _is_filter(lattice, subset):

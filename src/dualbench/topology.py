@@ -31,6 +31,7 @@ from __future__ import annotations
 
 from functools import cached_property
 
+from .algebra import lvl_subalgebras
 from .errors import BudgetExceeded, SpaceError
 from .lattice import (
     FiniteLattice,
@@ -332,7 +333,7 @@ def verify_pbs_object(obj):
         "pairwise_compact": is_pairwise_compact(space),
         "pairwise_zero_dimensional": is_pairwise_zero_dimensional(space),
     }
-    if tuple(alpha.subalgebras) != alpha.truth.lvl_subalgebras:
+    if tuple(alpha.subalgebras) != lvl_subalgebras(alpha.truth):
         raise SpaceError(
             "alpha-mismatch",
             f"assignment of {obj.name!r} is not indexed by the subalgebra family "

@@ -3,7 +3,8 @@ were before they ran over the supports of the T-operators only, kept as the
 oracles of those loops: every (L1, L2, a, b) for clause (ii), nt^2 * n^2
 entries, and every (a, b, l) for clause (vii), nt * n^2."""
 
-from dualbench.lattice import characteristic_tables, heyting_table
+from dualbench.algebra import characteristic_tables
+from dualbench.lattice import heyting_table
 from dualbench.reporting import PASS, failed
 
 

@@ -143,8 +143,8 @@ def build_lattice(elements, leq_pairs, bottom, top, name="lattice"):
 def close_subset(subset, binaries, unaries):
     """The closure of a subset under binary and unary tables, by rescanning
     every pair of the current set until a round adds nothing: the closure
-    that ``dualbench.lattice.enumerate_subalgebras`` ran before it closed on
-    bitmasks with a worklist."""
+    that ``enumerate_subalgebras`` ran before it closed on bitmasks with a
+    worklist."""
     out = set(subset)
     frontier = True
     while frontier:

@@ -8,9 +8,11 @@ from dualbench.algebra import (
     Homomorphism,
     algebra_from_tables,
     brute_force_homs,
+    characteristic_tables,
     check_lvl_axioms,
     compose_homs,
     enumerate_homs,
+    enumerate_subalgebras,
     hom_order,
     hom_search_plan,
     identity_hom,
@@ -20,7 +22,6 @@ from dualbench.algebra import (
     make_lvl,
     product_algebra,
     subalgebra_of,
-    t_operator,
     vector_algebra,
 )
 from dualbench.corpus import corpus_frames, corpus_lattices
@@ -32,7 +33,6 @@ from dualbench.lattice import (
     build_poset,
     chain_lattice,
     diamond_lattice,
-    enumerate_subalgebras,
     heyting_table,
 )
 import axiom_oracle
@@ -40,20 +40,22 @@ from hom_oracle import hom_leq_masks
 from lattice_oracle import up_masks_of
 
 
-def test_t_operator_truth_constants(chain3, b2):
+def test_characteristic_tables_are_the_truth_constants(chain3, b2):
     for truth in (chain3, b2):
-        assert t_operator(truth, truth.top, truth.top) == truth.top
+        t = characteristic_tables(truth)
+        assert t[truth.top][truth.top] == truth.top
         for l in range(len(truth)):
             if l != truth.top:
-                assert t_operator(truth, l, truth.top) == truth.bottom
+                assert t[l][truth.top] == truth.bottom
     m = chain3.index("m")
-    assert t_operator(chain3, m, m) == chain3.top
+    t = characteristic_tables(chain3)
+    assert t[m][m] == chain3.top
     # cross-check: for each x exactly one truth constant fires, so the join
     # over the family is the top
     for x in range(len(chain3)):
         acc = chain3.bottom
         for l in range(len(chain3)):
-            acc = chain3.join[acc][t_operator(chain3, l, x)]
+            acc = chain3.join[acc][t[l][x]]
         assert acc == chain3.top
 
 
@@ -445,12 +447,47 @@ def test_composition_closure(chain2, chain3, b2):
 def test_subalgebra_inclusions_are_homs(chain3, b2):
     for lat in (chain3, b2):
         lvl = make_lvl(lat)
-        for subset in enumerate_subalgebras(lat, "lvl"):
+        for subset in enumerate_subalgebras(lvl):
             if len(subset) < 2:
                 continue
             sub = subalgebra_of(lvl, subset)
             inclusion = tuple(sorted(subset))
             assert is_homomorphism(inclusion, sub, lvl).passed
+
+
+def closed_subsets_scan(algebra):
+    """Oracle: every subset of the carrier that holds both bounds and is
+    closed under the algebra's own meet, join and implication tables and,
+    for lvl, its truth-constant operators, in canonical order."""
+    lat, n = algebra.lattice, len(algebra)
+    binaries = [lat.meet, lat.join]
+    if algebra.implies is not None:
+        binaries.append(algebra.implies)
+    unaries = algebra.t_ops if algebra.signature == "lvl" else ()
+    rest = [x for x in range(n) if x not in (lat.bottom, lat.top)]
+    out = []
+    for mask in range(1 << len(rest)):
+        s = {lat.bottom, lat.top} | {x for k, x in enumerate(rest) if mask >> k & 1}
+        if all(u[x] in s for u in unaries for x in s) and all(
+            t[x][y] in s for t in binaries for x in s for y in s
+        ):
+            out.append(frozenset(s))
+    return sorted(out, key=lambda s: (len(s), sorted(s)))
+
+
+def test_subalgebras_of_a_square_read_its_own_tables():
+    # the T-operators of L x L act componentwise: they are not the truth
+    # constants of the product lattice, so only its own tables give S(L^2)
+    counts, on_the_lattice = [], []
+    for lat in corpus_lattices(4):
+        base = make_lvl(lat)
+        square = product_algebra(base, base)
+        found = enumerate_subalgebras(square)
+        assert list(found) == closed_subsets_scan(square), lat.name
+        counts.append(len(found))
+        on_the_lattice.append(len(enumerate_subalgebras(make_lvl(square.lattice))))
+    assert counts == [2, 6, 6, 20]
+    assert on_the_lattice == [2, 9, 15, 42]
 
 
 def test_subalgebra_of_refuses_a_subset_without_a_bound(chain3):

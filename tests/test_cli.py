@@ -103,6 +103,34 @@ def test_subalgebras_output(capsys):
     assert "'{0,1}'" in out and "'{0,a,b,1}'" in out
 
 
+def test_subalgebras_of_a_one_element_lattice_exit_two_as_the_other_commands(
+    tmp_path, capsys
+):
+    # the subalgebras are those of the algebra on the lattice, and an
+    # algebra with 0 = 1 is refused, as axioms, homs and dualize refuse it
+    # (so is a bitopological space over it, whose assignment is indexed by
+    # the subalgebras of that algebra)
+    one = "kind: lattice\nname: one\nelements: x\nleq:\nbottom: x\ntop: x\n"
+    path = tmp_path / "one.doc"
+    path.write_text(one)
+    space = tmp_path / "space.doc"
+    space.write_text(
+        "kind: space\nname: s\npoints: z\ntopo1: {z}\ntopo2: {z}\n"
+        "truth_lattice: one\nalpha: {x}:{z}\n---\n" + one
+    )
+    message = "error: algebra 'one' has a one-element carrier; 0 = 1 is rejected\n"
+    for args in (
+        ["subalgebras", str(path)],
+        ["subalgebras", str(path), "--signature", "bdl"],
+        ["axioms", str(path)],
+        ["homs", str(path)],
+        ["dualize", str(path), "--mode", "pspa"],
+        ["verify-space", str(space), "--mode", "pbs"],
+        ["roundtrip", str(space), "--mode", "pbs"],
+    ):
+        assert run_cli(args, capsys) == (2, "", message), args
+
+
 def test_homs_with_into(capsys):
     code, out, _ = run_cli(
         ["homs", doc("b2.doc"), "--into", doc("chain2.doc")], capsys

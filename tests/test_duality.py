@@ -9,6 +9,7 @@ from dualbench.algebra import (
     Homomorphism,
     enumerate_homs,
     hom_order,
+    lvl_subalgebras,
     make_bdl,
     make_heyting_ispi,
     make_lvl,
@@ -44,7 +45,6 @@ from dualbench.kripke import intuitionistic_power, upset_algebra
 from dualbench.lattice import (
     build_poset,
     chain_lattice,
-    enumerate_subalgebras,
     heyting_implies,
 )
 from dualbench.topology import (
@@ -84,7 +84,10 @@ def test_lvl_dual_of_three_chain(chain3):
 
 
 def test_lvl_dual_reads_the_cached_subalgebra_family(chain3):
-    assert lvl_dual(make_lvl(chain3)).alpha.subalgebras is chain3.lvl_subalgebras
+    for truth in (chain3, *corpus_lattices(5)):
+        family = lvl_subalgebras(truth)
+        assert lvl_dual(make_lvl(truth)).alpha.subalgebras is family
+        assert lvl_subalgebras(truth) is family
 
 
 def test_lvl_dual_of_square(chain2):
@@ -114,7 +117,7 @@ def test_lvl_reconstruct_one_point(chain3):
 def test_lvl_reconstruct_two_discrete_points(chain2):
     disc = discrete_topology(2)
     space = BitopSpace(("p", "q"), disc, disc)
-    subs = enumerate_subalgebras(chain2, "lvl")
+    subs = lvl_subalgebras(chain2)
     obj = PbsObject(space, AlphaAssignment(chain2, subs, (frozenset({0, 1}),)))
     algebra = lvl_reconstruct(obj)
     assert len(algebra) == 4
@@ -123,7 +126,7 @@ def test_lvl_reconstruct_two_discrete_points(chain2):
 def test_lvl_reconstruct_alpha_filters_carrier(chain3):
     disc = discrete_topology(2)
     space = BitopSpace(("p", "q"), disc, disc)
-    subs = enumerate_subalgebras(chain3, "lvl")
+    subs = lvl_subalgebras(chain3)
     images = tuple(
         frozenset({0, 1}) for _ in subs
     )  # every point constrained into {0,1} as well
@@ -144,7 +147,7 @@ def test_lvl_algebra_roundtrip_examples(chain2, chain3):
 def canonical_pbs(truth):
     disc = discrete_topology(len(truth))
     space = BitopSpace(tuple(truth.elements), disc, disc, name=f"{truth.name}-as-space")
-    subs = enumerate_subalgebras(truth, "lvl")
+    subs = lvl_subalgebras(truth)
     return PbsObject(space, AlphaAssignment(truth, subs, subs))
 
 
@@ -179,7 +182,7 @@ def test_lvl_space_roundtrip_alpha_constrained(chain3):
     # the evaluation map is still an isomorphism
     disc = discrete_topology(2)
     space = BitopSpace(("p", "q"), disc, disc, name="pq")
-    subs = enumerate_subalgebras(chain3, "lvl")
+    subs = lvl_subalgebras(chain3)
     obj = PbsObject(
         space,
         AlphaAssignment(chain3, subs, tuple(frozenset({0, 1}) for _ in subs)),
@@ -879,7 +882,7 @@ def test_pbs_map_enumeration_budget(b2):
     points = tuple(f"p{i}" for i in range(9))
     disc = discrete_topology(9)
     space = BitopSpace(points, disc, disc, name="wide")
-    subs = enumerate_subalgebras(b2, "lvl")
+    subs = lvl_subalgebras(b2)
     full = frozenset(range(len(b2)))
     images = tuple(frozenset(range(9)) if s == full else frozenset() for s in subs)
     obj = PbsObject(space, AlphaAssignment(b2, subs, images))

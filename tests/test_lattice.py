@@ -1,13 +1,23 @@
+import ast
 import functools
 import gc
 import os
+import pathlib
 import weakref
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 import lattice_oracle
-from dualbench import duality
+from dualbench import duality, lattice
+from dualbench.algebra import (
+    SIGNATURES,
+    enumerate_subalgebras,
+    lvl_subalgebras,
+    make_bdl,
+    make_heyting,
+    make_lvl,
+)
 from dualbench.corpus import corpus_frames, corpus_lattices, corpus_run
 from dualbench.documents import build_lattice_from, lattice_document, parse_document
 from dualbench.errors import LatticeError
@@ -18,7 +28,6 @@ from dualbench.lattice import (
     build_lattice,
     build_poset,
     chain_lattice,
-    enumerate_subalgebras,
     heyting_implies,
     heyting_table,
     is_prime_ideal,
@@ -306,6 +315,14 @@ def test_separation_reverifies(small_lattices):
                 assert (flag == "contains-x") == (x in ideal)
 
 
+# the algebra of each signature on a lattice over itself
+ON_ITSELF = {
+    "bdl": lambda lat: make_bdl(lat, lat),
+    "heyting": lambda lat: make_heyting(lat, lat),
+    "lvl": make_lvl,
+}
+
+
 def brute_closed_subsets(lat, signature):
     """Oracle: direct power-set scan for closure, small carriers only."""
     n = len(lat)
@@ -331,12 +348,12 @@ def brute_closed_subsets(lat, signature):
 
 
 def test_subalgebra_examples(chain2, chain3, b2):
-    assert enumerate_subalgebras(chain2, "heyting") == (frozenset({0, 1}),)
-    assert [chain3.names(s) for s in enumerate_subalgebras(chain3, "lvl")] == [
+    assert enumerate_subalgebras(make_heyting(chain2, chain2)) == (frozenset({0, 1}),)
+    assert [chain3.names(s) for s in enumerate_subalgebras(make_lvl(chain3))] == [
         ("0", "1"),
         ("0", "m", "1"),
     ]
-    assert [b2.names(s) for s in enumerate_subalgebras(b2, "bdl")] == [
+    assert [b2.names(s) for s in enumerate_subalgebras(make_bdl(b2, b2))] == [
         ("0", "1"),
         ("0", "a", "1"),
         ("0", "b", "1"),
@@ -348,17 +365,18 @@ def test_subalgebras_against_oracle(small_lattices):
     # and every corpus lattice up to 10 elements, with families of up to
     # several hundred subalgebras
     for lat in (*small_lattices, *corpus_lattices(10)):
-        for signature in ("bdl", "heyting", "lvl"):
-            assert list(enumerate_subalgebras(lat, signature)) == brute_closed_subsets(
+        for signature, algebra_on in ON_ITSELF.items():
+            assert list(enumerate_subalgebras(algebra_on(lat))) == brute_closed_subsets(
                 lat, signature
             )
 
 
 def test_lvl_subalgebra_family_is_found_once_per_lattice(chain2, chain3, b2):
     for lat in (*corpus_lattices(7), chain2, chain3, b2):
-        family = lat.lvl_subalgebras
-        assert family == enumerate_subalgebras(lat, "lvl")
-        assert lat.lvl_subalgebras is family
+        family = lvl_subalgebras(lat)
+        assert family == enumerate_subalgebras(make_lvl(lat))
+        assert lvl_subalgebras(lat) is family
+        assert lat.derived["lvl_subalgebras"] is family
 
 
 def test_upset_and_downset(chain3, b2):
@@ -555,3 +573,45 @@ def test_build_lattice_transposes_the_up_sets_once(monkeypatch):
         sum(1 << y for y in range(n) if leq[y][x]) for x in range(n)
     )
     assert calls == ["b2"]
+
+
+def _signature_knowledge(tree):
+    """Lines, in order, of each import from ``dualbench.algebra`` (a
+    relative import is read from inside the package) and of each signature
+    name written as a string constant."""
+
+    def from_algebra(name):
+        return name == "dualbench.algebra" or name.startswith("dualbench.algebra.")
+
+    lines = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom):
+            module = ".".join(filter(None, ["dualbench" if node.level else "", node.module]))
+            hit = any(
+                from_algebra(name)
+                for name in (module, *(f"{module}.{alias.name}" for alias in node.names))
+            )
+        elif isinstance(node, ast.Import):
+            hit = any(from_algebra(alias.name) for alias in node.names)
+        else:
+            hit = isinstance(node, ast.Constant) and node.value in SIGNATURES
+        if hit:
+            lines.append(node.lineno)
+    return sorted(lines)
+
+
+def test_lattice_module_knows_no_signature():
+    # the operations of a signature are defined once, on the algebra
+    # (algebra._op_tables); lattice.py builds lattices and nothing more
+    tree = ast.parse(pathlib.Path(lattice.__file__).read_text(encoding="utf-8"))
+    assert _signature_knowledge(tree) == []
+    # and the check does see each kind of import and constant
+    sample = ast.parse(
+        "from .algebra import make_lvl\nfrom . import algebra\n"
+        "import dualbench.algebra\nfrom dualbench.algebra import SIGNATURES\n"
+        "from dualbench import algebra as a\n"
+        "def f(signature):\n    return signature in ('bdl', 'heyting')\n"
+        "x = 'lvl' if True else 'isp_i'\n"
+        "from .algebraic import y\nfrom .lattice import lvl\nz = 'lvl_dual'\n"
+    )
+    assert _signature_knowledge(sample) == [1, 2, 3, 4, 5, 7, 7, 8, 8]

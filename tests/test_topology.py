@@ -2,7 +2,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from dualbench.errors import BudgetExceeded, SpaceError
-from dualbench.lattice import build_poset, enumerate_subalgebras
+from dualbench.algebra import lvl_subalgebras
+from dualbench.lattice import build_poset
 from dualbench.topology import (
     TOPOLOGY_FAMILY_LIMIT,
     AlphaAssignment,
@@ -127,7 +128,7 @@ def canonical_pbs(truth):
     assignment on subalgebras."""
     disc = discrete_topology(len(truth))
     space = BitopSpace(tuple(truth.elements), disc, disc, name=f"{truth.name}-as-space")
-    subs = enumerate_subalgebras(truth, "lvl")
+    subs = lvl_subalgebras(truth)
     return PbsObject(space, AlphaAssignment(truth, subs, subs))
 
 
@@ -142,7 +143,7 @@ def test_verify_pbs_canonical_object(chain2, chain3, b2):
 def test_verify_pbs_intersection_violation(chain4):
     # the four-chain has two incomparable proper subalgebras whose
     # intersection law a doctored assignment can break
-    subs = enumerate_subalgebras(chain4, "lvl")
+    subs = lvl_subalgebras(chain4)
     assert len(subs) == 4
     disc = discrete_topology(2)
     space = BitopSpace(("p", "q"), disc, disc)

@@ -15,7 +15,13 @@ from hypothesis import given, settings, strategies as st
 import map_oracle
 import topology_oracle as oracle
 from dualbench import documents, duality, topology
-from dualbench.algebra import make_bdl, make_heyting_ispi, make_lvl, product_algebra
+from dualbench.algebra import (
+    lvl_subalgebras,
+    make_bdl,
+    make_heyting_ispi,
+    make_lvl,
+    product_algebra,
+)
 from dualbench.corpus import corpus_lattices, corpus_run
 from dualbench.documents import DocumentSet, parse_documents
 from dualbench.duality import check_second_topology_inclusion
@@ -24,7 +30,6 @@ from dualbench.lattice import (
     build_poset,
     chain_lattice,
     diamond_lattice,
-    enumerate_subalgebras,
 )
 from dualbench.topology import (
     AlphaAssignment,
@@ -415,7 +420,7 @@ def random_order(rng, n, names):
 
 
 def random_alpha(rng, n, truth):
-    subs = enumerate_subalgebras(truth, "lvl")
+    subs = lvl_subalgebras(truth)
     full = frozenset(range(n))
     images = [
         full if rng.random() < 0.5 else frozenset(i for i in range(n) if rng.random() < 0.7)

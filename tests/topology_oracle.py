@@ -16,7 +16,7 @@ from dataclasses import dataclass
 from functools import cached_property
 
 from dualbench.errors import SpaceError
-from dualbench.lattice import enumerate_subalgebras
+from dualbench.algebra import enumerate_subalgebras, make_lvl
 from dualbench.reporting import PASS, failed
 
 
@@ -130,7 +130,7 @@ def verify_pbs_object(obj):
         "pairwise_compact": PASS,
         "pairwise_zero_dimensional": is_pairwise_zero_dimensional(space),
     }
-    expected = enumerate_subalgebras(alpha.truth, "lvl")
+    expected = enumerate_subalgebras(make_lvl(alpha.truth))
     if tuple(alpha.subalgebras) != tuple(expected):
         raise SpaceError(
             "alpha-mismatch",
