@@ -42,6 +42,7 @@ SIDES = ("parent", "change")
 CLI = "import sys; from dualbench.cli import main; sys.exit(main(sys.argv[1:]))"
 RUN_SECONDS = json.loads((ROOT / "BENCHMARK.json").read_text(encoding="utf-8"))["run_seconds"]
 CORPUS_REPEATS = 10
+STDERR_TAIL_LINES = 10
 
 
 def quartiles(values):
@@ -133,9 +134,15 @@ def run_pair(trees, workload, pair, seed):
     return rows
 
 
+class CorpusRunFailed(RuntimeError):
+    """A ``corpus-run`` that printed no report."""
+
+
 def run_corpus(tree, size):
     """Per-suite seconds of one ``corpus-run`` and the CPU time of its
-    process."""
+    process. A run whose standard output holds no report raises
+    CorpusRunFailed with its exit code and the tail of its standard error;
+    a report with failing suites is a report (the run exits 1 then)."""
     env = dict(os.environ, PYTHONPATH=str(Path(tree) / "src"))
     before = resource.getrusage(resource.RUSAGE_CHILDREN)
     proc = subprocess.run(
@@ -146,7 +153,14 @@ def run_corpus(tree, size):
         cwd=tree, env=env, capture_output=True, text=True,
     )
     after = resource.getrusage(resource.RUSAGE_CHILDREN)
-    timings = json.loads(proc.stdout)["timings"]
+    try:
+        timings = json.loads(proc.stdout)["timings"]
+    except (json.JSONDecodeError, KeyError):
+        tail = "\n".join(proc.stderr.strip().splitlines()[-STDERR_TAIL_LINES:])
+        raise CorpusRunFailed(
+            f"corpus-run --max-size {size} in {tree} exited {proc.returncode} "
+            f"with no report; its standard error ends:\n{tail}"
+        ) from None
     out = {name: s["seconds"] for name, s in timings["suites"].items()}
     out["enumerate"] = timings["enumerate_seconds"]
     out["process_cpu_s"] = round(

@@ -39,7 +39,7 @@ BRUTE_FORCE_LIMIT = 2_000_000
 
 def vector_name(truth, vec):
     """Canonical rendering of a truth-valued vector, e.g. ``(0,m,1)``."""
-    return "(" + ",".join(truth.elements[v] for v in vec) + ")"
+    return "(" + ",".join(map(truth.elements.__getitem__, vec)) + ")"
 
 
 class PowerPresentation(_Frozen):
@@ -227,7 +227,12 @@ def vector_algebra(vectors, truth, name, signature, order=None, presented=False)
     whenever the family is closed under them (``lvl`` requires them).
 
     The family is packed once (``packed_slices``) and every table entry is
-    one or two bit operations and a lookup of the packed result."""
+    one or two bit operations and a lookup of the packed result. The
+    lattice arrives whole: both order masks come from one pass over the
+    meet rows, and it is distributive by construction. The family is
+    closed under meet and join and holds both bounds, so it is a bounded
+    sublattice of a power of the truth lattice, which ``packed_slices``
+    requires to be distributive."""
     if not vectors:
         raise AlgebraError("empty-carrier", f"{name!r} has no maps at all")
     vectors = tuple(vectors)
@@ -257,16 +262,28 @@ def vector_algebra(vectors, truth, name, signature, order=None, presented=False)
 
     meet = table(lambda a: tuple([pos[a & b] for b in packed]), "a meet")
     join = table(lambda a: tuple([pos[a | b] for b in packed]), "a join")
+    # pointwise, u <= v exactly when u meet v is u: bit k of up[i] and bit
+    # i of down[k] are set when meet[i][k] == i
+    n = len(packed)
+    up, down = [0] * n, [0] * n
+    for i, row in enumerate(meet):
+        bit, mask = 1 << i, 0
+        for k, x in enumerate(row):
+            if x == i:
+                mask |= 1 << k
+                down[k] |= bit
+        up[i] = mask
     lattice = FiniteLattice(
-        tuple(vector_name(truth, v) for v in vectors),
-        # pointwise, u <= v exactly when u meet v is u
-        tuple(sum(1 << k for k, x in enumerate(row) if x == i) for i, row in enumerate(meet)),
+        tuple([vector_name(truth, v) for v in vectors]),
+        tuple(up),
         meet,
         join,
         look(0, "the bottom"),
         look(full, "the top"),
         name=name,
     )
+    lattice.down_masks = tuple(down)
+    lattice.is_distributive = True
     implies = None
     if signature in ("heyting", "lvl", "isp_i"):
         implies = table(implication_row, "an implication")
@@ -639,7 +656,13 @@ def hom_search_plan(lattice):
     final = [0] * n
     ups = []
     for p, j in enumerate(irreducibles, 1):
-        above = tuple([x for x in range(n) if up[j] >> x & 1 and x != top])
+        above = []
+        rest = up[j] & ~(1 << top)
+        while rest:
+            low = rest & -rest
+            above.append(low.bit_length() - 1)
+            rest ^= low
+        above = tuple(above)
         for x in above:
             final[x] = p
         ups.append(above)

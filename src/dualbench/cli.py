@@ -409,7 +409,7 @@ def _build_parser():
         "--budget",
         type=int,
         default=DEFAULT_POWER_BUDGET,
-        help="size budget for power carriers and up-set families",
+        help="size budget for power carriers, up-set families and generated subalgebras",
     )
     common.add_argument(
         "--timings",

@@ -30,7 +30,7 @@ import re
 
 from .algebra import algebra_from_tables
 from .errors import DocumentError
-from .kripke import check_power_budget, intuitionistic_power, power_subalgebra
+from .kripke import intuitionistic_power, power_subalgebra
 from .lattice import build_lattice, build_poset, heyting_table, mask_members
 from .reporting import _Frozen
 from .topology import (
@@ -487,7 +487,6 @@ def build_algebra_from(doc, registry, budget):
         gens_field = doc.get("generators")
         if gens_field is None:
             return intuitionistic_power(truth, frame, budget=budget, name=doc.name)
-        check_power_budget(truth, frame, budget)
         gens = []
         for tok in _tokens(gens_field):
             vals = _vector_token(tok, doc, "generators")
@@ -500,7 +499,7 @@ def build_algebra_from(doc, registry, budget):
             gens.append(
                 tuple(_element_index(truth, v, doc, "generators") for v in vals)
             )
-        return power_subalgebra(truth, frame, gens, name=doc.name)
+        return power_subalgebra(truth, frame, gens, name=doc.name, budget=budget)
     lattice = build_lattice_from(doc)
     implies = _binary_table(doc, "op.implies", lattice)
     t_ops = None

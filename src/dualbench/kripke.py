@@ -47,16 +47,6 @@ def build_frame(worlds, order_pairs, name="frame"):
     return build_poset(worlds, order_pairs, name=name)
 
 
-def check_power_budget(truth, frame, budget):
-    """Refuse a power whose carrier would exceed the budget, before anything
-    over it is built."""
-    nw, nt = len(frame), len(truth)
-    if nt**nw > budget:
-        raise BudgetExceeded(
-            f"power carrier {nt}^{nw} exceeds the budget of {budget} elements"
-        )
-
-
 def intuitionistic_power(truth, frame, budget=DEFAULT_POWER_BUDGET, name=None):
     """The full power of the truth lattice over a frame, with pointwise
     lattice operations and the frame-relativized implication
@@ -64,9 +54,14 @@ def intuitionistic_power(truth, frame, budget=DEFAULT_POWER_BUDGET, name=None):
 
     Truth-constant operators are attached pointwise as well; homomorphism
     checks in the isp_i signature ignore them, but they are definable and
-    occasionally useful.
+    occasionally useful. A carrier over the budget is refused before
+    anything over it is built.
     """
-    check_power_budget(truth, frame, budget)
+    nw, nt = len(frame), len(truth)
+    if nt**nw > budget:
+        raise BudgetExceeded(
+            f"power carrier {nt}^{nw} exceeds the budget of {budget} elements"
+        )
     vectors = tuple(itertools.product(range(len(truth)), repeat=len(frame)))
     return vector_algebra(
         vectors,
@@ -78,10 +73,12 @@ def intuitionistic_power(truth, frame, budget=DEFAULT_POWER_BUDGET, name=None):
     )
 
 
-def close_vectors(truth, frame, seeds):
+def close_vectors(truth, frame, seeds, budget=DEFAULT_POWER_BUDGET):
     """The seed vectors and both constant bounds, closed under pointwise
     meet and join and the frame-relativized implication, in sorted order
-    (the power's index order).
+    (the power's index order). The budget bounds the closed family, not the
+    power around it: BudgetExceeded is raised as soon as more than
+    ``budget`` vectors are found.
 
     A worklist on packed vectors (``packed_slices``): each new vector is
     combined once with every vector already taken off the list, itself
@@ -89,6 +86,15 @@ def close_vectors(truth, frame, seeds):
     seen joins the list. Only the closed family is unpacked."""
     full, encode, decode, implication, _ = packed_slices(truth, len(frame), frame)
     closed = {0, full, *map(encode, seeds)}
+
+    def refuse():
+        raise BudgetExceeded(
+            f"the closure of the generators over {frame.name!r} has more than "
+            f"{budget} elements"
+        )
+
+    if len(closed) > budget:
+        refuse()
     work = list(closed)
     done = []
     while work:
@@ -104,19 +110,23 @@ def close_vectors(truth, frame, seeds):
             ):
                 if p not in closed:
                     closed.add(p)
+                    if len(closed) > budget:
+                        refuse()
                     work.append(p)
     return tuple(sorted(map(decode, closed)))
 
 
-def power_subalgebra(truth, frame, generators, name=None, power_name=None):
+def power_subalgebra(
+    truth, frame, generators, name=None, power_name=None, budget=DEFAULT_POWER_BUDGET
+):
     """The subalgebra of the power of the truth lattice over a frame that
     the generator vectors (plus both bounds) generate, built without
     materializing the power. Elements come in the power's index order, and
     truth-constant operators are attached when the carrier is closed under
     them. The default name is the power's name (``power_name``, by default
     ``truth^frame``) followed by the carrier, as ``subalgebra_of`` names a
-    subset."""
-    closed = close_vectors(truth, frame, generators)
+    subset. The budget bounds the closed carrier (``close_vectors``)."""
+    closed = close_vectors(truth, frame, generators, budget)
     if name is None:
         if power_name is None:
             power_name = f"{truth.name}^{frame.name}"

@@ -10,7 +10,7 @@ from dualbench.documents import (
     serialize_document,
     serialize_documents,
 )
-from dualbench.errors import DocumentError, LatticeError
+from dualbench.errors import BudgetExceeded, DocumentError, LatticeError
 from dualbench.corpus import corpus_frames, corpus_lattices
 from dualbench.kripke import intuitionistic_power, subalgebra_generated
 
@@ -202,6 +202,30 @@ def test_power_generators_match_the_materialized_power():
         expected = subalgebra_generated(power, [power.elements.index(gens)], name="p")
         assert algebra == expected
         assert (algebra.t_ops is not None) == closed_under_t_ops
+
+
+def test_generator_documents_are_bounded_by_their_closure():
+    # the power over 13 unordered worlds has 2^13 > 4096 elements, but two
+    # generators cut the worlds into four blocks and close to the 16 unions
+    # of blocks; the budget bounds that closure
+    def vector(bit):
+        return "(" + ",".join(str(bit(i)) for i in range(13)) + ")"
+
+    text = (
+        "kind: algebra\nname: g\nsignature: isp_i\ntruth_lattice: chain2\n"
+        "presentation: power\nframe: a13\n"
+        f"generators: {vector(lambda i: int(i < 7))} {vector(lambda i: i % 2)}\n"
+        "---\nkind: frame\nname: a13\n"
+        f"worlds: {' '.join(f'w{i}' for i in range(13))}\n"
+        "---\nkind: lattice\nname: chain2\nelements: 0 1\nleq: 0<=1\n"
+        "bottom: 0\ntop: 1\n"
+    )
+    algebra = DocumentSet(parse_documents(text)).algebra("g", budget=4096)
+    assert len(algebra) == 16
+    assert len(DocumentSet(parse_documents(text)).algebra("g", budget=16)) == 16
+    with pytest.raises(BudgetExceeded) as err:
+        DocumentSet(parse_documents(text)).algebra("g", budget=15)
+    assert str(err.value) == "the closure of the generators over 'a13' has more than 15 elements"
 
 
 def test_space_with_alpha_builds(chain2):

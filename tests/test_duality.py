@@ -107,6 +107,23 @@ def test_lvl_dual_passes_object_laws(chain2, chain3, b2):
             assert check_second_topology_inclusion(obj).passed
 
 
+def test_lvl_duals_are_bidiscrete():
+    # a hom h sends T_l(a) to the top exactly when h(a) = l, so every
+    # point is cut out by a basic open of each topology
+    objects = [make_lvl(lat) for lat in corpus_lattices(7)]
+    objects += [product_algebra(make_lvl(lat), make_lvl(lat)) for lat in corpus_lattices(4)]
+    assert len(objects) == 24
+    points = []
+    for algebra in objects:
+        space = lvl_dual(algebra).space
+        singletons = tuple(1 << i for i in range(len(space.points)))
+        assert space.topo1.minopen == singletons, algebra.name
+        assert space.topo2.minopen == singletons, algebra.name
+        points.append(len(singletons))
+    # the identity is the one hom of L into itself; L x L has its projections
+    assert points == [1] * 20 + [2] * 4
+
+
 def test_lvl_reconstruct_one_point(chain3):
     obj = lvl_dual(make_lvl(chain3))
     algebra = lvl_reconstruct(obj)

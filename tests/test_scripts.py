@@ -1,7 +1,11 @@
 """Smoke tests of the runnable experiments under scripts/."""
 
 import importlib.util
+import json
 import pathlib
+import subprocess
+
+import pytest
 
 SCRIPTS = pathlib.Path(__file__).resolve().parent.parent / "scripts"
 
@@ -123,8 +127,32 @@ def test_bench_pair_corpus_seconds_pairs_adjacent_runs(monkeypatch):
 
 
 def test_bench_pair_runs_for_the_benchmarks_run_seconds():
-    import json
-
     bench = load("bench_pair")
     declared = json.loads((SCRIPTS.parent / "BENCHMARK.json").read_text(encoding="utf-8"))
     assert bench.RUN_SECONDS == declared["run_seconds"]
+
+
+def test_bench_pair_corpus_run_without_a_report_names_its_exit_and_stderr(monkeypatch):
+    bench = load("bench_pair")
+    stderr = "\n".join(f"line {i}" for i in range(30)) + "\nMemoryError\n"
+
+    def crashed(argv, **options):
+        return subprocess.CompletedProcess(argv, 137, stdout="", stderr=stderr)
+
+    monkeypatch.setattr(bench.subprocess, "run", crashed)
+    with pytest.raises(bench.CorpusRunFailed) as err:
+        bench.run_corpus("T", 12)
+    message = str(err.value)
+    assert message.startswith("corpus-run --max-size 12 in T exited 137 with no report")
+    assert message.endswith("line 29\nMemoryError")
+    assert "line 20" not in message
+
+    report = {"timings": {"suites": {"lvl_duality": {"seconds": 0.5}}, "enumerate_seconds": 0.1}}
+
+    def failing_suites(argv, **options):
+        return subprocess.CompletedProcess(argv, 1, stdout=json.dumps(report), stderr="")
+
+    monkeypatch.setattr(bench.subprocess, "run", failing_suites)
+    # a report whose suites fail exits 1 and is still read
+    out = bench.run_corpus("T", 12)
+    assert (out["lvl_duality"], out["enumerate"]) == (0.5, 0.1)

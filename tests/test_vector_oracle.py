@@ -11,9 +11,17 @@ from hypothesis import given, settings, strategies as st
 import vector_oracle
 from lattice_oracle import up_masks_of
 from dualbench import duality
-from dualbench.algebra import FiniteLattice, make_bdl, packed_slices, vector_algebra
+from dualbench.algebra import (
+    FiniteLattice,
+    make_bdl,
+    make_lvl,
+    packed_slices,
+    product_algebra,
+    vector_algebra,
+)
 from dualbench.corpus import corpus_frames, corpus_lattices, corpus_run
 from dualbench.duality import (
+    MODES,
     check_implication_preimage_identity,
     esakia_dual,
     priestley_dual,
@@ -26,6 +34,7 @@ from dualbench.kripke import (
     power_subalgebra,
     upset_algebra,
 )
+from dualbench.lattice import Poset
 from dualbench.topology import OrderedSpace, generate_topology
 from test_topology_oracle import random_basis, random_order
 
@@ -126,6 +135,56 @@ def test_random_families_match_the_oracle(chain2, chain3, b2, data):
     assert outcome(vector_algebra, *args, **kwargs) == outcome(
         vector_oracle.vector_algebra, *args, **kwargs
     )
+
+
+def handed_structure_holds(lattice):
+    """The order masks and the distributivity flag that ``vector_algebra``
+    hands its lattice, against the meet-row scan and against fresh
+    ``Poset`` and Birkhoff computations on the handed up-sets."""
+    handed = vars(lattice)
+    assert "down_masks" in handed and handed["is_distributive"] is True, lattice.name
+    up, down = vector_oracle.order_masks_of_meet(lattice.meet)
+    assert (lattice.up_masks, lattice.down_masks) == (up, down), lattice.name
+    assert Poset(lattice.elements, lattice.up_masks).down_masks == down, lattice.name
+    fresh = FiniteLattice(
+        lattice.elements,
+        lattice.up_masks,
+        lattice.meet,
+        lattice.join,
+        lattice.bottom,
+        lattice.top,
+    )
+    assert fresh.is_distributive, lattice.name
+
+
+def test_vector_lattices_arrive_whole(chain2, chain3, b2):
+    built = []
+    # over b2 the corpus stops at 7 elements: the map algebras of the
+    # eight-element Boolean lattice have 4096 elements, and their tables
+    # would take most of the time of this test
+    for truth, size in ((chain2, 8), (chain3, 8), (b2, 7)):
+        for mode in ("pspa", "hspa"):
+            mode = MODES[mode]
+            for lat in corpus_lattices(size):
+                space, _ = mode.dual(mode.from_lattice(lat, truth))
+                try:
+                    built.append(mode.reconstruct(space, truth)[0])
+                except AlgebraError as exc:
+                    # hspa over chain3 and b2 refuses some map families:
+                    # the relativized implication leaves them
+                    assert exc.code == "not-closed" and mode.name == "hspa"
+        # pbs objects carry their own truth lattice: L, and L x L over it
+        base = make_lvl(truth)
+        for algebra in (base, product_algebra(base, base)):
+            built.append(MODES["pbs"].reconstruct(MODES["pbs"].dual(algebra)[0], truth)[0])
+    for lat in corpus_lattices(8):
+        built.append(MODES["pbs"].reconstruct(MODES["pbs"].dual(make_lvl(lat))[0], lat)[0])
+    for truth, worlds in ((chain2, 5), (chain3, 5), (b2, 4)):
+        built += [upset_algebra(truth, frame) for frame in corpus_frames(worlds)]
+    # 10 hspa refusals over chain3 and 8 over b2
+    assert len(built) == 4 * 35 + 2 * 20 - 18 + 3 * 2 + 35 + 2 * 87 + 24
+    for algebra in built:
+        handed_structure_holds(algebra.lattice)
 
 
 def test_packed_slices_round_trip(chain3, b2):

@@ -1,7 +1,9 @@
 """The tuple-at-a-time table build and vector closure that the packed-slice
 kernel of ``dualbench.algebra`` replaced, kept verbatim as its slow oracle:
 every vector is a tuple of truth values, and every table entry is a fresh
-tuple looked up in a dict. Beside them, the recursive search for the
+tuple looked up in a dict. Beside them, the n^2 scan of the meet rows that
+``vector_algebra`` ran before it handed its lattice both order masks, the
+recursive search for the
 order-preserving vectors that the one map search of ``dualbench.duality``
 replaced, the filter that picks those vectors out of a power, and the
 implication preimage identity decided on tuples and frozensets."""
@@ -81,6 +83,16 @@ def check_implication_preimage_identity(space, truth, vectors):
             f"{mismatches} of {checked} instances disagree; first at {first}"
         )
     return PASS
+
+
+def order_masks_of_meet(meet):
+    """The up-set and down-set masks of a lattice given by its meet table,
+    one scan of the rows and one of the columns: u <= v exactly when u meet
+    v is u."""
+    n = len(meet)
+    up = tuple(sum(1 << k for k, x in enumerate(row) if x == i) for i, row in enumerate(meet))
+    down = tuple(sum(1 << i for i in range(n) if meet[i][k] == i) for k in range(n))
+    return up, down
 
 
 def vector_algebra(vectors, truth, name, signature, order=None, presented=False):
