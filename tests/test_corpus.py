@@ -44,6 +44,11 @@ CORPUS_RUN_7_4_SHA256_BY_SEED = {
 CORPUS_RUN_10_4_0_SHA256 = (
     "0fe9cc42bf48aa1d26136ded2bf88ac05dcb54f0259a40f515683944817ee681"
 )
+# the report at --frame-size 5: the 87 frames of up to five worlds, whose
+# up-set algebras the frame suites build
+CORPUS_RUN_7_5_0_SHA256 = (
+    "16ea8c09c0e69a829bc77f886c720b796e3747ad0147b1760664ac54eea48fe8"
+)
 
 
 def is_chain(lattice):
@@ -272,6 +277,14 @@ def test_corpus_run_machine_report_is_pinned_at_size_ten(capsys):
     out = capsys.readouterr().out
     assert code == 1
     assert hashlib.sha256(out.encode("utf-8")).hexdigest() == CORPUS_RUN_10_4_0_SHA256
+
+
+def test_corpus_run_machine_report_is_pinned_at_frame_size_five(capsys):
+    args = "corpus-run --max-size 7 --frame-size 5 --seed 0 --format machine"
+    code = main(args.split())
+    out = capsys.readouterr().out
+    assert code == 1
+    assert hashlib.sha256(out.encode("utf-8")).hexdigest() == CORPUS_RUN_7_5_0_SHA256
 
 
 def sample_pairs_oracle(homsets, rng, want):
