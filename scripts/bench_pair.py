@@ -17,7 +17,10 @@ seconds of each suite, as the tree's ``--timings`` reports them, and the
 CPU time of the process.
 
 The output holds every row, and per workload and metric the medians, the
-inclusive quartiles and the number of pairs the change won and lost.
+inclusive quartiles, the number of pairs the change won and lost and
+whether the change median is within the metric's ``bound`` in
+``BENCHMARK.json`` (at most the parent median times one plus the bound).
+``regressions`` lists each workload and metric that is not.
 Nothing under ``perfbench/`` is changed; its run records go to the
 ``perfbench/out/`` of each tree.
 """
@@ -37,10 +40,13 @@ import time
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
-METRICS = ("setup_s", "run_s", "peak_rss_mb")
+BENCHMARK = json.loads((ROOT / "BENCHMARK.json").read_text(encoding="utf-8"))
+RUN_SECONDS = BENCHMARK["run_seconds"]
+# the end-to-end metrics, each with the share by which the change may be worse
+BOUNDS = {m["name"]: m["bound"] for m in BENCHMARK["end_to_end"]}
+METRICS = tuple(BOUNDS)
 SIDES = ("parent", "change")
 CLI = "import sys; from dualbench.cli import main; sys.exit(main(sys.argv[1:]))"
-RUN_SECONDS = json.loads((ROOT / "BENCHMARK.json").read_text(encoding="utf-8"))["run_seconds"]
 CORPUS_REPEATS = 10
 STDERR_TAIL_LINES = 10
 
@@ -53,10 +59,11 @@ def quartiles(values):
     return [q1, q3]
 
 
-def summarize(rows, metrics=METRICS):
-    """Per workload and metric, the medians of both sides, their quartiles
-    and the pairs won and lost by the change (every metric is better
-    lower), from rows as ``run_pair`` writes them."""
+def summarize(rows):
+    """Per workload and metric, the medians of both sides, their quartiles,
+    the pairs won and lost by the change (every metric is better lower) and
+    whether the change median is within the metric's bound, from rows as
+    ``run_pair`` writes them."""
     out = {}
     for workload in dict.fromkeys(r["workload"] for r in rows):
         mine = [r for r in rows if r["workload"] == workload]
@@ -65,7 +72,7 @@ def summarize(rows, metrics=METRICS):
             by_pair.setdefault(r["pair"], {})[r["side"]] = r
         pairs = [p for p in by_pair.values() if len(p) == 2]
         entry = {}
-        for metric in metrics:
+        for metric in METRICS:
             parent = [p["parent"][metric] for p in pairs]
             change = [p["change"][metric] for p in pairs]
             pm, cm = statistics.median(parent), statistics.median(change)
@@ -80,6 +87,7 @@ def summarize(rows, metrics=METRICS):
                 "change_better_pairs": sum(c < p for p, c in zip(parent, change)),
                 "change_worse_pairs": sum(c > p for p, c in zip(parent, change)),
                 "pairs": len(pairs),
+                "within_bound": cm <= pm * (1 + BOUNDS[metric]),
             }
         entry["correct_all"] = all(r["correct"] for r in mine)
         entry["failed_total"] = {
@@ -87,6 +95,17 @@ def summarize(rows, metrics=METRICS):
         }
         out[workload] = entry
     return out
+
+
+def regressions(summary):
+    """Each workload and metric whose change median is outside its bound."""
+    return [
+        {"workload": workload, "metric": metric, "bound": BOUNDS[metric],
+         **{k: entry[metric][k] for k in ("parent_median", "change_median", "change_vs_parent")}}
+        for workload, entry in summary.items()
+        for metric in METRICS
+        if not entry[metric]["within_bound"]
+    ]
 
 
 def claim(summary, workload, metric):
@@ -256,6 +275,7 @@ def main(argv=None):
         "machine": machine(ROOT, rows[0]["workload"], rows[0]["seed"]),
         "rows": rows,
         "summary": summary,
+        "regressions": regressions(summary),
     }
     if args.claim:
         workload, metric = args.claim.split(":")

@@ -811,30 +811,51 @@ def _record_bijection(report, mapping, size, name, target_name):
     )
 
 
+def _reconstruct_or_refusal(mode, space, truth):
+    """The map algebra of a space and its vectors, and PASS; or None, None
+    and the refusal as a failure when the maps are not closed under the
+    mode's operations."""
+    try:
+        return (*mode.reconstruct(space, truth), PASS)
+    except AlgebraError as exc:
+        if exc.code != "not-closed":
+            raise
+        return None, None, failed(str(exc))
+
+
+def _not_well_defined(report, wd, laws):
+    """Record the failed well-definedness ``wd`` and fail every later law
+    with it."""
+    report.record("well_defined", wd)
+    for tag in laws:
+        report.record(tag, failed("natural map is not well defined"))
+    return report
+
+
 def algebra_roundtrip(mode, algebra):
     """The evaluation map a |-> (h |-> h(a)) into the double dual, checked
     to be a well-defined homomorphism that keeps the mode's further
-    operations, and a bijection."""
+    operations, and a bijection. A double dual whose maps are not closed
+    under the mode's operations leaves the map not well defined, with the
+    refusal as its witness."""
     mode = as_mode(mode)
     report = DualityReport()
+    laws = (*mode.algebra_laws, "injective", "surjective")
     space, homs = mode.dual(algebra)
-    double, vectors = mode.reconstruct(space, algebra.truth)
-    report.cardinalities = {
-        "algebra": len(algebra),
-        "dual_points": len(homs),
-        "double_dual": len(double),
-    }
+    report.cardinalities = {"algebra": len(algebra), "dual_points": len(homs)}
+    double, vectors, wd = _reconstruct_or_refusal(mode, space, algebra.truth)
+    if double is None:
+        return _not_well_defined(report, wd, laws)
+    report.cardinalities["double_dual"] = len(double)
     name = algebra.element_name
     mapping, wd = _index(
         _columns([h.mapping for h in homs], len(algebra)),
         vectors,
         lambda a: f"evaluation at {name(a)} is not {mode.algebra_miss}",
     )
-    report.record("well_defined", wd)
     if mapping is None:
-        for tag in (*mode.algebra_laws, "injective", "surjective"):
-            report.record(tag, failed("natural map is not well defined"))
-        return report
+        return _not_well_defined(report, wd, laws)
+    report.record("well_defined", wd)
     for tag in mode.algebra_laws:
         report.record(tag, _ALGEBRA_LAWS[tag](mapping, algebra, double))
     _record_bijection(report, mapping, len(double), name, double.element_name)
@@ -845,29 +866,30 @@ def space_roundtrip(mode, space, truth=None):
     """The evaluation map s |-> (f |-> f(s)) into the dual of the map
     algebra, checked to be a bijection and an isomorphism of the mode's
     spaces. ``truth`` is needed by the modes whose spaces do not carry
-    their truth lattice."""
+    their truth lattice. Maps of the space that are not closed under the
+    mode's operations leave the map not well defined, with the refusal as
+    its witness."""
     mode = as_mode(mode)
     truth = mode.check_space(space, truth)
     report = DualityReport()
-    ca, vectors = mode.reconstruct(space, truth)
-    gc_space, gc_homs = mode.dual(ca)
+    laws = ("injective", "surjective", *mode.space_laws)
     points = mode.points(space)
-    report.cardinalities = {
-        "points": len(points),
-        mode.map_algebra: len(ca),
-        "double_dual_points": len(gc_homs),
-    }
+    report.cardinalities = {"points": len(points)}
+    ca, vectors, wd = _reconstruct_or_refusal(mode, space, truth)
+    if ca is None:
+        return _not_well_defined(report, wd, laws)
+    gc_space, gc_homs = mode.dual(ca)
+    report.cardinalities[mode.map_algebra] = len(ca)
+    report.cardinalities["double_dual_points"] = len(gc_homs)
     mapping, wd = _index(
         _columns(vectors, len(points)),
         (h.mapping for h in gc_homs),
         lambda s: f"evaluation at point {points[s]} is not a hom of the "
         + mode.map_algebra.replace("_", " "),
     )
-    report.record("well_defined", wd)
     if mapping is None:
-        for tag in ("injective", "surjective", *mode.space_laws):
-            report.record(tag, failed("natural map is not well defined"))
-        return report
+        return _not_well_defined(report, wd, laws)
+    report.record("well_defined", wd)
     gc_points = mode.points(gc_space)
     _record_bijection(report, mapping, len(gc_homs), points.__getitem__, gc_points.__getitem__)
     morph = mode.verify_morphism(mapping, space, gc_space)

@@ -183,11 +183,19 @@ def upset_algebra(truth, frame, budget=DEFAULT_POWER_BUDGET):
     not closed again: pointwise meet and join keep a vector
     order-preserving, and the implication of any two vectors is
     order-preserving, since at a larger world the meet runs over a smaller
-    up-set. ``vector_algebra`` still refuses a family that is not closed."""
-    vectors = monotone_vectors(truth, frame, budget)
-    return vector_algebra(
-        vectors, truth, f"up({frame.name})", "isp_i", order=frame, presented=True
-    )
+    up-set. ``vector_algebra`` still refuses a family that is not closed.
+
+    The algebra is built once per truth lattice (by value) and budget and
+    kept in the frame's ``derived``, so every suite that reads it shares
+    one object; a refusal keeps nothing and is raised again on each call."""
+    key = ("upset_algebra", truth, budget)
+    algebra = frame.derived.get(key)
+    if algebra is None:
+        vectors = monotone_vectors(truth, frame, budget)
+        algebra = frame.derived[key] = vector_algebra(
+            vectors, truth, f"up({frame.name})", "isp_i", order=frame, presented=True
+        )
+    return algebra
 
 
 def _kripke_columns_agree(algebra, homs, order):

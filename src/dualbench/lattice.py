@@ -84,6 +84,14 @@ class Poset(_Frozen):
             ) from None
 
     @cached_property
+    def derived(self):
+        """What other modules derive from this poset alone and keep with
+        it, by key (``algebra.hom_search_plan`` and
+        ``algebra.lvl_subalgebras`` of a lattice, ``kripke.upset_algebra``
+        of a frame). It is no field, so equality and hashing ignore it."""
+        return {}
+
+    @cached_property
     def down_masks(self):
         """Bit y of ``down_masks[x]`` is set when y <= x."""
         down = [0] * len(self.up_masks)
@@ -183,13 +191,6 @@ class FiniteLattice(Poset):
                 key=lambda x: (down[x].bit_count(), x),
             )
         )
-
-    @cached_property
-    def derived(self):
-        """What other modules derive from this lattice alone and keep with
-        it, by name (``algebra.hom_search_plan``,
-        ``algebra.lvl_subalgebras``)."""
-        return {}
 
     @cached_property
     def is_distributive(self):

@@ -28,6 +28,27 @@ def test_roundtrip_pspa_exit_zero(capsys):
     assert "space_order_reflecting: PASS" in out
 
 
+def test_roundtrip_hspa_over_chain3_with_maps_not_closed_exits_one(tmp_path, capsys):
+    # L5_1 (0 < b, c < bc < 1) is valid input; its hspa dual over the
+    # three-chain carries maps that are not closed under the implication,
+    # which is a failed round trip, not malformed input
+    l51 = tmp_path / "l51.doc"
+    l51.write_text(
+        "kind: lattice\nname: l51\nelements: 0 b c bc 1\n"
+        "leq: 0<=b 0<=c b<=bc c<=bc bc<=1\nbottom: 0\ntop: 1\n"
+    )
+    args = ["roundtrip", "--mode", "hspa", "--truth", doc("chain3.doc"), str(l51)]
+    code, out, err = run_cli(args + ["--format", "machine"], capsys)
+    assert code == 1 and err == ""
+    report = json.loads(out)
+    refusal = "'CI(GI(l51))': an implication leaves the map family"
+    witnesses = {w["check"]: w["witness"] for w in report["witnesses"]}
+    assert witnesses["algebra_well_defined"] == witnesses["space_well_defined"] == refusal
+    others = {w for check, w in witnesses.items() if not check.endswith("_well_defined")}
+    assert others == {"natural map is not well defined"}
+    assert not any(report["verdicts"].values())
+
+
 def test_axioms_literal_iv_exit_one(capsys):
     code, out, _ = run_cli(["axioms", doc("chain3-lvl.doc"), "--literal-iv"], capsys)
     assert code == 1

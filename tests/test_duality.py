@@ -485,6 +485,50 @@ def test_space_roundtrip_names_a_point_outside_the_double_dual(chain2, frame2):
         assert not any(rep.verdicts.values())
 
 
+def test_hspa_roundtrips_record_a_map_family_that_is_not_closed(chain3, b2):
+    # over a truth lattice other than the two-chain the hspa dual of a
+    # Heyting algebra need not be an ordered Stone space, and then its maps
+    # are not closed under the relativized implication: both round trips
+    # fail well_defined with that refusal, and every later law with it.
+    # The eight-element Boolean lattice is left out over b2: its maps are
+    # closed, and their 4096-element algebra takes seconds and 400 MB
+    refused = {}
+    for truth in (chain3, b2):
+        for lat in corpus_lattices(8):
+            if truth is b2 and len(lat) == 8 and len(lat.join_irreducibles) == 3:
+                continue
+            algebra = HSPA.from_lattice(lat, truth)
+            rep = algebra_roundtrip(HSPA, algebra)
+            witness = rep.witnesses.get("well_defined", "")
+            if not witness.endswith("an implication leaves the map family"):
+                continue
+            refused[truth.name] = refused.get(truth.name, 0) + 1
+            laws = set(HSPA.algebra_laws) | {"injective", "surjective"}
+            assert set(rep.verdicts) == laws | {"well_defined"}
+            assert not any(rep.verdicts.values())
+            assert {rep.witnesses[k] for k in laws} == {"natural map is not well defined"}
+            assert set(rep.cardinalities) == {"algebra", "dual_points"}
+            space = HSPA.dual(algebra)[0]
+            rep = space_roundtrip(HSPA, space, truth)
+            assert rep.witnesses["well_defined"] == witness
+            assert set(rep.verdicts) == {"well_defined", "injective", "surjective", *HSPA.space_laws}
+            assert not any(rep.verdicts.values())
+            assert set(rep.cardinalities) == {"points"}
+    assert refused == {"chain3": 10, "b2": 18}
+
+
+def test_roundtrips_raise_a_refusal_other_than_not_closed(chain2, frame2):
+    def refuse(space, truth):
+        raise AlgebraError("empty-carrier", "no maps")
+
+    algebra = upset_algebra(chain2, frame2)
+    mode = HSPA.replace(reconstruct=refuse)
+    with pytest.raises(AlgebraError, match="no maps"):
+        algebra_roundtrip(mode, algebra)
+    with pytest.raises(AlgebraError, match="no maps"):
+        space_roundtrip(mode, esakia_dual(algebra), chain2)
+
+
 def test_dual_hom_of_map_names_what_is_missing(chain2):
     # an ordered space is read over a truth lattice given beside it, and a
     # bitopological object is no ordered space: both are typed errors now,

@@ -1,3 +1,5 @@
+from collections import Counter
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -7,10 +9,12 @@ from dualbench.algebra import (
     make_bdl,
     make_heyting_ispi,
     subalgebra_of,
+    vector_algebra,
 )
-from dualbench.corpus import corpus_frames
+from dualbench.corpus import corpus_frames, corpus_run
 from dualbench.errors import AlgebraError, BudgetExceeded
 from dualbench.kripke import (
+    DEFAULT_POWER_BUDGET,
     _kripke_columns_agree,
     _kripke_scan,
     build_frame,
@@ -23,6 +27,7 @@ from dualbench.kripke import (
 )
 from dualbench.lattice import (
     FiniteLattice,
+    chain_lattice,
     heyting_implies,
     heyting_table,
 )
@@ -271,6 +276,81 @@ def test_upset_algebra_budget(chain2, monkeypatch):
     assert built == []
     assert len(upset_algebra(chain2, chain13, budget=14)) == 14
     assert built == [14]
+
+
+def test_upset_algebra_is_kept_with_its_frame(chain2, chain3, b2):
+    frame = build_frame(("a", "b", "c"), [("a", "b")], name="kept")
+    up = upset_algebra(chain_lattice(2), frame)
+    # a fresh truth lattice equal by value reads the same entry
+    assert upset_algebra(chain_lattice(2), frame) is up
+    assert upset_algebra(chain2, frame) is up
+    assert frame.derived == {("upset_algebra", chain2, DEFAULT_POWER_BUDGET): up}
+    # each truth lattice, and each budget, has an entry of its own
+    kept = {truth.name: upset_algebra(truth, frame) for truth in (chain3, b2)}
+    assert len({id(up), *map(id, kept.values())}) == 3
+    assert upset_algebra(chain2, frame, budget=64) == up
+    assert upset_algebra(chain2, frame, budget=64) is not up
+    assert set(frame.derived) == {
+        ("upset_algebra", chain2, DEFAULT_POWER_BUDGET),
+        ("upset_algebra", chain3, DEFAULT_POWER_BUDGET),
+        ("upset_algebra", b2, DEFAULT_POWER_BUDGET),
+        ("upset_algebra", chain2, 64),
+    }
+
+
+def test_a_budget_cut_keeps_nothing_and_is_raised_on_every_call(chain2, monkeypatch):
+    # kept under the default budget, the algebra is still refused under a
+    # budget it exceeds: a search runs and refuses on each call
+    frame = build_frame(tuple(f"w{i}" for i in range(4)), [], name="antichain4")
+    assert len(upset_algebra(chain2, frame)) == 16
+    searches = []
+    search = kripke.monotone_vectors
+
+    def spy(truth, frame, limit):
+        searches.append(limit)
+        return search(truth, frame, limit)
+
+    monkeypatch.setattr(kripke, "monotone_vectors", spy)
+    for _ in range(2):
+        with pytest.raises(BudgetExceeded):
+            upset_algebra(chain2, frame, budget=15)
+    assert searches == [15, 15]
+    assert list(frame.derived) == [("upset_algebra", chain2, DEFAULT_POWER_BUDGET)]
+
+
+def test_kept_upset_algebras_match_a_fresh_build(chain2, chain3, b2):
+    cases = [(truth, f) for truth in (chain2, chain3) for f in corpus_frames(5)]
+    cases += [(b2, f) for f in corpus_frames(4)]
+    for truth, frame in cases:
+        kept = upset_algebra(truth, frame)
+        fresh = vector_algebra(
+            monotone_vectors(truth, frame),
+            truth,
+            f"up({frame.name})",
+            "isp_i",
+            order=frame,
+            presented=True,
+        )
+        assert kept == fresh and kept is not fresh, (truth.name, frame.name)
+        assert upset_algebra(truth, frame) is kept
+
+
+def test_corpus_run_builds_each_upset_algebra_at_most_once(monkeypatch):
+    # the frame suites and the hspa pool of the functoriality suite read
+    # one algebra per frame; corpus_frames is cached, so earlier tests may
+    # have built some already, and none is built twice
+    built = Counter()
+    search = kripke.monotone_vectors
+
+    def spy(truth, frame, limit):
+        built[frame, truth, limit] += 1
+        return search(truth, frame, limit)
+
+    monkeypatch.setattr(kripke, "monotone_vectors", spy)
+    corpus_run(7, 4, 0)
+    assert max(built.values(), default=0) <= 1
+    key = ("upset_algebra", chain_lattice(2), DEFAULT_POWER_BUDGET)
+    assert all(key in frame.derived for frame in corpus_frames(4))
 
 
 def test_kripke_check_reads_the_points_of_the_scoped_dual(chain2, monkeypatch):

@@ -128,6 +128,16 @@ def test_equal_builds_of_a_lattice_hash_alike():
     assert chain_lattice(3) != chain_lattice(3, name="other")
 
 
+def test_equality_and_hashing_ignore_what_is_derived():
+    lat = chain_lattice(3)
+    for record in (build_poset(("a", "b"), [("a", "b")]), lat):
+        twin = record.replace()
+        record.derived[("anything", lat)] = object()
+        assert twin.derived == {}
+        assert record == twin and hash(record) == hash(twin)
+        assert repr(record) == repr(twin)
+
+
 def test_records_of_different_classes_are_not_equal():
     lat = chain_lattice(2)
     poset = Poset(lat.elements, lat.up_masks, name=lat.name)

@@ -88,6 +88,44 @@ def test_bench_pair_summarizes_rows_without_running_the_benchmark():
     assert bench.claim(bench.summarize(rows), "corpus", "run_s")["met"] is True
 
 
+def test_bench_pair_flags_medians_outside_the_benchmarks_bounds():
+    bench = load("bench_pair")
+    declared = json.loads((SCRIPTS.parent / "BENCHMARK.json").read_text(encoding="utf-8"))
+    assert bench.BOUNDS == {m["name"]: m["bound"] for m in declared["end_to_end"]}
+    assert bench.METRICS == tuple(bench.BOUNDS)
+    bound = bench.BOUNDS["peak_rss_mb"]
+    rows = synthetic_rows()
+    summary = bench.summarize(rows)
+    assert all(summary["corpus"][m]["within_bound"] for m in bench.METRICS)
+    assert bench.regressions(summary) == []
+    # a change median exactly at the bound is within it; a hair over is not
+    for change_rss, within in ((20.0 * (1 + bound), True), (20.0 * (1 + bound) + 0.01, False)):
+        for r in rows:
+            if r["side"] == "change":
+                r["peak_rss_mb"] = change_rss
+        summary = bench.summarize(rows)
+        assert summary["corpus"]["peak_rss_mb"]["within_bound"] is within
+        assert summary["corpus"]["run_s"]["within_bound"] is True
+    assert bench.regressions(summary) == [
+        {
+            "workload": "corpus",
+            "metric": "peak_rss_mb",
+            "bound": bound,
+            "parent_median": 20.0,
+            "change_median": round(change_rss, 4),
+            "change_vs_parent": round(change_rss / 20.0 - 1, 4),
+        }
+    ]
+    # a change 30% slower in every pair is past the 25% bound of run_s
+    parent_run = {r["pair"]: r["run_s"] for r in rows if r["side"] == "parent"}
+    for r in rows:
+        if r["side"] == "change":
+            r["run_s"] = parent_run[r["pair"]] * 1.3
+    assert [(g["workload"], g["metric"]) for g in bench.regressions(bench.summarize(rows))] == [
+        ("corpus", "run_s"), ("corpus", "peak_rss_mb")
+    ]
+
+
 def test_bench_pair_alternates_which_side_runs_first(monkeypatch):
     bench = load("bench_pair")
     calls = []
