@@ -20,7 +20,11 @@ The output holds every row, and per workload and metric the medians, the
 inclusive quartiles, the number of pairs the change won and lost and
 whether the change median is within the metric's ``bound`` in
 ``BENCHMARK.json`` (at most the parent median times one plus the bound).
-``regressions`` lists each workload and metric that is not.
+``regressions`` lists each workload and metric that is not. Per workload
+it also holds each side's failed share, failed over attempted operations.
+``refusals`` lists why the change would be refused: a regression, an
+incorrect run, a failed share above the parent's or a ``--claim`` that is
+not met. The script exits 1 when that list is not empty, and 0 otherwise.
 Nothing under ``perfbench/`` is changed; its run records go to the
 ``perfbench/out/`` of each tree.
 """
@@ -93,6 +97,11 @@ def summarize(rows):
         entry["failed_total"] = {
             side: sum(r["failed"] for r in mine if r["side"] == side) for side in SIDES
         }
+        entry["failed_share"] = {}
+        for side in SIDES:
+            attempted = sum(r["attempted"] for r in mine if r["side"] == side)
+            share = entry["failed_total"][side] / attempted if attempted else 0.0
+            entry["failed_share"][side] = round(share, 6)
         out[workload] = entry
     return out
 
@@ -123,6 +132,31 @@ def claim(summary, workload, metric):
         "met": s["change_better_pairs"] * 10 >= 9 * s["pairs"]
         and s["parent_median"] - s["change_median"] > s["parent_iqr"],
     }
+
+
+def refusals(summary, claimed=None):
+    """Why the benchmark would refuse the change, empty when it would not: a
+    metric outside its bound, an incorrect run, a larger share of failed
+    operations than the parent's, or a ``claim`` that is not met."""
+    reasons = [
+        f"{g['workload']}: {g['metric']} median {g['change_median']} is outside "
+        f"{g['bound']:.0%} of the parent's {g['parent_median']}"
+        for g in regressions(summary)
+    ]
+    for workload, entry in summary.items():
+        if not entry["correct_all"]:
+            reasons.append(f"{workload}: a run was incorrect")
+        share = entry["failed_share"]
+        if share["change"] > share["parent"]:
+            reasons.append(
+                f"{workload}: failed share {share['change']} is above the parent's "
+                f"{share['parent']}"
+            )
+    if claimed is not None and not claimed["met"]:
+        reasons.append(
+            f"{claimed['workload']}: the claim on {claimed['metric']} is not met"
+        )
+    return reasons
 
 
 def run_bench(tree, workload, seed):
@@ -282,8 +316,11 @@ def main(argv=None):
         record["claim"] = claim(summary, workload, metric)
     if scale is not None:
         record["corpus_run_seconds"] = scale
+    record["refusals"] = refusals(summary, record.get("claim"))
     Path(args.out).write_text(json.dumps(record, indent=2) + "\n", encoding="utf-8")
-    return 0
+    for reason in record["refusals"]:
+        print(f"refused: {reason}", file=sys.stderr)
+    return 1 if record["refusals"] else 0
 
 
 if __name__ == "__main__":

@@ -44,7 +44,6 @@ from .kripke import (
     build_frame,
     intuitionistic_power,
     kripke_condition_check,
-    subalgebra_generated,
     upset_algebra,
 )
 from .topology import (
@@ -69,7 +68,6 @@ from .duality import (
     check_downclosure_identity,
     check_esakia_algebra_roundtrip,
     check_esakia_space_roundtrip,
-    check_implication_preimage_identity,
     check_second_topology_inclusion,
     dual_hom_of_map,
     dual_map_of_hom,

@@ -291,7 +291,6 @@ def cmd_reconstruct(args, report):
     else:
         for clause, res in sorted(mode.axioms(algebra).clauses.items()):
             report.record(f"clause_{clause}", res)
-    report.details.update(mode.rebuilt_details(space, truth))
     report.details["carrier"] = list(algebra.elements)
     report.details["size"] = len(algebra)
     return report
@@ -391,6 +390,21 @@ _HANDLERS = {
 }
 
 
+def _at_least(least):
+    """An argparse type: an integer of at least ``least``. corpus-run
+    refuses the bounds that leave its corpus empty, over which every suite
+    would pass vacuously."""
+
+    def parse(text):
+        value = int(text)
+        if value < least:
+            raise argparse.ArgumentTypeError(f"must be at least {least}, not {value}")
+        return value
+
+    parse.__name__ = "int"  # argparse's "invalid int value" message names it
+    return parse
+
+
 @functools.lru_cache(maxsize=None)
 def _build_parser():
     """The argument parser, built once per process: parse_args keeps no
@@ -457,7 +471,7 @@ def _build_parser():
     p = add("corpus-run", files=False, help="run every suite over the enumerated corpus")
     p.add_argument(
         "--max-size",
-        type=int,
+        type=_at_least(2),
         default=7,
         help="largest lattice carrier (every distributive lattice up to this "
         "size; 12 gives 341 lattices)",
@@ -465,7 +479,7 @@ def _build_parser():
     p.add_argument("--seed", type=int, default=0, help="morphism sampling seed")
     p.add_argument(
         "--frame-size",
-        type=int,
+        type=_at_least(1),
         default=4,
         help="largest frame (criteria pin lattices at 7 and frames at 4, "
         "so the bounds are separate knobs)",

@@ -346,12 +346,13 @@ class CorpusReport(_Record):
 
 
 def _guarded(suite, witness_prefix, fn):
-    """Run one corpus instance in its own verification scope; enumeration
-    budgets count as failures with an explanatory witness instead of
-    aborting the whole suite."""
+    """Run one corpus instance in its own verification scope and return
+    what it returns; enumeration budgets count as failures with an
+    explanatory witness, and give None, instead of aborting the whole
+    suite."""
     try:
         with verification_scope():
-            fn()
+            return fn()
     except BudgetExceeded as exc:
         suite.fail(f"{witness_prefix}: budget exceeded ({exc})")
     except DualityError as exc:
@@ -605,12 +606,14 @@ def suite_functoriality(lattices, frames, seed, budget=DEFAULT_POWER_BUDGET):
     pspa_objects = [make_bdl(lat, truth2) for lat in lattices if len(lat) <= 5]
     run_mode(PSPA, pspa_objects)
 
-    hspa_objects = [
-        upset_algebra(truth2, frame, budget=budget)
-        for frame in frames
-        if len(frame) <= 3
-    ]
-    run_mode(HSPA, hspa_objects)
+    # a frame whose up-set family exceeds the budget fails the suite and
+    # stays out of the pool
+    built = (
+        _guarded(suite, f.name, lambda f=f: upset_algebra(truth2, f, budget=budget))
+        for f in frames
+        if len(f) <= 3
+    )
+    run_mode(HSPA, [algebra for algebra in built if algebra is not None])
 
     suite.counts = dict(sorted(counts.items()))
     return suite

@@ -57,7 +57,6 @@ from .algebra import (
     make_bdl,
     make_heyting_ispi,
     make_lvl,
-    packed_slices,
     vector_algebra,
     vector_name,
 )
@@ -344,11 +343,9 @@ def priestley_dual(algebra):
     return _priestley_dual(algebra)[0]
 
 
-@_scoped
 def _ordered_map_vectors(space, truth):
     """Order-preserving continuous maps from the space into the truth
-    lattice (discrete topology, lattice order); the reconstructions and the
-    preimage identity share them inside a verification scope."""
+    lattice (discrete topology, lattice order)."""
     return _map_vectors(
         [(1 << len(truth)) - 1] * len(space.points),
         (space.topo,),
@@ -360,10 +357,15 @@ def _ordered_map_vectors(space, truth):
 
 
 @_scoped
-def _priestley_reconstruct(space, truth):
+def _ordered_reconstruct(space, truth, signature, prefix):
+    """The map algebra of an ordered space in ``signature`` and its carrier
+    as vectors; ``vector_algebra`` reads the space order only for the
+    frame-relativized implication of ``isp_i``."""
     vectors = _ordered_map_vectors(space, truth)
     return (
-        vector_algebra(vectors, truth, f"C({space.name})", "bdl"),
+        vector_algebra(
+            vectors, truth, f"{prefix}({space.name})", signature, order=space.order
+        ),
         vectors,
     )
 
@@ -371,7 +373,7 @@ def _priestley_reconstruct(space, truth):
 def priestley_reconstruct(space, truth):
     """Algebra of continuous order-preserving maps into the truth lattice,
     with pointwise lattice operations."""
-    return _priestley_reconstruct(space, truth)[0]
+    return _ordered_reconstruct(space, truth, "bdl", "C")[0]
 
 
 # ---------------------------------------------------------------------------
@@ -431,58 +433,10 @@ def check_downclosure_identity(algebra):
     )
 
 
-@_scoped
-def _esakia_reconstruct(space, truth):
-    vectors = _ordered_map_vectors(space, truth)
-    return (
-        vector_algebra(
-            vectors, truth, f"CI({space.name})", "isp_i", order=space.order
-        ),
-        vectors,
-    )
-
-
 def esakia_reconstruct(space, truth):
     """Map algebra of an ordered Stone space with the frame-relativized
     implication computed directly from the space order."""
-    return _esakia_reconstruct(space, truth)[0]
-
-
-def check_implication_preimage_identity(space, truth):
-    """The set identity used to close the map algebra under implication:
-    the preimage of each value under f -> g against the combination of
-    down-closures of the preimages of f and g. It is a proof device, not
-    the definition, so agreement is measured and mismatches are reported.
-
-    Decided on packed vectors (``packed_slices`` relativized to the space
-    order): the preimage of l under a packed p is the first slice of its
-    truth-constant image, ``constant(p, l)``."""
-    vectors = _ordered_map_vectors(space, truth)
-    n = len(space.points)
-    full, encode, _, implication, constant = packed_slices(truth, n, space.order)
-    points = (1 << n) - 1
-    down = space.order.down_masks
-    values = range(len(truth))
-    packed = [encode(f) for f in vectors]
-    # per map and value: the down-closure of the preimage
-    downs = [[_union_over(constant(p, l) & points, down) for l in values] for p in packed]
-    mismatches = 0
-    first = None
-    for f, pf, down_f in zip(vectors, packed, downs):
-        npf = ~pf
-        for g, pg, down_g in zip(vectors, packed, downs):
-            fg = implication[(npf | pg) & full]
-            for l in values:
-                if constant(fg, l) & points != down_g[l] & ~down_f[l]:
-                    mismatches += 1
-                    first = first or (f, g, l)
-    if not mismatches:
-        return PASS
-    f, g, l = first
-    return failed(
-        f"{mismatches} of {len(vectors) ** 2 * len(truth)} instances disagree; first at "
-        f"f={vector_name(truth, f)}, g={vector_name(truth, g)}, value={truth.elements[l]}"
-    )
+    return _ordered_reconstruct(space, truth, "isp_i", "CI")[0]
 
 
 # ---------------------------------------------------------------------------
@@ -607,7 +561,6 @@ class Mode(_Frozen):
         "dual_checks",
         "describe",
         "space_details",
-        "rebuilt_details",
     )
 
     def __init__(
@@ -630,7 +583,6 @@ class Mode(_Frozen):
         dual_checks: tuple = (),  # (tag, algebra -> CheckResult), reported with the dual
         describe: Callable,  # dual space -> details of the dualize report
         space_details: Callable = lambda space: {},  # space -> details of verify-space
-        rebuilt_details: Callable = lambda space, truth: {},  # details of reconstruct
     ):
         self.name = name
         self.dual = dual
@@ -649,7 +601,6 @@ class Mode(_Frozen):
         self.dual_checks = dual_checks
         self.describe = describe
         self.space_details = space_details
-        self.rebuilt_details = rebuilt_details
 
     def check_space(self, space, truth=None):
         """The truth lattice the mode reads ``space`` over: the space's own,
@@ -692,11 +643,6 @@ def _describe_ordered(space):
     }
 
 
-def _preimage_identity_detail(space, truth):
-    claim = check_implication_preimage_identity(space, truth)
-    return {"implication_preimage_identity": "holds" if claim.passed else claim.witness}
-
-
 PBS = Mode(
     name="pbs",
     dual=lambda algebra: _lvl_dual(algebra),
@@ -724,7 +670,7 @@ PBS = Mode(
 PSPA = Mode(
     name="pspa",
     dual=lambda algebra: _priestley_dual(algebra),
-    reconstruct=lambda space, truth: _priestley_reconstruct(space, truth),
+    reconstruct=lambda space, truth: _ordered_reconstruct(space, truth, "bdl", "C"),
     verify_object=lambda space: {"pspa_object": verify_pspa_object(space)},
     verify_morphism=lambda *args: verify_pspa_morphism(*args),
     space_type=OrderedSpace,
@@ -744,7 +690,7 @@ PSPA = Mode(
 HSPA = PSPA.replace(
     name="hspa",
     dual=lambda algebra: _esakia_dual(algebra),
-    reconstruct=lambda space, truth: _esakia_reconstruct(space, truth),
+    reconstruct=lambda space, truth: _ordered_reconstruct(space, truth, "isp_i", "CI"),
     verify_object=_verify_esakia_object,
     verify_morphism=lambda *args: verify_hspa_morphism(*args),
     from_lattice=lambda lattice, truth: make_heyting_ispi(lattice, truth),
@@ -754,7 +700,6 @@ HSPA = PSPA.replace(
     dual_checks=(
         ("downclosure_identity", lambda algebra: check_downclosure_identity(algebra)),
     ),
-    rebuilt_details=_preimage_identity_detail,
 )
 MODES = {mode.name: mode for mode in (PBS, PSPA, HSPA)}
 

@@ -116,51 +116,19 @@ def close_vectors(truth, frame, seeds, budget=DEFAULT_POWER_BUDGET):
     return tuple(sorted(map(decode, closed)))
 
 
-def power_subalgebra(
-    truth, frame, generators, name=None, power_name=None, budget=DEFAULT_POWER_BUDGET
-):
+def power_subalgebra(truth, frame, generators, name=None, budget=DEFAULT_POWER_BUDGET):
     """The subalgebra of the power of the truth lattice over a frame that
     the generator vectors (plus both bounds) generate, built without
     materializing the power. Elements come in the power's index order, and
     truth-constant operators are attached when the carrier is closed under
-    them. The default name is the power's name (``power_name``, by default
-    ``truth^frame``) followed by the carrier, as ``subalgebra_of`` names a
-    subset. The budget bounds the closed carrier (``close_vectors``)."""
+    them. The default name is the power's name, ``truth^frame``, followed by
+    the carrier, as ``subalgebra_of`` names a subset. The budget bounds the
+    closed carrier (``close_vectors``)."""
     closed = close_vectors(truth, frame, generators, budget)
     if name is None:
-        if power_name is None:
-            power_name = f"{truth.name}^{frame.name}"
-        name = power_name + "|" + "".join(vector_name(truth, v) for v in closed)
+        carrier = "".join(vector_name(truth, v) for v in closed)
+        name = f"{truth.name}^{frame.name}|{carrier}"
     return vector_algebra(closed, truth, name, "isp_i", order=frame, presented=True)
-
-
-def subalgebra_generated(power, generators, name=None):
-    """Closure of the generators (plus bounds) under meet, join and the
-    frame-relativized implication, as an isp_i algebra carrying its power
-    presentation. Generators are indices into the power carrier; the
-    closure runs on their vectors (power_subalgebra), not on the power's
-    tables."""
-    if power.presentation is None:
-        raise AlgebraError(
-            "not-a-power", f"{power.name!r} does not carry a power presentation"
-        )
-    generators = tuple(generators)
-    n = len(power)
-    for g in generators:
-        if not 0 <= g < n:
-            raise AlgebraError(
-                "unknown-generator", f"generator index {g} is outside the power carrier"
-            )
-    vectors = power.presentation.vectors
-    sub = power_subalgebra(
-        power.truth,
-        power.presentation.frame,
-        [vectors[g] for g in generators],
-        name=name,
-        power_name=power.name,
-    )
-    # a subalgebra carries no operator its algebra lacks
-    return sub if power.t_ops is not None else sub.replace(t_ops=None)
 
 
 def monotone_vectors(truth, frame, limit=DEFAULT_POWER_BUDGET):

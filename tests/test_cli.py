@@ -5,6 +5,8 @@ import re
 import subprocess
 import sys
 
+import pytest
+
 from dualbench import cli, duality
 from dualbench.cli import main
 
@@ -223,8 +225,7 @@ def test_reconstruct_modes(capsys):
     code, out, _ = run_cli(
         ["reconstruct", doc("pspa-chain2.doc"), "--mode", "hspa"], capsys
     )
-    assert code == 0
-    assert "implication_preimage_identity" in out
+    assert code == 0 and "size: 3" in out
     code, out, _ = run_cli(
         ["reconstruct", doc("pbs-chain2.doc"), "--mode", "pbs"], capsys
     )
@@ -232,8 +233,7 @@ def test_reconstruct_modes(capsys):
 
 
 def test_reconstruct_hspa_runs_one_map_search(monkeypatch, capsys):
-    # the map algebra and the preimage identity read the same maps, so a
-    # space and truth lattice cost one search
+    # the map algebra of a space and truth lattice costs one map search
     searches = []
     search = duality._map_vectors
 
@@ -246,7 +246,7 @@ def test_reconstruct_hspa_runs_one_map_search(monkeypatch, capsys):
         searches.clear()
         args = ["reconstruct", doc("pspa-chain2.doc"), "--mode", "hspa", *truth]
         code, out, _ = run_cli(args, capsys)
-        assert code == 0 and "implication_preimage_identity" in out
+        assert code == 0 and "construction_completed: PASS" in out
         assert searches == ["continuous order-preserving maps over 'pspa-chain2'"]
 
 
@@ -307,6 +307,37 @@ def test_corpus_run_determinism_subprocess(tmp_path):
     second = subprocess.run(cmd, capture_output=True)
     assert first.returncode == second.returncode == 1  # the chain3 suite is red
     assert first.stdout == second.stdout
+
+
+def test_corpus_run_refuses_an_empty_corpus(capsys):
+    # no lattice has fewer than two elements and no frame fewer than one
+    # world; over an empty corpus every suite would pass vacuously
+    for args in (["--max-size", "1"], ["--frame-size", "0"], ["--max-size", "x"]):
+        with pytest.raises(SystemExit) as exc:
+            main(["corpus-run", *args])
+        assert exc.value.code == 2
+        assert f"error: argument {args[0]}: " in capsys.readouterr().err
+
+
+def test_corpus_run_budget_cut_in_functoriality_is_a_failure(capsys):
+    # a budget of 4 cuts the three-world frames with more than four up-sets
+    # out of the hspa pool; each is a failure of the suite, not an abort,
+    # and every suite is still reported
+    code, out, err = run_cli("corpus-run --budget 4 --format machine".split(), capsys)
+    report = json.loads(out)
+    assert code == 1 and err == ""
+    cut = [w["witness"] for w in report["witnesses"] if w["check"] == "functoriality"]
+    assert cut == [
+        f"frame3_{i}: budget exceeded (more than 4 order-preserving vectors over "
+        f"'frame3_{i}')"
+        for i in range(4)
+    ]
+    assert len(report["verdicts"]) == 9
+    assert report["details"]["functoriality"]["counts"] == {
+        "hspa": 60,
+        "pbs": 108,
+        "pspa": 60,
+    }
 
 
 def test_corpus_run_beyond_seven_join_irreducibles(capsys):
@@ -521,8 +552,8 @@ RECONSTRUCT_PINS = {
     ("pspa", "pspa-chain2.doc", "chain3.doc"): (0, "acc665d90dc9555eab8df1ca0c7971da6314a21a369b819d30b6d9f52a36bdc2"),
     ("hspa", "pbs-chain2.doc", None): (2, "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
     ("hspa", "pbs-chain2.doc", "chain3.doc"): (2, "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
-    ("hspa", "pspa-chain2.doc", None): (0, "e0b991be49f065f9ef701985bd806f2f337ad8e6ca6e5ce27a3e8ac1f3bfb203"),
-    ("hspa", "pspa-chain2.doc", "chain3.doc"): (0, "513f005824a746d72d2240d04ddbcbd049e97f52d5877ba29758b864417b2028"),
+    ("hspa", "pspa-chain2.doc", None): (0, "fc9fb5a3cecbda8e2f9791c4c81b736be08cef97923a472e7a675dd80e0d626b"),
+    ("hspa", "pspa-chain2.doc", "chain3.doc"): (0, "acc665d90dc9555eab8df1ca0c7971da6314a21a369b819d30b6d9f52a36bdc2"),
 }
 
 

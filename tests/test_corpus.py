@@ -336,6 +336,24 @@ def test_corpus_run_leaves_no_scope_cache(scope_caches, dual_map_caches):
     assert duality._SCOPE_CACHE.get() is None
 
 
+def test_every_scope_cache_earns_a_hit(monkeypatch):
+    # an entry that is never read again costs a key and keeps its objects
+    # alive for the whole instance, and saves nothing
+    lookups, hits = Counter(), Counter()
+    lookup = duality._in_scope
+
+    def spy(key, held, build, *args):
+        cache = duality._SCOPE_CACHE.get()
+        lookups[build.__name__] += 1
+        hits[build.__name__] += cache is not None and key in cache
+        return lookup(key, held, build, *args)
+
+    monkeypatch.setattr(duality, "_in_scope", spy)
+    corpus_run(7, 4, 0)
+    assert len(lookups) > 3
+    assert sorted(name for name in lookups if not hits[name]) == []
+
+
 def _hom_key(hom, mode):
     return id(hom.source), id(hom.target), hom.mapping, duality.as_mode(mode).name
 

@@ -22,7 +22,7 @@ from dualbench.kripke import (
     intuitionistic_power,
     kripke_condition_check,
     monotone_vectors,
-    subalgebra_generated,
+    power_subalgebra,
     upset_algebra,
 )
 from dualbench.lattice import (
@@ -31,6 +31,7 @@ from dualbench.lattice import (
     heyting_implies,
     heyting_table,
 )
+import vector_oracle
 from hom_oracle import hom_leq
 from lattice_oracle import close_subset, up_masks_of
 from vector_oracle import monotone_vector_indices, relativized_implication
@@ -88,23 +89,17 @@ def test_power_budget(chain3):
 
 
 def test_subalgebra_generated_examples(chain2, frame2):
-    p = intuitionistic_power(chain2, frame2)
-    up = subalgebra_generated(p, monotone_vector_indices(p))
+    up = power_subalgebra(chain2, frame2, monotone_vectors(chain2, frame2))
+    assert up.name == "chain2^w2|(0,0)(0,1)(1,1)"
     assert up.elements == ("(0,0)", "(0,1)", "(1,1)")
     # its implication coincides with the three-chain relative pseudocomplement
     for a in range(3):
         for b in range(3):
             assert up.implies[a][b] == heyting_implies(up.lattice, a, b)
-    empty = subalgebra_generated(p, [])
+    empty = power_subalgebra(chain2, frame2, [])
     assert empty.elements == ("(0,0)", "(1,1)")
-    full = subalgebra_generated(p, [p.elements.index("(1,0)")])
+    full = power_subalgebra(chain2, frame2, [(1, 0)])
     assert len(full) == 4
-
-
-def test_generator_out_of_range(chain2, frame2):
-    p = intuitionistic_power(chain2, frame2)
-    with pytest.raises(AlgebraError):
-        subalgebra_generated(p, [99])
 
 
 def test_kripke_condition_up_set_algebra(chain2, frame2):
@@ -208,8 +203,10 @@ def test_upset_algebra_matches_the_power_oracle(chain2, chain3):
         monotone = monotone_vector_indices(power)
         name = f"up({frame.name})"
         up = upset_algebra(truth, frame)
-        assert up == subalgebra_generated(power, monotone, name=name)
         assert up == table_closure(power, monotone, name=name)
+        assert vector_oracle.close_vectors(truth, frame, up.presentation.vectors) == (
+            up.presentation.vectors
+        )
         assert monotone_vectors(truth, frame) == up.presentation.vectors
 
 
@@ -234,7 +231,7 @@ def test_vector_closure_matches_table_closure(chain2, chain3, data):
     assert close_vectors(truth, frame, [vectors[g] for g in gens]) == (
         expected.presentation.vectors
     )
-    assert subalgebra_generated(power, gens) == expected
+    assert power_subalgebra(truth, frame, [vectors[g] for g in gens]) == expected
 
 
 def test_relativized_implication_is_the_meet_over_worlds_above(chain3):

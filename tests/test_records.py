@@ -213,10 +213,10 @@ def test_replace_rechecks_the_carrier():
 def test_mode_defaults_and_hspa_from_pspa():
     assert PSPA.space_truth is None and PSPA.axioms is None
     assert PSPA.algebra_laws == ("homomorphism",) and PSPA.dual_checks == ()
-    assert PSPA.space_details(None) == {} and PSPA.rebuilt_details(None, None) == {}
+    assert PSPA.space_details(None) == {}
     changed = {
         "name", "dual", "reconstruct", "verify_object", "verify_morphism", "from_lattice",
-        "algebra_miss", "algebra_laws", "space_laws", "dual_checks", "rebuilt_details",
+        "algebra_miss", "algebra_laws", "space_laws", "dual_checks",
     }
     for field in (
         "space_type", "points", "space_truth", "axioms", "map_algebra", "describe",

@@ -126,6 +126,62 @@ def test_bench_pair_flags_medians_outside_the_benchmarks_bounds():
     ]
 
 
+def test_bench_pair_refuses_what_the_benchmark_would_refuse():
+    bench = load("bench_pair")
+    rows = synthetic_rows()
+    summary = bench.summarize(rows)
+    # the change failed one of its thirty operations, the parent none
+    assert summary["corpus"]["failed_share"] == {"parent": 0.0, "change": round(1 / 30, 6)}
+    assert bench.refusals(summary) == [
+        "corpus: failed share 0.033333 is above the parent's 0.0"
+    ]
+    for r in rows:
+        r["failed"] = 1
+    assert bench.refusals(bench.summarize(rows)) == []
+    # a claim that is not met, and one that is
+    claimed = bench.claim(summary, "corpus", "run_s")
+    assert bench.refusals(bench.summarize(rows), claimed) == [
+        "corpus: the claim on run_s is not met"
+    ]
+    won = bench.summarize([r for r in rows if r["pair"] < 2])
+    assert bench.refusals(won, bench.claim(won, "corpus", "run_s")) == []
+    # an incorrect run on either side
+    rows[0]["correct"] = False
+    assert bench.refusals(bench.summarize(rows)) == ["corpus: a run was incorrect"]
+    rows[0]["correct"] = True
+    # a change twice as slow in every pair is past the bound of run_s
+    for r in rows:
+        if r["side"] == "change":
+            r["run_s"] = 2.2
+    assert bench.refusals(bench.summarize(rows)) == [
+        "corpus: run_s median 2.2 is outside 25% of the parent's 1.1"
+    ]
+
+
+def test_bench_pair_exits_1_when_the_change_would_be_refused(monkeypatch, tmp_path):
+    bench = load("bench_pair")
+
+    def fake_pair(trees, workload, pair, seed):
+        return [r for r in synthetic_rows() if r["pair"] == pair]
+
+    def no_git(argv, **options):
+        # git rev-parse, git archive and tar, none of which the rows need
+        return subprocess.CompletedProcess(argv, 0, stdout="" if options.get("text") else b"")
+
+    monkeypatch.setattr(bench.subprocess, "run", no_git)
+    monkeypatch.setattr(bench, "run_pair", fake_pair)
+    monkeypatch.setattr(bench, "machine", lambda tree, workload, seed: {})
+    out = tmp_path / "bench.json"
+    args = ["--parent", "HEAD", "--seed", "7", "--out", str(out)]
+    # two pairs the change wins; the third adds a failed operation
+    assert bench.main(args + ["--workload", "corpus=2", "--claim", "corpus:run_s"]) == 0
+    assert json.loads(out.read_text(encoding="utf-8"))["refusals"] == []
+    assert bench.main(args + ["--workload", "corpus=3"]) == 1
+    assert json.loads(out.read_text(encoding="utf-8"))["refusals"] == [
+        "corpus: failed share 0.033333 is above the parent's 0.0"
+    ]
+
+
 def test_bench_pair_alternates_which_side_runs_first(monkeypatch):
     bench = load("bench_pair")
     calls = []

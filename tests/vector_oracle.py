@@ -3,15 +3,13 @@ kernel of ``dualbench.algebra`` replaced, kept verbatim as its slow oracle:
 every vector is a tuple of truth values, and every table entry is a fresh
 tuple looked up in a dict. Beside them, the n^2 scan of the meet rows that
 ``vector_algebra`` ran before it handed its lattice both order masks, the
-recursive search for the
-order-preserving vectors that the one map search of ``dualbench.duality``
-replaced, the filter that picks those vectors out of a power, and the
-implication preimage identity decided on tuples and frozensets."""
+recursive search for the order-preserving vectors that the one map search
+of ``dualbench.duality`` replaced, and the filter that picks those vectors
+out of a power."""
 
 from dualbench.algebra import Algebra, PowerPresentation, _validate, vector_name
 from dualbench.errors import AlgebraError
 from dualbench.lattice import FiniteLattice, heyting_table, mask_members
-from dualbench.reporting import PASS, failed
 from lattice_oracle import up_masks_of
 
 
@@ -45,44 +43,6 @@ def relativized_implication(truth, order):
         return out
 
     return implies
-
-
-def check_implication_preimage_identity(space, truth, vectors):
-    """The implication preimage identity over the given order-preserving
-    continuous maps of the space, on tuples and frozensets: the preimage of
-    each value under f -> g against the down-closure of its preimage under
-    g less that of its preimage under f. The preimages of every map and
-    their down-closures are taken once."""
-    implies = relativized_implication(truth, space.order)
-    n = len(space.points)
-    full = frozenset(range(n))
-    values = range(len(truth))
-
-    def preimage(vec, l):
-        return frozenset(s for s in range(n) if vec[s] == l)
-
-    downs = {
-        f: [space.order.down_closure(preimage(f, l)) for l in values] for f in vectors
-    }
-    checked = mismatches = 0
-    first = None
-    for f in vectors:
-        for g in vectors:
-            fg = implies(f, g)
-            for l in values:
-                checked += 1
-                if preimage(fg, l) != downs[g][l] & (full - downs[f][l]):
-                    mismatches += 1
-                    if first is None:
-                        first = (
-                            f"f={vector_name(truth, f)}, g={vector_name(truth, g)}, "
-                            f"value={truth.elements[l]}"
-                        )
-    if mismatches:
-        return failed(
-            f"{mismatches} of {checked} instances disagree; first at {first}"
-        )
-    return PASS
 
 
 def order_masks_of_meet(meet):
