@@ -25,6 +25,8 @@ it also holds each side's failed share, failed over attempted operations.
 ``refusals`` lists why the change would be refused: a regression, an
 incorrect run, a failed share above the parent's or a ``--claim`` that is
 not met. The script exits 1 when that list is not empty, and 0 otherwise.
+``src_lines`` holds each side's line count of ``src/dualbench/*.py``, as
+``wc -l`` counts them, so the size of a change sits beside its timings.
 Nothing under ``perfbench/`` is changed; its run records go to the
 ``perfbench/out/`` of each tree.
 """
@@ -159,6 +161,12 @@ def refusals(summary, claimed=None):
     return reasons
 
 
+def src_lines(tree):
+    """The newlines in the ``src/dualbench/*.py`` files of a tree."""
+    package = Path(tree) / "src" / "dualbench"
+    return sum(path.read_bytes().count(b"\n") for path in package.glob("*.py"))
+
+
 def run_bench(tree, workload, seed):
     started = time.monotonic()
     proc = subprocess.run(
@@ -281,6 +289,7 @@ def main(argv=None):
         ).stdout
         subprocess.run(["tar", "-x", "-C", str(parent_tree)], input=archive, check=True)
         trees = {"parent": parent_tree, "change": ROOT}
+        lines = {side: src_lines(trees[side]) for side in SIDES}
         rows = []
         seed = args.seed
         for spec in args.workload:
@@ -310,6 +319,7 @@ def main(argv=None):
         "rows": rows,
         "summary": summary,
         "regressions": regressions(summary),
+        "src_lines": lines,
     }
     if args.claim:
         workload, metric = args.claim.split(":")

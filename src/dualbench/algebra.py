@@ -217,14 +217,15 @@ def packed_slices(truth, width, order=None):
     return (1 << (k * width)) - 1, encode, decode, implication, constant
 
 
-def vector_algebra(vectors, truth, name, signature, order=None, presented=False):
+def vector_algebra(vectors, truth, name, signature, order=None):
     """Pointwise algebra on a family of truth-valued vectors, with tables
     over the family alone. ``heyting`` and ``lvl`` take the pointwise
-    relative pseudocomplement; ``isp_i`` relativizes the implication to
-    ``order``, a poset on the coordinates. A ``presented`` family is (a
-    subalgebra of) the power of the truth lattice over ``order``: the
-    algebra carries its PowerPresentation and the truth-constant operators
-    whenever the family is closed under them (``lvl`` requires them).
+    relative pseudocomplement, and ``lvl`` the truth-constant operators,
+    which the family must be closed under. ``isp_i`` relativizes the
+    implication to ``order``, a poset on the coordinates; such a family is
+    a subalgebra of the power of the truth lattice over ``order`` (a map
+    algebra of an ordered space is one), and the algebra carries its
+    PowerPresentation.
 
     The family is packed once (``packed_slices``) and every table entry is
     one or two bit operations and a lookup of the packed result. The
@@ -287,27 +288,18 @@ def vector_algebra(vectors, truth, name, signature, order=None, presented=False)
     implies = None
     if signature in ("heyting", "lvl", "isp_i"):
         implies = table(implication_row, "an implication")
-    t_ops = None
-    if signature == "lvl" or presented:
+    t_ops = presentation = None
+    if signature == "lvl":
         t_ops = tuple(
-            tuple([pos.get(constant(p, l), -1) for p in packed])
+            tuple([look(constant(p, l), "a truth-constant image") for p in packed])
             for l in range(len(truth))
         )
-        if any(-1 in row for row in t_ops):
-            if signature == "lvl":
-                raise refused("a truth-constant image")
-            t_ops = None
-    presentation = PowerPresentation(order, vectors) if presented else None
-    return _validate(
-        Algebra(
-            signature,
-            lattice,
-            truth,
-            implies=implies,
-            t_ops=t_ops,
-            presentation=presentation,
-        )
+    if signature == "isp_i":
+        presentation = PowerPresentation(order, vectors)
+    algebra = Algebra(
+        signature, lattice, truth, implies=implies, t_ops=t_ops, presentation=presentation
     )
+    return _validate(algebra)
 
 
 def characteristic_tables(lattice):

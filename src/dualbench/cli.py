@@ -159,8 +159,7 @@ def _space_for_mode(args, docset, mode, report):
     return space, mode.check_space(space, truth)
 
 
-def cmd_check_lattice(args, report):
-    docset, report.inputs[:] = _load(args.files)
+def cmd_check_lattice(args, docset, report):
     doc = _first_doc(docset, ("lattice",))
     try:
         lattice = docset.lattice(doc.name)
@@ -175,8 +174,7 @@ def cmd_check_lattice(args, report):
     return report
 
 
-def cmd_axioms(args, report):
-    docset, report.inputs[:] = _load(args.files)
+def cmd_axioms(args, docset, report):
     # the lattice-valued algebra a pbs dual is taken of
     algebra = _algebra_for_mode(args, docset, PBS, report)
     axioms = check_lvl_axioms(algebra, literal_iv=args.literal_iv)
@@ -196,8 +194,7 @@ _ON_ITSELF = {
 }
 
 
-def cmd_subalgebras(args, report):
-    docset, report.inputs[:] = _load(args.files)
+def cmd_subalgebras(args, docset, report):
     doc = _first_doc(docset, ("lattice",))
     lattice = docset.lattice(doc.name)
     subs = enumerate_subalgebras(_ON_ITSELF[args.signature](lattice))
@@ -218,8 +215,7 @@ def _bdl_or_algebra(args, docset, doc, truth):
     return docset.algebra(doc.name, args.budget)
 
 
-def cmd_homs(args, report):
-    docset, report.inputs[:] = _load(args.files)
+def cmd_homs(args, docset, report):
     doc = _first_doc(docset, ("algebra", "lattice"))
     truth = _truth_of(args, docset, report)
     source = _bdl_or_algebra(args, docset, doc, truth)
@@ -235,8 +231,7 @@ def cmd_homs(args, report):
     return report
 
 
-def cmd_power(args, report, need_generators=False):
-    docset, report.inputs[:] = _load(args.files)
+def cmd_power(args, docset, report, need_generators=False):
     doc = _first_doc(docset, ("algebra",))
     if doc.get("presentation") != "power":
         raise DocumentError(
@@ -254,12 +249,11 @@ def cmd_power(args, report, need_generators=False):
     return report
 
 
-def cmd_generate(args, report):
-    return cmd_power(args, report, need_generators=True)
+def cmd_generate(args, docset, report):
+    return cmd_power(args, docset, report, need_generators=True)
 
 
-def cmd_dualize(args, report):
-    docset, report.inputs[:] = _load(args.files)
+def cmd_dualize(args, docset, report):
     mode = as_mode(args.mode)
     algebra = _algebra_for_mode(args, docset, mode, report)
     if mode.axioms is not None:
@@ -281,8 +275,7 @@ def cmd_dualize(args, report):
     return report
 
 
-def cmd_reconstruct(args, report):
-    docset, report.inputs[:] = _load(args.files)
+def cmd_reconstruct(args, docset, report):
     mode = as_mode(args.mode)
     space, truth = _space_for_mode(args, docset, mode, report)
     algebra = mode.reconstruct(space, truth)[0]
@@ -296,8 +289,7 @@ def cmd_reconstruct(args, report):
     return report
 
 
-def cmd_roundtrip(args, report):
-    docset, report.inputs[:] = _load(args.files)
+def cmd_roundtrip(args, docset, report):
     mode = as_mode(args.mode)
     algebra = _algebra_for_mode(args, docset, mode, report)
     space = mode.dual(algebra)[0]
@@ -306,8 +298,7 @@ def cmd_roundtrip(args, report):
     return report
 
 
-def cmd_verify_space(args, report):
-    docset, report.inputs[:] = _load(args.files)
+def cmd_verify_space(args, docset, report):
     mode = as_mode(args.mode)
     space, _ = _space_for_mode(args, docset, mode, report)
     for tag, res in mode.verify_object(space).items():
@@ -316,8 +307,7 @@ def cmd_verify_space(args, report):
     return report
 
 
-def cmd_kripke_check(args, report):
-    docset, report.inputs[:] = _load(args.files)
+def cmd_kripke_check(args, docset, report):
     doc = _first_doc(docset, ("algebra",))
     algebra = docset.algebra(doc.name, args.budget)
     report.record("kripke_condition", kripke_condition_check(algebra))
@@ -326,8 +316,7 @@ def cmd_kripke_check(args, report):
     return report
 
 
-def cmd_spectrum(args, report):
-    docset, report.inputs[:] = _load(args.files)
+def cmd_spectrum(args, docset, report):
     doc = _first_doc(docset, ("algebra", "lattice"))
     truth = _truth_of(args, docset, report)
     algebra = _bdl_or_algebra(args, docset, doc, truth)
@@ -335,9 +324,10 @@ def cmd_spectrum(args, report):
     return report
 
 
-def cmd_corpus_run(args, report):
-    # the corpus runner is loaded only by the command that runs it, so the
-    # commands on single documents do not pay for its import
+def cmd_corpus_run(args, docset, report):
+    # the corpus runner reads no input files; it is loaded only by the
+    # command that runs it, so the commands on single documents do not pay
+    # for its import
     from .corpus import corpus_run
 
     rep = corpus_run(
@@ -393,7 +383,8 @@ _HANDLERS = {
 def _at_least(least):
     """An argparse type: an integer of at least ``least``. corpus-run
     refuses the bounds that leave its corpus empty, over which every suite
-    would pass vacuously."""
+    would pass vacuously, and every command a budget below 1, under which
+    every enumeration would be reported as over budget."""
 
     def parse(text):
         value = int(text)
@@ -421,7 +412,7 @@ def _build_parser():
     )
     common.add_argument(
         "--budget",
-        type=int,
+        type=_at_least(1),
         default=DEFAULT_POWER_BUDGET,
         help="size budget for power carriers, up-set families and generated subalgebras",
     )
@@ -460,7 +451,7 @@ def _build_parser():
     )
     p = add("homs", truth=True, help="enumerate homomorphisms")
     p.add_argument("--into", metavar="FILE", help="target algebra document")
-    add("power", help="materialize a power-presented algebra")
+    add("power", help="materialize an algebra with a power presentation")
     add("generate", help="close a generator set inside a power")
     add("dualize", mode=True, truth=True, help="compute and verify a dual space")
     add("reconstruct", mode=True, truth=True, help="rebuild an algebra from a space")
@@ -510,37 +501,39 @@ def _render_text(report):
 
 
 def main(argv=None):
-    args = _build_parser().parse_args(argv)
+    parser = _build_parser()
+    args = parser.parse_args(argv)
     if os.environ.get("DUALITY_BUDGET"):
         try:
-            args.budget = int(os.environ["DUALITY_BUDGET"])
+            args.budget = _at_least(1)(os.environ["DUALITY_BUDGET"])
         except ValueError:
-            print("error: DUALITY_BUDGET is not an integer", file=sys.stderr)
-            return 2
+            parser.error("DUALITY_BUDGET is not an integer")
+        except argparse.ArgumentTypeError as exc:
+            parser.error(f"DUALITY_BUDGET {exc}")
     report = RunReport(command=args.command)
     started = time.perf_counter()
-    # one verification scope per command; corpus-run opens one per instance
-    # itself, since a scope around the whole run would keep every dual of
-    # the corpus alive until it ends
-    if args.command == "corpus-run":
-        scope = contextlib.nullcontext()
-    else:
-        scope = verification_scope()
+    # one verification scope per command; corpus-run, which reads no files,
+    # opens one per instance itself, since a scope around the whole run
+    # would keep every dual of the corpus alive until it ends
+    corpus = args.command == "corpus-run"
     try:
-        with scope:
-            report = _HANDLERS[args.command](args, report)
+        with contextlib.nullcontext() if corpus else verification_scope():
+            docset = None
+            if not corpus:
+                docset, report.inputs[:] = _load(args.files)
+            report = _HANDLERS[args.command](args, docset, report)
+        if args.timings:
+            report.timings = {
+                **(report.timings or {}),
+                "wall_seconds": round(time.perf_counter() - started, 3),
+            }
+        payload = json.dumps(report.to_dict(), indent=2, sort_keys=True) + "\n"
+        if args.report:
+            with open(args.report, "w", encoding="utf-8") as fh:
+                fh.write(payload)
     except (DualityError, OSError, UnicodeDecodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    if args.timings:
-        report.timings = {
-            **(report.timings or {}),
-            "wall_seconds": round(time.perf_counter() - started, 3),
-        }
-    payload = json.dumps(report.to_dict(), indent=2, sort_keys=True) + "\n"
-    if args.report:
-        with open(args.report, "w", encoding="utf-8") as fh:
-            fh.write(payload)
     if args.format == "machine":
         sys.stdout.write(payload)
     else:

@@ -32,13 +32,9 @@ from .duality import (
     PBS,
     PSPA,
     algebra_roundtrip,
-    check_downclosure_identity,
     check_second_topology_inclusion,
-    esakia_dual,
     functor_composition_check,
     functor_identity_check,
-    lvl_dual,
-    priestley_dual,
     space_roundtrip,
     spectrum_correspondence,
     verification_scope,
@@ -56,7 +52,6 @@ from .lattice import (
     separating_prime_ideal,
 )
 from .reporting import _Record
-from .topology import verify_hspa_object, verify_pbs_object, verify_pspa_object
 
 
 def _jirr_names(n):
@@ -396,28 +391,34 @@ def suite_separation(lattices):
     return suite
 
 
-def _fail_roundtrips(suite, label, mode, algebra, space, truth):
-    """Fail the suite on each of the two round trips that is red."""
+def _check_duality(suite, label, mode, algebra, truth):
+    """Fail the suite on each law of the mode that the dual of the algebra
+    breaks (``verify_object`` on the dual, then ``dual_checks`` on the
+    algebra) and on each of the two round trips that is red; return the
+    dual."""
+    space = mode.dual(algebra)[0]
+    laws = [*mode.verify_object(space).values()]
+    laws += [check(algebra) for _, check in mode.dual_checks]
+    for res in laws:
+        if not res.passed:
+            suite.fail(f"{label}: dual space invalid: {res.witness}")
     rep = algebra_roundtrip(mode, algebra)
     if not rep.passed:
         suite.fail(f"{label}: algebra round trip: {rep.witnesses}")
     rep = space_roundtrip(mode, space, truth)
     if not rep.passed:
         suite.fail(f"{label}: space round trip: {rep.witnesses}")
+    return space
 
 
 def suite_isp_roundtrip(lattices, truth):
     suite = SuiteResult(f"isp_roundtrip_{truth.name}")
     for lat in lattices:
-        def run(lat=lat):
-            algebra = make_bdl(lat, truth)
-            space = priestley_dual(algebra)
-            obj_check = verify_pspa_object(space)
-            if not obj_check.passed:
-                suite.fail(f"{lat.name}: dual space invalid: {obj_check.witness}")
-            _fail_roundtrips(suite, lat.name, PSPA, algebra, space, truth)
-
-        _guarded(suite, lat.name, run)
+        _guarded(
+            suite,
+            lat.name,
+            lambda lat=lat: _check_duality(suite, lat.name, PSPA, make_bdl(lat, truth), truth),
+        )
     suite.counts = {"lattices": len(lattices)}
     return suite
 
@@ -431,16 +432,7 @@ def suite_ispi_roundtrip(frames, budget=DEFAULT_POWER_BUDGET):
             cond = kripke_condition_check(algebra)
             if not cond.passed:
                 suite.fail(f"{frame.name}: Kripke condition: {cond.witness}")
-            space = esakia_dual(algebra)
-            obj_check = verify_hspa_object(space)
-            if not obj_check.passed:
-                suite.fail(f"{frame.name}: dual space invalid: {obj_check.witness}")
-            downclosure = check_downclosure_identity(algebra)
-            if not downclosure.passed:
-                suite.fail(
-                    f"{frame.name}: down-closure identity: {downclosure.witness}"
-                )
-            _fail_roundtrips(suite, frame.name, HSPA, algebra, space, truth)
+            _check_duality(suite, frame.name, HSPA, algebra, truth)
 
         _guarded(suite, frame.name, run)
     suite.counts = {"frames": len(frames)}
@@ -490,17 +482,13 @@ def suite_lvl_duality():
 
             def run(algebra=algebra):
                 nonlocal inclusion_holds
-                obj = lvl_dual(algebra)
-                for tag, res in verify_pbs_object(obj).items():
-                    if not res.passed:
-                        suite.fail(f"{algebra.name}: {tag}: {res.witness}")
+                obj = _check_duality(suite, algebra.name, PBS, algebra, truth)
                 if check_second_topology_inclusion(obj).passed:
                     inclusion_holds += 1
                 else:
                     suite.notes.append(
                         f"{algebra.name}: second dual topology escapes the first"
                     )
-                _fail_roundtrips(suite, algebra.name, PBS, algebra, obj, truth)
 
             _guarded(suite, algebra.name, run)
     suite.counts = {"objects": objects, "second_topology_inside_first": inclusion_holds}

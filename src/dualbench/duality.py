@@ -325,13 +325,28 @@ def _ordered_dual(bdl_algebra, name, homs):
     return space, homs
 
 
+# signature -> (the bounded-lattice reduct whose homs are the points, the
+# name prefix of the dual, the refusal of another signature)
+_ORDERED_DUALS = {
+    "bdl": (lambda a: a, "G", "the ordered dual needs a bounded-lattice algebra"),
+    "isp_i": (
+        lambda a: make_bdl(a.lattice, a.truth),
+        "GI",
+        "the Esakia-style dual needs an isp_i algebra",
+    ),
+}
+
+
 @_scoped
-def _priestley_dual(algebra):
-    if algebra.signature != "bdl":
-        raise AlgebraError(
-            "signature-mismatch", "the ordered dual needs a bounded-lattice algebra"
-        )
-    return _ordered_dual(algebra, f"G({algebra.name})", _points(algebra))
+def _scoped_ordered_dual(algebra, signature):
+    """The ordered dual of an algebra of ``signature`` and its points, the
+    homs of the algebra's bounded-lattice reduct into the truth lattice;
+    the Kripke check reads both."""
+    reduct, prefix, refusal = _ORDERED_DUALS[signature]
+    if algebra.signature != signature:
+        raise AlgebraError("signature-mismatch", refusal)
+    bdl = reduct(algebra)
+    return _ordered_dual(bdl, f"{prefix}({algebra.name})", _points(bdl))
 
 
 def priestley_dual(algebra):
@@ -340,7 +355,7 @@ def priestley_dual(algebra):
     generated by the evaluation sets and their complements, as the product
     topology induces, so the minimal open of a hom holds the homs that send
     the same elements to the top."""
-    return _priestley_dual(algebra)[0]
+    return _scoped_ordered_dual(algebra, "bdl")[0]
 
 
 def _ordered_map_vectors(space, truth):
@@ -381,23 +396,10 @@ def priestley_reconstruct(space, truth):
 # ---------------------------------------------------------------------------
 
 
-@_scoped
-def _esakia_dual(algebra):
-    """The hspa dual of an isp_i algebra and its points, the homs of its
-    bounded-lattice reduct into the truth lattice; the Kripke check reads
-    both."""
-    if algebra.signature != "isp_i":
-        raise AlgebraError(
-            "signature-mismatch", "the Esakia-style dual needs an isp_i algebra"
-        )
-    reduct = make_bdl(algebra.lattice, algebra.truth)
-    return _ordered_dual(reduct, f"GI({algebra.name})", _points(reduct))
-
-
 def esakia_dual(algebra):
     """Ordered dual of an implication algebra over the homs of its
     bounded-lattice reduct; the implication re-enters through the order."""
-    return _esakia_dual(algebra)[0]
+    return _scoped_ordered_dual(algebra, "isp_i")[0]
 
 
 def _downclosure_mismatch(algebra, order, homs):
@@ -421,7 +423,7 @@ def check_downclosure_identity(algebra):
     on int masks; the witness is the first failing element and its two
     sides. Holds on duals of genuine up-set algebras over the two-element
     chain; measured, not assumed, elsewhere."""
-    space, homs = _esakia_dual(algebra)
+    space, homs = _scoped_ordered_dual(algebra, "isp_i")
     bad = _downclosure_mismatch(algebra, space.order, homs)
     if bad is None:
         return PASS
@@ -550,7 +552,6 @@ class Mode(_Frozen):
         "verify_object",
         "verify_morphism",
         "space_type",
-        "points",
         "space_truth",
         "from_lattice",
         "axioms",
@@ -572,7 +573,6 @@ class Mode(_Frozen):
         verify_object: Callable,  # space -> {tag: CheckResult}
         verify_morphism: Callable,  # (mapping, src, dst) -> {tag: CheckResult}
         space_type: type,  # the class of the mode's spaces
-        points: Callable,  # space -> its point names
         space_truth: Callable | None = None,  # space -> its truth lattice; None: given beside it
         from_lattice: Callable,  # (lattice, truth) -> the algebra a lattice document gives
         axioms: Callable | None = None,  # algebra -> AxiomReport, checked before dualizing
@@ -590,7 +590,6 @@ class Mode(_Frozen):
         self.verify_object = verify_object
         self.verify_morphism = verify_morphism
         self.space_type = space_type
-        self.points = points
         self.space_truth = space_truth
         self.from_lattice = from_lattice
         self.axioms = axioms
@@ -650,7 +649,6 @@ PBS = Mode(
     verify_object=lambda obj: verify_pbs_object(obj),
     verify_morphism=lambda *args: verify_pbs_morphism(*args),
     space_type=PbsObject,
-    points=lambda obj: obj.space.points,
     space_truth=lambda obj: obj.alpha.truth,
     from_lattice=lambda lattice, truth: make_lvl(lattice),
     axioms=lambda algebra: check_lvl_axioms(algebra),
@@ -669,12 +667,11 @@ PBS = Mode(
 )
 PSPA = Mode(
     name="pspa",
-    dual=lambda algebra: _priestley_dual(algebra),
+    dual=lambda algebra: _scoped_ordered_dual(algebra, "bdl"),
     reconstruct=lambda space, truth: _ordered_reconstruct(space, truth, "bdl", "C"),
     verify_object=lambda space: {"pspa_object": verify_pspa_object(space)},
     verify_morphism=lambda *args: verify_pspa_morphism(*args),
     space_type=OrderedSpace,
-    points=lambda space: space.points,
     from_lattice=lambda lattice, truth: make_bdl(lattice, truth),
     algebra_miss="a continuous order-preserving map on the dual",
     map_algebra="map_algebra",
@@ -689,7 +686,7 @@ PSPA = Mode(
 )
 HSPA = PSPA.replace(
     name="hspa",
-    dual=lambda algebra: _esakia_dual(algebra),
+    dual=lambda algebra: _scoped_ordered_dual(algebra, "isp_i"),
     reconstruct=lambda space, truth: _ordered_reconstruct(space, truth, "isp_i", "CI"),
     verify_object=_verify_esakia_object,
     verify_morphism=lambda *args: verify_hspa_morphism(*args),
@@ -818,7 +815,7 @@ def space_roundtrip(mode, space, truth=None):
     truth = mode.check_space(space, truth)
     report = DualityReport()
     laws = ("injective", "surjective", *mode.space_laws)
-    points = mode.points(space)
+    points = space.points
     report.cardinalities = {"points": len(points)}
     ca, vectors, wd = _reconstruct_or_refusal(mode, space, truth)
     if ca is None:
@@ -835,7 +832,7 @@ def space_roundtrip(mode, space, truth=None):
     if mapping is None:
         return _not_well_defined(report, wd, laws)
     report.record("well_defined", wd)
-    gc_points = mode.points(gc_space)
+    gc_points = gc_space.points
     _record_bijection(report, mapping, len(gc_homs), points.__getitem__, gc_points.__getitem__)
     morph = mode.verify_morphism(mapping, space, gc_space)
     for tag in mode.space_laws:
@@ -866,15 +863,10 @@ class DualizedMap(_Record):
     """A morphism sent through a dual-space functor, with the verdicts that
     certify it is an arrow of the target category."""
 
-    _fields = ("mode", "mapping", "source", "target", "checks")
+    _fields = ("mapping", "checks")
 
-    def __init__(
-        self, mode: str, mapping: tuple, source: object, target: object, checks: dict | None = None
-    ):
-        self.mode = mode
+    def __init__(self, mapping: tuple, checks: dict | None = None):
         self.mapping = mapping
-        self.source = source
-        self.target = target
         self.checks = {} if checks is None else checks
 
     @property
@@ -910,7 +902,7 @@ def _dualize_hom(hom, mode):
         mapping = ()
     else:
         checks.update(mode.verify_morphism(mapping, src_obj, dst_obj))
-    return DualizedMap(mode.name, mapping, src_obj, dst_obj, checks)
+    return DualizedMap(mapping, checks)
 
 
 def dual_hom_of_map(mapping, src, dst, mode, truth=None):
@@ -923,7 +915,7 @@ def dual_hom_of_map(mapping, src, dst, mode, truth=None):
     mode.check_space(dst, truth)
     fd, dvec = mode.reconstruct(dst, truth)
     fs, svec = mode.reconstruct(src, truth)
-    n_src = len(mode.points(src))
+    n_src = len(src.points)
     out, wd = _index(
         (tuple(vec[mapping[s]] for s in range(n_src)) for vec in dvec),
         svec,

@@ -32,7 +32,7 @@ from __future__ import annotations
 import itertools
 
 from .algebra import packed_slices, vector_algebra, vector_name
-from .duality import _esakia_dual, _map_vectors
+from .duality import HSPA, _map_vectors
 from .errors import AlgebraError, BudgetExceeded
 from .lattice import heyting_table
 from .reporting import PASS, failed
@@ -50,12 +50,8 @@ def build_frame(worlds, order_pairs, name="frame"):
 def intuitionistic_power(truth, frame, budget=DEFAULT_POWER_BUDGET, name=None):
     """The full power of the truth lattice over a frame, with pointwise
     lattice operations and the frame-relativized implication
-    (f -> g)(w) = meet over w <= w' of f(w') -> g(w').
-
-    Truth-constant operators are attached pointwise as well; homomorphism
-    checks in the isp_i signature ignore them, but they are definable and
-    occasionally useful. A carrier over the budget is refused before
-    anything over it is built.
+    (f -> g)(w) = meet over w <= w' of f(w') -> g(w'). A carrier over the
+    budget is refused before anything over it is built.
     """
     nw, nt = len(frame), len(truth)
     if nt**nw > budget:
@@ -63,14 +59,8 @@ def intuitionistic_power(truth, frame, budget=DEFAULT_POWER_BUDGET, name=None):
             f"power carrier {nt}^{nw} exceeds the budget of {budget} elements"
         )
     vectors = tuple(itertools.product(range(len(truth)), repeat=len(frame)))
-    return vector_algebra(
-        vectors,
-        truth,
-        name or f"{truth.name}^{frame.name}",
-        "isp_i",
-        order=frame,
-        presented=True,
-    )
+    name = name or f"{truth.name}^{frame.name}"
+    return vector_algebra(vectors, truth, name, "isp_i", order=frame)
 
 
 def close_vectors(truth, frame, seeds, budget=DEFAULT_POWER_BUDGET):
@@ -119,16 +109,15 @@ def close_vectors(truth, frame, seeds, budget=DEFAULT_POWER_BUDGET):
 def power_subalgebra(truth, frame, generators, name=None, budget=DEFAULT_POWER_BUDGET):
     """The subalgebra of the power of the truth lattice over a frame that
     the generator vectors (plus both bounds) generate, built without
-    materializing the power. Elements come in the power's index order, and
-    truth-constant operators are attached when the carrier is closed under
-    them. The default name is the power's name, ``truth^frame``, followed by
-    the carrier, as ``subalgebra_of`` names a subset. The budget bounds the
+    materializing the power. Elements come in the power's index order. The
+    default name is the power's name, ``truth^frame``, followed by the
+    carrier, as ``subalgebra_of`` names a subset. The budget bounds the
     closed carrier (``close_vectors``)."""
     closed = close_vectors(truth, frame, generators, budget)
     if name is None:
         carrier = "".join(vector_name(truth, v) for v in closed)
         name = f"{truth.name}^{frame.name}|{carrier}"
-    return vector_algebra(closed, truth, name, "isp_i", order=frame, presented=True)
+    return vector_algebra(closed, truth, name, "isp_i", order=frame)
 
 
 def monotone_vectors(truth, frame, limit=DEFAULT_POWER_BUDGET):
@@ -161,7 +150,7 @@ def upset_algebra(truth, frame, budget=DEFAULT_POWER_BUDGET):
     if algebra is None:
         vectors = monotone_vectors(truth, frame, budget)
         algebra = frame.derived[key] = vector_algebra(
-            vectors, truth, f"up({frame.name})", "isp_i", order=frame, presented=True
+            vectors, truth, f"up({frame.name})", "isp_i", order=frame
         )
     return algebra
 
@@ -219,7 +208,7 @@ def kripke_condition_check(algebra):
             "signature-mismatch",
             f"Kripke condition check needs an isp_i algebra, got {algebra.signature}",
         )
-    space, homs = _esakia_dual(algebra)
+    space, homs = HSPA.dual(algebra)
     order = space.order
     if algebra.truth.is_distributive and _kripke_columns_agree(algebra, homs, order):
         return PASS

@@ -259,6 +259,10 @@ class PbsObject(_Frozen):
     def name(self):
         return self.space.name
 
+    @property
+    def points(self):
+        return self.space.points
+
 
 def is_pairwise_hausdorff(space, mode="unordered"):
     """Every two distinct points admit disjoint opens, one per topology.

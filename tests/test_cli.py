@@ -258,6 +258,13 @@ def test_mode_choices_come_from_the_registry():
         assert mode.choices == tuple(duality.MODES)
 
 
+def test_algebra_of_another_signature_exits_two_naming_the_dual(capsys):
+    # an up-set algebra is an isp_i algebra, which the pspa dual refuses
+    code, out, err = run_cli(["dualize", doc("upsets22.doc"), "--mode", "pspa"], capsys)
+    assert (code, out) == (2, "")
+    assert err == "error: the ordered dual needs a bounded-lattice algebra\n"
+
+
 def test_space_of_the_wrong_kind_exits_two_naming_it(capsys):
     code, out, err = run_cli(
         ["reconstruct", doc("pbs-chain2.doc"), "--mode", "hspa"], capsys
@@ -277,6 +284,36 @@ def test_budget_env_override(capsys, monkeypatch):
     code, _, err = run_cli(["power", doc("power22.doc")], capsys)
     assert code == 2
     assert "budget" in err
+
+
+def test_a_budget_below_one_is_a_usage_error(capsys, monkeypatch):
+    # under such a budget every enumeration would be reported over budget,
+    # as failed verdicts or as input errors
+    for budget in ("-3", "0"):
+        with pytest.raises(SystemExit) as exc:
+            main(["corpus-run", "--budget", budget])
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("usage: ")
+        assert f"error: argument --budget: must be at least 1, not {budget}" in err
+    for value, message in (("-1", "must be at least 1, not -1"), ("x", "is not an integer")):
+        monkeypatch.setenv("DUALITY_BUDGET", value)
+        with pytest.raises(SystemExit) as exc:
+            main(["power", doc("power22.doc")])
+        assert exc.value.code == 2
+        out, err = capsys.readouterr()
+        assert out == "" and err.startswith("usage: ")
+        assert f"error: DUALITY_BUDGET {message}" in err
+
+
+def test_an_unwritable_report_path_is_an_input_error(tmp_path, capsys):
+    # exit 1 means a failed verdict; a report that cannot be written is not one
+    for path in (tmp_path / "missing" / "r.json", tmp_path):
+        code, out, err = run_cli(
+            ["check-lattice", doc("chain3.doc"), "--report", str(path)], capsys
+        )
+        assert (code, out) == (2, "")
+        assert err.startswith("error: ") and str(path) in err
 
 
 def test_timings_flag_adds_timings(tmp_path, capsys):

@@ -6,7 +6,7 @@ from collections import Counter
 import corpus_oracle
 import pytest
 from dualbench import corpus, duality
-from dualbench.algebra import make_bdl
+from dualbench.algebra import make_bdl, make_lvl, product_algebra
 from dualbench.cli import main
 from dualbench.corpus import (
     SuiteResult,
@@ -24,7 +24,8 @@ from dualbench.corpus import (
     suite_lvl_duality,
 )
 from dualbench.errors import BudgetExceeded
-from dualbench.lattice import build_poset, chain_lattice, heyting_implies
+from dualbench.lattice import build_poset, chain_lattice, diamond_lattice, heyting_implies
+from dualbench.reporting import failed
 
 # sha256 of the machine report of `corpus-run --max-size 7 --frame-size 4
 # --seed 0`: an optimisation must keep every verdict, witness, count and
@@ -169,6 +170,30 @@ def test_suite_counts_every_failure():
     assert suite.failure_count == 40
     assert len(suite.failures) == 25
     assert "failure_count" not in suite.to_dict()
+
+
+def test_a_law_added_to_a_mode_reaches_its_corpus_suite(monkeypatch):
+    # the suites check a dual against the laws of its mode record, so a law
+    # added to a record is reported by the suite that dualizes in that mode
+    probe = failed("probe")
+    pspa, pbs, hspa = duality.PSPA, duality.PBS, duality.HSPA
+    added = {
+        "PSPA": pspa.replace(verify_object=lambda s: {**pspa.verify_object(s), "probe": probe}),
+        "PBS": pbs.replace(verify_object=lambda s: {**pbs.verify_object(s), "probe": probe}),
+        "HSPA": hspa.replace(dual_checks=(*hspa.dual_checks, ("probe", lambda a: probe))),
+    }
+    for name, mode in added.items():
+        monkeypatch.setattr(corpus, name, mode)
+    lattices, frames = corpus_lattices(4), corpus_frames(2)
+    truths = (chain_lattice(2), chain_lattice(3), diamond_lattice())
+    objects = [make_lvl(t) for t in truths]
+    objects = [a for base in objects for a in (base, product_algebra(base, base))]
+    for suite, labels in (
+        (corpus.suite_isp_roundtrip(lattices, chain_lattice(2)), lattices),
+        (suite_ispi_roundtrip(frames), frames),
+        (suite_lvl_duality(), objects),
+    ):
+        assert suite.failures == [f"{x.name}: dual space invalid: probe" for x in labels]
 
 
 def test_heyting_coincidence_names_the_first_differing_pair(monkeypatch):

@@ -211,6 +211,22 @@ def test_lvl_space_roundtrip_alpha_constrained(chain3):
 # --- ordered side, bounded lattices ----------------------------------------
 
 
+def test_each_dual_refuses_an_algebra_of_another_signature(chain2):
+    bdl = make_bdl(chain2, chain2)
+    for mode, algebra, message in (
+        (PBS, bdl, "the bitopological dual needs an lvl algebra"),
+        (
+            PSPA,
+            make_heyting_ispi(chain2, chain2),
+            "the ordered dual needs a bounded-lattice algebra",
+        ),
+        (HSPA, bdl, "the Esakia-style dual needs an isp_i algebra"),
+    ):
+        with pytest.raises(AlgebraError) as err:
+            mode.dual(algebra)
+        assert (err.value.code, str(err.value)) == ("signature-mismatch", message)
+
+
 def test_priestley_dual_examples(chain2, chain3, b2):
     x = priestley_dual(make_bdl(chain3, chain2))
     assert len(x.points) == 2
@@ -303,7 +319,7 @@ def test_downclosure_masks_match_the_scan(chain2, chain3, b2):
     for truth, frame in cases:
         for build in (upset_algebra, intuitionistic_power):
             algebra = build(truth, frame)
-            space, homs = duality._esakia_dual(algebra)
+            space, homs = duality.HSPA.dual(algebra)
             scan = topology_oracle.downclosure_scan(algebra, space, homs)
             fast = duality._downclosure_mismatch(algebra, space.order, homs)
             assert (fast is None) == scan.passed, (algebra.name, scan.witness)
@@ -319,7 +335,7 @@ def test_downclosure_masks_match_the_scan(chain2, chain3, b2):
 def test_implies_preserved_names_the_first_broken_pair(chain2):
     frame = build_poset(("a", "b", "c"), [("a", "b"), ("a", "c")], name="vee")
     algebra = upset_algebra(chain2, frame)
-    space, homs = duality._esakia_dual(algebra)
+    space, homs = duality.HSPA.dual(algebra)
     double, vectors = duality._ordered_reconstruct(space, chain2, "isp_i", "CI")
     pos = {v: i for i, v in enumerate(vectors)}
     n = len(algebra)

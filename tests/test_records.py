@@ -87,9 +87,9 @@ def _mutable_samples():
         (SuiteResult("s"), SuiteResult("s"), suite),
         (CorpusReport(7, 4, 0), CorpusReport(7, 4, 0), CorpusReport(7, 4, 1)),
         (
-            DualizedMap("pspa", (0,), None, None),
-            DualizedMap("pspa", (0,), None, None),
-            DualizedMap("pspa", (0,), None, None, checks={"continuous": PASS}),
+            DualizedMap((0,)),
+            DualizedMap((0,)),
+            DualizedMap((0,), checks={"continuous": PASS}),
         ),
     ]
 
@@ -219,7 +219,7 @@ def test_mode_defaults_and_hspa_from_pspa():
         "algebra_miss", "algebra_laws", "space_laws", "dual_checks",
     }
     for field in (
-        "space_type", "points", "space_truth", "axioms", "map_algebra", "describe",
+        "space_type", "space_truth", "axioms", "map_algebra", "describe",
         "space_details",
     ):
         assert field not in changed

@@ -175,11 +175,33 @@ def test_bench_pair_exits_1_when_the_change_would_be_refused(monkeypatch, tmp_pa
     args = ["--parent", "HEAD", "--seed", "7", "--out", str(out)]
     # two pairs the change wins; the third adds a failed operation
     assert bench.main(args + ["--workload", "corpus=2", "--claim", "corpus:run_s"]) == 0
-    assert json.loads(out.read_text(encoding="utf-8"))["refusals"] == []
+    record = json.loads(out.read_text(encoding="utf-8"))
+    assert record["refusals"] == []
+    # the parent tree is left empty here, since no archive is unpacked
+    assert record["src_lines"] == {"parent": 0, "change": bench.src_lines(bench.ROOT)}
     assert bench.main(args + ["--workload", "corpus=3"]) == 1
     assert json.loads(out.read_text(encoding="utf-8"))["refusals"] == [
         "corpus: failed share 0.033333 is above the parent's 0.0"
     ]
+
+
+def test_bench_pair_counts_the_lines_of_the_package_sources(tmp_path):
+    bench = load("bench_pair")
+    package = tmp_path / "src" / "dualbench"
+    package.mkdir(parents=True)
+    (package / "a.py").write_text("x = 1\ny = 2\n")
+    (package / "b.py").write_text("\n\nz = 3\n")
+    # neither a non-Python file nor a module outside the package counts
+    (package / "notes.txt").write_text("one\ntwo\n")
+    (tmp_path / "src" / "other.py").write_text("w = 4\n")
+    (package / "sub").mkdir()
+    (package / "sub" / "c.py").write_text("v = 5\n")
+    assert bench.src_lines(tmp_path) == 5
+    assert bench.src_lines(tmp_path / "missing") == 0
+    assert bench.src_lines(SCRIPTS.parent) == sum(
+        len(path.read_text(encoding="utf-8").splitlines())
+        for path in (SCRIPTS.parent / "src" / "dualbench").glob("*.py")
+    )
 
 
 def test_bench_pair_alternates_which_side_runs_first(monkeypatch):

@@ -34,9 +34,7 @@ SIGNATURES = ("bdl", "heyting", "lvl", "isp_i")
 
 def oracle_subalgebra(truth, frame, generators, name):
     closed = vector_oracle.close_vectors(truth, frame, generators)
-    return vector_oracle.vector_algebra(
-        closed, truth, name, "isp_i", order=frame, presented=True
-    )
+    return vector_oracle.vector_algebra(closed, truth, name, "isp_i", order=frame)
 
 
 def outcome(build, *args, **kwargs):
@@ -59,7 +57,6 @@ def test_powers_match_the_oracle(chain2, chain3, b2):
                 f"{truth.name}^{frame.name}",
                 "isp_i",
                 order=frame,
-                presented=True,
             )
             assert intuitionistic_power(truth, frame) == expected
 
@@ -120,11 +117,9 @@ def test_random_families_match_the_oracle(chain2, chain3, b2, data):
         # mostly closed: with both bounds and a closure under all operations
         family = vector_oracle.close_vectors(truth, frame, family)
     signature = data.draw(st.sampled_from(SIGNATURES))
-    presented = data.draw(st.booleans())
     args = (family, truth, "fam", signature)
-    kwargs = {"order": frame, "presented": presented}
-    assert outcome(vector_algebra, *args, **kwargs) == outcome(
-        vector_oracle.vector_algebra, *args, **kwargs
+    assert outcome(vector_algebra, *args, order=frame) == outcome(
+        vector_oracle.vector_algebra, *args, order=frame
     )
 
 

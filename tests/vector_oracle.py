@@ -55,14 +55,13 @@ def order_masks_of_meet(meet):
     return up, down
 
 
-def vector_algebra(vectors, truth, name, signature, order=None, presented=False):
+def vector_algebra(vectors, truth, name, signature, order=None):
     """Pointwise algebra on a family of truth-valued vectors, with tables
     over the family alone. ``heyting`` and ``lvl`` take the pointwise
-    relative pseudocomplement; ``isp_i`` relativizes the implication to
-    ``order``, a poset on the coordinates. A ``presented`` family is (a
-    subalgebra of) the power of the truth lattice over ``order``: the
-    algebra carries its PowerPresentation and the truth-constant operators
-    whenever the family is closed under them (``lvl`` requires them)."""
+    relative pseudocomplement, and ``lvl`` the truth-constant operators,
+    which the family must be closed under. ``isp_i`` relativizes the
+    implication to ``order``, a poset on the coordinates, and carries its
+    PowerPresentation over ``order``."""
     if not vectors:
         raise AlgebraError("empty-carrier", f"{name!r} has no maps at all")
     vectors = tuple(vectors)
@@ -101,7 +100,7 @@ def vector_algebra(vectors, truth, name, signature, order=None, presented=False)
     elif signature == "isp_i":
         implies = table(relativized_implication(truth, order), "an implication")
     t_ops = None
-    if signature == "lvl" or presented:
+    if signature == "lvl":
         t_ops = tuple(
             tuple(
                 pos.get(tuple([truth.top if x == l else truth.bottom for x in v]), -1)
@@ -110,12 +109,10 @@ def vector_algebra(vectors, truth, name, signature, order=None, presented=False)
             for l in range(len(truth))
         )
         if any(-1 in row for row in t_ops):
-            if signature == "lvl":
-                raise AlgebraError(
-                    "not-closed", f"{name!r}: a truth-constant image leaves the map family"
-                )
-            t_ops = None
-    presentation = PowerPresentation(order, vectors) if presented else None
+            raise AlgebraError(
+                "not-closed", f"{name!r}: a truth-constant image leaves the map family"
+            )
+    presentation = PowerPresentation(order, vectors) if signature == "isp_i" else None
     return _validate(
         Algebra(
             signature,
