@@ -397,9 +397,12 @@ def _at_least(least):
 
 
 @functools.lru_cache(maxsize=None)
-def _build_parser():
-    """The argument parser, built once per process: parse_args keeps no
-    state between calls, and building it costs more than most commands."""
+def _build_parser(command=None):
+    """The argument parser of ``command``, or of every command when it is
+    None, built once per process and command: parse_args keeps no state
+    between calls, and building the parser of every command costs more
+    than most commands. A one-command parser names every command in its
+    usage line, so that its messages are the full parser's."""
     parser = argparse.ArgumentParser(
         prog="dualbench",
         description="finite duality workbench: dualize, reconstruct, verify",
@@ -422,9 +425,16 @@ def _build_parser():
         help="include the command's wall-clock seconds in reports (corpus-run "
         "adds enumeration and per-suite CPU seconds and per-suite failure counts)",
     )
-    sub = parser.add_subparsers(dest="command", required=True)
+    # the full parser leaves the metavar unset, so that its "required" and
+    # "invalid choice" errors name `command`
+    metavar = None if command is None else "{" + ",".join(_HANDLERS) + "}"
+    sub = parser.add_subparsers(dest="command", required=True, metavar=metavar)
 
     def add(name, *, files=True, mode=False, truth=False, **kwargs):
+        """The subparser of ``name``, or None when the parser is another
+        command's."""
+        if command not in (None, name):
+            return None
         p = sub.add_parser(name, parents=[common], **kwargs)
         if files:
             p.add_argument("files", nargs="+", metavar="FILE")
@@ -439,18 +449,16 @@ def _build_parser():
         return p
 
     add("check-lattice", help="validate the lattice laws of a document")
-    p = add("axioms", truth=False, help="check the lattice-valued algebra axioms")
-    p.add_argument(
-        "--literal-iv",
-        action="store_true",
-        help="check the two-index form of clause (iv) instead of the amended one",
-    )
-    p = add("subalgebras", help="enumerate subalgebras of a lattice document")
-    p.add_argument(
-        "--signature", choices=("bdl", "heyting", "lvl"), default="lvl"
-    )
-    p = add("homs", truth=True, help="enumerate homomorphisms")
-    p.add_argument("--into", metavar="FILE", help="target algebra document")
+    if p := add("axioms", help="check the lattice-valued algebra axioms"):
+        p.add_argument(
+            "--literal-iv",
+            action="store_true",
+            help="check the two-index form of clause (iv) instead of the amended one",
+        )
+    if p := add("subalgebras", help="enumerate subalgebras of a lattice document"):
+        p.add_argument("--signature", choices=("bdl", "heyting", "lvl"), default="lvl")
+    if p := add("homs", truth=True, help="enumerate homomorphisms"):
+        p.add_argument("--into", metavar="FILE", help="target algebra document")
     add("power", help="materialize an algebra with a power presentation")
     add("generate", help="close a generator set inside a power")
     add("dualize", mode=True, truth=True, help="compute and verify a dual space")
@@ -459,22 +467,22 @@ def _build_parser():
     add("verify-space", mode=True, truth=True, help="verify space object laws")
     add("kripke-check", help="check the intuitionistic Kripke model condition")
     add("spectrum", truth=True, help="homs against prime filters")
-    p = add("corpus-run", files=False, help="run every suite over the enumerated corpus")
-    p.add_argument(
-        "--max-size",
-        type=_at_least(2),
-        default=7,
-        help="largest lattice carrier (every distributive lattice up to this "
-        "size; 12 gives 341 lattices)",
-    )
-    p.add_argument("--seed", type=int, default=0, help="morphism sampling seed")
-    p.add_argument(
-        "--frame-size",
-        type=_at_least(1),
-        default=4,
-        help="largest frame (criteria pin lattices at 7 and frames at 4, "
-        "so the bounds are separate knobs)",
-    )
+    if p := add("corpus-run", files=False, help="run every suite over the enumerated corpus"):
+        p.add_argument(
+            "--max-size",
+            type=_at_least(2),
+            default=7,
+            help="largest lattice carrier (every distributive lattice up to this "
+            "size; 12 gives 341 lattices)",
+        )
+        p.add_argument("--seed", type=int, default=0, help="morphism sampling seed")
+        p.add_argument(
+            "--frame-size",
+            type=_at_least(1),
+            default=4,
+            help="largest frame (criteria pin lattices at 7 and frames at 4, "
+            "so the bounds are separate knobs)",
+        )
     return parser
 
 
@@ -501,7 +509,10 @@ def _render_text(report):
 
 
 def main(argv=None):
-    parser = _build_parser()
+    argv = sys.argv[1:] if argv is None else argv
+    # a call builds the parser of its own command only; help, the version
+    # and a first token that names no command go to the parser of them all
+    parser = _build_parser(argv[0] if argv and argv[0] in _HANDLERS else None)
     args = parser.parse_args(argv)
     if os.environ.get("DUALITY_BUDGET"):
         try:

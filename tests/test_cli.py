@@ -258,6 +258,83 @@ def test_mode_choices_come_from_the_registry():
         assert mode.choices == tuple(duality.MODES)
 
 
+# a run of each command that parses and succeeds
+VALID_RUNS = {
+    "check-lattice": [doc("chain3.doc")],
+    "axioms": [doc("chain3-lvl.doc")],
+    "subalgebras": [doc("chain3.doc")],
+    "homs": [doc("chain3.doc")],
+    "power": [doc("power22.doc")],
+    "generate": [doc("upsets22.doc")],
+    "dualize": [doc("chain3.doc"), "--mode", "pspa"],
+    "reconstruct": [doc("pspa-chain2.doc"), "--mode", "hspa"],
+    "roundtrip": [doc("chain3.doc"), "--mode", "pspa"],
+    "verify-space": [doc("pspa-chain2.doc"), "--mode", "pspa"],
+    "kripke-check": [doc("upsets22.doc")],
+    "spectrum": [doc("chain3.doc")],
+    "corpus-run": ["--max-size", "3", "--frame-size", "1"],
+}
+
+
+def run_main(args, capsys):
+    """Exit code, stdout and stderr of a call, argparse's exits included."""
+    try:
+        code = main(args)
+    except SystemExit as exc:
+        code = exc.code
+    out = capsys.readouterr()
+    return code, out.out, out.err
+
+
+def test_the_parser_of_one_command_prints_what_the_full_parser_prints(
+    capsys, monkeypatch
+):
+    assert list(VALID_RUNS) == list(cli._HANDLERS)
+    # (DUALITY_BUDGET, argv)
+    top_level = ([], ["foo"], ["--help"], ["--version"], ["-h", "dualize"])
+    cases = [(None, args) for args in top_level]
+    cases.append((None, ["--format", "machine", "dualize", doc("b2.doc")]))
+    for command, rest in VALID_RUNS.items():
+        cases += [
+            (None, [command, "-h"]),
+            (None, [command] if command != "corpus-run" else [command, *rest]),
+            (None, [command, *rest, "--no-such-option"]),
+            (None, [command, *rest, "--budget", "x"]),
+            ("0", [command, *rest]),
+        ]
+
+    def run_cases():
+        runs = []
+        for budget, args in cases:
+            if budget is None:
+                monkeypatch.delenv("DUALITY_BUDGET", raising=False)
+            else:
+                monkeypatch.setenv("DUALITY_BUDGET", budget)
+            runs.append(run_main(args, capsys))
+        return runs
+
+    one = run_cases()
+    full = cli._build_parser()
+    monkeypatch.setattr(cli, "_build_parser", lambda command=None: full)
+    for case, run, full_run in zip(cases, one, run_cases()):
+        assert run == full_run, case
+    # every case reaches the path it is named for
+    codes = [code for code, _, _ in one]
+    assert codes[:6] == [2, 2, 0, 0, 0, 2]
+    # corpus-run takes no file and runs, failing the chain3 suite by design
+    assert codes[6:] == [0, 2, 2, 2, 2] * (len(VALID_RUNS) - 1) + [0, 1, 2, 2, 2]
+    usage = one[-1][2].splitlines()[0]
+    assert usage == "usage: dualbench [-h] [--version]"
+    assert "DUALITY_BUDGET must be at least 1, not 0" in one[-1][2]
+
+
+def test_a_command_builds_the_parser_of_that_command_only():
+    for command in cli._HANDLERS:
+        parser = cli._build_parser(command)
+        subparsers = next(a for a in parser._actions if a.dest == "command")
+        assert list(subparsers.choices) == [command]
+
+
 def test_algebra_of_another_signature_exits_two_naming_the_dual(capsys):
     # an up-set algebra is an isp_i algebra, which the pspa dual refuses
     code, out, err = run_cli(["dualize", doc("upsets22.doc"), "--mode", "pspa"], capsys)
@@ -781,8 +858,8 @@ def without_wall_seconds(text):
 
 
 def test_commands_back_to_back_print_what_they_print_alone(capsys):
-    # the parser is built once per process; no option of one command may
-    # leak into the next
+    # each command's parser is built once per process; no option of one
+    # command may leak into the next
     commands = [
         ["axioms", doc("chain3-lvl.doc"), "--literal-iv"],
         ["subalgebras", doc("chain3.doc"), "--signature", "bdl", "--format", "machine"],
@@ -794,7 +871,8 @@ def test_commands_back_to_back_print_what_they_print_alone(capsys):
         cli._build_parser.cache_clear()
         alone.append(run_cli(args, capsys))
     together = [run_cli(args, capsys) for args in commands]
-    assert cli._build_parser.cache_info().misses == 1
+    # one build per distinct command
+    assert cli._build_parser.cache_info().misses == 3
     for (code, out, err), (code2, out2, err2) in zip(alone, together):
         assert (code, err) == (code2, err2)
         assert without_wall_seconds(out) == without_wall_seconds(out2)

@@ -303,6 +303,40 @@ def test_esakia_dual_two_chain_trivial(chain2):
     assert check_downclosure_identity(algebra).passed
 
 
+def test_an_esakia_object_is_separated_once(monkeypatch):
+    # hspa_object is read off the Priestley separation verdict, which each
+    # dual of the ispi suite computes once
+    from dualbench import topology
+    from dualbench.corpus import suite_ispi_roundtrip
+
+    separated = []
+    separation = topology.verify_pspa_object
+
+    def spy(space):
+        separated.append(space.name)
+        return separation(space)
+
+    monkeypatch.setattr(topology, "verify_pspa_object", spy)
+    monkeypatch.setattr(duality, "verify_pspa_object", spy)
+    suite = suite_ispi_roundtrip(corpus_frames(4))
+    assert suite.passed and suite.counts == {"frames": 24}
+    assert len(separated) == 24
+
+
+def test_an_unseparated_space_fails_both_esakia_object_laws():
+    from dualbench.reporting import failed
+    from dualbench.topology import OrderedSpace, indiscrete_topology
+
+    points = ("w0", "w1")
+    order = build_poset(points, [("w0", "w1")])
+    space = OrderedSpace(points, indiscrete_topology(2), order, name="X")
+    witness = "no clopen up-set separates w1 from w0"
+    assert HSPA.verify_object(space) == {
+        "pspa_object": failed(witness),
+        "hspa_object": failed(f"'X' is not a valid ordered Stone space: {witness}"),
+    }
+
+
 def test_downclosure_identity_fails_on_full_power(chain2, frame2):
     power = intuitionistic_power(chain2, frame2)
     res = check_downclosure_identity(power)
