@@ -304,8 +304,8 @@ def test_esakia_dual_two_chain_trivial(chain2):
 
 
 def test_an_esakia_object_is_separated_once(monkeypatch):
-    # hspa_object is read off the Priestley separation verdict, which each
-    # dual of the ispi suite computes once
+    # a separated dual is checked once, inside verify_hspa_object; only an
+    # unseparated one is checked a second time for its pspa_object witness
     from dualbench import topology
     from dualbench.corpus import suite_ispi_roundtrip
 
