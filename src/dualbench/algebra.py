@@ -31,6 +31,7 @@ from .lattice import (
     mask_members,
     subset_mask,
 )
+from .packed import packed_slices
 from .reporting import PASS, AxiomReport, _Frozen, failed
 
 SIGNATURES = ("bdl", "heyting", "lvl", "isp_i")
@@ -88,7 +89,7 @@ class Algebra(_Frozen):
         return self.lattice.elements[i]
 
 
-def _validate(alg):
+def _validate(alg, tables=True):
     if alg.signature not in SIGNATURES:
         raise AlgebraError("unknown-signature", f"unknown signature {alg.signature!r}")
     n = len(alg)
@@ -97,13 +98,13 @@ def _validate(alg):
             "degenerate-carrier",
             f"algebra {alg.name!r} has a one-element carrier; 0 = 1 is rejected",
         )
-    if alg.signature in ("heyting", "lvl", "isp_i"):
+    if tables and alg.signature in ("heyting", "lvl", "isp_i"):
         if alg.implies is None:
             raise AlgebraError(
                 "missing-operation", f"{alg.signature} algebra {alg.name!r} needs an implication table"
             )
         _check_table(alg, alg.implies, "implies")
-    if alg.signature == "lvl":
+    if tables and alg.signature == "lvl":
         if alg.t_ops is None or len(alg.t_ops) != len(alg.truth):
             raise AlgebraError(
                 "missing-operation",
@@ -122,99 +123,6 @@ def _check_table(alg, table, symbol):
     square = len(table) == n and all(len(row) == n for row in table)
     if not square or min(map(min, table)) < 0 or max(map(max, table)) >= n:
         raise AlgebraError("bad-table", f"{symbol} table of {alg.name!r} is not total")
-
-
-def packed_slices(truth, width, order=None):
-    """The packed-slice code of the vectors of ``width`` truth values, as
-    ``(full, encode, decode, implication, constant)``.
-
-    ``encode`` packs a vector into an int and ``decode`` unpacks it. Meet
-    is ``&`` and join is ``|``; ``0`` and ``full`` are the constant bounds.
-    The implication of packed u and v is ``implication[(~u | v) & full]``,
-    a memo. ``constant(p, l)`` packs the image of p under the
-    truth-constant operator of l.
-
-    By Birkhoff's representation a finite distributive lattice embeds in
-    the sets of its join-irreducibles, with meet and join going to
-    intersection and union. So a vector is one int: bit ``i*width + w`` is
-    set when the i-th join-irreducible lies below the value at coordinate w.
-    The pointwise relative pseudocomplement has slice j equal to the AND,
-    over the join-irreducibles j' <= j, of ``~u_j' | v_j'``. With ``order``,
-    a poset on the coordinates, the implication is relativized to it: the
-    meet over the coordinates above, which takes each slice to its
-    interior in the up-set topology (the coordinates whose whole up-set
-    lies in the slice), memoized per slice mask."""
-    if not truth.is_distributive:
-        raise AlgebraError(
-            "not-distributive", f"truth lattice {truth.name!r} is not distributive"
-        )
-    irreducibles = sorted(truth.join_irreducibles)
-    down = truth.down_masks
-    below = [sum(1 << i for i, j in enumerate(irreducibles) if d >> j & 1) for d in down]
-    k = len(irreducibles)
-    # each value by the column of its slice bits, as '0'/'1' characters
-    element = {
-        tuple("01"[mask >> i & 1] for i in range(k)): a for a, mask in enumerate(below)
-    }
-    slice_full = (1 << width) - 1
-    spread = [sum(1 << (i * width) for i in range(k) if mask >> i & 1) for mask in below]
-    repunit = spread[truth.top]
-    lower = [
-        [i2 * width for i2, j2 in enumerate(irreducibles) if down[j] >> j2 & 1]
-        for j in irreducibles
-    ]
-
-    def encode(vec):
-        p = 0
-        for w, x in enumerate(vec):
-            p |= spread[x] << w
-        return p
-
-    def decode(p):
-        if not k:
-            return (truth.bottom,) * width
-        bits = format(p, f"0{k * width}b")[::-1]
-        slices = [bits[i * width : (i + 1) * width] for i in range(k)]
-        return tuple([element[column] for column in zip(*slices)])
-
-    interior = None
-    if order is not None:
-        ups = order.up_masks
-
-        def interior_of(s):
-            out = 0
-            for w, up in enumerate(ups):
-                if up & s == up:
-                    out |= 1 << w
-            return out
-
-        interior = Memo(interior_of)
-
-    def implication_of(x):
-        out = 0
-        for i, shifts in enumerate(lower):
-            s = slice_full
-            for shift in shifts:
-                s &= x >> shift
-            if interior is not None:
-                s = interior[s]
-            out |= s << (i * width)
-        return out
-
-    def constant(p, l):
-        mask = below[l]
-        eq = slice_full
-        for i in range(k):
-            s = p >> (i * width)
-            eq &= s if mask >> i & 1 else ~s
-        return eq * repunit
-
-    if k == 1 and interior is not None:
-        # one slice, nothing below it: the implication is its interior
-        implication = interior
-    else:
-        implication = Memo(implication_of)
-    return (1 << (k * width)) - 1, encode, decode, implication, constant
 
 
 def vector_algebra(vectors, truth, name, signature, order=None):
@@ -299,7 +207,8 @@ def vector_algebra(vectors, truth, name, signature, order=None):
     algebra = Algebra(
         signature, lattice, truth, implies=implies, t_ops=t_ops, presentation=presentation
     )
-    return _validate(algebra)
+    # every entry is a position in the family, so only the carrier is checked
+    return _validate(algebra, tables=False)
 
 
 def characteristic_tables(lattice):

@@ -86,9 +86,12 @@ class Poset(_Frozen):
     @cached_property
     def derived(self):
         """What other modules derive from this poset alone and keep with
-        it, by key (``algebra.hom_search_plan`` and
-        ``algebra.lvl_subalgebras`` of a lattice, ``kripke.upset_algebra``
-        of a frame). It is no field, so equality and hashing ignore it."""
+        it for its life, by key (``algebra.hom_search_plan``,
+        ``algebra.lvl_subalgebras`` and the pointwise code of
+        ``packed.packed_slices`` per width of a lattice,
+        ``kripke.upset_algebra`` of a frame; the code over an order is kept
+        by a verification scope, not here). It is no field, so equality and
+        hashing ignore it."""
         return {}
 
     @cached_property

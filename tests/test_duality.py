@@ -4,7 +4,7 @@ import sys
 
 import pytest
 
-from dualbench import duality
+from dualbench import duality, scope
 from dualbench.algebra import (
     Homomorphism,
     enumerate_homs,
@@ -36,7 +36,6 @@ from dualbench.duality import (
     priestley_reconstruct,
     space_roundtrip,
     spectrum_correspondence,
-    verification_scope,
 )
 from dualbench.corpus import corpus_frames, corpus_lattices, corpus_run
 from dualbench.errors import AlgebraError, SpaceError
@@ -46,6 +45,7 @@ from dualbench.lattice import (
     chain_lattice,
     heyting_implies,
 )
+from dualbench.scope import verification_scope
 from dualbench.topology import (
     AlphaAssignment,
     BitopSpace,
@@ -392,6 +392,49 @@ def test_implies_preserved_names_the_first_broken_pair(chain2):
             res = duality._implies_preserved(mapping, algebra, broken)
             assert not res.passed
             assert res.witness == per_pair(broken.implies)
+
+
+def test_a_passed_homomorphism_decides_the_implication_law(chain2, monkeypatch):
+    # is_homomorphism of isp_i algebras checks the implication pair by pair,
+    # in the order _implies_preserved does, so the law runs only after the
+    # homomorphism law failed, and then alone decides its verdict
+    frame = build_poset(("a", "b", "c"), [("a", "b"), ("a", "c")], name="vee")
+    algebra = upset_algebra(chain2, frame)
+    runs = []
+    law = duality._ALGEBRA_LAWS["implies_preserved"]
+
+    def counted(*args):
+        runs.append(args)
+        return law(*args)
+
+    monkeypatch.setitem(duality._ALGEBRA_LAWS, "implies_preserved", counted)
+    assert algebra_roundtrip(HSPA, algebra).passed
+    assert runs == []
+
+    def broken(change):
+        def reconstruct(space, truth):
+            double, vectors = HSPA.reconstruct(space, truth)
+            return change(double), vectors
+
+        return algebra_roundtrip(HSPA.replace(reconstruct=reconstruct), algebra)
+
+    # meet and join swapped: the implication is still kept
+    report = broken(
+        lambda d: d.replace(lattice=d.lattice.replace(meet=d.lattice.join, join=d.lattice.meet))
+    )
+    assert report.verdicts["homomorphism"] is False
+    assert report.witnesses["homomorphism"].startswith("meet not preserved at")
+    assert report.verdicts["implies_preserved"] is True and len(runs) == 1
+
+    def flipped(d):
+        rows = [list(row) for row in d.implies]
+        rows[1][2] = (rows[1][2] + 1) % len(rows)
+        return d.replace(implies=tuple(map(tuple, rows)))
+
+    report = broken(flipped)
+    assert report.verdicts["implies_preserved"] is False and len(runs) == 2
+    at = report.witnesses["implies_preserved"].removeprefix("implication not preserved at")
+    assert report.witnesses["homomorphism"] == "implies not preserved at" + at
 
 
 def test_esakia_reconstruct_examples(chain2, frame2):
@@ -852,7 +895,7 @@ def test_scope_keeps_every_verdict_and_witness():
             failing += sum(not r.passed for r in plain)
     # the three-chain pspa round trips are red, so witnesses are compared too
     assert failing
-    assert duality._SCOPE_CACHE.get() is None
+    assert scope._SCOPE_CACHE.get() is None
 
 
 def test_scope_reuses_duals_and_map_algebras(chain2, chain3):
@@ -881,7 +924,7 @@ def test_dual_map_of_hom_is_cached_in_a_scope_only(chain2, chain3, b2, dual_map_
         assert dual_map_of_hom(hom, PSPA.replace(name="other")) is not scoped
         copy = Homomorphism(make_bdl(chain3, chain2), target, hom.mapping)
         assert dual_map_of_hom(copy, PSPA) is not scoped
-        cache = duality._SCOPE_CACHE.get()
+        cache = scope._SCOPE_CACHE.get()
         entry = cache[(dual_map_of_hom, id(source), id(target), hom.mapping, "pspa")]
         # the entry holds both ends, so their ids stay theirs
         assert entry == ((source, target), scoped)
@@ -897,11 +940,11 @@ def test_nested_scope_keeps_the_outer_cache(chain2, chain3):
             assert priestley_dual(alg) is space
             inner = esakia_dual(make_heyting_ispi(chain3, chain2))
         assert priestley_dual(alg) is space
-        cache = duality._SCOPE_CACHE.get()
+        cache = scope._SCOPE_CACHE.get()
         # the pspa dual and the hspa dual, which holds its points
         assert len(cache) == 2
         assert any(entry[1][0] is inner for entry in cache.values())
-    assert duality._SCOPE_CACHE.get() is None
+    assert scope._SCOPE_CACHE.get() is None
     assert cache == {}
 
 
