@@ -6,14 +6,11 @@ Usage (from the root of a checkout):
         --workload powers=5 --seed 4000 --label pr20 \
         --change "what the change does" --out BENCH_pr20.json
 
-Unpacks ``git archive COMMIT`` into a temporary directory and exports the
-working tree beside it (``export_tree``: uncommitted edits and untracked
-files come along, nothing that git ignores does), so neither side starts
-with bytecode or run records, and no run writes any. Then runs
+Unpacks ``git archive COMMIT`` into a temporary directory, then runs
 ``perfbench/run.py --workload W --seed S --seconds N --trace 0`` once in
-each tree for each pair, with the seed of the pair, and alternates which
-side runs first. N is the ``run_seconds`` that ``BENCHMARK.json`` sets.
-``--corpus-size M`` adds
+that tree and once in the working tree for each pair, with the seed of the
+pair, and alternates which side runs first. N is the ``run_seconds`` that
+``BENCHMARK.json`` sets. ``--corpus-size M`` adds
 ``corpus-run --max-size M --frame-size 4 --seed 0 --timings`` run
 ``CORPUS_REPEATS`` times on each side, alternately, and records the
 seconds of each suite, as the tree's ``--timings`` reports them, and the
@@ -31,7 +28,7 @@ not met. The script exits 1 when that list is not empty, and 0 otherwise.
 ``src_lines`` holds each side's line count of ``src/dualbench/*.py``, as
 ``wc -l`` counts them, so the size of a change sits beside its timings.
 Nothing under ``perfbench/`` is changed; its run records go to the
-``perfbench/out/`` of each tree, and both trees are removed at the end.
+``perfbench/out/`` of each tree.
 """
 
 from __future__ import annotations
@@ -58,8 +55,6 @@ SIDES = ("parent", "change")
 CLI = "import sys; from dualbench.cli import main; sys.exit(main(sys.argv[1:]))"
 CORPUS_REPEATS = 10
 STDERR_TAIL_LINES = 10
-# every run compiles every module, as in a fresh checkout of the benchmark
-RUN_ENV = dict(os.environ, PYTHONDONTWRITEBYTECODE="1")
 
 
 def quartiles(values):
@@ -172,21 +167,6 @@ def src_lines(tree):
     return sum(path.read_bytes().count(b"\n") for path in package.glob("*.py"))
 
 
-def export_tree(root, dest):
-    """Copy into ``dest`` every file of the working tree at ``root`` that
-    git tracks or would track: uncommitted edits and new files come along,
-    ignored files (bytecode, run records) and deleted ones do not."""
-    listed = subprocess.run(
-        ["git", "ls-files", "-z", "--cached", "--others", "--exclude-standard"],
-        cwd=root, capture_output=True, check=True,
-    ).stdout
-    for name in filter(None, listed.decode().split("\0")):
-        source = Path(root) / name
-        if source.is_file():
-            (Path(dest) / name).parent.mkdir(parents=True, exist_ok=True)
-            shutil.copy2(source, Path(dest) / name)
-
-
 def run_bench(tree, workload, seed):
     started = time.monotonic()
     proc = subprocess.run(
@@ -194,7 +174,7 @@ def run_bench(tree, workload, seed):
             sys.executable, "perfbench/run.py", "--workload", workload,
             "--seed", str(seed), "--seconds", str(RUN_SECONDS), "--trace", "0",
         ],
-        cwd=tree, env=RUN_ENV, capture_output=True, text=True, check=True,
+        cwd=tree, capture_output=True, text=True, check=True,
     )
     result = json.loads(proc.stdout.strip().splitlines()[-1])
     row = {k: result[k] for k in ("correct", "attempted", "failed")}
@@ -224,7 +204,7 @@ def run_corpus(tree, size):
     process. A run whose standard output holds no report raises
     CorpusRunFailed with its exit code and the tail of its standard error;
     a report with failing suites is a report (the run exits 1 then)."""
-    env = dict(RUN_ENV, PYTHONPATH=str(Path(tree) / "src"))
+    env = dict(os.environ, PYTHONPATH=str(Path(tree) / "src"))
     before = resource.getrusage(resource.RUSAGE_CHILDREN)
     proc = subprocess.run(
         [
@@ -308,8 +288,7 @@ def main(argv=None):
             ["git", "archive", parent_commit], cwd=ROOT, capture_output=True, check=True
         ).stdout
         subprocess.run(["tar", "-x", "-C", str(parent_tree)], input=archive, check=True)
-        trees = {"parent": parent_tree, "change": scratch / "change"}
-        export_tree(ROOT, trees["change"])
+        trees = {"parent": parent_tree, "change": ROOT}
         lines = {side: src_lines(trees[side]) for side in SIDES}
         rows = []
         seed = args.seed
@@ -321,7 +300,6 @@ def main(argv=None):
         scale = None
         if args.corpus_size:
             scale = corpus_seconds(trees, args.corpus_size)
-        measured_on = machine(trees["change"], rows[0]["workload"], rows[0]["seed"])
     finally:
         shutil.rmtree(scratch, ignore_errors=True)
 
@@ -332,13 +310,12 @@ def main(argv=None):
         "parent_commit": parent_commit,
         "how": (
             f"python3 perfbench/run.py --workload W --seed S --seconds {RUN_SECONDS:g} "
-            "--trace 0 in a git archive of the parent commit and in an export of the "
-            "working tree (uncommitted edits included), no bytecode written, "
+            "--trace 0 in a git archive of the parent commit and in the working tree, "
             "alternating which side runs first in each pair (the parent first on even "
             f"pairs); seeds from {args.seed}, one per pair. setup_s and run_s are scaled "
             "CPU medians as perfbench reports them; quartiles are inclusive"
         ),
-        "machine": measured_on,
+        "machine": machine(ROOT, rows[0]["workload"], rows[0]["seed"]),
         "rows": rows,
         "summary": summary,
         "regressions": regressions(summary),

@@ -31,7 +31,6 @@ from .lattice import (
     mask_members,
     subset_mask,
 )
-from .packed import packed_slices
 from .reporting import PASS, AxiomReport, _Frozen, failed
 
 SIGNATURES = ("bdl", "heyting", "lvl", "isp_i")
@@ -123,6 +122,105 @@ def _check_table(alg, table, symbol):
     square = len(table) == n and all(len(row) == n for row in table)
     if not square or min(map(min, table)) < 0 or max(map(max, table)) >= n:
         raise AlgebraError("bad-table", f"{symbol} table of {alg.name!r} is not total")
+
+
+def packed_slices(truth, width, order=None):
+    """The packed-slice code of the vectors of ``width`` truth values, as
+    ``(full, encode, decode, implication, constant)``.
+
+    ``encode`` packs a vector into an int and ``decode`` unpacks it. Meet
+    is ``&`` and join is ``|``; ``0`` and ``full`` are the constant bounds.
+    The implication of packed u and v is ``implication[(~u | v) & full]``,
+    a memo. ``constant(p, l)`` packs the image of p under the
+    truth-constant operator of l.
+
+    By Birkhoff's representation a finite distributive lattice embeds in
+    the sets of its join-irreducibles, with meet and join going to
+    intersection and union. So a vector is one int: bit ``i*width + w`` is
+    set when the i-th join-irreducible lies below the value at coordinate w.
+    The pointwise relative pseudocomplement has slice j equal to the AND,
+    over the join-irreducibles j' <= j, of ``~u_j' | v_j'``. With ``order``,
+    a poset on the coordinates, the implication is relativized to it: the
+    meet over the coordinates above, which takes each slice to its
+    interior in the up-set topology (the coordinates whose whole up-set
+    lies in the slice), memoized per slice mask. The tables of the truth
+    lattice and the width are built once and kept in the lattice's
+    ``derived`` for its life; the memos are built on each call."""
+    kept = truth.derived.get(("packed_slices", width))
+    if kept is not None:
+        return kept(order)
+    if not truth.is_distributive:
+        raise AlgebraError(
+            "not-distributive", f"truth lattice {truth.name!r} is not distributive"
+        )
+    irreducibles = sorted(truth.join_irreducibles)
+    down = truth.down_masks
+    below = [sum(1 << i for i, j in enumerate(irreducibles) if d >> j & 1) for d in down]
+    k = len(irreducibles)
+    # each value by the column of its slice bits, as '0'/'1' characters
+    element = {
+        tuple("01"[mask >> i & 1] for i in range(k)): a for a, mask in enumerate(below)
+    }
+    slice_full = (1 << width) - 1
+    spread = [sum(1 << (i * width) for i in range(k) if mask >> i & 1) for mask in below]
+    repunit = spread[truth.top]
+    lower = [
+        [i2 * width for i2, j2 in enumerate(irreducibles) if down[j] >> j2 & 1]
+        for j in irreducibles
+    ]
+
+    def encode(vec):
+        p = 0
+        for w, x in enumerate(vec):
+            p |= spread[x] << w
+        return p
+
+    def decode(p):
+        if not k:
+            return (truth.bottom,) * width
+        bits = format(p, f"0{k * width}b")[::-1]
+        slices = [bits[i * width : (i + 1) * width] for i in range(k)]
+        return tuple([element[column] for column in zip(*slices)])
+
+    def constant(p, l):
+        mask = below[l]
+        eq = slice_full
+        for i in range(k):
+            s = p >> (i * width)
+            eq &= s if mask >> i & 1 else ~s
+        return eq * repunit
+
+    def code_over(order):
+        interior = None
+        if order is not None:
+            ups = order.up_masks
+
+            def interior_of(s):
+                out = 0
+                for w, up in enumerate(ups):
+                    if up & s == up:
+                        out |= 1 << w
+                return out
+
+            interior = Memo(interior_of)
+
+        def implication_of(x):
+            out = 0
+            for i, shifts in enumerate(lower):
+                s = slice_full
+                for shift in shifts:
+                    s &= x >> shift
+                if interior is not None:
+                    s = interior[s]
+                out |= s << (i * width)
+            return out
+
+        # one slice, nothing below it: the implication is its interior
+        implication = interior if k == 1 and interior is not None else Memo(implication_of)
+        return (1 << (k * width)) - 1, encode, decode, implication, constant
+
+    truth.derived[("packed_slices", width)] = code_over
+    return code_over(order)
 
 
 def vector_algebra(vectors, truth, name, signature, order=None):

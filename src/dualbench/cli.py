@@ -36,12 +36,12 @@ from .duality import (
     as_mode,
     space_roundtrip,
     spectrum_correspondence,
+    verification_scope,
 )
 from .errors import DocumentError, DualityError, LatticeError
 from .kripke import DEFAULT_POWER_BUDGET, kripke_condition_check
 from .lattice import chain_lattice
 from .reporting import PASS, _Record, failed
-from .scope import verification_scope
 
 
 class RunReport(_Record):

@@ -37,6 +37,7 @@ from .duality import (
     functor_identity_check,
     space_roundtrip,
     spectrum_correspondence,
+    verification_scope,
 )
 from .errors import BudgetExceeded, DualityError
 from .kripke import DEFAULT_POWER_BUDGET, kripke_condition_check, upset_algebra
@@ -51,7 +52,6 @@ from .lattice import (
     separating_prime_ideal,
 )
 from .reporting import _Record
-from .scope import verification_scope
 
 
 def _jirr_names(n):

@@ -25,8 +25,7 @@ and every dualized hom re-dualizes both of its ends. Inside a
 are cached on the identity of their input (plus any further argument such
 as the truth lattice), so each is built once. A scope also caches dualized
 homs, on the identities of both ends, the mapping and the mode, so a hom
-met again is dualized and verified once; ``packed.packed_slices`` keeps
-its code over each order there too. The scope is opened around
+met again is dualized and verified once. The scope is opened around
 one top-level verification only: each corpus instance, the functoriality
 suite and each CLI command but ``corpus-run`` (whose instances open their
 own). The cache holds a strong reference to every
@@ -41,6 +40,8 @@ nothing is cached.
 
 from __future__ import annotations
 
+import contextlib
+import contextvars
 import functools
 from collections.abc import Callable
 
@@ -69,7 +70,6 @@ from .lattice import (
     prime_ideals,
 )
 from .reporting import PASS, DualityReport, _Frozen, _Record, failed
-from .scope import _in_scope
 from .topology import (
     AlphaAssignment,
     BitopSpace,
@@ -91,6 +91,40 @@ from .topology import (
 )
 
 MAP_ENUM_LIMIT = 200_000  # maps kept by one map-algebra search
+
+# (function, id of its first argument, further arguments) -> (first
+# argument, result), and (dual_map_of_hom, ids of both ends, mapping, mode
+# name) -> (both ends, dualized hom), while a verification scope is open
+_SCOPE_CACHE = contextvars.ContextVar("dualbench_scope_cache", default=None)
+
+
+@contextlib.contextmanager
+def verification_scope():
+    """Cache duals and map algebras for the duration of one top-level
+    verification. A nested scope shares the outer cache, which is emptied
+    only when the outermost scope exits."""
+    if _SCOPE_CACHE.get() is not None:
+        yield
+        return
+    cache = {}
+    token = _SCOPE_CACHE.set(cache)
+    try:
+        yield
+    finally:
+        _SCOPE_CACHE.reset(token)
+        cache.clear()
+
+
+def _in_scope(key, held, build, *args):
+    """``build(*args)``, reused under ``key`` inside a verification scope;
+    the entry holds ``held``, the objects whose ids the key names."""
+    cache = _SCOPE_CACHE.get()
+    if cache is None:
+        return build(*args)
+    entry = cache.get(key)
+    if entry is None:
+        entry = cache[key] = (held, build(*args))
+    return entry[1]
 
 
 def _scoped(fn):
@@ -767,7 +801,7 @@ def algebra_roundtrip(mode, algebra):
     report.record("well_defined", wd)
     for tag in mode.algebra_laws:
         # is_homomorphism checks an isp_i implication pair by pair already
-        kept = tag == "implies_preserved" and report.verdicts["homomorphism"]
+        kept = tag == "implies_preserved" and report.verdicts.get("homomorphism")
         report.record(tag, PASS if kept else _ALGEBRA_LAWS[tag](mapping, algebra, double))
     _record_bijection(report, mapping, len(double), name, double.element_name)
     return report

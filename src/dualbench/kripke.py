@@ -16,7 +16,7 @@ meet over. Either way the tables range over the family alone; the power
 itself is materialized only when it is asked for.
 
 Both the closure and the tables work on packed vectors
-(``packed.packed_slices``). The truth lattice is distributive, so by
+(``algebra.packed_slices``). The truth lattice is distributive, so by
 Birkhoff's representation each value is the set of join-irreducibles below
 it, and a vector over nw worlds is one int with an nw-bit slice per
 join-irreducible. Meet is ``&`` and join is ``|``. The implication is
@@ -31,11 +31,10 @@ from __future__ import annotations
 
 import itertools
 
-from .algebra import vector_algebra, vector_name
+from .algebra import packed_slices, vector_algebra, vector_name
 from .duality import HSPA, _map_vectors
 from .errors import AlgebraError, BudgetExceeded
 from .lattice import heyting_table
-from .packed import packed_slices
 from .reporting import PASS, failed
 
 DEFAULT_POWER_BUDGET = 4096

@@ -87,11 +87,9 @@ class Poset(_Frozen):
     def derived(self):
         """What other modules derive from this poset alone and keep with
         it for its life, by key (``algebra.hom_search_plan``,
-        ``algebra.lvl_subalgebras`` and the pointwise code of
-        ``packed.packed_slices`` per width of a lattice,
-        ``kripke.upset_algebra`` of a frame; the code over an order is kept
-        by a verification scope, not here). It is no field, so equality and
-        hashing ignore it."""
+        ``algebra.lvl_subalgebras`` and the ``algebra.packed_slices`` tables
+        per width of a lattice, ``kripke.upset_algebra`` of a frame). It is
+        no field, so equality and hashing ignore it."""
         return {}
 
     @cached_property

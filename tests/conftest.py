@@ -1,6 +1,6 @@
 import pytest
 
-from dualbench import duality, scope
+from dualbench import duality
 from dualbench.lattice import build_lattice, chain_lattice, diamond_lattice
 from dualbench.kripke import build_frame
 
@@ -55,7 +55,7 @@ def scope_caches(monkeypatch):
     build = duality._ordered_dual
 
     def spy(*args):
-        seen.append(scope._SCOPE_CACHE.get())
+        seen.append(duality._SCOPE_CACHE.get())
         return build(*args)
 
     monkeypatch.setattr(duality, "_ordered_dual", spy)
@@ -70,7 +70,7 @@ def dual_map_caches(monkeypatch):
     build = duality._dualize_hom
 
     def spy(*args):
-        seen.append(scope._SCOPE_CACHE.get())
+        seen.append(duality._SCOPE_CACHE.get())
         return build(*args)
 
     monkeypatch.setattr(duality, "_dualize_hom", spy)

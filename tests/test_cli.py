@@ -7,7 +7,7 @@ import sys
 
 import pytest
 
-from dualbench import cli, duality, scope
+from dualbench import cli, duality
 from dualbench.cli import main
 
 DOCS = os.path.join(os.path.dirname(__file__), os.pardir, "sample_docs")
@@ -185,7 +185,7 @@ def test_commands_leave_no_scope_cache(capsys, scope_caches):
     # its map algebra
     assert len(scope_caches) == 2
     assert all(c == {} for c in scope_caches)
-    assert scope._SCOPE_CACHE.get() is None
+    assert duality._SCOPE_CACHE.get() is None
 
 
 def test_dualize_modes(capsys):

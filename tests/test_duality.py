@@ -4,7 +4,7 @@ import sys
 
 import pytest
 
-from dualbench import duality, scope
+from dualbench import duality
 from dualbench.algebra import (
     Homomorphism,
     enumerate_homs,
@@ -36,6 +36,7 @@ from dualbench.duality import (
     priestley_reconstruct,
     space_roundtrip,
     spectrum_correspondence,
+    verification_scope,
 )
 from dualbench.corpus import corpus_frames, corpus_lattices, corpus_run
 from dualbench.errors import AlgebraError, SpaceError
@@ -45,7 +46,6 @@ from dualbench.lattice import (
     chain_lattice,
     heyting_implies,
 )
-from dualbench.scope import verification_scope
 from dualbench.topology import (
     AlphaAssignment,
     BitopSpace,
@@ -435,6 +435,9 @@ def test_a_passed_homomorphism_decides_the_implication_law(chain2, monkeypatch):
     assert report.verdicts["implies_preserved"] is False and len(runs) == 2
     at = report.witnesses["implies_preserved"].removeprefix("implication not preserved at")
     assert report.witnesses["homomorphism"] == "implies not preserved at" + at
+    # a mode that checks the implication law alone still runs it
+    report = algebra_roundtrip(HSPA.replace(algebra_laws=("implies_preserved",)), algebra)
+    assert report.passed and "homomorphism" not in report.verdicts and len(runs) == 3
 
 
 def test_esakia_reconstruct_examples(chain2, frame2):
@@ -895,7 +898,7 @@ def test_scope_keeps_every_verdict_and_witness():
             failing += sum(not r.passed for r in plain)
     # the three-chain pspa round trips are red, so witnesses are compared too
     assert failing
-    assert scope._SCOPE_CACHE.get() is None
+    assert duality._SCOPE_CACHE.get() is None
 
 
 def test_scope_reuses_duals_and_map_algebras(chain2, chain3):
@@ -924,7 +927,7 @@ def test_dual_map_of_hom_is_cached_in_a_scope_only(chain2, chain3, b2, dual_map_
         assert dual_map_of_hom(hom, PSPA.replace(name="other")) is not scoped
         copy = Homomorphism(make_bdl(chain3, chain2), target, hom.mapping)
         assert dual_map_of_hom(copy, PSPA) is not scoped
-        cache = scope._SCOPE_CACHE.get()
+        cache = duality._SCOPE_CACHE.get()
         entry = cache[(dual_map_of_hom, id(source), id(target), hom.mapping, "pspa")]
         # the entry holds both ends, so their ids stay theirs
         assert entry == ((source, target), scoped)
@@ -940,11 +943,11 @@ def test_nested_scope_keeps_the_outer_cache(chain2, chain3):
             assert priestley_dual(alg) is space
             inner = esakia_dual(make_heyting_ispi(chain3, chain2))
         assert priestley_dual(alg) is space
-        cache = scope._SCOPE_CACHE.get()
+        cache = duality._SCOPE_CACHE.get()
         # the pspa dual and the hspa dual, which holds its points
         assert len(cache) == 2
         assert any(entry[1][0] is inner for entry in cache.values())
-    assert scope._SCOPE_CACHE.get() is None
+    assert duality._SCOPE_CACHE.get() is None
     assert cache == {}
 
 

@@ -3,7 +3,7 @@ from collections import Counter
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from dualbench import duality, kripke, scope
+from dualbench import duality, kripke
 from dualbench.algebra import (
     enumerate_homs,
     make_bdl,
@@ -356,7 +356,7 @@ def test_kripke_check_reads_the_points_of_the_scoped_dual(chain2, monkeypatch):
     for algebra in algebras:
         alone = kripke_condition_check(algebra)
         searches.clear()
-        with scope.verification_scope():
+        with duality.verification_scope():
             scoped = kripke_condition_check(algebra)
             duality.esakia_dual(algebra)
         assert len(searches) == 1

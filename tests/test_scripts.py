@@ -165,10 +165,8 @@ def test_bench_pair_exits_1_when_the_change_would_be_refused(monkeypatch, tmp_pa
         return [r for r in synthetic_rows() if r["pair"] == pair]
 
     def no_git(argv, **options):
-        # git rev-parse, git archive and tar, none of which the rows need;
-        # git ls-files lists one module of the working tree for its export
-        listed = b"src/dualbench/scope.py\0" if "ls-files" in argv else b""
-        return subprocess.CompletedProcess(argv, 0, stdout="" if options.get("text") else listed)
+        # git rev-parse, git archive and tar, none of which the rows need
+        return subprocess.CompletedProcess(argv, 0, stdout="" if options.get("text") else b"")
 
     monkeypatch.setattr(bench.subprocess, "run", no_git)
     monkeypatch.setattr(bench, "run_pair", fake_pair)
@@ -179,10 +177,8 @@ def test_bench_pair_exits_1_when_the_change_would_be_refused(monkeypatch, tmp_pa
     assert bench.main(args + ["--workload", "corpus=2", "--claim", "corpus:run_s"]) == 0
     record = json.loads(out.read_text(encoding="utf-8"))
     assert record["refusals"] == []
-    # the parent tree is left empty here, since no archive is unpacked, and
-    # the change tree holds what git lists of the working tree
-    scope = (bench.ROOT / "src" / "dualbench" / "scope.py").read_bytes().count(b"\n")
-    assert record["src_lines"] == {"parent": 0, "change": scope}
+    # the parent tree is left empty here, since no archive is unpacked
+    assert record["src_lines"] == {"parent": 0, "change": bench.src_lines(bench.ROOT)}
     assert bench.main(args + ["--workload", "corpus=3"]) == 1
     assert json.loads(out.read_text(encoding="utf-8"))["refusals"] == [
         "corpus: failed share 0.033333 is above the parent's 0.0"
@@ -206,31 +202,6 @@ def test_bench_pair_counts_the_lines_of_the_package_sources(tmp_path):
         len(path.read_text(encoding="utf-8").splitlines())
         for path in (SCRIPTS.parent / "src" / "dualbench").glob("*.py")
     )
-
-
-def test_bench_pair_exports_the_working_tree_as_git_sees_it(tmp_path):
-    bench = load("bench_pair")
-    root, dest = tmp_path / "root", tmp_path / "dest"
-    (root / "src").mkdir(parents=True)
-
-    def git(*argv):
-        subprocess.run(["git", "-C", str(root), *argv], check=True, capture_output=True)
-
-    git("init", "-q")
-    (root / ".gitignore").write_text("__pycache__/\n")
-    (root / "src" / "kept.py").write_text("x = 1\n")
-    (root / "src" / "gone.py").write_text("y = 2\n")
-    git("add", "-A")
-    git("-c", "user.name=t", "-c", "user.email=t@t", "commit", "-q", "-m", "base")
-    (root / "src" / "kept.py").write_text("x = 2\n")  # an uncommitted edit
-    (root / "src" / "gone.py").unlink()
-    (root / "src" / "new.py").write_text("z = 3\n")
-    (root / "src" / "__pycache__").mkdir()
-    (root / "src" / "__pycache__" / "kept.cpython.pyc").write_bytes(b"\0")
-    bench.export_tree(root, dest)
-    exported = sorted(p.relative_to(dest).as_posix() for p in dest.rglob("*") if p.is_file())
-    assert exported == [".gitignore", "src/kept.py", "src/new.py"]
-    assert (dest / "src" / "kept.py").read_text() == "x = 2\n"
 
 
 def test_bench_pair_alternates_which_side_runs_first(monkeypatch):

@@ -9,10 +9,11 @@ from hypothesis import given, settings, strategies as st
 
 import vector_oracle
 from lattice_oracle import up_masks_of
-from dualbench import duality, packed, scope
+from dualbench import duality
 from dualbench.algebra import (
     FiniteLattice,
     make_lvl,
+    packed_slices,
     product_algebra,
     vector_algebra,
 )
@@ -20,16 +21,13 @@ from dualbench.corpus import corpus_frames, corpus_lattices, corpus_run
 from dualbench.duality import MODES
 from dualbench.errors import AlgebraError
 from dualbench.kripke import (
-    build_frame,
     close_vectors,
     intuitionistic_power,
-    kripke_condition_check,
     monotone_vectors,
     power_subalgebra,
     upset_algebra,
 )
 from dualbench.lattice import Poset, chain_lattice
-from dualbench.packed import packed_slices
 
 SIGNATURES = ("bdl", "heyting", "lvl", "isp_i")
 
@@ -197,68 +195,33 @@ def test_packed_slices_need_a_distributive_truth_lattice():
     assert err.value.code == "not-distributive"
 
 
-def test_the_pointwise_code_is_kept_per_truth_lattice_and_width():
+def test_the_truth_tables_are_kept_per_truth_lattice_and_width(chain2, frame2):
     truth = chain_lattice(3)
-    code = packed_slices(truth, 3)
-    assert packed_slices(truth, 3) is code
-    assert packed_slices(truth, 2) is not code
-    assert truth.derived[("packed_slices", 3)][None] is code
+    full, encode, decode, implication, constant = packed_slices(truth, 3)
+    again = packed_slices(truth, 3)
+    assert again[:3] == (full, encode, decode) and again[4] is constant
+    assert packed_slices(truth, 2)[1] is not encode
     # a lattice equal by value keeps its own
-    assert packed_slices(chain_lattice(3), 3) is not code
-
-
-def counted_order_codes(monkeypatch):
-    """The orders the code over an order is built for, as they are built."""
-    built = []
-    make = packed._packed_code
-
-    def spy(truth, width):
-        over = make(truth, width)
-
-        def counted(order):
-            if order is not None:
-                built.append(order)
-            return over(order)
-
-        return counted
-
-    monkeypatch.setattr(packed, "_packed_code", spy)
-    return built
-
-
-def test_a_scope_builds_the_code_over_a_dual_order_once(monkeypatch):
-    truth = chain_lattice(2)
-    frame = build_frame(("a", "b", "c"), [("a", "b"), ("a", "c")], name="vee")
-    built = counted_order_codes(monkeypatch)
-    algebra = upset_algebra(truth, frame)
-    assert built == [frame]
-    with scope.verification_scope():
-        space = duality.esakia_dual(algebra)
-        assert kripke_condition_check(algebra).passed
-        rebuilt = duality.esakia_reconstruct(space, truth)
-        assert built == [frame, space.order]
-    assert scope._SCOPE_CACHE.get() is None
-    # the truth lattice keeps no code over an order, and no order keeps one
-    assert all(set(code) <= {None} for code in truth.derived.values())
-    for record in (space.order, frame, algebra.lattice, rebuilt.lattice):
-        assert not any("packed_slices" in key for key in record.derived)
-    # outside a scope the code over an order is built on each call
-    duality.esakia_reconstruct(space, truth)
-    duality.esakia_reconstruct(space, truth)
-    assert built == [frame, space.order, space.order, space.order]
+    assert packed_slices(chain_lattice(3), 3)[1] is not encode
+    assert set(truth.derived) == {("packed_slices", 3), ("packed_slices", 2)}
+    # the implication memos are built on each call and kept by no lattice
+    assert again[3] is not implication
+    over = packed_slices(chain2, 2, frame2)[3]
+    assert packed_slices(chain2, 2, frame2)[3] is not over
+    assert not any("packed_slices" in key for key in frame2.derived)
 
 
 def test_orders_of_one_width_get_their_own_implication(chain2, frame2, antichain2):
     # (0,1) -> (0,0): false above w0 in the chain w0 <= w1, true at the
     # antichain's first point
-    with scope.verification_scope():
-        for order in (frame2, antichain2, frame2):
-            full, encode, decode, implication, _ = packed_slices(chain2, 2, order)
-            u, v = encode((0, 1)), encode((0, 0))
-            expected = vector_oracle.relativized_implication(chain2, order)((0, 1), (0, 0))
-            assert decode(implication[(~u | v) & full]) == expected
-    assert vector_oracle.relativized_implication(chain2, frame2)((0, 1), (0, 0)) == (0, 0)
-    assert vector_oracle.relativized_implication(chain2, antichain2)((0, 1), (0, 0)) == (1, 0)
+    oracle = vector_oracle.relativized_implication
+    assert oracle(chain2, frame2)((0, 1), (0, 0)) == (0, 0)
+    assert oracle(chain2, antichain2)((0, 1), (0, 0)) == (1, 0)
+    for order in (frame2, antichain2, frame2, None):
+        full, encode, decode, implication, _ = packed_slices(chain2, 2, order)
+        u, v = encode((0, 1)), encode((0, 0))
+        expected = oracle(chain2, order or antichain2)((0, 1), (0, 0))
+        assert decode(implication[(~u | v) & full]) == expected
 
 
 def test_vector_algebra_still_refuses_a_one_element_carrier(chain2):
