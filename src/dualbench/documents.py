@@ -29,9 +29,9 @@ from __future__ import annotations
 import re
 
 from .algebra import algebra_from_tables
-from .errors import DocumentError
+from .errors import DocumentError, LatticeError
 from .kripke import intuitionistic_power, power_subalgebra
-from .lattice import build_lattice, build_poset, heyting_table, mask_members
+from .lattice import build_lattice, build_poset, heyting_table
 from .reporting import _Frozen
 from .topology import (
     AlphaAssignment,
@@ -123,15 +123,6 @@ def parse_documents(text):
     return tuple(docs)
 
 
-def parse_document(text):
-    docs = parse_documents(text)
-    if len(docs) != 1:
-        raise DocumentError(
-            "malformed-syntax", f"expected exactly one document, found {len(docs)}"
-        )
-    return docs[0]
-
-
 def _parse_block(block):
     pairs = []
     for lineno, line in block:
@@ -199,12 +190,14 @@ def _parse_block(block):
             raise DocumentError(
                 "schema-violation", "a space needs topo or topo1/topo2", line=block[0][0]
             )
-        if has1 and "order" in table:
-            raise DocumentError(
-                "schema-violation",
-                "a two-topology space carries no order",
-                line=table["order"][1],
-            )
+        topologies, refused = ("one", ("truth_lattice", "alpha")) if has else ("two", ("order",))
+        for k in refused:
+            if k in table:
+                raise DocumentError(
+                    "schema-violation",
+                    f"a {topologies}-topology space carries no {k}",
+                    line=table[k][1],
+                )
         if "alpha" in table and "truth_lattice" not in table:
             raise DocumentError(
                 "schema-violation",
@@ -264,46 +257,6 @@ def _check_algebra_shape(table):
         )
 
 
-def serialize_document(doc):
-    out = [f"kind: {doc.kind}", f"name: {doc.name}"]
-    out.extend(f"{k}: {v}" for k, v in doc.fields)
-    return "\n".join(out) + "\n"
-
-
-def _cover_pairs(poset):
-    """The cover pairs of an order as ``x<=y``, by x and then y; the
-    closure is implied."""
-    names = poset.elements
-    return " ".join(
-        f"{names[i]}<={names[j]}"
-        for i, covers in enumerate(poset.cover_masks)
-        for j in sorted(mask_members(covers))
-    )
-
-
-def lattice_document(lattice):
-    """A document describing a built lattice (cover pairs only)."""
-    fields = (
-        ("bottom", lattice.elements[lattice.bottom]),
-        ("elements", " ".join(lattice.elements)),
-        ("leq", _cover_pairs(lattice)),
-        ("top", lattice.elements[lattice.top]),
-    )
-    return WorkspaceDocument("lattice", lattice.name, tuple(sorted(fields)))
-
-
-def frame_document(poset):
-    fields = (
-        ("order", _cover_pairs(poset)),
-        ("worlds", " ".join(poset.elements)),
-    )
-    return WorkspaceDocument("frame", poset.name, tuple(sorted(fields)))
-
-
-def serialize_documents(docs):
-    return "---\n".join(serialize_document(d) for d in docs)
-
-
 def _tokens(value):
     return value.split()
 
@@ -349,23 +302,13 @@ def _lattice_pairs(doc):
     return pairs
 
 
-def _set_token(tok, doc, key):
-    if not (tok.startswith("{") and tok.endswith("}")):
+def _bracketed(tok, doc, key, noun):
+    """The comma-separated entries of a ``{...}`` set or a ``(...)`` vector."""
+    left, right = "{}" if noun == "set" else "()"
+    if not (tok.startswith(left) and tok.endswith(right)):
         raise DocumentError(
             "malformed-syntax",
-            f"expected a {{...}} set in {key!r}, got {tok!r}",
-            line=doc.line_of(key),
-            fieldname=key,
-        )
-    inner = tok[1:-1]
-    return [] if not inner else inner.split(",")
-
-
-def _vector_token(tok, doc, key):
-    if not (tok.startswith("(") and tok.endswith(")")):
-        raise DocumentError(
-            "malformed-syntax",
-            f"expected a (...) vector in {key!r}, got {tok!r}",
+            f"expected a {left}...{right} {noun} in {key!r}, got {tok!r}",
             line=doc.line_of(key),
             fieldname=key,
         )
@@ -436,10 +379,21 @@ def build_lattice_from(doc):
     return build_lattice(elements, pairs, doc.get("bottom"), doc.get("top"), name=doc.name)
 
 
+def _order_of(doc, elements, pairs, name):
+    """The poset of the ``order`` field of a frame or space document; a
+    cycle in it is an error located at the field."""
+    try:
+        return build_poset(elements, pairs, name=name)
+    except LatticeError as exc:
+        raise DocumentError(
+            exc.code, str(exc), line=doc.line_of("order"), fieldname="order"
+        ) from None
+
+
 def build_frame_from(doc):
     worlds = _tokens(doc.get("worlds", ""))
     pairs = _pairs(doc, "order", "worlds")
-    return build_poset(worlds, pairs, name=doc.name)
+    return _order_of(doc, worlds, pairs, doc.name)
 
 
 def _check_operator_fields(doc, signature, truth):
@@ -489,7 +443,7 @@ def build_algebra_from(doc, registry, budget):
             return intuitionistic_power(truth, frame, budget=budget, name=doc.name)
         gens = []
         for tok in _tokens(gens_field):
-            vals = _vector_token(tok, doc, "generators")
+            vals = _bracketed(tok, doc, "generators", "vector")
             if len(vals) != len(frame):
                 raise DocumentError(
                     "schema-violation",
@@ -576,7 +530,7 @@ def build_space_from(doc, registry):
 
     def point_set(tok, key):
         out = set()
-        for p in _set_token(tok, doc, key):
+        for p in _bracketed(tok, doc, key, "set"):
             if p not in index:
                 raise DocumentError(
                     "dangling-reference",
@@ -592,7 +546,7 @@ def build_space_from(doc, registry):
     order_pairs = _pairs(doc, "order", "points")
     if doc.get("topo") is not None:
         topo = generate_topology(len(points), basis("topo"))
-        order = build_poset(points, order_pairs, name=f"{doc.name}-order")
+        order = _order_of(doc, points, order_pairs, f"{doc.name}-order")
         return OrderedSpace(tuple(points), topo, order, name=doc.name)
     space = BitopSpace(
         tuple(points),
@@ -614,7 +568,7 @@ def build_space_from(doc, registry):
         left, _, right = tok.partition("}:")
         sub = frozenset(
             _element_index(truth, e, doc, "alpha")
-            for e in _set_token(left + "}", doc, "alpha")
+            for e in _bracketed(left + "}", doc, "alpha", "set")
         )
         if any(sub == s for s, _ in entries):
             raise DocumentError(

@@ -6,9 +6,9 @@ come back as frozensets of indices sorted canonically by the callers that
 render them. All structures are immutable after construction.
 
 An order is held one way only, by the up-set of each element as a bitmask
-(``Poset.up_masks``); the down-sets, the covers and the bool matrix
-``leq`` are read off it on first use. Every builder produces the up-sets
-directly, and the kernels here and in the other modules read masks: the
+(``Poset.up_masks``); the down-sets and the bool matrix ``leq`` are
+read off it on first use. Every builder produces the up-sets directly,
+and the kernels here and in the other modules read masks: the
 lattice tables come from down-set masks, and the laws of the dual spaces
 are decided on up- and down-set masks, as Priestley duality states them.
 """
@@ -109,25 +109,6 @@ class Poset(_Frozen):
         """The order as a read-only bool matrix: ``leq[i][j]`` says i <= j."""
         columns = range(len(self.up_masks))
         return tuple(tuple([bool(up >> j & 1) for j in columns]) for up in self.up_masks)
-
-    @cached_property
-    def cover_masks(self):
-        """Bit j of ``cover_masks[i]`` is set when j covers i: i < j with
-        nothing strictly between them."""
-        strict = [up & ~(1 << i) for i, up in enumerate(self.up_masks)]
-        return tuple(s & ~_union_over(s, strict) for s in strict)
-
-    def upset(self, i):
-        """R(x): everything above element i, including i."""
-        self._check(i)
-        return mask_members(self.up_masks[i])
-
-    def down_closure(self, subset):
-        """R^{-1}(X0): everything below some member of the subset."""
-        subset = frozenset(subset)
-        for i in subset:
-            self._check(i)
-        return mask_members(_union_over(subset_mask(subset), self.down_masks))
 
     def is_upset(self, subset):
         mask = subset_mask(subset)

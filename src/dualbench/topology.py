@@ -153,14 +153,6 @@ def generate_topology(size, basis):
     return topology_from_masks(size, map(subset_mask, basis))
 
 
-def discrete_topology(size):
-    return topology_from_masks(size, [1 << i for i in range(size)])
-
-
-def indiscrete_topology(size):
-    return topology_from_masks(size, [])
-
-
 class BitopSpace(_Frozen):
     _fields = ("points", "topo1", "topo2", "name")
 

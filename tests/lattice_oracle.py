@@ -14,6 +14,29 @@ def up_masks_of(leq):
     return tuple(sum(1 << j for j, le in enumerate(row) if le) for row in leq)
 
 
+def cover_pairs(order):
+    """(i, j) for each cover of an order, j covering i: i < j with nothing
+    strictly between them, by the definition on its up-set masks."""
+    n = range(len(order))
+    below = [[i != j and bool(up >> j & 1) for j in n] for i, up in enumerate(order.up_masks)]
+    return [
+        (i, j)
+        for i in n
+        for j in n
+        if below[i][j] and not any(below[i][k] and below[k][j] for k in n)
+    ]
+
+
+def lattice_text(lattice):
+    """A lattice document that declares the lattice by its cover pairs."""
+    names = lattice.elements
+    leq = " ".join(f"{names[i]}<={names[j]}" for i, j in cover_pairs(lattice))
+    return (
+        f"kind: lattice\nname: {lattice.name}\nelements: {' '.join(names)}\n"
+        f"leq: {leq}\nbottom: {names[lattice.bottom]}\ntop: {names[lattice.top]}\n"
+    )
+
+
 def _transitive_reflexive_closure(n, pairs):
     leq = [[i == j for j in range(n)] for i in range(n)]
     for i, j in pairs:

@@ -852,6 +852,43 @@ def test_an_alpha_entry_named_twice_exits_two_with_a_line(tmp_path, capsys):
         assert (code, out, err) == (2, "", f"error: {message}\n"), command
 
 
+def test_an_assignment_on_a_one_topology_space_exits_two_with_a_line(tmp_path, capsys):
+    # no ordered mode reads a truth lattice or an assignment off a space
+    with open(doc("pspa-chain2.doc"), encoding="utf-8") as fh:
+        text = fh.read()
+    path = tmp_path / "alpha.doc"
+    path.write_text(text + "truth_lattice: c2\nalpha: {0,1}:{p,q} {}:{}\n")
+    message = "a one-topology space carries no truth_lattice (line 7)"
+    for mode in ("pspa", "hspa"):
+        code, out, err = run_cli(["verify-space", str(path), "--mode", mode], capsys)
+        assert (code, out, err) == (2, "", f"error: {message}\n"), mode
+
+
+def test_a_cyclic_order_exits_two_with_a_line(tmp_path, capsys):
+    with open(doc("pspa-chain2.doc"), encoding="utf-8") as fh:
+        space = fh.read()
+    with open(doc("power22.doc"), encoding="utf-8") as fh:
+        power = fh.read()
+    assert "order: p<=q\n" in space and "order: w0<=w1\n" in power
+    cases = (
+        (
+            ["verify-space", "--mode", "pspa"],
+            space.replace("order: p<=q", "order: p<=q q<=p"),
+            "cycle between 'p' and 'q' in pspa-chain2-order (line 6)",
+        ),
+        (
+            ["power"],
+            power.replace("order: w0<=w1", "order: w0<=w1 w1<=w0"),
+            "cycle between 'w0' and 'w1' in w2 (line 11)",
+        ),
+    )
+    for command, text, message in cases:
+        path = tmp_path / "cycle.doc"
+        path.write_text(text)
+        code, out, err = run_cli([*command, str(path)], capsys)
+        assert (code, out, err) == (2, "", f"error: {message}\n"), command
+
+
 def without_wall_seconds(text):
     """Text output with the one figure that differs from run to run."""
     return re.sub(r"'wall_seconds': [0-9.]+", "", text)

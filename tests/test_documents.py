@@ -1,17 +1,9 @@
 import pytest
 
+import lattice_oracle
 import vector_oracle
 from dualbench.algebra import subalgebra_of
-from dualbench.documents import (
-    DocumentSet,
-    build_lattice_from,
-    frame_document,
-    lattice_document,
-    parse_document,
-    parse_documents,
-    serialize_document,
-    serialize_documents,
-)
+from dualbench.documents import DocumentSet, build_frame_from, build_lattice_from, parse_documents
 from dualbench.errors import BudgetExceeded, DocumentError, LatticeError
 from dualbench.corpus import corpus_frames, corpus_lattices
 from dualbench.kripke import intuitionistic_power
@@ -28,7 +20,7 @@ top: 1
 
 
 def test_parse_valid_lattice(chain3):
-    doc = parse_document(CHAIN3)
+    (doc,) = parse_documents(CHAIN3)
     assert doc.kind == "lattice" and doc.name == "chain3"
     lat = build_lattice_from(doc)
     assert lat.elements == chain3.elements
@@ -36,7 +28,7 @@ def test_parse_valid_lattice(chain3):
 
 
 def test_cycle_rejected_at_build():
-    doc = parse_document(
+    (doc,) = parse_documents(
         "kind: lattice\nname: bad\nelements: 0 1\nleq: 0<=1 1<=0\nbottom: 0\ntop: 1\n"
     )
     with pytest.raises(LatticeError) as err:
@@ -120,15 +112,10 @@ def test_duplicate_names_rejected():
         DocumentSet(parse_documents(CHAIN3 + "---\n" + CHAIN3))
 
 
-def test_round_trip_identity():
-    doc = parse_document(CHAIN3)
-    assert parse_document(serialize_document(doc)) == doc
-
-
 def test_round_trip_corpus_lattices():
     for lat in corpus_lattices(5):
-        doc = lattice_document(lat)
-        rebuilt = build_lattice_from(parse_document(serialize_document(doc)))
+        (doc,) = parse_documents(lattice_oracle.lattice_text(lat))
+        rebuilt = build_lattice_from(doc)
         assert rebuilt.elements == lat.elements
         assert rebuilt.leq == lat.leq
         assert rebuilt.meet == lat.meet
@@ -136,19 +123,14 @@ def test_round_trip_corpus_lattices():
 
 
 def test_round_trip_corpus_frames():
-    from dualbench.documents import build_frame_from
-
     for frame in corpus_frames(3):
-        doc = frame_document(frame)
-        rebuilt = build_frame_from(parse_document(serialize_document(doc)))
+        names = frame.elements
+        order = " ".join(f"{names[i]}<={names[j]}" for i, j in lattice_oracle.cover_pairs(frame))
+        text = f"kind: frame\nname: {frame.name}\nworlds: {' '.join(names)}\norder: {order}\n"
+        (doc,) = parse_documents(text)
+        rebuilt = build_frame_from(doc)
         assert rebuilt.elements == frame.elements
         assert rebuilt.leq == frame.leq
-
-
-def test_serialize_documents_joint():
-    docs = parse_documents(CHAIN3 + "---\nkind: frame\nname: w1\nworlds: w\n")
-    again = parse_documents(serialize_documents(docs))
-    assert again == docs
 
 
 def test_algebra_with_explicit_tables(chain3):
@@ -485,3 +467,70 @@ def test_an_alpha_entry_named_twice_is_located():
         "alpha",
     )
     assert str(err.value) == "space 's': subalgebra {1,0} is assigned twice in 'alpha' (line 7)"
+
+
+@pytest.mark.parametrize(
+    "fields, key, line",
+    [
+        ("truth_lattice: chain2\n", "truth_lattice", 5),
+        ("alpha: {0,1}:{p}\n", "alpha", 5),
+        ("alpha: {0,1}:{p,q} {}:{}\ntruth_lattice: chain2\n", "truth_lattice", 6),
+    ],
+)
+def test_a_one_topology_space_refuses_an_assignment(fields, key, line):
+    # no ordered mode reads a truth lattice or an assignment off a space
+    with pytest.raises(DocumentError) as err:
+        parse_documents(f"kind: space\nname: s\npoints: p q\ntopo: {{p}} {{q}}\n{fields}")
+    assert (err.value.code, err.value.line) == ("schema-violation", line)
+    assert str(err.value) == f"a one-topology space carries no {key} (line {line})"
+
+
+@pytest.mark.parametrize(
+    "text, message",
+    [
+        (
+            "kind: frame\nname: f\nworlds: a b\norder: a<=b b<=a\n",
+            "cycle between 'a' and 'b' in f (line 4)",
+        ),
+        (
+            "kind: space\nname: s\npoints: p q\ntopo: {p} {q}\norder: p<=q q<=p\n",
+            "cycle between 'p' and 'q' in s-order (line 5)",
+        ),
+    ],
+)
+def test_a_cyclic_order_is_located(text, message):
+    docs = parse_documents(text)
+    docset = DocumentSet(docs)
+    build = docset.frame if docs[0].kind == "frame" else docset.space
+    with pytest.raises(DocumentError) as err:
+        build(docs[0].name)
+    assert (err.value.code, err.value.fieldname) == ("not-a-poset", "order")
+    assert str(err.value) == message
+
+
+@pytest.mark.parametrize(
+    "text, build, message",
+    [
+        (
+            "kind: space\nname: s\npoints: p\ntopo: p\n",
+            lambda docset: docset.space("s"),
+            "expected a {...} set in 'topo', got 'p' (line 4)",
+        ),
+        (
+            "kind: space\nname: s\npoints: p\ntopo1: {p}\ntopo2: {p}\n"
+            f"truth_lattice: chain2\nalpha: 0,1}}:{{p}}\n---\n{CHAIN2_DOC}",
+            lambda docset: docset.space("s"),
+            "expected a {...} set in 'alpha', got '0,1}' (line 7)",
+        ),
+        (
+            POWER_W2.format(gens="{0,1}"),
+            lambda docset: docset.algebra("p", budget=4096),
+            "expected a (...) vector in 'generators', got '{0,1}' (line 7)",
+        ),
+    ],
+)
+def test_a_token_without_its_brackets_is_located(text, build, message):
+    with pytest.raises(DocumentError) as err:
+        build(DocumentSet(parse_documents(text)))
+    assert err.value.code == "malformed-syntax"
+    assert str(err.value) == message

@@ -50,12 +50,12 @@ from dualbench.topology import (
     AlphaAssignment,
     BitopSpace,
     PbsObject,
-    discrete_topology,
     verify_hspa_object,
     verify_pbs_object,
     verify_pspa_object,
 )
 import topology_oracle
+from topology_oracle import discrete_topology, indiscrete_topology
 from hom_oracle import hom_leq_masks
 
 
@@ -325,7 +325,7 @@ def test_an_esakia_object_is_separated_once(monkeypatch):
 
 def test_an_unseparated_space_fails_both_esakia_object_laws():
     from dualbench.reporting import failed
-    from dualbench.topology import OrderedSpace, indiscrete_topology
+    from dualbench.topology import OrderedSpace
 
     points = ("w0", "w1")
     order = build_poset(points, [("w0", "w1")])
@@ -745,6 +745,19 @@ def _reads(node):
             yield sub.attr
 
 
+def _module_level_names(tree):
+    """(line, name, node) of each function, class or constant that a
+    module defines at its top level."""
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            yield node.lineno, node.name, node
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            for t in targets:
+                if isinstance(t, ast.Name):
+                    yield node.lineno, t.id, node
+
+
 def _orphaned_helpers(trees):
     """(module, line, name) of each module-level private function, class or
     constant that no code of the given modules reads outside its own
@@ -754,19 +767,11 @@ def _orphaned_helpers(trees):
         for name in _reads(tree):
             read[name] = read.get(name, 0) + 1
     for module, tree in trees.items():
-        for node in tree.body:
-            if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
-                names = [node.name]
-            elif isinstance(node, (ast.Assign, ast.AnnAssign)):
-                targets = node.targets if isinstance(node, ast.Assign) else [node.target]
-                names = [t.id for t in targets if isinstance(t, ast.Name)]
-            else:
+        for line, name, node in _module_level_names(tree):
+            if not name.startswith("_") or name.startswith("__"):
                 continue
-            for name in names:
-                if not name.startswith("_") or name.startswith("__"):
-                    continue
-                if read.get(name, 0) == sum(n == name for n in _reads(node)):
-                    yield module, node.lineno, name
+            if read.get(name, 0) == sum(n == name for n in _reads(node)):
+                yield module, line, name
 
 
 def test_no_private_helper_is_orphaned():
@@ -785,6 +790,68 @@ def test_no_private_helper_is_orphaned():
         "b.py": ast.parse("import a\na._Box()\n"),
     }
     assert list(_orphaned_helpers(sample)) == [("a.py", 2, "_DEAD"), ("a.py", 3, "_rec")]
+
+
+def _imported_names(tree):
+    """Each name that a ``from ... import`` at any depth of the tree binds
+    from its module."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom):
+            yield from (alias.name for alias in node.names)
+
+
+def _unread_public_names(trees, callers):
+    """(module, line, name) of each public module-level name that no code
+    of the given modules reads or imports outside its own definition, and
+    that none of the caller trees imports."""
+    read = {}
+    for tree in trees.values():
+        for name in (*_reads(tree), *_imported_names(tree)):
+            read[name] = read.get(name, 0) + 1
+    called = {name for tree in callers for name in _imported_names(tree)}
+    for module, tree in trees.items():
+        for line, name, node in _module_level_names(tree):
+            if name.startswith("_") or name in called:
+                continue
+            if read.get(name, 0) == sum(n == name for n in _reads(node)):
+                yield module, line, name
+
+
+# public names that only the tests read, each kept for its own reason
+UNREAD_PUBLIC_NAMES = {
+    "brute_force_homs": "the independent oracle that enumerate_homs is checked against",
+    "subalgebra_of": "the sweep over products of lvl-subalgebras of a corpus lattice needs it",
+}
+
+
+def test_no_public_name_is_unread():
+    # a public name is read by the package itself (its namespace included),
+    # or imported by the benchmark worker or a script; the tests and
+    # oracles do not count as readers
+    package = pathlib.Path(duality.__file__).parent
+    root = package.parent.parent
+    trees = {path.name: ast.parse(path.read_text()) for path in sorted(package.glob("*.py"))}
+    callers = [
+        ast.parse(path.read_text())
+        for path in (root / "perfbench" / "worker.py", *sorted((root / "scripts").glob("*.py")))
+    ]
+    found = [name for _, _, name in _unread_public_names(trees, callers)]
+    assert sorted(found) == sorted(UNREAD_PUBLIC_NAMES)
+    # and the check does see an unread name: one that only reads itself;
+    # a read as a module attribute, an import by the package or by a
+    # caller each count
+    sample = {
+        "a.py": ast.parse(
+            "LIMIT = 3\nDEAD = 4\ndef rec(n):\n    return rec(n - 1)\n"
+            "class Box:\n    pass\ndef run():\n    return LIMIT\ndef main():\n    pass\n"
+        ),
+        "b.py": ast.parse("import a\nfrom .a import run\na.Box()\n"),
+    }
+    caller = ast.parse("def f():\n    from dualbench.a import main\n")
+    assert list(_unread_public_names(sample, [caller])) == [
+        ("a.py", 2, "DEAD"),
+        ("a.py", 3, "rec"),
+    ]
 
 
 def _foreign_imports(tree):
@@ -1006,7 +1073,7 @@ def test_spectrum_not_evaluable_off_the_truth_lattice(chain3, b2):
 def test_ordered_map_enumeration_budget(chain2):
     from dualbench.errors import BudgetExceeded
     from dualbench.lattice import build_poset
-    from dualbench.topology import OrderedSpace, discrete_topology
+    from dualbench.topology import OrderedSpace
 
     # every one of the 2**18 maps of a discrete antichain into the two-chain
     # is continuous and order-preserving
@@ -1021,7 +1088,6 @@ def test_ordered_map_enumeration_budget(chain2):
 
 def test_pbs_map_enumeration_budget(b2):
     from dualbench.errors import BudgetExceeded
-    from dualbench.topology import discrete_topology
 
     # the proper subalgebras of b2 are assigned no points, so all 4**9 maps
     # of the discrete 9-point space into b2 are valid

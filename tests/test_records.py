@@ -26,9 +26,8 @@ from dualbench.topology import (
     OrderedSpace,
     PbsObject,
     Topology,
-    discrete_topology,
-    indiscrete_topology,
 )
+from topology_oracle import discrete_topology, indiscrete_topology
 
 
 def _frozen_samples():

@@ -10,9 +10,7 @@ from dualbench.topology import (
     BitopSpace,
     OrderedSpace,
     PbsObject,
-    discrete_topology,
     generate_topology,
-    indiscrete_topology,
     is_pairwise_compact,
     is_pairwise_hausdorff,
     is_pairwise_zero_dimensional,
@@ -23,6 +21,7 @@ from dualbench.topology import (
     verify_pspa_morphism,
     verify_pspa_object,
 )
+from topology_oracle import discrete_topology, indiscrete_topology
 
 
 def ordered(points, basis, pairs, name="X"):

@@ -18,6 +18,15 @@ from functools import cached_property
 from dualbench.errors import SpaceError
 from dualbench.algebra import enumerate_subalgebras, make_lvl
 from dualbench.reporting import PASS, failed
+from dualbench.topology import topology_from_masks
+
+
+def discrete_topology(size):
+    return topology_from_masks(size, [1 << i for i in range(size)])
+
+
+def indiscrete_topology(size):
+    return topology_from_masks(size, [])
 
 
 def canonical_family(subsets):
@@ -197,8 +206,9 @@ def verify_hspa_object(space):
         )
     clopens = space.topo.clopen_sets()
     clopen_set = set(clopens)
+    up = space.order.up_masks
     for c in clopens:
-        down = space.order.down_closure(c)
+        down = frozenset(i for i in range(len(up)) if any(up[i] >> j & 1 for j in c))
         if down not in clopen_set:
             return failed(
                 f"down-closure {space.subset_name(down)} of clopen "

@@ -9,8 +9,8 @@ out of a power."""
 
 from dualbench.algebra import Algebra, PowerPresentation, _validate, vector_name
 from dualbench.errors import AlgebraError
-from dualbench.lattice import FiniteLattice, heyting_table, mask_members
-from lattice_oracle import up_masks_of
+from dualbench.lattice import FiniteLattice, heyting_table
+from lattice_oracle import cover_pairs, up_masks_of
 
 
 def relativized_implication(truth, order):
@@ -26,7 +26,9 @@ def relativized_implication(truth, order):
     meet = truth.meet
     # worlds above come first: a strictly larger world has a smaller up-set
     worlds = sorted(range(len(order)), key=lambda w: order.up_masks[w].bit_count())
-    covers = [sorted(mask_members(m)) for m in order.cover_masks]
+    covers = [[] for _ in worlds]
+    for w, c in cover_pairs(order):
+        covers[w].append(c)
     known = {}
 
     def implies(u, v):
