@@ -690,8 +690,9 @@ def enumerate_homs(a, b):
 
     h is held in one array, copied for each value tried: setting g(j)
     joins v into the entries over the up-set of j, and a leaf's array is
-    its mapping. h(1) is the top from the start, as in every hom, and a
-    leaf is kept only when the join of g is the top. The implication and
+    its mapping; when v is h(j) itself, that join changes nothing and h is
+    passed on uncopied. h(1) is the top from the start, as in every hom, and
+    a leaf is kept only when the join of g is the top. The implication and
     the truth-constant operators are checked inside the search: each
     (table, arguments) constraint is checked at the step after which all
     of its elements, result included, are final, that is, when the last
@@ -733,16 +734,21 @@ def enumerate_homs(a, b):
 
     def extend(p, h, joined):
         j, pairs_p, up, step = steps[p]
-        values = up_b[h[j]]
+        hj = h[j]
+        values = up_b[hj]
         for i, c in pairs_p:
             values &= down_b[implies_b[h[i]][h[c]]]
         while values:
             low = values & -values
             values ^= low
-            row = join_b[low.bit_length() - 1]
-            g = h.copy()
-            for x in up:
-                g[x] = row[g[x]]
+            v = low.bit_length() - 1
+            row = join_b[v]
+            if v == hj:
+                g = h  # every entry over j is at or above h(j) already
+            else:
+                g = h.copy()
+                for x in up:
+                    g[x] = row[g[x]]
             for r, x, y, tb in step:
                 if g[r] != tb[g[x]][g[y]]:
                     break

@@ -538,17 +538,17 @@ def main(argv=None):
                 **(report.timings or {}),
                 "wall_seconds": round(time.perf_counter() - started, 3),
             }
-        payload = json.dumps(report.to_dict(), indent=2, sort_keys=True) + "\n"
+        # the machine payload is built only where it is printed or written
+        machine = args.format == "machine"
+        if machine or args.report:
+            payload = json.dumps(report.to_dict(), indent=2, sort_keys=True) + "\n"
         if args.report:
             with open(args.report, "w", encoding="utf-8") as fh:
                 fh.write(payload)
     except (DualityError, OSError, UnicodeDecodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    if args.format == "machine":
-        sys.stdout.write(payload)
-    else:
-        sys.stdout.write(_render_text(report))
+    sys.stdout.write(payload if machine else _render_text(report))
     return 0 if report.passed else 1
 
 

@@ -64,6 +64,9 @@ _SCHEMAS = {
     },
 }
 
+# the field through which a document refers to one of each kind
+_REFERENCE_FIELDS = {"lattice": "truth_lattice", "frame": "frame"}
+
 _KEY_RE = re.compile(r"^(\S+):\s*(.*)$")
 
 
@@ -338,17 +341,28 @@ class DocumentSet:
         for doc in docs:
             if doc.name in self.docs:
                 raise DocumentError(
-                    "schema-violation", f"two documents named {doc.name!r}"
+                    "schema-violation",
+                    f"two documents named {doc.name!r}",
+                    line=doc.line_of("name"),
+                    fieldname="name",
                 )
             self.docs[doc.name] = doc
         self._built = {}
 
     def _lookup(self, name, kind, referrer):
+        """The document ``name`` of ``kind``; ``referrer`` is the document
+        whose reference field names it, or None for the command line."""
         doc = self.docs.get(name)
         if doc is None or doc.kind != kind:
+            who, key, line = "<cli>", None, None
+            if referrer is not None:
+                key = _REFERENCE_FIELDS[kind]
+                who, line = referrer.name, referrer.line_of(key)
             raise DocumentError(
                 "dangling-reference",
-                f"{referrer!r} references {kind} {name!r}, which is not loaded",
+                f"{who!r} references {kind} {name!r}, which is not loaded",
+                line=line,
+                fieldname=key,
             )
         return doc
 
@@ -358,19 +372,19 @@ class DocumentSet:
             self._built[key] = build(self._lookup(name, kind, referrer))
         return self._built[key]
 
-    def lattice(self, name, referrer="<cli>"):
+    def lattice(self, name, referrer=None):
         return self._build("lattice", name, referrer, build_lattice_from)
 
-    def frame(self, name, referrer="<cli>"):
+    def frame(self, name, referrer=None):
         return self._build("frame", name, referrer, build_frame_from)
 
-    def algebra(self, name, budget, referrer="<cli>"):
+    def algebra(self, name, budget):
         return self._build(
-            "algebra", name, referrer, lambda doc: build_algebra_from(doc, self, budget)
+            "algebra", name, None, lambda doc: build_algebra_from(doc, self, budget)
         )
 
-    def space(self, name, referrer="<cli>"):
-        return self._build("space", name, referrer, lambda doc: build_space_from(doc, self))
+    def space(self, name):
+        return self._build("space", name, None, lambda doc: build_space_from(doc, self))
 
 
 def build_lattice_from(doc):
@@ -421,7 +435,7 @@ def _check_operator_fields(doc, signature, truth):
 
 
 def build_algebra_from(doc, registry, budget):
-    truth = registry.lattice(doc.get("truth_lattice"), referrer=doc.name)
+    truth = registry.lattice(doc.get("truth_lattice"), referrer=doc)
     signature = doc.get("signature")
     if signature not in ("bdl", "heyting", "lvl", "isp_i"):
         raise DocumentError(
@@ -431,7 +445,7 @@ def build_algebra_from(doc, registry, budget):
         )
     _check_operator_fields(doc, signature, truth)
     if doc.get("presentation") == "power":
-        frame = registry.frame(doc.get("frame"), referrer=doc.name)
+        frame = registry.frame(doc.get("frame"), referrer=doc)
         if signature != "isp_i":
             raise DocumentError(
                 "schema-violation",
@@ -556,7 +570,7 @@ def build_space_from(doc, registry):
     )
     if doc.get("alpha") is None:
         return space
-    truth = registry.lattice(doc.get("truth_lattice"), referrer=doc.name)
+    truth = registry.lattice(doc.get("truth_lattice"), referrer=doc)
     entries = []
     for tok in _tokens(doc.get("alpha")):
         if "}:{" not in tok:

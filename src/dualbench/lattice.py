@@ -214,9 +214,24 @@ class FiniteLattice(Poset):
         below = [mask & only for mask in self.down_masks]
         by_below = {mask: x for x, mask in enumerate(below)}
         up = {j: self.up_masks[j] & only for j in irreducibles}
-
-        memo = Memo(lambda gap: by_below[only ^ _union_over(gap, up)])
-        return tuple(tuple([memo[a & ~b] for b in below]) for a in below)
+        memo = {}
+        table = []
+        for a in below:
+            row = []
+            for b in below:
+                gap = a & ~b
+                x = memo.get(gap)
+                if x is None:
+                    # the up-closure of the gap in J, inline on a miss
+                    closure, rest = 0, gap
+                    while rest:
+                        low = rest & -rest
+                        closure |= up[low.bit_length() - 1]
+                        rest ^= low
+                    x = memo[gap] = by_below[only ^ closure]
+                row.append(x)
+            table.append(tuple(row))
+        return tuple(table)
 
     @cached_property
     def prime_filters(self):
@@ -271,16 +286,19 @@ def build_poset(elements, pairs, name="poset"):
         if b not in index:
             raise LatticeError("unknown-element", f"unknown element {b!r} in {name}", (b,))
         numeric.append((index[a], index[b]))
-    up = _transitive_reflexive_closure(len(elements), numeric)
-    for i, row in enumerate(up):
-        for j in range(i + 1, len(elements)):
-            if row >> j & 1 and up[j] >> i & 1:
-                raise LatticeError(
-                    "not-a-poset",
-                    f"cycle between {elements[i]!r} and {elements[j]!r} in {name}",
-                    (elements[i], elements[j]),
-                )
-    return Poset(elements, up, name=name)
+    poset = Poset(elements, _transitive_reflexive_closure(len(elements), numeric), name=name)
+    # the elements both above and below i are its cycle; the lowest j > i in
+    # it is the first (i, j) pair of a scan over i < j
+    for i, (up, down) in enumerate(zip(poset.up_masks, poset.down_masks)):
+        cycle = (up & down) >> i + 1
+        if cycle:
+            j = i + (cycle & -cycle).bit_length()
+            raise LatticeError(
+                "not-a-poset",
+                f"cycle between {elements[i]!r} and {elements[j]!r} in {name}",
+                (elements[i], elements[j]),
+            )
+    return poset
 
 
 def build_lattice(elements, leq_pairs, bottom, top, name="lattice"):

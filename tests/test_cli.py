@@ -889,6 +889,53 @@ def test_a_cyclic_order_exits_two_with_a_line(tmp_path, capsys):
         assert (code, out, err) == (2, "", f"error: {message}\n"), command
 
 
+def test_document_clashes_and_dangling_references_exit_two_with_a_line(tmp_path, capsys):
+    with open(doc("power22.doc"), encoding="utf-8") as fh:
+        power = fh.read()
+    assert "truth_lattice: chain2\n" in power and "frame: w2\n" in power
+    c2 = "kind: lattice\nname: c2\nelements: 0 1\nleq: 0<=1\nbottom: 0\ntop: 1\n"
+    cases = (
+        (
+            "check-lattice",
+            c2 + "---\n" + c2,
+            "two documents named 'c2' (line 9)",
+        ),
+        (
+            "power",
+            power.replace("frame: w2", "frame: w3"),
+            "'power22' references frame 'w3', which is not loaded (line 6)",
+        ),
+        (
+            "power",
+            power.replace("truth_lattice: chain2", "truth_lattice: c3"),
+            "'power22' references lattice 'c3', which is not loaded (line 4)",
+        ),
+    )
+    for command, text, message in cases:
+        path = tmp_path / "refs.doc"
+        path.write_text(text)
+        code, out, err = run_cli([command, str(path)], capsys)
+        assert (code, out, err) == (2, "", f"error: {message}\n"), message
+
+
+def test_a_text_run_without_a_report_builds_no_machine_payload(
+    tmp_path, monkeypatch, capsys
+):
+    calls = []
+    dumps = json.dumps
+    monkeypatch.setattr(
+        cli.json, "dumps", lambda *a, **k: calls.append(a) or dumps(*a, **k)
+    )
+    args = ["dualize", doc("chain3.doc"), "--mode", "pspa"]
+    code, text, _ = run_cli(args, capsys)
+    assert code == 0 and "PASS" in text and calls == []
+    report = tmp_path / "report.json"
+    assert run_cli(args + ["--report", str(report)], capsys)[:2] == (0, text)
+    assert len(calls) == 1
+    machine = run_cli(args + ["--format", "machine"], capsys)[1]
+    assert len(calls) == 2 and machine == report.read_text(encoding="utf-8")
+
+
 def without_wall_seconds(text):
     """Text output with the one figure that differs from run to run."""
     return re.sub(r"'wall_seconds': [0-9.]+", "", text)

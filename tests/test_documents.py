@@ -44,7 +44,37 @@ def test_dangling_truth_reference():
     docset = DocumentSet(parse_documents(text))
     with pytest.raises(DocumentError) as err:
         docset.algebra("a", budget=4096)
-    assert err.value.code == "dangling-reference"
+    assert (err.value.code, err.value.line, err.value.fieldname) == (
+        "dangling-reference",
+        4,
+        "truth_lattice",
+    )
+    assert str(err.value) == "'a' references lattice 'nowhere', which is not loaded (line 4)"
+
+
+def test_a_lookup_from_the_command_line_names_no_line():
+    docset = DocumentSet(parse_documents(CHAIN3))
+    with pytest.raises(DocumentError) as err:
+        docset.frame("chain3")
+    assert (err.value.code, err.value.line, err.value.fieldname) == (
+        "dangling-reference",
+        None,
+        None,
+    )
+    assert str(err.value) == "'<cli>' references frame 'chain3', which is not loaded"
+
+
+def test_a_second_document_of_one_name_is_located():
+    # a name is taken whatever the kind; the error names the second one
+    text = CHAIN3 + "---\nkind: frame\nname: chain3\nworlds: a\n"
+    with pytest.raises(DocumentError) as err:
+        DocumentSet(parse_documents(text))
+    assert (err.value.code, err.value.line, err.value.fieldname) == (
+        "schema-violation",
+        10,
+        "name",
+    )
+    assert str(err.value) == "two documents named 'chain3' (line 10)"
 
 
 def test_unknown_kind_with_line():
@@ -257,6 +287,19 @@ def generator_error(gens):
     with pytest.raises(DocumentError) as err:
         docset.algebra("p", budget=4096)
     return err.value
+
+
+def test_dangling_frame_reference_is_located():
+    text = POWER_W2.format(gens="(0,1)").replace("frame: w2", "frame: w3")
+    docset = DocumentSet(parse_documents(text))
+    with pytest.raises(DocumentError) as err:
+        docset.algebra("p", budget=4096)
+    assert (err.value.code, err.value.line, err.value.fieldname) == (
+        "dangling-reference",
+        6,
+        "frame",
+    )
+    assert str(err.value) == "'p' references frame 'w3', which is not loaded (line 6)"
 
 
 def test_empty_generator_has_no_entries():
@@ -495,6 +538,12 @@ def test_a_one_topology_space_refuses_an_assignment(fields, key, line):
         (
             "kind: space\nname: s\npoints: p q\ntopo: {p} {q}\norder: p<=q q<=p\n",
             "cycle between 'p' and 'q' in s-order (line 5)",
+        ),
+        # two cycles, a-d and b-c: the first pair by i is (a, d), the first
+        # pair by j is (b, c)
+        (
+            "kind: frame\nname: f\nworlds: a b c d\norder: a<=d d<=a b<=c c<=b\n",
+            "cycle between 'a' and 'd' in f (line 4)",
         ),
     ],
 )

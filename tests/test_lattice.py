@@ -508,6 +508,13 @@ NO_JOIN = (
         pytest.param(
             (("x", "y"), [("x", "y"), ("y", "x")], "x", "y"), "not-a-poset", id="cycle"
         ),
+        # two cycles, a-d and b-c: the first pair by i is (a, d), the first
+        # pair by j is (b, c), and the witness is the first by i
+        pytest.param(
+            (("a", "b", "c", "d"), [("a", "d"), ("d", "a"), ("b", "c"), ("c", "b")], "a", "d"),
+            "not-a-poset",
+            id="two-cycles",
+        ),
         pytest.param(
             (("x", "y", "x"), [("x", "y")], "x", "y"), "duplicate-element", id="duplicate"
         ),
@@ -515,7 +522,6 @@ NO_JOIN = (
 )
 def test_build_lattice_errors_match_the_oracle(args, code):
     assert assert_matches_oracle(*args)[0] == code
-
 
 def test_corpus_lattices_rebuilt_from_documents_match_the_oracle():
     for lat in corpus_lattices(8):
