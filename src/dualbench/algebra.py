@@ -670,6 +670,46 @@ def hom_search_plan(lattice):
     return plan
 
 
+def hom_search_schedule(a):
+    """The steps of ``enumerate_homs`` out of the algebra ``a``, found once
+    per lattice, signature and tables and kept in the lattice's ``derived``
+    beside its plan: ``(first, steps)``.
+
+    ``steps[p]`` is ``(j, pairs, up, checks)`` for the p-th join-irreducible
+    j, with ``pairs`` and ``up`` from ``hom_search_plan``. A check
+    ``(t, result, x, y)`` asks that h(result) be ``tables[t][h(x)][h(y)]``,
+    where ``tables`` are the target's tables of the signature in
+    ``_op_tables`` order, each unary one widened to ignore y, which is then
+    the bottom. Each check sits at the step after which all of its elements
+    are final, the cheap unary checks first; ``first`` holds those final
+    from the start. A bdl source has no checks, and its key no tables."""
+    lattice = a.lattice
+    if a.signature == "bdl":
+        key = ("hom_search_schedule", "bdl")
+    else:
+        key = ("hom_search_schedule", a.signature, a.implies, a.t_ops)
+    schedule = lattice.derived.get(key)
+    if schedule is not None:
+        return schedule
+    irreducibles, pairs, final, ups = hom_search_plan(lattice)
+    checks = [[] for _ in range(len(irreducibles) + 1)]
+    if a.signature != "bdl":
+        _, unaries, binaries = _op_tables(a, a)
+        bottom = lattice.bottom
+        for t, (_, ta, _) in enumerate(unaries):
+            for x, r in enumerate(ta):
+                checks[max(final[x], final[r])].append((t, r, x, bottom))
+        # meets and joins are kept by construction
+        for t, (_, ta, _) in enumerate(binaries[2:], len(unaries)):
+            for x, row in enumerate(ta):
+                fx = final[x]
+                for y, r in enumerate(row):
+                    checks[max(fx, final[y], final[r])].append((t, r, x, y))
+    steps = tuple(zip(irreducibles, pairs, ups, map(tuple, checks[1:])))
+    schedule = lattice.derived[key] = tuple(checks[0]), steps
+    return schedule
+
+
 def enumerate_homs(a, b):
     """All homomorphisms a -> b, canonically ordered (lexicographic over the
     image tuple in declaration order).
@@ -697,7 +737,7 @@ def enumerate_homs(a, b):
     (table, arguments) constraint is checked at the step after which all
     of its elements, result included, are final, that is, when the last
     join-irreducible below them is set. What depends on the source alone
-    is its ``hom_search_plan``.
+    is its ``hom_search_schedule``; the search binds the target's tables.
 
     Every hom passes every check on any finite lattices, so the search is
     complete. It is sound when both lattices are distributive, as every
@@ -706,30 +746,18 @@ def enumerate_homs(a, b):
     """
     _require_compatible(a, b)
     la, lb = a.lattice, b.lattice
-    n, m = len(la), len(lb)
-    bottom_a, top_a, top_b = la.bottom, la.top, lb.top
-    irreducibles, pairs, final, ups = hom_search_plan(la)
-    k = len(irreducibles)
-    _, unaries, binaries = _op_tables(a, b)
-    binaries = binaries[2:]  # meets and joins are kept by construction
+    top_b = lb.top
+    first, steps = hom_search_schedule(a)
+    k = len(steps)
+    tables = ()
+    if a.signature != "bdl":
+        m = len(lb.elements)
+        _, unaries, binaries = _op_tables(a, b)
+        tables = [[[v] * m for v in tb] for _, _, tb in unaries]
+        tables += [tb for _, _, tb in binaries[2:]]
     exact = la.is_distributive and lb.is_distributive
-    # (result, x, y, target table): h(result) must be table[h(x)][h(y)]. A
-    # unary table is widened to ignore y, which is the bottom. The cheap
-    # unary checks come first.
-    checks = [[] for _ in range(k + 1)]
-    for _, ta, tb in unaries:
-        wide = [[v] * m for v in tb]
-        for x in range(n):
-            r = ta[x]
-            checks[max(final[x], final[r])].append((r, x, bottom_a, wide))
-    for _, ta, tb in binaries:
-        for x in range(n):
-            fx = final[x]
-            for y, r in enumerate(ta[x]):
-                checks[max(fx, final[y], final[r])].append((r, x, y, tb))
     join_b, down_b, up_b = lb.join, lb.down_masks, lb.up_masks
     implies_b = heyting_table(lb)
-    steps = list(zip(irreducibles, pairs, ups, checks[1:]))
     found = []
 
     def extend(p, h, joined):
@@ -749,8 +777,8 @@ def enumerate_homs(a, b):
                 g = h.copy()
                 for x in up:
                     g[x] = row[g[x]]
-            for r, x, y, tb in step:
-                if g[r] != tb[g[x]][g[y]]:
+            for t, r, x, y in step:
+                if g[r] != tables[t][g[x]][g[y]]:
                     break
             else:
                 if p + 1 < k:
@@ -759,9 +787,9 @@ def enumerate_homs(a, b):
                     if exact or is_homomorphism(g, a, b).passed:
                         found.append(tuple(g))
 
-    h = [lb.bottom] * n
-    h[top_a] = top_b
-    if all(h[r] == tb[h[x]][h[y]] for r, x, y, tb in checks[0]):
+    h = [lb.bottom] * len(la.elements)
+    h[la.top] = top_b
+    if all(h[r] == tables[t][h[x]][h[y]] for t, r, x, y in first):
         extend(0, h, lb.bottom)
     extend = None  # drop the closure's cycle through itself, and the algebras it holds
     return tuple(Homomorphism(a, b, mapping) for mapping in sorted(found))

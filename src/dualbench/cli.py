@@ -101,7 +101,7 @@ def _load(paths):
     for path in paths:
         with open(path, "rb") as fh:
             data = fh.read()
-        parsed = parse_documents(data.decode("utf-8"))
+        parsed = parse_documents(data.decode("utf-8"), path)
         inputs.append(
             {
                 "path": path,

@@ -531,16 +531,20 @@ def _sample_pairs(homsets, rng, want):
     reads its population through len and indexing alone, so drawing from
     range(total) picks the same pairs as drawing from the full list."""
     keys = sorted(homsets)
+    # the targets of each source, in the order of the keys
+    targets = {}
+    for x, y in keys:
+        targets.setdefault(x, []).append(y)
     blocks = []
     starts = []
     total = 0
     for x, y in keys:
-        for y2, z in keys:
-            if y2 == y:
-                fs, gs = homsets[(x, y)], homsets[(y, z)]
-                blocks.append((fs, gs))
-                starts.append(total)
-                total += len(fs) * len(gs)
+        fs = homsets[(x, y)]
+        for z in targets.get(y, ()):
+            gs = homsets[(y, z)]
+            blocks.append((fs, gs))
+            starts.append(total)
+            total += len(fs) * len(gs)
     picks = rng.sample(range(total), want) if total > want else range(total)
     pairs = []
     for index in picks:

@@ -26,6 +26,7 @@ presentation, is refused.
 
 from __future__ import annotations
 
+import contextlib
 import re
 
 from .algebra import algebra_from_tables
@@ -71,8 +72,11 @@ _KEY_RE = re.compile(r"^(\S+):\s*(.*)$")
 
 
 class WorkspaceDocument(_Frozen):
+    """One parsed document; ``lines`` holds the line of each field and
+    ``path`` the file it was read from, None for text from elsewhere."""
+
     _fields = ("kind", "name", "fields")
-    _uncompared = ("lines",)
+    _uncompared = ("lines", "path")
 
     def __init__(
         self,
@@ -80,11 +84,13 @@ class WorkspaceDocument(_Frozen):
         name: str,
         fields: tuple[tuple[str, str], ...],
         lines: tuple[tuple[str, int], ...] = (),
+        path: str | None = None,
     ):
         self.kind = kind
         self.name = name
         self.fields = fields
         self.lines = lines
+        self.path = path
 
     def get(self, key, default=None):
         for k, v in self.fields:
@@ -103,8 +109,21 @@ def _normalize(value):
     return " ".join(value.split())
 
 
-def parse_documents(text):
-    """Every document in the text, validated against its kind's schema."""
+@contextlib.contextmanager
+def _in_file(path):
+    """Name ``path`` as the file of a located document error raised inside
+    that names no file yet."""
+    try:
+        yield
+    except DocumentError as exc:
+        if exc.line is not None and exc.path is None:
+            exc.path = path
+        raise
+
+
+def parse_documents(text, path=None):
+    """Every document in the text, validated against its kind's schema;
+    ``path`` names the file the text was read from, if any."""
     blocks = []
     current = []
     for lineno, raw in enumerate(text.splitlines(), start=1):
@@ -118,15 +137,16 @@ def parse_documents(text):
         current.append((lineno, line))
     blocks.append(current)
     docs = []
-    for block in blocks:
-        if block:
-            docs.append(_parse_block(block))
+    with _in_file(path):
+        for block in blocks:
+            if block:
+                docs.append(_parse_block(block, path))
     if not docs:
         raise DocumentError("malformed-syntax", "no documents found")
     return tuple(docs)
 
 
-def _parse_block(block):
+def _parse_block(block, path):
     pairs = []
     for lineno, line in block:
         m = _KEY_RE.match(line)
@@ -211,7 +231,7 @@ def _parse_block(block):
         sorted((k, v) for k, (v, _) in table.items() if k not in ("kind", "name"))
     )
     lines = tuple((k, n) for k, (_, n) in table.items())
-    return WorkspaceDocument(kind, table["name"][0], fields, lines)
+    return WorkspaceDocument(kind, table["name"][0], fields, lines, path)
 
 
 def _check_distinct(kind, name, key, value, lineno):
@@ -345,6 +365,7 @@ class DocumentSet:
                     f"two documents named {doc.name!r}",
                     line=doc.line_of("name"),
                     fieldname="name",
+                    path=doc.path,
                 )
             self.docs[doc.name] = doc
         self._built = {}
@@ -354,22 +375,27 @@ class DocumentSet:
         whose reference field names it, or None for the command line."""
         doc = self.docs.get(name)
         if doc is None or doc.kind != kind:
-            who, key, line = "<cli>", None, None
+            who, key, line, path = "<cli>", None, None, None
             if referrer is not None:
                 key = _REFERENCE_FIELDS[kind]
-                who, line = referrer.name, referrer.line_of(key)
+                who, line, path = referrer.name, referrer.line_of(key), referrer.path
             raise DocumentError(
                 "dangling-reference",
                 f"{who!r} references {kind} {name!r}, which is not loaded",
                 line=line,
                 fieldname=key,
+                path=path,
             )
         return doc
 
     def _build(self, kind, name, referrer, build):
         key = (kind, name)
         if key not in self._built:
-            self._built[key] = build(self._lookup(name, kind, referrer))
+            doc = self._lookup(name, kind, referrer)
+            # an error located in a document this one refers to already
+            # names that document's file
+            with _in_file(doc.path):
+                self._built[key] = build(doc)
         return self._built[key]
 
     def lattice(self, name, referrer=None):

@@ -142,6 +142,13 @@ def _point_names(k):
     return tuple(f"h{i}" for i in range(k))
 
 
+@functools.cache
+def _top_bytes(top):
+    """The ``bytes.translate`` table that sends the byte ``top`` to 1 and
+    every other byte to 0."""
+    return bytes(v == top for v in range(256))
+
+
 def _evaluation_masks(homs, size, top):
     """The evaluation sets as bitmasks, built in one pass over the homs: bit
     i of ``masks[a]`` is set when ``homs[i]`` sends a to top."""
@@ -308,9 +315,15 @@ def _points(bdl_algebra):
 def _ordered_dual(bdl_algebra, name, homs):
     # the topology has the evaluation sets and their complements as its
     # subbasis, so the minimal open of a hom is its class under "sends the
-    # same elements to the top"
-    is_top = bdl_algebra.truth.top.__eq__
-    keys = [tuple(map(is_top, h.mapping)) for h in homs]
+    # same elements to the top"; a mapping into at most 256 values is keyed
+    # by its bytes with the top marked, any other by a tuple of flags
+    truth = bdl_algebra.truth
+    if len(truth.elements) <= 256:
+        table = _top_bytes(truth.top)
+        keys = [bytes(h.mapping).translate(table) for h in homs]
+    else:
+        is_top = truth.top.__eq__
+        keys = [tuple(map(is_top, h.mapping)) for h in homs]
     classes = {}
     for i, key in enumerate(keys):
         classes[key] = classes.get(key, 0) | 1 << i

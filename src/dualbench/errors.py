@@ -45,15 +45,24 @@ class BudgetExceeded(DualityError):
 class DocumentError(DualityError):
     """A workspace document failed to parse or validate.
 
-    Carries the location (line number, field) so diagnostics point at the
-    offending input, not at internal state.
+    Carries the location (file, line number, field) so diagnostics point at
+    the offending input, not at internal state. The file is the path the
+    document was read from, when it was read from one; the reader that
+    knows it may set ``path`` after the error is raised.
     """
 
-    def __init__(self, code, message, line=None, fieldname=None):
-        loc = ""
-        if line is not None:
-            loc = f" (line {line})"
-        super().__init__(message + loc)
+    def __init__(self, code, message, line=None, fieldname=None, path=None):
+        super().__init__(message)
         self.code = code
+        self.message = message
         self.line = line
         self.fieldname = fieldname
+        self.path = path
+
+    def __str__(self):
+        if self.line is None:
+            return self.message
+        where = f"line {self.line}"
+        if self.path is not None:
+            where = f"{self.path}, {where}"
+        return f"{self.message} ({where})"

@@ -15,7 +15,6 @@ are decided on up- and down-set masks, as Priestley duality states them.
 
 from __future__ import annotations
 
-from functools import cached_property
 from operator import eq
 
 from .errors import LatticeError
@@ -41,6 +40,25 @@ def _union_over(mask, table):
         out |= table[low.bit_length() - 1]
         mask ^= low
     return out
+
+
+class cached_attribute:
+    """``functools.cached_property`` without its lock: the first read of the
+    attribute computes ``func(instance)`` and stores it in the instance's
+    ``__dict__``, which every later read finds first. Python 3.11's
+    ``cached_property`` takes a lock on each first read, and nothing here
+    is shared between threads."""
+
+    def __init__(self, func):
+        self.func = func
+        self.__doc__ = func.__doc__
+        self.name = func.__name__
+
+    def __get__(self, instance, owner=None):
+        if instance is None:
+            return self
+        out = instance.__dict__[self.name] = self.func(instance)
+        return out
 
 
 class Memo(dict):
@@ -83,16 +101,17 @@ class Poset(_Frozen):
                 witness=(element_name,),
             ) from None
 
-    @cached_property
+    @cached_attribute
     def derived(self):
         """What other modules derive from this poset alone and keep with
-        it for its life, by key (``algebra.hom_search_plan``,
-        ``algebra.lvl_subalgebras`` and the ``algebra.packed_slices`` tables
-        per width of a lattice, ``kripke.upset_algebra`` of a frame). It is
-        no field, so equality and hashing ignore it."""
+        it for its life, by key (``algebra.hom_search_plan`` and
+        ``hom_search_schedule``, ``algebra.lvl_subalgebras`` and the
+        ``algebra.packed_slices`` tables per width of a lattice,
+        ``kripke.upset_algebra`` of a frame). It is no field, so equality
+        and hashing ignore it."""
         return {}
 
-    @cached_property
+    @cached_attribute
     def down_masks(self):
         """Bit y of ``down_masks[x]`` is set when y <= x."""
         down = [0] * len(self.up_masks)
@@ -104,7 +123,7 @@ class Poset(_Frozen):
                 up ^= low
         return tuple(down)
 
-    @cached_property
+    @cached_attribute
     def leq(self):
         """The order as a read-only bool matrix: ``leq[i][j]`` says i <= j."""
         columns = range(len(self.up_masks))
@@ -155,7 +174,7 @@ class FiniteLattice(Poset):
         self.bottom = bottom
         self.top = top
 
-    @cached_property
+    @cached_attribute
     def join_irreducibles(self):
         """The join-irreducible elements in a linear extension of the order
         (fewest elements below first, then declaration order). x is
@@ -174,7 +193,7 @@ class FiniteLattice(Poset):
             )
         )
 
-    @cached_property
+    @cached_attribute
     def is_distributive(self):
         """Birkhoff's test. x <= y exactly when J(x), the join-irreducibles
         below x, lies in J(y), so x -> J(x) is an order embedding into the
@@ -192,7 +211,7 @@ class FiniteLattice(Poset):
             for j in irreducibles
         )
 
-    @cached_property
+    @cached_attribute
     def heyting_table(self):
         """``heyting_table(self)``: the relative pseudocomplement of every
         pair, found once per lattice.
@@ -233,7 +252,7 @@ class FiniteLattice(Poset):
             table.append(tuple(row))
         return tuple(table)
 
-    @cached_property
+    @cached_attribute
     def prime_filters(self):
         """``prime_filters(self)``, found once per lattice."""
         n = len(self)
@@ -247,7 +266,7 @@ class FiniteLattice(Poset):
                 found.append(mask_members(above))
         return canonical_subset_order(found)
 
-    @cached_property
+    @cached_attribute
     def prime_ideals(self):
         """``prime_ideals(self)``, found once per lattice."""
         full = frozenset(range(len(self)))

@@ -29,14 +29,13 @@ that their witness follows the canonical order.
 
 from __future__ import annotations
 
-from functools import cached_property
-
 from .algebra import lvl_subalgebras
 from .errors import BudgetExceeded, SpaceError
 from .lattice import (
     FiniteLattice,
     Poset,
     _union_over,
+    cached_attribute,
     canonical_subset_order,
     mask_members,
     subset_mask,
@@ -78,7 +77,7 @@ class Topology(_Frozen):
     def is_open_mask(self, mask):
         return not _union_over(mask, self.minopen) & ~mask
 
-    @cached_property
+    @cached_attribute
     def point_closure(self):
         """Bit i of ``point_closure[j]`` is set when j lies in the minimal
         open of i: the closure of the point j."""
@@ -88,12 +87,12 @@ class Topology(_Frozen):
                 closure[j] |= 1 << i
         return tuple(closure)
 
-    @cached_property
+    @cached_attribute
     def minimal_opens(self):
         """The distinct minimal opens, in canonical order."""
         return canonical_subset_order(map(mask_members, set(self.minopen)))
 
-    @cached_property
+    @cached_attribute
     def open_count(self):
         """The number of open sets, counted without building them. An open
         set either misses the lowest undecided point p, and with it every
@@ -111,7 +110,7 @@ class Topology(_Frozen):
 
         return count((1 << self.size) - 1)
 
-    @cached_property
+    @cached_attribute
     def opens(self):
         """Every open set, in canonical order: the unions of the minimal
         opens. Built on first use only; raises BudgetExceeded beyond
@@ -218,7 +217,7 @@ class AlphaAssignment(_Frozen):
         self.subalgebras = subalgebras
         self.images = images
 
-    @cached_property
+    @cached_attribute
     def image_masks(self):
         """The image of each subalgebra as a bitmask over the points, keyed
         by the subalgebra in the order of ``subalgebras``."""

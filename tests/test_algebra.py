@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from dualbench.algebra import (
+    Algebra,
     Homomorphism,
     algebra_from_tables,
     brute_force_homs,
@@ -15,10 +16,12 @@ from dualbench.algebra import (
     enumerate_subalgebras,
     hom_order,
     hom_search_plan,
+    hom_search_schedule,
     identity_hom,
     is_homomorphism,
     make_bdl,
     make_heyting,
+    make_heyting_ispi,
     make_lvl,
     product_algebra,
     subalgebra_of,
@@ -412,6 +415,122 @@ def test_hom_search_plan_is_found_once_per_lattice(small_lattices, chain2, chain
             ], (a.name, a.signature)
             plans.append(lat.derived["hom_search_plan"])
         assert all(plan is plans[0] for plan in plans)
+
+
+def fresh_algebra(algebra):
+    """The same algebra on a fresh copy of its lattice, with copies of its
+    tables, so that nothing derived from the original is found again."""
+    copy = lambda table: None if table is None else tuple(map(tuple, table))
+    return Algebra(
+        algebra.signature,
+        fresh_copy(algebra.lattice),
+        algebra.truth,
+        implies=copy(algebra.implies),
+        t_ops=copy(algebra.t_ops),
+    )
+
+
+def schedule_keys(lat):
+    return [key for key in lat.derived if key[0] == "hom_search_schedule"]
+
+
+def test_hom_search_schedule_is_built_once_per_source(small_lattices, chain2, chain3):
+    for lat in small_lattices:
+        lat = fresh_copy(lat)
+        sources = [
+            make_bdl(lat, chain2),
+            make_heyting(lat, chain2),
+            make_heyting_ispi(lat, chain3),
+            make_lvl(lat),
+        ]
+        for a in sources:
+            targets = [make_lvl(lat)]
+            if a.signature != "lvl":
+                targets = [
+                    Algebra(a.signature, t, a.truth, implies=heyting_table(t))
+                    for t in (chain2, chain3)
+                ]
+            for b in targets:
+                enumerate_homs(a, b)
+            schedule = hom_search_schedule(a)
+            # one schedule per signature and tables, shared by every search
+            assert hom_search_schedule(a) is schedule
+            assert schedule == hom_search_schedule(fresh_algebra(a))
+            assert schedule is not hom_search_schedule(fresh_algebra(a))
+        assert len(schedule_keys(lat)) == len(sources)
+        # equal tables share the schedule, as a second make_lvl's do
+        assert hom_search_schedule(make_lvl(lat)) is hom_search_schedule(sources[-1])
+        (bdl_key,) = [key for key in schedule_keys(lat) if key[1] == "bdl"]
+        assert bdl_key == ("hom_search_schedule", "bdl")
+        first, steps = lat.derived[bdl_key]
+        assert first == () and all(checks == () for *_, checks in steps)
+
+
+def test_hom_search_schedule_is_kept_per_table_not_per_lattice(small_lattices, chain2):
+    # an implication table with one entry changed, on the same lattice and
+    # signature, gets its own schedule and its own homs
+    for lat in small_lattices:
+        true = make_heyting(lat, chain2)
+        targets = [make_heyting(t, chain2) for t in small_lattices if len(t) <= 4]
+        x, y = lat.top, lat.bottom
+        rows = [list(row) for row in true.implies]
+        rows[x][y] = lat.top
+        changed = algebra_from_tables(
+            "heyting", lat, chain2, implies=tuple(map(tuple, rows)), name=f"{lat.name}'"
+        )
+        for a in (true, changed, true):
+            for b in targets:
+                got = [h.mapping for h in enumerate_homs(a, b)]
+                assert got == [h.mapping for h in brute_force_homs(a, b)], (a.name, b.name)
+        assert hom_search_schedule(true) != hom_search_schedule(changed)
+        assert enumerate_homs(changed, targets[0]) == ()  # 1 -> 0 is 1 nowhere
+
+
+def test_hom_search_schedule_checks_each_entry_once_when_it_is_final(small_lattices):
+    # every (table, arguments) entry of the source sits at exactly one step,
+    # the first after which its elements are all final
+    for lat in small_lattices:
+        a = make_lvl(lat)
+        _, _, final, _ = hom_search_plan(lat)
+        first, steps = hom_search_schedule(a)
+        placed = [(0, check) for check in first]
+        placed += [(p, check) for p, (*_, checks) in enumerate(steps, 1) for check in checks]
+        n, nt = len(lat), len(a.truth)
+        expected = {
+            (t, a.t_ops[t][x], x, lat.bottom) for t in range(nt) for x in range(n)
+        } | {(nt, a.implies[x][y], x, y) for x in range(n) for y in range(n)}
+        assert len(placed) == len(expected) and {c for _, c in placed} == expected
+        for p, (_, r, x, y) in placed:
+            assert p == max(final[r], final[x], final[y]), (lat.name, r, x, y)
+
+
+def test_searches_out_of_one_source_into_several_targets_match_the_scan(
+    small_lattices, chain2, chain3, b2
+):
+    # one source searched into targets whose tables differ, in one process:
+    # a schedule that kept a target's table would fail on the next target
+    pools = [[make_heyting(lat, chain2) for lat in small_lattices]]
+    for truth in (chain2, chain3, b2):
+        base = make_lvl(truth)
+        subs = [subalgebra_of(base, s) for s in enumerate_subalgebras(base) if len(s) > 1]
+        objects = [base, *subs]
+        if len(truth) == 2:
+            objects.append(product_algebra(base, base))
+        pools.append(objects)
+    frames = [f for f in corpus_frames(3) if len(f) <= 2]
+    isp = [upset_algebra(chain2, f) for f in frames]
+    isp += [make_heyting_ispi(lat, chain2) for lat in small_lattices if len(lat) <= 4]
+    pools.append(isp)
+    for pool in pools:
+        kinds = 0
+        for a in pool:
+            seen = set()
+            for b in pool:
+                got = [h.mapping for h in enumerate_homs(a, b)]
+                assert got == [h.mapping for h in brute_force_homs(a, b)], (a.name, b.name)
+                seen.add(len(got))
+            kinds = max(kinds, len(seen))
+        assert kinds > 1  # some source has more homs into one target than another
 
 
 def test_homs_match_prime_filters(small_lattices, chain2):

@@ -765,11 +765,14 @@ def test_bad_generator_values_exit_two_with_a_line(tmp_path, capsys):
         "---\nkind: lattice\nname: chain2\nelements: 0 1\nleq: 0<=1\n"
         "bottom: 0\ntop: 1\n"
     )
+    path = tmp_path / "p.doc"
     for gens, message in (
-        ("()", "generator () has 0 entries for 2 worlds (line 7)"),
-        ("(0,2)", "algebra 'p': '2' in 'generators' is not an element of chain2 (line 7)"),
+        ("()", f"generator () has 0 entries for 2 worlds ({path}, line 7)"),
+        (
+            "(0,2)",
+            f"algebra 'p': '2' in 'generators' is not an element of chain2 ({path}, line 7)",
+        ),
     ):
-        path = tmp_path / "p.doc"
         path.write_text(text.format(gens=gens))
         for command in ("generate", "kripke-check"):
             code, out, err = run_cli([command, str(path)], capsys)
@@ -782,30 +785,30 @@ def test_undeclared_or_unknown_elements_exit_two_with_a_line(tmp_path, capsys):
         "kind: algebra\nname: h2\nsignature: {sig}\ntruth_lattice: chain2\n"
         "elements: 0 1\nleq: 0<=1\nbottom: 0\ntop: 1\n{op}\n---\n" + chain2
     )
+    path = tmp_path / "bad.doc"
     cases = (
         (
             "check-lattice",
             "kind: lattice\nname: l\nelements: 0 1\nleq: 0<=q\nbottom: 0\ntop: 1\n",
-            "lattice 'l': 'q' in 'leq' is not declared in 'elements' (line 4)",
+            f"lattice 'l': 'q' in 'leq' is not declared in 'elements' ({path}, line 4)",
         ),
         (
             "check-lattice",
             "kind: lattice\nname: l\nelements: 0 1 1\nleq: 0<=1\nbottom: 0\ntop: 1\n",
-            "lattice 'l': '1' is declared twice in 'elements' (line 3)",
+            f"lattice 'l': '1' is declared twice in 'elements' ({path}, line 3)",
         ),
         (
             "homs",
             algebra.format(sig="heyting", op="op.implies: 1 1 / zz 1"),
-            "algebra 'h2': 'zz' in 'op.implies' is not an element of h2 (line 9)",
+            f"algebra 'h2': 'zz' in 'op.implies' is not an element of h2 ({path}, line 9)",
         ),
         (
             "homs",
             algebra.format(sig="lvl", op="op.t[1]: 0 qq"),
-            "algebra 'h2': 'qq' in 'op.t[1]' is not an element of h2 (line 9)",
+            f"algebra 'h2': 'qq' in 'op.t[1]' is not an element of h2 ({path}, line 9)",
         ),
     )
     for command, text, message in cases:
-        path = tmp_path / "bad.doc"
         path.write_text(text)
         code, out, err = run_cli([command, str(path)], capsys)
         assert (code, out, err) == (2, "", f"error: {message}\n"), command
@@ -814,6 +817,7 @@ def test_undeclared_or_unknown_elements_exit_two_with_a_line(tmp_path, capsys):
 def test_operator_fields_the_signature_lacks_exit_two_with_a_line(tmp_path, capsys):
     chain2 = "kind: lattice\nname: chain2\nelements: 0 1\nleq: 0<=1\nbottom: 0\ntop: 1\n"
     frame = "kind: frame\nname: w2\nworlds: a b\norder: a<=b\n"
+    path = tmp_path / "ops.doc"
     cases = (
         (
             "homs",
@@ -821,18 +825,17 @@ def test_operator_fields_the_signature_lacks_exit_two_with_a_line(tmp_path, caps
             "elements: 0 1\nleq: 0<=1\nbottom: 0\ntop: 1\n"
             "op.t[zz]: 1 1 1\nop.implies: 1 1 / 0 1\n---\n" + chain2,
             "algebra 'a': signature bdl has no implication, so 'op.implies' is "
-            "not allowed (line 10)",
+            f"not allowed ({path}, line 10)",
         ),
         (
             "power",
             "kind: algebra\nname: p\nsignature: isp_i\ntruth_lattice: chain2\n"
             "presentation: power\nframe: w2\nop.t[1]: 0 1\n---\n" + chain2 + "---\n" + frame,
             "algebra 'p': a power presentation takes no operator tables, so "
-            "'op.t[1]' is not allowed (line 7)",
+            f"'op.t[1]' is not allowed ({path}, line 7)",
         ),
     )
     for command, text, message in cases:
-        path = tmp_path / "ops.doc"
         path.write_text(text)
         code, out, err = run_cli([command, str(path)], capsys)
         assert (code, out, err) == (2, "", f"error: {message}\n"), command
@@ -846,7 +849,9 @@ def test_an_alpha_entry_named_twice_exits_two_with_a_line(tmp_path, capsys):
     assert "alpha: {0,1}:{z,u}\n" in text
     path = tmp_path / "twice.doc"
     path.write_text(text.replace("alpha: {0,1}:{z,u}", "alpha: {0,1}:{z,u} {0,1}:{z}"))
-    message = "space 'pbs-chain2': subalgebra {0,1} is assigned twice in 'alpha' (line 8)"
+    message = (
+        f"space 'pbs-chain2': subalgebra {{0,1}} is assigned twice in 'alpha' ({path}, line 8)"
+    )
     for command in ("verify-space", "reconstruct"):
         code, out, err = run_cli([command, str(path), "--mode", "pbs"], capsys)
         assert (code, out, err) == (2, "", f"error: {message}\n"), command
@@ -858,7 +863,7 @@ def test_an_assignment_on_a_one_topology_space_exits_two_with_a_line(tmp_path, c
         text = fh.read()
     path = tmp_path / "alpha.doc"
     path.write_text(text + "truth_lattice: c2\nalpha: {0,1}:{p,q} {}:{}\n")
-    message = "a one-topology space carries no truth_lattice (line 7)"
+    message = f"a one-topology space carries no truth_lattice ({path}, line 7)"
     for mode in ("pspa", "hspa"):
         code, out, err = run_cli(["verify-space", str(path), "--mode", mode], capsys)
         assert (code, out, err) == (2, "", f"error: {message}\n"), mode
@@ -870,20 +875,20 @@ def test_a_cyclic_order_exits_two_with_a_line(tmp_path, capsys):
     with open(doc("power22.doc"), encoding="utf-8") as fh:
         power = fh.read()
     assert "order: p<=q\n" in space and "order: w0<=w1\n" in power
+    path = tmp_path / "cycle.doc"
     cases = (
         (
             ["verify-space", "--mode", "pspa"],
             space.replace("order: p<=q", "order: p<=q q<=p"),
-            "cycle between 'p' and 'q' in pspa-chain2-order (line 6)",
+            f"cycle between 'p' and 'q' in pspa-chain2-order ({path}, line 6)",
         ),
         (
             ["power"],
             power.replace("order: w0<=w1", "order: w0<=w1 w1<=w0"),
-            "cycle between 'w0' and 'w1' in w2 (line 11)",
+            f"cycle between 'w0' and 'w1' in w2 ({path}, line 11)",
         ),
     )
     for command, text, message in cases:
-        path = tmp_path / "cycle.doc"
         path.write_text(text)
         code, out, err = run_cli([*command, str(path)], capsys)
         assert (code, out, err) == (2, "", f"error: {message}\n"), command
@@ -894,28 +899,64 @@ def test_document_clashes_and_dangling_references_exit_two_with_a_line(tmp_path,
         power = fh.read()
     assert "truth_lattice: chain2\n" in power and "frame: w2\n" in power
     c2 = "kind: lattice\nname: c2\nelements: 0 1\nleq: 0<=1\nbottom: 0\ntop: 1\n"
+    path = tmp_path / "refs.doc"
     cases = (
         (
             "check-lattice",
             c2 + "---\n" + c2,
-            "two documents named 'c2' (line 9)",
+            f"two documents named 'c2' ({path}, line 9)",
         ),
         (
             "power",
             power.replace("frame: w2", "frame: w3"),
-            "'power22' references frame 'w3', which is not loaded (line 6)",
+            f"'power22' references frame 'w3', which is not loaded ({path}, line 6)",
         ),
         (
             "power",
             power.replace("truth_lattice: chain2", "truth_lattice: c3"),
-            "'power22' references lattice 'c3', which is not loaded (line 4)",
+            f"'power22' references lattice 'c3', which is not loaded ({path}, line 4)",
         ),
     )
     for command, text, message in cases:
-        path = tmp_path / "refs.doc"
         path.write_text(text)
         code, out, err = run_cli([command, str(path)], capsys)
         assert (code, out, err) == (2, "", f"error: {message}\n"), message
+
+
+def test_a_located_error_names_the_file_of_its_document(tmp_path, capsys):
+    # each document keeps the file it was read from: a clash names the
+    # second file, and an error in a document that another one refers to
+    # names the file of the document it is in
+    b2 = doc("b2.doc")
+    code, out, err = run_cli(["check-lattice", b2, b2], capsys)
+    assert (code, out, err) == (2, "", f"error: two documents named 'b2' ({b2}, line 2)\n")
+    with open(doc("power22.doc"), encoding="utf-8") as fh:
+        power, chain2 = fh.read().rsplit("---\n", 1)
+    algebra, lattice = tmp_path / "algebra.doc", tmp_path / "lattice.doc"
+    algebra.write_text(power)
+    lattice.write_text(chain2.replace("leq: 0<=1", "leq: 0<=q"))
+    code, out, err = run_cli(["power", str(algebra), str(lattice)], capsys)
+    message = f"lattice 'chain2': 'q' in 'leq' is not declared in 'elements' ({lattice}, line 4)"
+    assert (code, out, err) == (2, "", f"error: {message}\n")
+    lattice.write_text(chain2.replace("name: chain2", "name: c2"))
+    code, out, err = run_cli(["power", str(lattice), str(algebra)], capsys)
+    message = f"'power22' references lattice 'chain2', which is not loaded ({algebra}, line 4)"
+    assert (code, out, err) == (2, "", f"error: {message}\n")
+
+
+def test_python_dash_m_dualbench_runs_the_command_line(capsys):
+    src = os.path.dirname(os.path.dirname(cli.__file__))
+    env = dict(os.environ, PYTHONPATH=src)
+    b2 = doc("b2.doc")
+    for args in (["check-lattice", b2, "--format", "machine"], ["check-lattice", b2, b2]):
+        ran = subprocess.run(
+            [sys.executable, "-m", "dualbench", *args], capture_output=True, text=True, env=env
+        )
+        assert (ran.returncode, ran.stdout, ran.stderr) == run_cli(args, capsys), args
+    ran = subprocess.run(
+        [sys.executable, "-m", "dualbench", "--help"], capture_output=True, text=True, env=env
+    )
+    assert ran.returncode == 0 and ran.stdout.startswith("usage: dualbench")
 
 
 def test_a_text_run_without_a_report_builds_no_machine_payload(

@@ -27,6 +27,26 @@ def test_parse_valid_lattice(chain3):
     assert lat.leq == chain3.leq
 
 
+def test_a_located_error_names_the_file_its_text_came_from(chain3):
+    # the file is kept with each document; text from elsewhere names a line
+    # alone, and equality ignores where a document came from
+    (doc,) = parse_documents(CHAIN3, "docs/chain3.doc")
+    assert doc.path == "docs/chain3.doc" and doc == parse_documents(CHAIN3)[0]
+    bad = CHAIN3.replace("leq: 0<=m m<=1", "leq 0<=m m<=1")
+    expected = "expected 'key: value', got 'leq 0<=m m<=1'"
+    for path, where in ((None, "(line 5)"), ("docs/chain3.doc", "(docs/chain3.doc, line 5)")):
+        with pytest.raises(DocumentError) as err:
+            parse_documents(bad, path)
+        assert (str(err.value), err.value.path) == (f"{expected} {where}", path)
+    with pytest.raises(DocumentError) as err:
+        DocumentSet(parse_documents(CHAIN3, "a.doc") + parse_documents(CHAIN3, "b.doc"))
+    assert str(err.value) == "two documents named 'chain3' (b.doc, line 3)"
+    # an error with no line names no file either
+    with pytest.raises(DocumentError) as err:
+        parse_documents("# nothing\n", "empty.doc")
+    assert str(err.value) == "no documents found"
+
+
 def test_cycle_rejected_at_build():
     (doc,) = parse_documents(
         "kind: lattice\nname: bad\nelements: 0 1\nleq: 0<=1 1<=0\nbottom: 0\ntop: 1\n"

@@ -239,6 +239,31 @@ def test_priestley_dual_examples(chain2, chain3, b2):
     assert len(x.points) == 1
 
 
+def top_classes(homs, top):
+    """The minimal open of each hom from the definition: the homs that send
+    the same elements to the top."""
+    tops = [frozenset(x for x, v in enumerate(h.mapping) if v == top) for h in homs]
+    return tuple(sum(1 << i for i, other in enumerate(tops) if other == t) for t in tops)
+
+
+def test_top_classes_past_the_byte_range_give_the_same_space(b2):
+    # a value above 255 does not fit a byte, so a truth lattice of more
+    # than 256 elements keys the classes by tuples; both keys must give
+    # the classes of the definition, on both sides of the bound
+    for size in (3, 257):
+        truth = chain_lattice(size)
+        for lat in (chain_lattice(2), chain_lattice(3), b2):
+            algebra = make_bdl(lat, truth)
+            space = priestley_dual(algebra)
+            homs = enumerate_homs(algebra, make_bdl(truth, truth))
+            assert space.topo.minopen == top_classes(homs, truth.top), (size, lat.name)
+            assert space.order.up_masks == hom_order(homs)
+    # the three-chain has one hom per value of m, and only m -> top is apart
+    assert len(space.points) == 2  # b2 has its two projections
+    space = priestley_dual(make_bdl(chain_lattice(3), truth))
+    assert space.topo.minopen == ((1 << 256) - 1,) * 256 + (1 << 256,)
+
+
 def test_priestley_reconstruct_examples(chain2):
     two_chain_space = priestley_dual(make_bdl(chain_lattice(3), chain2))
     algebra = priestley_reconstruct(two_chain_space, chain2)

@@ -543,6 +543,27 @@ def test_boolean_lattice_and_long_chain_match_the_oracle():
         assert isinstance(lat, FiniteLattice) and len(lat) == len(elements)
 
 
+def test_cached_attribute_computes_once_and_keeps_its_function():
+    calls = []
+
+    class Box:
+        @lattice.cached_attribute
+        def value(self):
+            """The number of computations so far."""
+            calls.append(self)
+            return len(calls)
+
+    box, other = Box(), Box()
+    assert (box.value, box.value, other.value, box.value) == (1, 1, 2, 1)
+    assert calls == [box, other] and vars(box) == {"value": 1}
+    descriptor = vars(Box)["value"]
+    assert Box.value is descriptor and descriptor.func.__name__ == "value"
+    assert descriptor.__doc__ == "The number of computations so far."
+    # the lattice properties are such descriptors: each one is found once
+    lat = lattice.chain_lattice(3)
+    assert Poset.down_masks.func(lat) == lat.down_masks is lat.down_masks
+
+
 def test_build_lattice_transposes_the_up_sets_once(monkeypatch):
     # the lattice is handed the down-sets of the poset it is built from, so
     # its distributivity test does not transpose the same up-sets again
