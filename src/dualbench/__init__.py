@@ -66,19 +66,11 @@ from .topology import (
 from .duality import (
     algebra_roundtrip,
     check_downclosure_identity,
-    check_esakia_algebra_roundtrip,
-    check_esakia_space_roundtrip,
     check_second_topology_inclusion,
     dual_hom_of_map,
     dual_map_of_hom,
-    esakia_dual,
-    esakia_reconstruct,
     functor_composition_check,
     functor_identity_check,
-    lvl_dual,
-    lvl_reconstruct,
-    priestley_dual,
-    priestley_reconstruct,
     space_roundtrip,
     spectrum_correspondence,
 )

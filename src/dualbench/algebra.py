@@ -633,8 +633,8 @@ def lvl_subalgebras(truth):
 
 def hom_search_plan(lattice):
     """The part of ``enumerate_homs``'s setup that depends only on its
-    source lattice, found once per lattice and kept in its ``derived``:
-    ``(irreducibles, pairs, final, ups)``.
+    source lattice, ``(irreducibles, pairs, final, ups)``, built for each
+    ``hom_search_schedule``, which is kept.
 
     * ``irreducibles``: the join-irreducibles in the order of the search.
     * ``pairs[p]``: (j', j meet j') for every earlier join-irreducible j'
@@ -642,9 +642,6 @@ def hom_search_plan(lattice):
     * ``final[x]``: the step after which h(x) is final, the step of the last
       join-irreducible below x; h(0) and h(1) are final from the start.
     * ``ups[p]``: the elements above the j of step p, the top left out."""
-    plan = lattice.derived.get("hom_search_plan")
-    if plan is not None:
-        return plan
     up, meet, top = lattice.up_masks, lattice.meet, lattice.top
     irreducibles = lattice.join_irreducibles
     pairs = tuple(
@@ -665,15 +662,13 @@ def hom_search_plan(lattice):
         for x in above:
             final[x] = p
         ups.append(above)
-    plan = irreducibles, pairs, tuple(final), tuple(ups)
-    lattice.derived["hom_search_plan"] = plan
-    return plan
+    return irreducibles, pairs, tuple(final), tuple(ups)
 
 
 def hom_search_schedule(a):
     """The steps of ``enumerate_homs`` out of the algebra ``a``, found once
-    per lattice, signature and tables and kept in the lattice's ``derived``
-    beside its plan: ``(first, steps)``.
+    per lattice, signature and tables and kept in the lattice's ``derived``:
+    ``(first, steps)``.
 
     ``steps[p]`` is ``(j, pairs, up, checks)`` for the p-th join-irreducible
     j, with ``pairs`` and ``up`` from ``hom_search_plan``. A check

@@ -10,12 +10,15 @@ Each duality is one ``Mode`` record in ``MODES``, keyed by its name:
              clopen-down-closure law.
 
 A record holds the mode's functors, verifiers and the laws and witness
-phrases in which it differs; one algebra-side and one space-side round trip
-and the functors on morphisms run off it, as a natural duality is stated
-once for any dualizing object (Clark and Davey, *Natural Dualities for the
-Working Algebraist*, 1998). Every natural map is materialized in both
-directions and each verdict carries a concrete witness on failure; nothing
-is inferred from a cited result.
+phrases in which it differs, and is the one way into its duality:
+``MODES[name].dual(algebra)`` gives the dual space and its points as homs,
+``.reconstruct(space, truth)`` the map algebra and its carrier as vectors.
+One algebra-side and one space-side round trip and the functors on
+morphisms run off it, as a natural duality is stated once for any
+dualizing object (Clark and Davey, *Natural Dualities for the Working
+Algebraist*, 1998). Every natural map is materialized in both directions
+and each verdict carries a concrete witness on failure; nothing is
+inferred from a cited result.
 
 One verification builds the same dual or map algebra several times: the
 algebra-side round trip dualizes the algebra its caller just dualized, the
@@ -69,7 +72,7 @@ from .lattice import (
     prime_filters,
     prime_ideals,
 )
-from .reporting import PASS, DualityReport, _Frozen, _Record, failed
+from .reporting import PASS, DualityReport, _Frozen, failed
 from .topology import (
     AlphaAssignment,
     BitopSpace,
@@ -94,7 +97,8 @@ MAP_ENUM_LIMIT = 200_000  # maps kept by one map-algebra search
 
 # (function, id of its first argument, further arguments) -> (first
 # argument, result), and (dual_map_of_hom, ids of both ends, mapping, mode
-# name) -> (both ends, dualized hom), while a verification scope is open
+# name) -> (both ends, (point map, checks)), while a verification scope is
+# open
 _SCOPE_CACHE = contextvars.ContextVar("dualbench_scope_cache", default=None)
 
 
@@ -167,6 +171,11 @@ def _evaluation_masks(homs, size, top):
 
 @_scoped
 def _lvl_dual(algebra):
+    """Dual bitopological space of a lattice-valued algebra and its points:
+    the homs into the truth algebra. The first topology is generated by the
+    sets of homs sending an element to the top, the second by their
+    complements (expressed through the truth-constant operators), and the
+    assignment sends each subalgebra to the homs landing inside it."""
     if algebra.signature != "lvl":
         raise AlgebraError(
             "signature-mismatch", "the bitopological dual needs an lvl algebra"
@@ -189,15 +198,6 @@ def _lvl_dual(algebra):
         frozenset(i for i, h in enumerate(homs) if set(h.mapping) <= s) for s in subs
     )
     return PbsObject(space, AlphaAssignment(truth, subs, images)), homs
-
-
-def lvl_dual(algebra):
-    """Dual bitopological space of a lattice-valued algebra: points are the
-    homs into the truth algebra, the first topology is generated by the sets
-    of homs sending an element to the top, the second by their complements
-    (expressed through the truth-constant operators), and the assignment
-    sends each subalgebra to the homs landing inside it."""
-    return _lvl_dual(algebra)[0]
 
 
 def check_second_topology_inclusion(obj):
@@ -291,14 +291,11 @@ def _pbs_map_vectors(obj):
 
 @_scoped
 def _lvl_reconstruct(obj):
+    """Function algebra of a bitopological object, all structure-respecting
+    maps into the truth lattice with pointwise operations, and its carrier
+    as vectors."""
     vectors = _pbs_map_vectors(obj)
     return vector_algebra(vectors, obj.alpha.truth, f"F({obj.name})", "lvl"), vectors
-
-
-def lvl_reconstruct(obj):
-    """Function algebra of a bitopological object: all structure-respecting
-    maps into the truth lattice, with pointwise operations."""
-    return _lvl_reconstruct(obj)[0]
 
 
 # ---------------------------------------------------------------------------
@@ -306,18 +303,31 @@ def lvl_reconstruct(obj):
 # ---------------------------------------------------------------------------
 
 
-def _points(bdl_algebra):
-    """The homs of a bounded-lattice algebra into its truth lattice."""
-    truth = bdl_algebra.truth
-    return enumerate_homs(bdl_algebra, make_bdl(truth, truth))
+# signature -> (the name prefix of its ordered dual, the refusal of another
+# signature)
+_ORDERED_DUALS = {
+    "bdl": ("G", "the ordered dual needs a bounded-lattice algebra"),
+    "isp_i": ("GI", "the Esakia-style dual needs an isp_i algebra"),
+}
 
 
-def _ordered_dual(bdl_algebra, name, homs):
-    # the topology has the evaluation sets and their complements as its
-    # subbasis, so the minimal open of a hom is its class under "sends the
-    # same elements to the top"; a mapping into at most 256 values is keyed
-    # by its bytes with the top marked, any other by a tuple of flags
-    truth = bdl_algebra.truth
+@_scoped
+def _ordered_dual(algebra, signature):
+    """Ordered dual space of an algebra of ``signature`` and its points: the
+    homs of its bounded-lattice reduct into the truth lattice, under the
+    pointwise order. The topology is generated by the evaluation sets and
+    their complements, as the product topology induces, so the minimal open
+    of a hom holds the homs that send the same elements to the top. An
+    implication algebra's implication re-enters through the order; the
+    Kripke check reads both the space and its points."""
+    prefix, refusal = _ORDERED_DUALS[signature]
+    if algebra.signature != signature:
+        raise AlgebraError("signature-mismatch", refusal)
+    truth = algebra.truth
+    bdl = algebra if signature == "bdl" else make_bdl(algebra.lattice, truth)
+    homs = enumerate_homs(bdl, make_bdl(truth, truth))
+    # a mapping into at most 256 values is keyed by its bytes with the top
+    # marked, any other by a tuple of flags
     if len(truth.elements) <= 256:
         table = _top_bytes(truth.top)
         keys = [bytes(h.mapping).translate(table) for h in homs]
@@ -333,42 +343,9 @@ def _ordered_dual(bdl_algebra, name, homs):
         names,
         Topology(k, tuple(map(classes.__getitem__, keys))),
         Poset(names, hom_order(homs), name="hom-order"),
-        name=name,
+        name=f"{prefix}({algebra.name})",
     )
     return space, homs
-
-
-# signature -> (the bounded-lattice reduct whose homs are the points, the
-# name prefix of the dual, the refusal of another signature)
-_ORDERED_DUALS = {
-    "bdl": (lambda a: a, "G", "the ordered dual needs a bounded-lattice algebra"),
-    "isp_i": (
-        lambda a: make_bdl(a.lattice, a.truth),
-        "GI",
-        "the Esakia-style dual needs an isp_i algebra",
-    ),
-}
-
-
-@_scoped
-def _scoped_ordered_dual(algebra, signature):
-    """The ordered dual of an algebra of ``signature`` and its points, the
-    homs of the algebra's bounded-lattice reduct into the truth lattice;
-    the Kripke check reads both."""
-    reduct, prefix, refusal = _ORDERED_DUALS[signature]
-    if algebra.signature != signature:
-        raise AlgebraError("signature-mismatch", refusal)
-    bdl = reduct(algebra)
-    return _ordered_dual(bdl, f"{prefix}({algebra.name})", _points(bdl))
-
-
-def priestley_dual(algebra):
-    """Ordered dual space of a bounded-lattice algebra: points are the homs
-    into the truth lattice under the pointwise order; the topology is
-    generated by the evaluation sets and their complements, as the product
-    topology induces, so the minimal open of a hom holds the homs that send
-    the same elements to the top."""
-    return _scoped_ordered_dual(algebra, "bdl")[0]
 
 
 def _ordered_map_vectors(space, truth):
@@ -387,8 +364,10 @@ def _ordered_map_vectors(space, truth):
 @_scoped
 def _ordered_reconstruct(space, truth, signature, prefix):
     """The map algebra of an ordered space in ``signature`` and its carrier
-    as vectors; ``vector_algebra`` reads the space order only for the
-    frame-relativized implication of ``isp_i``."""
+    as vectors: the continuous order-preserving maps into the truth lattice,
+    with pointwise lattice operations, and for ``isp_i`` the
+    frame-relativized implication, which ``vector_algebra`` computes
+    directly from the space order."""
     vectors = _ordered_map_vectors(space, truth)
     return (
         vector_algebra(
@@ -398,21 +377,15 @@ def _ordered_reconstruct(space, truth, signature, prefix):
     )
 
 
-def priestley_reconstruct(space, truth):
-    """Algebra of continuous order-preserving maps into the truth lattice,
-    with pointwise lattice operations."""
-    return _ordered_reconstruct(space, truth, "bdl", "C")[0]
-
-
 # ---------------------------------------------------------------------------
 # implication algebras <-> ordered Stone spaces with the Esakia law (hspa)
 # ---------------------------------------------------------------------------
 
 
 def esakia_dual(algebra):
-    """Ordered dual of an implication algebra over the homs of its
-    bounded-lattice reduct; the implication re-enters through the order."""
-    return _scoped_ordered_dual(algebra, "isp_i")[0]
+    """The space of ``HSPA.dual``, by the name perfbench's powers workload
+    calls."""
+    return _ordered_dual(algebra, "isp_i")[0]
 
 
 def _downclosure_mismatch(algebra, order, homs):
@@ -436,7 +409,7 @@ def check_downclosure_identity(algebra):
     on int masks; the witness is the first failing element and its two
     sides. Holds on duals of genuine up-set algebras over the two-element
     chain; measured, not assumed, elsewhere."""
-    space, homs = _scoped_ordered_dual(algebra, "isp_i")
+    space, homs = _ordered_dual(algebra, "isp_i")
     bad = _downclosure_mismatch(algebra, space.order, homs)
     if bad is None:
         return PASS
@@ -446,12 +419,6 @@ def check_downclosure_identity(algebra):
         f"{space.subset_name(mask_members(lhs))} != "
         f"{space.subset_name(mask_members(rhs))}"
     )
-
-
-def esakia_reconstruct(space, truth):
-    """Map algebra of an ordered Stone space with the frame-relativized
-    implication computed directly from the space order."""
-    return _ordered_reconstruct(space, truth, "isp_i", "CI")[0]
 
 
 # ---------------------------------------------------------------------------
@@ -681,7 +648,7 @@ PBS = Mode(
 )
 PSPA = Mode(
     name="pspa",
-    dual=lambda algebra: _scoped_ordered_dual(algebra, "bdl"),
+    dual=lambda algebra: _ordered_dual(algebra, "bdl"),
     reconstruct=lambda space, truth: _ordered_reconstruct(space, truth, "bdl", "C"),
     verify_object=lambda space: {"pspa_object": verify_pspa_object(space)},
     verify_morphism=lambda *args: verify_pspa_morphism(*args),
@@ -700,7 +667,7 @@ PSPA = Mode(
 )
 HSPA = PSPA.replace(
     name="hspa",
-    dual=lambda algebra: _scoped_ordered_dual(algebra, "isp_i"),
+    dual=lambda algebra: _ordered_dual(algebra, "isp_i"),
     reconstruct=lambda space, truth: _ordered_reconstruct(space, truth, "isp_i", "CI"),
     verify_object=_verify_esakia_object,
     verify_morphism=lambda *args: verify_hspa_morphism(*args),
@@ -875,27 +842,13 @@ def check_esakia_space_roundtrip(space, truth):
 # ---------------------------------------------------------------------------
 
 
-class DualizedMap(_Record):
-    """A morphism sent through a dual-space functor, with the verdicts that
-    certify it is an arrow of the target category."""
-
-    _fields = ("mapping", "checks")
-
-    def __init__(self, mapping: tuple, checks: dict | None = None):
-        self.mapping = mapping
-        self.checks = {} if checks is None else checks
-
-    @property
-    def passed(self):
-        return all(r.passed for r in self.checks.values())
-
-
 def dual_map_of_hom(hom, mode):
     """Precomposition: a homomorphism f: A -> B dualizes to the point map
-    from the dual of B to the dual of A sending mu to mu o f. The verdict
-    bundle certifies arrow-hood in the space category.
+    from the dual of B to the dual of A sending mu to mu o f, returned with
+    the checks that certify arrow-hood in the space category, as
+    ``dual_hom_of_map`` returns its hom.
 
-    Inside a verification scope the record is cached on the identities of
+    Inside a verification scope the pair is cached on the identities of
     the hom's two ends, its mapping and the mode, so a hom that is
     dualized again (an identity, or a composite g o f met before) is
     built and verified once."""
@@ -918,7 +871,7 @@ def _dualize_hom(hom, mode):
         mapping = ()
     else:
         checks.update(mode.verify_morphism(mapping, src_obj, dst_obj))
-    return DualizedMap(mapping, checks)
+    return mapping, checks
 
 
 def dual_hom_of_map(mapping, src, dst, mode, truth=None):
@@ -947,11 +900,11 @@ def dual_hom_of_map(mapping, src, dst, mode, truth=None):
 
 def functor_identity_check(algebra, mode):
     """The dual of the identity is the identity."""
-    d = dual_map_of_hom(identity_hom(algebra), mode)
-    if not d.passed:
-        bad = next(k for k, r in d.checks.items() if not r.passed)
-        return failed(f"dual of identity on {algebra.name!r} fails {bad}: {d.checks[bad].witness}")
-    if d.mapping != tuple(range(len(d.mapping))):
+    mapping, checks = dual_map_of_hom(identity_hom(algebra), mode)
+    bad = next((k for k, r in checks.items() if not r.passed), None)
+    if bad is not None:
+        return failed(f"dual of identity on {algebra.name!r} fails {bad}: {checks[bad].witness}")
+    if mapping != tuple(range(len(mapping))):
         return failed(f"dual of identity on {algebra.name!r} is not the identity")
     return PASS
 
@@ -959,15 +912,13 @@ def functor_identity_check(algebra, mode):
 def functor_composition_check(f, g, mode):
     """Contravariance on a composable pair: the dual of g o f must equal the
     dual of f composed after the dual of g."""
-    d_gf = dual_map_of_hom(compose_homs(g, f), mode)
-    d_f = dual_map_of_hom(f, mode)
-    d_g = dual_map_of_hom(g, mode)
-    for d in (d_gf, d_f, d_g):
-        if not d.passed:
-            bad = next(k for k, r in d.checks.items() if not r.passed)
-            return failed(f"dualized morphism fails {bad}: {d.checks[bad].witness}")
-    composite = tuple(d_f.mapping[i] for i in d_g.mapping)
-    if composite != d_gf.mapping:
+    duals = [dual_map_of_hom(h, mode) for h in (compose_homs(g, f), f, g)]
+    for _, checks in duals:
+        bad = next((k for k, r in checks.items() if not r.passed), None)
+        if bad is not None:
+            return failed(f"dualized morphism fails {bad}: {checks[bad].witness}")
+    (d_gf, _), (d_f, _), (d_g, _) = duals
+    if tuple(map(d_f.__getitem__, d_g)) != d_gf:
         return failed(
             f"dual({g.target.name}<-{f.source.name}) is not dual(f) o dual(g)"
         )
@@ -992,7 +943,7 @@ def spectrum_correspondence(algebra):
             "signature-mismatch", "spectrum correspondence needs a bdl algebra"
         )
     truth = algebra.truth
-    homs = _points(algebra)
+    homs = enumerate_homs(algebra, make_bdl(truth, truth))
     report = DualityReport()
     if len(truth) == 2:
         filters = prime_filters(algebra.lattice)

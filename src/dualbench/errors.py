@@ -5,7 +5,17 @@ class DualityError(Exception):
     """Base class for every error raised by dualbench."""
 
 
-class LatticeError(DualityError):
+class _CodedError(DualityError):
+    """An error with a stable machine ``code`` and the offending
+    ``witness``, if any; ``str`` gives the message."""
+
+    def __init__(self, code, message, witness=None):
+        super().__init__(message)
+        self.code = code
+        self.witness = witness
+
+
+class LatticeError(_CodedError):
     """A lattice / poset law failed at build time.
 
     ``code`` is a stable machine identifier (``not-a-poset``,
@@ -14,28 +24,13 @@ class LatticeError(DualityError):
     ``duplicate-element``) and ``witness`` names the offending elements.
     """
 
-    def __init__(self, code, message, witness=None):
-        super().__init__(message)
-        self.code = code
-        self.witness = witness
 
-
-class AlgebraError(DualityError):
+class AlgebraError(_CodedError):
     """Invalid algebra construction or mismatched signatures/carriers."""
 
-    def __init__(self, code, message, witness=None):
-        super().__init__(message)
-        self.code = code
-        self.witness = witness
 
-
-class SpaceError(DualityError):
+class SpaceError(_CodedError):
     """Invalid topological-space construction."""
-
-    def __init__(self, code, message, witness=None):
-        super().__init__(message)
-        self.code = code
-        self.witness = witness
 
 
 class BudgetExceeded(DualityError):

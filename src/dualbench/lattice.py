@@ -104,11 +104,10 @@ class Poset(_Frozen):
     @cached_attribute
     def derived(self):
         """What other modules derive from this poset alone and keep with
-        it for its life, by key (``algebra.hom_search_plan`` and
-        ``hom_search_schedule``, ``algebra.lvl_subalgebras`` and the
-        ``algebra.packed_slices`` tables per width of a lattice,
-        ``kripke.upset_algebra`` of a frame). It is no field, so equality
-        and hashing ignore it."""
+        it for its life, by key (``algebra.hom_search_schedule``,
+        ``algebra.lvl_subalgebras`` and the ``algebra.packed_slices``
+        tables per width of a lattice, ``kripke.upset_algebra`` of a
+        frame). It is no field, so equality and hashing ignore it."""
         return {}
 
     @cached_attribute

@@ -50,15 +50,17 @@ def small_lattices(chain2, chain3, chain4, b2):
 @pytest.fixture
 def scope_caches(monkeypatch):
     """Every verification-scope cache that an ordered dual build runs under
-    (None for a build outside any scope), recorded during the test."""
+    (None for a build outside any scope), recorded during the test. The
+    hom order is found once per ordered dual that is built, and not on a
+    cache hit."""
     seen = []
-    build = duality._ordered_dual
+    build = duality.hom_order
 
     def spy(*args):
         seen.append(duality._SCOPE_CACHE.get())
         return build(*args)
 
-    monkeypatch.setattr(duality, "_ordered_dual", spy)
+    monkeypatch.setattr(duality, "hom_order", spy)
     return seen
 
 

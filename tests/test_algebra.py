@@ -394,10 +394,11 @@ def test_hom_search_plan_matches_a_fresh_computation():
         assert plan == hom_search_plan_oracle(lat), lat.name
 
 
-def test_hom_search_plan_is_found_once_per_lattice(small_lattices, chain2, chain3):
+def test_searches_out_of_one_lattice_keep_only_their_schedules(
+    small_lattices, chain2, chain3
+):
     for lat in (fresh_copy(lat) for lat in small_lattices):
-        assert "hom_search_plan" not in lat.derived
-        # the bdl, heyting and lvl searches out of one lattice share its plan
+        # bdl, heyting and lvl searches out of one lattice
         searches = [
             (make_bdl(lat, truth), make_bdl(truth, truth)) for truth in (chain2, chain3)
         ]
@@ -407,14 +408,14 @@ def test_hom_search_plan_is_found_once_per_lattice(small_lattices, chain2, chain
         ]
         if len(lat) <= 4:
             searches.append((make_lvl(lat), make_lvl(lat)))
-        plans = []
         for a, b in searches:
             assert a.lattice is lat
             assert [h.mapping for h in enumerate_homs(a, b)] == [
                 h.mapping for h in brute_force_homs(a, b)
             ], (a.name, a.signature)
-            plans.append(lat.derived["hom_search_plan"])
-        assert all(plan is plans[0] for plan in plans)
+        # the plan is built inside each schedule and not kept on its own
+        assert list(lat.derived) == schedule_keys(lat)
+        assert len(schedule_keys(lat)) == len({a.signature for a, _ in searches})
 
 
 def fresh_algebra(algebra):

@@ -433,7 +433,7 @@ def test_budget_cut_instance_leaves_no_scope_cache(scope_caches):
     probe = SuiteResult("probe")
 
     def run():
-        duality.priestley_dual(make_bdl(chain_lattice(3), chain_lattice(2)))
+        duality.PSPA.dual(make_bdl(chain_lattice(3), chain_lattice(2)))
         assert duality._SCOPE_CACHE.get()
         raise BudgetExceeded("cut")
 

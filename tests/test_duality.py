@@ -26,14 +26,8 @@ from dualbench.duality import (
     check_second_topology_inclusion,
     dual_hom_of_map,
     dual_map_of_hom,
-    esakia_dual,
-    esakia_reconstruct,
     functor_composition_check,
     functor_identity_check,
-    lvl_dual,
-    lvl_reconstruct,
-    priestley_dual,
-    priestley_reconstruct,
     space_roundtrip,
     spectrum_correspondence,
     verification_scope,
@@ -68,7 +62,7 @@ def is_chain(lattice):
 
 
 def test_lvl_dual_of_two_chain(chain2):
-    obj = lvl_dual(make_lvl(chain2))
+    obj = PBS.dual(make_lvl(chain2))[0]
     assert len(obj.space.points) == 1
     assert set(obj.space.topo1.opens) == {frozenset(), frozenset({0})}
     assert set(obj.space.topo2.opens) == {frozenset(), frozenset({0})}
@@ -76,7 +70,7 @@ def test_lvl_dual_of_two_chain(chain2):
 
 
 def test_lvl_dual_of_three_chain(chain3):
-    obj = lvl_dual(make_lvl(chain3))
+    obj = PBS.dual(make_lvl(chain3))[0]
     assert len(obj.space.points) == 1
     # no unary-operator-preserving hom lands in the two-element subalgebra
     assert obj.alpha.image_mask(frozenset({0, 2})) == 0
@@ -85,13 +79,13 @@ def test_lvl_dual_of_three_chain(chain3):
 def test_lvl_dual_reads_the_cached_subalgebra_family(chain3):
     for truth in (chain3, *corpus_lattices(5)):
         family = lvl_subalgebras(truth)
-        assert lvl_dual(make_lvl(truth)).alpha.subalgebras is family
+        assert PBS.dual(make_lvl(truth))[0].alpha.subalgebras is family
         assert lvl_subalgebras(truth) is family
 
 
 def test_lvl_dual_of_square(chain2):
     square = product_algebra(make_lvl(chain2), make_lvl(chain2))
-    obj = lvl_dual(square)
+    obj = PBS.dual(square)[0]
     assert len(obj.space.points) == 2
     assert len(obj.space.topo1.opens) == 4
     assert len(obj.space.topo2.opens) == 4
@@ -100,7 +94,7 @@ def test_lvl_dual_of_square(chain2):
 def test_lvl_dual_passes_object_laws(chain2, chain3, b2):
     for truth in (chain2, chain3, b2):
         for algebra in (make_lvl(truth), product_algebra(make_lvl(truth), make_lvl(truth))):
-            obj = lvl_dual(algebra)
+            obj = PBS.dual(algebra)[0]
             checks = verify_pbs_object(obj)
             assert all(r.passed for r in checks.values()), algebra.name
             assert check_second_topology_inclusion(obj).passed
@@ -114,7 +108,7 @@ def test_lvl_duals_are_bidiscrete():
     assert len(objects) == 24
     points = []
     for algebra in objects:
-        space = lvl_dual(algebra).space
+        space = PBS.dual(algebra)[0].space
         singletons = tuple(1 << i for i in range(len(space.points)))
         assert space.topo1.minopen == singletons, algebra.name
         assert space.topo2.minopen == singletons, algebra.name
@@ -124,8 +118,8 @@ def test_lvl_duals_are_bidiscrete():
 
 
 def test_lvl_reconstruct_one_point(chain3):
-    obj = lvl_dual(make_lvl(chain3))
-    algebra = lvl_reconstruct(obj)
+    obj = PBS.dual(make_lvl(chain3))[0]
+    algebra = PBS.reconstruct(obj, None)[0]
     assert len(algebra) == 3
     assert is_chain(algebra.lattice)
 
@@ -135,7 +129,7 @@ def test_lvl_reconstruct_two_discrete_points(chain2):
     space = BitopSpace(("p", "q"), disc, disc)
     subs = lvl_subalgebras(chain2)
     obj = PbsObject(space, AlphaAssignment(chain2, subs, (frozenset({0, 1}),)))
-    algebra = lvl_reconstruct(obj)
+    algebra = PBS.reconstruct(obj, None)[0]
     assert len(algebra) == 4
 
 
@@ -147,7 +141,7 @@ def test_lvl_reconstruct_alpha_filters_carrier(chain3):
         frozenset({0, 1}) for _ in subs
     )  # every point constrained into {0,1} as well
     obj = PbsObject(space, AlphaAssignment(chain3, subs, images))
-    algebra = lvl_reconstruct(obj)
+    algebra = PBS.reconstruct(obj, None)[0]
     assert len(algebra) == 4
     for name in algebra.elements:
         assert "m" not in name
@@ -176,7 +170,7 @@ def test_lvl_space_roundtrip_canonical_object(chain2, chain3):
 def test_lvl_space_roundtrip_on_duals(chain2, b2):
     for truth in (chain2, b2):
         algebra = product_algebra(make_lvl(truth), make_lvl(truth))
-        rep = space_roundtrip(PBS, lvl_dual(algebra))
+        rep = space_roundtrip(PBS, PBS.dual(algebra)[0])
         assert rep.passed, rep.witnesses
 
 
@@ -228,14 +222,14 @@ def test_each_dual_refuses_an_algebra_of_another_signature(chain2):
 
 
 def test_priestley_dual_examples(chain2, chain3, b2):
-    x = priestley_dual(make_bdl(chain3, chain2))
+    x = PSPA.dual(make_bdl(chain3, chain2))[0]
     assert len(x.points) == 2
     assert x.order.leq[0][1] != x.order.leq[1][0]  # a two-chain
     assert len(x.topo.opens) == 4  # discrete
-    x = priestley_dual(make_bdl(b2, chain2))
+    x = PSPA.dual(make_bdl(b2, chain2))[0]
     assert len(x.points) == 2
     assert not x.order.leq[0][1] and not x.order.leq[1][0]  # antichain
-    x = priestley_dual(make_bdl(chain2, chain2))
+    x = PSPA.dual(make_bdl(chain2, chain2))[0]
     assert len(x.points) == 1
 
 
@@ -254,32 +248,32 @@ def test_top_classes_past_the_byte_range_give_the_same_space(b2):
         truth = chain_lattice(size)
         for lat in (chain_lattice(2), chain_lattice(3), b2):
             algebra = make_bdl(lat, truth)
-            space = priestley_dual(algebra)
+            space = PSPA.dual(algebra)[0]
             homs = enumerate_homs(algebra, make_bdl(truth, truth))
             assert space.topo.minopen == top_classes(homs, truth.top), (size, lat.name)
             assert space.order.up_masks == hom_order(homs)
     # the three-chain has one hom per value of m, and only m -> top is apart
     assert len(space.points) == 2  # b2 has its two projections
-    space = priestley_dual(make_bdl(chain_lattice(3), truth))
+    space = PSPA.dual(make_bdl(chain_lattice(3), truth))[0]
     assert space.topo.minopen == ((1 << 256) - 1,) * 256 + (1 << 256,)
 
 
 def test_priestley_reconstruct_examples(chain2):
-    two_chain_space = priestley_dual(make_bdl(chain_lattice(3), chain2))
-    algebra = priestley_reconstruct(two_chain_space, chain2)
+    two_chain_space = PSPA.dual(make_bdl(chain_lattice(3), chain2))[0]
+    algebra = PSPA.reconstruct(two_chain_space, chain2)[0]
     assert len(algebra) == 3 and is_chain(algebra.lattice)
-    anti = priestley_dual(make_bdl(chain_lattice(3), chain2))
-    one_point = priestley_dual(make_bdl(chain2, chain2))
-    assert len(priestley_reconstruct(one_point, chain2)) == 2
-    b2_space = priestley_dual(make_bdl(chain_lattice(4), chain2))
-    assert len(priestley_reconstruct(b2_space, chain2)) == 4
+    anti = PSPA.dual(make_bdl(chain_lattice(3), chain2))[0]
+    one_point = PSPA.dual(make_bdl(chain2, chain2))[0]
+    assert len(PSPA.reconstruct(one_point, chain2)[0]) == 2
+    b2_space = PSPA.dual(make_bdl(chain_lattice(4), chain2))[0]
+    assert len(PSPA.reconstruct(b2_space, chain2)[0]) == 4
 
 
 def test_priestley_roundtrips_truth_two(small_lattices, chain2):
     for lat in small_lattices:
         algebra = make_bdl(lat, chain2)
         assert algebra_roundtrip(PSPA, algebra).passed
-        space = priestley_dual(algebra)
+        space = PSPA.dual(algebra)[0]
         assert verify_pspa_object(space).passed
         assert space_roundtrip(PSPA, space, chain2).passed
 
@@ -298,13 +292,13 @@ def test_priestley_roundtrip_fails_truth_three(chain2, chain3):
     assert rep.verdicts["injective"]
     assert not rep.verdicts["surjective"]
     # and the three-chain's own dual is not even Priestley-separated
-    space = priestley_dual(make_bdl(chain3, chain3))
+    space = PSPA.dual(make_bdl(chain3, chain3))[0]
     assert not verify_pspa_object(space).passed
 
 
 def test_delta_reflection_device(small_lattices, chain2):
     for lat in small_lattices:
-        space = priestley_dual(make_bdl(lat, chain2))
+        space = PSPA.dual(make_bdl(lat, chain2))[0]
         rep = space_roundtrip(PSPA, space, chain2)
         assert rep.verdicts["order_reflecting"]
         assert rep.verdicts["reflection_device"]
@@ -315,7 +309,7 @@ def test_delta_reflection_device(small_lattices, chain2):
 
 def test_esakia_dual_of_up_set_algebra(chain2, frame2):
     algebra = upset_algebra(chain2, frame2)
-    space = esakia_dual(algebra)
+    space = HSPA.dual(algebra)[0]
     assert len(space.points) == 2
     assert verify_hspa_object(space).passed
     assert check_downclosure_identity(algebra).passed
@@ -323,7 +317,7 @@ def test_esakia_dual_of_up_set_algebra(chain2, frame2):
 
 def test_esakia_dual_two_chain_trivial(chain2):
     algebra = make_heyting_ispi(chain2, chain2)
-    space = esakia_dual(algebra)
+    space = HSPA.dual(algebra)[0]
     assert len(space.points) == 1
     assert check_downclosure_identity(algebra).passed
 
@@ -467,20 +461,20 @@ def test_a_passed_homomorphism_decides_the_implication_law(chain2, monkeypatch):
 
 def test_esakia_reconstruct_examples(chain2, frame2):
     algebra = upset_algebra(chain2, frame2)
-    space = esakia_dual(algebra)
-    rebuilt = esakia_reconstruct(space, chain2)
+    space = HSPA.dual(algebra)[0]
+    rebuilt = HSPA.reconstruct(space, chain2)[0]
     assert len(rebuilt) == 3
     for a in range(3):
         for b in range(3):
             assert rebuilt.implies[a][b] == heyting_implies(rebuilt.lattice, a, b)
-    one_point = esakia_dual(make_heyting_ispi(chain2, chain2))
-    assert len(esakia_reconstruct(one_point, chain2)) == 2
+    one_point = HSPA.dual(make_heyting_ispi(chain2, chain2))[0]
+    assert len(HSPA.reconstruct(one_point, chain2)[0]) == 2
 
 
 def test_esakia_reconstruct_antichain_is_boolean(chain2, antichain2):
     power = intuitionistic_power(chain2, antichain2)
-    space = esakia_dual(power)
-    rebuilt = esakia_reconstruct(space, chain2)
+    space = HSPA.dual(power)[0]
+    rebuilt = HSPA.reconstruct(space, chain2)[0]
     assert len(rebuilt) == 4
     # pointwise Boolean implication: a -> b = complement(a) join b
     lat = rebuilt.lattice
@@ -493,7 +487,7 @@ def test_esakia_reconstruct_antichain_is_boolean(chain2, antichain2):
 def test_esakia_roundtrips(chain2, frame2):
     algebra = upset_algebra(chain2, frame2)
     assert check_esakia_algebra_roundtrip(algebra).passed
-    space = esakia_dual(algebra)
+    space = HSPA.dual(algebra)[0]
     assert check_esakia_space_roundtrip(space, chain2).passed
     two = make_heyting_ispi(chain2, chain2)
     assert check_esakia_algebra_roundtrip(two).passed
@@ -512,10 +506,10 @@ def test_dual_of_bounds_hom(chain2, chain3):
     source = make_bdl(chain2, chain2)
     target = make_bdl(chain3, chain2)
     (hom,) = enumerate_homs(source, target)
-    dual = dual_map_of_hom(hom, "pspa")
-    assert dual.passed
+    mapping, checks = dual_map_of_hom(hom, "pspa")
+    assert all(r.passed for r in checks.values())
     # both points of the three-chain dual land on the single point
-    assert dual.mapping == (0, 0)
+    assert mapping == (0, 0)
 
 
 def test_functor_composition(chain2, chain3, b2):
@@ -532,7 +526,7 @@ def test_functor_composition(chain2, chain3, b2):
 
 
 def test_dual_hom_of_map(chain2):
-    space = priestley_dual(make_bdl(chain_lattice(3), chain2))
+    space = PSPA.dual(make_bdl(chain_lattice(3), chain2))[0]
     hom, checks = dual_hom_of_map((1, 1), space, space, "pspa", truth=chain2)
     assert all(r.passed for r in checks.values())
     assert hom is not None
@@ -541,7 +535,7 @@ def test_dual_hom_of_map(chain2):
 
 
 def test_dual_hom_of_map_pbs(chain2):
-    obj = lvl_dual(product_algebra(make_lvl(chain2), make_lvl(chain2)))
+    obj = PBS.dual(product_algebra(make_lvl(chain2), make_lvl(chain2)))[0]
     hom, checks = dual_hom_of_map((1, 0), obj, obj, "pbs")
     assert all(r.passed for r in checks.values())
 
@@ -636,17 +630,17 @@ def test_roundtrips_raise_a_refusal_other_than_not_closed(chain2, frame2):
     with pytest.raises(AlgebraError, match="no maps"):
         algebra_roundtrip(mode, algebra)
     with pytest.raises(AlgebraError, match="no maps"):
-        space_roundtrip(mode, esakia_dual(algebra), chain2)
+        space_roundtrip(mode, HSPA.dual(algebra)[0], chain2)
 
 
 def test_dual_hom_of_map_names_what_is_missing(chain2):
     # an ordered space is read over a truth lattice given beside it, and a
     # bitopological object is no ordered space: both are typed errors now,
     # not a TypeError or an AttributeError from deep inside the functor
-    space = priestley_dual(make_bdl(chain_lattice(3), chain2))
+    space = PSPA.dual(make_bdl(chain_lattice(3), chain2))[0]
     with pytest.raises(AlgebraError, match="pspa mode needs a truth lattice"):
         dual_hom_of_map((0, 1), space, space, "pspa")
-    obj = lvl_dual(make_lvl(chain2))
+    obj = PBS.dual(make_lvl(chain2))[0]
     with pytest.raises(SpaceError, match="pspa mode needs a space of type OrderedSpace"):
         dual_hom_of_map((0,), obj, obj, "pspa", truth=chain2)
     with pytest.raises(SpaceError, match="pbs mode needs a space of type PbsObject"):
@@ -996,11 +990,11 @@ def test_scope_keeps_every_verdict_and_witness():
 def test_scope_reuses_duals_and_map_algebras(chain2, chain3):
     alg = make_bdl(chain3, chain2)
     with verification_scope():
-        space = priestley_dual(alg)
-        assert priestley_dual(alg) is space
-        algebra = priestley_reconstruct(space, chain2)
-        assert priestley_reconstruct(space, chain2) is algebra
-    assert priestley_dual(alg) is not priestley_dual(alg)
+        space = PSPA.dual(alg)[0]
+        assert PSPA.dual(alg)[0] is space
+        algebra = PSPA.reconstruct(space, chain2)[0]
+        assert PSPA.reconstruct(space, chain2)[0] is algebra
+    assert PSPA.dual(alg)[0] is not PSPA.dual(alg)[0]
 
 
 def test_dual_map_of_hom_is_cached_in_a_scope_only(chain2, chain3, b2, dual_map_caches):
@@ -1030,11 +1024,11 @@ def test_dual_map_of_hom_is_cached_in_a_scope_only(chain2, chain3, b2, dual_map_
 def test_nested_scope_keeps_the_outer_cache(chain2, chain3):
     alg = make_bdl(chain3, chain2)
     with verification_scope():
-        space = priestley_dual(alg)
+        space = PSPA.dual(alg)[0]
         with verification_scope():
-            assert priestley_dual(alg) is space
-            inner = esakia_dual(make_heyting_ispi(chain3, chain2))
-        assert priestley_dual(alg) is space
+            assert PSPA.dual(alg)[0] is space
+            inner = HSPA.dual(make_heyting_ispi(chain3, chain2))[0]
+        assert PSPA.dual(alg)[0] is space
         cache = duality._SCOPE_CACHE.get()
         # the pspa dual and the hspa dual, which holds its points
         assert len(cache) == 2
@@ -1108,7 +1102,7 @@ def test_ordered_map_enumeration_budget(chain2):
     )
     assert 2**18 > duality.MAP_ENUM_LIMIT
     with pytest.raises(BudgetExceeded):
-        priestley_reconstruct(space, chain2)
+        PSPA.reconstruct(space, chain2)
 
 
 def test_pbs_map_enumeration_budget(b2):
@@ -1125,4 +1119,4 @@ def test_pbs_map_enumeration_budget(b2):
     obj = PbsObject(space, AlphaAssignment(b2, subs, images))
     assert 4**9 > duality.MAP_ENUM_LIMIT
     with pytest.raises(BudgetExceeded):
-        lvl_reconstruct(obj)
+        PBS.reconstruct(obj, None)

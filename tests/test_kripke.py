@@ -359,7 +359,7 @@ def test_kripke_check_reads_the_points_of_the_scoped_dual(chain2, monkeypatch):
         searches.clear()
         with duality.verification_scope():
             scoped = kripke_condition_check(algebra)
-            duality.esakia_dual(algebra)
+            duality.HSPA.dual(algebra)
         assert len(searches) == 1
         assert (scoped.passed, scoped.witness) == (alone.passed, alone.witness)
         if not alone.passed:

@@ -626,6 +626,6 @@ def test_lattice_module_knows_no_signature():
         "from dualbench import algebra as a\n"
         "def f(signature):\n    return signature in ('bdl', 'heyting')\n"
         "x = 'lvl' if True else 'isp_i'\n"
-        "from .algebraic import y\nfrom .lattice import lvl\nz = 'lvl_dual'\n"
+        "from .algebraic import y\nfrom .lattice import lvl\nz = 'lvl_duality'\n"
     )
     assert _signature_knowledge(sample) == [1, 2, 3, 4, 5, 7, 7, 8, 8]

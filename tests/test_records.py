@@ -16,7 +16,7 @@ from dualbench.algebra import (
 from dualbench.cli import RunReport
 from dualbench.corpus import CorpusReport, SuiteResult
 from dualbench.documents import WorkspaceDocument
-from dualbench.duality import HSPA, PBS, PSPA, DualizedMap, Mode
+from dualbench.duality import HSPA, PBS, PSPA, Mode
 from dualbench.errors import SpaceError
 from dualbench.lattice import FiniteLattice, Poset, build_poset, chain_lattice, diamond_lattice
 from dualbench.reporting import PASS, AxiomReport, CheckResult, DualityReport, failed
@@ -85,11 +85,6 @@ def _mutable_samples():
         (RunReport("dualize"), RunReport("dualize"), run),
         (SuiteResult("s"), SuiteResult("s"), suite),
         (CorpusReport(7, 4, 0), CorpusReport(7, 4, 0), CorpusReport(7, 4, 1)),
-        (
-            DualizedMap((0,)),
-            DualizedMap((0,)),
-            DualizedMap((0,), checks={"continuous": PASS}),
-        ),
     ]
 
 
@@ -99,9 +94,9 @@ def test_every_record_class_is_sampled():
         CheckResult, Poset, FiniteLattice, PowerPresentation, Algebra, Homomorphism,
         Topology, BitopSpace, OrderedSpace, AlphaAssignment, PbsObject,
         WorkspaceDocument, Mode, DualityReport, AxiomReport, RunReport, SuiteResult,
-        CorpusReport, DualizedMap,
+        CorpusReport,
     }
-    assert len(classes) == 19
+    assert len(classes) == 18
 
 
 def test_frozen_records_compare_and_hash_by_value():

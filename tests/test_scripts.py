@@ -1,5 +1,9 @@
-"""Smoke tests of the runnable experiments under scripts/."""
+"""Smoke tests of the runnable experiments under scripts/, and a check
+that every name the benchmark's worker and the scripts import from
+dualbench exists."""
 
+import ast
+import importlib
 import importlib.util
 import json
 import pathlib
@@ -8,6 +12,7 @@ import subprocess
 import pytest
 
 SCRIPTS = pathlib.Path(__file__).resolve().parent.parent / "scripts"
+WORKER = SCRIPTS.parent / "perfbench" / "worker.py"
 
 
 def load(name):
@@ -15,6 +20,36 @@ def load(name):
     module = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)
     return module
+
+
+def dualbench_imports(path):
+    """(module, name) for each name the file imports from dualbench, name
+    None for an import of the module itself."""
+    for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+        if isinstance(node, ast.ImportFrom) and not node.level:
+            if node.module.split(".")[0] == "dualbench":
+                yield from ((node.module, alias.name) for alias in node.names)
+        elif isinstance(node, ast.Import):
+            for alias in node.names:
+                if alias.name.split(".")[0] == "dualbench":
+                    yield alias.name, None
+
+
+def test_every_name_the_worker_and_the_scripts_import_exists():
+    found = []
+    for path in (WORKER, *sorted(SCRIPTS.glob("*.py"))):
+        for module, name in dualbench_imports(path):
+            found.append((path.name, module, name))
+            package = importlib.import_module(module)
+            if name is not None:
+                # a name is an attribute, or a submodule of a package
+                assert hasattr(package, name) or (
+                    hasattr(package, "__path__")
+                    and importlib.util.find_spec(f"{module}.{name}")
+                ), (path.name, module, name)
+    # the powers workload reads the hspa functors by name
+    assert ("worker.py", "dualbench.duality", "esakia_dual") in found
+    assert {path for path, *_ in found} == {"worker.py", "survey_axioms.py"}
 
 
 def test_survey_axioms_counts_the_failures_of_both_forms(capsys):
