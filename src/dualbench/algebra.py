@@ -234,12 +234,16 @@ def vector_algebra(vectors, truth, name, signature, order=None):
     PowerPresentation.
 
     The family is packed once (``packed_slices``) and every table entry is
-    one or two bit operations and a lookup of the packed result. The
-    lattice arrives whole: both order masks come from one pass over the
-    meet rows, and it is distributive by construction. The family is
+    one or two bit operations and a lookup of the packed result, each table
+    one nested comprehension. The lattice arrives whole: the family is
     closed under meet and join and holds both bounds, so it is a bounded
     sublattice of a power of the truth lattice, which ``packed_slices``
-    requires to be distributive."""
+    requires to be distributive, and both order masks come from the meet
+    rows. Pointwise, u <= v exactly when the bits of u lie in those of v,
+    which makes code(u) <= code(v) as integers; so each vector is compared
+    only with those whose code is at least its own, half of the n^2 pairs.
+    The element names (``vector_name``) are rendered on the first read of
+    the lattice's ``elements``, which most round trips never make."""
     if not vectors:
         raise AlgebraError("empty-carrier", f"{name!r} has no maps at all")
     vectors = tuple(vectors)
@@ -252,36 +256,36 @@ def vector_algebra(vectors, truth, name, signature, order=None):
     def refused(what):
         return AlgebraError("not-closed", f"{name!r}: {what} leaves the map family")
 
-    def table(row, what):
-        try:
-            return tuple(row(a) for a in packed)
-        except KeyError:
-            raise refused(what) from None
-
     def look(p, what):
         if p not in pos:
             raise refused(what)
         return pos[p]
 
-    def implication_row(a):
-        na = ~a
-        return tuple([pos[implication[(na | b) & full]] for b in packed])
-
-    meet = table(lambda a: tuple([pos[a & b] for b in packed]), "a meet")
-    join = table(lambda a: tuple([pos[a | b] for b in packed]), "a join")
-    # pointwise, u <= v exactly when u meet v is u: bit k of up[i] and bit
-    # i of down[k] are set when meet[i][k] == i
+    try:
+        meet = tuple([tuple([pos[a & b] for b in packed]) for a in packed])
+    except KeyError:
+        raise refused("a meet") from None
+    try:
+        join = tuple([tuple([pos[a | b] for b in packed]) for a in packed])
+    except KeyError:
+        raise refused("a join") from None
+    # bit k of up[i] and bit i of down[k] are set when meet[i][k] == i, so
+    # each vector in code order is scanned against those after it. A family
+    # that repeats a vector has equal codes, and ``pos`` keeps the last
+    # index of each: the stable sort of the indices from the last puts that
+    # one first among its equals, as the scan needs
     n = len(packed)
+    ranked = sorted(range(n - 1, -1, -1), key=packed.__getitem__)
     up, down = [0] * n, [0] * n
-    for i, row in enumerate(meet):
-        bit, mask = 1 << i, 0
-        for k, x in enumerate(row):
-            if x == i:
+    for r, i in enumerate(ranked):
+        row, bit, mask = meet[i], 1 << i, 0
+        for k in ranked[r:]:
+            if row[k] == i:
                 mask |= 1 << k
                 down[k] |= bit
         up[i] = mask
     lattice = FiniteLattice(
-        tuple([vector_name(truth, v) for v in vectors]),
+        lambda: tuple([vector_name(truth, v) for v in vectors]),
         tuple(up),
         meet,
         join,
@@ -293,7 +297,15 @@ def vector_algebra(vectors, truth, name, signature, order=None):
     lattice.is_distributive = True
     implies = None
     if signature in ("heyting", "lvl", "isp_i"):
-        implies = table(implication_row, "an implication")
+        try:
+            implies = tuple(
+                [
+                    tuple([pos[implication[(na | b) & full]] for b in packed])
+                    for na in [~a for a in packed]
+                ]
+            )
+        except KeyError:
+            raise refused("an implication") from None
     t_ops = presentation = None
     if signature == "lvl":
         t_ops = tuple(
@@ -677,18 +689,32 @@ def hom_search_schedule(a):
     ``_op_tables`` order, each unary one widened to ignore y, which is then
     the bottom. Each check sits at the step after which all of its elements
     are final, the cheap unary checks first; ``first`` holds those final
-    from the start. A bdl source has no checks, and its key no tables."""
+    from the start. A bdl source has no checks, and its key no tables.
+
+    Any other source's schedules are kept per signature, one
+    ``(implies, t_ops, schedule)`` entry per distinct pair of tables, and a
+    lookup compares the source's tables with each entry's instead of
+    hashing them. The tables an entry holds match on identity, in no time;
+    equal tables that are other objects match value by value and share the
+    schedule, with no second entry; other tables mostly differ early."""
     lattice = a.lattice
-    if a.signature == "bdl":
+    bdl = a.signature == "bdl"
+    if bdl:
         key = ("hom_search_schedule", "bdl")
+        schedule = lattice.derived.get(key)
+        if schedule is not None:
+            return schedule
     else:
-        key = ("hom_search_schedule", a.signature, a.implies, a.t_ops)
-    schedule = lattice.derived.get(key)
-    if schedule is not None:
-        return schedule
+        kept = lattice.derived.setdefault(("hom_search_schedule", a.signature), [])
+        for implies, t_ops, schedule in kept:
+            if implies is a.implies and t_ops is a.t_ops:
+                return schedule
+        for implies, t_ops, schedule in kept:
+            if implies == a.implies and t_ops == a.t_ops:
+                return schedule
     irreducibles, pairs, final, ups = hom_search_plan(lattice)
     checks = [[] for _ in range(len(irreducibles) + 1)]
-    if a.signature != "bdl":
+    if not bdl:
         _, unaries, binaries = _op_tables(a, a)
         bottom = lattice.bottom
         for t, (_, ta, _) in enumerate(unaries):
@@ -701,7 +727,11 @@ def hom_search_schedule(a):
                 for y, r in enumerate(row):
                     checks[max(fx, final[y], final[r])].append((t, r, x, y))
     steps = tuple(zip(irreducibles, pairs, ups, map(tuple, checks[1:])))
-    schedule = lattice.derived[key] = tuple(checks[0]), steps
+    schedule = tuple(checks[0]), steps
+    if bdl:
+        lattice.derived[key] = schedule
+    else:
+        kept.append((a.implies, a.t_ops, schedule))
     return schedule
 
 
@@ -746,7 +776,7 @@ def enumerate_homs(a, b):
     k = len(steps)
     tables = ()
     if a.signature != "bdl":
-        m = len(lb.elements)
+        m = len(lb)
         _, unaries, binaries = _op_tables(a, b)
         tables = [[[v] * m for v in tb] for _, _, tb in unaries]
         tables += [tb for _, _, tb in binaries[2:]]
@@ -782,7 +812,7 @@ def enumerate_homs(a, b):
                     if exact or is_homomorphism(g, a, b).passed:
                         found.append(tuple(g))
 
-    h = [lb.bottom] * len(la.elements)
+    h = [lb.bottom] * len(la)
     h[la.top] = top_b
     if all(h[r] == tables[t][h[x]][h[y]] for t, r, x, y in first):
         extend(0, h, lb.bottom)

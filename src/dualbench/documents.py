@@ -5,6 +5,8 @@ A file holds one or more documents separated by a line containing only
 ``---``. Each document is a block of ``key: value`` lines; ``#`` starts a
 full-line comment and blank lines are ignored. The first key must be
 ``kind`` (one of lattice, algebra, frame, space) and ``name`` is required.
+A line ends at ``\n``, ``\r\n`` or ``\r``, as an editor counts lines, and
+a located error names its line by that count.
 
 Example::
 
@@ -69,6 +71,10 @@ _SCHEMAS = {
 _REFERENCE_FIELDS = {"lattice": "truth_lattice", "frame": "frame"}
 
 _KEY_RE = re.compile(r"^(\S+):\s*(.*)$")
+# the line ends an editor counts (universal newlines); ``str.splitlines``
+# also ends a line at a form feed, a vertical tab or a Unicode separator,
+# which would put every later line number past the line it names
+_LINE_END_RE = re.compile(r"\r\n|\r|\n")
 
 
 class WorkspaceDocument(_Frozen):
@@ -126,7 +132,7 @@ def parse_documents(text, path=None):
     ``path`` names the file the text was read from, if any."""
     blocks = []
     current = []
-    for lineno, raw in enumerate(text.splitlines(), start=1):
+    for lineno, raw in enumerate(_LINE_END_RE.split(text), start=1):
         line = raw.strip()
         if line == "---":
             blocks.append(current)
@@ -158,9 +164,14 @@ def _parse_block(block, path):
     keys = [k for k, _, _ in pairs]
     dupes = {k for k in keys if keys.count(k) > 1}
     if dupes:
+        # located at the second line of the first repeated key
         k = sorted(dupes)[0]
+        lineno = [n for key, _, n in pairs if key == k][1]
         raise DocumentError(
-            "schema-violation", f"field {k!r} appears more than once", line=block[0][0]
+            "schema-violation",
+            f"field {k!r} appears more than once",
+            line=lineno,
+            fieldname=k,
         )
     if keys[0] != "kind":
         raise DocumentError(

@@ -15,6 +15,7 @@ are decided on up- and down-set masks, as Priestley duality states them.
 
 from __future__ import annotations
 
+from collections.abc import Callable
 from operator import eq
 
 from .errors import LatticeError
@@ -77,19 +78,40 @@ class Memo(dict):
 
 class Poset(_Frozen):
     """A finite partial order, held by the up-set of each element: bit j of
-    ``up_masks[i]`` is set when element i is below j."""
+    ``up_masks[i]`` is set when element i is below j.
+
+    ``elements`` is the tuple of element names, or a function of no
+    arguments that returns it. A function runs on the first read of
+    ``elements`` (a witness, a report, equality, hashing, ``repr`` or
+    ``replace``), so a poset whose names nobody reads never renders them."""
 
     _fields = ("elements", "up_masks", "name")
 
     def __init__(
-        self, elements: tuple[str, ...], up_masks: tuple[int, ...], *, name: str = "poset"
+        self,
+        elements: tuple[str, ...] | Callable[[], tuple[str, ...]],
+        up_masks: tuple[int, ...],
+        *,
+        name: str = "poset",
     ):
-        self.elements = elements
+        if callable(elements):
+            self._render = elements
+        else:
+            self.elements = elements
         self.up_masks = up_masks
         self.name = name
 
+    @cached_attribute
+    def elements(self):
+        """The names rendered by the function the poset was built with,
+        which is then let go. Names given as a tuple are set by
+        ``__init__`` and shadow this."""
+        return self.__dict__.pop("_render")()
+
     def __len__(self):
-        return len(self.elements)
+        """The size of the carrier, read off the order so that no name is
+        rendered for it."""
+        return len(self.up_masks)
 
     def index(self, element_name):
         try:
@@ -149,14 +171,17 @@ class FiniteLattice(Poset):
 
     The tables are built once at validation time so every later operation is
     a lookup; all downstream enumerations are at least quadratic in the
-    carrier, so this is the cheap part.
+    carrier, so this is the cheap part. The element names may come from a
+    function, as a ``Poset``'s may, and are then rendered on first read:
+    the lattice of a vector algebra renders its names only for a witness or
+    a report that reads them.
     """
 
     _fields = Poset._fields + ("meet", "join", "bottom", "top")
 
     def __init__(
         self,
-        elements: tuple[str, ...],
+        elements: tuple[str, ...] | Callable[[], tuple[str, ...]],
         up_masks: tuple[int, ...],
         meet: tuple[tuple[int, ...], ...],
         join: tuple[tuple[int, ...], ...],
@@ -165,9 +190,7 @@ class FiniteLattice(Poset):
         *,
         name: str = "poset",
     ):
-        self.elements = elements
-        self.up_masks = up_masks
-        self.name = name
+        super().__init__(elements, up_masks, name=name)
         self.meet = meet
         self.join = join
         self.bottom = bottom

@@ -487,6 +487,35 @@ def test_hom_search_schedule_is_kept_per_table_not_per_lattice(small_lattices, c
         assert enumerate_homs(changed, targets[0]) == ()  # 1 -> 0 is 1 nowhere
 
 
+class Unhashable(tuple):
+    """A table that refuses to be hashed."""
+
+    __hash__ = None
+
+
+def test_schedule_lookups_hash_no_table_and_equal_tables_share_one(small_lattices, chain2):
+    # the tables an entry holds match on identity, and tables that refuse a
+    # hash are searched as any others; an equal copy on the same lattice
+    # matches by value, shares the schedule and adds no entry, and every
+    # source searches correctly
+    for lat in (fresh_copy(lat) for lat in small_lattices):
+        targets = [make_heyting(t, chain2) for t in small_lattices if len(t) <= 4]
+        unhashable = algebra_from_tables(
+            "heyting", lat, chain2, implies=Unhashable(heyting_table(lat))
+        )
+        for a in (unhashable, make_lvl(lat)):
+            copy = fresh_algebra(a).replace(lattice=lat)
+            assert copy.implies == a.implies and copy.implies is not a.implies
+            for source in (a, copy, a):
+                for b in targets if a.signature == "heyting" else [make_lvl(lat)]:
+                    got = [h.mapping for h in enumerate_homs(source, b)]
+                    assert got == [h.mapping for h in brute_force_homs(source, b)]
+            ((implies, t_ops, schedule),) = lat.derived[("hom_search_schedule", a.signature)]
+            assert implies is a.implies and t_ops is a.t_ops
+            assert hom_search_schedule(a) is schedule is hom_search_schedule(copy)
+        assert len(schedule_keys(lat)) == 2
+
+
 def test_hom_search_schedule_checks_each_entry_once_when_it_is_final(small_lattices):
     # every (table, arguments) entry of the source sits at exactly one step,
     # the first after which its elements are all final

@@ -3,13 +3,14 @@ oracle in vector_oracle.py: equal algebras, field for field, and equal
 refusals."""
 
 import itertools
+import random
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 import vector_oracle
 from lattice_oracle import up_masks_of
-from dualbench import duality
+from dualbench import algebra, duality
 from dualbench.algebra import (
     FiniteLattice,
     make_lvl,
@@ -17,7 +18,12 @@ from dualbench.algebra import (
     product_algebra,
     vector_algebra,
 )
-from dualbench.corpus import corpus_frames, corpus_lattices, corpus_run
+from dualbench.corpus import (
+    corpus_frames,
+    corpus_lattices,
+    corpus_run,
+    suite_ispi_roundtrip,
+)
 from dualbench.duality import MODES
 from dualbench.errors import AlgebraError
 from dualbench.kripke import (
@@ -27,7 +33,7 @@ from dualbench.kripke import (
     power_subalgebra,
     upset_algebra,
 )
-from dualbench.lattice import Poset, chain_lattice
+from dualbench.lattice import Poset, build_poset, chain_lattice
 
 SIGNATURES = ("bdl", "heyting", "lvl", "isp_i")
 
@@ -171,6 +177,97 @@ def test_vector_lattices_arrive_whole(chain2, chain3, b2):
     assert len(built) == 4 * 35 + 2 * 20 - 18 + 3 * 2 + 35 + 2 * 87 + 24
     for algebra in built:
         handed_structure_holds(algebra.lattice)
+
+
+def test_the_order_masks_do_not_depend_on_the_order_of_the_family(chain2, chain3, b2):
+    # the mask scan runs in code order; families handed over shuffled, and
+    # with a repeated vector, give the masks of the meet-row scan and the
+    # oracle's algebra
+    rng = random.Random(0)
+    families = [(truth, frame) for truth in (chain2, chain3) for frame in corpus_frames(3)]
+    families += [(b2, frame) for frame in corpus_frames(2)]
+    for truth, frame in families:
+        for vectors in (
+            monotone_vectors(truth, frame),
+            tuple(itertools.product(range(len(truth)), repeat=len(frame))),
+        ):
+            shuffled = list(vectors)
+            rng.shuffle(shuffled)
+            for family in (shuffled, shuffled + [shuffled[0]]):
+                args = (family, truth, "fam", "isp_i")
+                built = outcome(vector_algebra, *args, order=frame)
+                assert built == outcome(vector_oracle.vector_algebra, *args, order=frame)
+                if len(family) == len(vectors):
+                    lattice = built.lattice
+                    masks = vector_oracle.order_masks_of_meet(lattice.meet)
+                    assert (lattice.up_masks, lattice.down_masks) == masks
+
+
+@pytest.fixture
+def renders(monkeypatch):
+    """The names of the lattices whose element names were rendered by a
+    function during the test, one entry per rendering."""
+    rendered = []
+    render = Poset.elements.func
+
+    def spy(poset):
+        rendered.append(poset.name)
+        return render(poset)
+
+    monkeypatch.setattr(Poset.elements, "func", spy)
+    return rendered
+
+
+def test_vector_names_are_rendered_once_on_first_read(chain3, monkeypatch, renders):
+    frame = build_poset(("w0", "w1", "w2"), [("w0", "w1")], name="f")
+    calls = []
+    name = algebra.vector_name
+
+    def counted(truth, vec):
+        calls.append(vec)
+        return name(truth, vec)
+
+    monkeypatch.setattr(algebra, "vector_name", counted)
+    built = upset_algebra(chain3, frame)
+    lattice = built.lattice
+    assert calls == [] and "elements" not in vars(lattice)
+    assert len(built) == len(lattice) == len(lattice.up_masks) > 2
+    names = lattice.elements
+    assert calls == list(built.presentation.vectors) and renders == ["up(f)"]
+    assert lattice.elements is names and built.element_name(0) == names[0]
+    assert len(calls) == len(names) and renders == ["up(f)"]
+    # the function is let go once it has run
+    assert "_render" not in vars(lattice)
+
+
+def test_vector_lattices_compare_print_and_copy_as_the_oracle_builds(chain3, renders):
+    frame = build_poset(("w0", "w1", "w2"), [("w0", "w1"), ("w0", "w2")], name="f")
+    vectors = monotone_vectors(chain3, frame)
+    args = (vectors, chain3, "fam", "isp_i")
+    oracle = vector_oracle.vector_algebra(*args, order=frame)
+
+    def fresh():
+        built = vector_algebra(*args, order=frame)
+        assert "elements" not in vars(built.lattice)
+        return built
+
+    # each a first read of the names
+    assert fresh() == oracle and oracle == fresh()
+    assert hash(fresh()) == hash(oracle)
+    assert repr(fresh()) == repr(oracle)
+    assert fresh().lattice.replace(name="g") == oracle.lattice.replace(name="g")
+    assert fresh().lattice != oracle.lattice.replace(elements=oracle.elements[::-1])
+    assert renders == ["fam"] * 6
+
+
+def test_round_trips_render_only_the_names_a_witness_reads(renders):
+    # the corpus run reads the names of two double duals, each for the
+    # witness of a map that is not onto (isp_roundtrip_chain3, red by design)
+    corpus_run(7, 4, 0)
+    assert len(renders) <= 2 and len(set(renders)) == len(renders)
+    del renders[:]
+    suite = suite_ispi_roundtrip(corpus_frames(5))
+    assert suite.passed and renders == []
 
 
 def test_packed_slices_round_trip(chain3, b2):
