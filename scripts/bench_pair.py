@@ -6,11 +6,14 @@ Usage (from the root of a checkout):
         --workload powers=5 --seed 4000 --label pr20 \
         --change "what the change does" --out BENCH_pr20.json
 
-Unpacks ``git archive COMMIT`` into a temporary directory, then runs
+Unpacks ``git archive COMMIT`` into a temporary directory and copies
+beside it every file of the working tree that ``git ls-files --cached
+--others --exclude-standard`` lists, so that neither side runs with a
+``__pycache__`` or another leftover the other lacks. It then runs
 ``perfbench/run.py --workload W --seed S --seconds N --trace 0`` once in
-that tree and once in the working tree for each pair, with the seed of the
-pair, and alternates which side runs first. N is the ``run_seconds`` that
-``BENCHMARK.json`` sets. ``--corpus-size M`` adds
+each tree for each pair, with the seed of the pair, and alternates which
+side runs first. N is the ``run_seconds`` that ``BENCHMARK.json`` sets.
+``--corpus-size M`` adds
 ``corpus-run --max-size M --frame-size 4 --seed 0 --timings`` run
 ``CORPUS_REPEATS`` times on each side, alternately, and records the
 seconds of each suite, as the tree's ``--timings`` reports them, and the
@@ -28,7 +31,8 @@ not met. The script exits 1 when that list is not empty, and 0 otherwise.
 ``src_lines`` holds each side's line count of ``src/dualbench/*.py``, as
 ``wc -l`` counts them, so the size of a change sits beside its timings.
 Nothing under ``perfbench/`` is changed; its run records go to the
-``perfbench/out/`` of each tree.
+``perfbench/out/`` of each temporary tree, and the record's ``machine`` is
+read from the change's.
 """
 
 from __future__ import annotations
@@ -167,6 +171,22 @@ def src_lines(tree):
     return sum(path.read_bytes().count(b"\n") for path in package.glob("*.py"))
 
 
+def copy_listed_files(root, dest):
+    """Copy every file of the working tree at the path ``root`` that git
+    tracks or would track (``git ls-files --cached --others
+    --exclude-standard``) into the path ``dest``, paths kept. A tracked
+    file deleted from the working tree is left out, as a commit of the
+    tree would leave it out."""
+    listed = subprocess.run(
+        ["git", "ls-files", "-z", "--cached", "--others", "--exclude-standard"],
+        cwd=root, capture_output=True, check=True,
+    ).stdout
+    for name in filter(None, listed.decode("utf-8").split("\0")):
+        if (root / name).is_file():
+            (dest / name).parent.mkdir(parents=True, exist_ok=True)
+            shutil.copy2(root / name, dest / name)
+
+
 def run_bench(tree, workload, seed):
     started = time.monotonic()
     proc = subprocess.run(
@@ -288,7 +308,10 @@ def main(argv=None):
             ["git", "archive", parent_commit], cwd=ROOT, capture_output=True, check=True
         ).stdout
         subprocess.run(["tar", "-x", "-C", str(parent_tree)], input=archive, check=True)
-        trees = {"parent": parent_tree, "change": ROOT}
+        change_tree = scratch / "change"
+        change_tree.mkdir()
+        copy_listed_files(ROOT, change_tree)
+        trees = {"parent": parent_tree, "change": change_tree}
         lines = {side: src_lines(trees[side]) for side in SIDES}
         rows = []
         seed = args.seed
@@ -300,6 +323,7 @@ def main(argv=None):
         scale = None
         if args.corpus_size:
             scale = corpus_seconds(trees, args.corpus_size)
+        ran_on = machine(change_tree, rows[0]["workload"], rows[0]["seed"])
     finally:
         shutil.rmtree(scratch, ignore_errors=True)
 
@@ -310,12 +334,13 @@ def main(argv=None):
         "parent_commit": parent_commit,
         "how": (
             f"python3 perfbench/run.py --workload W --seed S --seconds {RUN_SECONDS:g} "
-            "--trace 0 in a git archive of the parent commit and in the working tree, "
-            "alternating which side runs first in each pair (the parent first on even "
+            "--trace 0 in a git archive of the parent commit and in a copy of the files "
+            "of the working tree that git ls-files --cached --others --exclude-standard "
+            "lists, alternating which side runs first in each pair (the parent first on even "
             f"pairs); seeds from {args.seed}, one per pair. setup_s and run_s are scaled "
             "CPU medians as perfbench reports them; quartiles are inclusive"
         ),
-        "machine": machine(ROOT, rows[0]["workload"], rows[0]["seed"]),
+        "machine": ran_on,
         "rows": rows,
         "summary": summary,
         "regressions": regressions(summary),

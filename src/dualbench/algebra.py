@@ -26,6 +26,7 @@ from .lattice import (
     FiniteLattice,
     Memo,
     Poset,
+    cached_attribute,
     canonical_subset_order,
     heyting_table,
     mask_members,
@@ -86,6 +87,38 @@ class Algebra(_Frozen):
 
     def element_name(self, i):
         return self.lattice.elements[i]
+
+    @cached_attribute
+    def hom_search_steps(self):
+        """The steps of ``enumerate_homs`` out of this algebra, its
+        lattice's ``hom_search_plan`` with the checks of the implication
+        and the truth-constant operators placed on it: ``(first, steps)``,
+        built on the first search out of it.
+
+        ``steps[p]`` is ``(j, pairs, up, checks)``. A check
+        ``(t, result, x, y)`` asks that h(result) be
+        ``tables[t][h(x)][h(y)]``, where ``tables`` are the target's tables
+        of the signature in ``_op_tables`` order after meet and join, each
+        unary one widened to ignore y, which is then the bottom. Each check
+        sits at the step after which all of its elements are final, the
+        cheap unary checks first; ``first`` holds those final from the
+        start."""
+        steps, final = hom_search_plan(self.lattice)
+        checks = [[] for _ in range(len(steps) + 1)]
+        _, unaries, binaries = _op_tables(self, self)
+        bottom = self.lattice.bottom
+        for t, (_, ta, _) in enumerate(unaries):
+            for x, r in enumerate(ta):
+                checks[max(final[x], final[r])].append((t, r, x, bottom))
+        # meets and joins are kept by construction
+        for t, (_, ta, _) in enumerate(binaries[2:], len(unaries)):
+            for x, row in enumerate(ta):
+                fx = final[x]
+                for y, r in enumerate(row):
+                    checks[max(fx, final[y], final[r])].append((t, r, x, y))
+        return tuple(checks[0]), tuple(
+            (j, pairs, up, tuple(placed)) for (j, pairs, up, _), placed in zip(steps, checks[1:])
+        )
 
 
 def _validate(alg, tables=True):
@@ -644,95 +677,37 @@ def lvl_subalgebras(truth):
 
 
 def hom_search_plan(lattice):
-    """The part of ``enumerate_homs``'s setup that depends only on its
-    source lattice, ``(irreducibles, pairs, final, ups)``, built for each
-    ``hom_search_schedule``, which is kept.
+    """The setup of ``enumerate_homs`` that depends only on its source
+    lattice, ``(steps, final)``, built once per lattice and kept in its
+    ``derived``. A bdl search runs on it as it is; a source with more
+    operations places its checks on it (``Algebra.hom_search_steps``).
 
-    * ``irreducibles``: the join-irreducibles in the order of the search.
-    * ``pairs[p]``: (j', j meet j') for every earlier join-irreducible j'
-      incomparable to the j of step p.
+    * ``steps[p]``: ``(j, pairs, up, ())`` for the p-th join-irreducible j
+      in the order of the search, where ``pairs`` holds (j', j meet j')
+      for every earlier join-irreducible j' incomparable to j, ``up`` the
+      elements above j, the top left out, and ``()`` the checks, none.
     * ``final[x]``: the step after which h(x) is final, the step of the last
-      join-irreducible below x; h(0) and h(1) are final from the start.
-    * ``ups[p]``: the elements above the j of step p, the top left out."""
+      join-irreducible below x; h(0) and h(1) are final from the start."""
+    plan = lattice.derived.get("hom_search_plan")
+    if plan is not None:
+        return plan
     up, meet, top = lattice.up_masks, lattice.meet, lattice.top
     irreducibles = lattice.join_irreducibles
-    pairs = tuple(
-        tuple([(i, meet[j][i]) for i in irreducibles[:p] if not up[i] >> j & 1])
-        for p, j in enumerate(irreducibles)
-    )
-    n = len(lattice)
-    final = [0] * n
-    ups = []
-    for p, j in enumerate(irreducibles, 1):
+    final = [0] * len(lattice)
+    steps = []
+    for p, j in enumerate(irreducibles):
+        pairs = tuple([(i, meet[j][i]) for i in irreducibles[:p] if not up[i] >> j & 1])
         above = []
         rest = up[j] & ~(1 << top)
         while rest:
             low = rest & -rest
-            above.append(low.bit_length() - 1)
+            x = low.bit_length() - 1
+            above.append(x)
+            final[x] = p + 1
             rest ^= low
-        above = tuple(above)
-        for x in above:
-            final[x] = p
-        ups.append(above)
-    return irreducibles, pairs, tuple(final), tuple(ups)
-
-
-def hom_search_schedule(a):
-    """The steps of ``enumerate_homs`` out of the algebra ``a``, found once
-    per lattice, signature and tables and kept in the lattice's ``derived``:
-    ``(first, steps)``.
-
-    ``steps[p]`` is ``(j, pairs, up, checks)`` for the p-th join-irreducible
-    j, with ``pairs`` and ``up`` from ``hom_search_plan``. A check
-    ``(t, result, x, y)`` asks that h(result) be ``tables[t][h(x)][h(y)]``,
-    where ``tables`` are the target's tables of the signature in
-    ``_op_tables`` order, each unary one widened to ignore y, which is then
-    the bottom. Each check sits at the step after which all of its elements
-    are final, the cheap unary checks first; ``first`` holds those final
-    from the start. A bdl source has no checks, and its key no tables.
-
-    Any other source's schedules are kept per signature, one
-    ``(implies, t_ops, schedule)`` entry per distinct pair of tables, and a
-    lookup compares the source's tables with each entry's instead of
-    hashing them. The tables an entry holds match on identity, in no time;
-    equal tables that are other objects match value by value and share the
-    schedule, with no second entry; other tables mostly differ early."""
-    lattice = a.lattice
-    bdl = a.signature == "bdl"
-    if bdl:
-        key = ("hom_search_schedule", "bdl")
-        schedule = lattice.derived.get(key)
-        if schedule is not None:
-            return schedule
-    else:
-        kept = lattice.derived.setdefault(("hom_search_schedule", a.signature), [])
-        for implies, t_ops, schedule in kept:
-            if implies is a.implies and t_ops is a.t_ops:
-                return schedule
-        for implies, t_ops, schedule in kept:
-            if implies == a.implies and t_ops == a.t_ops:
-                return schedule
-    irreducibles, pairs, final, ups = hom_search_plan(lattice)
-    checks = [[] for _ in range(len(irreducibles) + 1)]
-    if not bdl:
-        _, unaries, binaries = _op_tables(a, a)
-        bottom = lattice.bottom
-        for t, (_, ta, _) in enumerate(unaries):
-            for x, r in enumerate(ta):
-                checks[max(final[x], final[r])].append((t, r, x, bottom))
-        # meets and joins are kept by construction
-        for t, (_, ta, _) in enumerate(binaries[2:], len(unaries)):
-            for x, row in enumerate(ta):
-                fx = final[x]
-                for y, r in enumerate(row):
-                    checks[max(fx, final[y], final[r])].append((t, r, x, y))
-    steps = tuple(zip(irreducibles, pairs, ups, map(tuple, checks[1:])))
-    schedule = tuple(checks[0]), steps
-    if bdl:
-        lattice.derived[key] = schedule
-    else:
-        kept.append((a.implies, a.t_ops, schedule))
-    return schedule
+        steps.append((j, pairs, tuple(above), ()))
+    plan = lattice.derived["hom_search_plan"] = tuple(steps), tuple(final)
+    return plan
 
 
 def enumerate_homs(a, b):
@@ -762,24 +737,29 @@ def enumerate_homs(a, b):
     (table, arguments) constraint is checked at the step after which all
     of its elements, result included, are final, that is, when the last
     join-irreducible below them is set. What depends on the source alone
-    is its ``hom_search_schedule``; the search binds the target's tables.
+    is the ``hom_search_plan`` of its lattice and, but for a bdl source,
+    its ``hom_search_steps``; the search binds the target's tables.
 
     Every hom passes every check on any finite lattices, so the search is
     complete. It is sound when both lattices are distributive, as every
     lattice built in this package is; otherwise each leaf is also checked
-    with is_homomorphism. brute_force_homs is the scan oracle.
+    with is_homomorphism. brute_force_homs is the scan oracle. The search
+    recurses one level per join-irreducible, and raises BudgetExceeded
+    when that is deeper than Python's recursion limit.
     """
     _require_compatible(a, b)
     la, lb = a.lattice, b.lattice
     top_b = lb.top
-    first, steps = hom_search_schedule(a)
-    k = len(steps)
-    tables = ()
-    if a.signature != "bdl":
+    if a.signature == "bdl":
+        steps, _ = hom_search_plan(la)
+        first = tables = ()
+    else:
+        first, steps = a.hom_search_steps
         m = len(lb)
         _, unaries, binaries = _op_tables(a, b)
         tables = [[[v] * m for v in tb] for _, _, tb in unaries]
         tables += [tb for _, _, tb in binaries[2:]]
+    k = len(steps)
     exact = la.is_distributive and lb.is_distributive
     join_b, down_b, up_b = lb.join, lb.down_masks, lb.up_masks
     implies_b = heyting_table(lb)
@@ -814,9 +794,15 @@ def enumerate_homs(a, b):
 
     h = [lb.bottom] * len(la)
     h[la.top] = top_b
-    if all(h[r] == tables[t][h[x]][h[y]] for t, r, x, y in first):
-        extend(0, h, lb.bottom)
-    extend = None  # drop the closure's cycle through itself, and the algebras it holds
+    try:
+        if all(h[r] == tables[t][h[x]][h[y]] for t, r, x, y in first):
+            extend(0, h, lb.bottom)
+    except RecursionError:
+        raise BudgetExceeded(
+            f"hom search {k} join-irreducibles deep exceeds the recursion limit"
+        ) from None
+    finally:
+        extend = None  # drop the closure's cycle through itself, and the algebras it holds
     return tuple(Homomorphism(a, b, mapping) for mapping in sorted(found))
 
 

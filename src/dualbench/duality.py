@@ -79,6 +79,7 @@ from .topology import (
     OrderedSpace,
     PbsObject,
     Topology,
+    _check_total,
     back_condition,
     is_pairwise_hausdorff,
     mask_members,
@@ -225,7 +226,8 @@ def _map_vectors(allowed, topologies, order, truth, limit, what):
     value at least (at most) that of every earlier point below (above) it.
     The backtracking search keeps the values these constraints leave for
     each point as a bitmask and builds only the maps it keeps; it raises
-    BudgetExceeded once more than ``limit`` are kept."""
+    BudgetExceeded once more than ``limit`` are kept, or when it recurses
+    deeper than Python's recursion limit, one level per point."""
     n = len(allowed)
     same = tuple(1 << v for v in range(len(truth)))
     up, down = truth.up_masks, truth.down_masks
@@ -265,8 +267,14 @@ def _map_vectors(allowed, topologies, order, truth, limit, what):
             rec(i + 1)
             mask ^= low
 
-    rec(0)
-    rec = None  # drop the closure's cycle through itself
+    try:
+        rec(0)
+    except RecursionError:
+        raise BudgetExceeded(
+            f"search of {what}, {n} points deep, exceeds the recursion limit"
+        ) from None
+    finally:
+        rec = None  # drop the closure's cycle through itself
     return tuple(out)
 
 
@@ -878,15 +886,16 @@ def dual_hom_of_map(mapping, src, dst, mode, truth=None):
     """Precomposition on the algebra side: a space map phi: src -> dst
     dualizes to the homomorphism from the map algebra of dst to the map
     algebra of src. ``truth`` is needed by the modes whose spaces do not
-    carry their truth lattice."""
+    carry their truth lattice. A mapping that is not total from the points
+    of src into those of dst raises SpaceError."""
     mode = as_mode(mode)
     truth = mode.check_space(src, truth)
     mode.check_space(dst, truth)
+    mapping = _check_total(mapping, src.points, dst.points, f"{mode.name}-map")
     fd, dvec = mode.reconstruct(dst, truth)
     fs, svec = mode.reconstruct(src, truth)
-    n_src = len(src.points)
     out, wd = _index(
-        (tuple(vec[mapping[s]] for s in range(n_src)) for vec in dvec),
+        (tuple(map(vec.__getitem__, mapping)) for vec in dvec),
         svec,
         lambda i: f"composite of {vector_name(fd.truth, dvec[i])} is not a map on the source",
     )

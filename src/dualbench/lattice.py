@@ -126,7 +126,7 @@ class Poset(_Frozen):
     @cached_attribute
     def derived(self):
         """What other modules derive from this poset alone and keep with
-        it for its life, by key (``algebra.hom_search_schedule``,
+        it for its life, by key (``algebra.hom_search_plan``,
         ``algebra.lvl_subalgebras`` and the ``algebra.packed_slices``
         tables per width of a lattice, ``kripke.upset_algebra`` of a
         frame). It is no field, so equality and hashing ignore it."""

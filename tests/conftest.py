@@ -1,3 +1,5 @@
+import sys
+
 import pytest
 
 from dualbench import duality
@@ -77,3 +79,17 @@ def dual_map_caches(monkeypatch):
 
     monkeypatch.setattr(duality, "_dualize_hom", spy)
     return seen
+
+
+@pytest.fixture
+def shallow_stack():
+    """The recursion limit lowered, for the test's life, to 150 frames above
+    the depth the test runs at, so that a search a few hundred levels deep
+    runs out of stack on a small input."""
+    depth, frame = 0, sys._getframe()
+    while frame is not None:
+        depth, frame = depth + 1, frame.f_back
+    limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(depth + 150)
+    yield
+    sys.setrecursionlimit(limit)

@@ -1,3 +1,4 @@
+import functools
 import gc
 import itertools
 
@@ -16,7 +17,6 @@ from dualbench.algebra import (
     enumerate_subalgebras,
     hom_order,
     hom_search_plan,
-    hom_search_schedule,
     identity_hom,
     is_homomorphism,
     make_bdl,
@@ -27,13 +27,15 @@ from dualbench.algebra import (
     subalgebra_of,
     vector_algebra,
 )
-from dualbench.corpus import corpus_frames, corpus_lattices
+from dualbench import algebra as algebra_module
+from dualbench.corpus import corpus_frames, corpus_lattices, corpus_run
 from dualbench.duality import HSPA, algebra_roundtrip
 from dualbench.errors import AlgebraError
 from dualbench.kripke import monotone_vectors, power_subalgebra, upset_algebra
 from dualbench.lattice import (
     FiniteLattice,
     build_poset,
+    cached_attribute,
     chain_lattice,
     diamond_lattice,
     heyting_table,
@@ -376,7 +378,7 @@ def hom_search_plan_oracle(lat):
     ups = tuple(
         tuple(x for x in range(n) if leq[j][x] and x != top) for j in irreducibles
     )
-    return irreducibles, pairs, final, ups
+    return tuple(zip(irreducibles, pairs, ups, [()] * len(irreducibles))), final
 
 
 def fresh_copy(lat):
@@ -394,16 +396,19 @@ def test_hom_search_plan_matches_a_fresh_computation():
         assert plan == hom_search_plan_oracle(lat), lat.name
 
 
-def test_searches_out_of_one_lattice_keep_only_their_schedules(
-    small_lattices, chain2, chain3
-):
+def hom_search_keys(lat):
+    return [key for key in lat.derived if "hom_search" in str(key)]
+
+
+def test_searches_out_of_one_lattice_keep_only_its_plan(small_lattices, chain2, chain3):
     for lat in (fresh_copy(lat) for lat in small_lattices):
-        # bdl, heyting and lvl searches out of one lattice
+        # bdl, heyting, isp_i and lvl searches out of one lattice
         searches = [
             (make_bdl(lat, truth), make_bdl(truth, truth)) for truth in (chain2, chain3)
         ]
         searches += [
-            (make_heyting(lat, truth), make_heyting(truth, truth))
+            (make(lat, truth), make(truth, truth))
+            for make in (make_heyting, make_heyting_ispi)
             for truth in (chain2, chain3)
         ]
         if len(lat) <= 4:
@@ -413,9 +418,11 @@ def test_searches_out_of_one_lattice_keep_only_their_schedules(
             assert [h.mapping for h in enumerate_homs(a, b)] == [
                 h.mapping for h in brute_force_homs(a, b)
             ], (a.name, a.signature)
-        # the plan is built inside each schedule and not kept on its own
-        assert list(lat.derived) == schedule_keys(lat)
-        assert len(schedule_keys(lat)) == len({a.signature for a, _ in searches})
+            # each source but a bdl one keeps its own checks
+            assert ("hom_search_steps" in vars(a)) is (a.signature != "bdl")
+        # the lattice keeps the plan, once, and nothing of any table
+        assert list(lat.derived) == hom_search_keys(lat) == ["hom_search_plan"]
+        assert hom_search_plan(lat) is lat.derived["hom_search_plan"]
 
 
 def fresh_algebra(algebra):
@@ -431,10 +438,6 @@ def fresh_algebra(algebra):
     )
 
 
-def schedule_keys(lat):
-    return [key for key in lat.derived if key[0] == "hom_search_schedule"]
-
-
 def test_hom_search_schedule_is_built_once_per_source(small_lattices, chain2, chain3):
     for lat in small_lattices:
         lat = fresh_copy(lat)
@@ -444,6 +447,7 @@ def test_hom_search_schedule_is_built_once_per_source(small_lattices, chain2, ch
             make_heyting_ispi(lat, chain3),
             make_lvl(lat),
         ]
+        plan_steps, _ = plan = hom_search_plan(lat)
         for a in sources:
             targets = [make_lvl(lat)]
             if a.signature != "lvl":
@@ -453,23 +457,22 @@ def test_hom_search_schedule_is_built_once_per_source(small_lattices, chain2, ch
                 ]
             for b in targets:
                 enumerate_homs(a, b)
-            schedule = hom_search_schedule(a)
-            # one schedule per signature and tables, shared by every search
-            assert hom_search_schedule(a) is schedule
-            assert schedule == hom_search_schedule(fresh_algebra(a))
-            assert schedule is not hom_search_schedule(fresh_algebra(a))
-        assert len(schedule_keys(lat)) == len(sources)
-        # equal tables share the schedule, as a second make_lvl's do
-        assert hom_search_schedule(make_lvl(lat)) is hom_search_schedule(sources[-1])
-        (bdl_key,) = [key for key in schedule_keys(lat) if key[1] == "bdl"]
-        assert bdl_key == ("hom_search_schedule", "bdl")
-        first, steps = lat.derived[bdl_key]
-        assert first == () and all(checks == () for *_, checks in steps)
+            first, steps = schedule = a.hom_search_steps
+            # one schedule per source, shared by every search out of it,
+            # laid on the one plan of its lattice
+            assert a.hom_search_steps is schedule
+            assert schedule == fresh_algebra(a).hom_search_steps
+            assert [step[:3] for step in steps] == [step[:3] for step in plan_steps]
+            assert all(step[1] is plan_steps[p][1] for p, step in enumerate(steps))
+        assert hom_search_plan(lat) is plan
+        assert hom_search_keys(lat) == ["hom_search_plan"]
+        # a bdl source has no checks: its search runs on the plan as it is
+        assert sources[0].hom_search_steps == ((), plan_steps)
 
 
 def test_hom_search_schedule_is_kept_per_table_not_per_lattice(small_lattices, chain2):
     # an implication table with one entry changed, on the same lattice and
-    # signature, gets its own schedule and its own homs
+    # signature, gets its own checks and its own homs
     for lat in small_lattices:
         true = make_heyting(lat, chain2)
         targets = [make_heyting(t, chain2) for t in small_lattices if len(t) <= 4]
@@ -483,8 +486,9 @@ def test_hom_search_schedule_is_kept_per_table_not_per_lattice(small_lattices, c
             for b in targets:
                 got = [h.mapping for h in enumerate_homs(a, b)]
                 assert got == [h.mapping for h in brute_force_homs(a, b)], (a.name, b.name)
-        assert hom_search_schedule(true) != hom_search_schedule(changed)
+        assert true.hom_search_steps != changed.hom_search_steps
         assert enumerate_homs(changed, targets[0]) == ()  # 1 -> 0 is 1 nowhere
+        assert hom_search_keys(lat) == ["hom_search_plan"]
 
 
 class Unhashable(tuple):
@@ -493,27 +497,26 @@ class Unhashable(tuple):
     __hash__ = None
 
 
-def test_schedule_lookups_hash_no_table_and_equal_tables_share_one(small_lattices, chain2):
-    # the tables an entry holds match on identity, and tables that refuse a
-    # hash are searched as any others; an equal copy on the same lattice
-    # matches by value, shares the schedule and adds no entry, and every
-    # source searches correctly
+def test_hom_search_hashes_no_table(small_lattices, chain2):
+    # tables that refuse a hash are searched as any others, and an equal
+    # copy of a source's tables on the same lattice builds checks equal to
+    # the source's; every source searches correctly
     for lat in (fresh_copy(lat) for lat in small_lattices):
         targets = [make_heyting(t, chain2) for t in small_lattices if len(t) <= 4]
         unhashable = algebra_from_tables(
             "heyting", lat, chain2, implies=Unhashable(heyting_table(lat))
         )
-        for a in (unhashable, make_lvl(lat)):
+        lvl = make_lvl(lat)
+        lvl = lvl.replace(t_ops=Unhashable(lvl.t_ops))
+        for a in (unhashable, lvl):
             copy = fresh_algebra(a).replace(lattice=lat)
             assert copy.implies == a.implies and copy.implies is not a.implies
             for source in (a, copy, a):
                 for b in targets if a.signature == "heyting" else [make_lvl(lat)]:
                     got = [h.mapping for h in enumerate_homs(source, b)]
                     assert got == [h.mapping for h in brute_force_homs(source, b)]
-            ((implies, t_ops, schedule),) = lat.derived[("hom_search_schedule", a.signature)]
-            assert implies is a.implies and t_ops is a.t_ops
-            assert hom_search_schedule(a) is schedule is hom_search_schedule(copy)
-        assert len(schedule_keys(lat)) == 2
+            assert a.hom_search_steps == copy.hom_search_steps
+        assert hom_search_keys(lat) == ["hom_search_plan"]
 
 
 def test_hom_search_schedule_checks_each_entry_once_when_it_is_final(small_lattices):
@@ -521,8 +524,8 @@ def test_hom_search_schedule_checks_each_entry_once_when_it_is_final(small_latti
     # the first after which its elements are all final
     for lat in small_lattices:
         a = make_lvl(lat)
-        _, _, final, _ = hom_search_plan(lat)
-        first, steps = hom_search_schedule(a)
+        _, final = hom_search_plan(lat)
+        first, steps = a.hom_search_steps
         placed = [(0, check) for check in first]
         placed += [(p, check) for p, (*_, checks) in enumerate(steps, 1) for check in checks]
         n, nt = len(lat), len(a.truth)
@@ -532,6 +535,31 @@ def test_hom_search_schedule_checks_each_entry_once_when_it_is_final(small_latti
         assert len(placed) == len(expected) and {c for _, c in placed} == expected
         for p, (_, r, x, y) in placed:
             assert p == max(final[r], final[x], final[y]), (lat.name, r, x, y)
+
+
+def test_a_corpus_run_builds_each_plan_per_lattice_and_checks_per_source(monkeypatch):
+    # seed 0 at size 7 searches out of 126 lattices and 26 sources with
+    # checks; a plan kept per source, checks kept per search or built for
+    # a bdl source build more
+    built = {"plan": 0, "checks": 0}
+    plan = algebra_module.hom_search_plan
+    steps = Algebra.hom_search_steps.func
+
+    def plan_spy(lattice):
+        kept = lattice.derived.get("hom_search_plan")
+        out = plan(lattice)
+        built["plan"] += out is not kept
+        return out
+
+    @functools.wraps(steps)
+    def steps_spy(a):
+        built["checks"] += 1
+        return steps(a)
+
+    monkeypatch.setattr(algebra_module, "hom_search_plan", plan_spy)
+    monkeypatch.setattr(Algebra, "hom_search_steps", cached_attribute(steps_spy))
+    corpus_run(7, 4, 0)
+    assert built["plan"] <= 126 and built["checks"] <= 26, built
 
 
 def test_searches_out_of_one_source_into_several_targets_match_the_scan(

@@ -894,6 +894,38 @@ def test_a_cyclic_order_exits_two_with_a_line(tmp_path, capsys):
         assert (code, out, err) == (2, "", f"error: {message}\n"), command
 
 
+def test_a_search_deeper_than_the_stack_exits_two_with_a_line(tmp_path, shallow_stack, capsys):
+    # a 300-element chain has 299 join-irreducibles, a hom search as deep,
+    # and a 300-point discrete space a map search of 300 levels; past the
+    # recursion limit each runs out of budget, not into a traceback
+    names = [f"e{i}" for i in range(300)]
+    chain = tmp_path / "chain.doc"
+    chain.write_text(
+        f"kind: lattice\nname: c\nelements: {' '.join(names)}\n"
+        f"leq: {' '.join(f'{x}<={y}' for x, y in zip(names, names[1:]))}\n"
+        f"bottom: e0\ntop: e299\n"
+    )
+    space = tmp_path / "discrete.doc"
+    space.write_text(
+        f"kind: space\nname: d\npoints: {' '.join(names)}\n"
+        f"topo: {' '.join('{%s}' % x for x in names)}\norder:\n"
+    )
+    homs = "hom search 299 join-irreducibles deep exceeds the recursion limit"
+    maps = (
+        "search of continuous order-preserving maps over 'd', 300 points deep, "
+        "exceeds the recursion limit"
+    )
+    cases = (
+        (["homs", str(chain)], homs),
+        (["dualize", "--mode", "pspa", str(chain)], homs),
+        (["reconstruct", "--mode", "pspa", str(space)], maps),
+        (["reconstruct", "--mode", "hspa", str(space)], maps),
+    )
+    for command, message in cases:
+        code, out, err = run_cli(command, capsys)
+        assert (code, out, err) == (2, "", f"error: {message}\n"), command
+
+
 def test_document_clashes_and_dangling_references_exit_two_with_a_line(tmp_path, capsys):
     with open(doc("power22.doc"), encoding="utf-8") as fh:
         power = fh.read()

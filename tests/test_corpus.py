@@ -1,3 +1,4 @@
+import gc
 import hashlib
 import itertools
 import random
@@ -6,7 +7,7 @@ from collections import Counter
 import corpus_oracle
 import pytest
 from dualbench import corpus, duality
-from dualbench.algebra import make_bdl, make_lvl, product_algebra
+from dualbench.algebra import enumerate_homs, make_bdl, make_lvl, product_algebra
 from dualbench.cli import main
 from dualbench.corpus import (
     SuiteResult,
@@ -419,6 +420,33 @@ def test_functoriality_is_the_same_without_the_dual_map_cache(monkeypatch):
     plain = [suite_functoriality(lattices, frames, seed) for seed in range(4)]
     assert cached == plain
     assert all(s.counts for s in plain)
+
+
+def test_a_search_deeper_than_the_stack_is_a_budget_failure(shallow_stack):
+    # past the recursion limit a hom search and a map search raise
+    # BudgetExceeded, which a corpus instance records as a budget failure,
+    # and each drops its recursive closure as a finished search does
+    truth = chain_lattice(2)
+    chain = make_bdl(chain_lattice(300), truth)
+    target = make_bdl(truth, truth)
+    searches = (
+        lambda: enumerate_homs(chain, target),
+        lambda: duality._map_vectors([3] * 300, (), None, truth, 10, "maps"),
+    )
+    probe = SuiteResult("probe")
+    gc.collect()
+    gc.disable()
+    try:
+        for run in searches:
+            assert _guarded(probe, "probe", run) is None
+            assert gc.collect() == 0
+    finally:
+        gc.enable()
+    assert probe.failures == [
+        "probe: budget exceeded (hom search 299 join-irreducibles deep exceeds the "
+        "recursion limit)",
+        "probe: budget exceeded (search of maps, 300 points deep, exceeds the recursion limit)",
+    ]
 
 
 def test_budget_cut_instance_leaves_no_scope_cache(scope_caches):

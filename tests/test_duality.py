@@ -540,6 +540,19 @@ def test_dual_hom_of_map_pbs(chain2):
     assert all(r.passed for r in checks.values())
 
 
+def test_dual_hom_of_map_refuses_a_map_that_is_not_total(chain2):
+    # a short map, an entry past the last point and a negative entry are
+    # carrier mismatches, as the morphism verifiers find them
+    space = PSPA.dual(make_bdl(chain_lattice(3), chain2))[0]
+    obj = PBS.dual(product_algebra(make_lvl(chain2), make_lvl(chain2)))[0]
+    spaces = (("pspa", space, chain2), ("hspa", space, chain2), ("pbs", obj, None))
+    for mapping in ((0,), (0, 5), (0, -1), (0, 1, 0)):
+        for mode, src, truth in spaces:
+            with pytest.raises(SpaceError, match=f"map '{mode}-map' is not total") as exc:
+                dual_hom_of_map(mapping, src, src, mode, truth=truth)
+            assert exc.value.code == "carrier-mismatch"
+
+
 def _one_mode_each(chain2, frame2):
     return (
         (PBS, make_lvl(chain2)),

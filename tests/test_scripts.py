@@ -200,24 +200,56 @@ def test_bench_pair_exits_1_when_the_change_would_be_refused(monkeypatch, tmp_pa
         return [r for r in synthetic_rows() if r["pair"] == pair]
 
     def no_git(argv, **options):
-        # git rev-parse, git archive and tar, none of which the rows need
+        # git rev-parse, git archive, tar and git ls-files, none of which
+        # the rows need
         return subprocess.CompletedProcess(argv, 0, stdout="" if options.get("text") else b"")
+
+    read = []
+
+    def machine(tree, workload, seed):
+        read.append(tree)
+        return {}
 
     monkeypatch.setattr(bench.subprocess, "run", no_git)
     monkeypatch.setattr(bench, "run_pair", fake_pair)
-    monkeypatch.setattr(bench, "machine", lambda tree, workload, seed: {})
+    monkeypatch.setattr(bench, "machine", machine)
     out = tmp_path / "bench.json"
     args = ["--parent", "HEAD", "--seed", "7", "--out", str(out)]
     # two pairs the change wins; the third adds a failed operation
     assert bench.main(args + ["--workload", "corpus=2", "--claim", "corpus:run_s"]) == 0
     record = json.loads(out.read_text(encoding="utf-8"))
     assert record["refusals"] == []
-    # the parent tree is left empty here, since no archive is unpacked
-    assert record["src_lines"] == {"parent": 0, "change": bench.src_lines(bench.ROOT)}
+    # both trees are left empty here, since no archive is unpacked and git
+    # lists no file to copy; the machine is read off the change's copy
+    assert record["src_lines"] == {"parent": 0, "change": 0}
+    assert read[0].name == "change" and read[0].parent.name.startswith("bench-pair-")
     assert bench.main(args + ["--workload", "corpus=3"]) == 1
     assert json.loads(out.read_text(encoding="utf-8"))["refusals"] == [
         "corpus: failed share 0.033333 is above the parent's 0.0"
     ]
+
+
+def test_bench_pair_copies_the_files_git_lists_and_no_leftover(tmp_path):
+    bench = load("bench_pair")
+    repo, dest = tmp_path / "repo", tmp_path / "copy"
+    (repo / "src" / "__pycache__").mkdir(parents=True)
+    files = {
+        ".gitignore": "__pycache__/\n",
+        "src/kept.py": "x = 1\n",  # tracked
+        "src/new.py": "y = 2\n",  # not yet added
+        "src/gone.py": "z = 3\n",  # tracked, then deleted
+        "src/__pycache__/kept.cpython-311.pyc": "stale",  # ignored
+    }
+    for name, text in files.items():
+        (repo / name).write_text(text)
+    subprocess.run(["git", "init", "-q"], cwd=repo, check=True)
+    subprocess.run(["git", "add", ".gitignore", "src/kept.py", "src/gone.py"], cwd=repo, check=True)
+    (repo / "src" / "gone.py").unlink()
+    dest.mkdir()
+    bench.copy_listed_files(repo, dest)
+    copied = sorted(str(p.relative_to(dest)) for p in dest.rglob("*") if p.is_file())
+    assert copied == [".gitignore", "src/kept.py", "src/new.py"]
+    assert (dest / "src" / "new.py").read_text() == "y = 2\n"
 
 
 def test_bench_pair_counts_the_lines_of_the_package_sources(tmp_path):
