@@ -17,7 +17,8 @@ side runs first. N is the ``run_seconds`` that ``BENCHMARK.json`` sets.
 ``corpus-run --max-size M --frame-size 4 --seed 0 --timings`` run
 ``CORPUS_REPEATS`` times on each side, alternately, and records the
 seconds of each suite, as the tree's ``--timings`` reports them, and the
-CPU time of the process.
+CPU time and peak resident memory of the process, from the resource usage
+that reaping it with ``os.wait4`` returns.
 
 The output holds every row, and per workload and metric the medians, the
 inclusive quartiles, the number of pairs the change won and lost and
@@ -40,7 +41,6 @@ from __future__ import annotations
 import argparse
 import json
 import os
-import resource
 import shutil
 import statistics
 import subprocess
@@ -219,34 +219,50 @@ class CorpusRunFailed(RuntimeError):
     """A ``corpus-run`` that printed no report."""
 
 
+def run_reaped(argv, cwd, env):
+    """Run ``argv`` to its end and reap it with ``os.wait4``: its exit code,
+    standard output, standard error and its own resource usage, which
+    ``RUSAGE_CHILDREN`` would mix with every other child's (its
+    ``ru_maxrss`` is a maximum over all of them). On Linux the child's
+    peak is at least this script's resident peak when it starts the
+    child, since exec keeps the high-water mark of the memory it
+    replaces."""
+    with tempfile.TemporaryFile() as out, tempfile.TemporaryFile() as err:
+        proc = subprocess.Popen(argv, cwd=cwd, env=env, stdout=out, stderr=err)
+        _, status, usage = os.wait4(proc.pid, 0)
+        code = proc.returncode = os.waitstatus_to_exitcode(status)
+        out.seek(0)
+        err.seek(0)
+        return code, out.read().decode("utf-8"), err.read().decode("utf-8"), usage
+
+
 def run_corpus(tree, size):
-    """Per-suite seconds of one ``corpus-run`` and the CPU time of its
-    process. A run whose standard output holds no report raises
-    CorpusRunFailed with its exit code and the tail of its standard error;
-    a report with failing suites is a report (the run exits 1 then)."""
+    """Per-suite seconds of one ``corpus-run``, and the CPU time and peak
+    resident memory of its process. A run whose standard output holds no
+    report raises CorpusRunFailed with its exit code and the tail of its
+    standard error; a report with failing suites is a report (the run
+    exits 1 then)."""
     env = dict(os.environ, PYTHONPATH=str(Path(tree) / "src"))
-    before = resource.getrusage(resource.RUSAGE_CHILDREN)
-    proc = subprocess.run(
+    code, stdout, stderr, usage = run_reaped(
         [
             sys.executable, "-c", CLI, "corpus-run", "--max-size", str(size),
             "--frame-size", "4", "--seed", "0", "--timings", "--format", "machine",
         ],
-        cwd=tree, env=env, capture_output=True, text=True,
+        tree, env,
     )
-    after = resource.getrusage(resource.RUSAGE_CHILDREN)
     try:
-        timings = json.loads(proc.stdout)["timings"]
+        timings = json.loads(stdout)["timings"]
     except (json.JSONDecodeError, KeyError):
-        tail = "\n".join(proc.stderr.strip().splitlines()[-STDERR_TAIL_LINES:])
+        tail = "\n".join(stderr.strip().splitlines()[-STDERR_TAIL_LINES:])
         raise CorpusRunFailed(
-            f"corpus-run --max-size {size} in {tree} exited {proc.returncode} "
+            f"corpus-run --max-size {size} in {tree} exited {code} "
             f"with no report; its standard error ends:\n{tail}"
         ) from None
     out = {name: s["seconds"] for name, s in timings["suites"].items()}
     out["enumerate"] = timings["enumerate_seconds"]
-    out["process_cpu_s"] = round(
-        after.ru_utime - before.ru_utime + after.ru_stime - before.ru_stime, 3
-    )
+    out["process_cpu_s"] = round(usage.ru_utime + usage.ru_stime, 3)
+    # ru_maxrss is in kilobytes on Linux, as perfbench reads it
+    out["process_peak_rss_mb"] = round(usage.ru_maxrss / 1024, 2)
     return out
 
 

@@ -12,7 +12,7 @@ from __future__ import annotations
 import argparse
 import contextlib
 import functools
-import hashlib
+import importlib
 import json
 import os
 import sys
@@ -42,6 +42,20 @@ from .errors import DocumentError, DualityError, LatticeError
 from .kripke import DEFAULT_POWER_BUDGET, kripke_condition_check
 from .lattice import chain_lattice
 from .reporting import PASS, _Record, failed
+
+# The SHA-256 of each input file comes from the interpreter's own module
+# (_sha256 up to Python 3.11, _sha2 from 3.12), as random.py takes its
+# sha512: hashlib loads OpenSSL's libcrypto, which costs every call
+# megabytes and milliseconds for the same digest. Each of the two is a
+# standard module of its own versions only, so both are imported by name.
+for _module in ("_sha256", "_sha2"):
+    try:
+        sha256 = importlib.import_module(_module).sha256
+        break
+    except ImportError:
+        pass
+else:
+    from hashlib import sha256
 
 
 class RunReport(_Record):
@@ -105,7 +119,7 @@ def _load(paths):
         inputs.append(
             {
                 "path": path,
-                "sha256": hashlib.sha256(data).hexdigest(),
+                "sha256": sha256(data).hexdigest(),
                 "documents": [d.name for d in parsed],
             }
         )

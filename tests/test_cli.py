@@ -1,4 +1,5 @@
 import hashlib
+import importlib.util
 import json
 import os
 import re
@@ -6,6 +7,7 @@ import subprocess
 import sys
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from dualbench import cli, duality
 from dualbench.cli import main
@@ -103,7 +105,47 @@ def test_machine_format_and_report(tmp_path, capsys):
         "passed",
     }
     assert payload["passed"] is True
-    assert payload["inputs"][0]["sha256"]
+    assert payload["inputs"][0]["sha256"] == _file_sha256(doc("chain3-lvl.doc"))
+
+
+def _file_sha256(path):
+    # hashlib is the oracle of the digest the CLI takes from the
+    # interpreter's own SHA-256 module
+    with open(path, "rb") as fh:
+        return hashlib.sha256(fh.read()).hexdigest()
+
+
+def test_every_input_digest_is_the_sha256_of_its_file(capsys):
+    for name in sorted(os.listdir(DOCS)):
+        args = ["check-lattice"]
+        if name == "pspa-chain2.doc":  # the one sample with no lattice in it
+            args = ["verify-space", "--mode", "pspa"]
+        code, out, _ = run_cli(args + [doc(name), "--format", "machine"], capsys)
+        assert code in (0, 1), name
+        [single] = json.loads(out)["inputs"]
+        assert single["sha256"] == _file_sha256(doc(name)), name
+    # a report of several files gives each its own digest, in load order
+    files = [doc("chain2.doc"), doc("chain3.doc"), doc("b2.doc")]
+    args = ["homs", files[0], "--truth", files[1], "--into", files[2], "--format", "machine"]
+    code, out, _ = run_cli(args, capsys)
+    inputs = json.loads(out)["inputs"]
+    assert code == 0 and [i["path"] for i in inputs] == files
+    assert [i["sha256"] for i in inputs] == [_file_sha256(f) for f in files]
+
+
+@settings(max_examples=300, derandomize=True, deadline=None)
+@given(st.binary(max_size=1 << 12))
+@example(b"")
+@example(b"a" * 55)  # the longest message that pads into one block
+@example(b"a" * 64)
+def test_the_cli_digest_is_hashlibs_sha256(data):
+    assert cli.sha256(data).hexdigest() == hashlib.sha256(data).hexdigest()
+
+
+def test_the_cli_digest_comes_from_a_standard_module():
+    # the module is imported by name, so that no version's stdlib list
+    # misreads the other version's module as a foreign import
+    assert cli.sha256.__module__ in sys.stdlib_module_names
 
 
 def test_exit_code_matches_verdicts(tmp_path, capsys):
@@ -1036,15 +1078,16 @@ def test_commands_back_to_back_print_what_they_print_alone(capsys):
     assert [code for code, _, _ in together] == [1, 0, 0, 0]
 
 
-def _loaded_by(statement):
+def _loaded_by(statement, cwd=None):
     """The modules loaded after ``statement`` runs in a fresh interpreter
     without the site hooks, which may import modules of their own."""
-    src = os.path.dirname(os.path.dirname(cli.__file__))
+    src = os.path.dirname(os.path.dirname(os.path.abspath(cli.__file__)))
     env = dict(os.environ, PYTHONPATH=src)
     code = f"import sys\n{statement}\nprint(*sorted(sys.modules))"
     out = subprocess.run(
-        [sys.executable, "-S", "-c", code], capture_output=True, text=True, env=env, check=True
+        [sys.executable, "-S", "-c", code], capture_output=True, text=True, env=env, cwd=cwd
     )
+    assert out.returncode == 0, out.stderr
     return set(out.stdout.split())
 
 
@@ -1052,6 +1095,59 @@ def test_cli_import_loads_neither_dataclasses_nor_the_corpus():
     loaded = _loaded_by("import dualbench.cli")
     assert "dualbench.cli" in loaded and "dualbench.duality" in loaded
     assert loaded.isdisjoint({"dataclasses", "inspect", "dualbench.corpus"})
+
+
+# one call of each command on the sample documents, every mode of the
+# commands that take one, and the smallest corpus run
+EVERY_COMMAND = [
+    ["check-lattice", "b2.doc"],
+    ["axioms", "chain3-lvl.doc"],
+    ["subalgebras", "b2.doc"],
+    ["homs", "chain2.doc", "--truth", "chain3.doc", "--into", "b2.doc"],
+    ["power", "power22.doc"],
+    ["generate", "upsets22.doc"],
+    *(["dualize", "b2.doc", "--mode", mode] for mode in ("pbs", "pspa", "hspa")),
+    ["reconstruct", "pbs-chain2.doc", "--mode", "pbs"],
+    *(["reconstruct", "pspa-chain2.doc", "--mode", mode] for mode in ("pspa", "hspa")),
+    *(["roundtrip", "b2.doc", "--mode", mode] for mode in ("pbs", "pspa", "hspa")),
+    ["verify-space", "pbs-chain2.doc", "--mode", "pbs"],
+    *(["verify-space", "pspa-chain2.doc", "--mode", mode] for mode in ("pspa", "hspa")),
+    ["kripke-check", "upsets22.doc"],
+    ["spectrum", "b2.doc", "--truth", "chain3.doc"],
+    ["corpus-run", "--max-size", "4"],
+]
+
+
+@pytest.mark.skipif(
+    not any(importlib.util.find_spec(name) for name in ("_sha256", "_sha2")),
+    reason="the interpreter has no SHA-256 module of its own",
+)
+def test_no_command_loads_openssl():
+    # hashlib loads _hashlib, which maps OpenSSL's libcrypto: megabytes of
+    # resident memory in every CLI call, for a digest the interpreter's own
+    # module gives alike
+    assert {argv[0] for argv in EVERY_COMMAND} == set(cli._HANDLERS)
+    loaded = _loaded_by(
+        "import contextlib, io\n"
+        "from dualbench.cli import main\n"
+        f"for argv in {EVERY_COMMAND!r}:\n"
+        "    with contextlib.redirect_stdout(io.StringIO()):\n"
+        "        code = main(argv + ['--format', 'machine'])\n"
+        "    assert code in (0, 1), (argv, code)\n"
+        "    assert '_hashlib' not in sys.modules, argv",
+        cwd=DOCS,
+    )
+    assert "dualbench.corpus" in loaded and "_hashlib" not in loaded
+
+
+def test_the_cli_digest_falls_back_to_hashlib():
+    # an interpreter with neither module of its own, as both are blocked here
+    _loaded_by(
+        "sys.modules['_sha256'] = sys.modules['_sha2'] = None\n"
+        "import hashlib\n"
+        "from dualbench.cli import sha256\n"
+        "assert sha256 is hashlib.sha256"
+    )
 
 
 def test_corpus_import_loads_neither_the_cli_nor_documents():

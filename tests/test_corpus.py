@@ -23,9 +23,17 @@ from dualbench.corpus import (
     suite_heyting_coincidence,
     suite_ispi_roundtrip,
     suite_lvl_duality,
+    suite_separation,
 )
 from dualbench.errors import BudgetExceeded
-from dualbench.lattice import build_poset, chain_lattice, diamond_lattice, heyting_implies
+from dualbench.lattice import (
+    build_poset,
+    chain_lattice,
+    diamond_lattice,
+    heyting_implies,
+    is_prime_ideal,
+    separating_prime_ideal,
+)
 from dualbench.reporting import failed
 
 # sha256 of the machine report of `corpus-run --max-size 7 --frame-size 4
@@ -469,3 +477,80 @@ def test_budget_cut_instance_leaves_no_scope_cache(scope_caches):
     assert probe.failures == ["probe: budget exceeded (cut)"]
     assert all(c == {} for c in scope_caches)
     assert duality._SCOPE_CACHE.get() is None
+
+
+def _separation_witnesses(lattices, separate):
+    """Every witness of the prime separation suite, from each pair's own
+    re-verification of the ideal that ``separate`` returns for it."""
+    out = []
+    for lat in lattices:
+        for x in range(len(lat)):
+            for y in range(x + 1, len(lat)):
+                ideal, flag = separate(lat, x, y)
+                pair = f"({lat.elements[x]},{lat.elements[y]})"
+                if not is_prime_ideal(lat, ideal):
+                    out.append(f"{lat.name}: ideal for {pair} is not prime on re-verification")
+                elif (x in ideal) != (flag == "contains-x") or (y in ideal) == (flag == "contains-x"):
+                    out.append(f"{lat.name}: ideal does not separate {pair}")
+    return out
+
+
+def _every_witness(monkeypatch):
+    """The witnesses a suite fails with, past the 25 its result keeps."""
+    seen = []
+    real = SuiteResult.fail
+
+    def fail(self, witness):
+        seen.append(witness)
+        real(self, witness)
+
+    monkeypatch.setattr(SuiteResult, "fail", fail)
+    return seen
+
+
+def test_prime_separation_reverifies_each_distinct_ideal_once(monkeypatch):
+    lattices = corpus_lattices(7)
+    checked = Counter()
+
+    def spy(lattice, subset):
+        checked[lattice.name, frozenset(subset)] += 1
+        return is_prime_ideal(lattice, subset)
+
+    monkeypatch.setattr(corpus, "is_prime_ideal", spy)
+    suite = suite_separation(lattices)
+    assert suite.passed and suite.counts == {"lattices": len(lattices), "pairs": 289}
+    assert set(checked.values()) == {1}
+    assert len(checked) == sum(len(lat.prime_ideals) for lat in lattices) == 76
+
+
+def _drop_from_every_ideal(lattice, ideal):
+    return True
+
+
+def _drop_from_the_largest_ideal(lattice, ideal):
+    return ideal == lattice.prime_ideals[-1]
+
+
+@pytest.mark.parametrize("mutated", [_drop_from_every_ideal, _drop_from_the_largest_ideal])
+def test_prime_separation_fails_every_pair_of_a_mutated_ideal(monkeypatch, mutated):
+    # a mutated ideal loses its largest element: it is re-verified once,
+    # every pair it is returned for still fails with the message of its own
+    # check, and the pairs of the ideals left whole pass
+    lattices = corpus_lattices(6)
+
+    def dropped(lattice, x, y):
+        ideal, flag = separating_prime_ideal(lattice, x, y)
+        return (ideal - {max(ideal)} if mutated(lattice, ideal) else ideal), flag
+
+    monkeypatch.setattr(corpus, "separating_prime_ideal", dropped)
+    seen = _every_witness(monkeypatch)
+    suite = suite_separation(lattices)
+    expected = _separation_witnesses(lattices, dropped)
+    assert 0 < len(expected) < suite.counts["pairs"]
+    assert seen == expected and suite.failure_count == len(expected)
+    assert suite.failures == expected[:25] and not suite.passed
+    if mutated is _drop_from_every_ideal:
+        # more failures than the result keeps; and a dropped element can be
+        # x or y, and then the ideal may be prime and no longer separate
+        assert len(expected) > 25
+        assert any("does not separate" in w for w in expected)

@@ -7,7 +7,9 @@ import importlib
 import importlib.util
 import json
 import pathlib
+import resource
 import subprocess
+import sys
 
 import pytest
 
@@ -318,11 +320,12 @@ def test_bench_pair_runs_for_the_benchmarks_run_seconds():
 def test_bench_pair_corpus_run_without_a_report_names_its_exit_and_stderr(monkeypatch):
     bench = load("bench_pair")
     stderr = "\n".join(f"line {i}" for i in range(30)) + "\nMemoryError\n"
+    usage = resource.struct_rusage((0.25, 0.5) + (0,) * 14)
 
-    def crashed(argv, **options):
-        return subprocess.CompletedProcess(argv, 137, stdout="", stderr=stderr)
+    def crashed(argv, cwd, env):
+        return 137, "", stderr, usage
 
-    monkeypatch.setattr(bench.subprocess, "run", crashed)
+    monkeypatch.setattr(bench, "run_reaped", crashed)
     with pytest.raises(bench.CorpusRunFailed) as err:
         bench.run_corpus("T", 12)
     message = str(err.value)
@@ -332,10 +335,44 @@ def test_bench_pair_corpus_run_without_a_report_names_its_exit_and_stderr(monkey
 
     report = {"timings": {"suites": {"lvl_duality": {"seconds": 0.5}}, "enumerate_seconds": 0.1}}
 
-    def failing_suites(argv, **options):
-        return subprocess.CompletedProcess(argv, 1, stdout=json.dumps(report), stderr="")
+    def failing_suites(argv, cwd, env):
+        return 1, json.dumps(report), "", usage
 
-    monkeypatch.setattr(bench.subprocess, "run", failing_suites)
+    monkeypatch.setattr(bench, "run_reaped", failing_suites)
     # a report whose suites fail exits 1 and is still read
     out = bench.run_corpus("T", 12)
     assert (out["lvl_duality"], out["enumerate"]) == (0.5, 0.1)
+
+
+def test_bench_pair_reads_each_corpus_run_and_child_on_its_own(tmp_path):
+    # on Linux a child's peak starts at the resident memory of the process
+    # that starts it (exec keeps the high-water mark of the memory it
+    # replaces), so the calls run from a fresh interpreter, not from pytest
+    probe = tmp_path / "probe.py"
+    probe.write_text(
+        "import importlib.util, json, os, resource, sys\n"
+        f"spec = importlib.util.spec_from_file_location('bench_pair', {str(SCRIPTS / 'bench_pair.py')!r})\n"
+        "bench = importlib.util.module_from_spec(spec)\n"
+        "spec.loader.exec_module(bench)\n"
+        f"corpus = bench.run_corpus({str(SCRIPTS.parent)!r}, 2)\n"
+        "env = dict(os.environ)\n"
+        "large = bench.run_reaped([sys.executable, '-c', "
+        "'import sys; b = bytearray(48 << 20); sys.exit(3)'], '.', env)\n"
+        "small = bench.run_reaped([sys.executable, '-c', "
+        "'import sys; print(1); print(2, file=sys.stderr)'], '.', env)\n"
+        "children = resource.getrusage(resource.RUSAGE_CHILDREN).ru_maxrss\n"
+        "print(json.dumps([corpus, [*large[:3], large[3].ru_maxrss], "
+        "[*small[:3], small[3].ru_maxrss], children]))\n"
+    )
+    proc = subprocess.run(
+        [sys.executable, str(probe)], capture_output=True, text=True, cwd=tmp_path
+    )
+    assert proc.returncode == 0, proc.stderr
+    corpus, large, small, children = json.loads(proc.stdout)
+    assert {"prime_separation", "enumerate", "process_cpu_s"} <= set(corpus)
+    assert corpus["process_cpu_s"] > 0 and 5 < corpus["process_peak_rss_mb"] < 100
+    assert large[:3] == [3, "", ""] and small[:3] == [0, "1\n", "2\n"]
+    # RUSAGE_CHILDREN keeps the largest peak of every child reaped so far;
+    # os.wait4 gives the small child after the large one its own
+    assert large[3] - small[3] > 40 << 10
+    assert children >= large[3]
